@@ -30,7 +30,7 @@ from .measures import (
     concurrence_two_qubit,
     negativity_pure_schmidt,
 )
-from .qcore import PureState, reduced_density, schmidt_rank
+from .qcore import PureState, reduced_density, schmidt_rank, to_density
 
 SLACK_TOL = 1e-9
 FEAS_TOL = 1e-12
@@ -137,6 +137,8 @@ class AlphaGrid:
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ValueError("alpha grid must be non-empty")
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError(f"alpha values must be finite, got {vals}")
         if any(v < 0.0 or v > 2.0 for v in vals):
             raise ValueError("alpha values must lie in [0, 2]")
         if any(b <= a for a, b in zip(vals, vals[1:])):
@@ -145,6 +147,8 @@ class AlphaGrid:
 
     @classmethod
     def from_range(cls, start: float, stop: float, step: float) -> "AlphaGrid":
+        if not all(math.isfinite(x) for x in (start, stop, step)):
+            raise ValueError("alpha range bounds and step must be finite")
         if step <= 0:
             raise ValueError("step must be positive")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -237,7 +241,8 @@ def pairwise_tables(psi: PureState, focus: int) -> tuple[dict[int, float], dict[
     """Squared pairwise concurrence and assistance values against ``focus``.
 
     Returns ``(c_sq, ca_sq)`` keyed by partner qubit.  On two-qubit
-    reductions these equal the squared CREN / CRENOA values as well.
+    reductions these equal the squared CREN / CRENOA values as well.  A
+    two-qubit state is its own pair state.
     """
     n = psi.num_qubits
     f = _single_qubit(focus, n, "focus")
@@ -246,7 +251,7 @@ def pairwise_tables(psi: PureState, focus: int) -> tuple[dict[int, float], dict[
     for p in range(n):
         if p == f:
             continue
-        rho = reduced_density(psi, (min(f, p), max(f, p)))
+        rho = to_density(psi) if n == 2 else reduced_density(psi, (min(f, p), max(f, p)))
         c_sq[p] = concurrence_two_qubit(rho).value ** 2
         ca_sq[p] = coa_two_qubit(rho).value ** 2
     return c_sq, ca_sq
@@ -286,6 +291,12 @@ def _front_weighted_sum(grouped_sq: Sequence[float], alpha: float) -> float:
     h = h_weight(alpha)
     terms = [_apow(v, alpha / 2.0) for v in grouped_sq]
     return h * sum(terms[:-1]) + terms[-1]
+
+
+def _jin_sum(grouped_sq: Sequence[float], alpha: float) -> float:
+    """sum_i (alpha/2)^(i-1) * (g_i^2)^(alpha/2) over the groups in order."""
+    return sum(((alpha / 2.0) ** i) * _apow(v, alpha / 2.0)
+               for i, v in enumerate(grouped_sq))
 
 
 def _report(theorem_id: str, alpha: float, lhs: float, rhs: float,
@@ -335,9 +346,7 @@ def jin_upper(psi: PureState, focus: int, ordering: Sequence[int],
     _, ca_sq = pairwise_tables(psi, f)
     cert = _require_feasible(ca_sq, grouping, "jin")
     lhs = _apow(concurrence_pure(psi, (f,)).value, alpha)
-    rhs = sum(((alpha / 2.0) ** i) * _apow(v, alpha / 2.0)
-              for i, v in enumerate(cert.squared_values))
-    return _report("jin", alpha, lhs, rhs, cert)
+    return _report("jin", alpha, lhs, _jin_sum(cert.squared_values, alpha), cert)
 
 
 def ckw_check(psi: PureState, focus: int) -> BoundReport:
@@ -649,18 +658,128 @@ def ordered_groupings(partners: Sequence[int]):
         yield Grouping(tuple(tuple(partners[i] for i in block) for block in pattern))
 
 
-def _pick(best, candidate, value, k: int, minimize: bool):
-    """Keep the better candidate; ties prefer more groups, then first seen."""
-    if best is None:
-        return candidate, value, k
-    best_cand, best_val, best_k = best
-    if minimize:
-        better = value < best_val - _TIE_TOL
-    else:
-        better = value > best_val + _TIE_TOL
-    if better or (abs(value - best_val) <= _TIE_TOL and k > best_k):
-        return candidate, value, k
-    return best_cand, best_val, best_k
+@lru_cache(maxsize=None)
+def _split_table(m: int) -> tuple[tuple[int, ...], ...]:
+    """Proper non-empty sub-masks of every bit mask over range(m).
+
+    Each subset's sub-masks are listed by size, then lexicographically by
+    position: the order in which ``ordered_groupings`` leads with them.
+    """
+    table = []
+    for s in range(1 << m):
+        bits = [i for i in range(m) if s >> i & 1]
+        table.append(tuple(sum(1 << i for i in block)
+                           for size in range(1, len(bits))
+                           for block in itertools.combinations(bits, size)))
+    return tuple(table)
+
+
+def _subset_sums(values: Sequence[float]) -> list[float]:
+    """Sum over every bit mask, added in ascending position like ``_grouped_sums``."""
+    sums = [0.0] * (1 << len(values))
+    for s in range(1, len(sums)):
+        top = s.bit_length() - 1
+        sums[s] = sums[s ^ (1 << top)] + values[top]
+    return sums
+
+
+def _chain_dp(splits, lead: Sequence[float], lead_w: float, tail_w: float,
+              merged_ok: bool) -> list[int]:
+    """Leading group of the minimal chain over every subset of the partners.
+
+    ``value(s)`` is the smaller of ``lead[s]`` (the whole subset as one group,
+    when ``merged_ok`` or ``s`` is one qubit) and, over ``(t, r)`` in
+    ``splits[s]``, ``lead_w * lead[t] + tail_w * value(r)``.  Candidates are
+    scanned in search order and a later one wins only when it is lower by more
+    than ``_TIE_TOL``, or within it with more groups, so at each subset a tie
+    keeps more groups and then the first leading group.  With ``tail_w == 0``
+    a tail's value cannot change the total, so below the full set every
+    candidate scores 0 and only the group count decides.
+    """
+    full = len(splits) - 1
+    value = [0.0] * (full + 1)
+    groups = [0] * (full + 1)
+    pick = [0] * (full + 1)
+    flat = lead if tail_w else [0.0] * (full + 1)
+    for s in range(1, full + 1):
+        score = lead if s == full else flat
+        best = None
+        for t, r in splits[s]:
+            v = lead_w * score[t] + tail_w * value[r]
+            k = groups[r] + 1
+            if best is None or v < best - _TIE_TOL or (v <= best + _TIE_TOL and k > best_k):
+                best, best_k, best_t = v, k, t
+        if merged_ok or not s & (s - 1):
+            v = score[s]
+            if best is None or v < best - _TIE_TOL:
+                best, best_k, best_t = v, 1, s
+        if best is not None:
+            value[s], groups[s], pick[s] = best, best_k, best_t
+    return pick
+
+
+class _SplitSearch:
+    """Dominance-feasible splits of one focus's partners, shared by every alpha.
+
+    Subsets of the sorted partners are bit masks.  ``splits[s]`` holds each
+    ``(t, s ^ t)`` with ``ca[t] >= ca[s ^ t] - FEAS_TOL``, in search order, so a
+    feasible grouping of ``s`` is a feasible split followed by a feasible
+    grouping of the rest.  ``singles[s]`` keeps the one-qubit leads whose rest
+    still has a feasible singleton order.
+    """
+
+    def __init__(self, c_sq: Mapping[int, float], ca_sq: Mapping[int, float]):
+        self.partners = tuple(sorted(ca_sq))
+        self.c = _subset_sums([c_sq[q] for q in self.partners])
+        self.ca = ca = _subset_sums([ca_sq[q] for q in self.partners])
+        self.splits = [tuple((t, s ^ t) for t in subs if ca[t] >= ca[s ^ t] - FEAS_TOL)
+                       for s, subs in enumerate(_split_table(len(self.partners)))]
+        ordered = [True] * len(ca)
+        self.singles = [()] * len(ca)
+        for s in range(1, len(ca)):
+            if s & (s - 1):
+                self.singles[s] = tuple((t, r) for t, r in self.splits[s]
+                                        if not t & (t - 1) and ordered[r])
+                ordered[s] = bool(self.singles[s])
+        self.jin_ok = ordered[-1]
+
+    def _grouping(self, masks: Iterable[int]) -> Grouping:
+        return Grouping(tuple(tuple(q for i, q in enumerate(self.partners) if t >> i & 1)
+                              for t in masks))
+
+    def best(self, objective: str, alpha: float) -> Grouping | None:
+        """Grouping that minimizes J (``"j"``), maximizes the front sum
+        (``"front"``) or minimizes the jin sum over singletons (``"jin"``);
+        None for ``"jin"`` when no singleton order is feasible."""
+        if objective == "jin" and not self.jin_ok:
+            return None
+        half = alpha / 2.0
+        if objective == "front":
+            # The front sum is maximized: minimize its negation.
+            pick = _chain_dp(self.splits, [-_apow(v, half) for v in self.c],
+                             h_weight(alpha), 1.0, True)
+        else:
+            lead = [_apow(v, half) for v in self.ca]
+            if objective == "j":
+                pick = _chain_dp(self.splits, lead, 1.0, h_weight(alpha), True)
+            else:
+                pick = _chain_dp(self.singles, lead, 1.0, half, False)
+        chain, s = [], len(pick) - 1
+        while s:
+            chain.append(pick[s])
+            s ^= pick[s]
+        return self._grouping(chain)
+
+    def groupings(self):
+        """Every feasible grouping, in ``ordered_groupings`` order."""
+        def walk(s):
+            for t, r in self.splits[s]:
+                for tail in walk(r):
+                    yield (t,) + tail
+            yield (s,)
+
+        for chain in walk(len(self.ca) - 1):
+            yield self._grouping(chain)
 
 
 def _check_partner_cap(num_partners: int) -> None:
@@ -686,16 +805,29 @@ def canonical_grouping(pair_sq: Mapping[int, float]) -> Grouping:
 class StateEvaluator:
     """Caches per-state measure tables so bound searches stay cheap.
 
-    Pairwise tables, cut measures and the alpha-independent feasible-grouping
-    lists are computed once per state; each (theorem, alpha) evaluation is
-    then plain arithmetic.  Instances never mutate their state, so concurrent
-    reads from multiple threads are safe once a value is cached; sweeps that
-    fan out per state build one evaluator per worker anyway.
+    Pairwise tables, cut measures and each focus's alpha-independent
+    dominance-feasible splits are computed once per state; each
+    (theorem, alpha) evaluation then runs a subset dynamic program and plain
+    arithmetic.  Instances never mutate their state, so concurrent reads from
+    multiple threads are safe once a value is cached; sweeps that fan out per
+    state build one evaluator per worker anyway.
 
-    ``search='exhaustive'`` scans every feasible ordered grouping (non-focus
-    count capped at 8); ``search='canonical'`` uses only the descending
-    singleton order with merged fallback, which scales to the full 12-qubit
-    cap.
+    ``search='exhaustive'`` (non-focus count capped at 8) finds the best
+    feasible ordered grouping without listing the groupings.  A grouping is a
+    leading group ``T`` of the remaining set ``S`` followed by a grouping of
+    ``S - T``, and dominance only asks ``Ca2(T) >= Ca2(S - T)``, so one pass
+    over the 3^m (subset, leading group) pairs of the m partners solves
+    ``J(S) = min(Ca2(S)^(a/2), min_T Ca2(T)^(a/2) + h J(S - T))``, the front
+    sum ``F(S) = max(C2(S)^(a/2), max_T h C2(T)^(a/2) + F(S - T))`` and the
+    singleton-only jin sum, where the enumeration of ``ordered_groupings``
+    costs Fubini(m).  Values within ``_TIE_TOL`` tie; a tie keeps more groups,
+    then the leading group that comes first by size and then
+    lexicographically, applied at every subset, as a scan of
+    ``ordered_groupings`` would.  Reported values are summed over the chosen
+    grouping, never taken from the program.
+
+    ``search='canonical'`` uses only the descending singleton order with
+    merged fallback, which scales to the full 12-qubit cap.
     """
 
     def __init__(self, psi: PureState, search: str = "exhaustive"):
@@ -704,8 +836,7 @@ class StateEvaluator:
         self.psi = psi
         self.search = search
         self._tables: dict[int, tuple[dict[int, float], dict[int, float]]] = {}
-        self._feasible: dict[int, list[tuple[Grouping, tuple[float, ...], tuple[float, ...]]]] = {}
-        self._jin_orders: dict[int, list[tuple[tuple[int, ...], tuple[float, ...]]]] = {}
+        self._splits: dict[int, _SplitSearch] = {}
         self._j_best: dict[tuple[int, float], tuple[Grouping, tuple[float, ...], float]] = {}
         self._front_best: dict[tuple[int, float], tuple[Grouping, tuple[float, ...], float]] = {}
         self._cut_c: dict[tuple[int, ...], float] = {}
@@ -737,74 +868,49 @@ class StateEvaluator:
             self._ranks[key] = schmidt_rank(self.psi, key)
         return self._ranks[key]
 
-    def feasible_groupings(self, focus: int):
-        """(grouping, ca_grouped, c_grouped) per dominance-feasible ordering."""
-        if focus not in self._feasible:
+    def _split_search(self, focus: int) -> _SplitSearch:
+        if focus not in self._splits:
             c_sq, ca_sq = self.tables(focus)
             _check_partner_cap(len(ca_sq))
-            out = []
-            for grouping in ordered_groupings(tuple(ca_sq)):
-                ca_vals = _grouped_sums(ca_sq, grouping)
-                if feasibility(ca_vals, grouping).feasible:
-                    out.append((grouping, ca_vals, _grouped_sums(c_sq, grouping)))
-            self._feasible[focus] = out
-        return self._feasible[focus]
+            self._splits[focus] = _SplitSearch(c_sq, ca_sq)
+        return self._splits[focus]
 
-    def _canonical(self, focus: int):
+    def feasible_groupings(self, focus: int):
+        """(grouping, ca_grouped, c_grouped) per dominance-feasible ordering.
+
+        Lists what the search chooses from, in ``ordered_groupings`` order;
+        the search itself never builds this list.
+        """
         c_sq, ca_sq = self.tables(focus)
-        grouping = canonical_grouping(ca_sq)
-        return [(grouping, _grouped_sums(ca_sq, grouping),
-                 _grouped_sums(c_sq, grouping))]
+        return [(g, _grouped_sums(ca_sq, g), _grouped_sums(c_sq, g))
+                for g in self._split_search(focus).groupings()]
 
-    def _candidates(self, focus: int):
+    def _best_grouping(self, focus: int, objective: str, alpha: float) -> Grouping | None:
         if self.search == "canonical":
-            return self._canonical(focus)
-        return self.feasible_groupings(focus)
+            ca_sq = self.tables(focus)[1]
+            grouping = canonical_grouping(ca_sq)
+            return None if objective == "jin" and grouping.k < len(ca_sq) else grouping
+        return self._split_search(focus).best(objective, alpha)
 
     def j_best(self, focus: int, alpha: float):
         """Feasible grouping minimizing the geometric assistance sum."""
         key = (focus, alpha)
         if key not in self._j_best:
-            best = None
-            for grouping, ca_vals, _ in self._candidates(focus):
-                best = _pick(best, (grouping, ca_vals),
-                             _geometric_sum(ca_vals, alpha), grouping.k,
-                             minimize=True)
-            (grouping, ca_vals), value, _ = best
-            self._j_best[key] = (grouping, ca_vals, value)
+            grouping = self._best_grouping(focus, "j", alpha)
+            ca_vals = _grouped_sums(self.tables(focus)[1], grouping)
+            self._j_best[key] = (grouping, ca_vals, _geometric_sum(ca_vals, alpha))
         return self._j_best[key]
 
     def front_best(self, focus: int, alpha: float):
         """Assistance-feasible grouping maximizing the front-weighted C sum."""
         key = (focus, alpha)
         if key not in self._front_best:
-            best = None
-            for grouping, ca_vals, c_vals in self._candidates(focus):
-                best = _pick(best, (grouping, ca_vals),
-                             _front_weighted_sum(c_vals, alpha), grouping.k,
-                             minimize=False)
-            (grouping, ca_vals), value, _ = best
-            self._front_best[key] = (grouping, ca_vals, value)
+            grouping = self._best_grouping(focus, "front", alpha)
+            c_sq, ca_sq = self.tables(focus)
+            self._front_best[key] = (
+                grouping, _grouped_sums(ca_sq, grouping),
+                _front_weighted_sum(_grouped_sums(c_sq, grouping), alpha))
         return self._front_best[key]
-
-    def _jin_feasible_orders(self, focus: int):
-        if focus not in self._jin_orders:
-            _, ca_sq = self.tables(focus)
-            out = []
-            if self.search == "canonical":
-                partners = tuple(sorted(ca_sq))
-                order, cert = sort_descending_then_check(
-                    [ca_sq[q] for q in partners])
-                if cert.feasible:
-                    out.append((tuple(partners[i] for i in order),
-                                cert.squared_values))
-            else:
-                for perm in itertools.permutations(sorted(ca_sq)):
-                    vals = tuple(ca_sq[q] for q in perm)
-                    if feasibility(vals).feasible:
-                        out.append((perm, vals))
-            self._jin_orders[focus] = out
-        return self._jin_orders[focus]
 
     # -- report assembly -----------------------------------------------------
 
@@ -934,17 +1040,13 @@ class StateEvaluator:
         return _report("cor2_upper", alpha, lhs, rhs, self._cert(jc_g, jc_vals))
 
     def _eval_jin(self, focus: int, alpha: float) -> BoundReport:
-        best = None
-        for perm, vals in self._jin_feasible_orders(focus):
-            value = sum(((alpha / 2.0) ** i) * _apow(v, alpha / 2.0)
-                        for i, v in enumerate(vals))
-            best = _pick(best, (perm, vals), value, len(perm), minimize=True)
         lhs = _apow(self.cut_concurrence((focus,)), alpha)
-        if best is None:
+        grouping = self._best_grouping(focus, "jin", alpha)
+        if grouping is None:
             return _not_applicable("jin", alpha, lhs)
-        (perm, vals), value, _ = best
-        cert = OrderingCertificate(Grouping.singletons(perm), vals, True)
-        return _report("jin", alpha, lhs, value, cert)
+        vals = _grouped_sums(self.tables(focus)[1], grouping)
+        cert = OrderingCertificate(grouping, vals, True)
+        return _report("jin", alpha, lhs, _jin_sum(vals, alpha), cert)
 
 
 def optimize_grouping(psi: PureState, focus, alpha: float,

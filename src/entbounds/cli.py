@@ -89,7 +89,10 @@ def _parse_alpha(spec: str) -> AlphaGrid:
 
 def _parse_theorems(spec: str, num_qubits: int) -> tuple[str, ...]:
     if spec.strip().lower() == "all":
-        return tuple(t for t in THEOREM_IDS if num_qubits >= _MIN_QUBITS[t])
+        chosen = tuple(t for t in THEOREM_IDS if num_qubits >= _MIN_QUBITS[t])
+        if not chosen:
+            raise ValueError(f"no bound applies to {num_qubits} qubit")
+        return chosen
     chosen = []
     for raw in spec.split(","):
         tid = raw.strip()

@@ -138,6 +138,12 @@ def cor_b() -> PureState:
     return PureState(6, v)
 
 
+def _qubit_count(value: float) -> int:
+    if not float(value).is_integer():
+        raise ValueError(f"qubit count must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Family:
     name: str
@@ -151,8 +157,8 @@ FAMILIES: dict[str, Family] = {
                    "3-qubit generalized Schmidt form; params l0..l4, phi"),
     "wclass4": Family("wclass4", wclass4, 4,
                       "4-qubit generalized W-class state; params l1..l4"),
-    "ghz": Family("ghz", lambda n: ghz(int(n)), 1, "GHZ state; param n"),
-    "w": Family("w", lambda n: w(int(n)), 1, "W state; param n"),
+    "ghz": Family("ghz", lambda n: ghz(_qubit_count(n)), 1, "GHZ state; param n"),
+    "w": Family("w", lambda n: w(_qubit_count(n)), 1, "W state; param n"),
     "thm2_saturating": Family("thm2_saturating", thm2_saturating, 0,
                               "(|0000>+|1001>)/sqrt(2)"),
     "fig3": Family("fig3", fig3, 0, "(|0000>+|0010>+|1011>)/sqrt(3)"),
@@ -214,7 +220,10 @@ class StateSpec:
             return named(self.family, self.params)
         if len(self.re) != len(self.im):
             raise ValueError("'re' and 'im' must have equal length")
-        amps = np.array(self.re, dtype=float) + 1j * np.array(self.im, dtype=float)
+        re, im = np.array(self.re, dtype=float), np.array(self.im, dtype=float)
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
+            raise ValueError("amplitudes must be finite (no NaN or infinity)")
+        amps = re + 1j * im
         if amps.size != 2 ** self.n:
             raise ValueError(
                 f"expected {2 ** self.n} amplitudes for n={self.n}, got {amps.size}")

@@ -96,6 +96,8 @@ class PureState:
         if amps.size != 2 ** n:
             raise ValueError(
                 f"expected {2 ** n} amplitudes for {n} qubits, got {amps.size}")
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite (no NaN or infinity)")
         norm_sq = float(np.real(np.vdot(amps, amps)))
         if abs(norm_sq - 1.0) > _ATOL_NORM:
             raise ValueError(f"state not normalized: |psi|^2 = {norm_sq!r}")

@@ -642,3 +642,38 @@ def test_soundness_on_rank_deficient_tensor_products():
                 for tid in ("cor1_thm2", "cor1_thm3", "cor2_lower", "cor2_upper"):
                     r = ev.evaluate(tid, alpha, (0, 1, 2))
                     assert (not r.applicable) or r.slack >= -1e-9
+
+
+# ---------------------------------------------------------------------------
+# regressions: two-qubit states, non-finite exponents
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("psi", [ghz(2), haar_random_pure(2, 808)], ids=["ghz2", "haar2"])
+def test_single_focus_bounds_hold_on_two_qubit_states(psi):
+    # A two-qubit state is its own pair state; asking for its reduction onto
+    # both qubits used to fail every bound.
+    ev = StateEvaluator(psi)
+    for focus in (0, 1):
+        assert ev.evaluate("ckw", 2.0, focus).satisfied
+        assert ev.evaluate("coa_dual", 2.0, focus).satisfied
+        for alpha in (0.5, 1.0, 2.0):
+            for tid in ("jin", "thm1", "thm5"):
+                r = ev.evaluate(tid, alpha, focus)
+                assert r.applicable and r.satisfied, (tid, focus, alpha)
+                assert r.ordering.grouping.groups == ((1 - focus,),)
+    c_sq, ca_sq = pairwise_tables(psi, 0)
+    conc = concurrence_pure(psi, (0,)).value
+    assert abs(c_sq[1] - conc ** 2) < 1e-12 and abs(ca_sq[1] - conc ** 2) < 1e-12
+
+
+@pytest.mark.parametrize("values", [(math.nan,), (0.5, math.nan), (math.inf,)])
+def test_alpha_grid_rejects_non_finite(values):
+    with pytest.raises(ValueError, match="finite"):
+        AlphaGrid(values)
+
+
+@pytest.mark.parametrize("bounds", [(0.0, math.nan, 0.5), (0.0, math.inf, 0.5),
+                                    (0.0, 2.0, math.nan)])
+def test_alpha_range_rejects_non_finite(bounds):
+    with pytest.raises(ValueError, match="finite"):
+        AlphaGrid.from_range(*bounds)

@@ -255,3 +255,56 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("alpha,lhs,thm1,jin")
+
+
+@pytest.mark.parametrize("state", [
+    {"kind": "named", "family": "ghz", "params": [2]},
+    {"kind": "amplitudes", "n": 2, "re": [0.6, 0.0, 0.0, 0.0], "im": [0.0, 0.48, 0.64, 0.0]},
+])
+def test_verify_two_qubit_state_all_theorems(state, capsys):
+    code, out, err = run_main(["verify", "--state", json.dumps(state), "--theorem", "all",
+                               "--alpha", "0.5,1.0,2.0"], capsys)
+    assert code == 0, err
+    rows = _rows(out)
+    assert {r["theorem"] for r in rows} == {"ckw", "coa_dual", "jin", "thm1", "thm5"}
+    assert all(r["satisfied"] == "true" and r["applicable"] == "true" for r in rows)
+
+
+def test_sweep_two_qubits(capsys):
+    code, out, err = run_main(["sweep", "--qubits", "2", "--samples", "5",
+                               "--theorem", "all"], capsys)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("state", [
+    '{"kind": "amplitudes", "n": 1, "re": [NaN, 0], "im": [0, 0]}',
+    '{"kind": "amplitudes", "n": 2, "re": [1, 0, 0, 0], "im": [0, Infinity, 0, 0]}',
+])
+def test_verify_rejects_non_finite_amplitudes(state, capsys):
+    code, _, err = run_main(["verify", "--state", state, "--theorem", "ckw"], capsys)
+    assert code == 2
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("alpha", ["nan", "0.5,nan", "0:nan:0.5", "inf"])
+def test_verify_rejects_non_finite_alpha(alpha, capsys):
+    code, _, err = run_main(["verify", "--state", GSD3_EQUAL, "--theorem", "thm1",
+                             "--alpha", alpha], capsys)
+    assert code == 2
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("family", ["ghz", "w"])
+def test_verify_rejects_non_integer_size(family, capsys):
+    state = json.dumps({"kind": "named", "family": family, "params": [2.7]})
+    code, out, err = run_main(["verify", "--state", state, "--theorem", "all"], capsys)
+    assert code == 2
+    assert out == "" and "integer" in err
+
+
+def test_verify_one_qubit_all_theorems_exit_2(capsys):
+    state = json.dumps({"kind": "amplitudes", "n": 1, "re": [0.6, 0.8], "im": [0, 0]})
+    code, out, err = run_main(["verify", "--state", state, "--theorem", "all"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "no bound applies to 1 qubit" in err

@@ -158,3 +158,22 @@ def test_state_spec_rejects_malformed():
         StateSpec.from_dict({"kind": "named"})
     with pytest.raises(ValueError):
         StateSpec.from_dict([1, 2, 3])
+
+
+@pytest.mark.parametrize("family", ["ghz", "w"])
+@pytest.mark.parametrize("size", [2.7, 3.5, math.nan, math.inf])
+def test_named_rejects_non_integer_sizes(family, size):
+    with pytest.raises(ValueError, match="integer"):
+        named(family, (size,))
+
+
+def test_named_accepts_integral_float_sizes():
+    assert named("ghz", (3.0,)).num_qubits == 3
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_state_spec_rejects_non_finite_amplitudes(bad):
+    spec = StateSpec.from_dict({"kind": "amplitudes", "n": 1,
+                                "re": [bad, 0.0], "im": [0.0, 0.0]})
+    with pytest.raises(ValueError, match="finite"):
+        spec.build()

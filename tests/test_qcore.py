@@ -256,3 +256,12 @@ def test_haar_mean_reduction_purity():
         rho = reduced_density(haar_random_pure(2, seed), (0,))
         total += float(np.real(np.vdot(rho.matrix, rho.matrix)))
     assert abs(total / samples - 0.8) < 0.02
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_pure_state_rejects_non_finite_amplitudes(bad):
+    # NaN compares false against the norm tolerance, so it must be caught
+    # before that check.
+    amps = np.array([bad, 0.0, 0.0, 0.0], dtype=complex)
+    with pytest.raises(ValueError, match="finite"):
+        PureState(2, amps)
