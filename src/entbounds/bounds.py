@@ -26,11 +26,20 @@ import numpy as np
 
 from .measures import (
     coa_two_qubit,
+    concurrence_from_schmidt,
     concurrence_pure,
     concurrence_two_qubit,
+    negativity_from_schmidt,
     negativity_pure_schmidt,
 )
-from .qcore import PureState, reduced_density, schmidt_rank, to_density
+from .qcore import (
+    PureState,
+    rank_from_schmidt,
+    reduced_density,
+    schmidt_eigenvalues,
+    schmidt_rank,
+    to_density,
+)
 
 SLACK_TOL = 1e-9
 FEAS_TOL = 1e-12
@@ -244,17 +253,7 @@ def pairwise_tables(psi: PureState, focus: int) -> tuple[dict[int, float], dict[
     reductions these equal the squared CREN / CRENOA values as well.  A
     two-qubit state is its own pair state.
     """
-    n = psi.num_qubits
-    f = _single_qubit(focus, n, "focus")
-    c_sq: dict[int, float] = {}
-    ca_sq: dict[int, float] = {}
-    for p in range(n):
-        if p == f:
-            continue
-        rho = to_density(psi) if n == 2 else reduced_density(psi, (min(f, p), max(f, p)))
-        c_sq[p] = concurrence_two_qubit(rho).value ** 2
-        ca_sq[p] = coa_two_qubit(rho).value ** 2
-    return c_sq, ca_sq
+    return StateEvaluator(psi).tables(focus)
 
 
 def _covering_grouping(grouping: Grouping, universe: frozenset[int]) -> Grouping:
@@ -351,24 +350,12 @@ def jin_upper(psi: PureState, focus: int, ordering: Sequence[int],
 
 def ckw_check(psi: PureState, focus: int) -> BoundReport:
     """Squared-concurrence monogamy: sum of pairwise C^2 below the cut C^2."""
-    n = psi.num_qubits
-    f = _single_qubit(focus, n, "focus")
-    c_sq, _ = pairwise_tables(psi, f)
-    lhs = sum(c_sq.values())
-    rhs = concurrence_pure(psi, (f,)).value ** 2
-    slack = rhs - lhs
-    return BoundReport("ckw", 2.0, lhs, rhs, slack, None, slack >= -SLACK_TOL)
+    return StateEvaluator(psi).evaluate("ckw", 2.0, focus)
 
 
 def coa_dual_check(psi: PureState, focus: int) -> BoundReport:
     """Squared-assistance polygamy: cut C^2 below the sum of pairwise Ca^2."""
-    n = psi.num_qubits
-    f = _single_qubit(focus, n, "focus")
-    _, ca_sq = pairwise_tables(psi, f)
-    lhs = concurrence_pure(psi, (f,)).value ** 2
-    rhs = sum(ca_sq.values())
-    slack = rhs - lhs
-    return BoundReport("coa_dual", 2.0, lhs, rhs, slack, None, slack >= -SLACK_TOL)
+    return StateEvaluator(psi).evaluate("coa_dual", 2.0, focus)
 
 
 def thm5_upper(psi: PureState, focus: int, grouping: Grouping,
@@ -803,14 +790,15 @@ def canonical_grouping(pair_sq: Mapping[int, float]) -> Grouping:
 
 
 class StateEvaluator:
-    """Caches per-state measure tables so bound searches stay cheap.
+    """Caches every alpha-independent quantity of one state.
 
-    Pairwise tables, cut measures and each focus's alpha-independent
-    dominance-feasible splits are computed once per state; each
-    (theorem, alpha) evaluation then runs a subset dynamic program and plain
-    arithmetic.  Instances never mutate their state, so concurrent reads from
-    multiple threads are safe once a value is cached; sweeps that fan out per
-    state build one evaluator per worker anyway.
+    Each distinct qubit pair is reduced and measured once, whichever focus
+    asks for it, and the focus tables are read from those pair values.  Each
+    distinct cut is reduced once and its concurrence, negativity and Schmidt
+    rank all come from that one spectrum.  Each focus's dominance-feasible
+    splits (or, in canonical mode, its one grouping) are also built once;
+    each (theorem, alpha) evaluation then runs a subset dynamic program and
+    plain arithmetic.
 
     ``search='exhaustive'`` (non-focus count capped at 8) finds the best
     feasible ordered grouping without listing the groupings.  A grouping is a
@@ -835,38 +823,57 @@ class StateEvaluator:
             raise ValueError(f"unknown search mode {search!r}")
         self.psi = psi
         self.search = search
+        self._pairs: dict[tuple[int, int], tuple[float, float]] = {}
         self._tables: dict[int, tuple[dict[int, float], dict[int, float]]] = {}
+        self._cuts: dict[tuple[int, ...], tuple[float, float, int]] = {}
         self._splits: dict[int, _SplitSearch] = {}
+        self._canonical: dict[int, Grouping] = {}
         self._j_best: dict[tuple[int, float], tuple[Grouping, tuple[float, ...], float]] = {}
         self._front_best: dict[tuple[int, float], tuple[Grouping, tuple[float, ...], float]] = {}
-        self._cut_c: dict[tuple[int, ...], float] = {}
-        self._cut_n: dict[tuple[int, ...], float] = {}
-        self._ranks: dict[tuple[int, ...], int] = {}
 
     # -- cached primitives ---------------------------------------------------
 
+    def _pair_squares(self, p: int, q: int) -> tuple[float, float]:
+        """Squared concurrence and assistance of the reduction onto p and q."""
+        key = (p, q) if p < q else (q, p)
+        if key not in self._pairs:
+            psi = self.psi
+            rho = to_density(psi) if psi.num_qubits == 2 else reduced_density(psi, key)
+            self._pairs[key] = (concurrence_two_qubit(rho).value ** 2,
+                                coa_two_qubit(rho).value ** 2)
+        return self._pairs[key]
+
     def tables(self, focus: int) -> tuple[dict[int, float], dict[int, float]]:
+        """``(c_sq, ca_sq)`` keyed by partner qubit, as ``pairwise_tables``."""
         if focus not in self._tables:
-            self._tables[focus] = pairwise_tables(self.psi, focus)
+            n = self.psi.num_qubits
+            f = _single_qubit(focus, n, "focus")
+            c_sq: dict[int, float] = {}
+            ca_sq: dict[int, float] = {}
+            for p in range(n):
+                if p != f:
+                    c_sq[p], ca_sq[p] = self._pair_squares(f, p)
+            self._tables[focus] = (c_sq, ca_sq)
         return self._tables[focus]
 
-    def cut_concurrence(self, qubits: tuple[int, ...]) -> float:
+    def _cut(self, qubits: tuple[int, ...]) -> tuple[float, float, int]:
+        """Concurrence, negativity and Schmidt rank across one cut."""
         key = tuple(sorted(qubits))
-        if key not in self._cut_c:
-            self._cut_c[key] = concurrence_pure(self.psi, key).value
-        return self._cut_c[key]
+        if key not in self._cuts:
+            lam = schmidt_eigenvalues(self.psi, key)
+            self._cuts[key] = (concurrence_from_schmidt(lam).value,
+                               negativity_from_schmidt(lam).value,
+                               rank_from_schmidt(lam))
+        return self._cuts[key]
+
+    def cut_concurrence(self, qubits: tuple[int, ...]) -> float:
+        return self._cut(qubits)[0]
 
     def cut_negativity(self, qubits: tuple[int, ...]) -> float:
-        key = tuple(sorted(qubits))
-        if key not in self._cut_n:
-            self._cut_n[key] = negativity_pure_schmidt(self.psi, key).value
-        return self._cut_n[key]
+        return self._cut(qubits)[1]
 
     def cut_rank(self, qubits: tuple[int, ...]) -> int:
-        key = tuple(sorted(qubits))
-        if key not in self._ranks:
-            self._ranks[key] = schmidt_rank(self.psi, key)
-        return self._ranks[key]
+        return self._cut(qubits)[2]
 
     def _split_search(self, focus: int) -> _SplitSearch:
         if focus not in self._splits:
@@ -887,9 +894,11 @@ class StateEvaluator:
 
     def _best_grouping(self, focus: int, objective: str, alpha: float) -> Grouping | None:
         if self.search == "canonical":
-            ca_sq = self.tables(focus)[1]
-            grouping = canonical_grouping(ca_sq)
-            return None if objective == "jin" and grouping.k < len(ca_sq) else grouping
+            if focus not in self._canonical:
+                self._canonical[focus] = canonical_grouping(self.tables(focus)[1])
+            grouping = self._canonical[focus]
+            return None if objective == "jin" and grouping.k < self.psi.num_qubits - 1 \
+                else grouping
         return self._split_search(focus).best(objective, alpha)
 
     def j_best(self, focus: int, alpha: float):
@@ -947,10 +956,15 @@ class StateEvaluator:
         h_weight(alpha)
         foci = self._foci(theorem_id, foci)
 
-        if theorem_id == "ckw":
-            return ckw_check(self.psi, foci[0])
-        if theorem_id == "coa_dual":
-            return coa_dual_check(self.psi, foci[0])
+        if theorem_id in ("ckw", "coa_dual"):
+            c_sq, ca_sq = self.tables(foci[0])
+            cut_sq = self.cut_concurrence(foci) ** 2
+            if theorem_id == "ckw":
+                lhs, rhs = sum(c_sq.values()), cut_sq
+            else:
+                lhs, rhs = cut_sq, sum(ca_sq.values())
+            slack = rhs - lhs
+            return BoundReport(theorem_id, 2.0, lhs, rhs, slack, None, slack >= -SLACK_TOL)
 
         if theorem_id in ("thm1", "thm5", "jin"):
             f = foci[0]

@@ -13,12 +13,10 @@ Exit codes: 0 all satisfied (or not applicable), 1 at least one violation,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -27,8 +25,6 @@ import numpy as np
 from .bounds import AlphaGrid, BoundReport, StateEvaluator, THEOREM_IDS, h_weight
 from .gallery import FAMILIES, StateSpec
 from .qcore import PureState, haar_random_pure
-
-THREADS_ENV = "ENTBOUNDS_THREADS"
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -58,15 +54,6 @@ class RunConfig:
     qubits: int = 4
     out: str | None = None
     fmt: str = "csv"
-
-
-def _threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    return max(1, value)
 
 
 def _fmt_num(x: float) -> str:
@@ -205,24 +192,15 @@ def cmd_sweep(config: RunConfig) -> int:
     seeds = np.random.SeedSequence(config.seed).generate_state(
         config.samples, np.uint64)
 
-    def run(i: int):
-        return _sweep_one(haar_random_pure(n, int(seeds[i])), theorems,
-                          config.alphas, search)
-
-    workers = _threads()
-    if workers == 1:
-        per_sample = [run(i) for i in range(config.samples)]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            per_sample = list(pool.map(run, range(config.samples)))
-
     stats: dict[str, dict] = {
         tid: {"rows": 0, "violations": 0, "not_applicable": 0,
               "min_slack": math.inf, "sum_slack": 0.0}
         for tid in theorems
     }
-    for sample_rows in per_sample:  # deterministic: aggregated in index order
-        for tid, slack, satisfied, applicable in sample_rows:
+    for seed in seeds:
+        psi = haar_random_pure(n, int(seed))
+        for tid, slack, satisfied, applicable in _sweep_one(
+                psi, theorems, config.alphas, search):
             s = stats[tid]
             s["rows"] += 1
             if not applicable:

@@ -180,6 +180,27 @@ def named(family: str, params: Sequence[float] = ()) -> PureState:
     return fam.builder(*params)
 
 
+# The types ``json.loads`` gives numbers; bool is not among them.
+_JSON_NUMBERS = frozenset({int, float})
+
+
+def _spec_qubits(value) -> int:
+    """A state spec's ``n``: an integer in [1, MAX_QUBITS], never a bool."""
+    if type(value) is not int:
+        raise ValueError(f"'n' must be an integer, got {value!r}")
+    if not 1 <= value <= MAX_QUBITS:
+        raise ValueError(f"'n' must be in [1, {MAX_QUBITS}], got {value}")
+    return value
+
+
+def _spec_numbers(obj: dict, key: str, default=None) -> tuple[float, ...]:
+    """``obj[key]`` as floats; it must be an array of numbers, not bools or strings."""
+    value = obj.get(key, default)
+    if not isinstance(value, (list, tuple)) or not set(map(type, value)) <= _JSON_NUMBERS:
+        raise ValueError(f"{key!r} must be an array of numbers, got {value!r}")
+    return tuple(map(float, value))
+
+
 @dataclass(frozen=True)
 class StateSpec:
     """Serializable description of a pure state.
@@ -204,30 +225,30 @@ class StateSpec:
             for key in ("n", "re", "im"):
                 if key not in obj:
                     raise ValueError(f"amplitudes spec is missing {key!r}")
-            return cls(kind="amplitudes", n=int(obj["n"]),
-                       re=tuple(float(x) for x in obj["re"]),
-                       im=tuple(float(x) for x in obj["im"]))
+            return cls(kind="amplitudes", n=_spec_qubits(obj["n"]),
+                       re=_spec_numbers(obj, "re"), im=_spec_numbers(obj, "im"))
         if kind == "named":
             if "family" not in obj:
                 raise ValueError("named spec is missing 'family'")
             return cls(kind="named", family=str(obj["family"]),
-                       params=tuple(float(x) for x in obj.get("params", ())))
+                       params=_spec_numbers(obj, "params", ()))
         raise ValueError(f"unknown state spec kind {kind!r}")
 
     def build(self, *, norm_rtol: float = 1e-6) -> PureState:
         """Materialize the state; near-unit amplitude vectors are renormalized."""
         if self.kind == "named":
             return named(self.family, self.params)
+        n = _spec_qubits(self.n)
         if len(self.re) != len(self.im):
             raise ValueError("'re' and 'im' must have equal length")
         re, im = np.array(self.re, dtype=float), np.array(self.im, dtype=float)
         if not (np.isfinite(re).all() and np.isfinite(im).all()):
             raise ValueError("amplitudes must be finite (no NaN or infinity)")
         amps = re + 1j * im
-        if amps.size != 2 ** self.n:
+        if amps.size != 2 ** n:
             raise ValueError(
-                f"expected {2 ** self.n} amplitudes for n={self.n}, got {amps.size}")
+                f"expected {2 ** n} amplitudes for n={n}, got {amps.size}")
         nrm = float(np.linalg.norm(amps))
         if abs(nrm - 1.0) > norm_rtol:
             raise ValueError(f"amplitude norm {nrm!r} is too far from 1")
-        return PureState(self.n, amps / nrm)
+        return PureState(n, amps / nrm)

@@ -82,7 +82,11 @@ def concurrence_pure(psi: PureState, part_a: SubsystemLike) -> MeasureValue:
     the ~1e-8 square root of purity round-off, which matters because callers
     raise the result to small powers.
     """
-    lam = schmidt_eigenvalues(psi, part_a)
+    return concurrence_from_schmidt(schmidt_eigenvalues(psi, part_a))
+
+
+def concurrence_from_schmidt(lam: np.ndarray) -> MeasureValue:
+    """Pure-cut concurrence from a ``schmidt_eigenvalues`` spectrum."""
     s1 = float(np.sum(lam))
     s2 = float(np.sum(lam * lam))
     return MeasureValue(np.sqrt(max(0.0, 2.0 * (s1 * s1 - s2))), "concurrence")
@@ -122,7 +126,11 @@ def negativity_pure_schmidt(psi: PureState, part_a: SubsystemLike) -> MeasureVal
     and agrees with the trace-norm route on the projector.  Both sums run
     over the computed roots so a rank-one cut gives exactly zero.
     """
-    lam = schmidt_eigenvalues(psi, part_a)
+    return negativity_from_schmidt(schmidt_eigenvalues(psi, part_a))
+
+
+def negativity_from_schmidt(lam: np.ndarray) -> MeasureValue:
+    """Pure-cut negativity from a ``schmidt_eigenvalues`` spectrum."""
     roots = np.sqrt(lam[lam > 0.0])
     s = float(np.sum(roots))
     return MeasureValue(max(0.0, s * s - float(np.sum(roots * roots))),

@@ -223,10 +223,14 @@ def schmidt_eigenvalues(psi: PureState, part: SubsystemLike) -> np.ndarray:
     return np.where(evals < _RANK_CUTOFF, 0.0, evals)
 
 
+def rank_from_schmidt(evals: np.ndarray) -> int:
+    """Number of entries of a ``schmidt_eigenvalues`` spectrum above cutoff."""
+    return int(np.count_nonzero(evals > _SCHMIDT_CUTOFF))
+
+
 def schmidt_rank(psi: PureState, part: SubsystemLike) -> int:
     """Number of Schmidt coefficients above cutoff across the given cut."""
-    evals = schmidt_eigenvalues(psi, part)
-    return int(np.count_nonzero(evals > _SCHMIDT_CUTOFF))
+    return rank_from_schmidt(schmidt_eigenvalues(psi, part))
 
 
 def haar_random_pure(n: int, seed: int) -> PureState:

@@ -170,14 +170,12 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_sweep_respects_thread_env(tmp_path, monkeypatch):
-    args = ["sweep", "--qubits", "4", "--samples", "6", "--seed", "99",
-            "--theorem", "thm1,thm3", "--alpha", "0.5,1.5"]
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert cli.main(args + ["--out", str(out1)]) == 0
-    monkeypatch.setenv(cli.THREADS_ENV, "4")
-    assert cli.main(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+def test_sweep_repeat_is_byte_identical(capsys):
+    args = ["sweep", "--qubits", "6", "--samples", "2", "--seed", "99",
+            "--theorem", "all", "--format", "json"]
+    first = run_main(args, capsys)
+    assert first[0] == 0
+    assert run_main(args, capsys) == first
 
 
 def test_sweep_qubit_caps(capsys):
@@ -308,3 +306,18 @@ def test_verify_one_qubit_all_theorems_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert "no bound applies to 1 qubit" in err
+
+
+@pytest.mark.parametrize("state, message", [
+    ({"kind": "amplitudes", "n": 2.5, "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}, "'n'"),
+    ({"kind": "amplitudes", "n": True, "re": [1, 0], "im": [0, 0]}, "'n'"),
+    ({"kind": "amplitudes", "n": 0, "re": [1], "im": [0]}, "'n'"),
+    ({"kind": "amplitudes", "n": 13, "re": [1, 0], "im": [0, 0]}, "'n'"),
+    ({"kind": "named", "family": "ghz", "params": "3"}, "array of numbers"),
+    ({"kind": "amplitudes", "n": 2, "re": "1000", "im": "0000"}, "array of numbers"),
+])
+def test_verify_rejects_coerced_state_specs(state, message, capsys):
+    code, out, err = run_main(["verify", "--state", json.dumps(state),
+                               "--theorem", "ckw"], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and message in err

@@ -1,0 +1,96 @@
+"""StateEvaluator computes each alpha-independent quantity once per state.
+
+Pins the call counts of the pair and cut layers, and checks that every value
+read from the evaluator's caches equals, bit for bit, what the public
+single-purpose functions compute on their own.
+"""
+
+import itertools
+import math
+
+import pytest
+
+import entbounds.bounds as bounds
+import entbounds.qcore as qcore
+from entbounds.bounds import (
+    THEOREM_IDS,
+    StateEvaluator,
+    canonical_grouping,
+    ckw_check,
+    coa_dual_check,
+    pairwise_tables,
+)
+from entbounds.cli import _MIN_QUBITS
+from entbounds.gallery import FAMILIES, ghz, named, w
+from entbounds.measures import concurrence_pure, negativity_pure_schmidt
+from entbounds.qcore import haar_random_pure, schmidt_rank
+
+_S = 1 / math.sqrt(5)
+GALLERY_PARAMS = {
+    "gsd3": [(_S, _S, _S, _S, _S, 0.0), (0.6, 0.0, 0.48, 0.64, 0.0, 0.3)],
+    "wclass4": [(0.75, 0.5, 0.353553390593, 0.25), (0.5, 0.5, 0.5, 0.5)],
+    "ghz": [(5,)],
+    "w": [(5,)],
+    "thm2_saturating": [()],
+    "fig3": [()],
+    "cor_a": [()],
+    "cor_b": [()],
+}
+STATES = [f(n) for n in range(2, 9) for f in (
+    lambda n: haar_random_pure(n, 8100 + n), ghz, w)] + [
+    named(name, params) for name in FAMILIES for params in GALLERY_PARAMS[name]]
+
+
+def _evaluate_all(ev, alphas):
+    for tid in THEOREM_IDS:
+        if ev.psi.num_qubits >= _MIN_QUBITS[tid]:
+            for alpha in alphas:
+                ev.evaluate(tid, alpha)
+
+
+@pytest.mark.parametrize("n, foci, cuts", [(4, 2, 2), (6, 3, 4)])
+def test_each_pair_and_cut_is_reduced_once(monkeypatch, n, foci, cuts):
+    calls = {"reduce": 0, "concurrence": 0, "coa": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    reduce = counted("reduce", qcore.reduced_density)
+    monkeypatch.setattr(bounds, "reduced_density", reduce)
+    monkeypatch.setattr(qcore, "reduced_density", reduce)
+    monkeypatch.setattr(bounds, "concurrence_two_qubit",
+                        counted("concurrence", bounds.concurrence_two_qubit))
+    monkeypatch.setattr(bounds, "coa_two_qubit", counted("coa", bounds.coa_two_qubit))
+
+    _evaluate_all(StateEvaluator(haar_random_pure(n, 77)), (0.0, 0.5, 1.0, 2.0))
+    pairs = n * (n - 1) // 2 - (n - foci) * (n - foci - 1) // 2
+    assert calls == {"reduce": pairs + cuts, "concurrence": pairs, "coa": pairs}
+
+
+@pytest.mark.parametrize("psi", STATES)
+def test_cached_values_equal_the_public_functions(psi):
+    n = psi.num_qubits
+    ev = StateEvaluator(psi)
+    for f in range(n):
+        assert ev.tables(f) == pairwise_tables(psi, f)
+        assert ev.evaluate("ckw", 2.0, f) == ckw_check(psi, f)
+        assert ev.evaluate("coa_dual", 2.0, f) == coa_dual_check(psi, f)
+    for size in range(1, min(n - 1, 3) + 1):
+        for cut in itertools.combinations(range(n), size):
+            assert ev.cut_concurrence(cut) == concurrence_pure(psi, cut).value
+            assert ev.cut_negativity(cut) == negativity_pure_schmidt(psi, cut).value
+            assert ev.cut_rank(cut) == schmidt_rank(psi, cut)
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_canonical_mode_picks_the_canonical_grouping(n):
+    for psi in (haar_random_pure(n, 8200 + n), ghz(n), w(n)):
+        ev = StateEvaluator(psi, search="canonical")
+        for f in range(3):
+            expected = canonical_grouping(pairwise_tables(psi, f)[1])
+            for alpha in (0.0, 0.5, 2.0):
+                assert ev.j_best(f, alpha)[0] == expected
+                assert ev.front_best(f, alpha)[0] == expected

@@ -177,3 +177,35 @@ def test_state_spec_rejects_non_finite_amplitudes(bad):
                                 "re": [bad, 0.0], "im": [0.0, 0.0]})
     with pytest.raises(ValueError, match="finite"):
         spec.build()
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "amplitudes", "n": 2.5, "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]},
+    {"kind": "amplitudes", "n": True, "re": [1, 0], "im": [0, 0]},
+    {"kind": "amplitudes", "n": "2", "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]},
+    {"kind": "amplitudes", "n": 0, "re": [1], "im": [0]},
+    {"kind": "amplitudes", "n": 13, "re": [1, 0], "im": [0, 0]},
+])
+def test_state_spec_rejects_bad_qubit_count(obj):
+    with pytest.raises(ValueError, match="'n'"):
+        StateSpec.from_dict(obj).build()
+
+
+def test_state_spec_build_checks_qubit_count_first():
+    spec = StateSpec("amplitudes", n=64, re=(1.0, 0.0), im=(0.0, 0.0))
+    with pytest.raises(ValueError, match="'n'"):
+        spec.build()
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "amplitudes", "n": 2, "re": "1000", "im": "0000"},
+    {"kind": "amplitudes", "n": 1, "re": [True, False], "im": [0, 0]},
+    {"kind": "amplitudes", "n": 1, "re": [1, 0], "im": ["0", "0"]},
+    {"kind": "amplitudes", "n": 1, "re": {"0": 1, "1": 0}, "im": [0, 0]},
+    {"kind": "named", "family": "ghz", "params": "3"},
+    {"kind": "named", "family": "ghz", "params": [True]},
+    {"kind": "named", "family": "ghz", "params": 3},
+])
+def test_state_spec_rejects_non_numeric_arrays(obj):
+    with pytest.raises(ValueError, match="array of numbers"):
+        StateSpec.from_dict(obj).build()
