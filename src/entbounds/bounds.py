@@ -8,6 +8,12 @@ successive groups.  Each evaluator enforces the dominance precondition the
 weighting relies on: every group's squared assistance value must be at least
 the sum over all later groups.
 
+Each bound id has one ``BoundSpec`` row in ``BOUNDS``, and only
+``StateEvaluator.evaluate`` computes a bound.  Its ``groupings=`` argument
+picks the grouping provider: None searches for each focus's best grouping;
+explicit groupings, which the public ``thm*``/``jin``/``cor*`` functions
+pass, are checked and used as given.
+
 Conventions:
   * ``0**alpha`` is taken as 0 for every alpha in [0, 2], including alpha = 0.
   * ``slack >= 0`` means the inequality holds; reports are flagged satisfied
@@ -27,17 +33,14 @@ import numpy as np
 from .measures import (
     coa_two_qubit,
     concurrence_from_schmidt,
-    concurrence_pure,
     concurrence_two_qubit,
     negativity_from_schmidt,
-    negativity_pure_schmidt,
 )
 from .qcore import (
     PureState,
     rank_from_schmidt,
     reduced_density,
     schmidt_eigenvalues,
-    schmidt_rank,
     to_density,
 )
 
@@ -46,21 +49,64 @@ FEAS_TOL = 1e-12
 _TIE_TOL = 1e-12
 _MAX_OPT_PARTNERS = 8
 
-THEOREM_IDS = (
-    "ckw", "coa_dual", "jin",
-    "thm1", "thm2", "thm3", "thm4",
-    "thm5", "thm6", "thm7", "thm8",
-    "cor1_thm2", "cor1_thm3", "cor2_lower", "cor2_upper",
-)
 
-# Bound direction: "upper" bounds the cut value from above, "lower" from below.
-_DIRECTION = {
-    "ckw": "lower", "coa_dual": "upper", "jin": "upper",
-    "thm1": "upper", "thm2": "lower", "thm3": "lower", "thm4": "upper",
-    "thm5": "upper", "thm6": "lower", "thm7": "lower", "thm8": "upper",
-    "cor1_thm2": "lower", "cor1_thm3": "lower",
-    "cor2_lower": "lower", "cor2_upper": "upper",
+@dataclass(frozen=True)
+class BoundSpec:
+    """The shape of one bound, as ``StateEvaluator.evaluate`` reads it.
+
+    ``direction`` is "upper" (the rhs bounds the cut from above) or "lower".
+    ``cut`` is the lhs measure of the foci's cut: "C" concurrence, "N"
+    negativity.  ``rhs`` combines the foci's groupings:
+
+    * ``pair_sum``: squared pairwise C (lower) or Ca (upper) against the
+      squared cut, at alpha = 2 only (``fixed_alpha``);
+    * ``jin``: the (alpha/2)-weighted singleton assistance sum;
+    * ``j``: the sum of the foci's geometric assistance sums ``J``; ``rank_j``
+      scales it by ``(r(r-1)/2)^(alpha/2)``, r the cut's Schmidt rank;
+    * ``front`` / ``total``: the larger branch "lead term of focus A (B)
+      minus ``J`` of B (A)", the lead being the front-weighted C sum or the
+      total C^2 to the power alpha/2; ``minus_jc1`` subtracts ``J_C1``;
+    * ``center_total``: total C^2 of focus ``center`` to the power alpha/2
+      minus the other foci's ``J``; not applicable when the other foci's
+      cut exceeds the ``center`` cut.
+
+    ``center`` is the focus whose grouping certifies a non-branch report.
+    """
+
+    direction: str
+    arity: int
+    min_qubits: int
+    cut: str
+    rhs: str
+    fixed_alpha: bool = False
+    minus_jc1: bool = False
+    center: int = 0
+
+
+BOUNDS: dict[str, BoundSpec] = {
+    "ckw": BoundSpec("lower", 1, 2, "C", "pair_sum", fixed_alpha=True),
+    "coa_dual": BoundSpec("upper", 1, 2, "C", "pair_sum", fixed_alpha=True),
+    "jin": BoundSpec("upper", 1, 2, "C", "jin"),
+    "thm1": BoundSpec("upper", 1, 2, "C", "j"),
+    "thm2": BoundSpec("lower", 2, 4, "C", "front"),
+    "thm3": BoundSpec("lower", 2, 4, "C", "total"),
+    "thm4": BoundSpec("upper", 2, 4, "C", "j"),
+    "thm5": BoundSpec("upper", 1, 2, "N", "j"),
+    "thm6": BoundSpec("lower", 2, 4, "N", "front"),
+    "thm7": BoundSpec("lower", 2, 4, "N", "total"),
+    "thm8": BoundSpec("upper", 2, 4, "N", "rank_j"),
+    "cor1_thm2": BoundSpec("lower", 3, 6, "C", "front", minus_jc1=True),
+    "cor1_thm3": BoundSpec("lower", 3, 6, "C", "total", minus_jc1=True),
+    "cor2_lower": BoundSpec("lower", 3, 6, "C", "center_total", center=2),
+    "cor2_upper": BoundSpec("upper", 3, 6, "C", "j", center=2),
 }
+
+THEOREM_IDS = tuple(BOUNDS)
+
+
+def search_mode(num_qubits: int) -> str:
+    """Search mode for ``num_qubits``: exhaustive within the partner cap, else canonical."""
+    return "exhaustive" if num_qubits - 1 <= _MAX_OPT_PARTNERS else "canonical"
 
 
 class InfeasibleGroupingError(ValueError):
@@ -79,10 +125,11 @@ class Grouping:
         norm = []
         seen: set[int] = set()
         for g in self.groups:
-            idx = tuple(sorted(int(i) for i in g))
+            idx = tuple(sorted(i if type(i) is int else _single_qubit(i, None, "group member")
+                               for i in g))
             if not idx:
                 raise ValueError("groups must be non-empty")
-            if seen & set(idx):
+            if not seen.isdisjoint(idx):
                 raise ValueError(f"groups are not disjoint at {idx}")
             seen.update(idx)
             norm.append(idx)
@@ -90,11 +137,11 @@ class Grouping:
 
     @classmethod
     def singletons(cls, order: Iterable[int]) -> "Grouping":
-        return cls(tuple((int(q),) for q in order))
+        return cls(tuple((q,) for q in order))
 
     @classmethod
     def merged(cls, members: Iterable[int]) -> "Grouping":
-        return cls((tuple(sorted(int(q) for q in members)),))
+        return cls((tuple(members),))
 
     @property
     def k(self) -> int:
@@ -235,15 +282,14 @@ def sort_descending_then_check(
 # Pairwise measure tables and grouping aggregation
 # ---------------------------------------------------------------------------
 
-def _single_qubit(value, num_qubits: int, name: str) -> int:
-    if isinstance(value, (tuple, list)):
-        if len(value) != 1:
-            raise ValueError(f"{name} must be a single qubit, got {value}")
-        value = value[0]
-    q = int(value)
-    if not 0 <= q < num_qubits:
-        raise ValueError(f"{name}={q} out of range for {num_qubits} qubits")
-    return q
+def _single_qubit(value, num_qubits: int | None, name: str) -> int:
+    """``value`` as a qubit index: an int or numpy integer, never a bool, and
+    below ``num_qubits`` unless that is None."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer qubit index, got {value!r}")
+    if num_qubits is not None and not 0 <= value < num_qubits:
+        raise ValueError(f"{name}={value} out of range for {num_qubits} qubits")
+    return int(value)
 
 
 def pairwise_tables(psi: PureState, focus: int) -> tuple[dict[int, float], dict[int, float]]:
@@ -300,7 +346,7 @@ def _jin_sum(grouped_sq: Sequence[float], alpha: float) -> float:
 
 def _report(theorem_id: str, alpha: float, lhs: float, rhs: float,
             ordering: OrderingCertificate | None) -> BoundReport:
-    slack = (rhs - lhs) if _DIRECTION[theorem_id] == "upper" else (lhs - rhs)
+    slack = (rhs - lhs) if BOUNDS[theorem_id].direction == "upper" else (lhs - rhs)
     return BoundReport(theorem_id, alpha, lhs, rhs, slack, ordering,
                        slack >= -SLACK_TOL)
 
@@ -310,8 +356,16 @@ def _not_applicable(theorem_id: str, alpha: float, lhs: float) -> BoundReport:
                        None, True, applicable=False)
 
 
+def _per_focus(groupings) -> tuple:
+    """``groupings`` as a tuple; a non-iterable gives () and fails the count check."""
+    try:
+        return tuple(groupings)
+    except TypeError:
+        return ()
+
+
 # ---------------------------------------------------------------------------
-# Single-focus bounds
+# Bounds on caller-given groupings (one StateEvaluator.evaluate each)
 # ---------------------------------------------------------------------------
 
 def thm1_upper(psi: PureState, focus: int, grouping: Grouping,
@@ -322,40 +376,24 @@ def thm1_upper(psi: PureState, focus: int, grouping: Grouping,
     squared assistance value is the sum of its pairwise values and groups obey
     the dominance precondition.
     """
-    h_weight(alpha)
-    n = psi.num_qubits
-    f = _single_qubit(focus, n, "focus")
-    grouping = _covering_grouping(grouping, frozenset(range(n)) - {f})
-    _, ca_sq = pairwise_tables(psi, f)
-    cert = _require_feasible(ca_sq, grouping, "thm1")
-    lhs = _apow(concurrence_pure(psi, (f,)).value, alpha)
-    rhs = _geometric_sum(cert.squared_values, alpha)
-    return _report("thm1", alpha, lhs, rhs, cert)
+    return StateEvaluator(psi).evaluate("thm1", alpha, (focus,), (grouping,))
 
 
 def jin_upper(psi: PureState, focus: int, ordering: Sequence[int],
               alpha: float) -> BoundReport:
     """(alpha/2)-weighted singleton polygamy bound, for comparison with thm1."""
-    h_weight(alpha)
-    n = psi.num_qubits
-    f = _single_qubit(focus, n, "focus")
-    order = tuple(int(q) for q in ordering)
-    grouping = Grouping.singletons(order)
-    _covering_grouping(grouping, frozenset(range(n)) - {f})
-    _, ca_sq = pairwise_tables(psi, f)
-    cert = _require_feasible(ca_sq, grouping, "jin")
-    lhs = _apow(concurrence_pure(psi, (f,)).value, alpha)
-    return _report("jin", alpha, lhs, _jin_sum(cert.squared_values, alpha), cert)
+    return StateEvaluator(psi).evaluate("jin", alpha, (focus,),
+                                        (Grouping.singletons(ordering),))
 
 
 def ckw_check(psi: PureState, focus: int) -> BoundReport:
     """Squared-concurrence monogamy: sum of pairwise C^2 below the cut C^2."""
-    return StateEvaluator(psi).evaluate("ckw", 2.0, focus)
+    return StateEvaluator(psi).evaluate("ckw", 2.0, (focus,))
 
 
 def coa_dual_check(psi: PureState, focus: int) -> BoundReport:
     """Squared-assistance polygamy: cut C^2 below the sum of pairwise Ca^2."""
-    return StateEvaluator(psi).evaluate("coa_dual", 2.0, focus)
+    return StateEvaluator(psi).evaluate("coa_dual", 2.0, (focus,))
 
 
 def thm5_upper(psi: PureState, focus: int, grouping: Grouping,
@@ -366,42 +404,7 @@ def thm5_upper(psi: PureState, focus: int, grouping: Grouping,
     assistance, so the bound side coincides with thm1; the cut side is the
     negativity, which dominates the cut concurrence.
     """
-    h_weight(alpha)
-    n = psi.num_qubits
-    f = _single_qubit(focus, n, "focus")
-    grouping = _covering_grouping(grouping, frozenset(range(n)) - {f})
-    _, na_sq = pairwise_tables(psi, f)
-    cert = _require_feasible(na_sq, grouping, "thm5")
-    lhs = _apow(negativity_pure_schmidt(psi, (f,)).value, alpha)
-    rhs = _geometric_sum(cert.squared_values, alpha)
-    return _report("thm5", alpha, lhs, rhs, cert)
-
-
-# ---------------------------------------------------------------------------
-# Two-focus bounds (partition AB | rest)
-# ---------------------------------------------------------------------------
-
-def _two_focus_setup(psi: PureState, a: int, b: int, grouping_a: Grouping,
-                     grouping_b: Grouping, what: str):
-    n = psi.num_qubits
-    if n < 4:
-        raise ValueError(f"{what} requires at least 4 qubits, got {n}")
-    qa = _single_qubit(a, n, "a")
-    qb = _single_qubit(b, n, "b")
-    if qa == qb:
-        raise ValueError("focus qubits a and b must differ")
-    grouping_a = _covering_grouping(grouping_a, frozenset(range(n)) - {qa})
-    grouping_b = _covering_grouping(grouping_b, frozenset(range(n)) - {qb})
-    return qa, qb, grouping_a, grouping_b
-
-
-def _branch_front(c_sq: Mapping[int, float], ca_sq: Mapping[int, float],
-                  grouping: Grouping, alpha: float, what: str):
-    """Front-weighted concurrence sum plus the grouping's J value and cert."""
-    cert = _require_feasible(ca_sq, grouping, what)
-    front = _front_weighted_sum(_grouped_sums(c_sq, grouping), alpha)
-    j = _geometric_sum(cert.squared_values, alpha)
-    return front, j, cert
+    return StateEvaluator(psi).evaluate("thm5", alpha, (focus,), (grouping,))
 
 
 def thm2_lower(psi: PureState, a: int, b: int, grouping_a: Grouping,
@@ -412,93 +415,31 @@ def thm2_lower(psi: PureState, a: int, b: int, grouping_a: Grouping,
     weight 1 on the last, and subtracts the other focus qubit's geometric
     assistance sum.  The larger branch is reported.
     """
-    h_weight(alpha)
-    qa, qb, grouping_a, grouping_b = _two_focus_setup(
-        psi, a, b, grouping_a, grouping_b, "thm2")
-    c_a, ca_a = pairwise_tables(psi, qa)
-    c_b, ca_b = pairwise_tables(psi, qb)
-    front_a, j_a, cert_a = _branch_front(c_a, ca_a, grouping_a, alpha, "thm2 (focus a)")
-    front_b, j_b, cert_b = _branch_front(c_b, ca_b, grouping_b, alpha, "thm2 (focus b)")
-    branch_a = front_a - j_b
-    branch_b = front_b - j_a
-    rhs = max(branch_a, branch_b)
-    cert = cert_a if branch_a >= branch_b else cert_b
-    lhs = _apow(concurrence_pure(psi, (qa, qb)).value, alpha)
-    return _report("thm2", alpha, lhs, rhs, cert)
+    return StateEvaluator(psi).evaluate("thm2", alpha, (a, b), (grouping_a, grouping_b))
 
 
 def thm3_lower(psi: PureState, a: int, b: int, grouping_a: Grouping,
                grouping_b: Grouping, alpha: float) -> BoundReport:
     """Monogamy lower bound using each focus qubit's total pairwise C^2."""
-    h_weight(alpha)
-    qa, qb, grouping_a, grouping_b = _two_focus_setup(
-        psi, a, b, grouping_a, grouping_b, "thm3")
-    c_a, ca_a = pairwise_tables(psi, qa)
-    c_b, ca_b = pairwise_tables(psi, qb)
-    cert_a = _require_feasible(ca_a, grouping_a, "thm3 (focus a)")
-    cert_b = _require_feasible(ca_b, grouping_b, "thm3 (focus b)")
-    j_a = _geometric_sum(cert_a.squared_values, alpha)
-    j_b = _geometric_sum(cert_b.squared_values, alpha)
-    branch_a = _apow(sum(c_a.values()), alpha / 2.0) - j_b
-    branch_b = _apow(sum(c_b.values()), alpha / 2.0) - j_a
-    rhs = max(branch_a, branch_b)
-    cert = cert_a if branch_a >= branch_b else cert_b
-    lhs = _apow(concurrence_pure(psi, (qa, qb)).value, alpha)
-    return _report("thm3", alpha, lhs, rhs, cert)
+    return StateEvaluator(psi).evaluate("thm3", alpha, (a, b), (grouping_a, grouping_b))
 
 
 def thm4_upper(psi: PureState, a: int, b: int, grouping_a: Grouping,
                grouping_b: Grouping, alpha: float) -> BoundReport:
     """Polygamy upper bound C^a(AB|rest) <= J_A + J_B."""
-    h_weight(alpha)
-    qa, qb, grouping_a, grouping_b = _two_focus_setup(
-        psi, a, b, grouping_a, grouping_b, "thm4")
-    _, ca_a = pairwise_tables(psi, qa)
-    _, ca_b = pairwise_tables(psi, qb)
-    cert_a = _require_feasible(ca_a, grouping_a, "thm4 (focus a)")
-    cert_b = _require_feasible(ca_b, grouping_b, "thm4 (focus b)")
-    rhs = (_geometric_sum(cert_a.squared_values, alpha)
-           + _geometric_sum(cert_b.squared_values, alpha))
-    lhs = _apow(concurrence_pure(psi, (qa, qb)).value, alpha)
-    return _report("thm4", alpha, lhs, rhs, cert_a)
+    return StateEvaluator(psi).evaluate("thm4", alpha, (a, b), (grouping_a, grouping_b))
 
 
 def thm6_lower(psi: PureState, a: int, b: int, grouping_a: Grouping,
                grouping_b: Grouping, alpha: float) -> BoundReport:
     """Negativity counterpart of thm2 (CREN/CRENOA pairwise terms)."""
-    h_weight(alpha)
-    qa, qb, grouping_a, grouping_b = _two_focus_setup(
-        psi, a, b, grouping_a, grouping_b, "thm6")
-    c_a, ca_a = pairwise_tables(psi, qa)
-    c_b, ca_b = pairwise_tables(psi, qb)
-    front_a, j_a, cert_a = _branch_front(c_a, ca_a, grouping_a, alpha, "thm6 (focus a)")
-    front_b, j_b, cert_b = _branch_front(c_b, ca_b, grouping_b, alpha, "thm6 (focus b)")
-    branch_a = front_a - j_b
-    branch_b = front_b - j_a
-    rhs = max(branch_a, branch_b)
-    cert = cert_a if branch_a >= branch_b else cert_b
-    lhs = _apow(negativity_pure_schmidt(psi, (qa, qb)).value, alpha)
-    return _report("thm6", alpha, lhs, rhs, cert)
+    return StateEvaluator(psi).evaluate("thm6", alpha, (a, b), (grouping_a, grouping_b))
 
 
 def thm7_lower(psi: PureState, a: int, b: int, grouping_a: Grouping,
                grouping_b: Grouping, alpha: float) -> BoundReport:
     """Negativity counterpart of thm3."""
-    h_weight(alpha)
-    qa, qb, grouping_a, grouping_b = _two_focus_setup(
-        psi, a, b, grouping_a, grouping_b, "thm7")
-    c_a, ca_a = pairwise_tables(psi, qa)
-    c_b, ca_b = pairwise_tables(psi, qb)
-    cert_a = _require_feasible(ca_a, grouping_a, "thm7 (focus a)")
-    cert_b = _require_feasible(ca_b, grouping_b, "thm7 (focus b)")
-    j_a = _geometric_sum(cert_a.squared_values, alpha)
-    j_b = _geometric_sum(cert_b.squared_values, alpha)
-    branch_a = _apow(sum(c_a.values()), alpha / 2.0) - j_b
-    branch_b = _apow(sum(c_b.values()), alpha / 2.0) - j_a
-    rhs = max(branch_a, branch_b)
-    cert = cert_a if branch_a >= branch_b else cert_b
-    lhs = _apow(negativity_pure_schmidt(psi, (qa, qb)).value, alpha)
-    return _report("thm7", alpha, lhs, rhs, cert)
+    return StateEvaluator(psi).evaluate("thm7", alpha, (a, b), (grouping_a, grouping_b))
 
 
 def thm8_upper(psi: PureState, a: int, b: int, grouping_a: Grouping,
@@ -508,43 +449,7 @@ def thm8_upper(psi: PureState, a: int, b: int, grouping_a: Grouping,
     ``N^a(AB|rest) <= (r(r-1)/2)^(a/2) (J'_A + J'_B)`` where r is the Schmidt
     rank of the cut.
     """
-    h_weight(alpha)
-    qa, qb, grouping_a, grouping_b = _two_focus_setup(
-        psi, a, b, grouping_a, grouping_b, "thm8")
-    _, na_a = pairwise_tables(psi, qa)
-    _, na_b = pairwise_tables(psi, qb)
-    cert_a = _require_feasible(na_a, grouping_a, "thm8 (focus a)")
-    cert_b = _require_feasible(na_b, grouping_b, "thm8 (focus b)")
-    r = schmidt_rank(psi, (qa, qb))
-    factor = _apow(r * (r - 1) / 2.0, alpha / 2.0)
-    rhs = factor * (_geometric_sum(cert_a.squared_values, alpha)
-                    + _geometric_sum(cert_b.squared_values, alpha))
-    lhs = _apow(negativity_pure_schmidt(psi, (qa, qb)).value, alpha)
-    return _report("thm8", alpha, lhs, rhs, cert_a)
-
-
-# ---------------------------------------------------------------------------
-# Three-focus bounds (partition ABC1 | rest)
-# ---------------------------------------------------------------------------
-
-def _three_focus_setup(psi: PureState, a: int, b: int, c1: int,
-                       groupings, what: str):
-    n = psi.num_qubits
-    if n < 6:
-        raise ValueError(f"{what} requires at least 6 qubits, got {n}")
-    qa = _single_qubit(a, n, "a")
-    qb = _single_qubit(b, n, "b")
-    qc = _single_qubit(c1, n, "c1")
-    if len({qa, qb, qc}) != 3:
-        raise ValueError("focus qubits a, b, c1 must be distinct")
-    try:
-        ga, gb, gc = groupings
-    except (TypeError, ValueError):
-        raise ValueError("groupings must be a (grouping_a, grouping_b, grouping_c1) triple")
-    ga = _covering_grouping(ga, frozenset(range(n)) - {qa})
-    gb = _covering_grouping(gb, frozenset(range(n)) - {qb})
-    gc = _covering_grouping(gc, frozenset(range(n)) - {qc})
-    return qa, qb, qc, ga, gb, gc
+    return StateEvaluator(psi).evaluate("thm8", alpha, (a, b), (grouping_a, grouping_b))
 
 
 def cor1_lower(psi: PureState, a: int, b: int, c1: int, groupings,
@@ -556,28 +461,8 @@ def cor1_lower(psi: PureState, a: int, b: int, c1: int, groupings,
     """
     if variant not in ("thm2", "thm3"):
         raise ValueError("variant must be 'thm2' or 'thm3'")
-    h_weight(alpha)
-    theorem_id = f"cor1_{variant}"
-    qa, qb, qc, ga, gb, gc = _three_focus_setup(psi, a, b, c1, groupings, theorem_id)
-    c_a, ca_a = pairwise_tables(psi, qa)
-    c_b, ca_b = pairwise_tables(psi, qb)
-    _, ca_c = pairwise_tables(psi, qc)
-    cert_a = _require_feasible(ca_a, ga, f"{theorem_id} (focus a)")
-    cert_b = _require_feasible(ca_b, gb, f"{theorem_id} (focus b)")
-    cert_c = _require_feasible(ca_c, gc, f"{theorem_id} (focus c1)")
-    j_a = _geometric_sum(cert_a.squared_values, alpha)
-    j_b = _geometric_sum(cert_b.squared_values, alpha)
-    j_c = _geometric_sum(cert_c.squared_values, alpha)
-    if variant == "thm2":
-        branch_a = _front_weighted_sum(_grouped_sums(c_a, ga), alpha) - j_b
-        branch_b = _front_weighted_sum(_grouped_sums(c_b, gb), alpha) - j_a
-    else:
-        branch_a = _apow(sum(c_a.values()), alpha / 2.0) - j_b
-        branch_b = _apow(sum(c_b.values()), alpha / 2.0) - j_a
-    rhs = max(branch_a, branch_b) - j_c
-    cert = cert_a if branch_a >= branch_b else cert_b
-    lhs = _apow(concurrence_pure(psi, (qa, qb, qc)).value, alpha)
-    return _report(theorem_id, alpha, lhs, rhs, cert)
+    return StateEvaluator(psi).evaluate(f"cor1_{variant}", alpha, (a, b, c1),
+                                        _per_focus(groupings))
 
 
 def cor2_bounds(psi: PureState, a: int, b: int, c1: int, groupings,
@@ -588,30 +473,9 @@ def cor2_bounds(psi: PureState, a: int, b: int, c1: int, groupings,
     otherwise it is reported as not applicable, never as violated.  The upper
     bound ``J_A + J_B + J_{C1}`` is always evaluated.
     """
-    h_weight(alpha)
-    qa, qb, qc, ga, gb, gc = _three_focus_setup(psi, a, b, c1, groupings, "cor2")
-    c_c, ca_c = pairwise_tables(psi, qc)
-    _, ca_a = pairwise_tables(psi, qa)
-    _, ca_b = pairwise_tables(psi, qb)
-    cert_a = _require_feasible(ca_a, ga, "cor2 (focus a)")
-    cert_b = _require_feasible(ca_b, gb, "cor2 (focus b)")
-    cert_c = _require_feasible(ca_c, gc, "cor2 (focus c1)")
-    j_a = _geometric_sum(cert_a.squared_values, alpha)
-    j_b = _geometric_sum(cert_b.squared_values, alpha)
-    j_c = _geometric_sum(cert_c.squared_values, alpha)
-    lhs = _apow(concurrence_pure(psi, (qa, qb, qc)).value, alpha)
-
-    cut_ab = concurrence_pure(psi, (qa, qb)).value
-    cut_c1 = concurrence_pure(psi, (qc,)).value
-    if cut_ab <= cut_c1 + SLACK_TOL:
-        rhs_low = _apow(sum(c_c.values()), alpha / 2.0) - j_a - j_b
-        lower = _report("cor2_lower", alpha, lhs, rhs_low, cert_c)
-    else:
-        lower = _not_applicable("cor2_lower", alpha, lhs)
-
-    rhs_up = j_a + j_b + j_c
-    upper = _report("cor2_upper", alpha, lhs, rhs_up, cert_c)
-    return lower, upper
+    ev, groupings = StateEvaluator(psi), _per_focus(groupings)
+    return (ev.evaluate("cor2_lower", alpha, (a, b, c1), groupings),
+            ev.evaluate("cor2_upper", alpha, (a, b, c1), groupings))
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +492,9 @@ def _partition_patterns(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
         if not remaining:
             yield ()
             return
-        rest_set = remaining
-        for size in range(1, len(rest_set) + 1):
-            for block in itertools.combinations(rest_set, size):
-                left = tuple(x for x in rest_set if x not in block)
+        for size in range(1, len(remaining) + 1):
+            for block in itertools.combinations(remaining, size):
+                left = tuple(x for x in remaining if x not in block)
                 for tail in rec(left):
                     yield (block,) + tail
 
@@ -769,13 +632,6 @@ class _SplitSearch:
             yield self._grouping(chain)
 
 
-def _check_partner_cap(num_partners: int) -> None:
-    if num_partners > _MAX_OPT_PARTNERS:
-        raise ValueError(
-            f"grouping search caps at {_MAX_OPT_PARTNERS} non-focus qubits, "
-            f"got {num_partners}")
-
-
 def canonical_grouping(pair_sq: Mapping[int, float]) -> Grouping:
     """Descending singleton order when dominance-feasible, else one merged group.
 
@@ -796,9 +652,10 @@ class StateEvaluator:
     asks for it, and the focus tables are read from those pair values.  Each
     distinct cut is reduced once and its concurrence, negativity and Schmidt
     rank all come from that one spectrum.  Each focus's dominance-feasible
-    splits (or, in canonical mode, its one grouping) are also built once;
-    each (theorem, alpha) evaluation then runs a subset dynamic program and
-    plain arithmetic.
+    splits (or, in canonical mode, its one grouping) are also built once.
+    ``evaluate`` reads the bound's ``BOUNDS`` row and does plain arithmetic
+    over one grouping per focus: the best one a subset dynamic program finds,
+    or with ``groupings=`` the caller's, which bypass the search and caches.
 
     ``search='exhaustive'`` (non-focus count capped at 8) finds the best
     feasible ordered grouping without listing the groupings.  A grouping is a
@@ -878,7 +735,9 @@ class StateEvaluator:
     def _split_search(self, focus: int) -> _SplitSearch:
         if focus not in self._splits:
             c_sq, ca_sq = self.tables(focus)
-            _check_partner_cap(len(ca_sq))
+            if len(ca_sq) > _MAX_OPT_PARTNERS:
+                raise ValueError(f"grouping search caps at {_MAX_OPT_PARTNERS} "
+                                 f"non-focus qubits, got {len(ca_sq)}")
             self._splits[focus] = _SplitSearch(c_sq, ca_sq)
         return self._splits[focus]
 
@@ -905,162 +764,145 @@ class StateEvaluator:
         """Feasible grouping minimizing the geometric assistance sum."""
         key = (focus, alpha)
         if key not in self._j_best:
-            grouping = self._best_grouping(focus, "j", alpha)
-            ca_vals = _grouped_sums(self.tables(focus)[1], grouping)
-            self._j_best[key] = (grouping, ca_vals, _geometric_sum(ca_vals, alpha))
+            self._j_best[key] = self._j_term(
+                focus, self._best_grouping(focus, "j", alpha), alpha)
         return self._j_best[key]
 
     def front_best(self, focus: int, alpha: float):
         """Assistance-feasible grouping maximizing the front-weighted C sum."""
         key = (focus, alpha)
         if key not in self._front_best:
-            grouping = self._best_grouping(focus, "front", alpha)
-            c_sq, ca_sq = self.tables(focus)
-            self._front_best[key] = (
-                grouping, _grouped_sums(ca_sq, grouping),
-                _front_weighted_sum(_grouped_sums(c_sq, grouping), alpha))
+            self._front_best[key] = self._front_term(
+                focus, self._best_grouping(focus, "front", alpha), alpha)
         return self._front_best[key]
+
+    def _j_term(self, focus: int, grouping: Grouping, alpha: float):
+        """``(grouping, ca_vals, J)``: the geometric assistance sum of a grouping."""
+        ca_vals = _grouped_sums(self.tables(focus)[1], grouping)
+        return grouping, ca_vals, _geometric_sum(ca_vals, alpha)
+
+    def _front_term(self, focus: int, grouping: Grouping, alpha: float):
+        """``(grouping, ca_vals, F)``: the front-weighted C sum of a grouping."""
+        c_sq, ca_sq = self.tables(focus)
+        return (grouping, _grouped_sums(ca_sq, grouping),
+                _front_weighted_sum(_grouped_sums(c_sq, grouping), alpha))
 
     # -- report assembly -----------------------------------------------------
 
-    @staticmethod
-    def _cert(grouping: Grouping, ca_vals: tuple[float, ...]) -> OrderingCertificate:
-        return OrderingCertificate(grouping, ca_vals, True)
-
-    def _foci(self, theorem_id: str, foci) -> tuple[int, ...]:
+    def _foci(self, theorem_id: str, spec: BoundSpec, foci) -> tuple[int, ...]:
+        """Validated focus qubits: ``spec.arity`` distinct indices, 0.. by default."""
         n = self.psi.num_qubits
-        arity = 1 if theorem_id in ("ckw", "coa_dual", "jin", "thm1", "thm5") else \
-            2 if theorem_id in ("thm2", "thm3", "thm4", "thm6", "thm7", "thm8") else 3
-        if foci is None:
-            foci = tuple(range(arity))
-        elif isinstance(foci, (int, np.integer)):
-            foci = (int(foci),)
-        else:
-            foci = tuple(int(q) for q in foci)
-        if len(foci) != arity:
-            raise ValueError(f"{theorem_id} takes {arity} focus qubit(s), got {foci}")
+        if foci is None and n >= spec.min_qubits:  # the default foci are then valid
+            return tuple(range(spec.arity))
+        try:
+            foci = tuple(range(spec.arity)) if foci is None else tuple(foci)
+        except TypeError:
+            foci = (foci,)
+        if len(foci) != spec.arity:
+            raise ValueError(f"{theorem_id} takes {spec.arity} focus qubit(s), got {foci}")
+        foci = tuple(_single_qubit(q, n, "focus") for q in foci)
         if len(set(foci)) != len(foci):
             raise ValueError("focus qubits must be distinct")
-        for q in foci:
-            _single_qubit(q, n, "focus")
-        if arity >= 2 and n < 4:
-            raise ValueError(f"{theorem_id} requires at least 4 qubits, got {n}")
-        if arity == 3 and n < 6:
-            raise ValueError(f"{theorem_id} requires at least 6 qubits, got {n}")
+        if n < spec.min_qubits:
+            raise ValueError(f"{theorem_id} requires at least {spec.min_qubits} qubits, got {n}")
         return foci
 
-    def evaluate(self, theorem_id: str, alpha: float, foci=None) -> BoundReport:
-        """Best-grouping report for one bound at one exponent."""
-        if theorem_id not in THEOREM_IDS:
+    def _given(self, theorem_id: str, spec: BoundSpec, foci: tuple[int, ...],
+               groupings) -> dict[int, Grouping]:
+        """The caller's grouping per focus, checked for cover and dominance."""
+        given = _per_focus(groupings)
+        if len(given) != len(foci):
+            raise ValueError(f"{theorem_id} takes one grouping per focus qubit, got {groupings!r}")
+        n = self.psi.num_qubits
+        given = [_covering_grouping(g, frozenset(range(n)) - {f}) for f, g in zip(foci, given)]
+        if spec.rhs == "jin" and given[0].k < n - 1:
+            raise ValueError(f"jin takes singleton groups only, got {given[0]}")
+        for f, g in zip(foci, given):
+            _require_feasible(self.tables(f)[1], g, f"{theorem_id} (focus {f})")
+        return dict(zip(foci, given))
+
+    def evaluate(self, theorem_id: str, alpha: float, foci=None,
+                 groupings=None) -> BoundReport:
+        """Report for one bound at one exponent, read off its ``BOUNDS`` row.
+
+        ``foci`` defaults to qubits 0..arity-1.  With ``groupings=None`` each
+        focus gets the best grouping the search finds (``j_best``/
+        ``front_best``).  Otherwise ``groupings`` holds one grouping per focus;
+        each must cover its focus's partners and pass the dominance check
+        (else ``InfeasibleGroupingError``), and is never searched or cached.
+        """
+        spec = BOUNDS.get(theorem_id)
+        if spec is None:
             raise ValueError(f"unknown theorem_id {theorem_id!r}")
         h_weight(alpha)
-        foci = self._foci(theorem_id, foci)
+        foci = self._foci(theorem_id, spec, foci)
+        if groupings is None:
+            j, front = self.j_best, self.front_best
+        else:
+            given = self._given(theorem_id, spec, foci, groupings)
 
-        if theorem_id in ("ckw", "coa_dual"):
+            def j(f, a):
+                return self._j_term(f, given[f], a)
+
+            def front(f, a):
+                return self._front_term(f, given[f], a)
+
+        kind = spec.rhs
+        if kind == "pair_sum":
             c_sq, ca_sq = self.tables(foci[0])
             cut_sq = self.cut_concurrence(foci) ** 2
-            if theorem_id == "ckw":
-                lhs, rhs = sum(c_sq.values()), cut_sq
-            else:
-                lhs, rhs = cut_sq, sum(ca_sq.values())
+            # Printed as "smaller side, larger side": ckw's lhs is the pair sum.
+            lhs, rhs = (sum(c_sq.values()), cut_sq) if spec.direction == "lower" \
+                else (cut_sq, sum(ca_sq.values()))
             slack = rhs - lhs
             return BoundReport(theorem_id, 2.0, lhs, rhs, slack, None, slack >= -SLACK_TOL)
 
-        if theorem_id in ("thm1", "thm5", "jin"):
+        cut = self._cut(foci)
+        lhs = _apow(cut[1] if spec.cut == "N" else cut[0], alpha)
+        if kind == "jin":
             f = foci[0]
-            if theorem_id == "jin":
-                return self._eval_jin(f, alpha)
-            cut = self.cut_concurrence((f,)) if theorem_id == "thm1" \
-                else self.cut_negativity((f,))
-            grouping, ca_vals, rhs = self.j_best(f, alpha)
-            return _report(theorem_id, alpha, _apow(cut, alpha), rhs,
-                           self._cert(grouping, ca_vals))
+            grouping = given[f] if groupings is not None else self._best_grouping(f, "jin", alpha)
+            if grouping is None:
+                return _not_applicable(theorem_id, alpha, lhs)
+            vals = _grouped_sums(self.tables(f)[1], grouping)
+            return _report(theorem_id, alpha, lhs, _jin_sum(vals, alpha),
+                           OrderingCertificate(grouping, vals, True))
 
-        if theorem_id in ("thm2", "thm6"):
-            a, b = foci
-            lhs_val = self.cut_concurrence((a, b)) if theorem_id == "thm2" \
-                else self.cut_negativity((a, b))
-            ga, ca_a, front_a = self.front_best(a, alpha)
-            gb, ca_b, front_b = self.front_best(b, alpha)
-            _, _, j_a = self.j_best(a, alpha)
-            _, _, j_b = self.j_best(b, alpha)
-            branch_a = front_a - j_b
-            branch_b = front_b - j_a
+        if kind in ("front", "total"):
+            a, b = foci[0], foci[1]
+            (ga, va, j_a), (gb, vb, j_b) = j(a, alpha), j(b, alpha)
+            if kind == "front":
+                (ga, va, lead_a), (gb, vb, lead_b) = front(a, alpha), front(b, alpha)
+            else:
+                lead_a = _apow(sum(self.tables(a)[0].values()), alpha / 2.0)
+                lead_b = _apow(sum(self.tables(b)[0].values()), alpha / 2.0)
+            branch_a, branch_b = lead_a - j_b, lead_b - j_a
             if branch_a >= branch_b:
-                rhs, cert = branch_a, self._cert(ga, ca_a)
+                rhs, cert = branch_a, OrderingCertificate(ga, va, True)
             else:
-                rhs, cert = branch_b, self._cert(gb, ca_b)
-            return _report(theorem_id, alpha, _apow(lhs_val, alpha), rhs, cert)
-
-        if theorem_id in ("thm3", "thm7"):
-            a, b = foci
-            lhs_val = self.cut_concurrence((a, b)) if theorem_id == "thm3" \
-                else self.cut_negativity((a, b))
-            ja_g, ja_vals, j_a = self.j_best(a, alpha)
-            jb_g, jb_vals, j_b = self.j_best(b, alpha)
-            c_a, _ = self.tables(a)
-            c_b, _ = self.tables(b)
-            branch_a = _apow(sum(c_a.values()), alpha / 2.0) - j_b
-            branch_b = _apow(sum(c_b.values()), alpha / 2.0) - j_a
-            if branch_a >= branch_b:
-                rhs, cert = branch_a, self._cert(ja_g, ja_vals)
-            else:
-                rhs, cert = branch_b, self._cert(jb_g, jb_vals)
-            return _report(theorem_id, alpha, _apow(lhs_val, alpha), rhs, cert)
-
-        if theorem_id in ("thm4", "thm8"):
-            a, b = foci
-            ja_g, ja_vals, j_a = self.j_best(a, alpha)
-            _, _, j_b = self.j_best(b, alpha)
-            if theorem_id == "thm4":
-                lhs = _apow(self.cut_concurrence((a, b)), alpha)
-                rhs = j_a + j_b
-            else:
-                r = self.cut_rank((a, b))
-                lhs = _apow(self.cut_negativity((a, b)), alpha)
-                rhs = _apow(r * (r - 1) / 2.0, alpha / 2.0) * (j_a + j_b)
-            return _report(theorem_id, alpha, lhs, rhs, self._cert(ja_g, ja_vals))
-
-        a, b, c1 = foci
-        lhs = _apow(self.cut_concurrence((a, b, c1)), alpha)
-        ja_g, ja_vals, j_a = self.j_best(a, alpha)
-        jb_g, jb_vals, j_b = self.j_best(b, alpha)
-        jc_g, jc_vals, j_c = self.j_best(c1, alpha)
-        if theorem_id in ("cor1_thm2", "cor1_thm3"):
-            if theorem_id == "cor1_thm2":
-                ga, ca_a, front_a = self.front_best(a, alpha)
-                gb, ca_b, front_b = self.front_best(b, alpha)
-                branch_a, branch_b = front_a - j_b, front_b - j_a
-                cert = self._cert(ga, ca_a) if branch_a >= branch_b \
-                    else self._cert(gb, ca_b)
-            else:
-                c_a, _ = self.tables(a)
-                c_b, _ = self.tables(b)
-                branch_a = _apow(sum(c_a.values()), alpha / 2.0) - j_b
-                branch_b = _apow(sum(c_b.values()), alpha / 2.0) - j_a
-                cert = self._cert(ja_g, ja_vals) if branch_a >= branch_b \
-                    else self._cert(jb_g, jb_vals)
-            rhs = max(branch_a, branch_b) - j_c
+                rhs, cert = branch_b, OrderingCertificate(gb, vb, True)
+            if spec.minus_jc1:
+                rhs -= j(foci[2], alpha)[2]
             return _report(theorem_id, alpha, lhs, rhs, cert)
 
-        if theorem_id == "cor2_lower":
-            if self.cut_concurrence((a, b)) > self.cut_concurrence((c1,)) + SLACK_TOL:
-                return _not_applicable("cor2_lower", alpha, lhs)
-            c_c, _ = self.tables(c1)
-            rhs = _apow(sum(c_c.values()), alpha / 2.0) - j_a - j_b
-            return _report("cor2_lower", alpha, lhs, rhs, self._cert(jc_g, jc_vals))
-
-        rhs = j_a + j_b + j_c
-        return _report("cor2_upper", alpha, lhs, rhs, self._cert(jc_g, jc_vals))
-
-    def _eval_jin(self, focus: int, alpha: float) -> BoundReport:
-        lhs = _apow(self.cut_concurrence((focus,)), alpha)
-        grouping = self._best_grouping(focus, "jin", alpha)
-        if grouping is None:
-            return _not_applicable("jin", alpha, lhs)
-        vals = _grouped_sums(self.tables(focus)[1], grouping)
-        cert = OrderingCertificate(grouping, vals, True)
-        return _report("jin", alpha, lhs, _jin_sum(vals, alpha), cert)
+        center = foci[spec.center]
+        others = foci[:spec.center] + foci[spec.center + 1:]
+        if kind == "center_total" and \
+                self.cut_concurrence(others) > self.cut_concurrence((center,)) + SLACK_TOL:
+            return _not_applicable(theorem_id, alpha, lhs)
+        grouping, vals, j_center = j(center, alpha)
+        if kind == "center_total":
+            rhs = _apow(sum(self.tables(center)[0].values()), alpha / 2.0)
+            for f in others:
+                rhs -= j(f, alpha)[2]
+        else:
+            terms = [j_center if f == center else j(f, alpha)[2] for f in foci]
+            rhs = terms[0]
+            for term in terms[1:]:  # J_A + J_B (+ J_C1), added in focus order
+                rhs += term
+            if kind == "rank_j":
+                rhs = _apow(cut[2] * (cut[2] - 1) / 2.0, alpha / 2.0) * rhs
+        return _report(theorem_id, alpha, lhs, rhs, OrderingCertificate(grouping, vals, True))
 
 
 def optimize_grouping(psi: PureState, focus, alpha: float,
@@ -1074,9 +916,9 @@ def optimize_grouping(psi: PureState, focus, alpha: float,
     produced, except for the singleton-only bound ``jin`` which is reported
     not-applicable when no singleton order is dominance-feasible.
     """
-    if theorem_id not in THEOREM_IDS:
+    if theorem_id not in BOUNDS:
         raise ValueError(f"unknown theorem_id {theorem_id!r}")
-    expected = "min-upper" if _DIRECTION[theorem_id] == "upper" else "max-lower"
+    expected = "min-upper" if BOUNDS[theorem_id].direction == "upper" else "max-lower"
     if objective is None:
         objective = expected
     if objective != expected:

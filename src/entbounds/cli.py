@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import AlphaGrid, BoundReport, StateEvaluator, THEOREM_IDS, h_weight
+from .bounds import (BOUNDS, AlphaGrid, BoundReport, StateEvaluator, THEOREM_IDS,
+                     h_weight, search_mode)
 from .gallery import FAMILIES, StateSpec
 from .qcore import PureState, haar_random_pure
 
@@ -31,15 +32,6 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 
 _FIGURE_GRID = tuple(round(0.02 * k, 10) for k in range(1, 101))
-
-# Bounds fixed at alpha = 2; they get a single row regardless of the grid.
-_FIXED_ALPHA = ("ckw", "coa_dual")
-
-_MIN_QUBITS = {tid: 2 for tid in THEOREM_IDS}
-_MIN_QUBITS.update({tid: 4 for tid in ("thm2", "thm3", "thm4", "thm6", "thm7", "thm8")})
-_MIN_QUBITS.update({tid: 6 for tid in ("cor1_thm2", "cor1_thm3",
-                                       "cor2_lower", "cor2_upper")})
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -76,7 +68,7 @@ def _parse_alpha(spec: str) -> AlphaGrid:
 
 def _parse_theorems(spec: str, num_qubits: int) -> tuple[str, ...]:
     if spec.strip().lower() == "all":
-        chosen = tuple(t for t in THEOREM_IDS if num_qubits >= _MIN_QUBITS[t])
+        chosen = tuple(t for t in THEOREM_IDS if num_qubits >= BOUNDS[t].min_qubits)
         if not chosen:
             raise ValueError(f"no bound applies to {num_qubits} qubit")
         return chosen
@@ -86,9 +78,11 @@ def _parse_theorems(spec: str, num_qubits: int) -> tuple[str, ...]:
         if tid not in THEOREM_IDS:
             raise ValueError(
                 f"unknown theorem id {tid!r}; known: {', '.join(THEOREM_IDS)}")
-        if num_qubits < _MIN_QUBITS[tid]:
+        if tid in chosen:
+            raise ValueError(f"duplicate theorem id {tid!r}")
+        if num_qubits < BOUNDS[tid].min_qubits:
             raise ValueError(
-                f"{tid} requires at least {_MIN_QUBITS[tid]} qubits, "
+                f"{tid} requires at least {BOUNDS[tid].min_qubits} qubits, "
                 f"state has {num_qubits}")
         chosen.append(tid)
     if not chosen:
@@ -144,11 +138,10 @@ def _render_reports(rows: list[dict], fmt: str) -> str:
 def cmd_verify(config: RunConfig) -> int:
     psi = config.state.build()
     theorems = _parse_theorems_tuple(config.theorems, psi.num_qubits)
-    search = "exhaustive" if psi.num_qubits - 1 <= 8 else "canonical"
-    ev = StateEvaluator(psi, search=search)
+    ev = StateEvaluator(psi, search=search_mode(psi.num_qubits))
     rows = []
     for tid in theorems:
-        if tid in _FIXED_ALPHA:
+        if BOUNDS[tid].fixed_alpha:
             rows.append(_report_row(ev.evaluate(tid, 2.0)))
         else:
             for alpha in config.alphas:
@@ -169,7 +162,7 @@ def _sweep_one(psi: PureState, theorems: tuple[str, ...], alphas: AlphaGrid,
     ev = StateEvaluator(psi, search=search)
     out = []
     for tid in theorems:
-        grid = (2.0,) if tid in _FIXED_ALPHA else alphas.values
+        grid = (2.0,) if BOUNDS[tid].fixed_alpha else alphas.values
         for alpha in grid:
             r = ev.evaluate(tid, alpha)
             out.append((tid, r.slack, r.satisfied, r.applicable))
@@ -188,7 +181,7 @@ def cmd_sweep(config: RunConfig) -> int:
             f"got {n}")
     # Exhaustive grouping search is bounded; larger systems use the
     # descending-singleton/merged fallback.
-    search = "exhaustive" if n - 1 <= 8 else "canonical"
+    search = search_mode(n)
     seeds = np.random.SeedSequence(config.seed).generate_state(
         config.samples, np.uint64)
 

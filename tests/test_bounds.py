@@ -1,5 +1,7 @@
 import itertools
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entbounds.bounds import (
+    BOUNDS,
     AlphaGrid,
     Grouping,
     InfeasibleGroupingError,
@@ -534,23 +537,146 @@ def test_optimizer_matches_explicit_enumeration():
         assert abs(r.rhs - best) < 1e-12
 
 
+def _same_report(r1, r2):
+    def key(r):
+        return tuple(None if isinstance(x, float) and math.isnan(x) else x
+                     for x in (r.theorem_id, r.alpha, r.lhs, r.rhs, r.slack,
+                               r.ordering, r.satisfied, r.applicable))
+    return key(r1) == key(r2)
+
+
+def _given_report(psi, tid, alpha, foci, groupings):
+    """The public given-grouping function of ``tid`` on ``groupings``."""
+    if tid in ("thm1", "thm5"):
+        return {"thm1": thm1_upper, "thm5": thm5_upper}[tid](
+            psi, foci[0], groupings[0], alpha)
+    if tid == "jin":
+        return jin_upper(psi, foci[0], [g[0] for g in groupings[0].groups], alpha)
+    if tid.startswith("cor1_"):
+        return cor1_lower(psi, *foci, groupings, alpha, variant=tid[5:])
+    if tid.startswith("cor2_"):
+        return cor2_bounds(psi, *foci, groupings, alpha)[tid == "cor2_upper"]
+    bound = {"thm2": thm2_lower, "thm3": thm3_lower, "thm4": thm4_upper,
+             "thm6": thm6_lower, "thm7": thm7_lower, "thm8": thm8_upper}[tid]
+    return bound(psi, *foci, *groupings, alpha)
+
+
+def _best_groupings(ev, spec, foci, alpha, report):
+    """Per-focus groupings for which the given path reproduces ``report``."""
+    j = [ev.j_best(f, alpha) for f in foci]
+    if spec.rhs == "jin":
+        return (report.ordering.grouping,)
+    if spec.rhs != "front":
+        return tuple(t[0] for t in j)
+    fa, fb = (ev.front_best(f, alpha) for f in foci[:2])
+    lead = (fa[0], j[1][0]) if fa[2] - j[1][2] >= fb[2] - j[0][2] else (j[0][0], fb[0])
+    return lead + tuple(t[0] for t in j[2:])
+
+
+def _geometric_wclass(n):
+    """W-class state with l_k^2 proportional to 3^-k: every jin order check passes."""
+    amps = np.zeros(2 ** n)
+    for k in range(n):
+        amps[1 << (n - 1 - k)] = 3.0 ** (-k / 2)
+    return PureState(n, amps / np.linalg.norm(amps))
+
+
 def test_evaluator_consistent_with_standalone_ops():
-    for seed in range(8):
-        psi = haar_random_pure(4, 4400 + seed)
+    for n in (4, 6):
+        _check_best_equals_given(n)
+
+
+def _check_best_equals_given(n):
+    checked = set()
+    for psi in (haar_random_pure(n, 4400 + n), haar_random_pure(n, 4410 + n), ghz(n), w(n),
+                _geometric_wclass(n)):
         ev = StateEvaluator(psi)
-        for alpha in (0.5, 1.0, 1.75):
-            r = ev.evaluate("thm2", alpha, (0, 1))
-            ga, _, fa = ev.front_best(0, alpha)
-            gb, _, fb = ev.front_best(1, alpha)
-            ja_g, _, ja = ev.j_best(0, alpha)
-            jb_g, _, jb = ev.j_best(1, alpha)
-            pair = (ga, jb_g) if fa - jb >= fb - ja else (ja_g, gb)
-            direct = thm2_lower(psi, 0, 1, pair[0], pair[1], alpha)
-            assert abs(r.rhs - direct.rhs) < 1e-12
-            assert abs(r.lhs - direct.lhs) < 1e-12
-            r4 = ev.evaluate("thm4", alpha, (0, 1))
-            direct4 = thm4_upper(psi, 0, 1, ja_g, jb_g, alpha)
-            assert abs(r4.rhs - direct4.rhs) < 1e-12
+        for tid, spec in BOUNDS.items():
+            if spec.min_qubits > n:
+                continue
+            for foci in (tuple(range(spec.arity)), tuple(range(n - 1, n - 1 - spec.arity, -1))):
+                if spec.fixed_alpha:
+                    check = ckw_check if tid == "ckw" else coa_dual_check
+                    assert ev.evaluate(tid, 2.0, foci) == check(psi, foci[0])
+                    checked.add(tid)
+                    continue
+                for alpha in (0.5, 1.0, 1.75):
+                    r = ev.evaluate(tid, alpha, foci)
+                    if not r.applicable and tid == "jin":
+                        continue
+                    groupings = _best_groupings(ev, spec, foci, alpha, r)
+                    assert _same_report(r, _given_report(psi, tid, alpha, foci, groupings))
+                    checked.add(tid)
+    assert checked == {t for t, spec in BOUNDS.items() if spec.min_qubits <= n}
+
+
+def test_readme_bound_table_matches_the_spec_table():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    rows = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.strip("|").split(" | ")]
+        if line.startswith("| `") and len(cells) == 4:
+            for tid in re.findall(r"`(\w+)`", cells[0]):
+                rows[tid] = int(cells[2])
+    assert rows == {tid: spec.min_qubits for tid, spec in BOUNDS.items()}
+
+
+def test_given_groupings_are_never_searched_or_cached():
+    psi = haar_random_pure(12, 5)
+    merged = Grouping.merged(range(1, 12))
+    ev = StateEvaluator(psi)
+    assert ev.evaluate("thm1", 1.0, 0, (merged,)) == thm1_upper(psi, 0, merged, 1.0)
+    assert ev._j_best == {} and ev._front_best == {} and ev._splits == {}
+    with pytest.raises(ValueError):
+        ev.evaluate("thm1", 1.0, 0)  # the search caps at 8 partners
+
+
+def test_given_groupings_are_checked():
+    psi = haar_random_pure(4, 7)
+    ev = StateEvaluator(psi)
+    merged = [Grouping.merged(q for q in range(4) if q != f) for f in range(4)]
+    with pytest.raises(ValueError, match="one grouping per focus"):
+        ev.evaluate("thm2", 1.0, (0, 1), (merged[0],))
+    with pytest.raises(ValueError, match="must cover"):
+        ev.evaluate("thm2", 1.0, (0, 1), (merged[0], merged[0]))
+    with pytest.raises(ValueError, match="singleton"):
+        ev.evaluate("jin", 1.0, 0, (merged[0],))
+    with pytest.raises(ValueError, match="one grouping per focus"):
+        cor1_lower(haar_random_pure(6, 1), 0, 1, 2, None, 1.0)
+
+
+@pytest.mark.parametrize("bad", [1.7, True, 1.5, "1", np.float64(1.0), None])
+def test_focus_must_be_an_integer(bad):
+    psi = haar_random_pure(4, 3)
+    with pytest.raises(ValueError):
+        thm1_upper(psi, bad, Grouping.merged((0, 2, 3)), 1.0)
+    with pytest.raises(ValueError):
+        StateEvaluator(psi).evaluate("thm2", 1.0, (0, bad))
+    if bad is not None:  # None asks for the default foci
+        with pytest.raises(ValueError):
+            StateEvaluator(psi).evaluate("thm1", 1.0, bad)
+
+
+def test_numpy_integer_foci_and_members_are_accepted():
+    psi = haar_random_pure(4, 3)
+    g = Grouping(((np.int64(2), 3), (np.int32(0),)))
+    assert g.groups == ((2, 3), (0,)) and all(type(q) is int for q in g.members())
+    ev = StateEvaluator(psi)
+    assert ev.evaluate("thm1", 1.0, np.int64(1)) == ev.evaluate("thm1", 1.0, 1)
+
+
+@pytest.mark.parametrize("groups", [((0, 2.9, 3.2),), ((True,), (2,)), (("1",),),
+                                    ((1.0, 2),)])
+def test_group_members_must_be_integers(groups):
+    with pytest.raises(ValueError):
+        Grouping(groups)
+
+
+def test_jin_ordering_members_must_be_integers():
+    psi = _geometric_wclass(4)
+    assert jin_upper(psi, 0, [1, 2, 3], 1.0).applicable
+    with pytest.raises(ValueError, match="integer"):
+        jin_upper(psi, 0, [1.0, 2, 3], 1.0)
 
 
 def test_evaluator_canonical_mode_sound():

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from entbounds import cli
-from entbounds.bounds import BoundReport
+from entbounds.bounds import BOUNDS, BoundReport
 
 
 def run_main(argv, capsys):
@@ -109,6 +109,36 @@ def test_verify_unknown_theorem_exit_2(capsys):
         ["verify", "--state", GSD3_EQUAL, "--theorem", "thm12"], capsys)
     assert code == 2
     assert "unknown theorem id" in err
+
+
+def test_verify_duplicate_theorem_exit_2(capsys):
+    code, out, err = run_main(
+        ["verify", "--state", GSD3_EQUAL, "--theorem", "thm1,jin,thm1",
+         "--alpha", "1.0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "duplicate theorem id 'thm1'" in err
+
+
+def test_sweep_duplicate_theorem_exit_2(capsys):
+    code, out, err = run_main(
+        ["sweep", "--qubits", "4", "--samples", "2", "--theorem", "thm1,thm1",
+         "--alpha", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "duplicate theorem id 'thm1'" in err
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_verify_all_selects_the_table_ids(n, capsys):
+    state = json.dumps({"kind": "amplitudes", "n": n, "re": [1] + [0] * (2 ** n - 1),
+                        "im": [0] * 2 ** n})
+    code, out, err = run_main(
+        ["verify", "--state", state, "--theorem", "all", "--alpha", "1"], capsys)
+    expected = [tid for tid, spec in BOUNDS.items() if spec.min_qubits <= n]
+    assert [r["theorem"] for r in _rows(out)] == expected
+    assert code == (0 if expected else 2)
+    assert expected or "no bound applies" in err
 
 
 def test_verify_state_file(tmp_path, capsys):

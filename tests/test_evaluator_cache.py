@@ -13,6 +13,7 @@ import pytest
 import entbounds.bounds as bounds
 import entbounds.qcore as qcore
 from entbounds.bounds import (
+    BOUNDS,
     THEOREM_IDS,
     StateEvaluator,
     canonical_grouping,
@@ -20,7 +21,6 @@ from entbounds.bounds import (
     coa_dual_check,
     pairwise_tables,
 )
-from entbounds.cli import _MIN_QUBITS
 from entbounds.gallery import FAMILIES, ghz, named, w
 from entbounds.measures import concurrence_pure, negativity_pure_schmidt
 from entbounds.qcore import haar_random_pure, schmidt_rank
@@ -43,7 +43,7 @@ STATES = [f(n) for n in range(2, 9) for f in (
 
 def _evaluate_all(ev, alphas):
     for tid in THEOREM_IDS:
-        if ev.psi.num_qubits >= _MIN_QUBITS[tid]:
+        if ev.psi.num_qubits >= BOUNDS[tid].min_qubits:
             for alpha in alphas:
                 ev.evaluate(tid, alpha)
 
