@@ -48,6 +48,9 @@ SLACK_TOL = 1e-9
 FEAS_TOL = 1e-12
 _TIE_TOL = 1e-12
 _MAX_OPT_PARTNERS = 8
+# Range grids are rounded to this many decimals, so a smaller step repeats values.
+_ALPHA_DIGITS = 12
+_ALPHA_RESOLUTION = 10.0 ** -_ALPHA_DIGITS
 
 
 @dataclass(frozen=True)
@@ -205,10 +208,13 @@ class AlphaGrid:
     def from_range(cls, start: float, stop: float, step: float) -> "AlphaGrid":
         if not all(math.isfinite(x) for x in (start, stop, step)):
             raise ValueError("alpha range bounds and step must be finite")
-        if step <= 0:
-            raise ValueError("step must be positive")
+        if not (0.0 <= start <= 2.0 and 0.0 <= stop <= 2.0):
+            raise ValueError("alpha values must lie in [0, 2]")
+        if step < _ALPHA_RESOLUTION:
+            raise ValueError(f"step must be at least {_ALPHA_RESOLUTION:g}, the grid's "
+                             f"rounding resolution, got {step!r}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return cls(tuple(round(start + k * step, 12) for k in range(count)))
+        return cls(tuple(round(start + k * step, _ALPHA_DIGITS) for k in range(count)))
 
     @classmethod
     def default(cls) -> "AlphaGrid":
@@ -657,10 +663,11 @@ class StateEvaluator:
     over one grouping per focus: the best one a subset dynamic program finds,
     or with ``groupings=`` the caller's, which bypass the search and caches.
 
-    ``search='exhaustive'`` (non-focus count capped at 8) finds the best
-    feasible ordered grouping without listing the groupings.  A grouping is a
-    leading group ``T`` of the remaining set ``S`` followed by a grouping of
-    ``S - T``, and dominance only asks ``Ca2(T) >= Ca2(S - T)``, so one pass
+    The state's size picks the search (``search_mode``).  Up to 8 non-focus
+    qubits it is exhaustive: it finds the best feasible ordered grouping
+    without listing the groupings.  A grouping is a leading group ``T`` of
+    the remaining set ``S`` followed by a grouping of ``S - T``, and
+    dominance only asks ``Ca2(T) >= Ca2(S - T)``, so one pass
     over the 3^m (subset, leading group) pairs of the m partners solves
     ``J(S) = min(Ca2(S)^(a/2), min_T Ca2(T)^(a/2) + h J(S - T))``, the front
     sum ``F(S) = max(C2(S)^(a/2), max_T h C2(T)^(a/2) + F(S - T))`` and the
@@ -671,22 +678,22 @@ class StateEvaluator:
     ``ordered_groupings`` would.  Reported values are summed over the chosen
     grouping, never taken from the program.
 
-    ``search='canonical'`` uses only the descending singleton order with
-    merged fallback, which scales to the full 12-qubit cap.
+    Above 8 non-focus qubits the search is canonical: it uses only the
+    descending singleton order with merged fallback, which scales to
+    ``MAX_QUBITS``.  Either way the best term of each (focus, objective,
+    alpha) is built once.
     """
 
-    def __init__(self, psi: PureState, search: str = "exhaustive"):
-        if search not in ("exhaustive", "canonical"):
-            raise ValueError(f"unknown search mode {search!r}")
+    def __init__(self, psi: PureState):
         self.psi = psi
-        self.search = search
+        self.search = search_mode(psi.num_qubits)
         self._pairs: dict[tuple[int, int], tuple[float, float]] = {}
         self._tables: dict[int, tuple[dict[int, float], dict[int, float]]] = {}
         self._cuts: dict[tuple[int, ...], tuple[float, float, int]] = {}
         self._splits: dict[int, _SplitSearch] = {}
         self._canonical: dict[int, Grouping] = {}
-        self._j_best: dict[tuple[int, float], tuple[Grouping, tuple[float, ...], float]] = {}
-        self._front_best: dict[tuple[int, float], tuple[Grouping, tuple[float, ...], float]] = {}
+        self._best: dict[tuple[int, str, float],
+                         tuple[Grouping, OrderingCertificate, float] | None] = {}
 
     # -- cached primitives ---------------------------------------------------
 
@@ -734,58 +741,63 @@ class StateEvaluator:
 
     def _split_search(self, focus: int) -> _SplitSearch:
         if focus not in self._splits:
-            c_sq, ca_sq = self.tables(focus)
-            if len(ca_sq) > _MAX_OPT_PARTNERS:
-                raise ValueError(f"grouping search caps at {_MAX_OPT_PARTNERS} "
-                                 f"non-focus qubits, got {len(ca_sq)}")
-            self._splits[focus] = _SplitSearch(c_sq, ca_sq)
+            self._splits[focus] = _SplitSearch(*self.tables(focus))
         return self._splits[focus]
 
     def feasible_groupings(self, focus: int):
         """(grouping, ca_grouped, c_grouped) per dominance-feasible ordering.
 
         Lists what the search chooses from, in ``ordered_groupings`` order;
-        the search itself never builds this list.
+        the search itself never builds this list.  The list has up to
+        Fubini(m) entries, so m is capped at 8 non-focus qubits.
         """
         c_sq, ca_sq = self.tables(focus)
+        if len(ca_sq) > _MAX_OPT_PARTNERS:
+            raise ValueError(f"feasible_groupings caps at {_MAX_OPT_PARTNERS} "
+                             f"non-focus qubits, got {len(ca_sq)}")
         return [(g, _grouped_sums(ca_sq, g), _grouped_sums(c_sq, g))
                 for g in self._split_search(focus).groupings()]
 
-    def _best_grouping(self, focus: int, objective: str, alpha: float) -> Grouping | None:
-        if self.search == "canonical":
-            if focus not in self._canonical:
-                self._canonical[focus] = canonical_grouping(self.tables(focus)[1])
-            grouping = self._canonical[focus]
-            return None if objective == "jin" and grouping.k < self.psi.num_qubits - 1 \
-                else grouping
-        return self._split_search(focus).best(objective, alpha)
+    def _best_term(self, focus: int, objective: str, alpha: float):
+        """``_term`` of the best grouping, built once per (focus, objective,
+        alpha); None for ``"jin"`` when no singleton order is feasible."""
+        key = (focus, objective, alpha)
+        if key not in self._best:
+            if self.search == "canonical":
+                if focus not in self._canonical:
+                    self._canonical[focus] = canonical_grouping(self.tables(focus)[1])
+                grouping = self._canonical[focus]
+                if objective == "jin" and grouping.k < self.psi.num_qubits - 1:
+                    grouping = None
+            else:
+                grouping = self._split_search(focus).best(objective, alpha)
+            self._best[key] = None if grouping is None else \
+                self._term(focus, objective, grouping, alpha)
+        return self._best[key]
 
+    # ``j_best``/``front_best`` read a cached term without a further call;
+    # their terms are never None.
     def j_best(self, focus: int, alpha: float):
         """Feasible grouping minimizing the geometric assistance sum."""
-        key = (focus, alpha)
-        if key not in self._j_best:
-            self._j_best[key] = self._j_term(
-                focus, self._best_grouping(focus, "j", alpha), alpha)
-        return self._j_best[key]
+        return self._best.get((focus, "j", alpha)) or self._best_term(focus, "j", alpha)
 
     def front_best(self, focus: int, alpha: float):
         """Assistance-feasible grouping maximizing the front-weighted C sum."""
-        key = (focus, alpha)
-        if key not in self._front_best:
-            self._front_best[key] = self._front_term(
-                focus, self._best_grouping(focus, "front", alpha), alpha)
-        return self._front_best[key]
+        return self._best.get((focus, "front", alpha)) or self._best_term(focus, "front", alpha)
 
-    def _j_term(self, focus: int, grouping: Grouping, alpha: float):
-        """``(grouping, ca_vals, J)``: the geometric assistance sum of a grouping."""
-        ca_vals = _grouped_sums(self.tables(focus)[1], grouping)
-        return grouping, ca_vals, _geometric_sum(ca_vals, alpha)
+    def _term(self, focus: int, objective: str, grouping: Grouping, alpha: float):
+        """``(grouping, certificate, value)`` of one focus's feasible grouping.
 
-    def _front_term(self, focus: int, grouping: Grouping, alpha: float):
-        """``(grouping, ca_vals, F)``: the front-weighted C sum of a grouping."""
+        The value is the geometric assistance sum J (``"j"``), the
+        front-weighted C sum (``"front"``) or the (alpha/2)-weighted
+        assistance sum (``"jin"``).
+        """
         c_sq, ca_sq = self.tables(focus)
-        return (grouping, _grouped_sums(ca_sq, grouping),
-                _front_weighted_sum(_grouped_sums(c_sq, grouping), alpha))
+        ca_vals = _grouped_sums(ca_sq, grouping)
+        cert = OrderingCertificate(grouping, ca_vals, True)
+        if objective == "front":
+            return grouping, cert, _front_weighted_sum(_grouped_sums(c_sq, grouping), alpha)
+        return grouping, cert, (_geometric_sum if objective == "j" else _jin_sum)(ca_vals, alpha)
 
     # -- report assembly -----------------------------------------------------
 
@@ -826,26 +838,30 @@ class StateEvaluator:
         """Report for one bound at one exponent, read off its ``BOUNDS`` row.
 
         ``foci`` defaults to qubits 0..arity-1.  With ``groupings=None`` each
-        focus gets the best grouping the search finds (``j_best``/
-        ``front_best``).  Otherwise ``groupings`` holds one grouping per focus;
-        each must cover its focus's partners and pass the dominance check
-        (else ``InfeasibleGroupingError``), and is never searched or cached.
+        focus gets the best grouping the size-selected search finds
+        (``j_best``/``front_best``), once per (focus, objective, alpha).
+        Otherwise ``groupings`` holds one grouping per focus; each must cover
+        its focus's partners and pass the dominance check (else
+        ``InfeasibleGroupingError``), and is never searched or cached.
         """
         spec = BOUNDS.get(theorem_id)
         if spec is None:
             raise ValueError(f"unknown theorem_id {theorem_id!r}")
         h_weight(alpha)
         foci = self._foci(theorem_id, spec, foci)
+        # Both paths build terms with ``_term``; the search path binds the
+        # methods, as a closure dispatching on the objective cost ~4% of a
+        # 4-qubit sweep.
         if groupings is None:
             j, front = self.j_best, self.front_best
         else:
             given = self._given(theorem_id, spec, foci, groupings)
 
             def j(f, a):
-                return self._j_term(f, given[f], a)
+                return self._term(f, "j", given[f], a)
 
             def front(f, a):
-                return self._front_term(f, given[f], a)
+                return self._term(f, "front", given[f], a)
 
         kind = spec.rhs
         if kind == "pair_sum":
@@ -861,26 +877,22 @@ class StateEvaluator:
         lhs = _apow(cut[1] if spec.cut == "N" else cut[0], alpha)
         if kind == "jin":
             f = foci[0]
-            grouping = given[f] if groupings is not None else self._best_grouping(f, "jin", alpha)
-            if grouping is None:
+            best = self._best_term(f, "jin", alpha) if groupings is None \
+                else self._term(f, "jin", given[f], alpha)
+            if best is None:
                 return _not_applicable(theorem_id, alpha, lhs)
-            vals = _grouped_sums(self.tables(f)[1], grouping)
-            return _report(theorem_id, alpha, lhs, _jin_sum(vals, alpha),
-                           OrderingCertificate(grouping, vals, True))
+            return _report(theorem_id, alpha, lhs, best[2], best[1])
 
         if kind in ("front", "total"):
             a, b = foci[0], foci[1]
-            (ga, va, j_a), (gb, vb, j_b) = j(a, alpha), j(b, alpha)
+            (_, cert_a, j_a), (_, cert_b, j_b) = j(a, alpha), j(b, alpha)
             if kind == "front":
-                (ga, va, lead_a), (gb, vb, lead_b) = front(a, alpha), front(b, alpha)
+                (_, cert_a, lead_a), (_, cert_b, lead_b) = front(a, alpha), front(b, alpha)
             else:
                 lead_a = _apow(sum(self.tables(a)[0].values()), alpha / 2.0)
                 lead_b = _apow(sum(self.tables(b)[0].values()), alpha / 2.0)
             branch_a, branch_b = lead_a - j_b, lead_b - j_a
-            if branch_a >= branch_b:
-                rhs, cert = branch_a, OrderingCertificate(ga, va, True)
-            else:
-                rhs, cert = branch_b, OrderingCertificate(gb, vb, True)
+            rhs, cert = (branch_a, cert_a) if branch_a >= branch_b else (branch_b, cert_b)
             if spec.minus_jc1:
                 rhs -= j(foci[2], alpha)[2]
             return _report(theorem_id, alpha, lhs, rhs, cert)
@@ -890,7 +902,7 @@ class StateEvaluator:
         if kind == "center_total" and \
                 self.cut_concurrence(others) > self.cut_concurrence((center,)) + SLACK_TOL:
             return _not_applicable(theorem_id, alpha, lhs)
-        grouping, vals, j_center = j(center, alpha)
+        _, cert, j_center = j(center, alpha)
         if kind == "center_total":
             rhs = _apow(sum(self.tables(center)[0].values()), alpha / 2.0)
             for f in others:
@@ -902,26 +914,18 @@ class StateEvaluator:
                 rhs += term
             if kind == "rank_j":
                 rhs = _apow(cut[2] * (cut[2] - 1) / 2.0, alpha / 2.0) * rhs
-        return _report(theorem_id, alpha, lhs, rhs, OrderingCertificate(grouping, vals, True))
+        return _report(theorem_id, alpha, lhs, rhs, cert)
 
 
 def optimize_grouping(psi: PureState, focus, alpha: float,
-                      objective: str | None = None,
                       theorem_id: str = "thm1") -> BoundReport:
     """Search all feasible ordered groupings and return the best bound.
 
-    ``objective`` is ``"min-upper"`` for upper bounds and ``"max-lower"`` for
-    lower bounds; when omitted it is inferred from the bound direction.  The
-    merged single-group fallback is always feasible, so a report is always
-    produced, except for the singleton-only bound ``jin`` which is reported
-    not-applicable when no singleton order is dominance-feasible.
+    The bound's direction sets the objective: the lowest upper bound or the
+    highest lower bound.  The search is ``StateEvaluator``'s, so it is
+    canonical above 8 non-focus qubits.  The merged single-group fallback is
+    always feasible, so a report is always produced, except for the
+    singleton-only bound ``jin`` which is reported not-applicable when no
+    singleton order is dominance-feasible.
     """
-    if theorem_id not in BOUNDS:
-        raise ValueError(f"unknown theorem_id {theorem_id!r}")
-    expected = "min-upper" if BOUNDS[theorem_id].direction == "upper" else "max-lower"
-    if objective is None:
-        objective = expected
-    if objective != expected:
-        raise ValueError(
-            f"{theorem_id} needs objective {expected!r}, got {objective!r}")
     return StateEvaluator(psi).evaluate(theorem_id, alpha, foci=focus)

@@ -18,7 +18,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,20 +31,6 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 
 _FIGURE_GRID = tuple(round(0.02 * k, 10) for k in range(1, 101))
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation of one subcommand."""
-
-    command: str
-    state: StateSpec | None = None
-    theorems: tuple[str, ...] = ()
-    alphas: AlphaGrid | None = None
-    seed: int = 1234
-    samples: int = 100
-    qubits: int = 4
-    out: str | None = None
-    fmt: str = "csv"
 
 
 def _fmt_num(x: float) -> str:
@@ -114,13 +99,16 @@ def _report_row(r: BoundReport) -> dict:
     }
 
 
+def _json_text(head: dict, rows: list[dict]) -> str:
+    """``head`` and then ``rows`` as indented JSON, NaN written as null."""
+    rows = [{k: None if isinstance(v, float) and math.isnan(v) else v for k, v in row.items()}
+            for row in rows]
+    return json.dumps({**head, "rows": rows}, indent=2) + "\n"
+
+
 def _render_reports(rows: list[dict], fmt: str) -> str:
     if fmt == "json":
-        for row in rows:
-            for key in ("lhs", "rhs", "slack"):
-                if isinstance(row[key], float) and math.isnan(row[key]):
-                    row[key] = None
-        return json.dumps({"rows": rows}, indent=2) + "\n"
+        return _json_text({}, rows)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["theorem", "alpha", "lhs", "rhs", "slack",
@@ -135,74 +123,48 @@ def _render_reports(rows: list[dict], fmt: str) -> str:
     return buf.getvalue()
 
 
-def cmd_verify(config: RunConfig) -> int:
-    psi = config.state.build()
-    theorems = _parse_theorems_tuple(config.theorems, psi.num_qubits)
-    ev = StateEvaluator(psi, search=search_mode(psi.num_qubits))
-    rows = []
+def _reports(psi: PureState, theorems: tuple[str, ...], alphas: AlphaGrid):
+    """Each bound's reports on ``psi``: one at alpha = 2 for a fixed-alpha
+    bound, else one per grid value."""
+    ev = StateEvaluator(psi)
     for tid in theorems:
-        if BOUNDS[tid].fixed_alpha:
-            rows.append(_report_row(ev.evaluate(tid, 2.0)))
-        else:
-            for alpha in config.alphas:
-                rows.append(_report_row(ev.evaluate(tid, alpha)))
-    _write_output(_render_reports(rows, config.fmt), config.out)
+        for alpha in (2.0,) if BOUNDS[tid].fixed_alpha else alphas.values:
+            yield ev.evaluate(tid, alpha)
+
+
+def cmd_verify(state: StateSpec, theorem: str, alphas: AlphaGrid, fmt: str,
+               out: str | None) -> int:
+    psi = state.build()
+    theorems = _parse_theorems(theorem, psi.num_qubits)
+    rows = [_report_row(r) for r in _reports(psi, theorems, alphas)]
+    _write_output(_render_reports(rows, fmt), out)
     violated = any(row["applicable"] and not row["satisfied"] for row in rows)
     return EXIT_VIOLATION if violated else EXIT_OK
 
 
-def _parse_theorems_tuple(theorems: tuple[str, ...], num_qubits: int) -> tuple[str, ...]:
-    if len(theorems) == 1:
-        return _parse_theorems(theorems[0], num_qubits)
-    return _parse_theorems(",".join(theorems), num_qubits)
-
-
-def _sweep_one(psi: PureState, theorems: tuple[str, ...], alphas: AlphaGrid,
-               search: str) -> list[tuple[str, float, bool, bool]]:
-    ev = StateEvaluator(psi, search=search)
-    out = []
-    for tid in theorems:
-        grid = (2.0,) if BOUNDS[tid].fixed_alpha else alphas.values
-        for alpha in grid:
-            r = ev.evaluate(tid, alpha)
-            out.append((tid, r.slack, r.satisfied, r.applicable))
-    return out
-
-
-def cmd_sweep(config: RunConfig) -> int:
-    n = config.qubits
-    if config.samples < 1:
+def cmd_sweep(qubits: int, samples: int, seed: int, theorem: str, alphas: AlphaGrid,
+              fmt: str, out: str | None) -> int:
+    if samples < 1:
         raise ValueError("samples must be at least 1")
-    theorems = _parse_theorems_tuple(config.theorems, n)
-    needs_cor = any(t.startswith("cor") for t in theorems)
-    if n > 10 or (needs_cor and n > 8):
-        raise ValueError(
-            "sweep caps at 10 qubits (8 when corollaries are selected), "
-            f"got {n}")
-    # Exhaustive grouping search is bounded; larger systems use the
-    # descending-singleton/merged fallback.
-    search = search_mode(n)
-    seeds = np.random.SeedSequence(config.seed).generate_state(
-        config.samples, np.uint64)
+    theorems = _parse_theorems(theorem, qubits)
+    seeds = np.random.SeedSequence(seed).generate_state(samples, np.uint64)
 
     stats: dict[str, dict] = {
         tid: {"rows": 0, "violations": 0, "not_applicable": 0,
               "min_slack": math.inf, "sum_slack": 0.0}
         for tid in theorems
     }
-    for seed in seeds:
-        psi = haar_random_pure(n, int(seed))
-        for tid, slack, satisfied, applicable in _sweep_one(
-                psi, theorems, config.alphas, search):
-            s = stats[tid]
+    for state_seed in seeds:
+        for r in _reports(haar_random_pure(qubits, int(state_seed)), theorems, alphas):
+            s = stats[r.theorem_id]
             s["rows"] += 1
-            if not applicable:
+            if not r.applicable:
                 s["not_applicable"] += 1
                 continue
-            if not satisfied:
+            if not r.satisfied:
                 s["violations"] += 1
-            s["min_slack"] = min(s["min_slack"], slack)
-            s["sum_slack"] += slack
+            s["min_slack"] = min(s["min_slack"], r.slack)
+            s["sum_slack"] += r.slack
 
     rows = []
     for tid in theorems:
@@ -217,20 +179,17 @@ def cmd_sweep(config: RunConfig) -> int:
             "mean_slack": s["sum_slack"] / evaluated if evaluated else float("nan"),
         })
 
-    meta = {"qubits": n, "samples": config.samples, "seed": config.seed,
-            "alpha": list(config.alphas.values), "theorems": list(theorems),
+    search = search_mode(qubits)
+    meta = {"qubits": qubits, "samples": samples, "seed": seed,
+            "alpha": list(alphas.values), "theorems": list(theorems),
             "search": search}
-    if config.fmt == "json":
-        for row in rows:
-            for key in ("min_slack", "mean_slack"):
-                if isinstance(row[key], float) and math.isnan(row[key]):
-                    row[key] = None
-        text = json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+    if fmt == "json":
+        text = _json_text({"meta": meta}, rows)
     else:
         buf = io.StringIO()
-        buf.write(f"# sweep qubits={n} samples={config.samples} "
-                  f"seed={config.seed} search={search}\n")
-        buf.write("# alpha=" + ",".join(_fmt_num(a) for a in config.alphas) + "\n")
+        buf.write(f"# sweep qubits={qubits} samples={samples} "
+                  f"seed={seed} search={search}\n")
+        buf.write("# alpha=" + ",".join(_fmt_num(a) for a in alphas) + "\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["theorem", "rows", "violations", "not_applicable",
                          "min_slack", "mean_slack"])
@@ -239,7 +198,7 @@ def cmd_sweep(config: RunConfig) -> int:
                              row["not_applicable"], _fmt_num(row["min_slack"]),
                              _fmt_num(row["mean_slack"])])
         text = buf.getvalue()
-    _write_output(text, config.out)
+    _write_output(text, out)
     total_violations = sum(r["violations"] for r in rows)
     return EXIT_VIOLATION if total_violations else EXIT_OK
 
@@ -362,18 +321,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
         if args.command == "verify":
-            psi_spec = _state_spec_from_arg(args.state)
-            config = RunConfig(command="verify", state=psi_spec,
-                               theorems=(args.theorem,),
-                               alphas=_parse_alpha(args.alpha),
-                               out=args.out, fmt=args.format)
-            return cmd_verify(config)
+            return cmd_verify(_state_spec_from_arg(args.state), args.theorem,
+                              _parse_alpha(args.alpha), args.format, args.out)
         if args.command == "sweep":
-            config = RunConfig(command="sweep", theorems=(args.theorem,),
-                               alphas=_parse_alpha(args.alpha), seed=args.seed,
-                               samples=args.samples, qubits=args.qubits,
-                               out=args.out, fmt=args.format)
-            return cmd_sweep(config)
+            return cmd_sweep(args.qubits, args.samples, args.seed, args.theorem,
+                             _parse_alpha(args.alpha), args.format, args.out)
         if args.command == "figure":
             return cmd_figure(args.id, args.out)
         return cmd_gallery_list(args.out)

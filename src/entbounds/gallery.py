@@ -15,6 +15,8 @@ import numpy as np
 from .qcore import MAX_QUBITS, PureState
 
 _NORM_ATOL = 1e-10
+# An amplitude spec's norm may miss 1 by this much; it is then renormalized.
+_SPEC_NORM_RTOL = 1e-6
 
 
 def gsd3(l0: float, l1: float, l2: float, l3: float, l4: float,
@@ -234,7 +236,7 @@ class StateSpec:
                        params=_spec_numbers(obj, "params", ()))
         raise ValueError(f"unknown state spec kind {kind!r}")
 
-    def build(self, *, norm_rtol: float = 1e-6) -> PureState:
+    def build(self) -> PureState:
         """Materialize the state; near-unit amplitude vectors are renormalized."""
         if self.kind == "named":
             return named(self.family, self.params)
@@ -249,6 +251,6 @@ class StateSpec:
             raise ValueError(
                 f"expected {2 ** n} amplitudes for n={n}, got {amps.size}")
         nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > norm_rtol:
+        if abs(nrm - 1.0) > _SPEC_NORM_RTOL:
             raise ValueError(f"amplitude norm {nrm!r} is too far from 1")
         return PureState(n, amps / nrm)

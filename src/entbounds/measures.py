@@ -16,6 +16,7 @@ from .qcore import (
     DensityMatrix,
     PureState,
     SubsystemLike,
+    _RANK_CUTOFF,
     _YY,
     partial_transpose,
     reduced_density,
@@ -45,12 +46,6 @@ class MeasureValue:
 
     def __float__(self):
         return self.value
-
-
-# Eigenvalues of a unit-trace state below this are treated as exact zeros;
-# taking square roots of eigensolver noise would otherwise inflate ~1e-16
-# errors to ~1e-8 and break the 1e-9 cross-route guarantees.
-_RANK_CUTOFF = 1e-13
 
 
 def _mu_values(rho: DensityMatrix) -> np.ndarray:

@@ -212,8 +212,10 @@ def spin_flip(rho: DensityMatrix) -> np.ndarray:
     return _YY @ rho.matrix.conj() @ _YY
 
 
-# Reduction eigenvalues below this are exact zeros for all practical inputs;
-# zeroing them keeps later square roots free of eigensolver noise.
+# Eigenvalues of a unit-trace state below this are exact zeros for all
+# practical inputs.  Taking square roots of eigensolver noise would otherwise
+# inflate ~1e-16 errors to ~1e-8 and break the 1e-9 cross-route guarantees.
+# ``measures`` zeroes the two-qubit spectra with the same cutoff.
 _RANK_CUTOFF = 1e-13
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entbounds.bounds as bounds_module
 from entbounds.bounds import (
     BOUNDS,
     AlphaGrid,
@@ -510,15 +511,20 @@ def test_optimize_upper_never_beats_merged_fallback():
 
 def test_optimize_objective_validation():
     with pytest.raises(ValueError):
-        optimize_grouping(EX1, 0, 1.0, objective="max-lower", theorem_id="thm1")
-    with pytest.raises(ValueError):
         optimize_grouping(EX1, 0, 1.0, theorem_id="thm99")
 
 
-def test_optimize_partner_cap():
-    psi = haar_random_pure(10, 1)
-    with pytest.raises(ValueError):
-        optimize_grouping(psi, 0, 1.0, theorem_id="thm1")
+def test_optimize_above_the_partner_cap_is_canonical():
+    for n in (10, 12):
+        psi = haar_random_pure(n, 1)
+        for tid in ("thm1", "thm2", "jin"):
+            foci = tuple(range(BOUNDS[tid].arity))
+            r = optimize_grouping(psi, foci, 1.0, theorem_id=tid)
+            assert _same_report(r, StateEvaluator(psi).evaluate(tid, 1.0, foci))
+            if r.applicable:
+                assert r.satisfied
+                assert r.ordering.grouping in [
+                    canonical_grouping(pairwise_tables(psi, f)[1]) for f in foci]
 
 
 def test_optimizer_matches_explicit_enumeration():
@@ -622,13 +628,18 @@ def test_readme_bound_table_matches_the_spec_table():
 
 
 def test_given_groupings_are_never_searched_or_cached():
-    psi = haar_random_pure(12, 5)
-    merged = Grouping.merged(range(1, 12))
-    ev = StateEvaluator(psi)
-    assert ev.evaluate("thm1", 1.0, 0, (merged,)) == thm1_upper(psi, 0, merged, 1.0)
-    assert ev._j_best == {} and ev._front_best == {} and ev._splits == {}
-    with pytest.raises(ValueError):
-        ev.evaluate("thm1", 1.0, 0)  # the search caps at 8 partners
+    for n in (6, 12):
+        psi = haar_random_pure(n, 5)
+        merged = Grouping.merged(range(1, n))
+        ev = StateEvaluator(psi)
+        assert ev.evaluate("thm1", 1.0, 0, (merged,)) == thm1_upper(psi, 0, merged, 1.0)
+        assert ev._best == {} and ev._splits == {} and ev._canonical == {}
+        best = ev.evaluate("thm1", 1.0, 0)  # the size-selected search, at every n
+        assert best.satisfied and ev._best
+        assert bool(ev._splits) == (ev.search == "exhaustive")
+        assert bool(ev._canonical) == (ev.search == "canonical")
+    with pytest.raises(ValueError, match="caps at 8"):  # listing stays capped at 8 partners
+        ev.feasible_groupings(0)
 
 
 def test_given_groupings_are_checked():
@@ -681,8 +692,9 @@ def test_jin_ordering_members_must_be_integers():
 
 def test_evaluator_canonical_mode_sound():
     for seed in range(10):
-        psi = haar_random_pure(5, 6200 + seed)
-        ev = StateEvaluator(psi, search="canonical")
+        psi = haar_random_pure(10, 6200 + seed)
+        ev = StateEvaluator(psi)
+        assert ev.search == "canonical"
         for tid in ("thm1", "thm2", "thm3", "thm4", "jin"):
             foci = 0 if tid in ("thm1", "jin") else (0, 1)
             r = ev.evaluate(tid, 1.0, foci)
@@ -802,4 +814,17 @@ def test_alpha_grid_rejects_non_finite(values):
                                     (0.0, 2.0, math.nan)])
 def test_alpha_range_rejects_non_finite(bounds):
     with pytest.raises(ValueError, match="finite"):
+        AlphaGrid.from_range(*bounds)
+
+
+@pytest.mark.parametrize("bounds, message", [
+    ((0.0, 1e300, 1.0), r"\[0, 2\]"), ((-1e300, 1.0, 1.0), r"\[0, 2\]"),
+    ((0.5, 2.5, 0.5), r"\[0, 2\]"), ((0.0, 2.0, 1e-13), "at least 1e-12"),
+    ((0.0, 2.0, 0.0), "at least 1e-12"), ((0.0, 2.0, -0.5), "at least 1e-12")])
+def test_alpha_range_is_checked_before_it_is_built(bounds, message, monkeypatch):
+    def built(*args):  # a range built first would take memory without end
+        raise AssertionError("the range was built before it was checked")
+
+    monkeypatch.setattr(bounds_module, "round", built, raising=False)
+    with pytest.raises(ValueError, match=message):
         AlphaGrid.from_range(*bounds)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from entbounds import cli
+from entbounds import bounds, cli
 from entbounds.bounds import BOUNDS, BoundReport
 
 
@@ -156,7 +156,7 @@ def test_verify_exit_1_on_violation(monkeypatch, capsys):
     bad = BoundReport("thm1", 1.0, 1.0, 0.5, -0.5, None, False)
 
     class Stub:
-        def __init__(self, psi, search="exhaustive"):
+        def __init__(self, psi):
             pass
 
         def evaluate(self, tid, alpha, foci=None):
@@ -208,13 +208,18 @@ def test_sweep_repeat_is_byte_identical(capsys):
     assert run_main(args, capsys) == first
 
 
-def test_sweep_qubit_caps(capsys):
-    code, _, err = run_main(["sweep", "--qubits", "11", "--samples", "1",
-                             "--theorem", "thm1"], capsys)
-    assert code == 2
-    code, _, err = run_main(["sweep", "--qubits", "9", "--samples", "1",
-                             "--theorem", "cor2_upper"], capsys)
-    assert code == 2
+def test_sweep_every_size_up_to_max_qubits(capsys):
+    for n, search in ((9, "exhaustive"), (11, "canonical"), (12, "canonical")):
+        code, out, err = run_main(["sweep", "--qubits", str(n), "--samples", "1",
+                                   "--theorem", "all"], capsys)
+        assert code == 0, err
+        assert out.startswith(f"# sweep qubits={n} samples=1 seed=1234 search={search}\n")
+        rows = _rows("\n".join(l for l in out.splitlines() if not l.startswith("#")))
+        assert [r["theorem"] for r in rows] == list(BOUNDS)
+        assert all(r["violations"] == "0" for r in rows)
+    code, out, err = run_main(["sweep", "--qubits", "13", "--samples", "1",
+                               "--theorem", "all"], capsys)
+    assert (code, out, err) == (2, "", "error: n must be in [1, 12], got 13\n")
 
 
 def test_sweep_json_meta(capsys):
@@ -257,6 +262,31 @@ def test_verify_large_state_uses_canonical_fallback(tmp_path, capsys):
         capsys)
     assert code == 0
     assert _rows(out)[0]["satisfied"] == "true"
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_large_state_evaluate_equals_the_verify_rows(n, tmp_path, capsys):
+    from entbounds.bounds import StateEvaluator, optimize_grouping
+    from entbounds.gallery import StateSpec
+    from entbounds.qcore import haar_random_pure
+
+    amps = haar_random_pure(n, 40 + n).amplitudes
+    spec = {"kind": "amplitudes", "n": n, "re": amps.real.tolist(), "im": amps.imag.tolist()}
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run_main(["verify", "--state", str(path), "--theorem", "all",
+                               "--alpha", "0.5,1,2", "--format", "json"], capsys)
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert [r["theorem"] for r in rows if r["alpha"] == 2.0] == list(BOUNDS)
+    psi = StateSpec.from_dict(spec).build()
+    ev = StateEvaluator(psi)
+    for row in rows:
+        tid, alpha = row["theorem"], row["alpha"]
+        foci = tuple(range(BOUNDS[tid].arity))
+        for r in (ev.evaluate(tid, alpha), optimize_grouping(psi, foci, alpha, tid)):
+            want = cli._report_row(r)
+            assert json.loads(cli._json_text({}, [want]))["rows"] == [row]
 
 
 def test_gallery_list(capsys):
@@ -320,6 +350,20 @@ def test_verify_rejects_non_finite_alpha(alpha, capsys):
                              "--alpha", alpha], capsys)
     assert code == 2
     assert "finite" in err
+
+
+@pytest.mark.parametrize("alpha, message", [
+    ("0:1e300:1", "alpha values must lie in [0, 2]"),
+    ("0:2:1e-13", "step must be at least 1e-12"),
+])
+def test_verify_rejects_oversized_alpha_ranges(alpha, message, monkeypatch, capsys):
+    def built(*args):  # a range built first would take memory without end
+        raise AssertionError("the range was built before it was checked")
+
+    monkeypatch.setattr(bounds, "round", built, raising=False)
+    code, out, err = run_main(["verify", "--state", GSD3_EQUAL, "--theorem", "thm1",
+                               "--alpha", alpha], capsys)
+    assert (code, out) == (2, "") and message in err
 
 
 @pytest.mark.parametrize("family", ["ghz", "w"])

@@ -88,9 +88,27 @@ def test_cached_values_equal_the_public_functions(psi):
 @pytest.mark.parametrize("n", [10, 11, 12])
 def test_canonical_mode_picks_the_canonical_grouping(n):
     for psi in (haar_random_pure(n, 8200 + n), ghz(n), w(n)):
-        ev = StateEvaluator(psi, search="canonical")
+        ev = StateEvaluator(psi)
+        assert ev.search == "canonical"
         for f in range(3):
             expected = canonical_grouping(pairwise_tables(psi, f)[1])
             for alpha in (0.0, 0.5, 2.0):
                 assert ev.j_best(f, alpha)[0] == expected
                 assert ev.front_best(f, alpha)[0] == expected
+
+
+def test_jin_runs_the_search_once_per_focus_and_alpha(monkeypatch):
+    runs = []
+    best = bounds._SplitSearch.best
+
+    def counted(self, objective, alpha):
+        runs.append((objective, alpha))
+        return best(self, objective, alpha)
+
+    monkeypatch.setattr(bounds._SplitSearch, "best", counted)
+    ev = StateEvaluator(haar_random_pure(6, 31))
+    cases = [(f, alpha) for f in (0, 3) for alpha in (0.5, 1.0)]
+    for _ in range(5):
+        for f, alpha in cases:
+            ev.evaluate("jin", alpha, f)
+    assert runs == [("jin", alpha) for _, alpha in cases]

@@ -62,7 +62,7 @@ def _cases():
                                    "--theorem", "thm2"]
     amp1 = json.dumps({"kind": "amplitudes", "n": 1, "re": [1, 0], "im": [0, 0]})
     cases["error-all-1qubit"] = ["verify", "--state", amp1, "--theorem", "all"]
-    cases["error-sweep-11qubits"] = ["sweep", "--qubits", "11", "--samples", "1"]
+    cases["error-sweep-13qubits"] = ["sweep", "--qubits", "13", "--samples", "1"]
     return cases
 
 
