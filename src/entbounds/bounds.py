@@ -10,8 +10,10 @@ the sum over all later groups.
 
 Each bound id has one ``BoundSpec`` row in ``BOUNDS``, and only
 ``StateEvaluator.evaluate`` computes a bound.  Its ``groupings=`` argument
-picks the grouping provider: None searches for each focus's best grouping;
-explicit groupings, which the public ``thm*``/``jin``/``cor*`` functions
+picks the grouping provider.  None takes each focus's best grouping: the
+merged group for the geometric sum J (exact by the paper's Lemma), the
+descending singleton order for jin, and a search for the front sum.
+Explicit groupings, which the public ``thm*``/``jin``/``cor*`` functions
 pass, are checked and used as given.
 
 Conventions:
@@ -51,6 +53,8 @@ _MAX_OPT_PARTNERS = 8
 # Range grids are rounded to this many decimals, so a smaller step repeats values.
 _ALPHA_DIGITS = 12
 _ALPHA_RESOLUTION = 10.0 ** -_ALPHA_DIGITS
+# A range may hold at most this many values; a longer one is refused before it is built.
+_MAX_ALPHA_VALUES = 10_000
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,8 @@ THEOREM_IDS = tuple(BOUNDS)
 
 
 def search_mode(num_qubits: int) -> str:
-    """Search mode for ``num_qubits``: exhaustive within the partner cap, else canonical."""
+    """Front-sum search for ``num_qubits``: exhaustive within the partner cap,
+    else canonical."""
     return "exhaustive" if num_qubits - 1 <= _MAX_OPT_PARTNERS else "canonical"
 
 
@@ -214,6 +219,9 @@ class AlphaGrid:
             raise ValueError(f"step must be at least {_ALPHA_RESOLUTION:g}, the grid's "
                              f"rounding resolution, got {step!r}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        if count > _MAX_ALPHA_VALUES:
+            raise ValueError(f"alpha range has {count} values, more than the maximum "
+                             f"{_MAX_ALPHA_VALUES}")
         return cls(tuple(round(start + k * step, _ALPHA_DIGITS) for k in range(count)))
 
     @classmethod
@@ -539,38 +547,30 @@ def _subset_sums(values: Sequence[float]) -> list[float]:
     return sums
 
 
-def _chain_dp(splits, lead: Sequence[float], lead_w: float, tail_w: float,
-              merged_ok: bool) -> list[int]:
+def _chain_dp(splits, lead: Sequence[float], h: float) -> list[int]:
     """Leading group of the minimal chain over every subset of the partners.
 
-    ``value(s)`` is the smaller of ``lead[s]`` (the whole subset as one group,
-    when ``merged_ok`` or ``s`` is one qubit) and, over ``(t, r)`` in
-    ``splits[s]``, ``lead_w * lead[t] + tail_w * value(r)``.  Candidates are
-    scanned in search order and a later one wins only when it is lower by more
-    than ``_TIE_TOL``, or within it with more groups, so at each subset a tie
-    keeps more groups and then the first leading group.  With ``tail_w == 0``
-    a tail's value cannot change the total, so below the full set every
-    candidate scores 0 and only the group count decides.
+    ``value(s)`` is the smaller of ``lead[s]`` (the whole subset as one group)
+    and, over ``(t, r)`` in ``splits[s]``, ``h * lead[t] + value(r)``.
+    Candidates are scanned in search order, the whole subset last, and a
+    later one wins only when it is lower by more than ``_TIE_TOL``, or within
+    it with more groups, so at each subset a tie keeps more groups and then
+    the first leading group.
     """
     full = len(splits) - 1
     value = [0.0] * (full + 1)
     groups = [0] * (full + 1)
     pick = [0] * (full + 1)
-    flat = lead if tail_w else [0.0] * (full + 1)
     for s in range(1, full + 1):
-        score = lead if s == full else flat
         best = None
         for t, r in splits[s]:
-            v = lead_w * score[t] + tail_w * value[r]
+            v = h * lead[t] + value[r]
             k = groups[r] + 1
             if best is None or v < best - _TIE_TOL or (v <= best + _TIE_TOL and k > best_k):
                 best, best_k, best_t = v, k, t
-        if merged_ok or not s & (s - 1):
-            v = score[s]
-            if best is None or v < best - _TIE_TOL:
-                best, best_k, best_t = v, 1, s
-        if best is not None:
-            value[s], groups[s], pick[s] = best, best_k, best_t
+        if best is None or lead[s] < best - _TIE_TOL:
+            best, best_k, best_t = lead[s], 1, s
+        value[s], groups[s], pick[s] = best, best_k, best_t
     return pick
 
 
@@ -578,48 +578,27 @@ class _SplitSearch:
     """Dominance-feasible splits of one focus's partners, shared by every alpha.
 
     Subsets of the sorted partners are bit masks.  ``splits[s]`` holds each
-    ``(t, s ^ t)`` with ``ca[t] >= ca[s ^ t] - FEAS_TOL``, in search order, so a
-    feasible grouping of ``s`` is a feasible split followed by a feasible
-    grouping of the rest.  ``singles[s]`` keeps the one-qubit leads whose rest
-    still has a feasible singleton order.
+    ``(t, s ^ t)`` with ``Ca2(t) >= Ca2(s ^ t) - FEAS_TOL``, in search order,
+    so a feasible grouping of ``s`` is a feasible split followed by a
+    feasible grouping of the rest.
     """
 
     def __init__(self, c_sq: Mapping[int, float], ca_sq: Mapping[int, float]):
         self.partners = tuple(sorted(ca_sq))
         self.c = _subset_sums([c_sq[q] for q in self.partners])
-        self.ca = ca = _subset_sums([ca_sq[q] for q in self.partners])
+        ca = _subset_sums([ca_sq[q] for q in self.partners])
         self.splits = [tuple((t, s ^ t) for t in subs if ca[t] >= ca[s ^ t] - FEAS_TOL)
                        for s, subs in enumerate(_split_table(len(self.partners)))]
-        ordered = [True] * len(ca)
-        self.singles = [()] * len(ca)
-        for s in range(1, len(ca)):
-            if s & (s - 1):
-                self.singles[s] = tuple((t, r) for t, r in self.splits[s]
-                                        if not t & (t - 1) and ordered[r])
-                ordered[s] = bool(self.singles[s])
-        self.jin_ok = ordered[-1]
 
     def _grouping(self, masks: Iterable[int]) -> Grouping:
         return Grouping(tuple(tuple(q for i, q in enumerate(self.partners) if t >> i & 1)
                               for t in masks))
 
-    def best(self, objective: str, alpha: float) -> Grouping | None:
-        """Grouping that minimizes J (``"j"``), maximizes the front sum
-        (``"front"``) or minimizes the jin sum over singletons (``"jin"``);
-        None for ``"jin"`` when no singleton order is feasible."""
-        if objective == "jin" and not self.jin_ok:
-            return None
-        half = alpha / 2.0
-        if objective == "front":
-            # The front sum is maximized: minimize its negation.
-            pick = _chain_dp(self.splits, [-_apow(v, half) for v in self.c],
-                             h_weight(alpha), 1.0, True)
-        else:
-            lead = [_apow(v, half) for v in self.ca]
-            if objective == "j":
-                pick = _chain_dp(self.splits, lead, 1.0, h_weight(alpha), True)
-            else:
-                pick = _chain_dp(self.singles, lead, 1.0, half, False)
+    def best(self, alpha: float) -> Grouping:
+        """Grouping that maximizes the front-weighted C sum."""
+        # The front sum is maximized: minimize its negation.
+        pick = _chain_dp(self.splits, [-_apow(v, alpha / 2.0) for v in self.c],
+                         h_weight(alpha))
         chain, s = [], len(pick) - 1
         while s:
             chain.append(pick[s])
@@ -634,8 +613,19 @@ class _SplitSearch:
                     yield (t,) + tail
             yield (s,)
 
-        for chain in walk(len(self.ca) - 1):
+        for chain in walk(len(self.splits) - 1):
             yield self._grouping(chain)
+
+
+def _descending_singletons(pair_sq: Mapping[int, float]) -> Grouping | None:
+    """Singletons in descending order of value when dominance-feasible, else None.
+
+    A feasible singleton order is non-increasing, since each value is at
+    least the sum of all later ones, so this is the only candidate.
+    """
+    partners = tuple(sorted(pair_sq))
+    order, cert = sort_descending_then_check([pair_sq[q] for q in partners])
+    return Grouping.singletons(partners[i] for i in order) if cert.feasible else None
 
 
 def canonical_grouping(pair_sq: Mapping[int, float]) -> Grouping:
@@ -644,11 +634,7 @@ def canonical_grouping(pair_sq: Mapping[int, float]) -> Grouping:
     The merged single group is vacuously feasible, so this always returns a
     usable grouping without searching.
     """
-    partners = tuple(sorted(pair_sq))
-    order, cert = sort_descending_then_check([pair_sq[q] for q in partners])
-    if cert.feasible:
-        return Grouping.singletons(partners[i] for i in order)
-    return Grouping.merged(partners)
+    return _descending_singletons(pair_sq) or Grouping.merged(sorted(pair_sq))
 
 
 class StateEvaluator:
@@ -657,31 +643,27 @@ class StateEvaluator:
     Each distinct qubit pair is reduced and measured once, whichever focus
     asks for it, and the focus tables are read from those pair values.  Each
     distinct cut is reduced once and its concurrence, negativity and Schmidt
-    rank all come from that one spectrum.  Each focus's dominance-feasible
-    splits (or, in canonical mode, its one grouping) are also built once.
-    ``evaluate`` reads the bound's ``BOUNDS`` row and does plain arithmetic
-    over one grouping per focus: the best one a subset dynamic program finds,
-    or with ``groupings=`` the caller's, which bypass the search and caches.
+    rank all come from that one spectrum.  ``evaluate`` reads the bound's
+    ``BOUNDS`` row and does plain arithmetic over one grouping per focus: the
+    best one for the bound's objective, built once per (focus, objective,
+    alpha), or with ``groupings=`` the caller's, which bypass the caches.
 
-    The state's size picks the search (``search_mode``).  Up to 8 non-focus
-    qubits it is exhaustive: it finds the best feasible ordered grouping
-    without listing the groupings.  A grouping is a leading group ``T`` of
-    the remaining set ``S`` followed by a grouping of ``S - T``, and
-    dominance only asks ``Ca2(T) >= Ca2(S - T)``, so one pass
-    over the 3^m (subset, leading group) pairs of the m partners solves
-    ``J(S) = min(Ca2(S)^(a/2), min_T Ca2(T)^(a/2) + h J(S - T))``, the front
-    sum ``F(S) = max(C2(S)^(a/2), max_T h C2(T)^(a/2) + F(S - T))`` and the
-    singleton-only jin sum, where the enumeration of ``ordered_groupings``
-    costs Fubini(m).  Values within ``_TIE_TOL`` tie; a tie keeps more groups,
-    then the leading group that comes first by size and then
-    lexicographically, applied at every subset, as a scan of
-    ``ordered_groupings`` would.  Reported values are summed over the chosen
-    grouping, never taken from the program.
+    * ``J`` takes the merged group.  The paper's Lemma gives
+      ``(x + y)^p <= x^p + h y^p`` for ``x >= y``, ``p = a/2``; applied from
+      the last group forwards, every dominance-feasible grouping has
+      ``J >= Ca2(all)^(a/2)``, the merged group's value.
+    * jin takes the descending singleton order, the only feasible one.
+    * The front sum is searched.  Up to 8 non-focus qubits (``search_mode``)
+      one pass over the 3^m (subset, leading group) pairs of the m partners
+      solves ``F(S) = max(C2(S)^(a/2), max_T h C2(T)^(a/2) + F(S - T))``
+      over the leading groups ``T`` with ``Ca2(T) >= Ca2(S - T)``, without
+      listing the Fubini(m) groupings.  Values within ``_TIE_TOL`` tie; a
+      tie keeps more groups, then the leading group that comes first by
+      size and then lexicographically, at every subset, as a scan of
+      ``ordered_groupings`` would.  Above that the split table alone costs
+      more than a whole 12-qubit run, so it takes ``canonical_grouping``.
 
-    Above 8 non-focus qubits the search is canonical: it uses only the
-    descending singleton order with merged fallback, which scales to
-    ``MAX_QUBITS``.  Either way the best term of each (focus, objective,
-    alpha) is built once.
+    Reported values are always summed over the chosen grouping.
     """
 
     def __init__(self, psi: PureState):
@@ -691,7 +673,8 @@ class StateEvaluator:
         self._tables: dict[int, tuple[dict[int, float], dict[int, float]]] = {}
         self._cuts: dict[tuple[int, ...], tuple[float, float, int]] = {}
         self._splits: dict[int, _SplitSearch] = {}
-        self._canonical: dict[int, Grouping] = {}
+        self._fixed: dict[tuple[int, str],
+                          tuple[Grouping, OrderingCertificate] | None] = {}
         self._best: dict[tuple[int, str, float],
                          tuple[Grouping, OrderingCertificate, float] | None] = {}
 
@@ -758,46 +741,61 @@ class StateEvaluator:
         return [(g, _grouped_sums(ca_sq, g), _grouped_sums(c_sq, g))
                 for g in self._split_search(focus).groupings()]
 
+    def _certified(self, focus: int, grouping: Grouping):
+        """``(grouping, certificate)`` of a grouping known to be feasible."""
+        return grouping, OrderingCertificate(
+            grouping, _grouped_sums(self.tables(focus)[1], grouping), True)
+
+    def _fixed_grouping(self, focus: int, objective: str):
+        """The certified best grouping that no alpha changes, once per focus:
+        the merged group for ``"j"``, the descending singletons for ``"jin"``
+        (None when they fail dominance) and ``canonical_grouping`` for
+        ``"front"`` above 8 non-focus qubits."""
+        key = (focus, objective)
+        if key not in self._fixed:
+            ca_sq = self.tables(focus)[1]
+            grouping = (Grouping.merged(ca_sq) if objective == "j"
+                        else _descending_singletons(ca_sq) if objective == "jin"
+                        else canonical_grouping(ca_sq))
+            self._fixed[key] = None if grouping is None else self._certified(focus, grouping)
+        return self._fixed[key]
+
     def _best_term(self, focus: int, objective: str, alpha: float):
         """``_term`` of the best grouping, built once per (focus, objective,
         alpha); None for ``"jin"`` when no singleton order is feasible."""
         key = (focus, objective, alpha)
         if key not in self._best:
-            if self.search == "canonical":
-                if focus not in self._canonical:
-                    self._canonical[focus] = canonical_grouping(self.tables(focus)[1])
-                grouping = self._canonical[focus]
-                if objective == "jin" and grouping.k < self.psi.num_qubits - 1:
-                    grouping = None
+            if objective == "front" and self.search == "exhaustive":
+                certified = self._certified(focus, self._split_search(focus).best(alpha))
             else:
-                grouping = self._split_search(focus).best(objective, alpha)
-            self._best[key] = None if grouping is None else \
-                self._term(focus, objective, grouping, alpha)
+                certified = self._fixed_grouping(focus, objective)
+            self._best[key] = None if certified is None else \
+                self._term(focus, objective, certified, alpha)
         return self._best[key]
 
     # ``j_best``/``front_best`` read a cached term without a further call;
     # their terms are never None.
     def j_best(self, focus: int, alpha: float):
-        """Feasible grouping minimizing the geometric assistance sum."""
+        """The merged group, which minimizes the geometric assistance sum."""
         return self._best.get((focus, "j", alpha)) or self._best_term(focus, "j", alpha)
 
     def front_best(self, focus: int, alpha: float):
         """Assistance-feasible grouping maximizing the front-weighted C sum."""
         return self._best.get((focus, "front", alpha)) or self._best_term(focus, "front", alpha)
 
-    def _term(self, focus: int, objective: str, grouping: Grouping, alpha: float):
-        """``(grouping, certificate, value)`` of one focus's feasible grouping.
+    def _term(self, focus: int, objective: str, certified, alpha: float):
+        """``(grouping, certificate, value)`` of one focus's certified grouping.
 
         The value is the geometric assistance sum J (``"j"``), the
         front-weighted C sum (``"front"``) or the (alpha/2)-weighted
         assistance sum (``"jin"``).
         """
-        c_sq, ca_sq = self.tables(focus)
-        ca_vals = _grouped_sums(ca_sq, grouping)
-        cert = OrderingCertificate(grouping, ca_vals, True)
+        grouping, cert = certified
         if objective == "front":
-            return grouping, cert, _front_weighted_sum(_grouped_sums(c_sq, grouping), alpha)
-        return grouping, cert, (_geometric_sum if objective == "j" else _jin_sum)(ca_vals, alpha)
+            return grouping, cert, _front_weighted_sum(
+                _grouped_sums(self.tables(focus)[0], grouping), alpha)
+        sum_ = _geometric_sum if objective == "j" else _jin_sum
+        return grouping, cert, sum_(cert.squared_values, alpha)
 
     # -- report assembly -----------------------------------------------------
 
@@ -820,8 +818,9 @@ class StateEvaluator:
         return foci
 
     def _given(self, theorem_id: str, spec: BoundSpec, foci: tuple[int, ...],
-               groupings) -> dict[int, Grouping]:
-        """The caller's grouping per focus, checked for cover and dominance."""
+               groupings) -> dict[int, tuple[Grouping, OrderingCertificate]]:
+        """The caller's grouping per focus, checked for cover and dominance,
+        with its certificate."""
         given = _per_focus(groupings)
         if len(given) != len(foci):
             raise ValueError(f"{theorem_id} takes one grouping per focus qubit, got {groupings!r}")
@@ -829,16 +828,15 @@ class StateEvaluator:
         given = [_covering_grouping(g, frozenset(range(n)) - {f}) for f, g in zip(foci, given)]
         if spec.rhs == "jin" and given[0].k < n - 1:
             raise ValueError(f"jin takes singleton groups only, got {given[0]}")
-        for f, g in zip(foci, given):
-            _require_feasible(self.tables(f)[1], g, f"{theorem_id} (focus {f})")
-        return dict(zip(foci, given))
+        return {f: (g, _require_feasible(self.tables(f)[1], g, f"{theorem_id} (focus {f})"))
+                for f, g in zip(foci, given)}
 
     def evaluate(self, theorem_id: str, alpha: float, foci=None,
                  groupings=None) -> BoundReport:
         """Report for one bound at one exponent, read off its ``BOUNDS`` row.
 
         ``foci`` defaults to qubits 0..arity-1.  With ``groupings=None`` each
-        focus gets the best grouping the size-selected search finds
+        focus gets the best grouping for the bound's objective
         (``j_best``/``front_best``), once per (focus, objective, alpha).
         Otherwise ``groupings`` holds one grouping per focus; each must cover
         its focus's partners and pass the dominance check (else
@@ -919,13 +917,13 @@ class StateEvaluator:
 
 def optimize_grouping(psi: PureState, focus, alpha: float,
                       theorem_id: str = "thm1") -> BoundReport:
-    """Search all feasible ordered groupings and return the best bound.
+    """The bound's report over the best feasible ordered groupings.
 
     The bound's direction sets the objective: the lowest upper bound or the
-    highest lower bound.  The search is ``StateEvaluator``'s, so it is
-    canonical above 8 non-focus qubits.  The merged single-group fallback is
-    always feasible, so a report is always produced, except for the
-    singleton-only bound ``jin`` which is reported not-applicable when no
-    singleton order is dominance-feasible.
+    highest lower bound.  The groupings are ``StateEvaluator``'s: J takes the
+    merged group, jin the descending singleton order, and the front sum is
+    searched exactly up to 8 non-focus qubits and canonical above.  A report
+    is always produced, except for the singleton-only bound ``jin``, which is
+    reported not-applicable when no singleton order is dominance-feasible.
     """
     return StateEvaluator(psi).evaluate(theorem_id, alpha, foci=focus)

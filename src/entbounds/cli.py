@@ -30,6 +30,8 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 
+# The sweep draws one seed per sample up front, so the count is bounded first.
+_MAX_SAMPLES = 1_000_000
 _FIGURE_GRID = tuple(round(0.02 * k, 10) for k in range(1, 101))
 
 
@@ -146,6 +148,8 @@ def cmd_sweep(qubits: int, samples: int, seed: int, theorem: str, alphas: AlphaG
               fmt: str, out: str | None) -> int:
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {_MAX_SAMPLES}, got {samples}")
     theorems = _parse_theorems(theorem, qubits)
     seeds = np.random.SeedSequence(seed).generate_state(samples, np.uint64)
 

@@ -489,9 +489,9 @@ def test_cor2_ghz6_upper():
 def test_optimize_thm1_reference_state():
     r = optimize_grouping(EX1, 0, 1.0, theorem_id="thm1")
     assert abs(r.rhs - 4 / 5) < 1e-9
-    # tie between the merged pair and the singleton split resolves toward
-    # more groups: the descending singleton order
-    assert r.ordering.grouping.groups == ((1,), (2,))
+    # J takes the merged pair; the singleton split ties with it here
+    assert r.ordering.grouping.groups == ((1, 2),)
+    assert abs(thm1_upper(EX1, 0, Grouping.singletons((1, 2)), 1.0).rhs - r.rhs) < 1e-12
 
 
 def test_optimize_thm1_equal_values_selects_merged():
@@ -515,16 +515,21 @@ def test_optimize_objective_validation():
 
 
 def test_optimize_above_the_partner_cap_is_canonical():
+    # Above 8 partners only the front sum (thm2's certificate) is canonical;
+    # J (thm1) is the merged group at every size and jin a sorted order.
     for n in (10, 12):
-        psi = haar_random_pure(n, 1)
-        for tid in ("thm1", "thm2", "jin"):
-            foci = tuple(range(BOUNDS[tid].arity))
-            r = optimize_grouping(psi, foci, 1.0, theorem_id=tid)
-            assert _same_report(r, StateEvaluator(psi).evaluate(tid, 1.0, foci))
-            if r.applicable:
+        for psi in (haar_random_pure(n, 1), _geometric_wclass(n)):
+            for tid in ("thm1", "thm2", "jin"):
+                foci = tuple(range(BOUNDS[tid].arity))
+                r = optimize_grouping(psi, foci, 1.0, theorem_id=tid)
+                assert _same_report(r, StateEvaluator(psi).evaluate(tid, 1.0, foci))
                 assert r.satisfied
-                assert r.ordering.grouping in [
-                    canonical_grouping(pairwise_tables(psi, f)[1]) for f in foci]
+                if not r.applicable:  # jin on the Haar state
+                    continue
+                tables = [pairwise_tables(psi, f)[1] for f in foci]
+                expected = {"thm1": Grouping.merged, "thm2": canonical_grouping,
+                            "jin": lambda ca: Grouping.singletons(sorted(ca, key=lambda q: -ca[q]))}
+                assert r.ordering.grouping in [expected[tid](ca) for ca in tables]
 
 
 def test_optimizer_matches_explicit_enumeration():
@@ -633,11 +638,13 @@ def test_given_groupings_are_never_searched_or_cached():
         merged = Grouping.merged(range(1, n))
         ev = StateEvaluator(psi)
         assert ev.evaluate("thm1", 1.0, 0, (merged,)) == thm1_upper(psi, 0, merged, 1.0)
-        assert ev._best == {} and ev._splits == {} and ev._canonical == {}
-        best = ev.evaluate("thm1", 1.0, 0)  # the size-selected search, at every n
-        assert best.satisfied and ev._best
+        assert ev._best == {} and ev._splits == {} and ev._fixed == {}
+        best = ev.evaluate("thm1", 1.0, 0)  # J is the merged group at every n
+        assert best.satisfied and best.ordering.grouping == merged
+        assert set(ev._fixed) == {(0, "j")} and ev._splits == {}
+        ev.evaluate("thm2", 1.0)  # the front sum is searched by size
         assert bool(ev._splits) == (ev.search == "exhaustive")
-        assert bool(ev._canonical) == (ev.search == "canonical")
+        assert ((0, "front") in ev._fixed) == (ev.search == "canonical")
     with pytest.raises(ValueError, match="caps at 8"):  # listing stays capped at 8 partners
         ev.feasible_groupings(0)
 
@@ -699,6 +706,29 @@ def test_evaluator_canonical_mode_sound():
             foci = 0 if tid in ("thm1", "jin") else (0, 1)
             r = ev.evaluate(tid, 1.0, foci)
             assert (not r.applicable) or r.satisfied
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_merged_j_is_no_looser_than_the_canonical_grouping(n):
+    # Descending singletons are feasible here, so the canonical grouping is
+    # not the merged group, and the Lemma makes the merged J the smaller one.
+    psi = _geometric_wclass(n)
+    ev = StateEvaluator(psi)
+    tightened = 0
+    for tid, spec in BOUNDS.items():
+        if spec.fixed_alpha or spec.rhs == "jin":
+            continue
+        foci = tuple(range(spec.arity))
+        canonical = tuple(canonical_grouping(ev.tables(f)[1]) for f in foci)
+        assert all(g.k == n - 1 for g in canonical)
+        for alpha in (0.25, 1.0, 1.75):
+            best = ev.evaluate(tid, alpha, foci)
+            given = ev.evaluate(tid, alpha, foci, canonical)
+            assert best.applicable == given.applicable
+            if best.applicable:
+                assert best.satisfied and best.slack <= given.slack + 1e-12, (tid, alpha)
+                tightened += best.slack < given.slack - 1e-9
+    assert tightened
 
 
 def test_evaluator_rejects_bad_foci():
@@ -820,7 +850,8 @@ def test_alpha_range_rejects_non_finite(bounds):
 @pytest.mark.parametrize("bounds, message", [
     ((0.0, 1e300, 1.0), r"\[0, 2\]"), ((-1e300, 1.0, 1.0), r"\[0, 2\]"),
     ((0.5, 2.5, 0.5), r"\[0, 2\]"), ((0.0, 2.0, 1e-13), "at least 1e-12"),
-    ((0.0, 2.0, 0.0), "at least 1e-12"), ((0.0, 2.0, -0.5), "at least 1e-12")])
+    ((0.0, 2.0, 0.0), "at least 1e-12"), ((0.0, 2.0, -0.5), "at least 1e-12"),
+    ((0.0, 2.0, 1e-9), "more than the maximum 10000")])
 def test_alpha_range_is_checked_before_it_is_built(bounds, message, monkeypatch):
     def built(*args):  # a range built first would take memory without end
         raise AssertionError("the range was built before it was checked")

@@ -328,6 +328,21 @@ def test_verify_two_qubit_state_all_theorems(state, capsys):
     assert all(r["satisfied"] == "true" and r["applicable"] == "true" for r in rows)
 
 
+def test_sweep_rejects_samples_above_the_cap_before_drawing_seeds(monkeypatch, capsys):
+    class NoSeeds:  # drawing 2e9 seeds would ask for 15 GB
+        def __init__(self, seed):
+            pass
+
+        def generate_state(self, *args):
+            raise AssertionError("seeds were drawn before the sample count was checked")
+
+    monkeypatch.setattr(cli.np.random, "SeedSequence", NoSeeds)
+    code, out, err = run_main(["sweep", "--qubits", "2", "--samples", "2000000000",
+                               "--theorem", "all"], capsys)
+    assert (code, out) == (2, "")
+    assert "samples must be at most 1000000, got 2000000000" in err
+
+
 def test_sweep_two_qubits(capsys):
     code, out, err = run_main(["sweep", "--qubits", "2", "--samples", "5",
                                "--theorem", "all"], capsys)
@@ -355,6 +370,7 @@ def test_verify_rejects_non_finite_alpha(alpha, capsys):
 @pytest.mark.parametrize("alpha, message", [
     ("0:1e300:1", "alpha values must lie in [0, 2]"),
     ("0:2:1e-13", "step must be at least 1e-12"),
+    ("0:2:1e-9", "values, more than the maximum 10000"),
 ])
 def test_verify_rejects_oversized_alpha_ranges(alpha, message, monkeypatch, capsys):
     def built(*args):  # a range built first would take memory without end

@@ -15,6 +15,7 @@ import entbounds.qcore as qcore
 from entbounds.bounds import (
     BOUNDS,
     THEOREM_IDS,
+    Grouping,
     StateEvaluator,
     canonical_grouping,
     ckw_check,
@@ -91,24 +92,43 @@ def test_canonical_mode_picks_the_canonical_grouping(n):
         ev = StateEvaluator(psi)
         assert ev.search == "canonical"
         for f in range(3):
-            expected = canonical_grouping(pairwise_tables(psi, f)[1])
+            ca_sq = pairwise_tables(psi, f)[1]
             for alpha in (0.0, 0.5, 2.0):
-                assert ev.j_best(f, alpha)[0] == expected
-                assert ev.front_best(f, alpha)[0] == expected
+                assert ev.j_best(f, alpha)[0] == Grouping.merged(ca_sq)
+                assert ev.front_best(f, alpha)[0] == canonical_grouping(ca_sq)
 
 
-def test_jin_runs_the_search_once_per_focus_and_alpha(monkeypatch):
-    runs = []
-    best = bounds._SplitSearch.best
+def test_jin_sorts_once_per_focus(monkeypatch):
+    sorts = []
+    sort = bounds.sort_descending_then_check
 
-    def counted(self, objective, alpha):
-        runs.append((objective, alpha))
-        return best(self, objective, alpha)
+    def counted(values):
+        sorts.append(tuple(values))
+        return sort(values)
 
-    monkeypatch.setattr(bounds._SplitSearch, "best", counted)
+    monkeypatch.setattr(bounds, "sort_descending_then_check", counted)
     ev = StateEvaluator(haar_random_pure(6, 31))
-    cases = [(f, alpha) for f in (0, 3) for alpha in (0.5, 1.0)]
     for _ in range(5):
-        for f, alpha in cases:
-            ev.evaluate("jin", alpha, f)
-    assert runs == [("jin", alpha) for _, alpha in cases]
+        for f in (0, 3):
+            for alpha in (0.5, 1.0):
+                ev.evaluate("jin", alpha, f)
+    assert sorts == [tuple(ev.tables(f)[1].values()) for f in (0, 3)]
+    assert ev._splits == {}
+
+
+@pytest.mark.parametrize("n", [4, 6, 9])
+def test_only_front_bounds_build_the_split_table(n):
+    front = {tid for tid, spec in BOUNDS.items() if spec.rhs == "front"}
+    assert front == {"thm2", "thm6", "cor1_thm2"}
+    psi = haar_random_pure(n, 8300 + n)
+    ev = StateEvaluator(psi)
+    for tid in sorted(set(THEOREM_IDS) - front):
+        if n >= BOUNDS[tid].min_qubits:
+            for alpha in (0.0, 0.5, 2.0):
+                ev.evaluate(tid, alpha)
+    assert ev._splits == {}
+    for tid in sorted(front):
+        if n >= BOUNDS[tid].min_qubits:
+            ev = StateEvaluator(psi)
+            ev.evaluate(tid, 0.5)
+            assert set(ev._splits) == {0, 1}

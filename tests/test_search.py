@@ -1,9 +1,11 @@
-"""The subset-DP grouping search against brute force over every grouping.
+"""The evaluator's best groupings against brute force over every grouping.
 
 The oracle scans ``ordered_groupings`` (and ``itertools.permutations`` for
 the singleton-only ``jin`` bound), keeps the dominance-feasible orderings and
-picks with the tie rule the search documents: values within ``_TIE_TOL`` tie,
-a tie keeps more groups, then the first ordering seen.
+picks with the tie rule the front-sum search documents: values within
+``_TIE_TOL`` tie, a tie keeps more groups, then the first ordering seen.  J
+is not searched: the merged group must reach the oracle's least J, as the
+paper's Lemma says.
 """
 
 import itertools
@@ -13,6 +15,7 @@ import pytest
 
 from entbounds.bounds import (
     _TIE_TOL,
+    Grouping,
     StateEvaluator,
     _front_weighted_sum,
     _geometric_sum,
@@ -72,14 +75,15 @@ def _feasible(c_sq, ca_sq):
 
 
 def _brute(groupings, orders, alpha):
-    """(j, front, jin) as (grouping, value) pairs; jin is None when no order fits."""
-    j = front = jin = None
-    for g, ca_vals, c_vals in groupings:
-        j = _pick(j, g, _geometric_sum(ca_vals, alpha), g.k, True)
+    """The least J, and front and jin as (grouping, value) pairs; jin is None
+    when no order fits."""
+    front = jin = None
+    for g, _, c_vals in groupings:
         front = _pick(front, g, _front_weighted_sum(c_vals, alpha), g.k, False)
     for perm, vals in orders:
         jin = _pick(jin, perm, _jin_sum(vals, alpha), len(perm), True)
-    return j[:2], front[:2], (jin[:2] if jin else None)
+    j = min(_geometric_sum(ca_vals, alpha) for _, ca_vals, _ in groupings)
+    return j, front[:2], (jin[:2] if jin else None)
 
 
 def _foci(psi):
@@ -94,7 +98,8 @@ def test_search_matches_brute_force(name, psi):
         for alpha in ALPHAS:
             j, front, jin = _brute(groupings, orders, alpha)
             got_g, _, got_v = ev.j_best(focus, alpha)
-            assert got_g == j[0] and abs(got_v - j[1]) <= 1e-12, (focus, alpha)
+            assert got_g == Grouping.merged(ev.tables(focus)[1]), (focus, alpha)
+            assert abs(got_v - j) <= 1e-12, (focus, alpha)
             got_g, _, got_v = ev.front_best(focus, alpha)
             assert got_g == front[0] and abs(got_v - front[1]) <= 1e-12, (focus, alpha)
             r = ev.evaluate("jin", alpha, focus)
