@@ -547,23 +547,24 @@ def _subset_sums(values: Sequence[float]) -> list[float]:
     return sums
 
 
-def _chain_dp(splits, lead: Sequence[float], h: float) -> list[int]:
-    """Leading group of the minimal chain over every subset of the partners.
+def _chain_dp(splits: Mapping[int, Sequence[tuple[int, int]]],
+              lead: Sequence[float], h: float) -> list[int]:
+    """Leading group of the minimal chain over every subset that ``splits`` holds.
 
     ``value(s)`` is the smaller of ``lead[s]`` (the whole subset as one group)
-    and, over ``(t, r)`` in ``splits[s]``, ``h * lead[t] + value(r)``.
-    Candidates are scanned in search order, the whole subset last, and a
-    later one wins only when it is lower by more than ``_TIE_TOL``, or within
-    it with more groups, so at each subset a tie keeps more groups and then
-    the first leading group.
+    and, over ``(t, r)`` in ``splits[s]``, ``h * lead[t] + value(r)``.  The
+    subsets are visited in ``splits`` order, which puts every rest ``r``
+    before the subsets that split into it.  Candidates are scanned in search
+    order, the whole subset last, and a later one wins only when it is lower
+    by more than ``_TIE_TOL``, or within it with more groups, so at each
+    subset a tie keeps more groups and then the first leading group.
     """
-    full = len(splits) - 1
-    value = [0.0] * (full + 1)
-    groups = [0] * (full + 1)
-    pick = [0] * (full + 1)
-    for s in range(1, full + 1):
+    value = [0.0] * len(lead)
+    groups = [0] * len(lead)
+    pick = [0] * len(lead)
+    for s, row in splits.items():
         best = None
-        for t, r in splits[s]:
+        for t, r in row:
             v = h * lead[t] + value[r]
             k = groups[r] + 1
             if best is None or v < best - _TIE_TOL or (v <= best + _TIE_TOL and k > best_k):
@@ -580,15 +581,28 @@ class _SplitSearch:
     Subsets of the sorted partners are bit masks.  ``splits[s]`` holds each
     ``(t, s ^ t)`` with ``Ca2(t) >= Ca2(s ^ t) - FEAS_TOL``, in search order,
     so a feasible grouping of ``s`` is a feasible split followed by a
-    feasible grouping of the rest.
+    feasible grouping of the rest.  Only the subsets reachable from the full
+    set have a row: the full set and every rest of a row.  No feasible
+    grouping of the full set passes through another subset, so none is
+    filtered or scanned.  A rest is a proper sub-mask, so a descending scan
+    reaches each subset after every subset that splits into it, and the
+    rows are kept in ascending order, rests first.
     """
 
     def __init__(self, c_sq: Mapping[int, float], ca_sq: Mapping[int, float]):
         self.partners = tuple(sorted(ca_sq))
-        self.c = _subset_sums([c_sq[q] for q in self.partners])
+        self.c = _subset_sums([float(c_sq[q]) for q in self.partners])
         ca = _subset_sums([ca_sq[q] for q in self.partners])
-        self.splits = [tuple((t, s ^ t) for t in subs if ca[t] >= ca[s ^ t] - FEAS_TOL)
-                       for s, subs in enumerate(_split_table(len(self.partners)))]
+        table = _split_table(len(self.partners))
+        full = len(ca) - 1
+        reached = [False] * full + [True]
+        splits: dict[int, list[tuple[int, int]]] = {}
+        for s in range(full, 0, -1):
+            if reached[s]:
+                splits[s] = row = [(t, s ^ t) for t in table[s] if ca[t] >= ca[s ^ t] - FEAS_TOL]
+                for _, r in row:
+                    reached[r] = True
+        self.splits = dict(reversed(splits.items()))
 
     def _grouping(self, masks: Iterable[int]) -> Grouping:
         return Grouping(tuple(tuple(q for i, q in enumerate(self.partners) if t >> i & 1)
@@ -596,10 +610,12 @@ class _SplitSearch:
 
     def best(self, alpha: float) -> Grouping:
         """Grouping that maximizes the front-weighted C sum."""
-        # The front sum is maximized: minimize its negation.
-        pick = _chain_dp(self.splits, [-_apow(v, alpha / 2.0) for v in self.c],
+        # The front sum is maximized: minimize its negation.  The lead list is
+        # ``-_apow(v, p)`` inlined, as ``self.c`` holds floats.
+        p = alpha / 2.0
+        pick = _chain_dp(self.splits, [-(v ** p) if v > 0.0 else -0.0 for v in self.c],
                          h_weight(alpha))
-        chain, s = [], len(pick) - 1
+        chain, s = [], len(self.c) - 1
         while s:
             chain.append(pick[s])
             s ^= pick[s]
@@ -613,7 +629,7 @@ class _SplitSearch:
                     yield (t,) + tail
             yield (s,)
 
-        for chain in walk(len(self.splits) - 1):
+        for chain in walk(len(self.c) - 1):
             yield self._grouping(chain)
 
 
@@ -654,10 +670,13 @@ class StateEvaluator:
       ``J >= Ca2(all)^(a/2)``, the merged group's value.
     * jin takes the descending singleton order, the only feasible one.
     * The front sum is searched.  Up to 8 non-focus qubits (``search_mode``)
-      one pass over the 3^m (subset, leading group) pairs of the m partners
-      solves ``F(S) = max(C2(S)^(a/2), max_T h C2(T)^(a/2) + F(S - T))``
+      one pass solves ``F(S) = max(C2(S)^(a/2), max_T h C2(T)^(a/2) + F(S - T))``
       over the leading groups ``T`` with ``Ca2(T) >= Ca2(S - T)``, without
-      listing the Fubini(m) groupings.  Values within ``_TIE_TOL`` tie; a
+      listing the Fubini(m) groupings.  It visits only the subsets ``S``
+      reachable from the full partner set through such splits, with their
+      (subset, leading group) pairs, at most 3^m of them for m partners;
+      the rows and their order are built once per focus and shared by every
+      alpha.  Values within ``_TIE_TOL`` tie; a
       tie keeps more groups, then the leading group that comes first by
       size and then lexicographically, at every subset, as a scan of
       ``ordered_groupings`` would.  Above that the split table alone costs
@@ -730,9 +749,11 @@ class StateEvaluator:
     def feasible_groupings(self, focus: int):
         """(grouping, ca_grouped, c_grouped) per dominance-feasible ordering.
 
-        Lists what the search chooses from, in ``ordered_groupings`` order;
-        the search itself never builds this list.  The list has up to
-        Fubini(m) entries, so m is capped at 8 non-focus qubits.
+        Lists what the search chooses from, in ``ordered_groupings`` order,
+        by walking the search's split rows, which hold only the subsets
+        reachable from the full partner set; the search itself never builds
+        this list.  The list has up to Fubini(m) entries, so m is capped at
+        8 non-focus qubits.
         """
         c_sq, ca_sq = self.tables(focus)
         if len(ca_sq) > _MAX_OPT_PARTNERS:

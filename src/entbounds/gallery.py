@@ -19,6 +19,17 @@ _NORM_ATOL = 1e-10
 _SPEC_NORM_RTOL = 1e-6
 
 
+def _check_unit_coefficients(*coefficients: float) -> None:
+    """Refuse negative coefficients or ones whose squares do not sum to 1."""
+    lam = np.array(coefficients, dtype=float)
+    if np.any(lam < 0):
+        raise ValueError("coefficients must be non-negative")
+    with np.errstate(over="ignore"):  # an overflowing sum is inf, refused below
+        total = float(np.sum(lam ** 2))
+    if abs(total - 1.0) > _NORM_ATOL:
+        raise ValueError("coefficients must satisfy sum(l_i^2) = 1")
+
+
 def gsd3(l0: float, l1: float, l2: float, l3: float, l4: float,
          phi: float = 0.0) -> PureState:
     """Three-qubit state in generalized Schmidt form.
@@ -26,11 +37,7 @@ def gsd3(l0: float, l1: float, l2: float, l3: float, l4: float,
     ``l0|000> + l1 e^{i phi}|100> + l2|101> + l3|110> + l4|111>`` with
     non-negative coefficients satisfying ``sum(l_i^2) = 1``.
     """
-    lam = np.array([l0, l1, l2, l3, l4], dtype=float)
-    if np.any(lam < 0):
-        raise ValueError("coefficients must be non-negative")
-    if abs(float(np.sum(lam ** 2)) - 1.0) > _NORM_ATOL:
-        raise ValueError("coefficients must satisfy sum(l_i^2) = 1")
+    _check_unit_coefficients(l0, l1, l2, l3, l4)
     v = np.zeros(8, dtype=complex)
     v[0b000] = l0
     v[0b100] = l1 * np.exp(1j * phi)
@@ -62,11 +69,7 @@ def wclass4(l1: float, l2: float, l3: float, l4: float) -> PureState:
 
     ``l1|1000> + l2|0100> + l3|0010> + l4|0001>`` with ``sum(l_i^2) = 1``.
     """
-    lam = np.array([l1, l2, l3, l4], dtype=float)
-    if np.any(lam < 0):
-        raise ValueError("coefficients must be non-negative")
-    if abs(float(np.sum(lam ** 2)) - 1.0) > _NORM_ATOL:
-        raise ValueError("coefficients must satisfy sum(l_i^2) = 1")
+    _check_unit_coefficients(l1, l2, l3, l4)
     v = np.zeros(16, dtype=complex)
     v[0b1000] = l1
     v[0b0100] = l2
@@ -250,7 +253,8 @@ class StateSpec:
         if amps.size != 2 ** n:
             raise ValueError(
                 f"expected {2 ** n} amplitudes for n={n}, got {amps.size}")
-        nrm = float(np.linalg.norm(amps))
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
+            nrm = float(np.linalg.norm(amps))
         if abs(nrm - 1.0) > _SPEC_NORM_RTOL:
             raise ValueError(f"amplitude norm {nrm!r} is too far from 1")
         return PureState(n, amps / nrm)

@@ -146,10 +146,24 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
 
 
+def _gram_density(num_qubits: int, matrix: np.ndarray) -> DensityMatrix:
+    """``DensityMatrix`` of ``matrix = B B^dagger`` for a block ``B`` of a
+    ``PureState``'s amplitudes, made read-only without re-running the checks.
+
+    Such a matrix is Hermitian and positive semidefinite by construction, and
+    its trace is the state's squared norm, which ``PureState`` has checked.
+    """
+    matrix.flags.writeable = False
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "num_qubits", num_qubits)
+    object.__setattr__(rho, "matrix", matrix)
+    return rho
+
+
 def to_density(psi: PureState) -> DensityMatrix:
     """Rank-one projector |psi><psi| of a pure state."""
     amps = psi.amplitudes
-    return DensityMatrix(psi.num_qubits, np.outer(amps, amps.conj()))
+    return _gram_density(psi.num_qubits, np.outer(amps, amps.conj()))
 
 
 def partial_trace(rho: DensityMatrix, keep: SubsystemLike) -> DensityMatrix:
@@ -180,7 +194,7 @@ def reduced_density(psi: PureState, keep: SubsystemLike) -> DensityMatrix:
     rest = tuple(q for q in range(n) if q not in keep_idx)
     block = psi.amplitudes.reshape((2,) * n).transpose(keep_idx + rest)
     block = block.reshape(2 ** len(keep_idx), -1)
-    return DensityMatrix(len(keep_idx), block @ block.conj().T)
+    return _gram_density(len(keep_idx), block @ block.conj().T)
 
 
 def partial_transpose(rho: DensityMatrix, part: SubsystemLike) -> np.ndarray:

@@ -359,6 +359,22 @@ def test_verify_rejects_non_finite_amplitudes(state, capsys):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("state, message", [
+    ({"kind": "amplitudes", "n": 2, "re": [1e308, 1e308, 0, 0], "im": [0, 0, 0, 0]},
+     "amplitude norm inf is too far from 1"),
+    ({"kind": "named", "family": "wclass4", "params": [1e308] * 4},
+     "coefficients must satisfy sum(l_i^2) = 1"),
+    ({"kind": "named", "family": "gsd3", "params": [1e308, 1e308, 0, 0, 0, 0]},
+     "coefficients must satisfy sum(l_i^2) = 1"),
+])
+def test_overflowing_state_specs_print_one_error_line(state, message):
+    # In a child process, so that a numpy warning would reach stderr.
+    proc = subprocess.run(
+        [sys.executable, "-m", "entbounds.cli", "verify", "--state", json.dumps(state),
+         "--theorem", "ckw"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("alpha", ["nan", "0.5,nan", "0:nan:0.5", "inf"])
 def test_verify_rejects_non_finite_alpha(alpha, capsys):
     code, _, err = run_main(["verify", "--state", GSD3_EQUAL, "--theorem", "thm1",

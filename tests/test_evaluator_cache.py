@@ -132,3 +132,18 @@ def test_only_front_bounds_build_the_split_table(n):
             ev = StateEvaluator(psi)
             ev.evaluate(tid, 0.5)
             assert set(ev._splits) == {0, 1}
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_internal_reductions_are_not_revalidated(monkeypatch, n):
+    psi = haar_random_pure(n, 8400 + n)
+
+    def refuse(self):
+        raise AssertionError("an internal reduction re-ran the DensityMatrix checks")
+
+    monkeypatch.setattr(qcore.DensityMatrix, "__post_init__", refuse)
+    ev = StateEvaluator(psi)
+    for tid in THEOREM_IDS:
+        if n >= BOUNDS[tid].min_qubits:
+            ev.evaluate(tid, 0.5)
+    assert ev._pairs and ev._cuts

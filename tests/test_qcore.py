@@ -101,6 +101,40 @@ def test_partial_trace_fig3_reduction():
     assert np.allclose(rho.matrix, np.diag([2 / 3, 0.0, 1 / 3, 0.0]), atol=1e-12)
 
 
+def _every_keep(n):
+    return [keep for k in range(1, n) for keep in itertools.combinations(range(n), k)]
+
+
+@pytest.mark.parametrize("psi", [BELL, FIG3, PureState(5, np.eye(32)[9]),
+                                 PureState(3, np.array([0.5, 0.5j, -0.5, 0, 0, 0, 0, 0.5]))])
+def test_reduced_density_equals_partial_trace_bitwise(psi):
+    for keep in _every_keep(psi.num_qubits):
+        assert np.array_equal(reduced_density(psi, keep).matrix,
+                              partial_trace(to_density(psi), keep).matrix), keep
+
+
+def test_reductions_skip_the_checks_but_pass_them():
+    # On dense states the two routes sum in different orders.
+    psi = haar_random_pure(6, 12)
+    rhos = [to_density(psi)] + [reduced_density(psi, keep) for keep in _every_keep(6)]
+    for keep, rho in zip([None] + _every_keep(6), rhos):
+        assert not rho.matrix.flags.writeable
+        checked = DensityMatrix(rho.num_qubits, rho.matrix)
+        assert np.array_equal(checked.matrix, rho.matrix) and checked.num_qubits == rho.num_qubits
+        if keep is not None:
+            ref = partial_trace(rhos[0], keep).matrix
+            assert np.max(np.abs(rho.matrix - ref)) <= 1e-15, keep
+
+
+def test_the_public_constructor_still_checks(monkeypatch):
+    checked = []
+    monkeypatch.setattr(DensityMatrix, "__post_init__", lambda self: checked.append(self))
+    rho = DensityMatrix(1, np.eye(2) / 2)
+    reduced_density(FIG3, (0, 1))
+    to_density(BELL)
+    assert len(checked) == 1 and checked[0] is rho
+
+
 def test_partial_trace_rejects_bad_subsystem():
     rho = to_density(BELL)
     with pytest.raises(InvalidSubsystemError):

@@ -6,26 +6,38 @@ picks with the tie rule the front-sum search documents: values within
 ``_TIE_TOL`` tie, a tie keeps more groups, then the first ordering seen.  J
 is not searched: the merged group must reach the oracle's least J, as the
 paper's Lemma says.
+
+Brute force stops at 7 qubits.  At 8 and 9 the front-sum search, which
+filters and scans only the subsets reachable from the full partner set, is
+checked against ``_FullTable``: the bottom-up scan over every subset that it
+replaced, kept here as the reference.
 """
 
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from entbounds.bounds import (
     _TIE_TOL,
+    FEAS_TOL,
     Grouping,
+    OrderingCertificate,
     StateEvaluator,
+    _apow,
     _front_weighted_sum,
     _geometric_sum,
     _grouped_sums,
     _jin_sum,
+    _split_table,
+    _subset_sums,
     feasibility,
+    h_weight,
     ordered_groupings,
 )
-from entbounds.gallery import FAMILIES, named
-from entbounds.qcore import haar_random_pure
+from entbounds.gallery import FAMILIES, ghz, named, w
+from entbounds.qcore import PureState, haar_random_pure
 
 ALPHAS = (0.0, 0.25, 1.0, 1.7, 2.0)
 
@@ -127,3 +139,110 @@ def test_search_never_enumerates(monkeypatch):
     ev = StateEvaluator(haar_random_pure(6, 77))
     for tid in ("jin", "thm1", "thm2", "thm3", "cor1_thm2", "cor2_upper"):
         ev.evaluate(tid, 0.75)
+
+
+class _FullTable:
+    """The front-sum search over every subset: each subset's ``_split_table``
+    row is filtered, and the chain DP scans every subset in ascending order
+    with the same tie rule."""
+
+    def __init__(self, c_sq, ca_sq):
+        self.partners = tuple(sorted(ca_sq))
+        self.c = _subset_sums([c_sq[q] for q in self.partners])
+        ca = _subset_sums([ca_sq[q] for q in self.partners])
+        self.rows = [[(t, s ^ t) for t in subs if ca[t] >= ca[s ^ t] - FEAS_TOL]
+                     for s, subs in enumerate(_split_table(len(self.partners)))]
+
+    def _grouping(self, masks):
+        return Grouping(tuple(tuple(q for i, q in enumerate(self.partners) if t >> i & 1)
+                              for t in masks))
+
+    def best(self, alpha):
+        lead = [-_apow(v, alpha / 2.0) for v in self.c]
+        h = h_weight(alpha)
+        full = len(self.rows) - 1
+        value, groups, pick = [0.0] * (full + 1), [0] * (full + 1), [0] * (full + 1)
+        for s in range(1, full + 1):
+            best = None
+            for t, r in self.rows[s]:
+                v = h * lead[t] + value[r]
+                k = groups[r] + 1
+                if best is None or v < best - _TIE_TOL or (v <= best + _TIE_TOL and k > best_k):
+                    best, best_k, best_t = v, k, t
+            if best is None or lead[s] < best - _TIE_TOL:
+                best, best_k, best_t = lead[s], 1, s
+            value[s], groups[s], pick[s] = best, best_k, best_t
+        chain, s = [], full
+        while s:
+            chain.append(pick[s])
+            s ^= pick[s]
+        return self._grouping(chain)
+
+    def groupings(self):
+        def walk(s):
+            for t, r in self.rows[s]:
+                for tail in walk(r):
+                    yield (t,) + tail
+            yield (s,)
+
+        return [self._grouping(chain) for chain in walk(len(self.rows) - 1)]
+
+
+def _random_wclass(n, seed):
+    """sum_i c_i |0..1_i..0> with complex Gaussian c_i."""
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(2 ** n, dtype=complex)
+    amps[[1 << (n - 1 - q) for q in range(n)]] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return PureState.from_amplitudes(amps, normalize=True)
+
+
+def _ghz_plus_w(n, seed):
+    a, b = np.random.default_rng(seed).standard_normal(4).view(complex)
+    return PureState.from_amplitudes(a * ghz(n).amplitudes + b * w(n).amplitudes,
+                                     normalize=True)
+
+
+def _haar3_then_zeros(n, seed):
+    """A Haar 3-qubit state times |0...0>: every split of a |0> focus's partners
+    is feasible."""
+    zeros = np.zeros(2 ** (n - 3))
+    zeros[0] = 1.0
+    return PureState.from_amplitudes(np.kron(haar_random_pure(3, seed).amplitudes, zeros))
+
+
+LARGE = [(f"{name}{n}", make(n)) for n in (8, 9) for name, make in (
+    ("haar", lambda n: haar_random_pure(n, 5300 + n)),
+    ("wclass", lambda n: _random_wclass(n, 5400 + n)),
+    ("ghz_w", lambda n: _ghz_plus_w(n, 5500 + n)),
+    ("ghz", ghz),
+    ("w", w),
+    ("haar3_zeros", lambda n: _haar3_then_zeros(n, 5600 + n)))]
+
+
+@pytest.mark.parametrize("name,psi", LARGE, ids=[s[0] for s in LARGE])
+def test_reachable_search_matches_the_full_table(name, psi):
+    n = psi.num_qubits
+    ev = StateEvaluator(psi)
+    for focus in range(n):
+        c_sq, ca_sq = ev.tables(focus)
+        ref = _FullTable(c_sq, ca_sq)
+        splits = ev._split_search(focus).splits
+        assert splits == {s: ref.rows[s] for s in splits}, focus
+        for alpha in (0.0, 0.05, 0.25, 1.0, 1.37, 2.0):
+            g = ref.best(alpha)
+            term = (g, OrderingCertificate(g, _grouped_sums(ca_sq, g), True),
+                    _front_weighted_sum(_grouped_sums(c_sq, g), alpha))
+            assert ev.front_best(focus, alpha) == term, (focus, alpha)
+        if n == 8 and focus in (0, n - 1):
+            assert ev.feasible_groupings(focus) == [
+                (g, _grouped_sums(ca_sq, g), _grouped_sums(c_sq, g)) for g in ref.groupings()]
+    if name.startswith("haar3_zeros"):  # the |0> foci reach every subset
+        assert len(ev._split_search(n - 1).splits) == 2 ** (n - 1) - 1
+
+
+def test_only_reachable_subsets_get_a_split_row():
+    splits = StateEvaluator(haar_random_pure(8, 3))._split_search(0).splits
+    full = 2 ** 7 - 1
+    assert full in splits and len(splits) < 2 ** 7
+    assert all(r in splits for row in splits.values() for _, r in row)
+    assert list(splits) == sorted(splits)
