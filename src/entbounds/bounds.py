@@ -159,7 +159,16 @@ class Grouping:
         return frozenset(q for g in self.groups for q in g)
 
     def __str__(self):
-        return "|".join(",".join(str(q) for q in g) for g in self.groups)
+        """Groups joined by "|", members by ","; built once per instance.
+
+        A grouping is frozen, so its text cannot go stale.  The text is kept
+        outside the dataclass fields: equality and hashing stay field-based.
+        """
+        text = vars(self).get("_text")
+        if text is None:
+            text = "|".join(",".join(str(q) for q in g) for g in self.groups)
+            object.__setattr__(self, "_text", text)
+        return text
 
 
 @dataclass(frozen=True)
@@ -169,6 +178,11 @@ class OrderingCertificate:
     grouping: Grouping | None
     squared_values: tuple[float, ...]
     feasible: bool
+
+
+# A dominance-feasible grouping with its certificate and its grouped squared
+# concurrences: all that a term needs besides alpha.
+Certified = tuple[Grouping, OrderingCertificate, tuple[float, ...]]
 
 
 @dataclass(frozen=True)
@@ -604,12 +618,14 @@ class _SplitSearch:
                     reached[r] = True
         self.splits = dict(reversed(splits.items()))
 
-    def _grouping(self, masks: Iterable[int]) -> Grouping:
+    def grouping(self, masks: Iterable[int]) -> Grouping:
+        """The grouping whose groups are the given partner masks, in order."""
         return Grouping(tuple(tuple(q for i, q in enumerate(self.partners) if t >> i & 1)
                               for t in masks))
 
-    def best(self, alpha: float) -> Grouping:
-        """Grouping that maximizes the front-weighted C sum."""
+    def chain(self, alpha: float) -> tuple[int, ...]:
+        """Leading-group masks of the grouping that maximizes the front-weighted
+        C sum; ``grouping`` turns them into the grouping."""
         # The front sum is maximized: minimize its negation.  The lead list is
         # ``-_apow(v, p)`` inlined, as ``self.c`` holds floats.
         p = alpha / 2.0
@@ -619,7 +635,7 @@ class _SplitSearch:
         while s:
             chain.append(pick[s])
             s ^= pick[s]
-        return self._grouping(chain)
+        return tuple(chain)
 
     def groupings(self):
         """Every feasible grouping, in ``ordered_groupings`` order."""
@@ -630,7 +646,7 @@ class _SplitSearch:
             yield (s,)
 
         for chain in walk(len(self.c) - 1):
-            yield self._grouping(chain)
+            yield self.grouping(chain)
 
 
 def _descending_singletons(pair_sq: Mapping[int, float]) -> Grouping | None:
@@ -657,12 +673,19 @@ class StateEvaluator:
     """Caches every alpha-independent quantity of one state.
 
     Each distinct qubit pair is reduced and measured once, whichever focus
-    asks for it, and the focus tables are read from those pair values.  Each
+    asks for it, and the focus tables are read from those pair values; its C
+    and Ca share one mu spectrum, kept on the pair's ``DensityMatrix``.  Each
     distinct cut is reduced once and its concurrence, negativity and Schmidt
     rank all come from that one spectrum.  ``evaluate`` reads the bound's
     ``BOUNDS`` row and does plain arithmetic over one grouping per focus: the
     best one for the bound's objective, built once per (focus, objective,
     alpha), or with ``groupings=`` the caller's, which bypass the caches.
+    A best grouping's ``Certified`` triple (grouping, certificate, grouped C
+    sums) is built once per focus for J, jin and the canonical front
+    grouping, and once per (focus, chain of leading groups) for the searched
+    front grouping, so an alpha only runs the DP and sums the kept values.
+    Every kept object is immutable and the state is fixed, so none can go
+    stale.
 
     * ``J`` takes the merged group.  The paper's Lemma gives
       ``(x + y)^p <= x^p + h y^p`` for ``x >= y``, ``p = a/2``; applied from
@@ -692,8 +715,8 @@ class StateEvaluator:
         self._tables: dict[int, tuple[dict[int, float], dict[int, float]]] = {}
         self._cuts: dict[tuple[int, ...], tuple[float, float, int]] = {}
         self._splits: dict[int, _SplitSearch] = {}
-        self._fixed: dict[tuple[int, str],
-                          tuple[Grouping, OrderingCertificate] | None] = {}
+        self._fixed: dict[tuple[int, str], Certified | None] = {}
+        self._chains: dict[tuple[int, tuple[int, ...]], Certified] = {}
         self._best: dict[tuple[int, str, float],
                          tuple[Grouping, OrderingCertificate, float] | None] = {}
 
@@ -762,10 +785,11 @@ class StateEvaluator:
         return [(g, _grouped_sums(ca_sq, g), _grouped_sums(c_sq, g))
                 for g in self._split_search(focus).groupings()]
 
-    def _certified(self, focus: int, grouping: Grouping):
-        """``(grouping, certificate)`` of a grouping known to be feasible."""
-        return grouping, OrderingCertificate(
-            grouping, _grouped_sums(self.tables(focus)[1], grouping), True)
+    def _certified(self, focus: int, grouping: Grouping) -> Certified:
+        """``Certified`` triple of a grouping known to be feasible."""
+        c_sq, ca_sq = self.tables(focus)
+        return (grouping, OrderingCertificate(grouping, _grouped_sums(ca_sq, grouping), True),
+                _grouped_sums(c_sq, grouping))
 
     def _fixed_grouping(self, focus: int, objective: str):
         """The certified best grouping that no alpha changes, once per focus:
@@ -787,12 +811,23 @@ class StateEvaluator:
         key = (focus, objective, alpha)
         if key not in self._best:
             if objective == "front" and self.search == "exhaustive":
-                certified = self._certified(focus, self._split_search(focus).best(alpha))
+                certified = self._chain_grouping(focus, alpha)
             else:
                 certified = self._fixed_grouping(focus, objective)
             self._best[key] = None if certified is None else \
-                self._term(focus, objective, certified, alpha)
+                self._term(objective, certified, alpha)
         return self._best[key]
+
+    def _chain_grouping(self, focus: int, alpha: float) -> Certified:
+        """The searched front grouping at ``alpha``, certified once per
+        (focus, chain of leading groups): alphas whose DP picks the same chain
+        share one ``Certified`` triple, and so one ``Grouping`` object."""
+        search = self._split_search(focus)
+        key = (focus, search.chain(alpha))
+        certified = self._chains.get(key)
+        if certified is None:
+            certified = self._chains[key] = self._certified(focus, search.grouping(key[1]))
+        return certified
 
     # ``j_best``/``front_best`` read a cached term without a further call;
     # their terms are never None.
@@ -804,17 +839,17 @@ class StateEvaluator:
         """Assistance-feasible grouping maximizing the front-weighted C sum."""
         return self._best.get((focus, "front", alpha)) or self._best_term(focus, "front", alpha)
 
-    def _term(self, focus: int, objective: str, certified, alpha: float):
+    @staticmethod
+    def _term(objective: str, certified: Certified, alpha: float):
         """``(grouping, certificate, value)`` of one focus's certified grouping.
 
         The value is the geometric assistance sum J (``"j"``), the
         front-weighted C sum (``"front"``) or the (alpha/2)-weighted
         assistance sum (``"jin"``).
         """
-        grouping, cert = certified
+        grouping, cert, c_sums = certified
         if objective == "front":
-            return grouping, cert, _front_weighted_sum(
-                _grouped_sums(self.tables(focus)[0], grouping), alpha)
+            return grouping, cert, _front_weighted_sum(c_sums, alpha)
         sum_ = _geometric_sum if objective == "j" else _jin_sum
         return grouping, cert, sum_(cert.squared_values, alpha)
 
@@ -839,9 +874,9 @@ class StateEvaluator:
         return foci
 
     def _given(self, theorem_id: str, spec: BoundSpec, foci: tuple[int, ...],
-               groupings) -> dict[int, tuple[Grouping, OrderingCertificate]]:
+               groupings) -> dict[int, Certified]:
         """The caller's grouping per focus, checked for cover and dominance,
-        with its certificate."""
+        as a ``Certified`` triple."""
         given = _per_focus(groupings)
         if len(given) != len(foci):
             raise ValueError(f"{theorem_id} takes one grouping per focus qubit, got {groupings!r}")
@@ -849,7 +884,8 @@ class StateEvaluator:
         given = [_covering_grouping(g, frozenset(range(n)) - {f}) for f, g in zip(foci, given)]
         if spec.rhs == "jin" and given[0].k < n - 1:
             raise ValueError(f"jin takes singleton groups only, got {given[0]}")
-        return {f: (g, _require_feasible(self.tables(f)[1], g, f"{theorem_id} (focus {f})"))
+        return {f: (g, _require_feasible(self.tables(f)[1], g, f"{theorem_id} (focus {f})"),
+                    _grouped_sums(self.tables(f)[0], g))
                 for f, g in zip(foci, given)}
 
     def evaluate(self, theorem_id: str, alpha: float, foci=None,
@@ -877,10 +913,10 @@ class StateEvaluator:
             given = self._given(theorem_id, spec, foci, groupings)
 
             def j(f, a):
-                return self._term(f, "j", given[f], a)
+                return self._term("j", given[f], a)
 
             def front(f, a):
-                return self._term(f, "front", given[f], a)
+                return self._term("front", given[f], a)
 
         kind = spec.rhs
         if kind == "pair_sum":
@@ -897,7 +933,7 @@ class StateEvaluator:
         if kind == "jin":
             f = foci[0]
             best = self._best_term(f, "jin", alpha) if groupings is None \
-                else self._term(f, "jin", given[f], alpha)
+                else self._term("jin", given[f], alpha)
             if best is None:
                 return _not_applicable(theorem_id, alpha, lhs)
             return _report(theorem_id, alpha, lhs, best[2], best[1])

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -282,7 +283,12 @@ def cmd_gallery_list(out: str | None) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by ``main``.
+
+    Parsing keeps no state on the parser: each call returns a new namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="entbounds",
         description="Multiqubit entanglement measures and weighted "

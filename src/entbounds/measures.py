@@ -16,6 +16,7 @@ from .qcore import (
     DensityMatrix,
     PureState,
     SubsystemLike,
+    _PAIR_NOISE_FLOOR,
     _RANK_CUTOFF,
     _YY,
     partial_transpose,
@@ -54,13 +55,24 @@ def _mu_values(rho: DensityMatrix) -> np.ndarray:
     Computed as the singular values of A = sqrt(rho) Y sqrt(rho)* with
     Y = sigma_y (x) sigma_y: then A A^dag = sqrt(rho) flipped sqrt(rho),
     which shares the nonzero spectrum with rho @ flipped.  The SVD yields
-    the mu values directly, avoiding square roots of eigenvalue noise.
+    the mu values directly, avoiding square roots of eigenvalue noise.  A
+    spectrum summing below ``_PAIR_NOISE_FLOOR`` is noise and reads as zeros.
+
+    The result is kept, read-only, on ``rho``: a ``DensityMatrix`` is frozen
+    and its matrix is read-only, so the spectrum cannot go stale, and the
+    concurrence and the assistance of one pair share one ``eigh`` + ``svd``.
     """
-    evals, vecs = np.linalg.eigh(rho.matrix)
-    evals = np.where(evals < _RANK_CUTOFF, 0.0, evals)
-    root = (vecs * np.sqrt(evals)) @ vecs.conj().T
-    a = root @ _YY @ root.conj()
-    return np.linalg.svd(a, compute_uv=False)
+    mu = vars(rho).get("_mu")
+    if mu is None:
+        evals, vecs = np.linalg.eigh(rho.matrix)
+        evals = np.where(evals < _RANK_CUTOFF, 0.0, evals)
+        root = (vecs * np.sqrt(evals)) @ vecs.conj().T
+        mu = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
+        if np.sum(mu) < _PAIR_NOISE_FLOOR:
+            mu = np.zeros_like(mu)
+        mu.flags.writeable = False
+        object.__setattr__(rho, "_mu", mu)
+    return mu
 
 
 def _require_two_qubits(rho: DensityMatrix, op: str) -> None:
@@ -88,7 +100,12 @@ def concurrence_from_schmidt(lam: np.ndarray) -> MeasureValue:
 
 
 def concurrence_two_qubit(rho: DensityMatrix) -> MeasureValue:
-    """Wootters concurrence max(0, mu1 - mu2 - mu3 - mu4)."""
+    """Wootters concurrence max(0, mu1 - mu2 - mu3 - mu4).
+
+    Reads the mu spectrum that ``_mu_values`` keeps on ``rho``, so a
+    following ``coa_two_qubit(rho)`` costs no second eigensolve.  Zero when
+    the mu values sum below ``_PAIR_NOISE_FLOOR``.
+    """
     _require_two_qubits(rho, "concurrence_two_qubit")
     mu = _mu_values(rho)
     return MeasureValue(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]), "concurrence")
@@ -98,7 +115,9 @@ def coa_two_qubit(rho: DensityMatrix) -> MeasureValue:
     """Concurrence of assistance mu1 + mu2 + mu3 + mu4.
 
     This is the fidelity F(rho, spin_flip(rho)) and never falls below the
-    Wootters concurrence of the same state.
+    Wootters concurrence of the same state.  It reads the same kept mu
+    spectrum as ``concurrence_two_qubit``, and is zero below
+    ``_PAIR_NOISE_FLOOR``.
     """
     _require_two_qubits(rho, "coa_two_qubit")
     return MeasureValue(float(np.sum(_mu_values(rho))), "coa")

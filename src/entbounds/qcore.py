@@ -232,6 +232,14 @@ def spin_flip(rho: DensityMatrix) -> np.ndarray:
 # ``measures`` zeroes the two-qubit spectra with the same cutoff.
 _RANK_CUTOFF = 1e-13
 
+# A two-qubit spectrum whose mu values sum below this is eigensolver noise:
+# pairs with a qubit in a product state give sums up to ~3e-15 instead of 0,
+# and ``**`` at small exponents would raise that noise to O(1).  Genuine
+# values on Haar states start near 0.17.  It is kept far below
+# sqrt(_RANK_CUTOFF), since zeroing a genuine small value would lower an
+# upper bound's right-hand side.
+_PAIR_NOISE_FLOOR = 1e-12
+
 
 def schmidt_eigenvalues(psi: PureState, part: SubsystemLike) -> np.ndarray:
     """Descending eigenvalues of the reduction onto ``part`` (clipped at 0)."""

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -427,3 +428,19 @@ def test_verify_rejects_coerced_state_specs(state, message, capsys):
                                "--theorem", "ckw"], capsys)
     assert code == 2
     assert out == "" and err.startswith("error: ") and message in err
+
+
+def test_the_reused_parser_answers_like_a_fresh_process(monkeypatch, capsys):
+    # Help and usage text wrap at COLUMNS, so both sides get the same width.
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = (["verify", "--nope"], ["bogus"], ["--help"], ["sweep", "--help"],
+                ["verify", "--state", GSD3_EQUAL, "--theorem", "thm1", "--alpha", "0.5,1"],
+                ["sweep", "--qubits", "3", "--samples", "2"])
+    assert cli._build_parser() is cli._build_parser()
+    for argv in sequence:
+        in_process = run_main(argv, capsys)
+        proc = subprocess.run(
+            [sys.executable, "-m", "entbounds.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "COLUMNS": "80"})
+        assert in_process == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert run_main(["bogus"], capsys)[0] == 2

@@ -2,15 +2,21 @@
 
 Pins the call counts of the pair and cut layers, and checks that every value
 read from the evaluator's caches equals, bit for bit, what the public
-single-purpose functions compute on their own.
+single-purpose functions compute on their own.  The kept objects are pinned
+too: one mu spectrum per pair, one certified grouping per front-search chain
+and one text per grouping.
 """
 
 import itertools
+import json
 import math
 
+import numpy as np
 import pytest
 
 import entbounds.bounds as bounds
+import entbounds.cli as cli
+import entbounds.measures as measures
 import entbounds.qcore as qcore
 from entbounds.bounds import (
     BOUNDS,
@@ -23,8 +29,13 @@ from entbounds.bounds import (
     pairwise_tables,
 )
 from entbounds.gallery import FAMILIES, ghz, named, w
-from entbounds.measures import concurrence_pure, negativity_pure_schmidt
-from entbounds.qcore import haar_random_pure, schmidt_rank
+from entbounds.measures import (
+    coa_two_qubit,
+    concurrence_pure,
+    concurrence_two_qubit,
+    negativity_pure_schmidt,
+)
+from entbounds.qcore import _PAIR_NOISE_FLOOR, _RANK_CUTOFF, _YY, haar_random_pure, schmidt_rank
 
 _S = 1 / math.sqrt(5)
 GALLERY_PARAMS = {
@@ -147,3 +158,131 @@ def test_internal_reductions_are_not_revalidated(monkeypatch, n):
         if n >= BOUNDS[tid].min_qubits:
             ev.evaluate(tid, 0.5)
     assert ev._pairs and ev._cuts
+
+
+def _spec(psi):
+    amps = psi.amplitudes
+    return json.dumps({"kind": "amplitudes", "n": psi.num_qubits,
+                       "re": [float(x) for x in amps.real],
+                       "im": [float(x) for x in amps.imag]})
+
+
+@pytest.mark.parametrize("n, pairs", [(4, 5), (6, 12), (8, 18)])
+def test_verify_runs_one_pair_eigensolve_per_distinct_pair(monkeypatch, capsys, n, pairs):
+    # Every pair that touches a focus qubit (0..2 at n >= 6, 0..1 below).
+    foci = 3 if n >= 6 else 2
+    assert pairs == n * (n - 1) // 2 - (n - foci) * (n - foci - 1) // 2
+    eighs = []
+    eigh = np.linalg.eigh
+
+    def counted(matrix):
+        eighs.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(measures.np.linalg, "eigh", counted)
+    assert cli.main(["verify", "--state", _spec(haar_random_pure(n, 8500 + n)),
+                     "--theorem", "all"]) == 0
+    capsys.readouterr()
+    assert eighs == [(4, 4)] * pairs
+
+
+def _uncached_mu(rho):
+    evals, vecs = np.linalg.eigh(rho.matrix)
+    evals = np.where(evals < _RANK_CUTOFF, 0.0, evals)
+    root = (vecs * np.sqrt(evals)) @ vecs.conj().T
+    mu = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
+    return np.zeros(4) if np.sum(mu) < _PAIR_NOISE_FLOOR else mu
+
+
+def _werner(p):
+    bell = np.array([1, 0, 0, 1]) / math.sqrt(2)
+    return qcore.DensityMatrix(2, p * np.outer(bell, bell) + (1 - p) * np.eye(4) / 4)
+
+
+@pytest.mark.parametrize("coa_first", [False, True])
+def test_kept_pair_spectrum_equals_the_uncached_formula(coa_first):
+    rhos = [_werner(p) for p in (0.0, 0.2, 1 / 3, 0.9)]
+    for psi in (haar_random_pure(5, 41), w(4), ghz(3), named("fig3", ())):
+        rhos += [qcore.reduced_density(psi, pair)
+                 for pair in itertools.combinations(range(psi.num_qubits), 2)]
+    for rho in rhos:
+        mu = _uncached_mu(rho)
+        c, ca = max(0.0, mu[0] - mu[1] - mu[2] - mu[3]), float(np.sum(mu))
+        if coa_first:
+            assert coa_two_qubit(rho).value == ca
+        assert concurrence_two_qubit(rho).value == c
+        assert coa_two_qubit(rho).value == ca
+        kept = measures._mu_values(rho)
+        assert kept is measures._mu_values(rho) and not kept.flags.writeable
+        assert np.array_equal(kept, mu)
+
+
+def _haar3_then_zeros(n, seed):
+    zeros = np.zeros(2 ** (n - 3))
+    zeros[0] = 1.0
+    return qcore.PureState.from_amplitudes(np.kron(haar_random_pure(3, seed).amplitudes, zeros))
+
+
+def _ghz_plus_w(n, seed):
+    a, b = np.random.default_rng(seed).standard_normal(4).view(complex)
+    return qcore.PureState.from_amplitudes(a * ghz(n).amplitudes + b * w(n).amplitudes,
+                                           normalize=True)
+
+
+CHAIN_ALPHAS = (0.0, 0.05, 0.25, 1.0, 1.37, 2.0)
+CHAIN_STATES = [(f"{name}{n}", make(n)) for n in range(3, 10) for name, make in (
+    ("haar", lambda n: haar_random_pure(n, 8600 + n)),
+    ("ghz_w", lambda n: _ghz_plus_w(n, 8700 + n)),
+    ("haar3_zeros", lambda n: _haar3_then_zeros(n, 8800 + n))) if n > 3 or name != "haar3_zeros"]
+
+
+@pytest.mark.parametrize("name, psi", CHAIN_STATES, ids=[s[0] for s in CHAIN_STATES])
+def test_front_best_keeps_one_grouping_per_chain(name, psi):
+    ev = StateEvaluator(psi)
+    shared = 0
+    for focus in range(psi.num_qubits):
+        c_sq, ca_sq = ev.tables(focus)
+        ref = bounds._SplitSearch(c_sq, ca_sq)
+        chains = {}
+        for alpha in CHAIN_ALPHAS:
+            g = ref.grouping(ref.chain(alpha))
+            term = (g, bounds.OrderingCertificate(g, bounds._grouped_sums(ca_sq, g), True),
+                    bounds._front_weighted_sum(bounds._grouped_sums(c_sq, g), alpha))
+            best = ev.front_best(focus, alpha)
+            assert best == term, (focus, alpha)
+            chains.setdefault(ref.chain(alpha), []).append(best[0])
+        for groupings in chains.values():
+            assert all(g is groupings[0] for g in groupings)
+            shared += len(groupings) - 1
+    assert shared > 0  # some alphas share a chain, so the identity check bites
+
+
+def test_grouping_text_is_built_once_and_equality_stays_field_based():
+    g = Grouping(((3, 1), (2,), (5, 4, 0)))
+    text = str(g)
+    assert text == "|".join(",".join(str(q) for q in grp) for grp in g.groups) == "1,3|2|0,4,5"
+    assert str(g) is text
+    twin = Grouping(((1, 3), (2,), (0, 4, 5)))
+    assert twin == g and hash(twin) == hash(g) and len({g, twin}) == 1
+    assert str(twin) == text and twin == g and hash(twin) == hash(g)
+    assert repr(g) == repr(twin) and Grouping(((1, 3), (0, 2, 4, 5))) != g
+
+
+def test_the_product_qubit_pairs_read_exact_zeros():
+    # Haar(3) (x) |00>: every pair with qubit 3 or 4 is a product pair, whose
+    # mu values come out of the eigensolver as ~1e-16 noise, not zeros.
+    psi = _haar3_then_zeros(5, 5)
+    for p, q in itertools.combinations(range(5), 2):
+        rho = qcore.reduced_density(psi, (p, q))
+        if q >= 3:
+            assert concurrence_two_qubit(rho).value == 0.0
+            assert coa_two_qubit(rho).value == 0.0
+        else:
+            assert coa_two_qubit(rho).value > 0.1
+    ev = StateEvaluator(psi)
+    assert ev.tables(3) == ({0: 0.0, 1: 0.0, 2: 0.0, 4: 0.0}, {0: 0.0, 1: 0.0, 2: 0.0, 4: 0.0})
+    for alpha in (0.0, 0.05, 0.5):
+        thm1 = ev.evaluate("thm1", alpha, (3,))
+        assert (thm1.lhs, thm1.rhs, thm1.satisfied) == (0.0, 0.0, True), alpha
+        jin = ev.evaluate("jin", alpha, (3,))
+        assert jin.applicable and (jin.lhs, jin.rhs) == (0.0, 0.0), alpha
