@@ -33,6 +33,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .measures import (
+    _keep_mu_values,
     coa_two_qubit,
     concurrence_from_schmidt,
     concurrence_two_qubit,
@@ -254,6 +255,11 @@ def h_weight(alpha: float) -> float:
     """Geometric weight 2**(alpha/2) - 1; lies in [0, 1] and below alpha/2."""
     if not 0.0 <= alpha <= 2.0:
         raise ValueError(f"alpha must be in [0, 2], got {alpha}")
+    return _h_weight(alpha)
+
+
+def _h_weight(alpha: float) -> float:
+    """``h_weight`` without the range check, for an alpha already checked."""
     return 2.0 ** (alpha / 2.0) - 1.0
 
 
@@ -355,13 +361,13 @@ def _require_feasible(pair_sq: Mapping[int, float], grouping: Grouping,
 
 def _geometric_sum(grouped_sq: Sequence[float], alpha: float) -> float:
     """sum_i h^(i-1) * (g_i^2)^(alpha/2) over the groups in order."""
-    h = h_weight(alpha)
+    h = _h_weight(alpha)
     return sum((h ** i) * _apow(v, alpha / 2.0) for i, v in enumerate(grouped_sq))
 
 
 def _front_weighted_sum(grouped_sq: Sequence[float], alpha: float) -> float:
     """h * sum_{i<k} (g_i^2)^(alpha/2) + (g_k^2)^(alpha/2)."""
-    h = h_weight(alpha)
+    h = _h_weight(alpha)
     terms = [_apow(v, alpha / 2.0) for v in grouped_sq]
     return h * sum(terms[:-1]) + terms[-1]
 
@@ -630,7 +636,7 @@ class _SplitSearch:
         # ``-_apow(v, p)`` inlined, as ``self.c`` holds floats.
         p = alpha / 2.0
         pick = _chain_dp(self.splits, [-(v ** p) if v > 0.0 else -0.0 for v in self.c],
-                         h_weight(alpha))
+                         _h_weight(alpha))
         chain, s = [], len(self.c) - 1
         while s:
             chain.append(pick[s])
@@ -674,7 +680,9 @@ class StateEvaluator:
 
     Each distinct qubit pair is reduced and measured once, whichever focus
     asks for it, and the focus tables are read from those pair values; its C
-    and Ca share one mu spectrum, kept on the pair's ``DensityMatrix``.  Each
+    and Ca share one mu spectrum, kept on the pair's ``DensityMatrix``.  The
+    spectra of the pairs a focus adds are solved together, with one stacked
+    ``eigh`` + ``svd`` per focus over the pairs not yet measured.  Each
     distinct cut is reduced once and its concurrence, negativity and Schmidt
     rank all come from that one spectrum.  ``evaluate`` reads the bound's
     ``BOUNDS`` row and does plain arithmetic over one grouping per focus: the
@@ -722,26 +730,27 @@ class StateEvaluator:
 
     # -- cached primitives ---------------------------------------------------
 
-    def _pair_squares(self, p: int, q: int) -> tuple[float, float]:
-        """Squared concurrence and assistance of the reduction onto p and q."""
-        key = (p, q) if p < q else (q, p)
-        if key not in self._pairs:
-            psi = self.psi
-            rho = to_density(psi) if psi.num_qubits == 2 else reduced_density(psi, key)
-            self._pairs[key] = (concurrence_two_qubit(rho).value ** 2,
-                                coa_two_qubit(rho).value ** 2)
-        return self._pairs[key]
-
     def tables(self, focus: int) -> tuple[dict[int, float], dict[int, float]]:
-        """``(c_sq, ca_sq)`` keyed by partner qubit, as ``pairwise_tables``."""
+        """``(c_sq, ca_sq)`` keyed by partner qubit, as ``pairwise_tables``.
+
+        The focus's pairs that no earlier focus measured are reduced one by
+        one and their mu spectra solved as one stack; each pair's squared
+        concurrence and assistance are then read once and kept.
+        """
         if focus not in self._tables:
-            n = self.psi.num_qubits
+            psi, n = self.psi, self.psi.num_qubits
             f = _single_qubit(focus, n, "focus")
+            keys = {p: (f, p) if f < p else (p, f) for p in range(n) if p != f}
+            new = [key for key in keys.values() if key not in self._pairs]
+            rhos = [to_density(psi) if n == 2 else reduced_density(psi, key) for key in new]
+            _keep_mu_values(rhos)
+            for key, rho in zip(new, rhos):
+                self._pairs[key] = (concurrence_two_qubit(rho).value ** 2,
+                                    coa_two_qubit(rho).value ** 2)
             c_sq: dict[int, float] = {}
             ca_sq: dict[int, float] = {}
-            for p in range(n):
-                if p != f:
-                    c_sq[p], ca_sq[p] = self._pair_squares(f, p)
+            for p, key in keys.items():
+                c_sq[p], ca_sq[p] = self._pairs[key]
             self._tables[focus] = (c_sq, ca_sq)
         return self._tables[focus]
 
@@ -754,6 +763,14 @@ class StateEvaluator:
                                negativity_from_schmidt(lam).value,
                                rank_from_schmidt(lam))
         return self._cuts[key]
+
+    def _foci_cut(self, foci: tuple[int, ...]) -> tuple[float, float, int]:
+        """``_cut`` of a validated foci tuple, kept under that tuple as well,
+        so a bound's cut is looked up without sorting its foci again."""
+        cut = self._cuts.get(foci)
+        if cut is None:
+            cut = self._cuts[foci] = self._cut(foci)
+        return cut
 
     def cut_concurrence(self, qubits: tuple[int, ...]) -> float:
         return self._cut(qubits)[0]
@@ -810,6 +827,7 @@ class StateEvaluator:
         alpha); None for ``"jin"`` when no singleton order is feasible."""
         key = (focus, objective, alpha)
         if key not in self._best:
+            h_weight(alpha)  # the sums below take alpha as checked
             if objective == "front" and self.search == "exhaustive":
                 certified = self._chain_grouping(focus, alpha)
             else:
@@ -919,16 +937,16 @@ class StateEvaluator:
                 return self._term("front", given[f], a)
 
         kind = spec.rhs
+        cut = self._foci_cut(foci)
         if kind == "pair_sum":
             c_sq, ca_sq = self.tables(foci[0])
-            cut_sq = self.cut_concurrence(foci) ** 2
+            cut_sq = cut[0] ** 2
             # Printed as "smaller side, larger side": ckw's lhs is the pair sum.
             lhs, rhs = (sum(c_sq.values()), cut_sq) if spec.direction == "lower" \
                 else (cut_sq, sum(ca_sq.values()))
             slack = rhs - lhs
             return BoundReport(theorem_id, 2.0, lhs, rhs, slack, None, slack >= -SLACK_TOL)
 
-        cut = self._cut(foci)
         lhs = _apow(cut[1] if spec.cut == "N" else cut[0], alpha)
         if kind == "jin":
             f = foci[0]
@@ -955,7 +973,7 @@ class StateEvaluator:
         center = foci[spec.center]
         others = foci[:spec.center] + foci[spec.center + 1:]
         if kind == "center_total" and \
-                self.cut_concurrence(others) > self.cut_concurrence((center,)) + SLACK_TOL:
+                self._foci_cut(others)[0] > self._foci_cut((center,))[0] + SLACK_TOL:
             return _not_applicable(theorem_id, alpha, lhs)
         _, cert, j_center = j(center, alpha)
         if kind == "center_total":

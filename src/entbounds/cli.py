@@ -151,6 +151,8 @@ def cmd_sweep(qubits: int, samples: int, seed: int, theorem: str, alphas: AlphaG
         raise ValueError("samples must be at least 1")
     if samples > _MAX_SAMPLES:
         raise ValueError(f"samples must be at most {_MAX_SAMPLES}, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     theorems = _parse_theorems(theorem, qubits)
     seeds = np.random.SeedSequence(seed).generate_state(samples, np.uint64)
 

@@ -9,6 +9,7 @@ to concurrence/COA on two-qubit states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -49,30 +50,45 @@ class MeasureValue:
         return self.value
 
 
-def _mu_values(rho: DensityMatrix) -> np.ndarray:
-    """Descending square roots of the eigenvalues of rho @ spin_flip(rho).
+def _keep_mu_values(rhos: Sequence[DensityMatrix]) -> None:
+    """Keep the mu spectrum on every two-qubit ``rho`` that has none yet.
 
-    Computed as the singular values of A = sqrt(rho) Y sqrt(rho)* with
+    The spectra are the singular values of A = sqrt(rho) Y sqrt(rho)* with
     Y = sigma_y (x) sigma_y: then A A^dag = sqrt(rho) flipped sqrt(rho),
     which shares the nonzero spectrum with rho @ flipped.  The SVD yields
     the mu values directly, avoiding square roots of eigenvalue noise.  A
-    spectrum summing below ``_PAIR_NOISE_FLOOR`` is noise and reads as zeros.
+    row summing below ``_PAIR_NOISE_FLOOR`` is noise and reads as zeros.
 
-    The result is kept, read-only, on ``rho``: a ``DensityMatrix`` is frozen
-    and its matrix is read-only, so the spectrum cannot go stale, and the
-    concurrence and the assistance of one pair share one ``eigh`` + ``svd``.
+    The missing spectra are solved as one (k, 4, 4) stack: one ``eigh`` and
+    one ``svd``, which run the same LAPACK routine on each matrix as on a
+    single one, so every row equals the spectrum of its own matrix.  Each
+    row is kept, read-only, on its ``rho``: a ``DensityMatrix`` is frozen and
+    its matrix is read-only, so the spectrum cannot go stale.
     """
-    mu = vars(rho).get("_mu")
-    if mu is None:
-        evals, vecs = np.linalg.eigh(rho.matrix)
-        evals = np.where(evals < _RANK_CUTOFF, 0.0, evals)
-        root = (vecs * np.sqrt(evals)) @ vecs.conj().T
-        mu = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
-        if np.sum(mu) < _PAIR_NOISE_FLOOR:
-            mu = np.zeros_like(mu)
-        mu.flags.writeable = False
-        object.__setattr__(rho, "_mu", mu)
-    return mu
+    todo = [rho for rho in rhos if "_mu" not in vars(rho)]
+    if not todo:
+        return
+    evals, vecs = np.linalg.eigh(np.stack([rho.matrix for rho in todo]))
+    evals = np.where(evals < _RANK_CUTOFF, 0.0, evals)
+    root = (vecs * np.sqrt(evals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    mu = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
+    mu[np.sum(mu, axis=1) < _PAIR_NOISE_FLOOR] = 0.0
+    mu.flags.writeable = False
+    for rho, row in zip(todo, mu):
+        object.__setattr__(rho, "_mu", row)
+
+
+def _mu_values(rho: DensityMatrix) -> np.ndarray:
+    """Descending square roots of the eigenvalues of rho @ spin_flip(rho).
+
+    Returns the spectrum kept on ``rho``, first solving it as a stack of one
+    with ``_keep_mu_values`` when none is kept.  The concurrence and the
+    assistance of one pair share it, and ``StateEvaluator`` fills it for all
+    of a focus's new pairs with one stacked ``eigh`` + ``svd``.
+    """
+    if "_mu" not in vars(rho):
+        _keep_mu_values((rho,))
+    return vars(rho)["_mu"]
 
 
 def _require_two_qubits(rho: DensityMatrix, op: str) -> None:

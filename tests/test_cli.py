@@ -344,6 +344,27 @@ def test_sweep_rejects_samples_above_the_cap_before_drawing_seeds(monkeypatch, c
     assert "samples must be at most 1000000, got 2000000000" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "-18446744073709551617"])
+def test_sweep_rejects_a_negative_seed_before_drawing_seeds(monkeypatch, capsys, seed):
+    class NoSeeds:
+        def __init__(self, seed):
+            raise AssertionError("a negative seed reached SeedSequence")
+
+    monkeypatch.setattr(cli.np.random, "SeedSequence", NoSeeds)
+    code, out, err = run_main(["sweep", "--qubits", "2", "--samples", "1",
+                               "--seed", seed, "--theorem", "all"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: seed must be a non-negative integer, got {seed}\n"
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, 2 ** 64, 2 ** 70 + 3])
+def test_sweep_accepts_every_non_negative_seed(capsys, seed):
+    code, out, err = run_main(["sweep", "--qubits", "2", "--samples", "2",
+                               "--seed", str(seed), "--theorem", "ckw"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"# sweep qubits=2 samples=2 seed={seed} search=exhaustive\n")
+
+
 def test_sweep_two_qubits(capsys):
     code, out, err = run_main(["sweep", "--qubits", "2", "--samples", "5",
                                "--theorem", "all"], capsys)

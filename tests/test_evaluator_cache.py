@@ -3,8 +3,8 @@
 Pins the call counts of the pair and cut layers, and checks that every value
 read from the evaluator's caches equals, bit for bit, what the public
 single-purpose functions compute on their own.  The kept objects are pinned
-too: one mu spectrum per pair, one certified grouping per front-search chain
-and one text per grouping.
+too: one mu spectrum per pair, solved in one stack per focus, one certified
+grouping per front-search chain and one text per grouping.
 """
 
 import itertools
@@ -170,6 +170,8 @@ def _spec(psi):
 @pytest.mark.parametrize("n, pairs", [(4, 5), (6, 12), (8, 18)])
 def test_verify_runs_one_pair_eigensolve_per_distinct_pair(monkeypatch, capsys, n, pairs):
     # Every pair that touches a focus qubit (0..2 at n >= 6, 0..1 below).
+    # Focus f adds its pairs with the qubits that no earlier focus measured,
+    # and solves them as one (pairs, 4, 4) stack.
     foci = 3 if n >= 6 else 2
     assert pairs == n * (n - 1) // 2 - (n - foci) * (n - foci - 1) // 2
     eighs = []
@@ -183,7 +185,9 @@ def test_verify_runs_one_pair_eigensolve_per_distinct_pair(monkeypatch, capsys, 
     assert cli.main(["verify", "--state", _spec(haar_random_pure(n, 8500 + n)),
                      "--theorem", "all"]) == 0
     capsys.readouterr()
-    assert eighs == [(4, 4)] * pairs
+    assert len(eighs) == foci
+    assert sum(shape[0] for shape in eighs) == pairs
+    assert eighs == [(n - 1 - f, 4, 4) for f in range(foci)]
 
 
 def _uncached_mu(rho):
@@ -200,11 +204,19 @@ def _werner(p):
 
 
 @pytest.mark.parametrize("coa_first", [False, True])
-def test_kept_pair_spectrum_equals_the_uncached_formula(coa_first):
+def test_kept_pair_spectrum_equals_the_uncached_formula(monkeypatch, coa_first):
     rhos = [_werner(p) for p in (0.0, 0.2, 1 / 3, 0.9)]
     for psi in (haar_random_pure(5, 41), w(4), ghz(3), named("fig3", ())):
         rhos += [qcore.reduced_density(psi, pair)
                  for pair in itertools.combinations(range(psi.num_qubits), 2)]
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(matrix):
+        shapes.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(measures.np.linalg, "eigh", counted)
     for rho in rhos:
         mu = _uncached_mu(rho)
         c, ca = max(0.0, mu[0] - mu[1] - mu[2] - mu[3]), float(np.sum(mu))
@@ -215,6 +227,8 @@ def test_kept_pair_spectrum_equals_the_uncached_formula(coa_first):
         kept = measures._mu_values(rho)
         assert kept is measures._mu_values(rho) and not kept.flags.writeable
         assert np.array_equal(kept, mu)
+    # The formula solves one 2-D matrix; the measures solve a stack of one.
+    assert shapes == [(4, 4), (1, 4, 4)] * len(rhos)
 
 
 def _haar3_then_zeros(n, seed):
@@ -286,3 +300,86 @@ def test_the_product_qubit_pairs_read_exact_zeros():
         assert (thm1.lhs, thm1.rhs, thm1.satisfied) == (0.0, 0.0, True), alpha
         jin = ev.evaluate("jin", alpha, (3,))
         assert jin.applicable and (jin.lhs, jin.rhs) == (0.0, 0.0), alpha
+
+
+def _wclass(n, seed):
+    c = np.random.default_rng(seed).standard_normal(2 * n).view(complex)
+    amps = np.zeros(2 ** n, dtype=complex)
+    amps[[1 << (n - 1 - i) for i in range(n)]] = c
+    return qcore.PureState.from_amplitudes(amps, normalize=True)
+
+
+STACK_STATES = [(f"{name}{n}", make(n)) for n in range(2, 13) for name, make in (
+    ("haar", lambda n: haar_random_pure(n, 8900 + n)),
+    ("wclass", lambda n: _wclass(n, 9000 + n)),
+    ("ghz_w", lambda n: _ghz_plus_w(n, 9100 + n)),
+    ("haar3_zeros", lambda n: _haar3_then_zeros(n, 5))) if n > 2 or name != "haar3_zeros"]
+
+
+@pytest.mark.parametrize("name, psi", STACK_STATES, ids=[s[0] for s in STACK_STATES])
+def test_stacked_pair_spectra_equal_the_one_pair_formula(monkeypatch, name, psi):
+    n = psi.num_qubits
+    reduced, stacks = {}, []
+
+    def reduce(state, pair):
+        reduced[pair] = rho = qcore.reduced_density(state, pair)
+        return rho
+
+    def project(state):
+        reduced[(0, 1)] = rho = qcore.to_density(state)
+        return rho
+
+    def keep(rhos):
+        stacks.append(len(rhos))
+        measures._keep_mu_values(rhos)
+
+    monkeypatch.setattr(bounds, "reduced_density", reduce)
+    monkeypatch.setattr(bounds, "to_density", project)
+    monkeypatch.setattr(bounds, "_keep_mu_values", keep)
+    ev = StateEvaluator(psi)
+    foci = range(min(n, 3))
+    for f in foci:
+        ev.tables(f)
+    # Focus f stacks its pairs with the qubits that no earlier focus measured.
+    assert stacks == [n - 1 - f for f in foci]
+    assert sorted(reduced) == sorted(ev._pairs)
+    for pair, rho in reduced.items():
+        # A fresh reduction of the same pair, solved alone as a 2-D matrix.
+        mu = _uncached_mu(qcore.to_density(psi) if n == 2 else qcore.reduced_density(psi, pair))
+        kept = vars(rho)["_mu"]
+        assert kept.shape == (4,) and not kept.flags.writeable
+        assert np.array_equal(kept, mu), pair
+        c, ca = max(0.0, mu[0] - mu[1] - mu[2] - mu[3]), float(np.sum(mu))
+        assert ev._pairs[pair] == (c ** 2, ca ** 2), pair
+    for f in foci:
+        c_sq, ca_sq = ev.tables(f)
+        assert all((c_sq[p], ca_sq[p]) == ev._pairs[(min(f, p), max(f, p))] for p in c_sq)
+
+
+def test_the_noise_floor_zeroes_only_the_product_rows_of_a_stack(monkeypatch):
+    # Haar(3) (x) |00>: pairs with qubit 3 or 4 are product pairs whose raw
+    # mu values are ~1e-16 noise; pairs among qubits 0..2 are genuine.
+    psi = _haar3_then_zeros(5, 5)
+    pairs = [(0, 3), (0, 1), (1, 4), (1, 2), (3, 4)]
+    rhos = [qcore.reduced_density(psi, pair) for pair in pairs]
+    measures._keep_mu_values(rhos)
+    for pair, rho in zip(pairs, rhos):
+        kept = vars(rho)["_mu"]
+        if pair[1] >= 3:
+            assert np.array_equal(kept, np.zeros(4)), pair
+        else:
+            assert np.sum(kept) > 0.1 and np.array_equal(kept, _uncached_mu(rho)), pair
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kept spectrum was solved again")
+
+    # C and Ca read the one kept array; a later stack skips the solved pairs.
+    monkeypatch.setattr(measures.np.linalg, "eigh", refuse)
+    for rho in rhos:
+        kept = vars(rho)["_mu"]
+        with pytest.raises(ValueError):
+            kept[0] = 1.0
+        concurrence_two_qubit(rho), coa_two_qubit(rho)
+        assert measures._mu_values(rho) is kept
+    measures._keep_mu_values(rhos)
+
