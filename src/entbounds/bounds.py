@@ -255,11 +255,6 @@ def h_weight(alpha: float) -> float:
     """Geometric weight 2**(alpha/2) - 1; lies in [0, 1] and below alpha/2."""
     if not 0.0 <= alpha <= 2.0:
         raise ValueError(f"alpha must be in [0, 2], got {alpha}")
-    return _h_weight(alpha)
-
-
-def _h_weight(alpha: float) -> float:
-    """``h_weight`` without the range check, for an alpha already checked."""
     return 2.0 ** (alpha / 2.0) - 1.0
 
 
@@ -361,13 +356,13 @@ def _require_feasible(pair_sq: Mapping[int, float], grouping: Grouping,
 
 def _geometric_sum(grouped_sq: Sequence[float], alpha: float) -> float:
     """sum_i h^(i-1) * (g_i^2)^(alpha/2) over the groups in order."""
-    h = _h_weight(alpha)
+    h = h_weight(alpha)
     return sum((h ** i) * _apow(v, alpha / 2.0) for i, v in enumerate(grouped_sq))
 
 
 def _front_weighted_sum(grouped_sq: Sequence[float], alpha: float) -> float:
     """h * sum_{i<k} (g_i^2)^(alpha/2) + (g_k^2)^(alpha/2)."""
-    h = _h_weight(alpha)
+    h = h_weight(alpha)
     terms = [_apow(v, alpha / 2.0) for v in grouped_sq]
     return h * sum(terms[:-1]) + terms[-1]
 
@@ -636,7 +631,7 @@ class _SplitSearch:
         # ``-_apow(v, p)`` inlined, as ``self.c`` holds floats.
         p = alpha / 2.0
         pick = _chain_dp(self.splits, [-(v ** p) if v > 0.0 else -0.0 for v in self.c],
-                         _h_weight(alpha))
+                         h_weight(alpha))
         chain, s = [], len(self.c) - 1
         while s:
             chain.append(pick[s])
@@ -764,14 +759,6 @@ class StateEvaluator:
                                rank_from_schmidt(lam))
         return self._cuts[key]
 
-    def _foci_cut(self, foci: tuple[int, ...]) -> tuple[float, float, int]:
-        """``_cut`` of a validated foci tuple, kept under that tuple as well,
-        so a bound's cut is looked up without sorting its foci again."""
-        cut = self._cuts.get(foci)
-        if cut is None:
-            cut = self._cuts[foci] = self._cut(foci)
-        return cut
-
     def cut_concurrence(self, qubits: tuple[int, ...]) -> float:
         return self._cut(qubits)[0]
 
@@ -827,7 +814,6 @@ class StateEvaluator:
         alpha); None for ``"jin"`` when no singleton order is feasible."""
         key = (focus, objective, alpha)
         if key not in self._best:
-            h_weight(alpha)  # the sums below take alpha as checked
             if objective == "front" and self.search == "exhaustive":
                 certified = self._chain_grouping(focus, alpha)
             else:
@@ -937,16 +923,16 @@ class StateEvaluator:
                 return self._term("front", given[f], a)
 
         kind = spec.rhs
-        cut = self._foci_cut(foci)
         if kind == "pair_sum":
             c_sq, ca_sq = self.tables(foci[0])
-            cut_sq = cut[0] ** 2
+            cut_sq = self.cut_concurrence(foci) ** 2
             # Printed as "smaller side, larger side": ckw's lhs is the pair sum.
             lhs, rhs = (sum(c_sq.values()), cut_sq) if spec.direction == "lower" \
                 else (cut_sq, sum(ca_sq.values()))
             slack = rhs - lhs
             return BoundReport(theorem_id, 2.0, lhs, rhs, slack, None, slack >= -SLACK_TOL)
 
+        cut = self._cut(foci)
         lhs = _apow(cut[1] if spec.cut == "N" else cut[0], alpha)
         if kind == "jin":
             f = foci[0]
@@ -973,7 +959,7 @@ class StateEvaluator:
         center = foci[spec.center]
         others = foci[:spec.center] + foci[spec.center + 1:]
         if kind == "center_total" and \
-                self._foci_cut(others)[0] > self._foci_cut((center,))[0] + SLACK_TOL:
+                self.cut_concurrence(others) > self.cut_concurrence((center,)) + SLACK_TOL:
             return _not_applicable(theorem_id, alpha, lhs)
         _, cert, j_center = j(center, alpha)
         if kind == "center_total":
