@@ -58,6 +58,13 @@ def _cases():
                                 "--theorem", "all", "--alpha", "0.5,1,2"]
     cases["sweep-n4"] = ["sweep", "--qubits", "4", "--samples", "20", "--theorem", "all"]
     cases["sweep-n6"] = ["sweep", "--qubits", "6", "--samples", "3", "--theorem", "all"]
+    # alpha = 0 included: jin is not applicable on W, so rhs and slack print null.
+    cases["verify-w4-json"] = ["verify", "--state", _named("w", [4]), "--theorem", "all",
+                               "--alpha", "0,0.5,1,2", "--format", "json"]
+    cases["sweep-n4-json"] = ["sweep", "--qubits", "4", "--samples", "5", "--theorem", "all",
+                              "--format", "json"]
+    for fig in ("1", "2", "3"):
+        cases[f"figure-{fig}"] = ["figure", fig]
     cases["error-thm2-3qubits"] = ["verify", "--state", _named("ghz", [3]),
                                    "--theorem", "thm2"]
     amp1 = json.dumps({"kind": "amplitudes", "n": 1, "re": [1, 0], "im": [0, 0]})
@@ -87,6 +94,14 @@ def _same_field(got: str, want: str) -> bool:
     return math.isfinite(w) and abs(g - w) <= TOL * max(1.0, abs(w))
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def _assert_same_text(got: str, want: str, where: str):
     got_lines, want_lines = got.splitlines(), want.splitlines()
     assert len(got_lines) == len(want_lines), f"{where}: line count"
@@ -98,6 +113,24 @@ def _assert_same_text(got: str, want: str, where: str):
         assert len(gf) == len(wf), f"{where} line {k}: {g!r} != {w!r}"
         assert all(_same_field(a, b) for a, b in zip(gf, wf)), \
             f"{where} line {k}: {g!r} != {w!r}"
+        for x in filter(_is_number, gf):
+            assert f"{float(x):.12g}" == x, f"{where} line {k}: {x!r} is not %.12g"
+
+
+def _assert_same_json(got, want, where: str):
+    assert type(got) is type(want), f"{where}: {got!r} != {want!r}"
+    if isinstance(want, dict):
+        assert list(got) == list(want), f"{where}: keys {list(got)} != {list(want)}"
+        for key in want:
+            _assert_same_json(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{where}: length"
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_same_json(g, w, f"{where}[{k}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= TOL * max(1.0, abs(want)), f"{where}: {got!r} != {want!r}"
+    else:
+        assert got == want, f"{where}: {got!r} != {want!r}"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -106,7 +139,12 @@ def test_cli_output_matches_golden(name):
     assert want["argv"] == CASES[name]
     code, out, err = _run(CASES[name])
     assert code == want["exit"]
-    _assert_same_text(out, want["stdout"], "stdout")
+    if name.startswith("figure-"):
+        assert out == want["stdout"]
+    elif "json" in CASES[name]:
+        _assert_same_json(json.loads(out), json.loads(want["stdout"]), "stdout")
+    else:
+        _assert_same_text(out, want["stdout"], "stdout")
     assert err == want["stderr"]
 
 
