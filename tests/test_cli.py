@@ -286,8 +286,8 @@ def test_large_state_evaluate_equals_the_verify_rows(n, tmp_path, capsys):
         tid, alpha = row["theorem"], row["alpha"]
         foci = tuple(range(BOUNDS[tid].arity))
         for r in (ev.evaluate(tid, alpha), optimize_grouping(psi, foci, alpha, tid)):
-            want = cli._report_row(r)
-            assert json.loads(cli._json_text({}, [want]))["rows"] == [row]
+            text = cli._table_text("json", cli._REPORT_COLUMNS, [cli._report_row(r)])
+            assert json.loads(text)["rows"] == [row]
 
 
 def test_gallery_list(capsys):
