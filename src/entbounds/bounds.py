@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .measures import (
     _keep_mu_values,
     coa_two_qubit,
@@ -41,6 +39,8 @@ from .measures import (
 )
 from .qcore import (
     PureState,
+    _subsystem,
+    qubit_index,
     rank_from_schmidt,
     reduced_density,
     schmidt_eigenvalues,
@@ -134,7 +134,7 @@ class Grouping:
         norm = []
         seen: set[int] = set()
         for g in self.groups:
-            idx = tuple(sorted(i if type(i) is int else _single_qubit(i, None, "group member")
+            idx = tuple(sorted(i if type(i) is int else qubit_index(i, None, "group member")
                                for i in g))
             if not idx:
                 raise ValueError("groups must be non-empty")
@@ -237,7 +237,10 @@ class AlphaGrid:
         if count > _MAX_ALPHA_VALUES:
             raise ValueError(f"alpha range has {count} values, more than the maximum "
                              f"{_MAX_ALPHA_VALUES}")
-        return cls(tuple(round(start + k * step, _ALPHA_DIGITS) for k in range(count)))
+        # The count's slack admits a last value up to 1e-9 steps past stop; drop it.
+        top = round(stop, _ALPHA_DIGITS)
+        values = (round(start + k * step, _ALPHA_DIGITS) for k in range(count))
+        return cls(tuple(v for v in values if v <= top))
 
     @classmethod
     def default(cls) -> "AlphaGrid":
@@ -310,16 +313,6 @@ def sort_descending_then_check(
 # ---------------------------------------------------------------------------
 # Pairwise measure tables and grouping aggregation
 # ---------------------------------------------------------------------------
-
-def _single_qubit(value, num_qubits: int | None, name: str) -> int:
-    """``value`` as a qubit index: an int or numpy integer, never a bool, and
-    below ``num_qubits`` unless that is None."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer qubit index, got {value!r}")
-    if num_qubits is not None and not 0 <= value < num_qubits:
-        raise ValueError(f"{name}={value} out of range for {num_qubits} qubits")
-    return int(value)
-
 
 def pairwise_tables(psi: PureState, focus: int) -> tuple[dict[int, float], dict[int, float]]:
     """Squared pairwise concurrence and assistance values against ``focus``.
@@ -732,9 +725,11 @@ class StateEvaluator:
         one and their mu spectra solved as one stack; each pair's squared
         concurrence and assistance are then read once and kept.
         """
+        if type(focus) is not int:
+            focus = qubit_index(focus, self.psi.num_qubits, "focus")
         if focus not in self._tables:
             psi, n = self.psi, self.psi.num_qubits
-            f = _single_qubit(focus, n, "focus")
+            f = qubit_index(focus, n, "focus")
             keys = {p: (f, p) if f < p else (p, f) for p in range(n) if p != f}
             new = [key for key in keys.values() if key not in self._pairs]
             rhos = [to_density(psi) if n == 2 else reduced_density(psi, key) for key in new]
@@ -759,14 +754,16 @@ class StateEvaluator:
                                rank_from_schmidt(lam))
         return self._cuts[key]
 
+    # The public cut readers check ``qubits`` before the cache is consulted,
+    # so a cached cut never answers for an index that a fresh one refuses.
     def cut_concurrence(self, qubits: tuple[int, ...]) -> float:
-        return self._cut(qubits)[0]
+        return self._cut(_subsystem(qubits, self.psi.num_qubits, name="cut"))[0]
 
     def cut_negativity(self, qubits: tuple[int, ...]) -> float:
-        return self._cut(qubits)[1]
+        return self._cut(_subsystem(qubits, self.psi.num_qubits, name="cut"))[1]
 
     def cut_rank(self, qubits: tuple[int, ...]) -> int:
-        return self._cut(qubits)[2]
+        return self._cut(_subsystem(qubits, self.psi.num_qubits, name="cut"))[2]
 
     def _split_search(self, focus: int) -> _SplitSearch:
         if focus not in self._splits:
@@ -834,13 +831,18 @@ class StateEvaluator:
         return certified
 
     # ``j_best``/``front_best`` read a cached term without a further call;
-    # their terms are never None.
+    # their terms are never None.  A focus that is not an int is checked
+    # first, so the cache never answers for one that a fresh state refuses.
     def j_best(self, focus: int, alpha: float):
         """The merged group, which minimizes the geometric assistance sum."""
+        if type(focus) is not int:
+            focus = qubit_index(focus, self.psi.num_qubits, "focus")
         return self._best.get((focus, "j", alpha)) or self._best_term(focus, "j", alpha)
 
     def front_best(self, focus: int, alpha: float):
         """Assistance-feasible grouping maximizing the front-weighted C sum."""
+        if type(focus) is not int:
+            focus = qubit_index(focus, self.psi.num_qubits, "focus")
         return self._best.get((focus, "front", alpha)) or self._best_term(focus, "front", alpha)
 
     @staticmethod
@@ -870,7 +872,7 @@ class StateEvaluator:
             foci = (foci,)
         if len(foci) != spec.arity:
             raise ValueError(f"{theorem_id} takes {spec.arity} focus qubit(s), got {foci}")
-        foci = tuple(_single_qubit(q, n, "focus") for q in foci)
+        foci = tuple(qubit_index(q, n, "focus") for q in foci)
         if len(set(foci)) != len(foci):
             raise ValueError("focus qubits must be distinct")
         if n < spec.min_qubits:
@@ -925,7 +927,7 @@ class StateEvaluator:
         kind = spec.rhs
         if kind == "pair_sum":
             c_sq, ca_sq = self.tables(foci[0])
-            cut_sq = self.cut_concurrence(foci) ** 2
+            cut_sq = self._cut(foci)[0] ** 2
             # Printed as "smaller side, larger side": ckw's lhs is the pair sum.
             lhs, rhs = (sum(c_sq.values()), cut_sq) if spec.direction == "lower" \
                 else (cut_sq, sum(ca_sq.values()))
@@ -959,7 +961,7 @@ class StateEvaluator:
         center = foci[spec.center]
         others = foci[:spec.center] + foci[spec.center + 1:]
         if kind == "center_total" and \
-                self.cut_concurrence(others) > self.cut_concurrence((center,)) + SLACK_TOL:
+                self._cut(others)[0] > self._cut((center,))[0] + SLACK_TOL:
             return _not_applicable(theorem_id, alpha, lhs)
         _, cert, j_center = j(center, alpha)
         if kind == "center_total":

@@ -40,7 +40,8 @@ class SubsystemSet:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(i if type(i) is int else qubit_index(i, None, "subsystem index")
+                    for i in self.indices)
         if not idx:
             raise InvalidSubsystemError("subsystem must contain at least one qubit")
         if any(i < 0 for i in idx):
@@ -59,15 +60,32 @@ class SubsystemSet:
 SubsystemLike = Union[SubsystemSet, Iterable[int], int]
 
 
+def qubit_index(value, num_qubits: int | None, name: str) -> int:
+    """``value`` as a qubit index: an int or numpy integer, never a bool, and
+    below ``num_qubits`` unless that is None.
+
+    Callers on hot paths test ``type(i) is int`` first and call this only
+    for other types, so a plain int skips the call.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidSubsystemError(f"{name} must be an integer qubit index, got {value!r}")
+    if num_qubits is not None and not 0 <= value < num_qubits:
+        raise InvalidSubsystemError(f"{name}={value} out of range for {num_qubits} qubits")
+    return int(value)
+
+
 def _subsystem(part: SubsystemLike, num_qubits: int, *, proper: bool = True,
                name: str = "subsystem") -> tuple[int, ...]:
     """Normalize ``part`` to a sorted index tuple and validate it."""
     if isinstance(part, SubsystemSet):
         idx = part.indices
-    elif isinstance(part, (int, np.integer)):
-        idx = (int(part),)
     else:
-        idx = tuple(sorted(int(i) for i in part))
+        try:
+            members = sorted(part)
+        except TypeError:  # a single index, or members that do not compare
+            members = (part,)
+        idx = tuple(i if type(i) is int else qubit_index(i, None, f"{name} member")
+                    for i in members)
     if not idx:
         raise InvalidSubsystemError(f"{name} must contain at least one qubit")
     if len(set(idx)) != len(idx):

@@ -173,6 +173,31 @@ def test_alpha_grid():
         AlphaGrid((0.5, 2.5))
 
 
+def test_alpha_range_never_passes_its_stop():
+    grid = AlphaGrid.from_range(0.0, 1.0, 0.10000000001)
+    assert len(grid) == 10 and grid.values[-1] <= 1.0
+    assert AlphaGrid.from_range(1.9, 2.0, 0.1000000001).values == (1.9,)
+    assert AlphaGrid.from_range(0.0, 1.0, 0.1).values[-1] == 1.0
+
+
+@pytest.mark.parametrize("start, stop, step", [
+    (0.05, 2.0, 0.05), (0.25, 2.0, 0.25), (0.5, 2.0, 0.5), (0.0, 2.0, 0.5),
+    (0.02, 2.0, 0.02), (0.0, 1.0, 0.1), (0.1, 1.9, 0.3)])
+def test_range_grids_keep_every_value_up_to_stop(start, stop, step):
+    # The default verify grid, the default sweep grid and other plain ranges
+    # are the values start + k * step, rounded, up to and including stop.
+    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    want = tuple(round(start + k * step, 12) for k in range(count))
+    assert AlphaGrid.from_range(start, stop, step).values == want
+    assert want[-1] <= stop
+
+
+def test_default_grids_are_unchanged():
+    assert AlphaGrid.default().values == tuple(round(0.05 * k, 12) for k in range(1, 41))
+    assert AlphaGrid.from_range(0.25, 2.0, 0.25).values == (
+        0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # single-focus bounds
 # ---------------------------------------------------------------------------

@@ -465,3 +465,11 @@ def test_the_reused_parser_answers_like_a_fresh_process(monkeypatch, capsys):
             capture_output=True, text=True, env={**os.environ, "COLUMNS": "80"})
         assert in_process == (proc.returncode, proc.stdout, proc.stderr), argv
     assert run_main(["bogus"], capsys)[0] == 2
+
+
+def test_alpha_range_with_a_step_just_past_the_stop(capsys):
+    state = json.dumps({"kind": "named", "family": "w", "params": [3]})
+    code, out, err = run_main(["verify", "--state", state, "--theorem", "thm1",
+                               "--alpha", "1.9:2:0.1000000001"], capsys)
+    assert code == 0, err
+    assert [row["alpha"] for row in _rows(out)] == ["1.9"]

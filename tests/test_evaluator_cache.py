@@ -383,3 +383,31 @@ def test_the_noise_floor_zeroes_only_the_product_rows_of_a_stack(monkeypatch):
         assert measures._mu_values(rho) is kept
     measures._keep_mu_values(rhos)
 
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, np.float64(1.0)])
+def test_a_warm_evaluator_refuses_what_a_fresh_one_refuses(bad):
+    psi = w(4)
+    warm = StateEvaluator(psi)
+    warm.tables(1), warm.j_best(1, 1.0), warm.front_best(1, 1.0), warm.cut_concurrence((1,))
+    for ev in (StateEvaluator(psi), warm):
+        for call in (lambda: ev.tables(bad), lambda: ev.j_best(bad, 1.0),
+                     lambda: ev.front_best(bad, 1.0)):
+            with pytest.raises(ValueError, match="focus must be an integer qubit index"):
+                call()
+        for read in (ev.cut_concurrence, ev.cut_negativity, ev.cut_rank):
+            with pytest.raises(ValueError, match="integer qubit index"):
+                read((bad,))
+
+
+def test_a_numpy_integer_focus_reads_the_same_values_fresh_or_warm():
+    psi = w(4)
+    want = StateEvaluator(psi)
+    warm = StateEvaluator(psi)
+    warm.tables(1), warm.j_best(1, 1.0), warm.front_best(1, 1.0), warm.cut_concurrence((1,))
+    for ev in (StateEvaluator(psi), warm):
+        focus = np.int64(1)
+        assert ev.tables(focus) == want.tables(1)
+        assert ev.j_best(focus, 1.0)[2] == want.j_best(1, 1.0)[2]
+        assert ev.front_best(focus, 1.0)[2] == want.front_best(1, 1.0)[2]
+        assert ev.cut_concurrence((focus,)) == want.cut_concurrence((1,))

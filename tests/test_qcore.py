@@ -299,3 +299,31 @@ def test_pure_state_rejects_non_finite_amplitudes(bad):
     amps = np.array([bad, 0.0, 0.0, 0.0], dtype=complex)
     with pytest.raises(ValueError, match="finite"):
         PureState(2, amps)
+
+
+@pytest.mark.parametrize("keep", [(0.9,), (1.7, 2.2), 0.9, True, (True, 2), "01",
+                                  ["0", "2"], (np.float64(1.0),)])
+def test_subsystem_indices_must_be_integers(keep):
+    from entbounds.measures import concurrence_pure
+
+    psi = haar_random_pure(4, 5)
+    with pytest.raises(InvalidSubsystemError, match="integer qubit index"):
+        reduced_density(psi, keep)
+    with pytest.raises(InvalidSubsystemError, match="integer qubit index"):
+        concurrence_pure(psi, keep)
+
+
+@pytest.mark.parametrize("indices", [(0.5, 1.5), (True, 2), ("0", "2"), (0, 1.0)])
+def test_subsystem_set_indices_must_be_integers(indices):
+    with pytest.raises(InvalidSubsystemError, match="integer qubit index"):
+        SubsystemSet(indices)
+
+
+def test_numpy_integer_subsystem_indices_are_accepted():
+    psi = haar_random_pure(4, 5)
+    got = reduced_density(psi, (np.int64(1), np.int32(2)))
+    assert np.array_equal(got.matrix, reduced_density(psi, (1, 2)).matrix)
+    assert np.array_equal(reduced_density(psi, np.int64(3)).matrix,
+                          reduced_density(psi, 3).matrix)
+    subsystem = SubsystemSet((np.int64(0), 1))
+    assert subsystem.indices == (0, 1) and all(type(i) is int for i in subsystem)
