@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .measures import (
     _keep_mu_values,
@@ -39,11 +39,11 @@ from .measures import (
 )
 from .qcore import (
     PureState,
+    _schmidt_spectra,
     _subsystem,
     qubit_index,
     rank_from_schmidt,
     reduced_density,
-    schmidt_eigenvalues,
     to_density,
 )
 
@@ -90,6 +90,11 @@ class BoundSpec:
     minus_jc1: bool = False
     center: int = 0
 
+    @property
+    def foci(self) -> tuple[int, ...]:
+        """The default foci: qubits 0..arity-1."""
+        return tuple(range(self.arity))
+
 
 BOUNDS: dict[str, BoundSpec] = {
     "ckw": BoundSpec("lower", 1, 2, "C", "pair_sum", fixed_alpha=True),
@@ -110,6 +115,35 @@ BOUNDS: dict[str, BoundSpec] = {
 }
 
 THEOREM_IDS = tuple(BOUNDS)
+
+
+def _focus_pairs(focus: int, num_qubits: int) -> dict[int, tuple[int, int]]:
+    """The ``(low, high)`` pair key of ``focus`` with each partner qubit."""
+    return {p: (focus, p) if focus < p else (p, focus)
+            for p in range(num_qubits) if p != focus}
+
+
+def spectra_keys(theorem_ids: Iterable[str], num_qubits: int
+                 ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+    """The pairs and cuts that ``evaluate`` reads for these bounds at their
+    default foci, each once, as ``fill_spectra`` takes them.
+
+    Every focus reads the pairs it belongs to, and every bound the cut of its
+    foci; ``center_total`` also reads the cut of its center and the cut of
+    the other foci.
+    """
+    pairs: dict[tuple[int, int], None] = {}
+    cuts: dict[tuple[int, ...], None] = {}
+    for tid in theorem_ids:
+        spec = BOUNDS[tid]
+        foci = spec.foci
+        for f in foci:
+            pairs.update(dict.fromkeys(_focus_pairs(f, num_qubits).values()))
+        cuts[foci] = None
+        if spec.rhs == "center_total":
+            cuts[(foci[spec.center],)] = None
+            cuts[foci[:spec.center] + foci[spec.center + 1:]] = None
+    return tuple(pairs), tuple(cuts)
 
 
 def search_mode(num_qubits: int) -> str:
@@ -668,11 +702,14 @@ class StateEvaluator:
 
     Each distinct qubit pair is reduced and measured once, whichever focus
     asks for it, and the focus tables are read from those pair values; its C
-    and Ca share one mu spectrum, kept on the pair's ``DensityMatrix``.  The
-    spectra of the pairs a focus adds are solved together, with one stacked
-    ``eigh`` + ``svd`` per focus over the pairs not yet measured.  Each
+    and Ca share one mu spectrum, kept on the pair's ``DensityMatrix``.  Each
     distinct cut is reduced once and its concurrence, negativity and Schmidt
-    rank all come from that one spectrum.  ``evaluate`` reads the bound's
+    rank all come from that one spectrum.  ``fill_spectra`` is the one path
+    that solves them: ``verify`` and ``sweep`` fill every pair and cut that
+    ``spectra_keys`` names up front, for a whole chunk of states with one
+    stacked ``eigh`` + ``svd`` and one ``eigvalsh`` per cut size, and a
+    later miss in ``tables`` or ``_cut`` fills as a chunk of one.
+    ``evaluate`` reads the bound's
     ``BOUNDS`` row and does plain arithmetic over one grouping per focus: the
     best one for the bound's objective, built once per (focus, objective,
     alpha), or with ``groupings=`` the caller's, which bypass the caches.
@@ -721,22 +758,15 @@ class StateEvaluator:
     def tables(self, focus: int) -> tuple[dict[int, float], dict[int, float]]:
         """``(c_sq, ca_sq)`` keyed by partner qubit, as ``pairwise_tables``.
 
-        The focus's pairs that no earlier focus measured are reduced one by
-        one and their mu spectra solved as one stack; each pair's squared
-        concurrence and assistance are then read once and kept.
+        Read from the kept pair values; ``fill_spectra``, as a chunk of one,
+        first solves the focus's pairs that are not yet kept.
         """
         if type(focus) is not int:
             focus = qubit_index(focus, self.psi.num_qubits, "focus")
         if focus not in self._tables:
-            psi, n = self.psi, self.psi.num_qubits
-            f = qubit_index(focus, n, "focus")
-            keys = {p: (f, p) if f < p else (p, f) for p in range(n) if p != f}
-            new = [key for key in keys.values() if key not in self._pairs]
-            rhos = [to_density(psi) if n == 2 else reduced_density(psi, key) for key in new]
-            _keep_mu_values(rhos)
-            for key, rho in zip(new, rhos):
-                self._pairs[key] = (concurrence_two_qubit(rho).value ** 2,
-                                    coa_two_qubit(rho).value ** 2)
+            n = self.psi.num_qubits
+            keys = _focus_pairs(qubit_index(focus, n, "focus"), n)
+            fill_spectra((self,), keys.values(), ())
             c_sq: dict[int, float] = {}
             ca_sq: dict[int, float] = {}
             for p, key in keys.items():
@@ -748,10 +778,7 @@ class StateEvaluator:
         """Concurrence, negativity and Schmidt rank across one cut."""
         key = tuple(sorted(qubits))
         if key not in self._cuts:
-            lam = schmidt_eigenvalues(self.psi, key)
-            self._cuts[key] = (concurrence_from_schmidt(lam).value,
-                               negativity_from_schmidt(lam).value,
-                               rank_from_schmidt(lam))
+            fill_spectra((self,), (), (key,))
         return self._cuts[key]
 
     # The public cut readers check ``qubits`` before the cache is consulted,
@@ -865,9 +892,9 @@ class StateEvaluator:
         """Validated focus qubits: ``spec.arity`` distinct indices, 0.. by default."""
         n = self.psi.num_qubits
         if foci is None and n >= spec.min_qubits:  # the default foci are then valid
-            return tuple(range(spec.arity))
+            return spec.foci
         try:
-            foci = tuple(range(spec.arity)) if foci is None else tuple(foci)
+            foci = spec.foci if foci is None else tuple(foci)
         except TypeError:
             foci = (foci,)
         if len(foci) != spec.arity:
@@ -976,6 +1003,43 @@ class StateEvaluator:
             if kind == "rank_j":
                 rhs = _apow(cut[2] * (cut[2] - 1) / 2.0, alpha / 2.0) * rhs
         return _report(theorem_id, alpha, lhs, rhs, cert)
+
+
+def fill_spectra(evaluators: Sequence[StateEvaluator], pairs: Collection[tuple[int, int]],
+                 cuts: Collection[tuple[int, ...]]) -> None:
+    """Keep on each evaluator the listed pair and cut values it lacks.
+
+    ``pairs`` holds ``(low, high)`` qubit pairs and ``cuts`` sorted qubit
+    tuples, each once, as ``spectra_keys`` gives them.  Every (state, pair)
+    is reduced on its own (a two-qubit state is its own pair state), and all
+    their mu spectra are solved as one ``_keep_mu_values`` stack; each pair
+    keeps its squared concurrence and assistance.  The cuts of one size are
+    reduced one by one and solved with one stacked ``eigvalsh``; each keeps
+    its concurrence, negativity and Schmidt rank.  numpy runs the same
+    LAPACK routine on each matrix of a stack as on a single one, so the
+    values equal, bit for bit, those of a chunk of one: ``tables`` and
+    ``_cut`` fill their misses with this as a chunk of one.
+    """
+    new = []
+    for ev in evaluators:
+        psi, kept = ev.psi, ev._pairs
+        for key in pairs:
+            if key not in kept:
+                new.append((kept, key, to_density(psi) if psi.num_qubits == 2
+                            else reduced_density(psi, key)))
+    _keep_mu_values([rho for _, _, rho in new])
+    for kept, key, rho in new:
+        kept[key] = (concurrence_two_qubit(rho).value ** 2, coa_two_qubit(rho).value ** 2)
+    by_size: dict[int, list[tuple[StateEvaluator, tuple[int, ...]]]] = {}
+    for ev in evaluators:
+        for key in cuts:
+            if key not in ev._cuts:
+                by_size.setdefault(len(key), []).append((ev, key))
+    for todo in by_size.values():
+        spectra = _schmidt_spectra([reduced_density(ev.psi, key).matrix for ev, key in todo])
+        for (ev, key), lam in zip(todo, spectra):
+            ev._cuts[key] = (concurrence_from_schmidt(lam).value,
+                             negativity_from_schmidt(lam).value, rank_from_schmidt(lam))
 
 
 def optimize_grouping(psi: PureState, focus, alpha: float,

@@ -83,8 +83,8 @@ def _mu_values(rho: DensityMatrix) -> np.ndarray:
 
     Returns the spectrum kept on ``rho``, first solving it as a stack of one
     with ``_keep_mu_values`` when none is kept.  The concurrence and the
-    assistance of one pair share it, and ``StateEvaluator`` fills it for all
-    of a focus's new pairs with one stacked ``eigh`` + ``svd``.
+    assistance of one pair share it, and ``bounds.fill_spectra`` fills it for
+    every new pair of a chunk of states with one stacked ``eigh`` + ``svd``.
     """
     if "_mu" not in vars(rho):
         _keep_mu_values((rho,))

@@ -259,10 +259,21 @@ _RANK_CUTOFF = 1e-13
 _PAIR_NOISE_FLOOR = 1e-12
 
 
+def _schmidt_spectra(matrices) -> np.ndarray:
+    """Descending eigenvalues, clipped at 0, of each reduction in a stack.
+
+    ``matrices`` are same-size reduced density matrices, solved with one
+    stacked ``eigvalsh``.  numpy runs the same LAPACK routine on each matrix
+    of a stack as on a single one, so every row equals the spectrum of its
+    matrix solved alone.
+    """
+    evals = np.linalg.eigvalsh(np.stack(matrices))[:, ::-1]
+    return np.where(evals < _RANK_CUTOFF, 0.0, evals)
+
+
 def schmidt_eigenvalues(psi: PureState, part: SubsystemLike) -> np.ndarray:
     """Descending eigenvalues of the reduction onto ``part`` (clipped at 0)."""
-    evals = np.linalg.eigvalsh(reduced_density(psi, part).matrix)[::-1]
-    return np.where(evals < _RANK_CUTOFF, 0.0, evals)
+    return _schmidt_spectra((reduced_density(psi, part).matrix,))[0]
 
 
 def rank_from_schmidt(evals: np.ndarray) -> int:

@@ -164,6 +164,7 @@ def test_verify_exit_1_on_violation(monkeypatch, capsys):
             return bad
 
     monkeypatch.setattr(cli, "StateEvaluator", Stub)
+    monkeypatch.setattr(cli, "fill_spectra", lambda evaluators, pairs, cuts: None)
     code, _, _ = run_main(
         ["verify", "--state", GSD3_EQUAL, "--theorem", "thm1",
          "--alpha", "1.0"], capsys)
@@ -220,7 +221,7 @@ def test_sweep_every_size_up_to_max_qubits(capsys):
         assert all(r["violations"] == "0" for r in rows)
     code, out, err = run_main(["sweep", "--qubits", "13", "--samples", "1",
                                "--theorem", "all"], capsys)
-    assert (code, out, err) == (2, "", "error: n must be in [1, 12], got 13\n")
+    assert (code, out, err) == (2, "", "error: qubits must be in [1, 12], got 13\n")
 
 
 def test_sweep_json_meta(capsys):
@@ -473,3 +474,32 @@ def test_alpha_range_with_a_step_just_past_the_stop(capsys):
                                "--alpha", "1.9:2:0.1000000001"], capsys)
     assert code == 0, err
     assert [row["alpha"] for row in _rows(out)] == ["1.9"]
+
+
+@pytest.mark.parametrize("qubits", ["0", "-3", "13"])
+def test_sweep_qubits_out_of_range_exit_2_before_any_draw(monkeypatch, capsys, qubits):
+    def refuse(*args):
+        raise AssertionError("a state was drawn")
+
+    monkeypatch.setattr(cli, "haar_random_pure", refuse)
+    code, out, err = run_main(["sweep", "--qubits", qubits, "--samples", "1"], capsys)
+    assert (code, out, err) == (2, "", f"error: qubits must be in [1, 12], got {qubits}\n")
+
+
+def test_sweep_one_qubit_keeps_its_message(capsys):
+    code, out, err = run_main(["sweep", "--qubits", "1", "--samples", "1"], capsys)
+    assert (code, out, err) == (2, "", "error: no bound applies to 1 qubit\n")
+
+
+@pytest.mark.parametrize("samples", [cli._SWEEP_CHUNK + 1, 2 * cli._SWEEP_CHUNK + 3])
+@pytest.mark.parametrize("qubits, fmt", [(4, "csv"), (6, "json")])
+def test_sweep_across_chunks_prints_what_one_state_at_a_time_prints(
+        monkeypatch, capsys, samples, qubits, fmt):
+    argv = ["sweep", "--qubits", str(qubits), "--samples", str(samples), "--seed", "9",
+            "--theorem", "all", "--alpha", "0.5,1,2", "--format", fmt]
+    chunked = run_main(argv, capsys)
+    # Without the chunk fill, each fresh StateEvaluator solves its own
+    # spectra as it reads them.
+    monkeypatch.setattr(cli, "fill_spectra", lambda evaluators, pairs, cuts: None)
+    assert chunked == run_main(argv, capsys)
+    assert chunked[0] == 0

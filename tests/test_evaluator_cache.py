@@ -3,8 +3,10 @@
 Pins the call counts of the pair and cut layers, and checks that every value
 read from the evaluator's caches equals, bit for bit, what the public
 single-purpose functions compute on their own.  The kept objects are pinned
-too: one mu spectrum per pair, solved in one stack per focus, one certified
-grouping per front-search chain and one text per grouping.
+too: one mu spectrum per pair, solved in one stack per fill (a focus's
+missing pairs when ``tables`` fills lazily, a whole chunk's when ``verify``
+or ``sweep`` fills up front), one certified grouping per front-search chain
+and one text per grouping.
 """
 
 import itertools
@@ -169,9 +171,8 @@ def _spec(psi):
 
 @pytest.mark.parametrize("n, pairs", [(4, 5), (6, 12), (8, 18)])
 def test_verify_runs_one_pair_eigensolve_per_distinct_pair(monkeypatch, capsys, n, pairs):
-    # Every pair that touches a focus qubit (0..2 at n >= 6, 0..1 below).
-    # Focus f adds its pairs with the qubits that no earlier focus measured,
-    # and solves them as one (pairs, 4, 4) stack.
+    # Every pair that touches a focus qubit (0..2 at n >= 6, 0..1 below),
+    # solved as one (pairs, 4, 4) stack before the first bound is evaluated.
     foci = 3 if n >= 6 else 2
     assert pairs == n * (n - 1) // 2 - (n - foci) * (n - foci - 1) // 2
     eighs = []
@@ -185,9 +186,8 @@ def test_verify_runs_one_pair_eigensolve_per_distinct_pair(monkeypatch, capsys, 
     assert cli.main(["verify", "--state", _spec(haar_random_pure(n, 8500 + n)),
                      "--theorem", "all"]) == 0
     capsys.readouterr()
-    assert len(eighs) == foci
     assert sum(shape[0] for shape in eighs) == pairs
-    assert eighs == [(n - 1 - f, 4, 4) for f in range(foci)]
+    assert eighs == [(pairs, 4, 4)]
 
 
 def _uncached_mu(rho):
@@ -411,3 +411,60 @@ def test_a_numpy_integer_focus_reads_the_same_values_fresh_or_warm():
         assert ev.j_best(focus, 1.0)[2] == want.j_best(1, 1.0)[2]
         assert ev.front_best(focus, 1.0)[2] == want.front_best(1, 1.0)[2]
         assert ev.cut_concurrence((focus,)) == want.cut_concurrence((1,))
+
+
+def _product_qubit(n, seed):
+    # Haar on qubits 0..n-2 and |0> on the last qubit: its pairs are noise-floor rows.
+    return qcore.PureState.from_amplitudes(np.kron(haar_random_pure(n - 1, seed).amplitudes,
+                                                   [1.0, 0.0]))
+
+
+FILL_FAMILIES = (
+    lambda n, k: haar_random_pure(n, 9200 + 20 * n + k),
+    lambda n, k: _wclass(n, 9300 + 20 * n + k),
+    lambda n, k: ghz(n),
+    lambda n, k: _ghz_plus_w(n, 9400 + 20 * n + k),
+    lambda n, k: _product_qubit(n, 9500 + 20 * n + k),
+)
+
+
+def _applicable(n):
+    return tuple(tid for tid in THEOREM_IDS if n >= BOUNDS[tid].min_qubits)
+
+
+@pytest.mark.parametrize("size", [1, 5, cli._SWEEP_CHUNK])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_a_chunk_fill_equals_the_lazy_fill_bit_for_bit(n, size):
+    states = [FILL_FAMILIES[k % len(FILL_FAMILIES)](n, k) for k in range(size)]
+    chunk = [StateEvaluator(psi) for psi in states]
+    bounds.fill_spectra(chunk, *bounds.spectra_keys(_applicable(n), n))
+    for psi, ev in zip(states, chunk):
+        lazy = StateEvaluator(psi)
+        _evaluate_all(lazy, (0.5,))
+        assert ev._pairs == lazy._pairs
+        assert ev._cuts == lazy._cuts
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_after_the_fill_evaluate_reduces_nothing(monkeypatch, n):
+    chunk = [FILL_FAMILIES[k](n, k) for k in range(len(FILL_FAMILIES))]
+    chunk = [StateEvaluator(psi) for psi in chunk]
+    bounds.fill_spectra(chunk, *bounds.spectra_keys(_applicable(n), n))
+
+    def refuse(*args):
+        raise AssertionError("a pair or cut was reduced after the fill")
+
+    for module in (bounds, qcore):
+        monkeypatch.setattr(module, "reduced_density", refuse)
+    monkeypatch.setattr(bounds, "to_density", refuse)
+    for ev in chunk:
+        _evaluate_all(ev, (0.0, 0.5, 1.0, 2.0))
+
+
+def test_spectra_keys_follow_the_bound_rows():
+    assert bounds.spectra_keys(("thm1",), 4) == (((0, 1), (0, 2), (0, 3)), ((0,),))
+    pairs, cuts = bounds.spectra_keys(("ckw", "thm2", "cor2_lower"), 6)
+    assert pairs == tuple(itertools.chain(
+        ((0, q) for q in range(1, 6)), ((1, q) for q in range(2, 6)), ((2, q) for q in range(3, 6))))
+    assert cuts == ((0,), (0, 1), (0, 1, 2), (2,))
+    assert bounds.spectra_keys((), 5) == ((), ())
