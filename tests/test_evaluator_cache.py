@@ -447,8 +447,7 @@ def test_a_chunk_fill_equals_the_lazy_fill_bit_for_bit(n, size):
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_after_the_fill_evaluate_reduces_nothing(monkeypatch, n):
-    chunk = [FILL_FAMILIES[k](n, k) for k in range(len(FILL_FAMILIES))]
-    chunk = [StateEvaluator(psi) for psi in chunk]
+    chunk = [StateEvaluator(make(n, k)) for k, make in enumerate(FILL_FAMILIES)]
     bounds.fill_spectra(chunk, *bounds.spectra_keys(_applicable(n), n))
 
     def refuse(*args):
