@@ -38,6 +38,7 @@ _GALLERY = {
     "cor_b": [],
 }
 _WCLASS12 = "{data}/wclass12-state.json"
+_GHZW7 = "{data}/ghzw7-state.json"
 
 
 def _named(family, params):
@@ -56,8 +57,13 @@ def _cases():
                 "--theorem", "all", "--alpha", "0.5,1,2"]
     cases["verify-wclass12"] = ["verify", "--state", _WCLASS12,
                                 "--theorem", "all", "--alpha", "0.5,1,2"]
+    # Foci 0-2 have partners with C = 0 and partners with C > 0, so the front
+    # groupings lead with alpha-dependent groups over zero-C rests.
+    cases["verify-ghzw7"] = ["verify", "--state", _GHZW7,
+                             "--theorem", "all", "--alpha", "0,0.5,1,2"]
     cases["sweep-n4"] = ["sweep", "--qubits", "4", "--samples", "20", "--theorem", "all"]
     cases["sweep-n6"] = ["sweep", "--qubits", "6", "--samples", "3", "--theorem", "all"]
+    cases["sweep-n8"] = ["sweep", "--qubits", "8", "--samples", "3", "--theorem", "all"]
     # alpha = 0 included: jin is not applicable on W, so rhs and slack print null.
     cases["verify-w4-json"] = ["verify", "--state", _named("w", [4]), "--theorem", "all",
                                "--alpha", "0,0.5,1,2", "--format", "json"]
@@ -160,10 +166,24 @@ def _wclass12_spec() -> dict:
             "re": [round(x / norm, 12) for x in re], "im": [0] * (1 << n)}
 
 
+def _ghzw7_spec() -> dict:
+    """0.5 |GHZ_7> plus a W-class part with coefficients 0.9, 0.8, ..., 0.3, real."""
+    n = 7
+    re = [0.0] * (1 << n)
+    re[0] = re[-1] = round(0.5 * 0.5 ** 0.5, 12)
+    for k in range(n):
+        re[1 << (n - 1 - k)] = round(0.9 - 0.1 * k, 6)
+    norm = math.sqrt(sum(x * x for x in re))
+    return {"kind": "amplitudes", "n": n,
+            "re": [round(x / norm, 12) for x in re], "im": [0] * (1 << n)}
+
+
 def _record():
     DATA.mkdir(parents=True, exist_ok=True)
     (DATA / "wclass12-state.json").write_text(
         json.dumps(_wclass12_spec(), separators=(",", ":")) + "\n", encoding="utf-8")
+    (DATA / "ghzw7-state.json").write_text(
+        json.dumps(_ghzw7_spec(), separators=(",", ":")) + "\n", encoding="utf-8")
     for name, argv in CASES.items():
         code, out, err = _run(argv)
         record = {"argv": argv, "exit": code, "stdout": out, "stderr": err}
