@@ -590,8 +590,10 @@ def _subset_sums(values: Sequence[float]) -> list[float]:
 
 
 def _chain_dp(splits: Mapping[int, Sequence[tuple[int, int]]],
-              lead: Sequence[float], h: float) -> list[int]:
-    """Leading group of the minimal chain over every subset that ``splits`` holds.
+              lead: Sequence[float], h: float, kept=None
+              ) -> tuple[list[float], list[int], list[int]]:
+    """``(value, groups, pick)`` of the minimal chain over every subset that
+    ``splits`` holds: its value, group count and leading group.
 
     ``value(s)`` is the smaller of ``lead[s]`` (the whole subset as one group)
     and, over ``(t, r)`` in ``splits[s]``, ``h * lead[t] + value(r)``.  The
@@ -600,10 +602,12 @@ def _chain_dp(splits: Mapping[int, Sequence[tuple[int, int]]],
     order, the whole subset last, and a later one wins only when it is lower
     by more than ``_TIE_TOL``, or within it with more groups, so at each
     subset a tie keeps more groups and then the first leading group.
+
+    ``kept`` is a ``(value, groups, pick)`` triple already solved for the
+    rests that ``splits`` reads but does not hold; its lists are filled in
+    place, each subset of ``splits`` written before it is read.
     """
-    value = [0.0] * len(lead)
-    groups = [0] * len(lead)
-    pick = [0] * len(lead)
+    value, groups, pick = kept or ([0.0] * len(lead), [0] * len(lead), [0] * len(lead))
     for s, row in splits.items():
         best = None
         for t, r in row:
@@ -614,7 +618,7 @@ def _chain_dp(splits: Mapping[int, Sequence[tuple[int, int]]],
         if best is None or lead[s] < best - _TIE_TOL:
             best, best_k, best_t = lead[s], 1, s
         value[s], groups[s], pick[s] = best, best_k, best_t
-    return pick
+    return value, groups, pick
 
 
 class _SplitSearch:
@@ -629,6 +633,11 @@ class _SplitSearch:
     filtered or scanned.  A rest is a proper sub-mask, so a descending scan
     reaches each subset after every subset that splits into it, and the
     rows are kept in ascending order, rests first.
+
+    A row whose subset has a C^2 sum of 0 depends on no alpha, so it is
+    solved once per focus; ``chain`` runs the DP over the other rows only,
+    and over none when the full set's C^2 sum is 0, as on Haar states at 8
+    qubits and on GHZ states.
     """
 
     def __init__(self, c_sq: Mapping[int, float], ca_sq: Mapping[int, float]):
@@ -645,6 +654,17 @@ class _SplitSearch:
                 for _, r in row:
                     reached[r] = True
         self.splits = dict(reversed(splits.items()))
+        # C^2 values are non-negative, so a subset whose C^2 sum is 0 has only
+        # zero leads under it: every candidate of its row reads +-0 at every
+        # alpha, and the tie rule alone sets its value, group count and pick.
+        # Those rows are solved once, here, with ``self.c`` as their lead list;
+        # ``chain`` solves the other rows per alpha, in place over the kept lists.
+        free = {s: row for s, row in self.splits.items() if self.c[s] == 0.0}
+        self._rows = {s: row for s, row in self.splits.items() if self.c[s] != 0.0} \
+            if free else self.splits
+        self._kept = ([0.0] * len(self.c), [0] * len(self.c), [0] * len(self.c))
+        if free:
+            _chain_dp(free, self.c, 0.0, self._kept)
 
     def grouping(self, masks: Iterable[int]) -> Grouping:
         """The grouping whose groups are the given partner masks, in order."""
@@ -655,10 +675,13 @@ class _SplitSearch:
         """Leading-group masks of the grouping that maximizes the front-weighted
         C sum; ``grouping`` turns them into the grouping."""
         # The front sum is maximized: minimize its negation.  The lead list is
-        # ``-_apow(v, p)`` inlined, as ``self.c`` holds floats.
-        p = alpha / 2.0
-        pick = _chain_dp(self.splits, [-(v ** p) if v > 0.0 else -0.0 for v in self.c],
-                         h_weight(alpha))
+        # ``-_apow(v, p)`` inlined, as ``self.c`` holds floats.  With no row
+        # left, every row was solved in ``__init__`` and the kept picks stand.
+        if self._rows:
+            p = alpha / 2.0
+            _chain_dp(self._rows, [-(v ** p) if v > 0.0 else -0.0 for v in self.c],
+                      h_weight(alpha), self._kept)
+        pick = self._kept[2]
         chain, s = [], len(self.c) - 1
         while s:
             chain.append(pick[s])
@@ -732,7 +755,8 @@ class StateEvaluator:
       reachable from the full partner set through such splits, with their
       (subset, leading group) pairs, at most 3^m of them for m partners;
       the rows and their order are built once per focus and shared by every
-      alpha.  Values within ``_TIE_TOL`` tie; a
+      alpha, and the rows whose subset has a C^2 sum of 0, which no alpha
+      changes, are solved once per focus.  Values within ``_TIE_TOL`` tie; a
       tie keeps more groups, then the leading group that comes first by
       size and then lexicographically, at every subset, as a scan of
       ``ordered_groupings`` would.  Above that the split table alone costs

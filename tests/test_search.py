@@ -10,7 +10,9 @@ paper's Lemma says.
 Brute force stops at 7 qubits.  At 8 and 9 the front-sum search, which
 filters and scans only the subsets reachable from the full partner set, is
 checked against ``_FullTable``: the bottom-up scan over every subset that it
-replaced, kept here as the reference.
+replaced, kept here as the reference.  ``_SplitSearch.chain`` solves the
+rows whose C^2 sum is 0 once per focus and the others per alpha; it is
+checked against ``_chain_dp`` over every row at each alpha.
 """
 
 import itertools
@@ -26,6 +28,7 @@ from entbounds.bounds import (
     OrderingCertificate,
     StateEvaluator,
     _apow,
+    _chain_dp,
     _front_weighted_sum,
     _geometric_sum,
     _grouped_sums,
@@ -246,3 +249,99 @@ def test_only_reachable_subsets_get_a_split_row():
     assert full in splits and len(splits) < 2 ** 7
     assert all(r in splits for row in splits.values() for _, r in row)
     assert list(splits) == sorted(splits)
+
+
+def _haar_times_qubit(n, seed):
+    """A Haar (n-1)-qubit state times a Haar qubit: the last qubit is a product
+    qubit, so every other focus has one partner with C = 0."""
+    rng_seed = 5700 + 10 * n + seed
+    return PureState.from_amplitudes(np.kron(haar_random_pure(n - 1, rng_seed).amplitudes,
+                                             haar_random_pure(1, rng_seed + 1).amplitudes))
+
+
+ORACLE = [(f"{name}{n}", make(n)) for n in range(3, 10) for name, make in (
+    ("haar", lambda n: haar_random_pure(n, 5800 + n)),
+    ("wclass", lambda n: _random_wclass(n, 5900 + n)),
+    ("ghz", ghz),
+    ("ghz_w", lambda n: _ghz_plus_w(n, 6000 + n)),
+    ("product_qubit", lambda n: _haar_times_qubit(n, 0)),
+    ("haar3_zeros", lambda n: _haar3_then_zeros(n, 6100 + n)))]
+ORACLE_ALPHAS = (0.0, 0.05, 0.25, 1.0, 1.37, 2.0)
+
+
+def _oracle_foci(n):
+    return range(n) if n <= 6 else (0, 1, n - 1)
+
+
+def _full_row_chain(search, alpha):
+    """Leading groups of ``_chain_dp`` run over every row at ``alpha``."""
+    lead = [-_apow(v, alpha / 2.0) for v in search.c]
+    pick = _chain_dp(search.splits, lead, h_weight(alpha))[2]
+    chain, s = [], len(search.c) - 1
+    while s:
+        chain.append(pick[s])
+        s ^= pick[s]
+    return tuple(chain)
+
+
+@pytest.mark.parametrize("name,psi", ORACLE, ids=[s[0] for s in ORACLE])
+def test_chain_equals_the_full_row_dp(name, psi):
+    ev = StateEvaluator(psi)
+    for focus in _oracle_foci(psi.num_qubits):
+        search = ev._split_search(focus)
+        # Both orders, so an alpha's pass never reads what the last one left.
+        for alpha in ORACLE_ALPHAS + ORACLE_ALPHAS[::-1]:
+            assert search.chain(alpha) == _full_row_chain(search, alpha), (focus, alpha)
+
+
+def test_oracle_states_hold_every_kind_of_focus():
+    """Foci whose rows are all alpha-free, none and some of them."""
+    kinds = set()
+    for _, psi in ORACLE:
+        ev = StateEvaluator(psi)
+        for focus in _oracle_foci(psi.num_qubits):
+            search = ev._split_search(focus)
+            free = sum(search.c[s] == 0.0 for s in search.splits)
+            kinds.add("all" if free == len(search.splits) else "some" if free else "none")
+    assert kinds == {"all", "some", "none"}
+
+
+SWEEP_ALPHAS = tuple(0.25 * k for k in range(1, 9))
+
+
+def _dp_runs(monkeypatch, psi, focus):
+    """``_chain_dp`` calls while one focus's front grouping is found at 8 alphas."""
+    import entbounds.bounds as bounds
+
+    calls = []
+    real = bounds._chain_dp
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bounds, "_chain_dp", counted)
+    ev = StateEvaluator(psi)
+    c_sq = ev.tables(focus)[0]
+    for alpha in SWEEP_ALPHAS:
+        ev.front_best(focus, alpha)
+    return c_sq, len(calls)
+
+
+@pytest.mark.parametrize("name,psi,foci", [
+    ("ghz6", ghz(6), range(6)),
+    ("haar8", haar_random_pure(8, 6200), (0, 1, 7))])
+def test_alpha_free_foci_run_the_dp_once(name, psi, foci, monkeypatch):
+    for focus in foci:
+        c_sq, runs = _dp_runs(monkeypatch, psi, focus)
+        assert not any(c_sq.values()), focus
+        assert runs == 1, focus
+
+
+def test_alpha_dependent_foci_run_the_dp_once_per_alpha(monkeypatch):
+    c_sq, runs = _dp_runs(monkeypatch, _random_wclass(6, 6300), 0)
+    assert all(c_sq.values())
+    assert runs == len(SWEEP_ALPHAS)
+    c_sq, runs = _dp_runs(monkeypatch, _haar_times_qubit(6, 0), 0)
+    assert any(c_sq.values()) and not all(c_sq.values())
+    assert runs == 1 + len(SWEEP_ALPHAS)
