@@ -54,7 +54,7 @@ _MAX_OPT_PARTNERS = 8
 # Range grids are rounded to this many decimals, so a smaller step repeats values.
 _ALPHA_DIGITS = 12
 _ALPHA_RESOLUTION = 10.0 ** -_ALPHA_DIGITS
-# A range may hold at most this many values; a longer one is refused before it is built.
+# A grid may hold at most this many values; a longer range is refused before it is built.
 _MAX_ALPHA_VALUES = 10_000
 
 
@@ -250,6 +250,9 @@ class AlphaGrid:
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ValueError("alpha grid must be non-empty")
+        if len(vals) > _MAX_ALPHA_VALUES:
+            raise ValueError(f"alpha grid has {len(vals)} values, more than the maximum "
+                             f"{_MAX_ALPHA_VALUES}")
         if not all(math.isfinite(v) for v in vals):
             raise ValueError(f"alpha values must be finite, got {vals}")
         if any(v < 0.0 or v > 2.0 for v in vals):

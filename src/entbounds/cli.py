@@ -329,11 +329,14 @@ def main(argv=None) -> int:
 
 def _state_spec_from_arg(arg: str) -> StateSpec:
     text = arg.strip()
-    if text.startswith("{"):
-        obj = json.loads(text)
-    else:
-        with open(arg, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+    try:
+        if text.startswith("{"):
+            obj = json.loads(text)
+        else:
+            with open(arg, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ValueError("state JSON is nested too deeply") from None
     return StateSpec.from_dict(obj)
 
 

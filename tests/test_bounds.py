@@ -884,3 +884,10 @@ def test_alpha_range_is_checked_before_it_is_built(bounds, message, monkeypatch)
     monkeypatch.setattr(bounds_module, "round", built, raising=False)
     with pytest.raises(ValueError, match=message):
         AlphaGrid.from_range(*bounds)
+
+
+def test_alpha_grid_holds_at_most_10000_values():
+    values = [k / 5000 for k in range(10_001)]
+    assert len(AlphaGrid(values[:-1])) == 10_000
+    with pytest.raises(ValueError, match="grid has 10001 values, more than the maximum 10000"):
+        AlphaGrid(values)

@@ -421,6 +421,40 @@ def test_verify_rejects_oversized_alpha_ranges(alpha, message, monkeypatch, caps
     assert (code, out) == (2, "") and message in err
 
 
+def _alpha_list(count):
+    """``count`` strictly increasing alpha values in [0, 2], comma-separated."""
+    return ",".join(f"{k / 5000:g}" for k in range(count))
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_alpha_lists_hold_at_most_10000_values(command, capsys):
+    head = (["verify", "--state", GSD3_EQUAL] if command == "verify"
+            else ["sweep", "--qubits", "2", "--samples", "1"])
+    code, out, _ = run_main(head + ["--theorem", "thm1", "--alpha", _alpha_list(10_000)],
+                            capsys)
+    assert code == 0
+    assert len(out.splitlines()) > 1
+    code, out, err = run_main(head + ["--theorem", "thm1", "--alpha", _alpha_list(10_001)],
+                              capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: alpha grid has 10001 values, more than the maximum 10000\n"
+
+
+_DEEP_JSON = '{"a":' * 5_000
+
+
+def test_verify_refuses_deeply_nested_inline_state(capsys):
+    code, out, err = run_main(["verify", "--state", _DEEP_JSON], capsys)
+    assert (code, out, err) == (2, "", "error: state JSON is nested too deeply\n")
+
+
+def test_verify_refuses_deeply_nested_state_file(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP_JSON)
+    code, out, err = run_main(["verify", "--state", str(path)], capsys)
+    assert (code, out, err) == (2, "", "error: state JSON is nested too deeply\n")
+
+
 @pytest.mark.parametrize("family", ["ghz", "w"])
 def test_verify_rejects_non_integer_size(family, capsys):
     state = json.dumps({"kind": "named", "family": family, "params": [2.7]})
