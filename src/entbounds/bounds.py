@@ -593,81 +593,68 @@ def _subset_sums(values: Sequence[float]) -> list[float]:
 
 
 def _chain_dp(splits: Mapping[int, Sequence[tuple[int, int]]],
-              lead: Sequence[float], h: float, kept=None
-              ) -> tuple[list[float], list[int], list[int]]:
-    """``(value, groups, pick)`` of the minimal chain over every subset that
-    ``splits`` holds: its value, group count and leading group.
+              lead: Sequence[float], h: float) -> tuple[list[float], list[int]]:
+    """``(value, pick)`` of the minimal chain over every subset: its value and
+    its leading group.
 
     ``value(s)`` is the smaller of ``lead[s]`` (the whole subset as one group)
-    and, over ``(t, r)`` in ``splits[s]``, ``h * lead[t] + value(r)``.  The
-    subsets are visited in ``splits`` order, which puts every rest ``r``
-    before the subsets that split into it.  Candidates are scanned in search
-    order, the whole subset last, and a later one wins only when it is lower
-    by more than ``_TIE_TOL``, or within it with more groups, so at each
-    subset a tie keeps more groups and then the first leading group.
-
-    ``kept`` is a ``(value, groups, pick)`` triple already solved for the
-    rests that ``splits`` reads but does not hold; its lists are filled in
-    place, each subset of ``splits`` written before it is read.
+    and, over ``(t, r)`` in ``splits[s]``, ``h * lead[t] + value(r)``.  A
+    subset that ``splits`` does not hold is a leaf: its value is ``lead[s]``
+    and its pick the subset itself.  The subsets are visited in ``splits``
+    order, which puts every rest ``r`` before the subsets that split into it.
+    The whole subset is the first candidate and the splits follow in search
+    order; a split replaces the current best only when it is lower by more
+    than ``_TIE_TOL``.  So at each subset a tie keeps the whole subset, and
+    after that the first leading group.
     """
-    value, groups, pick = kept or ([0.0] * len(lead), [0] * len(lead), [0] * len(lead))
+    value, pick = list(lead), list(range(len(lead)))
     for s, row in splits.items():
-        best = None
+        best, best_t = lead[s], s
         for t, r in row:
             v = h * lead[t] + value[r]
-            k = groups[r] + 1
-            if best is None or v < best - _TIE_TOL or (v <= best + _TIE_TOL and k > best_k):
-                best, best_k, best_t = v, k, t
-        if best is None or lead[s] < best - _TIE_TOL:
-            best, best_k, best_t = lead[s], 1, s
-        value[s], groups[s], pick[s] = best, best_k, best_t
-    return value, groups, pick
+            if v < best - _TIE_TOL:
+                best, best_t = v, t
+        value[s], pick[s] = best, best_t
+    return value, pick
 
 
 class _SplitSearch:
     """Dominance-feasible splits of one focus's partners, shared by every alpha.
 
-    Subsets of the sorted partners are bit masks.  ``splits[s]`` holds each
+    Subsets of the sorted partners are bit masks.  ``_row(s)`` holds each
     ``(t, s ^ t)`` with ``Ca2(t) >= Ca2(s ^ t) - FEAS_TOL``, in search order,
     so a feasible grouping of ``s`` is a feasible split followed by a
-    feasible grouping of the rest.  Only the subsets reachable from the full
-    set have a row: the full set and every rest of a row.  No feasible
-    grouping of the full set passes through another subset, so none is
-    filtered or scanned.  A rest is a proper sub-mask, so a descending scan
-    reaches each subset after every subset that splits into it, and the
-    rows are kept in ascending order, rests first.
-
-    A row whose subset has a C^2 sum of 0 depends on no alpha, so it is
-    solved once per focus; ``chain`` runs the DP over the other rows only,
-    and over none when the full set's C^2 sum is 0, as on Haar states at 8
-    qubits and on GHZ states.
+    feasible grouping of the rest.  ``splits`` keeps the row of each subset
+    that is reachable from the full set and has a C^2 sum above 0: the full
+    set and every rest of a kept row.  C^2 values are non-negative, so every
+    grouping of a subset whose C^2 sum is 0 reads 0 at every alpha, and the
+    tie rule keeps the whole subset: it is a leaf, with no row, whose rests
+    are not expanded.  When the full set's C^2 sum is 0, as on Haar states
+    at 8 qubits and on GHZ states, ``splits`` is empty and no DP runs.  A
+    rest is a proper sub-mask, so a descending scan reaches each subset after
+    every subset that splits into it, and the rows are kept in ascending
+    order, rests first.
     """
 
     def __init__(self, c_sq: Mapping[int, float], ca_sq: Mapping[int, float]):
         self.partners = tuple(sorted(ca_sq))
         self.c = _subset_sums([float(c_sq[q]) for q in self.partners])
-        ca = _subset_sums([ca_sq[q] for q in self.partners])
-        table = _split_table(len(self.partners))
-        full = len(ca) - 1
+        self._ca = _subset_sums([ca_sq[q] for q in self.partners])
+        self._subs = _split_table(len(self.partners))
+        full = len(self.c) - 1
         reached = [False] * full + [True]
         splits: dict[int, list[tuple[int, int]]] = {}
         for s in range(full, 0, -1):
-            if reached[s]:
-                splits[s] = row = [(t, s ^ t) for t in table[s] if ca[t] >= ca[s ^ t] - FEAS_TOL]
+            if reached[s] and self.c[s] != 0.0:
+                splits[s] = row = self._row(s)
                 for _, r in row:
                     reached[r] = True
         self.splits = dict(reversed(splits.items()))
-        # C^2 values are non-negative, so a subset whose C^2 sum is 0 has only
-        # zero leads under it: every candidate of its row reads +-0 at every
-        # alpha, and the tie rule alone sets its value, group count and pick.
-        # Those rows are solved once, here, with ``self.c`` as their lead list;
-        # ``chain`` solves the other rows per alpha, in place over the kept lists.
-        free = {s: row for s, row in self.splits.items() if self.c[s] == 0.0}
-        self._rows = {s: row for s, row in self.splits.items() if self.c[s] != 0.0} \
-            if free else self.splits
-        self._kept = ([0.0] * len(self.c), [0] * len(self.c), [0] * len(self.c))
-        if free:
-            _chain_dp(free, self.c, 0.0, self._kept)
+
+    def _row(self, s: int) -> list[tuple[int, int]]:
+        """The dominance-feasible splits ``(t, s ^ t)`` of ``s``, in search order."""
+        ca = self._ca
+        return [(t, s ^ t) for t in self._subs[s] if ca[t] >= ca[s ^ t] - FEAS_TOL]
 
     def grouping(self, masks: Iterable[int]) -> Grouping:
         """The grouping whose groups are the given partner masks, in order."""
@@ -677,15 +664,15 @@ class _SplitSearch:
     def chain(self, alpha: float) -> tuple[int, ...]:
         """Leading-group masks of the grouping that maximizes the front-weighted
         C sum; ``grouping`` turns them into the grouping."""
+        s = len(self.c) - 1
+        if not self.splits:  # the full set's C^2 sum is 0: the merged group
+            return (s,)
         # The front sum is maximized: minimize its negation.  The lead list is
-        # ``-_apow(v, p)`` inlined, as ``self.c`` holds floats.  With no row
-        # left, every row was solved in ``__init__`` and the kept picks stand.
-        if self._rows:
-            p = alpha / 2.0
-            _chain_dp(self._rows, [-(v ** p) if v > 0.0 else -0.0 for v in self.c],
-                      h_weight(alpha), self._kept)
-        pick = self._kept[2]
-        chain, s = [], len(self.c) - 1
+        # ``-_apow(v, p)`` inlined, as ``self.c`` holds floats.
+        p = alpha / 2.0
+        pick = _chain_dp(self.splits, [-(v ** p) if v > 0.0 else -0.0 for v in self.c],
+                         h_weight(alpha))[1]
+        chain = []
         while s:
             chain.append(pick[s])
             s ^= pick[s]
@@ -694,7 +681,7 @@ class _SplitSearch:
     def groupings(self):
         """Every feasible grouping, in ``ordered_groupings`` order."""
         def walk(s):
-            for t, r in self.splits[s]:
+            for t, r in self._row(s):
                 for tail in walk(r):
                     yield (t,) + tail
             yield (s,)
@@ -758,12 +745,13 @@ class StateEvaluator:
       reachable from the full partner set through such splits, with their
       (subset, leading group) pairs, at most 3^m of them for m partners;
       the rows and their order are built once per focus and shared by every
-      alpha, and the rows whose subset has a C^2 sum of 0, which no alpha
-      changes, are solved once per focus.  Values within ``_TIE_TOL`` tie; a
-      tie keeps more groups, then the leading group that comes first by
-      size and then lexicographically, at every subset, as a scan of
-      ``ordered_groupings`` would.  Above that the split table alone costs
-      more than a whole 12-qubit run, so it takes ``canonical_grouping``.
+      alpha.  Values within ``_TIE_TOL`` tie, and a tie keeps the whole
+      subset, then the leading group that comes first by size and then
+      lexicographically, at every subset.  A subset whose C^2 sum is 0 reads
+      0 under every grouping, so it is kept whole with no row; a focus whose
+      pair C are all 0 takes the merged group with no DP at all.  Above 8
+      non-focus qubits the split table alone costs more than a whole
+      12-qubit run, so the front sum takes ``canonical_grouping``.
 
     Reported values are always summed over the chosen grouping.
     """
@@ -786,13 +774,17 @@ class StateEvaluator:
         """``(c_sq, ca_sq)`` keyed by partner qubit, as ``pairwise_tables``.
 
         Read from the kept pair values; ``fill_spectra``, as a chunk of one,
-        first solves the focus's pairs that are not yet kept.
+        first solves the focus's pairs that are not yet kept.  A focus with no
+        partner qubit, on a 1-qubit state, is refused with ``ValueError``;
+        every search and best grouping reads its tables here first.
         """
         if type(focus) is not int:
             focus = qubit_index(focus, self.psi.num_qubits, "focus")
         if focus not in self._tables:
             n = self.psi.num_qubits
             keys = _focus_pairs(qubit_index(focus, n, "focus"), n)
+            if not keys:
+                raise ValueError(f"focus {focus} has no partner qubit to group")
             fill_spectra((self,), keys.values(), ())
             c_sq: dict[int, float] = {}
             ca_sq: dict[int, float] = {}
@@ -828,10 +820,10 @@ class StateEvaluator:
         """(grouping, ca_grouped, c_grouped) per dominance-feasible ordering.
 
         Lists what the search chooses from, in ``ordered_groupings`` order,
-        by walking the search's split rows, which hold only the subsets
-        reachable from the full partner set; the search itself never builds
-        this list.  The list has up to Fubini(m) entries, so m is capped at
-        8 non-focus qubits.
+        by walking the search's feasible split rows from the full partner
+        set, zero-C^2 subsets included; the search itself never builds this
+        list.  The list has up to Fubini(m) entries, so m is capped at 8
+        non-focus qubits.
         """
         c_sq, ca_sq = self.tables(focus)
         if len(ca_sq) > _MAX_OPT_PARTNERS:

@@ -1,18 +1,20 @@
 """The evaluator's best groupings against brute force over every grouping.
 
 The oracle scans ``ordered_groupings`` (and ``itertools.permutations`` for
-the singleton-only ``jin`` bound), keeps the dominance-feasible orderings and
-picks with the tie rule the front-sum search documents: values within
-``_TIE_TOL`` tie, a tie keeps more groups, then the first ordering seen.  J
-is not searched: the merged group must reach the oracle's least J, as the
-paper's Lemma says.
+the singleton-only ``jin`` bound) and keeps the dominance-feasible
+orderings.  For the front sum it visits them in the DP's candidate order
+(the whole rest first, then the smaller leading group, then the
+lexicographically first) and picks with the tie rule the search documents:
+the first grouping is the running best, and a later one replaces it only
+when better by more than ``_TIE_TOL``, so a tie keeps the grouping seen
+first.  J is not searched: the merged group must reach the oracle's least
+J, as the paper's Lemma says.
 
-Brute force stops at 7 qubits.  At 8 and 9 the front-sum search, which
-filters and scans only the subsets reachable from the full partner set, is
-checked against ``_FullTable``: the bottom-up scan over every subset that it
-replaced, kept here as the reference.  ``_SplitSearch.chain`` solves the
-rows whose C^2 sum is 0 once per focus and the others per alpha; it is
-checked against ``_chain_dp`` over every row at each alpha.
+Brute force stops at 7 qubits.  At 8 and 9, and on the ``ORACLE`` states
+from 3 to 9 qubits, the front-sum search, which builds rows only for the
+reachable subsets with a C^2 sum above 0, is checked against
+``_FullTable``: the bottom-up scan over every subset, zero-C^2 ones
+included, kept here as the reference.
 """
 
 import itertools
@@ -28,13 +30,13 @@ from entbounds.bounds import (
     OrderingCertificate,
     StateEvaluator,
     _apow,
-    _chain_dp,
     _front_weighted_sum,
     _geometric_sum,
     _grouped_sums,
     _jin_sum,
     _split_table,
     _subset_sums,
+    canonical_grouping,
     feasibility,
     h_weight,
     ordered_groupings,
@@ -70,14 +72,19 @@ def _states():
 STATES = list(_states())
 
 
-def _pick(best, candidate, value, k, minimize):
+def _pick(best, candidate, value, minimize):
     if best is None:
-        return candidate, value, k
-    _, best_val, best_k = best
-    better = value < best_val - _TIE_TOL if minimize else value > best_val + _TIE_TOL
-    if better or (abs(value - best_val) <= _TIE_TOL and k > best_k):
-        return candidate, value, k
-    return best
+        return candidate, value
+    better = value < best[1] - _TIE_TOL if minimize else value > best[1] + _TIE_TOL
+    return (candidate, value) if better else best
+
+
+def _dp_order(grouping):
+    """Sort key of the DP's candidate order.  Two groupings of one partner set
+    first differ at a group that splits the same rest: the whole rest (the
+    last group) comes first, then the smaller group, then the
+    lexicographically first."""
+    return tuple((i < grouping.k - 1, len(g), g) for i, g in enumerate(grouping.groups))
 
 
 def _feasible(c_sq, ca_sq):
@@ -93,12 +100,12 @@ def _brute(groupings, orders, alpha):
     """The least J, and front and jin as (grouping, value) pairs; jin is None
     when no order fits."""
     front = jin = None
-    for g, _, c_vals in groupings:
-        front = _pick(front, g, _front_weighted_sum(c_vals, alpha), g.k, False)
+    for g, _, c_vals in sorted(groupings, key=lambda x: _dp_order(x[0])):
+        front = _pick(front, g, _front_weighted_sum(c_vals, alpha), False)
     for perm, vals in orders:
-        jin = _pick(jin, perm, _jin_sum(vals, alpha), len(perm), True)
+        jin = _pick(jin, perm, _jin_sum(vals, alpha), True)
     j = min(_geometric_sum(ca_vals, alpha) for _, ca_vals, _ in groupings)
-    return j, front[:2], (jin[:2] if jin else None)
+    return j, front, jin
 
 
 def _foci(psi):
@@ -146,8 +153,8 @@ def test_search_never_enumerates(monkeypatch):
 
 class _FullTable:
     """The front-sum search over every subset: each subset's ``_split_table``
-    row is filtered, and the chain DP scans every subset in ascending order
-    with the same tie rule."""
+    row is filtered, and the chain DP scans every subset in ascending order,
+    zero-C^2 subsets included, with the same tie rule."""
 
     def __init__(self, c_sq, ca_sq):
         self.partners = tuple(sorted(ca_sq))
@@ -161,25 +168,34 @@ class _FullTable:
                               for t in masks))
 
     def best(self, alpha):
+        """The best grouping and its front-weighted C sum."""
         lead = [-_apow(v, alpha / 2.0) for v in self.c]
         h = h_weight(alpha)
         full = len(self.rows) - 1
-        value, groups, pick = [0.0] * (full + 1), [0] * (full + 1), [0] * (full + 1)
+        value, pick = [0.0] * (full + 1), [0] * (full + 1)
         for s in range(1, full + 1):
-            best = None
+            best, best_t = lead[s], s
             for t, r in self.rows[s]:
                 v = h * lead[t] + value[r]
-                k = groups[r] + 1
-                if best is None or v < best - _TIE_TOL or (v <= best + _TIE_TOL and k > best_k):
-                    best, best_k, best_t = v, k, t
-            if best is None or lead[s] < best - _TIE_TOL:
-                best, best_k, best_t = lead[s], 1, s
-            value[s], groups[s], pick[s] = best, best_k, best_t
+                if v < best - _TIE_TOL:
+                    best, best_t = v, t
+            value[s], pick[s] = best, best_t
         chain, s = [], full
         while s:
             chain.append(pick[s])
             s ^= pick[s]
-        return self._grouping(chain)
+        return self._grouping(chain), -value[full]
+
+    def reachable(self):
+        """The subsets with a C^2 sum above 0 that the full set reaches through
+        the rows of such subsets: those that get a search row."""
+        seen, todo = set(), [len(self.rows) - 1]
+        while todo:
+            s = todo.pop()
+            if s not in seen and self.c[s] != 0.0:
+                seen.add(s)
+                todo.extend(r for _, r in self.rows[s])
+        return seen
 
     def groupings(self):
         def walk(s):
@@ -230,24 +246,31 @@ def test_reachable_search_matches_the_full_table(name, psi):
         c_sq, ca_sq = ev.tables(focus)
         ref = _FullTable(c_sq, ca_sq)
         splits = ev._split_search(focus).splits
-        assert splits == {s: ref.rows[s] for s in splits}, focus
+        assert splits == {s: ref.rows[s] for s in ref.reachable()}, focus
         for alpha in (0.0, 0.05, 0.25, 1.0, 1.37, 2.0):
-            g = ref.best(alpha)
+            g = ref.best(alpha)[0]
             term = (g, OrderingCertificate(g, _grouped_sums(ca_sq, g), True),
                     _front_weighted_sum(_grouped_sums(c_sq, g), alpha))
             assert ev.front_best(focus, alpha) == term, (focus, alpha)
         if n == 8 and focus in (0, n - 1):
             assert ev.feasible_groupings(focus) == [
                 (g, _grouped_sums(ca_sq, g), _grouped_sums(c_sq, g)) for g in ref.groupings()]
-    if name.startswith("haar3_zeros"):  # the |0> foci reach every subset
-        assert len(ev._split_search(n - 1).splits) == 2 ** (n - 1) - 1
+    if name.startswith("haar3_zeros"):  # a |0> focus has every pair C at 0
+        assert ev._split_search(n - 1).splits == {}
 
 
 def test_only_reachable_subsets_get_a_split_row():
-    splits = StateEvaluator(haar_random_pure(8, 3))._split_search(0).splits
-    full = 2 ** 7 - 1
+    """Two W-class blocks: focus 0's partners in the other block have C = 0, so
+    the rests made of them are leaves with no row."""
+    psi = PureState.from_amplitudes(np.kron(_random_wclass(4, 3).amplitudes,
+                                            _random_wclass(4, 4).amplitudes))
+    search = StateEvaluator(psi)._split_search(0)
+    splits, full = search.splits, 2 ** 7 - 1
     assert full in splits and len(splits) < 2 ** 7
-    assert all(r in splits for row in splits.values() for _, r in row)
+    assert all(search.c[s] > 0.0 for s in splits)
+    rests = {r for row in splits.values() for _, r in row}
+    assert all(r in splits or search.c[r] == 0.0 for r in rests)
+    assert any(search.c[r] == 0.0 for r in rests)
     assert list(splits) == sorted(splits)
 
 
@@ -273,36 +296,29 @@ def _oracle_foci(n):
     return range(n) if n <= 6 else (0, 1, n - 1)
 
 
-def _full_row_chain(search, alpha):
-    """Leading groups of ``_chain_dp`` run over every row at ``alpha``."""
-    lead = [-_apow(v, alpha / 2.0) for v in search.c]
-    pick = _chain_dp(search.splits, lead, h_weight(alpha))[2]
-    chain, s = [], len(search.c) - 1
-    while s:
-        chain.append(pick[s])
-        s ^= pick[s]
-    return tuple(chain)
-
-
 @pytest.mark.parametrize("name,psi", ORACLE, ids=[s[0] for s in ORACLE])
 def test_chain_equals_the_full_row_dp(name, psi):
     ev = StateEvaluator(psi)
     for focus in _oracle_foci(psi.num_qubits):
-        search = ev._split_search(focus)
-        # Both orders, so an alpha's pass never reads what the last one left.
-        for alpha in ORACLE_ALPHAS + ORACLE_ALPHAS[::-1]:
-            assert search.chain(alpha) == _full_row_chain(search, alpha), (focus, alpha)
+        ref = _FullTable(*ev.tables(focus))
+        splits = ev._split_search(focus).splits
+        assert splits == {s: ref.rows[s] for s in ref.reachable()}, focus
+        for alpha in ORACLE_ALPHAS:
+            g, v = ref.best(alpha)
+            got_g, _, got_v = ev.front_best(focus, alpha)
+            assert got_g == g and abs(got_v - v) <= 1e-12, (focus, alpha)
 
 
 def test_oracle_states_hold_every_kind_of_focus():
-    """Foci whose rows are all alpha-free, none and some of them."""
+    """Foci whose pair C are all 0 (no row), foci with rows over zero-C^2
+    leaves, and foci whose rows reach no zero-C^2 subset."""
     kinds = set()
     for _, psi in ORACLE:
         ev = StateEvaluator(psi)
         for focus in _oracle_foci(psi.num_qubits):
             search = ev._split_search(focus)
-            free = sum(search.c[s] == 0.0 for s in search.splits)
-            kinds.add("all" if free == len(search.splits) else "some" if free else "none")
+            leaves = any(search.c[r] == 0.0 for row in search.splits.values() for _, r in row)
+            kinds.add("all" if not search.splits else "some" if leaves else "none")
     assert kinds == {"all", "some", "none"}
 
 
@@ -310,7 +326,8 @@ SWEEP_ALPHAS = tuple(0.25 * k for k in range(1, 9))
 
 
 def _dp_runs(monkeypatch, psi, focus):
-    """``_chain_dp`` calls while one focus's front grouping is found at 8 alphas."""
+    """``_chain_dp`` calls while one focus's front grouping is found at 8 alphas,
+    with the focus's pair C and the evaluator."""
     import entbounds.bounds as bounds
 
     calls = []
@@ -325,23 +342,47 @@ def _dp_runs(monkeypatch, psi, focus):
     c_sq = ev.tables(focus)[0]
     for alpha in SWEEP_ALPHAS:
         ev.front_best(focus, alpha)
-    return c_sq, len(calls)
+    return c_sq, len(calls), ev
 
 
 @pytest.mark.parametrize("name,psi,foci", [
     ("ghz6", ghz(6), range(6)),
     ("haar8", haar_random_pure(8, 6200), (0, 1, 7))])
-def test_alpha_free_foci_run_the_dp_once(name, psi, foci, monkeypatch):
+def test_zero_c_foci_run_no_dp(name, psi, foci, monkeypatch):
     for focus in foci:
-        c_sq, runs = _dp_runs(monkeypatch, psi, focus)
+        c_sq, runs, ev = _dp_runs(monkeypatch, psi, focus)
         assert not any(c_sq.values()), focus
-        assert runs == 1, focus
+        assert ev._split_search(focus).splits == {}, focus
+        assert runs == 0, focus
+        assert ev.front_best(focus, 1.0)[0] == Grouping.merged(sorted(c_sq)), focus
 
 
 def test_alpha_dependent_foci_run_the_dp_once_per_alpha(monkeypatch):
-    c_sq, runs = _dp_runs(monkeypatch, _random_wclass(6, 6300), 0)
+    c_sq, runs, _ = _dp_runs(monkeypatch, _random_wclass(6, 6300), 0)
     assert all(c_sq.values())
     assert runs == len(SWEEP_ALPHAS)
-    c_sq, runs = _dp_runs(monkeypatch, _haar_times_qubit(6, 0), 0)
+    c_sq, runs, _ = _dp_runs(monkeypatch, _haar_times_qubit(6, 0), 0)
     assert any(c_sq.values()) and not all(c_sq.values())
-    assert runs == 1 + len(SWEEP_ALPHAS)
+    assert runs == len(SWEEP_ALPHAS)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_zero_c_foci_take_the_merged_group_on_both_sides_of_the_size_switch(n):
+    """GHZ pair C are all 0: the search (up to 9 qubits) and the canonical
+    grouping (above) both give the merged group."""
+    ev = StateEvaluator(ghz(n))
+    merged = Grouping.merged(range(1, n))
+    for alpha in (0.0, 0.05, 0.5, 1.0, 1.37, 2.0):
+        assert ev.front_best(0, alpha)[0] == merged, alpha
+    if n >= 10:
+        assert canonical_grouping(ev.tables(0)[1]) == merged
+
+
+@pytest.mark.parametrize("call", [
+    lambda ev: ev.feasible_groupings(0),
+    lambda ev: ev.front_best(0, 1.0),
+    lambda ev: ev.j_best(0, 1.0)], ids=["feasible_groupings", "front_best", "j_best"])
+def test_a_focus_with_no_partner_is_refused(call):
+    ev = StateEvaluator(PureState.from_amplitudes([1, 0]))
+    with pytest.raises(ValueError, match="focus 0 has no partner qubit"):
+        call(ev)
