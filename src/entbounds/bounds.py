@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .measures import (
     _keep_mu_values,
@@ -130,8 +130,15 @@ def spectra_keys(theorem_ids: Iterable[str], num_qubits: int
 
     Every focus reads the pairs it belongs to, and every bound the cut of its
     foci; ``center_total`` also reads the cut of its center and the cut of
-    the other foci.
+    the other foci.  The keys are immutable tuples, derived once per
+    (theorem ids, qubit count).
     """
+    return _spectra_keys(tuple(theorem_ids), num_qubits)
+
+
+@lru_cache(maxsize=256)
+def _spectra_keys(theorem_ids: tuple[str, ...], num_qubits: int
+                  ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
     pairs: dict[tuple[int, int], None] = {}
     cuts: dict[tuple[int, ...], None] = {}
     for tid in theorem_ids:
@@ -404,10 +411,19 @@ def _jin_sum(grouped_sq: Sequence[float], alpha: float) -> float:
 
 
 def _report(theorem_id: str, alpha: float, lhs: float, rhs: float,
-            ordering: OrderingCertificate | None) -> BoundReport:
-    slack = (rhs - lhs) if BOUNDS[theorem_id].direction == "upper" else (lhs - rhs)
-    return BoundReport(theorem_id, alpha, lhs, rhs, slack, ordering,
-                       slack >= -SLACK_TOL)
+            ordering: OrderingCertificate | None, upper: bool) -> BoundReport:
+    """The applicable ``BoundReport`` of one evaluated row.
+
+    Built as ``qcore._gram_density`` builds its matrices: ``object.__new__``
+    and one update of the field dict, which skips the frozen dataclass's
+    per-field ``object.__setattr__`` calls.  Equality, hashing and ``repr``
+    read the same fields, and setting one still raises.
+    """
+    slack = (rhs - lhs) if upper else (lhs - rhs)
+    report = object.__new__(BoundReport)
+    vars(report).update(theorem_id=theorem_id, alpha=alpha, lhs=lhs, rhs=rhs, slack=slack,
+                        ordering=ordering, satisfied=slack >= -SLACK_TOL, applicable=True)
+    return report
 
 
 def _not_applicable(theorem_id: str, alpha: float, lhs: float) -> BoundReport:
@@ -661,17 +677,16 @@ class _SplitSearch:
         return Grouping(tuple(tuple(q for i, q in enumerate(self.partners) if t >> i & 1)
                               for t in masks))
 
-    def chain(self, alpha: float) -> tuple[int, ...]:
+    def chain(self, p: float, h: float) -> tuple[int, ...]:
         """Leading-group masks of the grouping that maximizes the front-weighted
-        C sum; ``grouping`` turns them into the grouping."""
+        C sum at ``p = alpha/2`` and ``h = h_weight(alpha)``; ``grouping``
+        turns them into the grouping."""
         s = len(self.c) - 1
         if not self.splits:  # the full set's C^2 sum is 0: the merged group
             return (s,)
         # The front sum is maximized: minimize its negation.  The lead list is
         # ``-_apow(v, p)`` inlined, as ``self.c`` holds floats.
-        p = alpha / 2.0
-        pick = _chain_dp(self.splits, [-(v ** p) if v > 0.0 else -0.0 for v in self.c],
-                         h_weight(alpha))[1]
+        pick = _chain_dp(self.splits, [-(v ** p) if v > 0.0 else -0.0 for v in self.c], h)[1]
         chain = []
         while s:
             chain.append(pick[s])
@@ -710,6 +725,53 @@ def canonical_grouping(pair_sq: Mapping[int, float]) -> Grouping:
     return _descending_singletons(pair_sq) or Grouping.merged(sorted(pair_sq))
 
 
+class _CallerTerms:
+    """The caller's checked groupings, one ``Certified`` triple per focus, read
+    through ``StateEvaluator``'s term-getter signatures.
+
+    ``evaluate`` asks a row's term source for ``j_best(focus, alpha)`` and
+    ``front_best(focus, alpha)``: the evaluator itself for the best
+    groupings, or this for a ``groupings=`` call, whose sums are built per
+    alpha and never kept.
+    """
+
+    __slots__ = ("certified",)
+
+    def __init__(self, certified: Mapping[int, Certified]):
+        self.certified = certified
+
+    def j_best(self, focus: int, alpha: float):
+        grouping, cert, _ = self.certified[focus]
+        return grouping, cert, _geometric_sum(cert.squared_values, alpha)
+
+    def front_best(self, focus: int, alpha: float):
+        grouping, cert, c_sums = self.certified[focus]
+        return grouping, cert, _front_weighted_sum(c_sums, alpha)
+
+
+class _Row(NamedTuple):
+    """Everything about one (bound, foci, grouping source) that no alpha changes.
+
+    ``evaluate`` adds only the alpha arithmetic.  ``fixed`` depends on
+    ``kind``: the alpha = 2 report of ``pair_sum``; jin's ``Certified``
+    singleton order, or None when no order is feasible; the two foci's total
+    C^2 of ``total``; the center's total C^2 of ``center_total``, or None
+    when the bound does not apply; thm8's r(r-1)/2 of ``rank_j``.  A row
+    never holds its evaluator: ``terms`` is None for the best groupings,
+    which ``evaluate`` reads from itself.
+    """
+
+    kind: str
+    theorem_id: str
+    upper: bool
+    cut: float                         # the lhs base: C or N of the foci's cut
+    foci: tuple[int, ...]
+    center: int                        # index in foci of the certifying J focus
+    minus: tuple[int, ...]             # foci whose J is subtracted at the end
+    terms: _CallerTerms | None
+    fixed: object
+
+
 class StateEvaluator:
     """Caches every alpha-independent quantity of one state.
 
@@ -722,14 +784,18 @@ class StateEvaluator:
     ``spectra_keys`` names up front, for a whole chunk of states with one
     stacked ``eigh`` + ``svd`` and one ``eigvalsh`` per cut size, and a
     later miss in ``tables`` or ``_cut`` fills as a chunk of one.
-    ``evaluate`` reads the bound's
-    ``BOUNDS`` row and does plain arithmetic over one grouping per focus: the
-    best one for the bound's objective, built once per (focus, objective,
-    alpha), or with ``groupings=`` the caller's, which bypass the caches.
-    A best grouping's ``Certified`` triple (grouping, certificate, grouped C
-    sums) is built once per focus for J, jin and the canonical front
-    grouping, and once per (focus, chain of leading groups) for the searched
-    front grouping, so an alpha only runs the DP and sums the kept values.
+
+    ``evaluate`` resolves a bound's ``BOUNDS`` row once per (bound, foci)
+    into a ``_Row`` that holds all its alpha-free parts: the lhs cut value
+    and direction, the foci, the total C^2 sums, cor2_lower's applicability,
+    thm8's rank factor and the alpha = 2 report of ckw and coa_dual.  A call
+    then adds only the alpha arithmetic, reading each focus's J and front
+    terms from ``j_best`` and ``front_best``.  With ``groupings=`` the same
+    row builder takes the caller's checked groupings instead, and that row
+    is not kept.  The merged group's ``Certified`` triple (grouping,
+    certificate, grouped C sums) is kept once per focus, the front
+    grouping's once per (focus, chain of leading groups), and each front
+    term, which thm2, thm6 and cor1_thm2 share, once per (focus, alpha).
     Every kept object is immutable and the state is fixed, so none can go
     stale.
 
@@ -763,10 +829,10 @@ class StateEvaluator:
         self._tables: dict[int, tuple[dict[int, float], dict[int, float]]] = {}
         self._cuts: dict[tuple[int, ...], tuple[float, float, int]] = {}
         self._splits: dict[int, _SplitSearch] = {}
-        self._fixed: dict[tuple[int, str], Certified | None] = {}
-        self._chains: dict[tuple[int, tuple[int, ...]], Certified] = {}
-        self._best: dict[tuple[int, str, float],
-                         tuple[Grouping, OrderingCertificate, float] | None] = {}
+        self._merged: dict[int, Certified] = {}
+        self._chains: dict[tuple[int, tuple[int, ...] | None], Certified] = {}
+        self._fronts: dict[tuple[int, float], tuple[Grouping, OrderingCertificate, float]] = {}
+        self._rows: dict[str | tuple[str, tuple[int, ...]], _Row] = {}
 
     # -- cached primitives ---------------------------------------------------
 
@@ -838,72 +904,51 @@ class StateEvaluator:
         return (grouping, OrderingCertificate(grouping, _grouped_sums(ca_sq, grouping), True),
                 _grouped_sums(c_sq, grouping))
 
-    def _fixed_grouping(self, focus: int, objective: str):
-        """The certified best grouping that no alpha changes, once per focus:
-        the merged group for ``"j"``, the descending singletons for ``"jin"``
-        (None when they fail dominance) and ``canonical_grouping`` for
-        ``"front"`` above 8 non-focus qubits."""
-        key = (focus, objective)
-        if key not in self._fixed:
-            ca_sq = self.tables(focus)[1]
-            grouping = (Grouping.merged(ca_sq) if objective == "j"
-                        else _descending_singletons(ca_sq) if objective == "jin"
-                        else canonical_grouping(ca_sq))
-            self._fixed[key] = None if grouping is None else self._certified(focus, grouping)
-        return self._fixed[key]
-
-    def _best_term(self, focus: int, objective: str, alpha: float):
-        """``_term`` of the best grouping, built once per (focus, objective,
-        alpha); None for ``"jin"`` when no singleton order is feasible."""
-        key = (focus, objective, alpha)
-        if key not in self._best:
-            if objective == "front" and self.search == "exhaustive":
-                certified = self._chain_grouping(focus, alpha)
-            else:
-                certified = self._fixed_grouping(focus, objective)
-            self._best[key] = None if certified is None else \
-                self._term(objective, certified, alpha)
-        return self._best[key]
-
-    def _chain_grouping(self, focus: int, alpha: float) -> Certified:
-        """The searched front grouping at ``alpha``, certified once per
-        (focus, chain of leading groups): alphas whose DP picks the same chain
-        share one ``Certified`` triple, and so one ``Grouping`` object."""
-        search = self._split_search(focus)
-        key = (focus, search.chain(alpha))
-        certified = self._chains.get(key)
-        if certified is None:
-            certified = self._chains[key] = self._certified(focus, search.grouping(key[1]))
-        return certified
-
-    # ``j_best``/``front_best`` read a cached term without a further call;
-    # their terms are never None.  A focus that is not an int is checked
-    # first, so the cache never answers for one that a fresh state refuses.
+    # The term getters check a focus that is not an int and the alpha before
+    # any kept value answers, so a warm evaluator refuses what a fresh one does.
     def j_best(self, focus: int, alpha: float):
-        """The merged group, which minimizes the geometric assistance sum."""
+        """``(grouping, certificate, J)`` of the merged group, which minimizes
+        the geometric assistance sum: ``J = Ca2(all)^(alpha/2)``, equal bit for
+        bit to ``_geometric_sum`` over the one group."""
         if type(focus) is not int:
             focus = qubit_index(focus, self.psi.num_qubits, "focus")
-        return self._best.get((focus, "j", alpha)) or self._best_term(focus, "j", alpha)
+        h_weight(alpha)
+        merged = self._merged.get(focus)
+        if merged is None:
+            merged = self._merged[focus] = self._certified(
+                focus, Grouping.merged(self.tables(focus)[1]))
+        grouping, cert, _ = merged
+        ca = cert.squared_values[0]
+        return grouping, cert, ca ** (alpha / 2.0) if ca > 0.0 else 0.0
 
     def front_best(self, focus: int, alpha: float):
-        """Assistance-feasible grouping maximizing the front-weighted C sum."""
+        """``(grouping, certificate, front sum)`` of the assistance-feasible
+        grouping that maximizes the front-weighted C sum.
+
+        Kept once per (focus, alpha), as thm2, thm6 and cor1_thm2 share it.
+        The chain DP picks the grouping, which is certified once per (focus,
+        chain): alphas that pick the same chain share one ``Certified``
+        triple and one ``Grouping``.  The sum is ``_front_weighted_sum``'s,
+        term for term.
+        """
         if type(focus) is not int:
             focus = qubit_index(focus, self.psi.num_qubits, "focus")
-        return self._best.get((focus, "front", alpha)) or self._best_term(focus, "front", alpha)
-
-    @staticmethod
-    def _term(objective: str, certified: Certified, alpha: float):
-        """``(grouping, certificate, value)`` of one focus's certified grouping.
-
-        The value is the geometric assistance sum J (``"j"``), the
-        front-weighted C sum (``"front"``) or the (alpha/2)-weighted
-        assistance sum (``"jin"``).
-        """
+        h = h_weight(alpha)
+        term = self._fronts.get((focus, alpha))
+        if term is not None:
+            return term
+        p = alpha / 2.0
+        search = self._split_search(focus) if self.search == "exhaustive" else None
+        chain = None if search is None else search.chain(p, h)
+        certified = self._chains.get((focus, chain))
+        if certified is None:
+            grouping = (canonical_grouping(self.tables(focus)[1]) if search is None
+                        else search.grouping(chain))
+            certified = self._chains[focus, chain] = self._certified(focus, grouping)
         grouping, cert, c_sums = certified
-        if objective == "front":
-            return grouping, cert, _front_weighted_sum(c_sums, alpha)
-        sum_ = _geometric_sum if objective == "j" else _jin_sum
-        return grouping, cert, sum_(cert.squared_values, alpha)
+        terms = [v ** p if v > 0.0 else 0.0 for v in c_sums]
+        term = self._fronts[focus, alpha] = grouping, cert, h * sum(terms[:-1]) + terms[-1]
+        return term
 
     # -- report assembly -----------------------------------------------------
 
@@ -926,9 +971,8 @@ class StateEvaluator:
         return foci
 
     def _given(self, theorem_id: str, spec: BoundSpec, foci: tuple[int, ...],
-               groupings) -> dict[int, Certified]:
-        """The caller's grouping per focus, checked for cover and dominance,
-        as a ``Certified`` triple."""
+               groupings) -> _CallerTerms:
+        """The caller's grouping per focus, checked for cover and dominance."""
         given = _per_focus(groupings)
         if len(given) != len(foci):
             raise ValueError(f"{theorem_id} takes one grouping per focus qubit, got {groupings!r}")
@@ -936,92 +980,126 @@ class StateEvaluator:
         given = [_covering_grouping(g, frozenset(range(n)) - {f}) for f, g in zip(foci, given)]
         if spec.rhs == "jin" and given[0].k < n - 1:
             raise ValueError(f"jin takes singleton groups only, got {given[0]}")
-        return {f: (g, _require_feasible(self.tables(f)[1], g, f"{theorem_id} (focus {f})"),
-                    _grouped_sums(self.tables(f)[0], g))
-                for f, g in zip(foci, given)}
+        return _CallerTerms({
+            f: (g, _require_feasible(self.tables(f)[1], g, f"{theorem_id} (focus {f})"),
+                _grouped_sums(self.tables(f)[0], g))
+            for f, g in zip(foci, given)})
 
-    def evaluate(self, theorem_id: str, alpha: float, foci=None,
-                 groupings=None) -> BoundReport:
-        """Report for one bound at one exponent, read off its ``BOUNDS`` row.
+    def _row(self, theorem_id: str, alpha: float, foci, groupings) -> _Row:
+        """The row of a call that the default-foci lookup did not answer.
 
-        ``foci`` defaults to qubits 0..arity-1.  With ``groupings=None`` each
-        focus gets the best grouping for the bound's objective
-        (``j_best``/``front_best``), once per (focus, objective, alpha).
-        Otherwise ``groupings`` holds one grouping per focus; each must cover
-        its focus's partners and pass the dominance check (else
-        ``InfeasibleGroupingError``), and is never searched or cached.
+        The bound id, alpha, foci and groupings are all checked first.  A
+        best-grouping row is kept under the bound id at its default foci,
+        else under (bound id, foci); a ``groupings=`` row is built per call.
         """
         spec = BOUNDS.get(theorem_id)
         if spec is None:
             raise ValueError(f"unknown theorem_id {theorem_id!r}")
         h_weight(alpha)
         foci = self._foci(theorem_id, spec, foci)
-        # Both paths build terms with ``_term``; the search path binds the
-        # methods, as a closure dispatching on the objective cost ~4% of a
-        # 4-qubit sweep.
-        if groupings is None:
-            j, front = self.j_best, self.front_best
-        else:
-            given = self._given(theorem_id, spec, foci, groupings)
+        if groupings is not None:
+            return self._build_row(theorem_id, spec, foci,
+                                   self._given(theorem_id, spec, foci, groupings))
+        key = theorem_id if foci == spec.foci else (theorem_id, foci)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = self._build_row(theorem_id, spec, foci, None)
+        return row
 
-            def j(f, a):
-                return self._term("j", given[f], a)
-
-            def front(f, a):
-                return self._term("front", given[f], a)
-
-        kind = spec.rhs
+    def _build_row(self, theorem_id: str, spec: BoundSpec, foci: tuple[int, ...],
+                   terms: _CallerTerms | None) -> _Row:
+        """The alpha-free ``_Row`` of a bound on validated foci; ``terms`` is
+        None for the best groupings, else the caller's."""
+        kind, upper = spec.rhs, spec.direction == "upper"
+        c_cut, n_cut, rank = self._cut(foci)
+        center, minus, fixed = spec.center, (), None
         if kind == "pair_sum":
             c_sq, ca_sq = self.tables(foci[0])
-            cut_sq = self._cut(foci)[0] ** 2
             # Printed as "smaller side, larger side": ckw's lhs is the pair sum.
-            lhs, rhs = (sum(c_sq.values()), cut_sq) if spec.direction == "lower" \
-                else (cut_sq, sum(ca_sq.values()))
+            lhs, rhs = (c_cut ** 2, sum(ca_sq.values())) if upper \
+                else (sum(c_sq.values()), c_cut ** 2)
             slack = rhs - lhs
-            return BoundReport(theorem_id, 2.0, lhs, rhs, slack, None, slack >= -SLACK_TOL)
-
-        cut = self._cut(foci)
-        lhs = _apow(cut[1] if spec.cut == "N" else cut[0], alpha)
-        if kind == "jin":
+            fixed = BoundReport(theorem_id, 2.0, lhs, rhs, slack, None, slack >= -SLACK_TOL)
+        elif kind == "jin":
             f = foci[0]
-            best = self._best_term(f, "jin", alpha) if groupings is None \
-                else self._term("jin", given[f], alpha)
-            if best is None:
-                return _not_applicable(theorem_id, alpha, lhs)
-            return _report(theorem_id, alpha, lhs, best[2], best[1])
-
-        if kind in ("front", "total"):
-            a, b = foci[0], foci[1]
-            (_, cert_a, j_a), (_, cert_b, j_b) = j(a, alpha), j(b, alpha)
-            if kind == "front":
-                (_, cert_a, lead_a), (_, cert_b, lead_b) = front(a, alpha), front(b, alpha)
+            if terms is not None:
+                fixed = terms.certified[f]
             else:
-                lead_a = _apow(sum(self.tables(a)[0].values()), alpha / 2.0)
-                lead_b = _apow(sum(self.tables(b)[0].values()), alpha / 2.0)
+                order = _descending_singletons(self.tables(f)[1])
+                fixed = None if order is None else self._certified(f, order)
+        elif kind in ("front", "total"):
+            if spec.minus_jc1:
+                minus = foci[2:]
+            if kind == "total":
+                fixed = tuple(sum(self.tables(f)[0].values()) for f in foci[:2])
+        elif kind == "center_total":
+            c = foci[center]
+            minus = foci[:center] + foci[center + 1:]
+            if not self._cut(minus)[0] > self._cut((c,))[0] + SLACK_TOL:
+                fixed = sum(self.tables(c)[0].values())
+        elif kind == "rank_j":
+            fixed = rank * (rank - 1) / 2.0
+        return _Row(kind, theorem_id, upper, n_cut if spec.cut == "N" else c_cut, foci,
+                    center, minus, terms, fixed)
+
+    def evaluate(self, theorem_id: str, alpha: float, foci=None,
+                 groupings=None) -> BoundReport:
+        """Report for one bound at one exponent, read off its ``BOUNDS`` row.
+
+        ``foci`` defaults to qubits 0..arity-1.  Everything that no alpha
+        changes is resolved once per (bound, foci) into a kept ``_Row``; a
+        call checks alpha, then adds the alpha arithmetic, with each focus's
+        J and front terms from ``j_best``/``front_best``.  Otherwise
+        ``groupings`` holds one grouping per focus; each must cover its
+        focus's partners and pass the dominance check (else
+        ``InfeasibleGroupingError``), and builds a row of its own that is
+        never searched or kept.
+        """
+        row = self._rows.get(theorem_id) if foci is None and groupings is None else None
+        if row is None:
+            row = self._row(theorem_id, alpha, foci, groupings)
+        else:
+            h_weight(alpha)
+        kind, tid, upper, cut, foci, center, minus, terms, fixed = row
+        if kind == "pair_sum":
+            return fixed
+        lhs = cut ** alpha if cut > 0.0 else 0.0
+        if kind == "jin":
+            if fixed is None:
+                return _not_applicable(tid, alpha, lhs)
+            cert = fixed[1]
+            return _report(tid, alpha, lhs, _jin_sum(cert.squared_values, alpha), cert, upper)
+        if terms is None:
+            terms = self
+        p = alpha / 2.0
+        if kind == "front" or kind == "total":
+            a, b = foci[0], foci[1]
+            (_, cert_a, j_a), (_, cert_b, j_b) = terms.j_best(a, alpha), terms.j_best(b, alpha)
+            if kind == "front":
+                (_, cert_a, lead_a), (_, cert_b, lead_b) = \
+                    terms.front_best(a, alpha), terms.front_best(b, alpha)
+            else:
+                total_a, total_b = fixed
+                lead_a = total_a ** p if total_a > 0.0 else 0.0
+                lead_b = total_b ** p if total_b > 0.0 else 0.0
             branch_a, branch_b = lead_a - j_b, lead_b - j_a
             rhs, cert = (branch_a, cert_a) if branch_a >= branch_b else (branch_b, cert_b)
-            if spec.minus_jc1:
-                rhs -= j(foci[2], alpha)[2]
-            return _report(theorem_id, alpha, lhs, rhs, cert)
-
-        center = foci[spec.center]
-        others = foci[:spec.center] + foci[spec.center + 1:]
-        if kind == "center_total" and \
-                self._cut(others)[0] > self._cut((center,))[0] + SLACK_TOL:
-            return _not_applicable(theorem_id, alpha, lhs)
-        _, cert, j_center = j(center, alpha)
-        if kind == "center_total":
-            rhs = _apow(sum(self.tables(center)[0].values()), alpha / 2.0)
-            for f in others:
-                rhs -= j(f, alpha)[2]
-        else:
-            terms = [j_center if f == center else j(f, alpha)[2] for f in foci]
-            rhs = terms[0]
-            for term in terms[1:]:  # J_A + J_B (+ J_C1), added in focus order
-                rhs += term
+        elif kind == "center_total":
+            if fixed is None:
+                return _not_applicable(tid, alpha, lhs)
+            cert = terms.j_best(foci[center], alpha)[1]
+            rhs = fixed ** p if fixed > 0.0 else 0.0
+        else:  # "j" and "rank_j": J_A + J_B (+ J_C1), added in focus order
+            js = [terms.j_best(f, alpha) for f in foci]
+            cert = js[center][1]
+            rhs = js[0][2]
+            for term in js[1:]:
+                rhs += term[2]
             if kind == "rank_j":
-                rhs = _apow(cut[2] * (cut[2] - 1) / 2.0, alpha / 2.0) * rhs
-        return _report(theorem_id, alpha, lhs, rhs, cert)
+                rhs = (fixed ** p if fixed > 0.0 else 0.0) * rhs
+        for f in minus:
+            rhs -= terms.j_best(f, alpha)[2]
+        return _report(tid, alpha, lhs, rhs, cert, upper)
 
 
 def fill_spectra(evaluators: Sequence[StateEvaluator], pairs: Collection[tuple[int, int]],

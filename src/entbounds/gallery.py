@@ -144,8 +144,12 @@ def cor_b() -> PureState:
 
 
 def _qubit_count(value: float) -> int:
+    """A family's qubit-count parameter as an int, range-checked while it is
+    still the number given, so a huge one is quoted as given, not expanded."""
     if not float(value).is_integer():
         raise ValueError(f"qubit count must be an integer, got {value!r}")
+    if not 1 <= value <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {value!r}")
     return int(value)
 
 

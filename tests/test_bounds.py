@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import pathlib
@@ -12,6 +13,7 @@ import entbounds.bounds as bounds_module
 from entbounds.bounds import (
     BOUNDS,
     AlphaGrid,
+    BoundReport,
     Grouping,
     InfeasibleGroupingError,
     StateEvaluator,
@@ -663,13 +665,13 @@ def test_given_groupings_are_never_searched_or_cached():
         merged = Grouping.merged(range(1, n))
         ev = StateEvaluator(psi)
         assert ev.evaluate("thm1", 1.0, 0, (merged,)) == thm1_upper(psi, 0, merged, 1.0)
-        assert ev._best == {} and ev._splits == {} and ev._fixed == {}
+        assert ev._rows == {} and ev._splits == {} and ev._merged == {} and ev._chains == {}
         best = ev.evaluate("thm1", 1.0, 0)  # J is the merged group at every n
         assert best.satisfied and best.ordering.grouping == merged
-        assert set(ev._fixed) == {(0, "j")} and ev._splits == {}
+        assert set(ev._rows) == {"thm1"} and set(ev._merged) == {0} and ev._splits == {}
         ev.evaluate("thm2", 1.0)  # the front sum is searched by size
         assert bool(ev._splits) == (ev.search == "exhaustive")
-        assert ((0, "front") in ev._fixed) == (ev.search == "canonical")
+        assert ((0, None) in ev._chains) == (ev.search == "canonical")
     with pytest.raises(ValueError, match="caps at 8"):  # listing stays capped at 8 partners
         ev.feasible_groupings(0)
 
@@ -686,6 +688,44 @@ def test_given_groupings_are_checked():
         ev.evaluate("jin", 1.0, 0, (merged[0],))
     with pytest.raises(ValueError, match="one grouping per focus"):
         cor1_lower(haar_random_pure(6, 1), 0, 1, 2, None, 1.0)
+
+
+def test_a_warm_row_never_answers_for_caller_groupings():
+    psi = _geometric_wclass(6)  # descending singletons are feasible at every focus
+    warm = StateEvaluator(psi)
+    for tid in BOUNDS:
+        for alpha in (0.5, 1.0):
+            warm.evaluate(tid, alpha)
+    rows = dict(warm._rows)
+    for tid, spec in BOUNDS.items():
+        orders = [bounds_module._descending_singletons(warm.tables(f)[1]) for f in spec.foci]
+        for alpha in (0.5, 1.0):
+            got = warm.evaluate(tid, alpha, None, orders)
+            assert _same_report(got, StateEvaluator(psi).evaluate(tid, alpha, None, orders))
+            if spec.rhs != "pair_sum" and got.applicable:
+                assert got.ordering.grouping in orders
+            if spec.rhs in ("j", "rank_j"):  # the default takes the merged group
+                assert not _same_report(got, warm.evaluate(tid, alpha))
+        ascending = [Grouping.singletons(q for (q,) in reversed(g.groups)) for g in orders]
+        with pytest.raises(InfeasibleGroupingError):
+            warm.evaluate(tid, 1.0, None, ascending)
+    assert warm._rows == rows
+
+
+def test_the_fast_report_equals_the_dataclass_report():
+    cert = feasibility((0.5, 0.25), Grouping(((1,), (2, 3))))
+    for ordering in (cert, None):
+        for upper in (False, True):
+            for lhs, rhs in ((0.5, 0.25), (0.25, 0.5), (0.3, 0.3 + 2e-9)):
+                fast = bounds_module._report("thm4", 0.75, lhs, rhs, ordering, upper)
+                slack = rhs - lhs if upper else lhs - rhs
+                want = BoundReport("thm4", 0.75, lhs, rhs, slack, ordering,
+                                   slack >= -bounds_module.SLACK_TOL)
+                assert type(fast) is BoundReport and fast == want
+                assert hash(fast) == hash(want) and repr(fast) == repr(want)
+                assert vars(fast) == vars(want)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    fast.rhs = 0.0
 
 
 @pytest.mark.parametrize("bad", [1.7, True, 1.5, "1", np.float64(1.0), None])

@@ -5,13 +5,15 @@ read from the evaluator's caches equals, bit for bit, what the public
 single-purpose functions compute on their own.  The kept objects are pinned
 too: one mu spectrum per pair, solved in one stack per fill (a focus's
 missing pairs when ``tables`` fills lazily, a whole chunk's when ``verify``
-or ``sweep`` fills up front), one certified grouping per front-search chain
-and one text per grouping.
+or ``sweep`` fills up front), one certified grouping per front-search chain,
+one text per grouping, and one row per bound that never holds its evaluator.
 """
 
+import gc
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -259,12 +261,13 @@ def test_front_best_keeps_one_grouping_per_chain(name, psi):
         ref = bounds._SplitSearch(c_sq, ca_sq)
         chains = {}
         for alpha in CHAIN_ALPHAS:
-            g = ref.grouping(ref.chain(alpha))
+            chain = ref.chain(alpha / 2.0, bounds.h_weight(alpha))
+            g = ref.grouping(chain)
             term = (g, bounds.OrderingCertificate(g, bounds._grouped_sums(ca_sq, g), True),
                     bounds._front_weighted_sum(bounds._grouped_sums(c_sq, g), alpha))
             best = ev.front_best(focus, alpha)
             assert best == term, (focus, alpha)
-            chains.setdefault(ref.chain(alpha), []).append(best[0])
+            chains.setdefault(chain, []).append(best[0])
         for groupings in chains.values():
             assert all(g is groupings[0] for g in groupings)
             shared += len(groupings) - 1
@@ -398,6 +401,20 @@ def test_a_warm_evaluator_refuses_what_a_fresh_one_refuses(bad):
         for read in (ev.cut_concurrence, ev.cut_negativity, ev.cut_rank):
             with pytest.raises(ValueError, match="integer qubit index"):
                 read((bad,))
+    # Every bound's row is kept at the default foci and at the foci that
+    # ``bad`` equals (1, 2, ...), yet the checks still run first.
+    psi = w(6)
+    warm = StateEvaluator(psi)
+    _evaluate_all(warm, (0.5, 1.0))
+    for tid, spec in BOUNDS.items():
+        warm.evaluate(tid, 1.0, tuple(range(1, 1 + spec.arity)))
+    for ev in (StateEvaluator(psi), warm):
+        for tid, spec in BOUNDS.items():
+            with pytest.raises(ValueError, match="focus must be an integer qubit index"):
+                ev.evaluate(tid, 1.0, (bad,) + tuple(range(2, 1 + spec.arity)))
+            for alpha in (-0.1, 2.5, math.nan):
+                with pytest.raises(ValueError, match="alpha must be in"):
+                    ev.evaluate(tid, alpha)
 
 
 def test_a_numpy_integer_focus_reads_the_same_values_fresh_or_warm():
@@ -458,6 +475,46 @@ def test_after_the_fill_evaluate_reduces_nothing(monkeypatch, n):
     monkeypatch.setattr(bounds, "to_density", refuse)
     for ev in chunk:
         _evaluate_all(ev, (0.0, 0.5, 1.0, 2.0))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_an_evaluator_is_freed_without_the_cycle_collector(n):
+    """Kept rows never hold their evaluator, so a sweep releases each one
+    when it is dropped, not when the cycle collector next runs."""
+    psi = haar_random_pure(n, 9700 + n)
+    theorems = cli._parse_theorems("all", n)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for caller in (False, True):
+            ev = StateEvaluator(psi)
+            for tid in theorems:
+                groupings = None
+                if caller and tid == "jin":
+                    groupings = [bounds._descending_singletons(ev.tables(0)[1])]
+                    if groupings[0] is None:
+                        continue  # no feasible singleton order to pass
+                elif caller:
+                    groupings = [Grouping.merged(q for q in range(n) if q != f)
+                                 for f in BOUNDS[tid].foci]
+                for alpha in (0.5, 2.0):
+                    ev.evaluate(tid, alpha, None, groupings)
+            assert set(ev._rows) == (set() if caller else set(theorems))
+            ref = weakref.ref(ev)
+            del ev
+            assert ref() is None, caller
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def test_spectra_keys_are_derived_once_per_theorems_and_qubits():
+    for n in range(2, 13):
+        for theorems in (cli._parse_theorems("all", n), ("thm1",), THEOREM_IDS,
+                         ("cor2_lower", "ckw")):
+            fresh = bounds._spectra_keys.__wrapped__(tuple(theorems), n)
+            kept = bounds.spectra_keys(list(theorems), n)
+            assert kept == fresh and bounds.spectra_keys(iter(theorems), n) is kept
 
 
 def test_spectra_keys_follow_the_bound_rows():

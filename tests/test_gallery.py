@@ -171,6 +171,18 @@ def test_named_accepts_integral_float_sizes():
     assert named("ghz", (3.0,)).num_qubits == 3
 
 
+@pytest.mark.parametrize("family", ["ghz", "w"])
+@pytest.mark.parametrize("size, shown", [(1e308, "1e+308"), (13.0, "13.0"), (0.0, "0.0"),
+                                         (-3.0, "-3.0")])
+def test_named_quotes_an_out_of_range_size_as_given(family, size, shown):
+    # An integral 1e308 used to be expanded by int() into a 309-digit message.
+    spec = StateSpec.from_dict({"kind": "named", "family": family, "params": [size]})
+    for build in (lambda: named(family, (size,)), spec.build):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == f"qubit count must be in [1, 12], got {shown}"
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_state_spec_rejects_non_finite_amplitudes(bad):
     spec = StateSpec.from_dict({"kind": "amplitudes", "n": 1,
