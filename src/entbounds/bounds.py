@@ -397,6 +397,18 @@ def _geometric_sum(grouped_sq: Sequence[float], alpha: float) -> float:
     return sum((h ** i) * _apow(v, alpha / 2.0) for i, v in enumerate(grouped_sq))
 
 
+def _j_sum(grouped_sq: Sequence[float], p: float, h: float) -> float:
+    """J of grouped squared values at ``p = alpha/2``, ``h = h_weight(alpha)``.
+
+    Equal bit for bit to ``_geometric_sum``: one ``**`` for a single group,
+    and the same generator ``sum`` for several, as ``sum`` of floats rounds
+    differently across Python versions.
+    """
+    if len(grouped_sq) == 1:  # the merged group
+        return grouped_sq[0] ** p if grouped_sq[0] > 0.0 else 0.0
+    return sum((h ** i) * (v ** p if v > 0.0 else 0.0) for i, v in enumerate(grouped_sq))
+
+
 def _front_weighted_sum(grouped_sq: Sequence[float], alpha: float) -> float:
     """h * sum_{i<k} (g_i^2)^(alpha/2) + (g_k^2)^(alpha/2)."""
     h = h_weight(alpha)
@@ -725,40 +737,19 @@ def canonical_grouping(pair_sq: Mapping[int, float]) -> Grouping:
     return _descending_singletons(pair_sq) or Grouping.merged(sorted(pair_sq))
 
 
-class _CallerTerms:
-    """The caller's checked groupings, one ``Certified`` triple per focus, read
-    through ``StateEvaluator``'s term-getter signatures.
-
-    ``evaluate`` asks a row's term source for ``j_best(focus, alpha)`` and
-    ``front_best(focus, alpha)``: the evaluator itself for the best
-    groupings, or this for a ``groupings=`` call, whose sums are built per
-    alpha and never kept.
-    """
-
-    __slots__ = ("certified",)
-
-    def __init__(self, certified: Mapping[int, Certified]):
-        self.certified = certified
-
-    def j_best(self, focus: int, alpha: float):
-        grouping, cert, _ = self.certified[focus]
-        return grouping, cert, _geometric_sum(cert.squared_values, alpha)
-
-    def front_best(self, focus: int, alpha: float):
-        grouping, cert, c_sums = self.certified[focus]
-        return grouping, cert, _front_weighted_sum(c_sums, alpha)
-
-
 class _Row(NamedTuple):
-    """Everything about one (bound, foci, grouping source) that no alpha changes.
+    """Everything about one (bound, foci, groupings) that no alpha changes.
 
-    ``evaluate`` adds only the alpha arithmetic.  ``fixed`` depends on
-    ``kind``: the alpha = 2 report of ``pair_sum``; jin's ``Certified``
-    singleton order, or None when no order is feasible; the two foci's total
-    C^2 of ``total``; the center's total C^2 of ``center_total``, or None
-    when the bound does not apply; thm8's r(r-1)/2 of ``rank_j``.  A row
-    never holds its evaluator: ``terms`` is None for the best groupings,
-    which ``evaluate`` reads from itself.
+    ``evaluate`` adds only the alpha arithmetic.  ``js`` holds, per focus,
+    the certificate of the grouping that J sums: the merged group for the
+    best groupings, else the caller's.  ``fronts`` holds the caller's
+    ``Certified`` front groupings of the first two foci; it is None when the
+    front sum is searched, or not read.  ``fixed`` depends on ``kind``: the
+    alpha = 2 report of ``pair_sum``; jin's ``Certified`` singleton order,
+    or None when no order is feasible; the two foci's total C^2 of
+    ``total``; the center's total C^2 of ``center_total``, or None when the
+    bound does not apply; thm8's r(r-1)/2 of ``rank_j``.  A row never holds
+    its evaluator.
     """
 
     kind: str
@@ -767,8 +758,9 @@ class _Row(NamedTuple):
     cut: float                         # the lhs base: C or N of the foci's cut
     foci: tuple[int, ...]
     center: int                        # index in foci of the certifying J focus
-    minus: tuple[int, ...]             # foci whose J is subtracted at the end
-    terms: _CallerTerms | None
+    minus: tuple[int, ...]             # indices in foci of the J subtracted at the end
+    js: tuple[OrderingCertificate, ...]
+    fronts: tuple[Certified, ...] | None
     fixed: object
 
 
@@ -787,17 +779,18 @@ class StateEvaluator:
 
     ``evaluate`` resolves a bound's ``BOUNDS`` row once per (bound, foci)
     into a ``_Row`` that holds all its alpha-free parts: the lhs cut value
-    and direction, the foci, the total C^2 sums, cor2_lower's applicability,
-    thm8's rank factor and the alpha = 2 report of ckw and coa_dual.  A call
-    then adds only the alpha arithmetic, reading each focus's J and front
-    terms from ``j_best`` and ``front_best``.  With ``groupings=`` the same
-    row builder takes the caller's checked groupings instead, and that row
-    is not kept.  The merged group's ``Certified`` triple (grouping,
-    certificate, grouped C sums) is kept once per focus, the front
-    grouping's once per (focus, chain of leading groups), and each front
-    term, which thm2, thm6 and cor1_thm2 share, once per (focus, alpha).
-    Every kept object is immutable and the state is fixed, so none can go
-    stale.
+    and direction, the foci, each focus's J certificate, the total C^2 sums,
+    cor2_lower's applicability, thm8's rank factor and the alpha = 2 report
+    of ckw and coa_dual.  A call checks alpha once and then adds only the
+    alpha arithmetic: J from the row's certificates, and the front sum from
+    ``front_best``, the one search.  With ``groupings=`` the same row
+    builder takes the caller's checked groupings for J and the front sum,
+    and that row is not kept.  The merged group's ``Certified`` triple
+    (grouping, certificate, grouped C sums) is kept once per focus, the
+    front grouping's once per (focus, chain of leading groups), and each
+    front term, which thm2, thm6 and cor1_thm2 share, once per (focus,
+    alpha).  Every kept object is immutable and the state is fixed, so none
+    can go stale.
 
     * ``J`` takes the merged group.  The paper's Lemma gives
       ``(x + y)^p <= x^p + h y^p`` for ``x >= y``, ``p = a/2``; applied from
@@ -904,22 +897,26 @@ class StateEvaluator:
         return (grouping, OrderingCertificate(grouping, _grouped_sums(ca_sq, grouping), True),
                 _grouped_sums(c_sq, grouping))
 
-    # The term getters check a focus that is not an int and the alpha before
-    # any kept value answers, so a warm evaluator refuses what a fresh one does.
-    def j_best(self, focus: int, alpha: float):
-        """``(grouping, certificate, J)`` of the merged group, which minimizes
-        the geometric assistance sum: ``J = Ca2(all)^(alpha/2)``, equal bit for
-        bit to ``_geometric_sum`` over the one group."""
-        if type(focus) is not int:
-            focus = qubit_index(focus, self.psi.num_qubits, "focus")
-        h_weight(alpha)
+    def _merged_group(self, focus: int) -> Certified:
+        """The merged group's ``Certified`` triple, kept once per focus."""
         merged = self._merged.get(focus)
         if merged is None:
             merged = self._merged[focus] = self._certified(
                 focus, Grouping.merged(self.tables(focus)[1]))
-        grouping, cert, _ = merged
-        ca = cert.squared_values[0]
-        return grouping, cert, ca ** (alpha / 2.0) if ca > 0.0 else 0.0
+        return merged
+
+    # The term getters check a focus that is not an int and the alpha before
+    # any kept value answers, so a warm evaluator refuses what a fresh one does.
+    def j_best(self, focus: int, alpha: float):
+        """``(grouping, certificate, J)`` of the merged group, which minimizes
+        the geometric assistance sum: ``J = Ca2(all)^(alpha/2)`` by ``_j_sum``.
+        ``evaluate`` keeps the same certificate in its rows and computes the
+        same J from it, so it never calls this."""
+        if type(focus) is not int:
+            focus = qubit_index(focus, self.psi.num_qubits, "focus")
+        h = h_weight(alpha)
+        grouping, cert, _ = self._merged_group(focus)
+        return grouping, cert, _j_sum(cert.squared_values, alpha / 2.0, h)
 
     def front_best(self, focus: int, alpha: float):
         """``(grouping, certificate, front sum)`` of the assistance-feasible
@@ -971,7 +968,7 @@ class StateEvaluator:
         return foci
 
     def _given(self, theorem_id: str, spec: BoundSpec, foci: tuple[int, ...],
-               groupings) -> _CallerTerms:
+               groupings) -> tuple[Certified, ...]:
         """The caller's grouping per focus, checked for cover and dominance."""
         given = _per_focus(groupings)
         if len(given) != len(foci):
@@ -980,22 +977,18 @@ class StateEvaluator:
         given = [_covering_grouping(g, frozenset(range(n)) - {f}) for f, g in zip(foci, given)]
         if spec.rhs == "jin" and given[0].k < n - 1:
             raise ValueError(f"jin takes singleton groups only, got {given[0]}")
-        return _CallerTerms({
-            f: (g, _require_feasible(self.tables(f)[1], g, f"{theorem_id} (focus {f})"),
-                _grouped_sums(self.tables(f)[0], g))
-            for f, g in zip(foci, given)})
+        return tuple((g, _require_feasible(self.tables(f)[1], g, f"{theorem_id} (focus {f})"),
+                      _grouped_sums(self.tables(f)[0], g))
+                     for f, g in zip(foci, given))
 
-    def _row(self, theorem_id: str, alpha: float, foci, groupings) -> _Row:
+    def _row(self, theorem_id: str, foci, groupings) -> _Row:
         """The row of a call that the default-foci lookup did not answer.
 
-        The bound id, alpha, foci and groupings are all checked first.  A
-        best-grouping row is kept under the bound id at its default foci,
-        else under (bound id, foci); a ``groupings=`` row is built per call.
+        The foci and groupings are checked first.  A best-grouping row is
+        kept under the bound id at its default foci, else under (bound id,
+        foci); a ``groupings=`` row is built per call.
         """
-        spec = BOUNDS.get(theorem_id)
-        if spec is None:
-            raise ValueError(f"unknown theorem_id {theorem_id!r}")
-        h_weight(alpha)
+        spec = BOUNDS[theorem_id]
         foci = self._foci(theorem_id, spec, foci)
         if groupings is not None:
             return self._build_row(theorem_id, spec, foci,
@@ -1007,12 +1000,12 @@ class StateEvaluator:
         return row
 
     def _build_row(self, theorem_id: str, spec: BoundSpec, foci: tuple[int, ...],
-                   terms: _CallerTerms | None) -> _Row:
-        """The alpha-free ``_Row`` of a bound on validated foci; ``terms`` is
-        None for the best groupings, else the caller's."""
+                   given: tuple[Certified, ...] | None) -> _Row:
+        """The alpha-free ``_Row`` of a bound on validated foci; ``given`` is
+        None for the best groupings, else the caller's, one per focus."""
         kind, upper = spec.rhs, spec.direction == "upper"
         c_cut, n_cut, rank = self._cut(foci)
-        center, minus, fixed = spec.center, (), None
+        center, minus, js, fronts, fixed = spec.center, (), (), None, None
         if kind == "pair_sum":
             c_sq, ca_sq = self.tables(foci[0])
             # Printed as "smaller side, larger side": ckw's lhs is the pair sum.
@@ -1021,46 +1014,52 @@ class StateEvaluator:
             slack = rhs - lhs
             fixed = BoundReport(theorem_id, 2.0, lhs, rhs, slack, None, slack >= -SLACK_TOL)
         elif kind == "jin":
-            f = foci[0]
-            if terms is not None:
-                fixed = terms.certified[f]
+            if given is not None:
+                fixed = given[0]
             else:
-                order = _descending_singletons(self.tables(f)[1])
-                fixed = None if order is None else self._certified(f, order)
-        elif kind in ("front", "total"):
-            if spec.minus_jc1:
-                minus = foci[2:]
-            if kind == "total":
-                fixed = tuple(sum(self.tables(f)[0].values()) for f in foci[:2])
-        elif kind == "center_total":
-            c = foci[center]
-            minus = foci[:center] + foci[center + 1:]
-            if not self._cut(minus)[0] > self._cut((c,))[0] + SLACK_TOL:
-                fixed = sum(self.tables(c)[0].values())
-        elif kind == "rank_j":
-            fixed = rank * (rank - 1) / 2.0
+                order = _descending_singletons(self.tables(foci[0])[1])
+                fixed = None if order is None else self._certified(foci[0], order)
+        else:
+            js = tuple(cert for _, cert, _ in (
+                given if given is not None else map(self._merged_group, foci)))
+            if kind in ("front", "total"):
+                if spec.minus_jc1:
+                    minus = tuple(range(2, len(foci)))
+                if kind == "total":
+                    fixed = tuple(sum(self.tables(f)[0].values()) for f in foci[:2])
+                elif given is not None:
+                    fronts = given[:2]
+            elif kind == "center_total":
+                c, others = foci[center], foci[:center] + foci[center + 1:]
+                minus = tuple(map(foci.index, others))
+                if not self._cut(others)[0] > self._cut((c,))[0] + SLACK_TOL:
+                    fixed = sum(self.tables(c)[0].values())
+            elif kind == "rank_j":
+                fixed = rank * (rank - 1) / 2.0
         return _Row(kind, theorem_id, upper, n_cut if spec.cut == "N" else c_cut, foci,
-                    center, minus, terms, fixed)
+                    center, minus, js, fronts, fixed)
 
     def evaluate(self, theorem_id: str, alpha: float, foci=None,
                  groupings=None) -> BoundReport:
         """Report for one bound at one exponent, read off its ``BOUNDS`` row.
 
         ``foci`` defaults to qubits 0..arity-1.  Everything that no alpha
-        changes is resolved once per (bound, foci) into a kept ``_Row``; a
-        call checks alpha, then adds the alpha arithmetic, with each focus's
-        J and front terms from ``j_best``/``front_best``.  Otherwise
-        ``groupings`` holds one grouping per focus; each must cover its
-        focus's partners and pass the dominance check (else
-        ``InfeasibleGroupingError``), and builds a row of its own that is
-        never searched or kept.
+        changes, each focus's J grouping included, is resolved once per
+        (bound, foci) into a kept ``_Row``.  A call checks the bound id, then
+        alpha once, then the foci of a row it does not keep, and adds only the
+        alpha arithmetic: J by ``_j_sum`` from the row, and a searched front
+        sum from ``front_best``.  Otherwise ``groupings`` holds one grouping
+        per focus; each must cover its focus's partners and pass the dominance
+        check (else ``InfeasibleGroupingError``), and builds a row of its own
+        that is never searched or kept.
         """
         row = self._rows.get(theorem_id) if foci is None and groupings is None else None
+        if row is None and theorem_id not in BOUNDS:
+            raise ValueError(f"unknown theorem_id {theorem_id!r}")
+        h = h_weight(alpha)
         if row is None:
-            row = self._row(theorem_id, alpha, foci, groupings)
-        else:
-            h_weight(alpha)
-        kind, tid, upper, cut, foci, center, minus, terms, fixed = row
+            row = self._row(theorem_id, foci, groupings)
+        kind, tid, upper, cut, foci, center, minus, js, fronts, fixed = row
         if kind == "pair_sum":
             return fixed
         lhs = cut ** alpha if cut > 0.0 else 0.0
@@ -1069,36 +1068,36 @@ class StateEvaluator:
                 return _not_applicable(tid, alpha, lhs)
             cert = fixed[1]
             return _report(tid, alpha, lhs, _jin_sum(cert.squared_values, alpha), cert, upper)
-        if terms is None:
-            terms = self
         p = alpha / 2.0
         if kind == "front" or kind == "total":
-            a, b = foci[0], foci[1]
-            (_, cert_a, j_a), (_, cert_b, j_b) = terms.j_best(a, alpha), terms.j_best(b, alpha)
-            if kind == "front":
-                (_, cert_a, lead_a), (_, cert_b, lead_b) = \
-                    terms.front_best(a, alpha), terms.front_best(b, alpha)
-            else:
+            cert_a, cert_b = js[0], js[1]
+            j_a, j_b = _j_sum(cert_a.squared_values, p, h), _j_sum(cert_b.squared_values, p, h)
+            if kind == "total":
                 total_a, total_b = fixed
                 lead_a = total_a ** p if total_a > 0.0 else 0.0
                 lead_b = total_b ** p if total_b > 0.0 else 0.0
+            elif fronts is None:
+                (_, cert_a, lead_a), (_, cert_b, lead_b) = \
+                    self.front_best(foci[0], alpha), self.front_best(foci[1], alpha)
+            else:
+                (_, cert_a, c_a), (_, cert_b, c_b) = fronts
+                lead_a, lead_b = _front_weighted_sum(c_a, alpha), _front_weighted_sum(c_b, alpha)
             branch_a, branch_b = lead_a - j_b, lead_b - j_a
             rhs, cert = (branch_a, cert_a) if branch_a >= branch_b else (branch_b, cert_b)
         elif kind == "center_total":
             if fixed is None:
                 return _not_applicable(tid, alpha, lhs)
-            cert = terms.j_best(foci[center], alpha)[1]
+            cert = js[center]
             rhs = fixed ** p if fixed > 0.0 else 0.0
         else:  # "j" and "rank_j": J_A + J_B (+ J_C1), added in focus order
-            js = [terms.j_best(f, alpha) for f in foci]
-            cert = js[center][1]
-            rhs = js[0][2]
-            for term in js[1:]:
-                rhs += term[2]
+            cert = js[center]
+            rhs = _j_sum(js[0].squared_values, p, h)
+            for j in js[1:]:
+                rhs += _j_sum(j.squared_values, p, h)
             if kind == "rank_j":
                 rhs = (fixed ** p if fixed > 0.0 else 0.0) * rhs
-        for f in minus:
-            rhs -= terms.j_best(f, alpha)[2]
+        for i in minus:
+            rhs -= _j_sum(js[i].squared_values, p, h)
         return _report(tid, alpha, lhs, rhs, cert, upper)
 
 

@@ -19,6 +19,13 @@ _NORM_ATOL = 1e-10
 _SPEC_NORM_RTOL = 1e-6
 
 
+def _check_finite(family: str, **params: float) -> None:
+    """Refuse a NaN or infinite parameter by name, before any arithmetic reads it."""
+    for name, value in params.items():
+        if not math.isfinite(float(value)):
+            raise ValueError(f"{family} parameter {name} must be finite, got {value!r}")
+
+
 def _check_unit_coefficients(*coefficients: float) -> None:
     """Refuse negative coefficients or ones whose squares do not sum to 1."""
     lam = np.array(coefficients, dtype=float)
@@ -37,6 +44,7 @@ def gsd3(l0: float, l1: float, l2: float, l3: float, l4: float,
     ``l0|000> + l1 e^{i phi}|100> + l2|101> + l3|110> + l4|111>`` with
     non-negative coefficients satisfying ``sum(l_i^2) = 1``.
     """
+    _check_finite("gsd3", l0=l0, l1=l1, l2=l2, l3=l3, l4=l4, phi=phi)
     _check_unit_coefficients(l0, l1, l2, l3, l4)
     v = np.zeros(8, dtype=complex)
     v[0b000] = l0
@@ -69,6 +77,7 @@ def wclass4(l1: float, l2: float, l3: float, l4: float) -> PureState:
 
     ``l1|1000> + l2|0100> + l3|0010> + l4|0001>`` with ``sum(l_i^2) = 1``.
     """
+    _check_finite("wclass4", l1=l1, l2=l2, l3=l3, l4=l4)
     _check_unit_coefficients(l1, l2, l3, l4)
     v = np.zeros(16, dtype=complex)
     v[0b1000] = l1

@@ -648,6 +648,37 @@ def _check_best_equals_given(n):
     assert checked == {t for t, spec in BOUNDS.items() if spec.min_qubits <= n}
 
 
+def _ghz_plus_wclass(n, seed):
+    """GHZ plus a random real W-class state: most of its front chains split."""
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(2 ** n)
+    amps[[1 << q for q in range(n)]] = rng.normal(size=n)
+    amps[0] = amps[-1] = rng.uniform(0.3, 1.0)
+    return PureState(n, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_the_best_groupings_given_back_reproduce_every_report(n):
+    """Merged J and the searched front chain, passed as ``groupings=``, give
+    reports equal (``==``) to the best-grouping path's for all 15 bounds."""
+    for psi in (haar_random_pure(n, 4500 + n), _ghz_plus_wclass(n, 4520 + n),
+                _geometric_wclass(n)):
+        ev = StateEvaluator(psi)
+        for tid, spec in BOUNDS.items():
+            if spec.min_qubits > n:
+                continue
+            for alpha in (2.0,) if spec.fixed_alpha else (0.25, 1.0, 1.75):
+                best = ev.evaluate(tid, alpha)
+                if spec.rhs == "jin" and not best.applicable:
+                    continue  # no feasible singleton order to pass
+                groupings = _best_groupings(ev, spec, spec.foci, alpha, best)
+                given = ev.evaluate(tid, alpha, None, groupings)
+                if best.applicable:
+                    assert given == best, (tid, alpha)
+                else:
+                    assert repr(given) == repr(best), (tid, alpha)
+
+
 def test_readme_bound_table_matches_the_spec_table():
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     rows = {}

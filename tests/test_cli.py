@@ -389,11 +389,18 @@ def test_verify_rejects_non_finite_amplitudes(state, capsys):
      "coefficients must satisfy sum(l_i^2) = 1"),
     ({"kind": "named", "family": "gsd3", "params": [1e308, 1e308, 0, 0, 0, 0]},
      "coefficients must satisfy sum(l_i^2) = 1"),
+    # An infinite phi made np.exp warn, under -W error a traceback with exit 1.
+    ({"kind": "named", "family": "gsd3", "params": [0.5, 0.5, 0.5, 0.5, 0, math.inf]},
+     "gsd3 parameter phi must be finite, got inf"),
+    ({"kind": "named", "family": "wclass4", "params": [0.5, math.nan, 0.5, 0.5]},
+     "wclass4 parameter l2 must be finite, got nan"),
 ])
 def test_overflowing_state_specs_print_one_error_line(state, message):
-    # In a child process, so that a numpy warning would reach stderr.
+    # In a child process with warnings as errors, so that a numpy warning
+    # would reach stderr or end the run.
     proc = subprocess.run(
-        [sys.executable, "-m", "entbounds.cli", "verify", "--state", json.dumps(state),
+        [sys.executable, "-W", "error", "-m", "entbounds.cli", "verify", "--state",
+         json.dumps(state),
          "--theorem", "ckw"], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 

@@ -6,7 +6,8 @@ single-purpose functions compute on their own.  The kept objects are pinned
 too: one mu spectrum per pair, solved in one stack per fill (a focus's
 missing pairs when ``tables`` fills lazily, a whole chunk's when ``verify``
 or ``sweep`` fills up front), one certified grouping per front-search chain,
-one text per grouping, and one row per bound that never holds its evaluator.
+one text per grouping, and one row per bound that never holds its evaluator
+and from which ``evaluate`` reads J without calling ``j_best``.
 """
 
 import gc
@@ -524,3 +525,51 @@ def test_spectra_keys_follow_the_bound_rows():
         ((0, q) for q in range(1, 6)), ((1, q) for q in range(2, 6)), ((2, q) for q in range(3, 6))))
     assert cuts == ((0,), (0, 1), (0, 1, 2), (2,))
     assert bounds.spectra_keys((), 5) == ((), ())
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_j_sum_equals_the_geometric_sum_bit_for_bit(k):
+    rng = np.random.default_rng(9900 + k)
+    value_sets = [tuple(rng.random(k) * 10.0 ** -rng.integers(0, 12, k)) for _ in range(20)]
+    value_sets += [(0.0,) * k, tuple(0.0 if i % 2 else v for i, v in enumerate(value_sets[0])),
+                   tuple(sorted(value_sets[1], reverse=True))]
+    for alpha in (0.0, *bounds.AlphaGrid.default(), 2.0):
+        h = bounds.h_weight(alpha)
+        for values in value_sets:
+            got = bounds._j_sum(values, alpha / 2.0, h)
+            assert got.hex() == float(bounds._geometric_sum(values, alpha)).hex(), (values, alpha)
+
+
+@pytest.mark.parametrize("n", [6, 10])
+def test_evaluate_reads_j_off_its_rows_and_searches_only_front_rows(n, monkeypatch):
+    """J is row data: ``evaluate`` never asks ``j_best``, and asks
+    ``front_best`` once per focus of a best-grouping front row only."""
+    front_calls = []
+    front_best = StateEvaluator.front_best
+
+    def no_j_best(self, focus, alpha):
+        raise AssertionError("evaluate must not call j_best")
+
+    def counted_front_best(self, focus, alpha):
+        front_calls.append(focus)
+        return front_best(self, focus, alpha)
+
+    monkeypatch.setattr(StateEvaluator, "j_best", no_j_best)
+    monkeypatch.setattr(StateEvaluator, "front_best", counted_front_best)
+    amps = np.zeros(2 ** n)
+    for k in range(n):  # l_k^2 proportional to 3^-k: jin's singleton order is feasible
+        amps[1 << (n - 1 - k)] = 3.0 ** (-k / 2)
+    ev = StateEvaluator(qcore.PureState(n, amps / np.linalg.norm(amps)))
+    for warm in (False, True):
+        for tid, spec in BOUNDS.items():
+            merged = [Grouping.merged(q for q in range(n) if q != f) for f in spec.foci]
+            for groupings in (None, merged):
+                if groupings is not None and spec.rhs == "jin":
+                    groupings = [bounds._descending_singletons(ev.tables(0)[1])]
+                for alpha in (0.5, 1.5):
+                    front_calls.clear()
+                    ev.evaluate(tid, alpha, None, groupings)
+                    searched = spec.rhs == "front" and groupings is None
+                    assert front_calls == (list(spec.foci[:2]) if searched else []), \
+                        (tid, warm, groupings)
+    assert set(ev._rows) == set(BOUNDS)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -221,3 +222,32 @@ def test_state_spec_build_checks_qubit_count_first():
 def test_state_spec_rejects_non_numeric_arrays(obj):
     with pytest.raises(ValueError, match="array of numbers"):
         StateSpec.from_dict(obj).build()
+
+
+_GSD3 = (0.5, 0.5, 0.5, 0.5, 0.0, 0.3)  # l0..l4, phi
+_WCLASS4 = (0.5, 0.5, 0.5, 0.5)  # l1..l4
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("family, params, names", [
+    ("gsd3", _GSD3, ("l0", "l1", "l2", "l3", "l4", "phi")),
+    ("wclass4", _WCLASS4, ("l1", "l2", "l3", "l4")),
+])
+def test_named_refuses_a_non_finite_parameter_by_name(family, params, names, bad):
+    # NaN passed every coefficient comparison, and an infinite phi made
+    # np.exp warn, before PureState refused the amplitudes.
+    for k, name in enumerate(names):
+        given = params[:k] + (bad,) + params[k + 1:]
+        spec = StateSpec.from_dict({"kind": "named", "family": family, "params": list(given)})
+        for build in (lambda: named(family, given), spec.build):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as err:
+                    build()
+            assert str(err.value) == f"{family} parameter {name} must be finite, got {bad!r}"
+
+
+def test_named_keeps_finite_parameters():
+    assert named("gsd3", _GSD3).num_qubits == 3
+    assert named("gsd3", _GSD3[:5] + (1e308,)).num_qubits == 3
+    assert named("wclass4", _WCLASS4).num_qubits == 4
