@@ -16,6 +16,11 @@ descending singleton order for jin, and a search for the front sum.
 Explicit groupings, which the public ``thm*``/``jin``/``cor*`` functions
 pass, are checked and used as given.
 
+The weighted sums have one kernel each: ``_j_sum`` for J and jin, and
+``_front_sum`` for every lead term, the total C^2 being the front sum of one
+group.  The dominance precondition has one test, ``_dominates``, which the
+front search and ``feasibility`` both read.
+
 Conventions:
   * ``0**alpha`` is taken as 0 for every alpha in [0, 2], including alpha = 0.
   * ``slack >= 0`` means the inequality holds; reports are flagged satisfied
@@ -72,11 +77,12 @@ class BoundSpec:
     * ``j``: the sum of the foci's geometric assistance sums ``J``; ``rank_j``
       scales it by ``(r(r-1)/2)^(alpha/2)``, r the cut's Schmidt rank;
     * ``front`` / ``total``: the larger branch "lead term of focus A (B)
-      minus ``J`` of B (A)", the lead being the front-weighted C sum or the
-      total C^2 to the power alpha/2; ``minus_jc1`` subtracts ``J_C1``;
+      minus ``J`` of B (A)", the lead being the front-weighted C sum, or
+      the total C^2 to the power alpha/2, which is the front sum of the
+      merged group; ``minus_jc1`` subtracts ``J_C1``;
     * ``center_total``: total C^2 of focus ``center`` to the power alpha/2
       minus the other foci's ``J``; not applicable when the other foci's
-      cut exceeds the ``center`` cut.
+      cut exceeds the ``center`` cut (``center_cuts``).
 
     ``center`` is the focus whose grouping certifies a non-branch report.
     """
@@ -86,7 +92,6 @@ class BoundSpec:
     min_qubits: int
     cut: str
     rhs: str
-    fixed_alpha: bool = False
     minus_jc1: bool = False
     center: int = 0
 
@@ -95,10 +100,21 @@ class BoundSpec:
         """The default foci: qubits 0..arity-1."""
         return tuple(range(self.arity))
 
+    @property
+    def fixed_alpha(self) -> bool:
+        """Whether the bound is read at alpha = 2 only, whatever the grid."""
+        return self.rhs == "pair_sum"
+
+    def center_cuts(self, foci: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``center_total``'s two extra cuts on ``foci``: the center alone, and
+        the other foci, whose cut must not exceed the center's."""
+        c = self.center
+        return (foci[c],), foci[:c] + foci[c + 1:]
+
 
 BOUNDS: dict[str, BoundSpec] = {
-    "ckw": BoundSpec("lower", 1, 2, "C", "pair_sum", fixed_alpha=True),
-    "coa_dual": BoundSpec("upper", 1, 2, "C", "pair_sum", fixed_alpha=True),
+    "ckw": BoundSpec("lower", 1, 2, "C", "pair_sum"),
+    "coa_dual": BoundSpec("upper", 1, 2, "C", "pair_sum"),
     "jin": BoundSpec("upper", 1, 2, "C", "jin"),
     "thm1": BoundSpec("upper", 1, 2, "C", "j"),
     "thm2": BoundSpec("lower", 2, 4, "C", "front"),
@@ -148,8 +164,7 @@ def _spectra_keys(theorem_ids: tuple[str, ...], num_qubits: int
             pairs.update(dict.fromkeys(_focus_pairs(f, num_qubits).values()))
         cuts[foci] = None
         if spec.rhs == "center_total":
-            cuts[(foci[spec.center],)] = None
-            cuts[foci[:spec.center] + foci[spec.center + 1:]] = None
+            cuts.update(dict.fromkeys(spec.center_cuts(foci)))
     return tuple(pairs), tuple(cuts)
 
 
@@ -316,20 +331,20 @@ def lemma_check(x: float, y: float, alpha: float) -> tuple[bool, bool]:
     return first, second
 
 
-def _apow(value: float, alpha: float) -> float:
-    """value**alpha with negatives clipped and 0**alpha defined as 0."""
-    v = max(0.0, float(value))
-    if v == 0.0:
-        return 0.0
-    return v ** alpha
+def _dominates(head: float, tail: float) -> bool:
+    """The dominance rule: a group's squared assistance value ``head`` is at
+    least the sum ``tail`` over all later groups, within ``FEAS_TOL``.
+    ``feasibility`` and the front search both read it."""
+    return head >= tail - FEAS_TOL
 
 
 def feasibility(values_sq: Sequence[float],
                 grouping: Grouping | None = None) -> OrderingCertificate:
     """Certificate for the dominance precondition in the given order.
 
-    Feasible iff every prefix value dominates the sum of all later values.
-    A single group is vacuously feasible.
+    Feasible iff every value dominates the sum of all later values
+    (``_dominates``).  A single group is vacuously feasible.  A value below
+    ``-FEAS_TOL`` is refused with ``ValueError``.
     """
     vals = tuple(float(v) for v in values_sq)
     if not vals:
@@ -337,7 +352,7 @@ def feasibility(values_sq: Sequence[float],
     if any(v < -FEAS_TOL for v in vals):
         raise ValueError("squared values must be non-negative")
     tail = list(itertools.accumulate(reversed(vals)))[::-1]
-    feasible = all(vals[t] >= tail[t + 1] - FEAS_TOL for t in range(len(vals) - 1))
+    feasible = all(_dominates(vals[t], tail[t + 1]) for t in range(len(vals) - 1))
     return OrderingCertificate(grouping, vals, feasible)
 
 
@@ -391,35 +406,26 @@ def _require_feasible(pair_sq: Mapping[int, float], grouping: Grouping,
     return cert
 
 
-def _geometric_sum(grouped_sq: Sequence[float], alpha: float) -> float:
-    """sum_i h^(i-1) * (g_i^2)^(alpha/2) over the groups in order."""
-    h = h_weight(alpha)
-    return sum((h ** i) * _apow(v, alpha / 2.0) for i, v in enumerate(grouped_sq))
+# The two weighted sums of the bounds.  Each takes ``p = alpha/2`` and a
+# weight, and reads a value at or below 0 as 0 (``0**alpha`` is 0); a single
+# group is one ``**``.  Several groups keep the generator ``sum``, as ``sum``
+# of floats rounds differently across Python versions.
 
-
-def _j_sum(grouped_sq: Sequence[float], p: float, h: float) -> float:
-    """J of grouped squared values at ``p = alpha/2``, ``h = h_weight(alpha)``.
-
-    Equal bit for bit to ``_geometric_sum``: one ``**`` for a single group,
-    and the same generator ``sum`` for several, as ``sum`` of floats rounds
-    differently across Python versions.
-    """
+def _j_sum(grouped_sq: Sequence[float], p: float, ratio: float) -> float:
+    """sum_i ratio^(i-1) * (g_i^2)^p over the groups in order: J with
+    ``ratio = h_weight(alpha)``, jin with ``ratio = p``."""
     if len(grouped_sq) == 1:  # the merged group
         return grouped_sq[0] ** p if grouped_sq[0] > 0.0 else 0.0
-    return sum((h ** i) * (v ** p if v > 0.0 else 0.0) for i, v in enumerate(grouped_sq))
+    return sum((ratio ** i) * (v ** p if v > 0.0 else 0.0) for i, v in enumerate(grouped_sq))
 
 
-def _front_weighted_sum(grouped_sq: Sequence[float], alpha: float) -> float:
-    """h * sum_{i<k} (g_i^2)^(alpha/2) + (g_k^2)^(alpha/2)."""
-    h = h_weight(alpha)
-    terms = [_apow(v, alpha / 2.0) for v in grouped_sq]
+def _front_sum(c_sums: Sequence[float], p: float, h: float) -> float:
+    """h * sum_{i<k} (g_i^2)^p + (g_k^2)^p over the groups in order: the
+    front-weighted C sum; of one group, the total C^2 to the power p."""
+    if len(c_sums) == 1:  # the merged group
+        return c_sums[0] ** p if c_sums[0] > 0.0 else 0.0
+    terms = [v ** p if v > 0.0 else 0.0 for v in c_sums]
     return h * sum(terms[:-1]) + terms[-1]
-
-
-def _jin_sum(grouped_sq: Sequence[float], alpha: float) -> float:
-    """sum_i (alpha/2)^(i-1) * (g_i^2)^(alpha/2) over the groups in order."""
-    return sum(((alpha / 2.0) ** i) * _apow(v, alpha / 2.0)
-               for i, v in enumerate(grouped_sq))
 
 
 def _report(theorem_id: str, alpha: float, lhs: float, rhs: float,
@@ -650,9 +656,10 @@ class _SplitSearch:
     """Dominance-feasible splits of one focus's partners, shared by every alpha.
 
     Subsets of the sorted partners are bit masks.  ``_row(s)`` holds each
-    ``(t, s ^ t)`` with ``Ca2(t) >= Ca2(s ^ t) - FEAS_TOL``, in search order,
-    so a feasible grouping of ``s`` is a feasible split followed by a
-    feasible grouping of the rest.  ``splits`` keeps the row of each subset
+    ``(t, s ^ t)`` whose ``Ca2(t)`` dominates ``Ca2(s ^ t)`` by the rule that
+    ``feasibility`` applies (``_dominates``), in search order, so a
+    feasible grouping of ``s`` is a feasible split followed by a feasible
+    grouping of the rest.  ``splits`` keeps the row of each subset
     that is reachable from the full set and has a C^2 sum above 0: the full
     set and every rest of a kept row.  C^2 values are non-negative, so every
     grouping of a subset whose C^2 sum is 0 reads 0 at every alpha, and the
@@ -682,7 +689,7 @@ class _SplitSearch:
     def _row(self, s: int) -> list[tuple[int, int]]:
         """The dominance-feasible splits ``(t, s ^ t)`` of ``s``, in search order."""
         ca = self._ca
-        return [(t, s ^ t) for t in self._subs[s] if ca[t] >= ca[s ^ t] - FEAS_TOL]
+        return [(t, s ^ t) for t in self._subs[s] if _dominates(ca[t], ca[s ^ t])]
 
     def grouping(self, masks: Iterable[int]) -> Grouping:
         """The grouping whose groups are the given partner masks, in order."""
@@ -696,8 +703,8 @@ class _SplitSearch:
         s = len(self.c) - 1
         if not self.splits:  # the full set's C^2 sum is 0: the merged group
             return (s,)
-        # The front sum is maximized: minimize its negation.  The lead list is
-        # ``-_apow(v, p)`` inlined, as ``self.c`` holds floats.
+        # The front sum is maximized: minimize its negation.  Each lead is
+        # the negated one-group ``_front_sum`` of the subset, inlined.
         pick = _chain_dp(self.splits, [-(v ** p) if v > 0.0 else -0.0 for v in self.c], h)[1]
         chain = []
         while s:
@@ -740,16 +747,18 @@ def canonical_grouping(pair_sq: Mapping[int, float]) -> Grouping:
 class _Row(NamedTuple):
     """Everything about one (bound, foci, groupings) that no alpha changes.
 
-    ``evaluate`` adds only the alpha arithmetic.  ``js`` holds, per focus,
-    the certificate of the grouping that J sums: the merged group for the
-    best groupings, else the caller's.  ``fronts`` holds the caller's
-    ``Certified`` front groupings of the first two foci; it is None when the
-    front sum is searched, or not read.  ``fixed`` depends on ``kind``: the
-    alpha = 2 report of ``pair_sum``; jin's ``Certified`` singleton order,
-    or None when no order is feasible; the two foci's total C^2 of
-    ``total``; the center's total C^2 of ``center_total``, or None when the
-    bound does not apply; thm8's r(r-1)/2 of ``rank_j``.  A row never holds
-    its evaluator.
+    ``evaluate`` adds only the alpha arithmetic.  ``kind`` is the bound's
+    ``rhs``, except that a ``total`` bound is a ``front`` row.  ``js`` holds,
+    per focus, the certificate of the grouping that J sums: the merged group
+    for the best groupings, else the caller's.  ``fronts`` holds the grouped
+    C^2 sums that ``_front_sum`` turns into lead terms: for ``front``, the
+    first two foci's caller groupings, or each focus's total C^2 as one
+    group for ``total``, and None when ``front_best`` searches them; for
+    ``center_total``, the center's total C^2 as one group, or None when the
+    bound does not apply.  ``fixed`` depends on ``kind``: the alpha = 2
+    report of ``pair_sum``; jin's ``Certified`` singleton order, or None
+    when no order is feasible; thm8's r(r-1)/2 of ``rank_j``.  A row never
+    holds its evaluator.
     """
 
     kind: str
@@ -760,7 +769,7 @@ class _Row(NamedTuple):
     center: int                        # index in foci of the certifying J focus
     minus: tuple[int, ...]             # indices in foci of the J subtracted at the end
     js: tuple[OrderingCertificate, ...]
-    fronts: tuple[Certified, ...] | None
+    fronts: tuple[tuple[float, ...], ...] | None
     fixed: object
 
 
@@ -779,13 +788,15 @@ class StateEvaluator:
 
     ``evaluate`` resolves a bound's ``BOUNDS`` row once per (bound, foci)
     into a ``_Row`` that holds all its alpha-free parts: the lhs cut value
-    and direction, the foci, each focus's J certificate, the total C^2 sums,
+    and direction, the foci, each focus's J certificate, the C^2 sums of
+    the lead terms that are not searched (a total C^2 as one group),
     cor2_lower's applicability, thm8's rank factor and the alpha = 2 report
     of ckw and coa_dual.  A call checks alpha once and then adds only the
-    alpha arithmetic: J from the row's certificates, and the front sum from
-    ``front_best``, the one search.  With ``groupings=`` the same row
-    builder takes the caller's checked groupings for J and the front sum,
-    and that row is not kept.  The merged group's ``Certified`` triple
+    alpha arithmetic, by two kernels: ``_j_sum`` for J and jin, and
+    ``_front_sum`` for every lead term, the searched ones from
+    ``front_best``.  With ``groupings=`` the same row builder takes the
+    caller's checked groupings for J and the front sum, and that row is not
+    kept.  The merged group's ``Certified`` triple
     (grouping, certificate, grouped C sums) is kept once per focus, the
     front grouping's once per (focus, chain of leading groups), and each
     front term, which thm2, thm6 and cor1_thm2 share, once per (focus,
@@ -809,8 +820,14 @@ class StateEvaluator:
       lexicographically, at every subset.  A subset whose C^2 sum is 0 reads
       0 under every grouping, so it is kept whole with no row; a focus whose
       pair C are all 0 takes the merged group with no DP at all.  Above 8
-      non-focus qubits the split table alone costs more than a whole
-      12-qubit run, so the front sum takes ``canonical_grouping``.
+      non-focus qubits the front sum takes ``canonical_grouping``, by a
+      measured decision.  On a 12-qubit Gaussian W-class focus the exact
+      search would cost 0.1-0.18 s to build ``_split_table(11)`` once per
+      process, 10-13 ms of split rows and 61-72 ms of DPs for the 40
+      default alphas (11, 3 and 8-14 ms at 10 qubits), against ~6 ms for a
+      whole 12-qubit ``verify``.  The price is tightness: on GHZ+W states
+      at 11 and 12 qubits the exact optimum beats the canonical grouping's
+      front sum by up to 0.03-0.06.
 
     Reported values are always summed over the chosen grouping.
     """
@@ -833,23 +850,27 @@ class StateEvaluator:
         """``(c_sq, ca_sq)`` keyed by partner qubit, as ``pairwise_tables``.
 
         Read from the kept pair values; ``fill_spectra``, as a chunk of one,
-        first solves the focus's pairs that are not yet kept.  A focus with no
+        first solves the focus's pairs that are not yet kept, if any.  The
+        focus is checked once, before any kept table answers for it.  A focus with no
         partner qubit, on a 1-qubit state, is refused with ``ValueError``;
         every search and best grouping reads its tables here first.
         """
-        if type(focus) is not int:
-            focus = qubit_index(focus, self.psi.num_qubits, "focus")
-        if focus not in self._tables:
+        if type(focus) is not int or focus not in self._tables:
             n = self.psi.num_qubits
-            keys = _focus_pairs(qubit_index(focus, n, "focus"), n)
-            if not keys:
-                raise ValueError(f"focus {focus} has no partner qubit to group")
-            fill_spectra((self,), keys.values(), ())
-            c_sq: dict[int, float] = {}
-            ca_sq: dict[int, float] = {}
-            for p, key in keys.items():
-                c_sq[p], ca_sq[p] = self._pairs[key]
-            self._tables[focus] = (c_sq, ca_sq)
+            focus = qubit_index(focus, n, "focus")
+            if focus not in self._tables:
+                keys = _focus_pairs(focus, n)
+                if not keys:
+                    raise ValueError(f"focus {focus} has no partner qubit to group")
+                kept = self._pairs
+                missing = [key for key in keys.values() if key not in kept]
+                if missing:
+                    fill_spectra((self,), missing, ())
+                c_sq: dict[int, float] = {}
+                ca_sq: dict[int, float] = {}
+                for p, key in keys.items():
+                    c_sq[p], ca_sq[p] = kept[key]
+                self._tables[focus] = (c_sq, ca_sq)
         return self._tables[focus]
 
     def _cut(self, qubits: tuple[int, ...]) -> tuple[float, float, int]:
@@ -925,8 +946,9 @@ class StateEvaluator:
         Kept once per (focus, alpha), as thm2, thm6 and cor1_thm2 share it.
         The chain DP picks the grouping, which is certified once per (focus,
         chain): alphas that pick the same chain share one ``Certified``
-        triple and one ``Grouping``.  The sum is ``_front_weighted_sum``'s,
-        term for term.
+        triple and one ``Grouping``.  The sum is ``_front_sum`` of the
+        grouping's C^2 sums, the kernel that ``evaluate`` applies to every
+        other lead term.
         """
         if type(focus) is not int:
             focus = qubit_index(focus, self.psi.num_qubits, "focus")
@@ -943,8 +965,7 @@ class StateEvaluator:
                         else search.grouping(chain))
             certified = self._chains[focus, chain] = self._certified(focus, grouping)
         grouping, cert, c_sums = certified
-        terms = [v ** p if v > 0.0 else 0.0 for v in c_sums]
-        term = self._fronts[focus, alpha] = grouping, cert, h * sum(terms[:-1]) + terms[-1]
+        term = self._fronts[focus, alpha] = grouping, cert, _front_sum(c_sums, p, h)
         return term
 
     # -- report assembly -----------------------------------------------------
@@ -1003,7 +1024,10 @@ class StateEvaluator:
                    given: tuple[Certified, ...] | None) -> _Row:
         """The alpha-free ``_Row`` of a bound on validated foci; ``given`` is
         None for the best groupings, else the caller's, one per focus."""
-        kind, upper = spec.rhs, spec.direction == "upper"
+        # A total C^2 is the front sum of the merged group, so a total row is
+        # a front row whose fronts are never searched.
+        kind = "front" if spec.rhs == "total" else spec.rhs
+        upper = spec.direction == "upper"
         c_cut, n_cut, rank = self._cut(foci)
         center, minus, js, fronts, fixed = spec.center, (), (), None, None
         if kind == "pair_sum":
@@ -1022,18 +1046,18 @@ class StateEvaluator:
         else:
             js = tuple(cert for _, cert, _ in (
                 given if given is not None else map(self._merged_group, foci)))
-            if kind in ("front", "total"):
+            if kind == "front":
                 if spec.minus_jc1:
                     minus = tuple(range(2, len(foci)))
-                if kind == "total":
-                    fixed = tuple(sum(self.tables(f)[0].values()) for f in foci[:2])
+                if spec.rhs == "total":
+                    fronts = tuple((sum(self.tables(f)[0].values()),) for f in foci[:2])
                 elif given is not None:
-                    fronts = given[:2]
+                    fronts = tuple(c_sums for _, _, c_sums in given[:2])
             elif kind == "center_total":
-                c, others = foci[center], foci[:center] + foci[center + 1:]
+                center_cut, others = spec.center_cuts(foci)
                 minus = tuple(map(foci.index, others))
-                if not self._cut(others)[0] > self._cut((c,))[0] + SLACK_TOL:
-                    fixed = sum(self.tables(c)[0].values())
+                if not self._cut(others)[0] > self._cut(center_cut)[0] + SLACK_TOL:
+                    fronts = ((sum(self.tables(foci[center])[0].values()),),)
             elif kind == "rank_j":
                 fixed = rank * (rank - 1) / 2.0
         return _Row(kind, theorem_id, upper, n_cut if spec.cut == "N" else c_cut, foci,
@@ -1047,11 +1071,15 @@ class StateEvaluator:
         changes, each focus's J grouping included, is resolved once per
         (bound, foci) into a kept ``_Row``.  A call checks the bound id, then
         alpha once, then the foci of a row it does not keep, and adds only the
-        alpha arithmetic: J by ``_j_sum`` from the row, and a searched front
-        sum from ``front_best``.  Otherwise ``groupings`` holds one grouping
-        per focus; each must cover its focus's partners and pass the dominance
-        check (else ``InfeasibleGroupingError``), and builds a row of its own
-        that is never searched or kept.
+        alpha arithmetic: J and jin by ``_j_sum`` from the row, and each lead
+        term by ``_front_sum``, from the row's C^2 sums or, for a searched
+        front, through ``front_best``.  thm3, thm7 and cor1_thm3 are front
+        rows whose leads are each focus's total C^2 as one group, and report
+        the winning focus's J certificate, as caller front rows do.
+        Otherwise ``groupings`` holds one grouping per focus; each must
+        cover its focus's partners and pass the dominance check (else
+        ``InfeasibleGroupingError``), and builds a row of its own that is
+        never searched or kept.
         """
         row = self._rows.get(theorem_id) if foci is None and groupings is None else None
         if row is None and theorem_id not in BOUNDS:
@@ -1063,32 +1091,27 @@ class StateEvaluator:
         if kind == "pair_sum":
             return fixed
         lhs = cut ** alpha if cut > 0.0 else 0.0
+        p = alpha / 2.0
         if kind == "jin":
             if fixed is None:
                 return _not_applicable(tid, alpha, lhs)
             cert = fixed[1]
-            return _report(tid, alpha, lhs, _jin_sum(cert.squared_values, alpha), cert, upper)
-        p = alpha / 2.0
-        if kind == "front" or kind == "total":
+            return _report(tid, alpha, lhs, _j_sum(cert.squared_values, p, p), cert, upper)
+        if kind == "front":
             cert_a, cert_b = js[0], js[1]
             j_a, j_b = _j_sum(cert_a.squared_values, p, h), _j_sum(cert_b.squared_values, p, h)
-            if kind == "total":
-                total_a, total_b = fixed
-                lead_a = total_a ** p if total_a > 0.0 else 0.0
-                lead_b = total_b ** p if total_b > 0.0 else 0.0
-            elif fronts is None:
+            if fronts is None:
                 (_, cert_a, lead_a), (_, cert_b, lead_b) = \
                     self.front_best(foci[0], alpha), self.front_best(foci[1], alpha)
             else:
-                (_, cert_a, c_a), (_, cert_b, c_b) = fronts
-                lead_a, lead_b = _front_weighted_sum(c_a, alpha), _front_weighted_sum(c_b, alpha)
+                lead_a, lead_b = _front_sum(fronts[0], p, h), _front_sum(fronts[1], p, h)
             branch_a, branch_b = lead_a - j_b, lead_b - j_a
             rhs, cert = (branch_a, cert_a) if branch_a >= branch_b else (branch_b, cert_b)
         elif kind == "center_total":
-            if fixed is None:
+            if fronts is None:
                 return _not_applicable(tid, alpha, lhs)
             cert = js[center]
-            rhs = fixed ** p if fixed > 0.0 else 0.0
+            rhs = _front_sum(fronts[0], p, h)
         else:  # "j" and "rank_j": J_A + J_B (+ J_C1), added in focus order
             cert = js[center]
             rhs = _j_sum(js[0].squared_values, p, h)

@@ -41,6 +41,7 @@ from entbounds.measures import (
     negativity_pure_schmidt,
 )
 from entbounds.qcore import _PAIR_NOISE_FLOOR, _RANK_CUTOFF, _YY, haar_random_pure, schmidt_rank
+from oracles import _front_weighted_sum, _geometric_sum, _jin_sum
 
 _S = 1 / math.sqrt(5)
 GALLERY_PARAMS = {
@@ -265,7 +266,7 @@ def test_front_best_keeps_one_grouping_per_chain(name, psi):
             chain = ref.chain(alpha / 2.0, bounds.h_weight(alpha))
             g = ref.grouping(chain)
             term = (g, bounds.OrderingCertificate(g, bounds._grouped_sums(ca_sq, g), True),
-                    bounds._front_weighted_sum(bounds._grouped_sums(c_sq, g), alpha))
+                    _front_weighted_sum(bounds._grouped_sums(c_sq, g), alpha))
             best = ev.front_best(focus, alpha)
             assert best == term, (focus, alpha)
             chains.setdefault(chain, []).append(best[0])
@@ -344,8 +345,9 @@ def test_stacked_pair_spectra_equal_the_one_pair_formula(monkeypatch, name, psi)
     foci = range(min(n, 3))
     for f in foci:
         ev.tables(f)
-    # Focus f stacks its pairs with the qubits that no earlier focus measured.
-    assert stacks == [n - 1 - f for f in foci]
+    # Focus f stacks its pairs with the qubits that no earlier focus measured;
+    # a focus whose pairs are all kept, the last one of a 2-qubit state, stacks none.
+    assert stacks == [n - 1 - f for f in foci if f < n - 1]
     assert sorted(reduced) == sorted(ev._pairs)
     for pair, rho in reduced.items():
         # A fresh reduction of the same pair, solved alone as a 2-D matrix.
@@ -527,17 +529,24 @@ def test_spectra_keys_follow_the_bound_rows():
     assert bounds.spectra_keys((), 5) == ((), ())
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("k", range(1, 12))
 def test_j_sum_equals_the_geometric_sum_bit_for_bit(k):
+    """The two kernels against the reference formulas of ``oracles``:
+    ``_j_sum`` at ratio h is the geometric sum J and at ratio alpha/2 the
+    jin sum, and ``_front_sum`` is the front-weighted sum."""
     rng = np.random.default_rng(9900 + k)
     value_sets = [tuple(rng.random(k) * 10.0 ** -rng.integers(0, 12, k)) for _ in range(20)]
     value_sets += [(0.0,) * k, tuple(0.0 if i % 2 else v for i, v in enumerate(value_sets[0])),
                    tuple(sorted(value_sets[1], reverse=True))]
     for alpha in (0.0, *bounds.AlphaGrid.default(), 2.0):
-        h = bounds.h_weight(alpha)
+        p, h = alpha / 2.0, bounds.h_weight(alpha)
         for values in value_sets:
-            got = bounds._j_sum(values, alpha / 2.0, h)
-            assert got.hex() == float(bounds._geometric_sum(values, alpha)).hex(), (values, alpha)
+            where = (values, alpha)
+            assert bounds._j_sum(values, p, h).hex() == \
+                float(_geometric_sum(values, alpha)).hex(), where
+            assert bounds._j_sum(values, p, p).hex() == float(_jin_sum(values, alpha)).hex(), where
+            assert bounds._front_sum(values, p, h).hex() == \
+                float(_front_weighted_sum(values, alpha)).hex(), where
 
 
 @pytest.mark.parametrize("n", [6, 10])

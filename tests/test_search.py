@@ -26,14 +26,11 @@ import pytest
 from entbounds.bounds import (
     _TIE_TOL,
     FEAS_TOL,
+    AlphaGrid,
     Grouping,
     OrderingCertificate,
     StateEvaluator,
-    _apow,
-    _front_weighted_sum,
-    _geometric_sum,
     _grouped_sums,
-    _jin_sum,
     _split_table,
     _subset_sums,
     canonical_grouping,
@@ -43,6 +40,7 @@ from entbounds.bounds import (
 )
 from entbounds.gallery import FAMILIES, ghz, named, w
 from entbounds.qcore import PureState, haar_random_pure
+from oracles import _apow, _front_weighted_sum, _geometric_sum, _jin_sum
 
 ALPHAS = (0.0, 0.25, 1.0, 1.7, 2.0)
 
@@ -229,6 +227,15 @@ def _haar3_then_zeros(n, seed):
     return PureState.from_amplitudes(np.kron(haar_random_pure(3, seed).amplitudes, zeros))
 
 
+def _log_wclass(n, decades, seed):
+    """sum_i c_i |0..1_i..0> with |c_i| log-uniform over ``decades`` and random phases."""
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(2 ** n, dtype=complex)
+    amps[[1 << (n - 1 - q) for q in range(n)]] = (10.0 ** rng.uniform(-decades, 0.0, n)
+                                                    * np.exp(2j * np.pi * rng.random(n)))
+    return PureState.from_amplitudes(amps, normalize=True)
+
+
 LARGE = [(f"{name}{n}", make(n)) for n in (8, 9) for name, make in (
     ("haar", lambda n: haar_random_pure(n, 5300 + n)),
     ("wclass", lambda n: _random_wclass(n, 5400 + n)),
@@ -386,3 +393,38 @@ def test_a_focus_with_no_partner_is_refused(call):
     ev = StateEvaluator(PureState.from_amplitudes([1, 0]))
     with pytest.raises(ValueError, match="focus 0 has no partner qubit"):
         call(ev)
+
+
+def _ghz_plus_wclass(n, seed):
+    """GHZ ends of 0.5 plus a W-class part with coefficients uniform in [0, 1)."""
+    amps = np.zeros(2 ** n)
+    amps[[1 << (n - 1 - q) for q in range(n)]] = np.random.default_rng(seed).random(n)
+    amps[0] = amps[-1] = 0.5
+    return PureState.from_amplitudes(amps, normalize=True)
+
+
+# ensemble -> (state maker, states per qubit count); 6 decades needs the most
+# states before a chain leaves the merged group.
+AGREEMENT = {
+    "wclass_log6": (lambda n, seed: _log_wclass(n, 6, seed), 20),
+    "wclass_log12": (lambda n, seed: _log_wclass(n, 12, seed), 8),
+    "ghz_wclass": (_ghz_plus_wclass, 8),
+}
+
+
+@pytest.mark.parametrize("ensemble", sorted(AGREEMENT))
+def test_searched_front_chains_pass_feasibility(ensemble):
+    """The search and ``feasibility`` read one dominance rule: every front
+    grouping that the search picks, given back as ``groupings=``, passes the
+    caller's dominance check, on states whose pair values span many decades."""
+    make, count = AGREEMENT[ensemble]
+    split = 0
+    for n in range(4, 10):
+        for seed in range(count):
+            ev = StateEvaluator(make(n, 6400 + 100 * n + seed))
+            for alpha in AlphaGrid.default():
+                best = [ev.front_best(focus, alpha)[0] for focus in (0, 1)]
+                # Raises InfeasibleGroupingError on a grouping that the check refuses.
+                ev.evaluate("thm2", alpha, (0, 1), best)
+                split += sum(g.k > 1 for g in best)
+    assert split > 0  # some chains leave the merged group, so the check bites
