@@ -35,19 +35,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from .measures import (
+    _cut_measures,
     _keep_mu_values,
     coa_two_qubit,
-    concurrence_from_schmidt,
     concurrence_two_qubit,
-    negativity_from_schmidt,
 )
 from .qcore import (
     PureState,
+    _amplitude_tensor,
+    _reduced_densities,
     _schmidt_spectra,
     _subsystem,
     qubit_index,
-    rank_from_schmidt,
     reduced_density,
     to_density,
 )
@@ -778,12 +780,13 @@ class StateEvaluator:
 
     Each distinct qubit pair is reduced and measured once, whichever focus
     asks for it, and the focus tables are read from those pair values; its C
-    and Ca share one mu spectrum, kept on the pair's ``DensityMatrix``.  Each
-    distinct cut is reduced once and its concurrence, negativity and Schmidt
-    rank all come from that one spectrum.  ``fill_spectra`` is the one path
-    that solves them: ``verify`` and ``sweep`` fill every pair and cut that
-    ``spectra_keys`` names up front, for a whole chunk of states with one
-    stacked ``eigh`` + ``svd`` and one ``eigvalsh`` per cut size, and a
+    and Ca come from one mu spectrum and are kept with it on the pair's
+    ``DensityMatrix``.  Each distinct cut is reduced once and its
+    concurrence, negativity and Schmidt rank all come from that one
+    spectrum.  ``fill_spectra`` is the one path that solves them: ``verify``
+    and ``sweep`` fill every pair and cut that ``spectra_keys`` names up
+    front, for a whole chunk of states with one stacked reduction per pair,
+    one stacked ``eigh`` + ``svd`` and one ``eigvalsh`` per cut size, and a
     later miss in ``tables`` or ``_cut`` fills as a chunk of one.
 
     ``evaluate`` resolves a bound's ``BOUNDS`` row once per (bound, foci)
@@ -1129,36 +1132,57 @@ def fill_spectra(evaluators: Sequence[StateEvaluator], pairs: Collection[tuple[i
     """Keep on each evaluator the listed pair and cut values it lacks.
 
     ``pairs`` holds ``(low, high)`` qubit pairs and ``cuts`` sorted qubit
-    tuples, each once, as ``spectra_keys`` gives them.  Every (state, pair)
-    is reduced on its own (a two-qubit state is its own pair state), and all
-    their mu spectra are solved as one ``_keep_mu_values`` stack; each pair
-    keeps its squared concurrence and assistance.  The cuts of one size are
-    reduced one by one and solved with one stacked ``eigvalsh``; each keeps
-    its concurrence, negativity and Schmidt rank.  numpy runs the same
-    LAPACK routine on each matrix of a stack as on a single one, so the
-    values equal, bit for bit, those of a chunk of one: ``tables`` and
-    ``_cut`` fill their misses with this as a chunk of one.
+    tuples, each once, as ``spectra_keys`` gives them.  The evaluators are
+    grouped by qubit count, and each group's amplitudes are stacked once, as
+    an (S, 2, ..., 2) tensor (a view for a group of one).  Each pair is then
+    reduced for every evaluator of the group that lacks it with one
+    transposed copy and one stacked matmul, ``qcore._reduced_densities``; a
+    two-qubit state is its own pair state.  All the new pairs' mu spectra
+    are solved as one ``_keep_mu_values`` stack, which keeps each pair's C
+    and Ca on its ``rho``, and each pair keeps their squares, read through
+    ``concurrence_two_qubit`` and ``coa_two_qubit``.  The cuts of one size
+    are reduced one by one with ``reduced_density`` and solved with one
+    stacked ``eigvalsh``, and ``_cut_measures`` gives each its concurrence,
+    negativity and Schmidt rank.  numpy runs the same BLAS or LAPACK routine
+    on each matrix of a stack as on a single one, so the values equal, bit
+    for bit, those of a chunk of one: ``tables`` and ``_cut`` fill their
+    misses with this as a chunk of one.
     """
-    new = []
+    by_size: dict[int, list[StateEvaluator]] = {}
     for ev in evaluators:
-        psi, kept = ev.psi, ev._pairs
+        by_size.setdefault(ev.psi.num_qubits, []).append(ev)
+    new = []
+    for n, group in by_size.items():
+        if n == 2:
+            new.extend((ev._pairs, key, to_density(ev.psi))
+                       for ev in group for key in pairs if key not in ev._pairs)
+            continue
+        tensor = None
         for key in pairs:
-            if key not in kept:
-                new.append((kept, key, to_density(psi) if psi.num_qubits == 2
-                            else reduced_density(psi, key)))
+            lacking = [i for i, ev in enumerate(group) if key not in ev._pairs]
+            if not lacking:
+                continue
+            if tensor is None:
+                tensor = _amplitude_tensor([ev.psi for ev in group])
+                scratch = (np.empty(tensor.shape, complex), np.empty(tensor.shape, complex))
+            if len(lacking) < len(group):  # some states already hold the pair
+                rhos = _reduced_densities(tensor[lacking], key,
+                                          tuple(buf[:len(lacking)] for buf in scratch))
+            else:
+                rhos = _reduced_densities(tensor, key, scratch)
+            new.extend((group[i]._pairs, key, rho) for i, rho in zip(lacking, rhos))
     _keep_mu_values([rho for _, _, rho in new])
     for kept, key, rho in new:
         kept[key] = (concurrence_two_qubit(rho).value ** 2, coa_two_qubit(rho).value ** 2)
-    by_size: dict[int, list[tuple[StateEvaluator, tuple[int, ...]]]] = {}
+    cut_todo: dict[int, list[tuple[StateEvaluator, tuple[int, ...]]]] = {}
     for ev in evaluators:
         for key in cuts:
             if key not in ev._cuts:
-                by_size.setdefault(len(key), []).append((ev, key))
-    for todo in by_size.values():
+                cut_todo.setdefault(len(key), []).append((ev, key))
+    for todo in cut_todo.values():
         spectra = _schmidt_spectra([reduced_density(ev.psi, key).matrix for ev, key in todo])
-        for (ev, key), lam in zip(todo, spectra):
-            ev._cuts[key] = (concurrence_from_schmidt(lam).value,
-                             negativity_from_schmidt(lam).value, rank_from_schmidt(lam))
+        for (ev, key), c, neg, rank in zip(todo, *_cut_measures(spectra)):
+            ev._cuts[key] = (c, neg, rank)
 
 
 def optimize_grouping(psi: PureState, focus, alpha: float,

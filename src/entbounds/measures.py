@@ -19,6 +19,7 @@ from .qcore import (
     SubsystemLike,
     _PAIR_NOISE_FLOOR,
     _RANK_CUTOFF,
+    _SCHMIDT_CUTOFF,
     _YY,
     partial_transpose,
     reduced_density,
@@ -51,7 +52,7 @@ class MeasureValue:
 
 
 def _keep_mu_values(rhos: Sequence[DensityMatrix]) -> None:
-    """Keep the mu spectrum on every two-qubit ``rho`` that has none yet.
+    """Keep the mu spectrum, C and Ca on every two-qubit ``rho`` that has none yet.
 
     The spectra are the singular values of A = sqrt(rho) Y sqrt(rho)* with
     Y = sigma_y (x) sigma_y: then A A^dag = sqrt(rho) flipped sqrt(rho),
@@ -61,9 +62,13 @@ def _keep_mu_values(rhos: Sequence[DensityMatrix]) -> None:
 
     The missing spectra are solved as one (k, 4, 4) stack: one ``eigh`` and
     one ``svd``, which run the same LAPACK routine on each matrix as on a
-    single one, so every row equals the spectrum of its own matrix.  Each
-    row is kept, read-only, on its ``rho``: a ``DensityMatrix`` is frozen and
-    its matrix is read-only, so the spectrum cannot go stale.
+    single one, so every row equals the spectrum of its own matrix.  The
+    concurrence max(0, mu1 - mu2 - mu3 - mu4) and the assistance
+    mu1 + mu2 + mu3 + mu4 are formed for the whole stack, as columns and
+    row sums, which round as the same sums of one row do.  Each row is kept,
+    read-only, on its ``rho`` as ``_mu``, with its C and Ca as floats in
+    ``_c`` and ``_ca``: a ``DensityMatrix`` is frozen and its matrix is
+    read-only, so none can go stale.
     """
     todo = [rho for rho in rhos if "_mu" not in vars(rho)]
     if not todo:
@@ -74,21 +79,34 @@ def _keep_mu_values(rhos: Sequence[DensityMatrix]) -> None:
     mu = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
     mu[np.sum(mu, axis=1) < _PAIR_NOISE_FLOOR] = 0.0
     mu.flags.writeable = False
-    for rho, row in zip(todo, mu):
+    # The mu values are non-negative, so the difference is never -0.0 and
+    # ``maximum`` clips it as ``max(0.0, x)`` does.
+    c = np.maximum(mu[:, 0] - mu[:, 1] - mu[:, 2] - mu[:, 3], 0.0).tolist()
+    ca = mu.sum(axis=1).tolist()
+    for rho, row, c_row, ca_row in zip(todo, mu, c, ca):
         object.__setattr__(rho, "_mu", row)
+        object.__setattr__(rho, "_c", c_row)
+        object.__setattr__(rho, "_ca", ca_row)
+
+
+def _kept_mu(rho: DensityMatrix) -> dict:
+    """``rho``'s attributes, with its mu spectrum, C and Ca kept, first
+    solving them as a stack of one with ``_keep_mu_values`` when none are."""
+    kept = vars(rho)
+    if "_mu" not in kept:
+        _keep_mu_values((rho,))
+    return kept
 
 
 def _mu_values(rho: DensityMatrix) -> np.ndarray:
     """Descending square roots of the eigenvalues of rho @ spin_flip(rho).
 
-    Returns the spectrum kept on ``rho``, first solving it as a stack of one
-    with ``_keep_mu_values`` when none is kept.  The concurrence and the
-    assistance of one pair share it, and ``bounds.fill_spectra`` fills it for
-    every new pair of a chunk of states with one stacked ``eigh`` + ``svd``.
+    Returns the spectrum kept on ``rho`` by ``_kept_mu``.  The concurrence
+    and the assistance of one pair are formed with it, and
+    ``bounds.fill_spectra`` keeps them for every new pair of a chunk of
+    states with one stacked ``eigh`` + ``svd``.
     """
-    if "_mu" not in vars(rho):
-        _keep_mu_values((rho,))
-    return vars(rho)["_mu"]
+    return _kept_mu(rho)["_mu"]
 
 
 def _require_two_qubits(rho: DensityMatrix, op: str) -> None:
@@ -118,25 +136,24 @@ def concurrence_from_schmidt(lam: np.ndarray) -> MeasureValue:
 def concurrence_two_qubit(rho: DensityMatrix) -> MeasureValue:
     """Wootters concurrence max(0, mu1 - mu2 - mu3 - mu4).
 
-    Reads the mu spectrum that ``_mu_values`` keeps on ``rho``, so a
-    following ``coa_two_qubit(rho)`` costs no second eigensolve.  Zero when
-    the mu values sum below ``_PAIR_NOISE_FLOOR``.
+    Reads the value that ``_keep_mu_values`` keeps on ``rho`` next to its mu
+    spectrum, so a following ``coa_two_qubit(rho)`` costs no second
+    eigensolve.  Zero when the mu values sum below ``_PAIR_NOISE_FLOOR``.
     """
     _require_two_qubits(rho, "concurrence_two_qubit")
-    mu = _mu_values(rho)
-    return MeasureValue(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]), "concurrence")
+    return MeasureValue(_kept_mu(rho)["_c"], "concurrence")
 
 
 def coa_two_qubit(rho: DensityMatrix) -> MeasureValue:
     """Concurrence of assistance mu1 + mu2 + mu3 + mu4.
 
     This is the fidelity F(rho, spin_flip(rho)) and never falls below the
-    Wootters concurrence of the same state.  It reads the same kept mu
-    spectrum as ``concurrence_two_qubit``, and is zero below
-    ``_PAIR_NOISE_FLOOR``.
+    Wootters concurrence of the same state.  Like ``concurrence_two_qubit``
+    it reads the value kept on ``rho`` from its one mu spectrum, and is
+    zero below ``_PAIR_NOISE_FLOOR``.
     """
     _require_two_qubits(rho, "coa_two_qubit")
-    return MeasureValue(float(np.sum(_mu_values(rho))), "coa")
+    return MeasureValue(_kept_mu(rho)["_ca"], "coa")
 
 
 def negativity(rho: DensityMatrix, part_a: SubsystemLike) -> MeasureValue:
@@ -165,6 +182,35 @@ def negativity_from_schmidt(lam: np.ndarray) -> MeasureValue:
     s = float(np.sum(roots))
     return MeasureValue(max(0.0, s * s - float(np.sum(roots * roots))),
                         "negativity")
+
+
+def _cut_measures(spectra: np.ndarray) -> tuple[list[float], list[float], list[int]]:
+    """Concurrence, negativity and rank of each row of a ``_schmidt_spectra`` stack.
+
+    Each list equals, bit for bit, ``concurrence_from_schmidt``,
+    ``negativity_from_schmidt`` and ``rank_from_schmidt`` of every row.  A
+    row's spectrum is descending and clipped, so its positive entries are a
+    prefix (its entries are 0 or above ``_RANK_CUTOFF``), and the negativity
+    sums exactly that prefix, as the per-row function does: a sum over the
+    zero-padded row can round differently.  The rows are therefore summed
+    in groups of one prefix length.
+    """
+    s1 = spectra.sum(axis=1)
+    s2 = (spectra * spectra).sum(axis=1)
+    # Both differences are of sums of non-negative values, so neither is
+    # -0.0 and ``maximum`` clips them as ``max(0.0, x)`` does.
+    conc = np.sqrt(np.maximum(2.0 * (s1 * s1 - s2), 0.0))
+    roots = np.sqrt(spectra)
+    lengths = (spectra > 0.0).sum(axis=1)
+    groups = set(lengths.tolist())
+    neg = np.empty(len(spectra))
+    for length in groups:
+        rows = slice(None) if len(groups) == 1 else lengths == length
+        head = roots[rows, :length]
+        s = head.sum(axis=1)
+        neg[rows] = np.maximum(s * s - (head * head).sum(axis=1), 0.0)
+    rank = (spectra > _SCHMIDT_CUTOFF).sum(axis=1)
+    return conc.tolist(), neg.tolist(), rank.tolist()
 
 
 def cren_two_qubit(rho: DensityMatrix) -> MeasureValue:

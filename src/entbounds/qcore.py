@@ -12,7 +12,7 @@ every operation is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -206,13 +206,55 @@ def reduced_density(psi: PureState, keep: SubsystemLike) -> DensityMatrix:
     """Reduced state of a pure state; equals ``partial_trace(to_density(psi))``.
 
     Avoids forming the full projector, which matters for larger qubit counts.
+    It is ``_reduced_densities`` on a stack of one, a view of the amplitudes,
+    so a reduction made alone equals its row of any stack bit for bit.
     """
-    n = psi.num_qubits
+    return _reduced_densities(psi.amplitudes.reshape((1,) + (2,) * psi.num_qubits), keep)[0]
+
+
+def _amplitude_tensor(states: Sequence[PureState]) -> np.ndarray:
+    """The amplitudes of same-size states as one (S, 2, ..., 2) tensor.
+
+    A single state's tensor is a view of its amplitudes, with no copy.
+    """
+    if len(states) == 1:
+        amps = states[0].amplitudes
+    else:
+        amps = np.stack([psi.amplitudes for psi in states])
+    return amps.reshape((len(states),) + (2,) * states[0].num_qubits)
+
+
+def _reduced_densities(tensor: np.ndarray, keep: SubsystemLike,
+                       scratch: tuple[np.ndarray, np.ndarray] | None = None
+                       ) -> list[DensityMatrix]:
+    """Reduced state onto ``keep`` of each pure state in a stack.
+
+    ``tensor`` has shape ``(S, 2, ..., 2)``: the amplitudes of S states of
+    one qubit count, each normalized.  One transposed copy puts the kept
+    qubits first, and one stacked matmul ``B B^dagger`` forms every
+    reduction.  numpy runs the same BLAS call on each matrix of a stack as
+    on a single one, so every reduction equals, bit for bit, that of its
+    state alone.
+
+    ``scratch``, if given, is two C-contiguous complex arrays of the shape
+    of ``tensor`` that take the transposed copy and its conjugate.  A
+    caller that reduces several keys of one stack passes them, so that a
+    large stack does not fault in fresh pages for every key.
+    """
+    n = tensor.ndim - 1
     keep_idx = _subsystem(keep, n, name="keep")
-    rest = tuple(q for q in range(n) if q not in keep_idx)
-    block = psi.amplitudes.reshape((2,) * n).transpose(keep_idx + rest)
-    block = block.reshape(2 ** len(keep_idx), -1)
-    return _gram_density(len(keep_idx), block @ block.conj().T)
+    kept = tuple(q + 1 for q in keep_idx)
+    axes = (0,) + kept + tuple(q for q in range(1, n + 1) if q not in kept)
+    shape = (len(tensor), 2 ** len(kept), -1)
+    if scratch is None:
+        block = tensor.transpose(axes).reshape(shape)
+        conj = block.conj()
+    else:
+        np.copyto(scratch[0], tensor.transpose(axes))
+        block = scratch[0].reshape(shape)
+        conj = np.conjugate(block, out=scratch[1].reshape(shape))
+    stack = block @ conj.transpose(0, 2, 1)
+    return [_gram_density(len(kept), stack[i]) for i in range(len(stack))]
 
 
 def partial_transpose(rho: DensityMatrix, part: SubsystemLike) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Pins the call counts of the pair and cut layers, and checks that every value
 read from the evaluator's caches equals, bit for bit, what the public
-single-purpose functions compute on their own.  The kept objects are pinned
+single-purpose functions compute on their own; every pair matrix of a
+chunk's stacked reduction equals ``reduced_density`` of its state alone, for
+chunks of one qubit count or several.  The kept objects are pinned
 too: one mu spectrum per pair, solved in one stack per fill (a focus's
 missing pairs when ``tables`` fills lazily, a whole chunk's when ``verify``
 or ``sweep`` fills up front), one certified grouping per front-search chain,
@@ -68,7 +70,8 @@ def _evaluate_all(ev, alphas):
 
 @pytest.mark.parametrize("n, foci, cuts", [(4, 2, 2), (6, 3, 4)])
 def test_each_pair_and_cut_is_reduced_once(monkeypatch, n, foci, cuts):
-    calls = {"reduce": 0, "concurrence": 0, "coa": 0}
+    """Pairs are rows of stacked reductions and cuts are reduced one by one."""
+    calls = {"pair_rows": 0, "reduce": 0, "concurrence": 0, "coa": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -76,16 +79,22 @@ def test_each_pair_and_cut_is_reduced_once(monkeypatch, n, foci, cuts):
             return fn(*args, **kwargs)
         return wrapper
 
+    def stacked(tensor, pair, scratch):
+        rhos = qcore._reduced_densities(tensor, pair, scratch)
+        calls["pair_rows"] += len(rhos)
+        return rhos
+
     reduce = counted("reduce", qcore.reduced_density)
     monkeypatch.setattr(bounds, "reduced_density", reduce)
     monkeypatch.setattr(qcore, "reduced_density", reduce)
+    monkeypatch.setattr(bounds, "_reduced_densities", stacked)
     monkeypatch.setattr(bounds, "concurrence_two_qubit",
                         counted("concurrence", bounds.concurrence_two_qubit))
     monkeypatch.setattr(bounds, "coa_two_qubit", counted("coa", bounds.coa_two_qubit))
 
     _evaluate_all(StateEvaluator(haar_random_pure(n, 77)), (0.0, 0.5, 1.0, 2.0))
     pairs = n * (n - 1) // 2 - (n - foci) * (n - foci - 1) // 2
-    assert calls == {"reduce": pairs + cuts, "concurrence": pairs, "coa": pairs}
+    assert calls == {"pair_rows": pairs, "reduce": cuts, "concurrence": pairs, "coa": pairs}
 
 
 @pytest.mark.parametrize("psi", STATES)
@@ -326,9 +335,9 @@ def test_stacked_pair_spectra_equal_the_one_pair_formula(monkeypatch, name, psi)
     n = psi.num_qubits
     reduced, stacks = {}, []
 
-    def reduce(state, pair):
-        reduced[pair] = rho = qcore.reduced_density(state, pair)
-        return rho
+    def reduce(tensor, pair, scratch):
+        [reduced[pair]] = rhos = qcore._reduced_densities(tensor, pair, scratch)
+        return rhos
 
     def project(state):
         reduced[(0, 1)] = rho = qcore.to_density(state)
@@ -338,7 +347,7 @@ def test_stacked_pair_spectra_equal_the_one_pair_formula(monkeypatch, name, psi)
         stacks.append(len(rhos))
         measures._keep_mu_values(rhos)
 
-    monkeypatch.setattr(bounds, "reduced_density", reduce)
+    monkeypatch.setattr(bounds, "_reduced_densities", reduce)
     monkeypatch.setattr(bounds, "to_density", project)
     monkeypatch.setattr(bounds, "_keep_mu_values", keep)
     ev = StateEvaluator(psi)
@@ -351,11 +360,14 @@ def test_stacked_pair_spectra_equal_the_one_pair_formula(monkeypatch, name, psi)
     assert sorted(reduced) == sorted(ev._pairs)
     for pair, rho in reduced.items():
         # A fresh reduction of the same pair, solved alone as a 2-D matrix.
-        mu = _uncached_mu(qcore.to_density(psi) if n == 2 else qcore.reduced_density(psi, pair))
+        alone = qcore.to_density(psi) if n == 2 else qcore.reduced_density(psi, pair)
+        assert np.array_equal(rho.matrix, alone.matrix), pair
+        mu = _uncached_mu(alone)
         kept = vars(rho)["_mu"]
         assert kept.shape == (4,) and not kept.flags.writeable
         assert np.array_equal(kept, mu), pair
         c, ca = max(0.0, mu[0] - mu[1] - mu[2] - mu[3]), float(np.sum(mu))
+        assert (vars(rho)["_c"], vars(rho)["_ca"]) == (c, ca), pair
         assert ev._pairs[pair] == (c ** 2, ca ** 2), pair
     for f in foci:
         c_sq, ca_sq = ev.tables(f)
@@ -465,6 +477,74 @@ def test_a_chunk_fill_equals_the_lazy_fill_bit_for_bit(n, size):
         assert ev._cuts == lazy._cuts
 
 
+def _record_pair_rows(monkeypatch):
+    """Patch ``fill_spectra``'s stacked pair reduction to record, for each
+    row, the amplitude bytes of the state it reduced, the pair and the
+    matrix.  (A chunk may hold equal states, such as GHZ twice.)"""
+    rows = []
+
+    def stacked(tensor, pair, scratch):
+        rhos = qcore._reduced_densities(tensor, pair, scratch)
+        assert len(rhos) == len(tensor)
+        for amps, rho in zip(tensor, rhos):
+            rows.append((amps.tobytes(), pair, rho.matrix))
+        return rhos
+
+    monkeypatch.setattr(bounds, "_reduced_densities", stacked)
+    return rows
+
+
+@pytest.mark.parametrize("held", [False, True])
+@pytest.mark.parametrize("size", [1, 5, cli._SWEEP_CHUNK])
+@pytest.mark.parametrize("n", range(3, 13))
+def test_every_chunk_pair_matrix_equals_the_one_state_reduction(monkeypatch, n, size, held):
+    """Each pair of a chunk is reduced once, for the states that lack it, and
+    its matrix equals ``reduced_density`` of its state alone bit for bit.
+    With ``held``, some evaluators already hold some of the pairs."""
+    states = [FILL_FAMILIES[k % len(FILL_FAMILIES)](n, k) for k in range(size)]
+    chunk = [StateEvaluator(psi) for psi in states]
+    pairs, cuts = bounds.spectra_keys(_applicable(n), n)
+    if held:
+        rng = np.random.default_rng(9600 + 20 * n + size)
+        for ev in chunk[::2]:
+            some = [pair for pair in pairs if rng.random() < 0.5]
+            bounds.fill_spectra((ev,), some, ())
+    lacking = [(psi.amplitudes.tobytes(), pair) for psi, ev in zip(states, chunk)
+               for pair in pairs if pair not in ev._pairs]
+    rows = _record_pair_rows(monkeypatch)
+    bounds.fill_spectra(chunk, pairs, cuts)
+    assert sorted((amps, pair) for amps, pair, _ in rows) == sorted(lacking)
+    by_amps = {psi.amplitudes.tobytes(): psi for psi in states}
+    for amps, pair, matrix in rows:
+        alone = qcore.reduced_density(by_amps[amps], pair).matrix
+        assert matrix.shape == (4, 4) and not matrix.flags.writeable
+        assert np.array_equal(matrix, alone), pair
+    for psi, ev in zip(states, chunk):
+        lazy = StateEvaluator(psi)
+        _evaluate_all(lazy, (0.5,))
+        assert ev._pairs == lazy._pairs
+
+
+def test_a_mixed_size_chunk_fills_what_one_state_at_a_time_fills(monkeypatch):
+    """``fill_spectra`` groups a chunk by qubit count; keys shared by 3-, 4-
+    and 5-qubit states fill the same values as one state at a time."""
+    states = [FILL_FAMILIES[k % len(FILL_FAMILIES)](n, k)
+              for k in range(4) for n in (3, 4, 5)]
+    pairs, cuts = bounds.spectra_keys(_applicable(3), 3)
+    assert pairs and cuts
+    chunk = [StateEvaluator(psi) for psi in states]
+    rows = _record_pair_rows(monkeypatch)
+    bounds.fill_spectra(chunk, pairs, cuts)
+    assert sorted((amps, pair) for amps, pair, _ in rows) == sorted(
+        (psi.amplitudes.tobytes(), pair) for psi in states for pair in pairs)
+    monkeypatch.undo()
+    for psi, ev in zip(states, chunk):
+        alone = StateEvaluator(psi)
+        bounds.fill_spectra((alone,), pairs, cuts)
+        assert ev._pairs == alone._pairs and ev._cuts == alone._cuts
+        assert set(ev._pairs) == set(pairs) and set(ev._cuts) == set(cuts)
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_after_the_fill_evaluate_reduces_nothing(monkeypatch, n):
     chunk = [StateEvaluator(make(n, k)) for k, make in enumerate(FILL_FAMILIES)]
@@ -475,6 +555,7 @@ def test_after_the_fill_evaluate_reduces_nothing(monkeypatch, n):
 
     for module in (bounds, qcore):
         monkeypatch.setattr(module, "reduced_density", refuse)
+        monkeypatch.setattr(module, "_reduced_densities", refuse)
     monkeypatch.setattr(bounds, "to_density", refuse)
     for ev in chunk:
         _evaluate_all(ev, (0.0, 0.5, 1.0, 2.0))

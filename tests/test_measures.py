@@ -1,24 +1,30 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from entbounds.gallery import fig3, gsd3, wclass4
+from entbounds.gallery import fig3, ghz, gsd3, w, wclass4
 from entbounds.measures import (
     MeasureValue,
+    _cut_measures,
     coa_two_qubit,
     concurrence_pure,
     concurrence_two_qubit,
     cren_two_qubit,
     crenoa_two_qubit,
+    concurrence_from_schmidt,
     negativity,
+    negativity_from_schmidt,
     negativity_pure_schmidt,
     pure_concurrence_vs_negativity_check,
 )
 from entbounds.qcore import (
     DensityMatrix,
     PureState,
+    _schmidt_spectra,
     haar_random_pure,
+    rank_from_schmidt,
     reduced_density,
     schmidt_rank,
     to_density,
@@ -203,3 +209,50 @@ def test_local_unitary_invariance():
     assert abs(concurrence_two_qubit(rho).value
                - concurrence_two_qubit(rho_rot).value) < 1e-9
     assert abs(coa_two_qubit(rho).value - coa_two_qubit(rho_rot).value) < 1e-9
+
+
+def _padded(psi, zeros):
+    """``psi`` tensored with |0...0> on ``zeros`` more qubits."""
+    tail = np.zeros(2 ** zeros)
+    tail[0] = 1.0
+    return PureState.from_amplitudes(np.kron(psi.amplitudes, tail))
+
+
+def _cut_stacks():
+    """Stacks of same-size cut spectra: Haar rows, rank-deficient rows of
+    padded Haar blocks, W and GHZ rows, and rows of different ranks mixed in
+    one stack, at n = 3..12."""
+    by_size = {}
+    for n in range(3, 13):
+        states = [haar_random_pure(n, 8100 + n), w(n), ghz(n)]
+        states += [_padded(haar_random_pure(k, 8300 + n + k), n - k) for k in (2, n // 2)]
+        rng = np.random.default_rng(8400 + n)
+        for size in range(1, min(n - 1, 6) + 1):
+            combos = list(itertools.combinations(range(n), size))
+            for psi in states:
+                for j in rng.choice(len(combos), min(3, len(combos)), replace=False):
+                    by_size.setdefault(size, []).append(reduced_density(psi, combos[j]).matrix)
+    return [_schmidt_spectra(matrices) for matrices in by_size.values()]
+
+
+def test_stacked_cut_measures_equal_the_per_row_functions_bit_for_bit():
+    # The negativity's 1-ulp reproducer: summed over the zero-padded row it
+    # reads 2.6042559191474077, over the positive prefix 2.604255919147407.
+    trap = reduced_density(haar_random_pure(5, 8105), (0, 1, 3)).matrix
+    # A 6|6 cut at n = 12 of rank 8 < 64: a 9-qubit Haar block with |000>.
+    low_rank = reduced_density(_padded(haar_random_pure(9, 8500), 3), range(6)).matrix
+    stacks = _cut_stacks() + [_schmidt_spectra([trap]), _schmidt_spectra([low_rank])]
+    ranks = set()
+    for spectra in stacks:
+        conc, neg, rank = _cut_measures(spectra)
+        assert len(conc) == len(neg) == len(rank) == len(spectra)
+        for lam, c, nv, r in zip(spectra, conc, neg, rank):
+            assert type(c) is float and type(nv) is float and type(r) is int
+            assert c.hex() == concurrence_from_schmidt(lam).value.hex()
+            assert nv.hex() == negativity_from_schmidt(lam).value.hex()
+            assert r == rank_from_schmidt(lam)
+            ranks.add((len(lam), r))
+    assert _cut_measures(stacks[-2])[1] == [2.604255919147407]
+    assert _cut_measures(stacks[-1])[2] == [8]
+    # Rank-deficient and rank-one rows were among those compared.
+    assert any(r < d for d, r in ranks) and any(r == 1 for _, r in ranks)
