@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -46,6 +46,7 @@ from .measures import (
 from .qcore import (
     PureState,
     _amplitude_tensor,
+    _gram_density,
     _reduced_densities,
     _schmidt_spectra,
     _subsystem,
@@ -667,17 +668,17 @@ class _SplitSearch:
     grouping of a subset whose C^2 sum is 0 reads 0 at every alpha, and the
     tie rule keeps the whole subset: it is a leaf, with no row, whose rests
     are not expanded.  When the full set's C^2 sum is 0, as on Haar states
-    at 8 qubits and on GHZ states, ``splits`` is empty and no DP runs.  A
-    rest is a proper sub-mask, so a descending scan reaches each subset after
-    every subset that splits into it, and the rows are kept in ascending
-    order, rests first.
+    at 8 qubits and on GHZ states, ``splits`` is empty, no DP runs and no
+    ``_row`` reads the Ca^2 subset sums or ``_split_table``.  A rest is a
+    proper sub-mask, so a descending scan reaches each subset after every
+    subset that splits into it, and the rows are kept in ascending order,
+    rests first.
     """
 
     def __init__(self, c_sq: Mapping[int, float], ca_sq: Mapping[int, float]):
         self.partners = tuple(sorted(ca_sq))
         self.c = _subset_sums([float(c_sq[q]) for q in self.partners])
-        self._ca = _subset_sums([ca_sq[q] for q in self.partners])
-        self._subs = _split_table(len(self.partners))
+        self._ca_sq = ca_sq
         full = len(self.c) - 1
         reached = [False] * full + [True]
         splits: dict[int, list[tuple[int, int]]] = {}
@@ -688,10 +689,15 @@ class _SplitSearch:
                     reached[r] = True
         self.splits = dict(reversed(splits.items()))
 
+    @cached_property
+    def _ca(self) -> list[float]:
+        return _subset_sums([self._ca_sq[q] for q in self.partners])
+
     def _row(self, s: int) -> list[tuple[int, int]]:
         """The dominance-feasible splits ``(t, s ^ t)`` of ``s``, in search order."""
         ca = self._ca
-        return [(t, s ^ t) for t in self._subs[s] if _dominates(ca[t], ca[s ^ t])]
+        return [(t, s ^ t) for t in _split_table(len(self.partners))[s]
+                if _dominates(ca[t], ca[s ^ t])]
 
     def grouping(self, masks: Iterable[int]) -> Grouping:
         """The grouping whose groups are the given partner masks, in order."""
@@ -1137,8 +1143,8 @@ def fill_spectra(evaluators: Sequence[StateEvaluator], pairs: Collection[tuple[i
     an (S, 2, ..., 2) tensor (a view for a group of one).  Each pair is then
     reduced for every evaluator of the group that lacks it with one
     transposed copy and one stacked matmul, ``qcore._reduced_densities``; a
-    two-qubit state is its own pair state.  All the new pairs' mu spectra
-    are solved as one ``_keep_mu_values`` stack, which keeps each pair's C
+    two-qubit state is its own pair state.  The new pairs' stacks are joined
+    and solved as one ``_keep_mu_values`` stack, which keeps each pair's C
     and Ca on its ``rho``, and each pair keeps their squares, read through
     ``concurrence_two_qubit`` and ``coa_two_qubit``.  The cuts of one size
     are reduced one by one with ``reduced_density`` and solved with one
@@ -1151,11 +1157,13 @@ def fill_spectra(evaluators: Sequence[StateEvaluator], pairs: Collection[tuple[i
     by_size: dict[int, list[StateEvaluator]] = {}
     for ev in evaluators:
         by_size.setdefault(ev.psi.num_qubits, []).append(ev)
-    new = []
+    new, stacks = [], []
     for n, group in by_size.items():
         if n == 2:
-            new.extend((ev._pairs, key, to_density(ev.psi))
-                       for ev in group for key in pairs if key not in ev._pairs)
+            rows = [(ev._pairs, key, to_density(ev.psi))
+                    for ev in group for key in pairs if key not in ev._pairs]
+            new += rows
+            stacks += (rho.matrix[None] for _, _, rho in rows)
             continue
         tensor = None
         for key in pairs:
@@ -1166,12 +1174,14 @@ def fill_spectra(evaluators: Sequence[StateEvaluator], pairs: Collection[tuple[i
                 tensor = _amplitude_tensor([ev.psi for ev in group])
                 scratch = (np.empty(tensor.shape, complex), np.empty(tensor.shape, complex))
             if len(lacking) < len(group):  # some states already hold the pair
-                rhos = _reduced_densities(tensor[lacking], key,
-                                          tuple(buf[:len(lacking)] for buf in scratch))
+                stack = _reduced_densities(tensor[lacking], key,
+                                           tuple(buf[:len(lacking)] for buf in scratch))
             else:
-                rhos = _reduced_densities(tensor, key, scratch)
-            new.extend((group[i]._pairs, key, rho) for i, rho in zip(lacking, rhos))
-    _keep_mu_values([rho for _, _, rho in new])
+                stack = _reduced_densities(tensor, key, scratch)
+            stacks.append(stack)
+            new.extend((group[i]._pairs, key, _gram_density(m)) for i, m in zip(lacking, stack))
+    if new:
+        _keep_mu_values([rho for _, _, rho in new], np.concatenate(stacks))
     for kept, key, rho in new:
         kept[key] = (concurrence_two_qubit(rho).value ** 2, coa_two_qubit(rho).value ** 2)
     cut_todo: dict[int, list[tuple[StateEvaluator, tuple[int, ...]]]] = {}

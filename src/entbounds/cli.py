@@ -13,9 +13,7 @@ Exit codes: 0 all satisfied (or not applicable), 1 at least one violation,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -90,29 +88,39 @@ _REPORT_COLUMNS = ("theorem", "alpha", "lhs", "rhs", "slack", "satisfied", "appl
 _SWEEP_COLUMNS = ("theorem", "rows", "violations", "not_applicable", "min_slack", "mean_slack")
 
 
+def _csv_column(cells: tuple) -> list[str]:
+    """One column's cells as CSV fields; the first cell sets the column's kind:
+    a float prints as ``%.12g`` (NaN as an empty field), a bool as
+    ``true``/``false``, else ``str``, quoted as Python 3.13's ``csv.writer``
+    quotes a field with a comma, a quote, CR or LF.  Each distinct value is
+    formatted once, but a zero in place, as 0.0 == -0.0 would share a text."""
+    first = cells[0]
+    if isinstance(first, bool):
+        return ["true" if x else "false" for x in cells]
+    if isinstance(first, float):
+        fields = {x: "" if x != x else f"{x:.12g}" for x in set(cells)}
+        return [fields[x] if x else f"{x:.12g}" for x in cells]
+    texts = list(map(str, cells))
+    fields = {t: '"' + t.replace('"', '""') + '"' if any(c in t for c in ',"\r\n') else t
+              for t in set(texts)}
+    return [fields[t] for t in texts]
+
+
 def _table_text(fmt: str, columns: tuple[str, ...], rows, head: dict | None = None,
                 comments: str = "") -> str:
     """``rows`` (tuples in ``columns`` order) as CSV or JSON text.
 
-    CSV writes ``comments`` (whole ``#`` lines), the header and then the cells:
-    a float as ``%.12g`` and NaN as an empty field, a bool as ``true``/``false``,
-    anything else as given.  JSON writes ``{**head, "rows": [...]}`` with one
-    object per row, indented, and NaN as null.
+    CSV writes ``comments`` (whole ``#`` lines), the header and one line per
+    row, each column formatted at once by ``_csv_column``.  JSON writes
+    ``{**head, "rows": [...]}`` with one object per row, indented, and NaN
+    as null.
     """
     if fmt == "json":
         rows = [{c: None if isinstance(x, float) and x != x else x for c, x in zip(columns, row)}
                 for row in rows]
         return json.dumps({**(head or {}), "rows": rows}, indent=2) + "\n"
-    buf = io.StringIO()
-    buf.write(comments)
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    # Cells are formatted inline: a helper call per cell made a 12-qubit
-    # verify's CSV rendering ~6% slower.
-    writer.writerows([("" if x != x else f"{x:.12g}") if isinstance(x, float)
-                      else ("true" if x else "false") if isinstance(x, bool) else x
-                      for x in row] for row in rows)
-    return buf.getvalue()
+    lines = [",".join(_csv_column(columns)), *map(",".join, zip(*map(_csv_column, zip(*rows))))]
+    return comments + "\n".join(lines) + "\n"
 
 
 def _report_row(r: BoundReport) -> tuple:

@@ -212,11 +212,15 @@ def _spec_qubits(value) -> int:
 
 
 def _spec_numbers(obj: dict, key: str, default=None) -> tuple[float, ...]:
-    """``obj[key]`` as floats; it must be an array of numbers, not bools or strings."""
+    """``obj[key]`` as floats; it must be an array of numbers, not bools or
+    strings, and each must fit a float (JSON integers are unbounded)."""
     value = obj.get(key, default)
     if not isinstance(value, (list, tuple)) or not set(map(type, value)) <= _JSON_NUMBERS:
         raise ValueError(f"{key!r} must be an array of numbers, got {value!r}")
-    return tuple(map(float, value))
+    try:
+        return tuple(map(float, value))
+    except OverflowError:
+        raise ValueError(f"{key!r} holds an integer too large for a float") from None
 
 
 @dataclass(frozen=True)

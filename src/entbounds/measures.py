@@ -51,7 +51,14 @@ class MeasureValue:
         return self.value
 
 
-def _keep_mu_values(rhos: Sequence[DensityMatrix]) -> None:
+def _trusted_value(value: float, kind: str) -> MeasureValue:
+    """``MeasureValue(value, kind)`` of a known non-negative float, unchecked."""
+    measure = object.__new__(MeasureValue)
+    vars(measure).update(value=value, kind=kind)
+    return measure
+
+
+def _keep_mu_values(rhos: Sequence[DensityMatrix], stack: np.ndarray | None = None) -> None:
     """Keep the mu spectrum, C and Ca on every two-qubit ``rho`` that has none yet.
 
     The spectra are the singular values of A = sqrt(rho) Y sqrt(rho)* with
@@ -69,11 +76,16 @@ def _keep_mu_values(rhos: Sequence[DensityMatrix]) -> None:
     read-only, on its ``rho`` as ``_mu``, with its C and Ca as floats in
     ``_c`` and ``_ca``: a ``DensityMatrix`` is frozen and its matrix is
     read-only, so none can go stale.
+
+    ``stack``, if given, is the matrices of ``rhos``, none of them solved
+    yet, as one array (``bounds.fill_spectra`` holds them so).
     """
-    todo = [rho for rho in rhos if "_mu" not in vars(rho)]
-    if not todo:
-        return
-    evals, vecs = np.linalg.eigh(np.stack([rho.matrix for rho in todo]))
+    if stack is None:
+        rhos = [rho for rho in rhos if "_mu" not in vars(rho)]
+        if not rhos:
+            return
+        stack = np.stack([rho.matrix for rho in rhos])
+    evals, vecs = np.linalg.eigh(stack)
     evals = np.where(evals < _RANK_CUTOFF, 0.0, evals)
     root = (vecs * np.sqrt(evals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
     mu = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
@@ -83,7 +95,7 @@ def _keep_mu_values(rhos: Sequence[DensityMatrix]) -> None:
     # ``maximum`` clips it as ``max(0.0, x)`` does.
     c = np.maximum(mu[:, 0] - mu[:, 1] - mu[:, 2] - mu[:, 3], 0.0).tolist()
     ca = mu.sum(axis=1).tolist()
-    for rho, row, c_row, ca_row in zip(todo, mu, c, ca):
+    for rho, row, c_row, ca_row in zip(rhos, mu, c, ca):
         object.__setattr__(rho, "_mu", row)
         object.__setattr__(rho, "_c", c_row)
         object.__setattr__(rho, "_ca", ca_row)
@@ -96,17 +108,6 @@ def _kept_mu(rho: DensityMatrix) -> dict:
     if "_mu" not in kept:
         _keep_mu_values((rho,))
     return kept
-
-
-def _mu_values(rho: DensityMatrix) -> np.ndarray:
-    """Descending square roots of the eigenvalues of rho @ spin_flip(rho).
-
-    Returns the spectrum kept on ``rho`` by ``_kept_mu``.  The concurrence
-    and the assistance of one pair are formed with it, and
-    ``bounds.fill_spectra`` keeps them for every new pair of a chunk of
-    states with one stacked ``eigh`` + ``svd``.
-    """
-    return _kept_mu(rho)["_mu"]
 
 
 def _require_two_qubits(rho: DensityMatrix, op: str) -> None:
@@ -139,9 +140,10 @@ def concurrence_two_qubit(rho: DensityMatrix) -> MeasureValue:
     Reads the value that ``_keep_mu_values`` keeps on ``rho`` next to its mu
     spectrum, so a following ``coa_two_qubit(rho)`` costs no second
     eigensolve.  Zero when the mu values sum below ``_PAIR_NOISE_FLOOR``.
+    The kept float is never negative or -0.0, so it is not checked again.
     """
     _require_two_qubits(rho, "concurrence_two_qubit")
-    return MeasureValue(_kept_mu(rho)["_c"], "concurrence")
+    return _trusted_value(_kept_mu(rho)["_c"], "concurrence")
 
 
 def coa_two_qubit(rho: DensityMatrix) -> MeasureValue:
@@ -153,7 +155,7 @@ def coa_two_qubit(rho: DensityMatrix) -> MeasureValue:
     zero below ``_PAIR_NOISE_FLOOR``.
     """
     _require_two_qubits(rho, "coa_two_qubit")
-    return MeasureValue(_kept_mu(rho)["_ca"], "coa")
+    return _trusted_value(_kept_mu(rho)["_ca"], "coa")
 
 
 def negativity(rho: DensityMatrix, part_a: SubsystemLike) -> MeasureValue:

@@ -12,6 +12,7 @@ every operation is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -164,24 +165,24 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
 
 
-def _gram_density(num_qubits: int, matrix: np.ndarray) -> DensityMatrix:
+def _gram_density(matrix: np.ndarray) -> DensityMatrix:
     """``DensityMatrix`` of ``matrix = B B^dagger`` for a block ``B`` of a
     ``PureState``'s amplitudes, made read-only without re-running the checks.
 
     Such a matrix is Hermitian and positive semidefinite by construction, and
     its trace is the state's squared norm, which ``PureState`` has checked.
+    Its side, a power of two, gives the qubit count.
     """
     matrix.flags.writeable = False
     rho = object.__new__(DensityMatrix)
-    object.__setattr__(rho, "num_qubits", num_qubits)
-    object.__setattr__(rho, "matrix", matrix)
+    vars(rho).update(num_qubits=len(matrix).bit_length() - 1, matrix=matrix)
     return rho
 
 
 def to_density(psi: PureState) -> DensityMatrix:
     """Rank-one projector |psi><psi| of a pure state."""
     amps = psi.amplitudes
-    return _gram_density(psi.num_qubits, np.outer(amps, amps.conj()))
+    return _gram_density(np.outer(amps, amps.conj()))
 
 
 def partial_trace(rho: DensityMatrix, keep: SubsystemLike) -> DensityMatrix:
@@ -209,7 +210,8 @@ def reduced_density(psi: PureState, keep: SubsystemLike) -> DensityMatrix:
     It is ``_reduced_densities`` on a stack of one, a view of the amplitudes,
     so a reduction made alone equals its row of any stack bit for bit.
     """
-    return _reduced_densities(psi.amplitudes.reshape((1,) + (2,) * psi.num_qubits), keep)[0]
+    tensor = psi.amplitudes.reshape((1,) + (2,) * psi.num_qubits)
+    return _gram_density(_reduced_densities(tensor, keep)[0])
 
 
 def _amplitude_tensor(states: Sequence[PureState]) -> np.ndarray:
@@ -224,17 +226,28 @@ def _amplitude_tensor(states: Sequence[PureState]) -> np.ndarray:
     return amps.reshape((len(states),) + (2,) * states[0].num_qubits)
 
 
+@lru_cache(maxsize=8192)
+def _kept_axes(num_qubits: int, keep: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The order that puts ``keep``'s qubits first in an (S, 2, ..., 2) tensor,
+    and their count, checked by ``_subsystem`` once per (qubit count, key).
+    A refused key raises, so it is never cached; ``keep`` holds plain ints,
+    since ``True == 1`` and ``np.int64(1) == 1`` would share an entry."""
+    kept = tuple(q + 1 for q in _subsystem(keep, num_qubits, name="keep"))
+    return (0,) + kept + tuple(q for q in range(1, num_qubits + 1) if q not in kept), len(kept)
+
+
 def _reduced_densities(tensor: np.ndarray, keep: SubsystemLike,
-                       scratch: tuple[np.ndarray, np.ndarray] | None = None
-                       ) -> list[DensityMatrix]:
-    """Reduced state onto ``keep`` of each pure state in a stack.
+                       scratch: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Reduced state onto ``keep`` of each pure state in a stack, as one
+    read-only (S, d, d) array, whose rows ``_gram_density`` wraps.
 
     ``tensor`` has shape ``(S, 2, ..., 2)``: the amplitudes of S states of
     one qubit count, each normalized.  One transposed copy puts the kept
     qubits first, and one stacked matmul ``B B^dagger`` forms every
     reduction.  numpy runs the same BLAS call on each matrix of a stack as
     on a single one, so every reduction equals, bit for bit, that of its
-    state alone.
+    state alone.  A key that is not a tuple of plain ints is checked with
+    ``_subsystem`` before ``_kept_axes`` reads it.
 
     ``scratch``, if given, is two C-contiguous complex arrays of the shape
     of ``tensor`` that take the transposed copy and its conjugate.  A
@@ -242,10 +255,10 @@ def _reduced_densities(tensor: np.ndarray, keep: SubsystemLike,
     large stack does not fault in fresh pages for every key.
     """
     n = tensor.ndim - 1
-    keep_idx = _subsystem(keep, n, name="keep")
-    kept = tuple(q + 1 for q in keep_idx)
-    axes = (0,) + kept + tuple(q for q in range(1, n + 1) if q not in kept)
-    shape = (len(tensor), 2 ** len(kept), -1)
+    if type(keep) is not tuple or not all(type(q) is int for q in keep):
+        keep = _subsystem(keep, n, name="keep")
+    axes, k = _kept_axes(n, keep)
+    shape = (len(tensor), 2 ** k, -1)
     if scratch is None:
         block = tensor.transpose(axes).reshape(shape)
         conj = block.conj()
@@ -254,7 +267,8 @@ def _reduced_densities(tensor: np.ndarray, keep: SubsystemLike,
         block = scratch[0].reshape(shape)
         conj = np.conjugate(block, out=scratch[1].reshape(shape))
     stack = block @ conj.transpose(0, 2, 1)
-    return [_gram_density(len(kept), stack[i]) for i in range(len(stack))]
+    stack.flags.writeable = False
+    return stack
 
 
 def partial_transpose(rho: DensityMatrix, part: SubsystemLike) -> np.ndarray:

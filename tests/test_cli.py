@@ -394,6 +394,12 @@ def test_verify_rejects_non_finite_amplitudes(state, capsys):
      "gsd3 parameter phi must be finite, got inf"),
     ({"kind": "named", "family": "wclass4", "params": [0.5, math.nan, 0.5, 0.5]},
      "wclass4 parameter l2 must be finite, got nan"),
+    # A JSON integer beyond float range made float() raise OverflowError:
+    # a traceback with exit 1, the violation code.
+    ({"kind": "amplitudes", "n": 1, "re": [10 ** 400, 0], "im": [0, 0]},
+     "'re' holds an integer too large for a float"),
+    ({"kind": "named", "family": "ghz", "params": [10 ** 400]},
+     "'params' holds an integer too large for a float"),
 ])
 def test_overflowing_state_specs_print_one_error_line(state, message):
     # In a child process with warnings as errors, so that a numpy warning
@@ -544,3 +550,56 @@ def test_sweep_across_chunks_prints_what_one_state_at_a_time_prints(
     monkeypatch.setattr(cli, "fill_spectra", lambda evaluators, pairs, cuts: None)
     assert chunked == run_main(argv, capsys)
     assert chunked[0] == 0
+
+
+def _csv_writer_text(columns, rows, comments=""):
+    """The table as ``csv.writer`` writes it, with the cells formatted as
+    ``_table_text`` documents: ``%.12g``, NaN empty, bools as words."""
+    buf = io.StringIO()
+    buf.write(comments)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([("" if x != x else f"{x:.12g}") if isinstance(x, float)
+                      else ("true" if x else "false") if isinstance(x, bool) else x
+                      for x in row] for row in rows)
+    return buf.getvalue()
+
+
+_AWKWARD_TEXTS = ["", "a,b", 'say "hi"', '"', '""', "two\nlines", ",", "0|1,2|3", " pad ",
+                  "tab\there", "#", "plain"]
+_AWKWARD_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                   2.2250738585072014e-308, 1e300, -1e300, 1e-300, 1.0, 0.1, 1 / 3,
+                   123456789012345.0, 1e16, -2.5]
+
+
+@pytest.mark.parametrize("comments", ["", "# sweep qubits=4 samples=3 seed=1\n# alpha=0.5,1\n"])
+def test_the_csv_writer_equals_csv_writer_on_every_cell(comments):
+    rows = [(text, x, flag, k, x, text)
+            for k, (text, x, flag) in enumerate(zip(_AWKWARD_TEXTS * 2, _AWKWARD_FLOATS * 2,
+                                                    [True, False, False] * 12))]
+    columns = ("theorem", "lhs", "satisfied", "rows", "slack", "grouping")
+    assert cli._table_text("csv", columns, rows, comments=comments) == _csv_writer_text(
+        columns, rows, comments)
+    assert cli._table_text("csv", columns, [], comments=comments) == _csv_writer_text(
+        columns, [], comments)
+    assert cli._table_text("csv", ("a", 'b,"c"'), [("x", 1.5)]) == 'a,"b,""c"""\nx,1.5\n'
+
+
+def test_the_csv_writer_quotes_a_carriage_return_as_python_3_13_does():
+    # Python 3.10-3.12's csv.writer leaves a CR unquoted when the line
+    # terminator is LF; 3.13 quotes it, and so does the writer.
+    text = cli._table_text("csv", ("a", "b"), [("x\ry", "z")])
+    assert text == 'a,b\n"x\ry",z\n'
+    if sys.version_info >= (3, 13):
+        assert text == _csv_writer_text(("a", "b"), [("x\ry", "z")])
+
+
+@pytest.mark.parametrize("order", ["zero_first", "negative_zero_first"])
+def test_float_cells_print_as_12g_and_a_negative_zero_keeps_its_sign(order):
+    values = _AWKWARD_FLOATS * 3
+    if order == "negative_zero_first":
+        values = values[1:]
+    text = cli._table_text("csv", ("alpha", "x"), [(1.0, x) for x in values])
+    cells = [line.split(",")[1] for line in text.splitlines()[1:]]
+    assert cells == ["" if x != x else f"{x:.12g}" for x in values]
+    assert cells.count("-0") == sum(x == 0.0 and math.copysign(1.0, x) < 0 for x in values) > 0

@@ -80,9 +80,9 @@ def test_each_pair_and_cut_is_reduced_once(monkeypatch, n, foci, cuts):
         return wrapper
 
     def stacked(tensor, pair, scratch):
-        rhos = qcore._reduced_densities(tensor, pair, scratch)
-        calls["pair_rows"] += len(rhos)
-        return rhos
+        stack = qcore._reduced_densities(tensor, pair, scratch)
+        calls["pair_rows"] += len(stack)
+        return stack
 
     reduce = counted("reduce", qcore.reduced_density)
     monkeypatch.setattr(bounds, "reduced_density", reduce)
@@ -165,9 +165,11 @@ def test_internal_reductions_are_not_revalidated(monkeypatch, n):
     psi = haar_random_pure(n, 8400 + n)
 
     def refuse(self):
-        raise AssertionError("an internal reduction re-ran the DensityMatrix checks")
+        raise AssertionError(f"an internal value re-ran the {type(self).__name__} checks")
 
+    # Nor are the pair C and Ca that the fill reads through the measures.
     monkeypatch.setattr(qcore.DensityMatrix, "__post_init__", refuse)
+    monkeypatch.setattr(measures.MeasureValue, "__post_init__", refuse)
     ev = StateEvaluator(psi)
     for tid in THEOREM_IDS:
         if n >= BOUNDS[tid].min_qubits:
@@ -237,8 +239,8 @@ def test_kept_pair_spectrum_equals_the_uncached_formula(monkeypatch, coa_first):
             assert coa_two_qubit(rho).value == ca
         assert concurrence_two_qubit(rho).value == c
         assert coa_two_qubit(rho).value == ca
-        kept = measures._mu_values(rho)
-        assert kept is measures._mu_values(rho) and not kept.flags.writeable
+        kept = measures._kept_mu(rho)["_mu"]
+        assert kept is measures._kept_mu(rho)["_mu"] and not kept.flags.writeable
         assert np.array_equal(kept, mu)
     # The formula solves one 2-D matrix; the measures solve a stack of one.
     assert shapes == [(4, 4), (1, 4, 4)] * len(rhos)
@@ -333,19 +335,31 @@ STACK_STATES = [(f"{name}{n}", make(n)) for n in range(2, 13) for name, make in 
 @pytest.mark.parametrize("name, psi", STACK_STATES, ids=[s[0] for s in STACK_STATES])
 def test_stacked_pair_spectra_equal_the_one_pair_formula(monkeypatch, name, psi):
     n = psi.num_qubits
-    reduced, stacks = {}, []
+    reduced, stacks, pending = {}, [], []
 
     def reduce(tensor, pair, scratch):
-        [reduced[pair]] = rhos = qcore._reduced_densities(tensor, pair, scratch)
-        return rhos
+        stack = qcore._reduced_densities(tensor, pair, scratch)
+        assert stack.shape == (1, 4, 4) and not stack.flags.writeable
+        pending.append((pair, stack[0]))
+        return stack
 
     def project(state):
-        reduced[(0, 1)] = rho = qcore.to_density(state)
+        rho = qcore.to_density(state)
+        pending.append(((0, 1), rho.matrix))
         return rho
 
-    def keep(rhos):
+    def keep(rhos, stack):
+        # One rho per reduction, in reduction order, each wrapping its matrix,
+        # and the stack to solve is exactly the rhos' matrices.
         stacks.append(len(rhos))
-        measures._keep_mu_values(rhos)
+        assert len(rhos) == len(pending)
+        for (pair, matrix), rho in zip(pending, rhos):
+            assert np.array_equal(rho.matrix, matrix) and not rho.matrix.flags.writeable
+            assert rho.num_qubits == 2
+            reduced[pair] = rho
+        assert np.array_equal(stack, np.stack([rho.matrix for rho in rhos]))
+        pending.clear()
+        measures._keep_mu_values(rhos, stack)
 
     monkeypatch.setattr(bounds, "_reduced_densities", reduce)
     monkeypatch.setattr(bounds, "to_density", project)
@@ -398,7 +412,7 @@ def test_the_noise_floor_zeroes_only_the_product_rows_of_a_stack(monkeypatch):
         with pytest.raises(ValueError):
             kept[0] = 1.0
         concurrence_two_qubit(rho), coa_two_qubit(rho)
-        assert measures._mu_values(rho) is kept
+        assert measures._kept_mu(rho)["_mu"] is kept
     measures._keep_mu_values(rhos)
 
 
@@ -484,11 +498,11 @@ def _record_pair_rows(monkeypatch):
     rows = []
 
     def stacked(tensor, pair, scratch):
-        rhos = qcore._reduced_densities(tensor, pair, scratch)
-        assert len(rhos) == len(tensor)
-        for amps, rho in zip(tensor, rhos):
-            rows.append((amps.tobytes(), pair, rho.matrix))
-        return rhos
+        stack = qcore._reduced_densities(tensor, pair, scratch)
+        assert len(stack) == len(tensor)
+        for amps, matrix in zip(tensor, stack):
+            rows.append((amps.tobytes(), pair, matrix))
+        return stack
 
     monkeypatch.setattr(bounds, "_reduced_densities", stacked)
     return rows

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import entbounds.qcore as qcore
 from entbounds.qcore import (
     DensityMatrix,
     InvalidSubsystemError,
@@ -327,3 +328,37 @@ def test_numpy_integer_subsystem_indices_are_accepted():
                           reduced_density(psi, 3).matrix)
     subsystem = SubsystemSet((np.int64(0), 1))
     assert subsystem.indices == (0, 1) and all(type(i) is int for i in subsystem)
+
+
+@pytest.mark.parametrize("n, key", [
+    (4, (0, True)), (4, (False, 1)), (4, (True,)), (4, (np.float64(0.0), 1)), (4, (0.0, 1.0)),
+    (4, (0, 4)), (4, (3, 4)), (4, (1, 1)), (4, (0, 1, 2, 3)), (4, ()), (3, (0, 1, 2))])
+def test_a_cached_axis_order_never_answers_for_a_refused_key(monkeypatch, n, key):
+    # Warm the axis-order cache with every valid sorted key at every size, so
+    # that each refused key above equals (or hashes as) some cached one.
+    for size in range(2, 6):
+        tensor = haar_random_pure(size, 40 + size).amplitudes.reshape((1,) + (2,) * size)
+        for k in range(1, size):
+            for kept in itertools.combinations(range(size), k):
+                qcore._reduced_densities(tensor, kept)
+    checked, qcore_subsystem = [], qcore._subsystem
+
+    def subsystem(*args, **kwargs):
+        checked.append(args[0])
+        return qcore_subsystem(*args, **kwargs)
+
+    monkeypatch.setattr(qcore, "_subsystem", subsystem)
+    cached = qcore._kept_axes.cache_info().currsize
+    psi = haar_random_pure(n, 7)
+    with pytest.raises(InvalidSubsystemError):
+        reduced_density(psi, key)
+    assert len(checked) == 1 and checked[0] is key
+    # A warm plain key skips the check; a numpy-integer key is checked
+    # afresh and then reads the plain key's entry.  Neither adds an entry.
+    checked.clear()
+    assert reduced_density(psi, (0, 1)).num_qubits == 2 and checked == []
+    numpy_key = (np.int64(0), np.int64(1))
+    assert np.array_equal(reduced_density(psi, numpy_key).matrix,
+                          reduced_density(psi, (0, 1)).matrix)
+    assert checked == [numpy_key]
+    assert qcore._kept_axes.cache_info().currsize == cached

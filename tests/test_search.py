@@ -428,3 +428,25 @@ def test_searched_front_chains_pass_feasibility(ensemble):
                 ev.evaluate("thm2", alpha, (0, 1), best)
                 split += sum(g.k > 1 for g in best)
     assert split > 0  # some chains leave the merged group, so the check bites
+
+
+@pytest.mark.parametrize("psi", [ghz(6), haar_random_pure(7, 3)], ids=["ghz6", "haar7"])
+def test_a_zero_c_focus_builds_no_split_work(monkeypatch, psi):
+    """A focus whose pair C^2 sum is 0 takes the merged group with no DP: its
+    search builds neither the Ca^2 subset sums nor reads the split table,
+    until ``feasible_groupings`` walks its rows, which it lists unchanged."""
+    import entbounds.bounds as bounds
+
+    read = []
+    table = bounds._split_table
+    monkeypatch.setattr(bounds, "_split_table", lambda m: read.append(m) or table(m))
+    ev = StateEvaluator(psi)
+    for alpha in (0.05, 1.0, 2.0):
+        ev.evaluate("thm2", alpha)
+    for focus in (0, 1):
+        search = ev._split_search(focus)
+        assert sum(ev.tables(focus)[0].values()) == 0.0 and search.splits == {}
+        assert "_ca" not in vars(search)
+    assert read == []
+    assert ev.feasible_groupings(0) == _feasible(*ev.tables(0))[0]
+    assert set(read) == {psi.num_qubits - 1}
