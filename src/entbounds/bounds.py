@@ -265,6 +265,40 @@ class BoundReport:
     applicable: bool = True
 
 
+class BoundColumns(NamedTuple):
+    """One bound evaluated over an alpha grid, as columns of its rows.
+
+    Row ``i`` is the report at ``alpha[i]``: ``lhs``, ``rhs``, ``slack``,
+    ``satisfied`` and the ordering certificate ``ordering`` each hold one
+    value per row, and ``applicable`` holds for every row.  A fixed-alpha
+    bound has the one row alpha = 2, whatever the grid.  Rows that are not
+    applicable carry NaN rhs/slack, no ordering and ``satisfied``.
+    """
+
+    theorem_id: str
+    alpha: tuple[float, ...]
+    lhs: list[float]
+    rhs: list[float]
+    slack: list[float]
+    satisfied: list[bool]
+    ordering: list[OrderingCertificate | None]
+    applicable: bool
+
+    def report(self, i: int) -> BoundReport:
+        """The ``BoundReport`` of row ``i``.
+
+        Built as ``qcore._gram_density`` builds its matrices: ``object.__new__``
+        and one update of the field dict, which skips the frozen dataclass's
+        per-field ``object.__setattr__`` calls.  Equality, hashing and ``repr``
+        read the same fields, and setting one still raises.
+        """
+        report = object.__new__(BoundReport)
+        vars(report).update(theorem_id=self.theorem_id, alpha=self.alpha[i], lhs=self.lhs[i],
+                            rhs=self.rhs[i], slack=self.slack[i], ordering=self.ordering[i],
+                            satisfied=self.satisfied[i], applicable=self.applicable)
+        return report
+
+
 @dataclass(frozen=True)
 class AlphaGrid:
     """Strictly increasing exponents within [0, 2]."""
@@ -429,27 +463,6 @@ def _front_sum(c_sums: Sequence[float], p: float, h: float) -> float:
         return c_sums[0] ** p if c_sums[0] > 0.0 else 0.0
     terms = [v ** p if v > 0.0 else 0.0 for v in c_sums]
     return h * sum(terms[:-1]) + terms[-1]
-
-
-def _report(theorem_id: str, alpha: float, lhs: float, rhs: float,
-            ordering: OrderingCertificate | None, upper: bool) -> BoundReport:
-    """The applicable ``BoundReport`` of one evaluated row.
-
-    Built as ``qcore._gram_density`` builds its matrices: ``object.__new__``
-    and one update of the field dict, which skips the frozen dataclass's
-    per-field ``object.__setattr__`` calls.  Equality, hashing and ``repr``
-    read the same fields, and setting one still raises.
-    """
-    slack = (rhs - lhs) if upper else (lhs - rhs)
-    report = object.__new__(BoundReport)
-    vars(report).update(theorem_id=theorem_id, alpha=alpha, lhs=lhs, rhs=rhs, slack=slack,
-                        ordering=ordering, satisfied=slack >= -SLACK_TOL, applicable=True)
-    return report
-
-
-def _not_applicable(theorem_id: str, alpha: float, lhs: float) -> BoundReport:
-    return BoundReport(theorem_id, alpha, lhs, float("nan"), float("nan"),
-                       None, True, applicable=False)
 
 
 def _per_focus(groupings) -> tuple:
@@ -668,21 +681,26 @@ class _SplitSearch:
     grouping of a subset whose C^2 sum is 0 reads 0 at every alpha, and the
     tie rule keeps the whole subset: it is a leaf, with no row, whose rests
     are not expanded.  When the full set's C^2 sum is 0, as on Haar states
-    at 8 qubits and on GHZ states, ``splits`` is empty, no DP runs and no
-    ``_row`` reads the Ca^2 subset sums or ``_split_table``.  A rest is a
-    proper sub-mask, so a descending scan reaches each subset after every
-    subset that splits into it, and the rows are kept in ascending order,
-    rests first.
+    at 8 qubits and on GHZ states, ``splits`` is empty and no DP runs: the
+    C^2 subset sums ``c`` are not built (None), no mask is scanned, and no
+    ``_row`` reads the Ca^2 subset sums or ``_split_table``.  ``full`` is
+    the full set's mask.  A rest is a proper sub-mask, so a descending scan
+    reaches each subset after every subset that splits into it, and the
+    rows are kept in ascending order, rests first.
     """
 
     def __init__(self, c_sq: Mapping[int, float], ca_sq: Mapping[int, float]):
         self.partners = tuple(sorted(ca_sq))
-        self.c = _subset_sums([float(c_sq[q]) for q in self.partners])
+        values = [float(c_sq[q]) for q in self.partners]
+        self.full = (1 << len(values)) - 1
         self._ca_sq = ca_sq
-        full = len(self.c) - 1
-        reached = [False] * full + [True]
-        splits: dict[int, list[tuple[int, int]]] = {}
-        for s in range(full, 0, -1):
+        self.splits: dict[int, list[tuple[int, int]]] = {}
+        self.c = _subset_sums(values) if any(values) else None
+        if self.c is None:
+            return
+        reached = [False] * self.full + [True]
+        splits = {}
+        for s in range(self.full, 0, -1):
             if reached[s] and self.c[s] != 0.0:
                 splits[s] = row = self._row(s)
                 for _, r in row:
@@ -708,7 +726,7 @@ class _SplitSearch:
         """Leading-group masks of the grouping that maximizes the front-weighted
         C sum at ``p = alpha/2`` and ``h = h_weight(alpha)``; ``grouping``
         turns them into the grouping."""
-        s = len(self.c) - 1
+        s = self.full
         if not self.splits:  # the full set's C^2 sum is 0: the merged group
             return (s,)
         # The front sum is maximized: minimize its negation.  Each lead is
@@ -728,7 +746,7 @@ class _SplitSearch:
                     yield (t,) + tail
             yield (s,)
 
-        for chain in walk(len(self.c) - 1):
+        for chain in walk(self.full):
             yield self.grouping(chain)
 
 
@@ -764,14 +782,14 @@ class _Row(NamedTuple):
     group for ``total``, and None when ``front_best`` searches them; for
     ``center_total``, the center's total C^2 as one group, or None when the
     bound does not apply.  ``fixed`` depends on ``kind``: the alpha = 2
-    report of ``pair_sum``; jin's ``Certified`` singleton order, or None
-    when no order is feasible; thm8's r(r-1)/2 of ``rank_j``.  A row never
-    holds its evaluator.
+    ``(lhs, rhs)`` of ``pair_sum``; jin's ``Certified`` singleton order, or
+    None when no order is feasible; thm8's r(r-1)/2 of ``rank_j``.  A row
+    never holds its evaluator.
     """
 
     kind: str
     theorem_id: str
-    upper: bool
+    upper: bool                        # slack is rhs - lhs, else lhs - rhs
     cut: float                         # the lhs base: C or N of the foci's cut
     foci: tuple[int, ...]
     center: int                        # index in foci of the certifying J focus
@@ -799,10 +817,11 @@ class StateEvaluator:
     into a ``_Row`` that holds all its alpha-free parts: the lhs cut value
     and direction, the foci, each focus's J certificate, the C^2 sums of
     the lead terms that are not searched (a total C^2 as one group),
-    cor2_lower's applicability, thm8's rank factor and the alpha = 2 report
-    of ckw and coa_dual.  A call checks alpha once and then adds only the
-    alpha arithmetic, by two kernels: ``_j_sum`` for J and jin, and
-    ``_front_sum`` for every lead term, the searched ones from
+    cor2_lower's applicability, thm8's rank factor and the alpha = 2
+    ``(lhs, rhs)`` of ckw and coa_dual.  A call checks alpha once, one value
+    or a whole ``AlphaGrid``, and then adds only the alpha arithmetic, in
+    one loop over the values, by two kernels: ``_j_sum`` for J and jin,
+    and ``_front_sum`` for every lead term, the searched ones from
     ``front_best``.  With ``groupings=`` the same row builder takes the
     caller's checked groupings for J and the front sum, and that row is not
     kept.  The merged group's ``Certified`` triple
@@ -1041,11 +1060,11 @@ class StateEvaluator:
         center, minus, js, fronts, fixed = spec.center, (), (), None, None
         if kind == "pair_sum":
             c_sq, ca_sq = self.tables(foci[0])
-            # Printed as "smaller side, larger side": ckw's lhs is the pair sum.
-            lhs, rhs = (c_cut ** 2, sum(ca_sq.values())) if upper \
+            # Printed as "smaller side, larger side": ckw's lhs is the pair
+            # sum, and the slack is rhs - lhs in both directions.
+            fixed = (c_cut ** 2, sum(ca_sq.values())) if upper \
                 else (sum(c_sq.values()), c_cut ** 2)
-            slack = rhs - lhs
-            fixed = BoundReport(theorem_id, 2.0, lhs, rhs, slack, None, slack >= -SLACK_TOL)
+            upper = True
         elif kind == "jin":
             if given is not None:
                 fixed = given[0]
@@ -1072,65 +1091,98 @@ class StateEvaluator:
         return _Row(kind, theorem_id, upper, n_cut if spec.cut == "N" else c_cut, foci,
                     center, minus, js, fronts, fixed)
 
-    def evaluate(self, theorem_id: str, alpha: float, foci=None,
-                 groupings=None) -> BoundReport:
-        """Report for one bound at one exponent, read off its ``BOUNDS`` row.
+    def evaluate(self, theorem_id: str, alpha: float | AlphaGrid, foci=None,
+                 groupings=None) -> BoundReport | BoundColumns:
+        """One bound read off its ``BOUNDS`` row, at one exponent or over a grid.
 
-        ``foci`` defaults to qubits 0..arity-1.  Everything that no alpha
-        changes, each focus's J grouping included, is resolved once per
-        (bound, foci) into a kept ``_Row``.  A call checks the bound id, then
-        alpha once, then the foci of a row it does not keep, and adds only the
-        alpha arithmetic: J and jin by ``_j_sum`` from the row, and each lead
-        term by ``_front_sum``, from the row's C^2 sums or, for a searched
-        front, through ``front_best``.  thm3, thm7 and cor1_thm3 are front
-        rows whose leads are each focus's total C^2 as one group, and report
-        the winning focus's J certificate, as caller front rows do.
-        Otherwise ``groupings`` holds one grouping per focus; each must
-        cover its focus's partners and pass the dominance check (else
-        ``InfeasibleGroupingError``), and builds a row of its own that is
-        never searched or kept.
+        ``alpha`` is one exponent, which gives a ``BoundReport``, or an
+        ``AlphaGrid``, which gives the bound's ``BoundColumns``: one row per
+        grid value, or the one alpha = 2 row of ``ckw`` and ``coa_dual``.  A
+        report is row 0 of the columns of a one-value grid, so both share
+        one body, ``_columns``.  ``foci`` defaults to qubits 0..arity-1.
+        Everything that no alpha changes, each focus's J grouping included,
+        is resolved once per (bound, foci) into a kept ``_Row``.  A call
+        checks the bound id, then alpha once (a grid checked its values when
+        it was built), then the foci of a row it does not keep, and adds
+        only the alpha arithmetic: J and jin by ``_j_sum`` from the row, and
+        each lead term by ``_front_sum``, from the row's C^2 sums or, for a
+        searched front, through ``front_best`` per (focus, alpha).  thm3,
+        thm7 and cor1_thm3 are front rows whose leads are each focus's total
+        C^2 as one group, and report the winning focus's J certificate, as
+        caller front rows do.  Otherwise ``groupings`` holds one grouping
+        per focus; each must cover its focus's partners and pass the
+        dominance check (else ``InfeasibleGroupingError``), and builds a row
+        of its own that is never searched or kept.
         """
         row = self._rows.get(theorem_id) if foci is None and groupings is None else None
         if row is None and theorem_id not in BOUNDS:
             raise ValueError(f"unknown theorem_id {theorem_id!r}")
-        h = h_weight(alpha)
+        grid = isinstance(alpha, AlphaGrid)
+        if not grid:
+            h_weight(alpha)  # checks alpha
         if row is None:
             row = self._row(theorem_id, foci, groupings)
+        if grid:
+            return self._columns(row, alpha.values)
+        return self._columns(row, (alpha,)).report(0)
+
+    def _columns(self, row: _Row, alphas: tuple[float, ...]) -> BoundColumns:
+        """The columns of ``row`` over checked exponents ``alphas``, in order.
+
+        Each value reads ``p = alpha/2`` and ``h = h_weight(alpha)``; the
+        foci's J are added in focus order and the ``minus`` J subtracted at
+        the end, per alpha.
+        """
         kind, tid, upper, cut, foci, center, minus, js, fronts, fixed = row
         if kind == "pair_sum":
-            return fixed
-        lhs = cut ** alpha if cut > 0.0 else 0.0
-        p = alpha / 2.0
-        if kind == "jin":
-            if fixed is None:
-                return _not_applicable(tid, alpha, lhs)
-            cert = fixed[1]
-            return _report(tid, alpha, lhs, _j_sum(cert.squared_values, p, p), cert, upper)
-        if kind == "front":
-            cert_a, cert_b = js[0], js[1]
-            j_a, j_b = _j_sum(cert_a.squared_values, p, h), _j_sum(cert_b.squared_values, p, h)
-            if fronts is None:
-                (_, cert_a, lead_a), (_, cert_b, lead_b) = \
-                    self.front_best(foci[0], alpha), self.front_best(foci[1], alpha)
-            else:
-                lead_a, lead_b = _front_sum(fronts[0], p, h), _front_sum(fronts[1], p, h)
-            branch_a, branch_b = lead_a - j_b, lead_b - j_a
-            rhs, cert = (branch_a, cert_a) if branch_a >= branch_b else (branch_b, cert_b)
-        elif kind == "center_total":
-            if fronts is None:
-                return _not_applicable(tid, alpha, lhs)
-            cert = js[center]
-            rhs = _front_sum(fronts[0], p, h)
-        else:  # "j" and "rank_j": J_A + J_B (+ J_C1), added in focus order
-            cert = js[center]
-            rhs = _j_sum(js[0].squared_values, p, h)
-            for j in js[1:]:
-                rhs += _j_sum(j.squared_values, p, h)
-            if kind == "rank_j":
-                rhs = (fixed ** p if fixed > 0.0 else 0.0) * rhs
-        for i in minus:
-            rhs -= _j_sum(js[i].squared_values, p, h)
-        return _report(tid, alpha, lhs, rhs, cert, upper)
+            alphas, lhs, rhs, certs = (2.0,), [fixed[0]], [fixed[1]], [None]
+        else:
+            lhs = [cut ** a if cut > 0.0 else 0.0 for a in alphas]
+            if (kind == "jin" and fixed is None) or (kind == "center_total" and fronts is None):
+                nan = [math.nan] * len(alphas)
+                return BoundColumns(tid, alphas, lhs, nan, nan[:], [True] * len(alphas),
+                                    [None] * len(alphas), False)
+            weights = [(a / 2.0, h_weight(a)) for a in alphas]
+            if kind == "jin":
+                cert = fixed[1]
+                rhs = [_j_sum(cert.squared_values, p, p) for p, _ in weights]
+                certs = [cert] * len(alphas)
+            elif kind == "front":
+                rhs, certs = [], []
+                vals_a, vals_b = js[0].squared_values, js[1].squared_values
+                for a, (p, h) in zip(alphas, weights):
+                    j_a, j_b = _j_sum(vals_a, p, h), _j_sum(vals_b, p, h)
+                    if fronts is None:
+                        (_, cert_a, lead_a), (_, cert_b, lead_b) = \
+                            self.front_best(foci[0], a), self.front_best(foci[1], a)
+                    else:
+                        cert_a, cert_b = js[0], js[1]
+                        lead_a, lead_b = _front_sum(fronts[0], p, h), _front_sum(fronts[1], p, h)
+                    branch_a, branch_b = lead_a - j_b, lead_b - j_a
+                    r, cert = (branch_a, cert_a) if branch_a >= branch_b else (branch_b, cert_b)
+                    rhs.append(r)
+                    certs.append(cert)
+            elif kind == "center_total":
+                rhs = [_front_sum(fronts[0], p, h) for p, h in weights]
+                certs = [js[center]] * len(alphas)
+            else:  # "j" and "rank_j": J_A + J_B (+ J_C1), added in focus order
+                vals = [j.squared_values for j in js]
+                rhs = []
+                for p, h in weights:
+                    r = _j_sum(vals[0], p, h)
+                    for v in vals[1:]:
+                        r += _j_sum(v, p, h)
+                    if kind == "rank_j":
+                        r = (fixed ** p if fixed > 0.0 else 0.0) * r
+                    rhs.append(r)
+                certs = [js[center]] * len(alphas)
+            for i in minus:
+                vals = js[i].squared_values
+                rhs = [r - _j_sum(vals, p, h) for r, (p, h) in zip(rhs, weights)]
+        slack = ([r - x for x, r in zip(lhs, rhs)] if upper
+                 else [x - r for x, r in zip(lhs, rhs)])
+        return BoundColumns(tid, alphas, lhs, rhs, slack, [x >= -SLACK_TOL for x in slack],
+                            certs, True)
 
 
 def fill_spectra(evaluators: Sequence[StateEvaluator], pairs: Collection[tuple[int, int]],

@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
 
 import numpy as np
 
-from .bounds import (BOUNDS, AlphaGrid, BoundReport, StateEvaluator, THEOREM_IDS,
-                     fill_spectra, h_weight, search_mode, spectra_keys)
+from .bounds import (BOUNDS, AlphaGrid, BoundColumns, OrderingCertificate, StateEvaluator,
+                     THEOREM_IDS, fill_spectra, h_weight, search_mode, spectra_keys)
 from .gallery import FAMILIES, StateSpec
 from .qcore import MAX_QUBITS, haar_random_pure
 
@@ -123,19 +124,15 @@ def _table_text(fmt: str, columns: tuple[str, ...], rows, head: dict | None = No
     return comments + "\n".join(lines) + "\n"
 
 
-def _report_row(r: BoundReport) -> tuple:
-    """A report's cells in ``_REPORT_COLUMNS`` order."""
-    ordering = r.ordering
-    grouping = "" if ordering is None or ordering.grouping is None else str(ordering.grouping)
-    return (r.theorem_id, r.alpha, r.lhs, r.rhs, r.slack, r.satisfied, r.applicable, grouping)
+def _grouping_text(ordering: OrderingCertificate | None) -> str:
+    """The ``grouping`` cell of a row: its certificate's grouping, or empty."""
+    return "" if ordering is None or ordering.grouping is None else str(ordering.grouping)
 
 
-def _reports(ev: StateEvaluator, theorems: tuple[str, ...], alphas: AlphaGrid):
-    """Each bound's reports on ``ev``'s state: one at alpha = 2 for a
-    fixed-alpha bound, else one per grid value."""
-    for tid in theorems:
-        for alpha in (2.0,) if BOUNDS[tid].fixed_alpha else alphas.values:
-            yield ev.evaluate(tid, alpha)
+def _column_rows(c: BoundColumns):
+    """A bound's rows as tuples in ``_REPORT_COLUMNS`` order."""
+    return zip(itertools.repeat(c.theorem_id), c.alpha, c.lhs, c.rhs, c.slack, c.satisfied,
+               itertools.repeat(c.applicable), map(_grouping_text, c.ordering))
 
 
 def cmd_verify(state: StateSpec, theorem: str, alphas: AlphaGrid, fmt: str,
@@ -144,10 +141,30 @@ def cmd_verify(state: StateSpec, theorem: str, alphas: AlphaGrid, fmt: str,
     theorems = _parse_theorems(theorem, psi.num_qubits)
     ev = StateEvaluator(psi)
     fill_spectra((ev,), *spectra_keys(theorems, psi.num_qubits))
-    reports = list(_reports(ev, theorems, alphas))
-    _write_output(_table_text(fmt, _REPORT_COLUMNS, [_report_row(r) for r in reports]), out)
-    violated = any(r.applicable and not r.satisfied for r in reports)
+    columns = [ev.evaluate(tid, alphas) for tid in theorems]
+    rows = [row for c in columns for row in _column_rows(c)]
+    _write_output(_table_text(fmt, _REPORT_COLUMNS, rows), out)
+    violated = any(c.applicable and not all(c.satisfied) for c in columns)
     return EXIT_VIOLATION if violated else EXIT_OK
+
+
+def _tally(s: dict, c: BoundColumns) -> None:
+    """Add one state's columns of a bound to the bound's sweep stats ``s``.
+
+    Not-applicable rows are only counted.  The minimum slack keeps the first
+    of equal values (so a -0.0 keeps its sign as it came), and the slack sum
+    adds the rows one by one in grid order, after all earlier states.
+    """
+    s["rows"] += len(c.alpha)
+    if not c.applicable:
+        s["not_applicable"] += len(c.alpha)
+        return
+    s["violations"] += c.satisfied.count(False)
+    s["min_slack"] = min(s["min_slack"], min(c.slack))
+    total = s["sum_slack"]
+    for x in c.slack:
+        total += x
+    s["sum_slack"] = total
 
 
 def cmd_sweep(qubits: int, samples: int, seed: int, theorem: str, alphas: AlphaGrid,
@@ -176,16 +193,9 @@ def cmd_sweep(qubits: int, samples: int, seed: int, theorem: str, alphas: AlphaG
         # Popped in draw order, so each evaluator is released once evaluated.
         chunk.reverse()
         while chunk:
-            for r in _reports(chunk.pop(), theorems, alphas):
-                s = stats[r.theorem_id]
-                s["rows"] += 1
-                if not r.applicable:
-                    s["not_applicable"] += 1
-                    continue
-                if not r.satisfied:
-                    s["violations"] += 1
-                s["min_slack"] = min(s["min_slack"], r.slack)
-                s["sum_slack"] += r.slack
+            ev = chunk.pop()
+            for tid, s in stats.items():
+                _tally(s, ev.evaluate(tid, alphas))
 
     rows = []
     for tid, s in stats.items():

@@ -14,7 +14,10 @@ The states are built here from fixed seeds and passed inline as JSON:
   W-class, log-uniform W-class (magnitudes over 6 decades) and GHZ+W
   amplitude states, and on GHZ+W at n = 4..9 in JSON on a short grid;
 * every gallery family in CSV and in JSON;
-* ``sweep --theorem all`` at n = 2..12 in CSV and in JSON;
+* ``sweep --theorem all`` at n = 2..12 in CSV and in JSON, and at n = 4 and
+  6 on a grid that holds 0 (the ``0**0`` rows) and 2;
+* ``verify`` on a one-value grid, and a W-class state whose lower bounds
+  read violated at the numerical floor (exit 1);
 * the three figures, ``gallery-list`` and the input-error paths.
 
 This is not a pytest test (pytest collects only ``test_*.py``): the exact
@@ -93,6 +96,17 @@ def commands() -> list[tuple[str, list[str]]]:
             cmds.append((f"sweep-n{n}-{fmt}",
                          ["sweep", "--qubits", str(n), "--samples", samples, "--seed", str(n),
                           "--theorem", "all", "--format", fmt]))
+    for n in (4, 6):
+        for fmt in ("csv", "json"):
+            cmds.append((f"sweep-n{n}-alpha-0-to-2-{fmt}",
+                         ["sweep", "--qubits", str(n), "--samples", "6", "--seed", str(n),
+                          "--theorem", "all", "--alpha", "0,0.5,1,2", "--format", fmt]))
+    cmds.append(("verify-haar-n6-one-alpha",
+                 ["verify", "--state", _states(6)["haar"], "--theorem", "all", "--alpha", "1"]))
+    floor = json.dumps({"kind": "named", "family": "wclass4",
+                        "params": [2.5e-7, 1.3e-7, 0.003, 0.9999955]})
+    cmds.append(("verify-wclass4-floor-violation",
+                  ["verify", "--theorem", "thm2,thm3", "--alpha", "0.05,1", "--state", floor]))
     for fig in ("1", "2", "3"):
         cmds.append((f"figure-{fig}", ["figure", fig]))
     cmds.append(("gallery-list", ["gallery-list"]))

@@ -748,10 +748,12 @@ def test_the_fast_report_equals_the_dataclass_report():
     for ordering in (cert, None):
         for upper in (False, True):
             for lhs, rhs in ((0.5, 0.25), (0.25, 0.5), (0.3, 0.3 + 2e-9)):
-                fast = bounds_module._report("thm4", 0.75, lhs, rhs, ordering, upper)
                 slack = rhs - lhs if upper else lhs - rhs
-                want = BoundReport("thm4", 0.75, lhs, rhs, slack, ordering,
-                                   slack >= -bounds_module.SLACK_TOL)
+                satisfied = slack >= -bounds_module.SLACK_TOL
+                fast = bounds_module.BoundColumns("thm4", (0.5, 0.75), [0.0, lhs], [0.0, rhs],
+                                                  [0.0, slack], [True, satisfied],
+                                                  [None, ordering], True).report(1)
+                want = BoundReport("thm4", 0.75, lhs, rhs, slack, ordering, satisfied)
                 assert type(fast) is BoundReport and fast == want
                 assert hash(fast) == hash(want) and repr(fast) == repr(want)
                 assert vars(fast) == vars(want)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from entbounds import bounds, cli
-from entbounds.bounds import BOUNDS, BoundReport
+from entbounds.bounds import BOUNDS, BoundColumns
 
 
 def run_main(argv, capsys):
@@ -152,9 +152,9 @@ def test_verify_state_file(tmp_path, capsys):
 
 
 def test_verify_exit_1_on_violation(monkeypatch, capsys):
-    # No state can honestly violate these bounds, so fake one report to pin
-    # the exit-code plumbing.
-    bad = BoundReport("thm1", 1.0, 1.0, 0.5, -0.5, None, False)
+    # Fake one violated row to pin the exit-code plumbing; tests/cli_digest.py
+    # also runs a W-class state that reads violated at the numerical floor.
+    bad = BoundColumns("thm1", (1.0,), [1.0], [0.5], [-0.5], [False], [None], True)
 
     class Stub:
         def __init__(self, psi):
@@ -287,7 +287,9 @@ def test_large_state_evaluate_equals_the_verify_rows(n, tmp_path, capsys):
         tid, alpha = row["theorem"], row["alpha"]
         foci = tuple(range(BOUNDS[tid].arity))
         for r in (ev.evaluate(tid, alpha), optimize_grouping(psi, foci, alpha, tid)):
-            text = cli._table_text("json", cli._REPORT_COLUMNS, [cli._report_row(r)])
+            cells = (r.theorem_id, r.alpha, r.lhs, r.rhs, r.slack, r.satisfied, r.applicable,
+                     cli._grouping_text(r.ordering))
+            text = cli._table_text("json", cli._REPORT_COLUMNS, [cells])
             assert json.loads(text)["rows"] == [row]
 
 

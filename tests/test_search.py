@@ -433,20 +433,26 @@ def test_searched_front_chains_pass_feasibility(ensemble):
 @pytest.mark.parametrize("psi", [ghz(6), haar_random_pure(7, 3)], ids=["ghz6", "haar7"])
 def test_a_zero_c_focus_builds_no_split_work(monkeypatch, psi):
     """A focus whose pair C^2 sum is 0 takes the merged group with no DP: its
-    search builds neither the Ca^2 subset sums nor reads the split table,
+    search builds no subset sums (C^2 or Ca^2) and reads no split table,
     until ``feasible_groupings`` walks its rows, which it lists unchanged."""
     import entbounds.bounds as bounds
 
-    read = []
-    table = bounds._split_table
+    read, summed = [], []
+    table, subset_sums = bounds._split_table, bounds._subset_sums
     monkeypatch.setattr(bounds, "_split_table", lambda m: read.append(m) or table(m))
+    monkeypatch.setattr(bounds, "_subset_sums",
+                        lambda values: summed.append(list(values)) or subset_sums(values))
     ev = StateEvaluator(psi)
     for alpha in (0.05, 1.0, 2.0):
         ev.evaluate("thm2", alpha)
+    ev.evaluate("thm2", AlphaGrid((0.0, 0.5, 2.0)))
     for focus in (0, 1):
         search = ev._split_search(focus)
         assert sum(ev.tables(focus)[0].values()) == 0.0 and search.splits == {}
-        assert "_ca" not in vars(search)
-    assert read == []
+        assert "_ca" not in vars(search) and search.c is None
+        assert search.full == 2 ** (psi.num_qubits - 1) - 1
+        assert search.chain(0.5, h_weight(1.0)) == (search.full,)
+    assert read == [] and summed == []
     assert ev.feasible_groupings(0) == _feasible(*ev.tables(0))[0]
     assert set(read) == {psi.num_qubits - 1}
+    assert summed == [[ev.tables(0)[1][q] for q in sorted(ev.tables(0)[1])]]  # the Ca^2 sums
