@@ -306,7 +306,9 @@ class AlphaGrid:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        # ``+ 0.0`` turns -0.0 into 0.0 and leaves every other value as it is,
+        # so "-0" reads and prints as alpha 0.
+        vals = tuple(float(v) + 0.0 for v in self.values)
         if not vals:
             raise ValueError("alpha grid must be non-empty")
         if len(vals) > _MAX_ALPHA_VALUES:
@@ -355,6 +357,12 @@ def h_weight(alpha: float) -> float:
     if not 0.0 <= alpha <= 2.0:
         raise ValueError(f"alpha must be in [0, 2], got {alpha}")
     return 2.0 ** (alpha / 2.0) - 1.0
+
+
+@lru_cache(maxsize=64)
+def _grid_weights(alphas: tuple[float, ...]) -> tuple[tuple[float, float], ...]:
+    """``(p, h)`` = ``(alpha/2, h_weight(alpha))`` of each grid value, once per grid."""
+    return tuple((a / 2.0, h_weight(a)) for a in alphas)
 
 
 def lemma_check(x: float, y: float, alpha: float) -> tuple[bool, bool]:
@@ -633,6 +641,25 @@ def _split_table(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=1024)
+def _shared_grouping(partners: tuple[int, ...], masks: tuple[int, ...]) -> Grouping:
+    """The grouping whose groups are the given bit masks over the sorted
+    ``partners``, in order, built and validated once per process.
+
+    A ``Grouping`` is frozen and keeps its text on itself, so one instance
+    serves every state: the merged group, each searched chain and each
+    descending singleton order.  Certificates, which hold a state's values,
+    are never shared.
+    """
+    return Grouping(tuple(tuple(q for i, q in enumerate(partners) if t >> i & 1)
+                          for t in masks))
+
+
+def _shared_merged(partners: tuple[int, ...]) -> Grouping:
+    """The shared merged group of the sorted ``partners``."""
+    return _shared_grouping(partners, ((1 << len(partners)) - 1,))
+
+
 def _subset_sums(values: Sequence[float]) -> list[float]:
     """Sum over every bit mask, added in ascending position like ``_grouped_sums``."""
     sums = [0.0] * (1 << len(values))
@@ -718,9 +745,9 @@ class _SplitSearch:
                 if _dominates(ca[t], ca[s ^ t])]
 
     def grouping(self, masks: Iterable[int]) -> Grouping:
-        """The grouping whose groups are the given partner masks, in order."""
-        return Grouping(tuple(tuple(q for i, q in enumerate(self.partners) if t >> i & 1)
-                              for t in masks))
+        """The grouping whose groups are the given partner masks, in order,
+        shared across states by ``_shared_grouping``."""
+        return _shared_grouping(self.partners, tuple(masks))
 
     def chain(self, p: float, h: float) -> tuple[int, ...]:
         """Leading-group masks of the grouping that maximizes the front-weighted
@@ -758,7 +785,7 @@ def _descending_singletons(pair_sq: Mapping[int, float]) -> Grouping | None:
     """
     partners = tuple(sorted(pair_sq))
     order, cert = sort_descending_then_check([pair_sq[q] for q in partners])
-    return Grouping.singletons(partners[i] for i in order) if cert.feasible else None
+    return _shared_grouping(partners, tuple(1 << i for i in order)) if cert.feasible else None
 
 
 def canonical_grouping(pair_sq: Mapping[int, float]) -> Grouping:
@@ -767,7 +794,7 @@ def canonical_grouping(pair_sq: Mapping[int, float]) -> Grouping:
     The merged single group is vacuously feasible, so this always returns a
     usable grouping without searching.
     """
-    return _descending_singletons(pair_sq) or Grouping.merged(sorted(pair_sq))
+    return _descending_singletons(pair_sq) or _shared_merged(tuple(sorted(pair_sq)))
 
 
 class _Row(NamedTuple):
@@ -799,6 +826,46 @@ class _Row(NamedTuple):
     fixed: object
 
 
+class _GridTerms:
+    """One state's alpha columns over one grid, each computed once.
+
+    ``lhs(x)`` is ``x**alpha`` and ``power(v)`` is ``v**(alpha/2)`` at each
+    grid value, 0 where the base is at or below 0, kept per base value: a
+    cut's lhs, the merged group's J, a total lead and thm8's rank factor are
+    each one such column, whichever bounds read them.  ``weights`` holds
+    ``(p, h)`` per value and ``fronts`` ``front_best``'s column per focus.
+    A kept list is copied before it leaves the evaluator.
+    """
+
+    __slots__ = ("alphas", "weights", "fronts", "_lhs", "_power")
+
+    def __init__(self, alphas: tuple[float, ...]):
+        self.alphas = alphas
+        self.weights = _grid_weights(alphas)
+        self.fronts: dict[int, list[tuple[Grouping, OrderingCertificate, float]]] = {}
+        self._lhs: dict[float, list[float]] = {}
+        self._power: dict[float, list[float]] = {}
+
+    def lhs(self, x: float) -> list[float]:
+        column = self._lhs.get(x)
+        if column is None:
+            column = self._lhs[x] = [x ** a if x > 0.0 else 0.0 for a in self.alphas]
+        return column
+
+    def power(self, v: float) -> list[float]:
+        column = self._power.get(v)
+        if column is None:
+            column = self._power[v] = [v ** p if v > 0.0 else 0.0 for p, _ in self.weights]
+        return column
+
+    def sums(self, grouped: Sequence[float], kernel) -> list[float]:
+        """``kernel(grouped, p, h)`` at each grid value, for ``_j_sum`` (J) or
+        ``_front_sum`` (a lead): both reduce one group to ``power``."""
+        if len(grouped) == 1:
+            return self.power(grouped[0])
+        return [kernel(grouped, p, h) for p, h in self.weights]
+
+
 class StateEvaluator:
     """Caches every alpha-independent quantity of one state.
 
@@ -819,17 +886,21 @@ class StateEvaluator:
     the lead terms that are not searched (a total C^2 as one group),
     cor2_lower's applicability, thm8's rank factor and the alpha = 2
     ``(lhs, rhs)`` of ckw and coa_dual.  A call checks alpha once, one value
-    or a whole ``AlphaGrid``, and then adds only the alpha arithmetic, in
-    one loop over the values, by two kernels: ``_j_sum`` for J and jin,
-    and ``_front_sum`` for every lead term, the searched ones from
+    or a whole ``AlphaGrid`` (a float is a grid of one), and then adds only
+    the alpha arithmetic by two kernels: ``_j_sum`` for J and jin, and
+    ``_front_sum`` for every lead term, the searched ones from
     ``front_best``.  With ``groupings=`` the same row builder takes the
     caller's checked groupings for J and the front sum, and that row is not
     kept.  The merged group's ``Certified`` triple
-    (grouping, certificate, grouped C sums) is kept once per focus, the
-    front grouping's once per (focus, chain of leading groups), and each
-    front term, which thm2, thm6 and cor1_thm2 share, once per (focus,
-    alpha).  Every kept object is immutable and the state is fixed, so none
-    can go stale.
+    (grouping, certificate, grouped C sums) is kept once per focus and the
+    front grouping's once per (focus, chain of leading groups); the
+    ``Grouping`` objects themselves are shared by every state
+    (``_shared_grouping``).  Per grid values, a ``_GridTerms`` keeps the
+    weights and each alpha column: every lhs ``cut**alpha`` once per cut
+    value, every one-group J or total lead once per value, and each
+    focus's front column, which thm2, thm6 and cor1_thm2 share.  Every
+    kept object is immutable or copied on the way out, and the state is
+    fixed, so none can go stale.
 
     * ``J`` takes the merged group.  The paper's Lemma gives
       ``(x + y)^p <= x^p + h y^p`` for ``x >= y``, ``p = a/2``; applied from
@@ -869,7 +940,7 @@ class StateEvaluator:
         self._splits: dict[int, _SplitSearch] = {}
         self._merged: dict[int, Certified] = {}
         self._chains: dict[tuple[int, tuple[int, ...] | None], Certified] = {}
-        self._fronts: dict[tuple[int, float], tuple[Grouping, OrderingCertificate, float]] = {}
+        self._grids: dict[tuple[float, ...], _GridTerms] = {}
         self._rows: dict[str | tuple[str, tuple[int, ...]], _Row] = {}
 
     # -- cached primitives ---------------------------------------------------
@@ -951,7 +1022,7 @@ class StateEvaluator:
         merged = self._merged.get(focus)
         if merged is None:
             merged = self._merged[focus] = self._certified(
-                focus, Grouping.merged(self.tables(focus)[1]))
+                focus, _shared_merged(tuple(sorted(self.tables(focus)[1]))))
         return merged
 
     # The term getters check a focus that is not an int and the alpha before
@@ -967,34 +1038,65 @@ class StateEvaluator:
         grouping, cert, _ = self._merged_group(focus)
         return grouping, cert, _j_sum(cert.squared_values, alpha / 2.0, h)
 
-    def front_best(self, focus: int, alpha: float):
+    def front_best(self, focus: int, alpha: float | AlphaGrid):
         """``(grouping, certificate, front sum)`` of the assistance-feasible
-        grouping that maximizes the front-weighted C sum.
+        grouping that maximizes the front-weighted C sum, at one alpha, or
+        the list of them over an ``AlphaGrid``, one per value.
 
-        Kept once per (focus, alpha), as thm2, thm6 and cor1_thm2 share it.
-        The chain DP picks the grouping, which is certified once per (focus,
+        A float alpha is a grid of one: ``front_best(f, a)`` is
+        ``front_best(f, AlphaGrid((a,)))[0]``.  The column is found once per
+        (focus, grid values) and kept, as thm2, thm6 and cor1_thm2 share
+        it; each call returns a fresh list.  Each alpha runs the chain DP
+        once, and the grouping it picks is certified once per (focus,
         chain): alphas that pick the same chain share one ``Certified``
-        triple and one ``Grouping``.  The sum is ``_front_sum`` of the
-        grouping's C^2 sums, the kernel that ``evaluate`` applies to every
-        other lead term.
+        triple, and every state shares the ``Grouping`` of a chain.  The sum
+        is ``_front_sum`` of the grouping's C^2 sums, the kernel that
+        ``evaluate`` applies to every other lead term.
         """
         if type(focus) is not int:
             focus = qubit_index(focus, self.psi.num_qubits, "focus")
-        h = h_weight(alpha)
-        term = self._fronts.get((focus, alpha))
-        if term is not None:
-            return term
-        p = alpha / 2.0
+        if isinstance(alpha, AlphaGrid):
+            return self._front_column(focus, self._grid_terms(alpha.values))[:]
+        h_weight(alpha)
+        return self._front_column(focus, self._grid_terms(AlphaGrid((alpha,)).values))[0]
+
+    def _grid_terms(self, alphas: tuple[float, ...]) -> _GridTerms:
+        """The kept ``_GridTerms`` of one grid; its one hash per call."""
+        terms = self._grids.get(alphas)
+        if terms is None:
+            terms = self._grids[alphas] = _GridTerms(alphas)
+        return terms
+
+    def _front_column(self, focus: int, terms: _GridTerms):
+        """``front_best``'s kept column of one focus over one grid."""
+        column = terms.fronts.get(focus)
+        if column is not None:
+            return column
         search = self._split_search(focus) if self.search == "exhaustive" else None
-        chain = None if search is None else search.chain(p, h)
-        certified = self._chains.get((focus, chain))
-        if certified is None:
-            grouping = (canonical_grouping(self.tables(focus)[1]) if search is None
-                        else search.grouping(chain))
-            certified = self._chains[focus, chain] = self._certified(focus, grouping)
-        grouping, cert, c_sums = certified
-        term = self._fronts[focus, alpha] = grouping, cert, _front_sum(c_sums, p, h)
-        return term
+        if search is None or not search.splits:
+            # One grouping at every alpha: the canonical one, or, when the
+            # focus's pair C are all 0, the merged group with no DP.
+            if search is None:
+                certified = self._chains.get((focus, None))
+                if certified is None:
+                    certified = self._chains[focus, None] = self._certified(
+                        focus, canonical_grouping(self.tables(focus)[1]))
+            else:
+                certified = self._merged_group(focus)
+            grouping, cert, c_sums = certified
+            column = [(grouping, cert, lead) for lead in terms.sums(c_sums, _front_sum)]
+        else:
+            column, chains = [], self._chains
+            for p, h in terms.weights:
+                chain = search.chain(p, h)
+                certified = chains.get((focus, chain))
+                if certified is None:
+                    certified = chains[focus, chain] = self._certified(
+                        focus, search.grouping(chain))
+                grouping, cert, c_sums = certified
+                column.append((grouping, cert, _front_sum(c_sums, p, h)))
+        terms.fronts[focus] = column
+        return column
 
     # -- report assembly -----------------------------------------------------
 
@@ -1106,7 +1208,7 @@ class StateEvaluator:
         it was built), then the foci of a row it does not keep, and adds
         only the alpha arithmetic: J and jin by ``_j_sum`` from the row, and
         each lead term by ``_front_sum``, from the row's C^2 sums or, for a
-        searched front, through ``front_best`` per (focus, alpha).  thm3,
+        searched front, through ``front_best`` per (focus, grid).  thm3,
         thm7 and cor1_thm3 are front rows whose leads are each focus's total
         C^2 as one group, and report the winning focus's J certificate, as
         caller front rows do.  Otherwise ``groupings`` holds one grouping
@@ -1123,62 +1225,62 @@ class StateEvaluator:
         if row is None:
             row = self._row(theorem_id, foci, groupings)
         if grid:
-            return self._columns(row, alpha.values)
-        return self._columns(row, (alpha,)).report(0)
+            return self._columns(row, alpha)
+        return self._columns(row, AlphaGrid((alpha,)), (alpha,)).report(0)
 
-    def _columns(self, row: _Row, alphas: tuple[float, ...]) -> BoundColumns:
-        """The columns of ``row`` over checked exponents ``alphas``, in order.
+    def _columns(self, row: _Row, grid: AlphaGrid,
+                 alphas: tuple[float, ...] | None = None) -> BoundColumns:
+        """The columns of ``row`` over ``grid``, in order; ``alphas`` labels
+        the rows as the caller gave them (the grid's values by default).
 
-        Each value reads ``p = alpha/2`` and ``h = h_weight(alpha)``; the
-        foci's J are added in focus order and the ``minus`` J subtracted at
-        the end, per alpha.
+        The grid's ``_GridTerms`` give each lhs, J and total lead column, and
+        ``front_best`` each searched lead column, each computed once per
+        state and grid.  The foci's J are added in focus order and the
+        ``minus`` J subtracted at the end, per alpha.  Every returned list is
+        fresh.
         """
         kind, tid, upper, cut, foci, center, minus, js, fronts, fixed = row
         if kind == "pair_sum":
             alphas, lhs, rhs, certs = (2.0,), [fixed[0]], [fixed[1]], [None]
         else:
-            lhs = [cut ** a if cut > 0.0 else 0.0 for a in alphas]
+            terms = self._grid_terms(grid.values)
+            if alphas is None:
+                alphas = grid.values
+            lhs = terms.lhs(cut)[:]
             if (kind == "jin" and fixed is None) or (kind == "center_total" and fronts is None):
                 nan = [math.nan] * len(alphas)
                 return BoundColumns(tid, alphas, lhs, nan, nan[:], [True] * len(alphas),
                                     [None] * len(alphas), False)
-            weights = [(a / 2.0, h_weight(a)) for a in alphas]
             if kind == "jin":
                 cert = fixed[1]
-                rhs = [_j_sum(cert.squared_values, p, p) for p, _ in weights]
+                rhs = [_j_sum(cert.squared_values, p, p) for p, _ in terms.weights]
                 certs = [cert] * len(alphas)
             elif kind == "front":
+                if fronts is None:
+                    col_a, col_b = self.front_best(foci[0], grid), self.front_best(foci[1], grid)
+                else:
+                    col_a, col_b = (zip(itertools.repeat(None), itertools.repeat(j),
+                                        terms.sums(f, _front_sum)) for j, f in zip(js, fronts))
                 rhs, certs = [], []
-                vals_a, vals_b = js[0].squared_values, js[1].squared_values
-                for a, (p, h) in zip(alphas, weights):
-                    j_a, j_b = _j_sum(vals_a, p, h), _j_sum(vals_b, p, h)
-                    if fronts is None:
-                        (_, cert_a, lead_a), (_, cert_b, lead_b) = \
-                            self.front_best(foci[0], a), self.front_best(foci[1], a)
-                    else:
-                        cert_a, cert_b = js[0], js[1]
-                        lead_a, lead_b = _front_sum(fronts[0], p, h), _front_sum(fronts[1], p, h)
+                for (_, cert_a, lead_a), (_, cert_b, lead_b), j_a, j_b in zip(
+                        col_a, col_b, terms.sums(js[0].squared_values, _j_sum),
+                        terms.sums(js[1].squared_values, _j_sum)):
                     branch_a, branch_b = lead_a - j_b, lead_b - j_a
                     r, cert = (branch_a, cert_a) if branch_a >= branch_b else (branch_b, cert_b)
                     rhs.append(r)
                     certs.append(cert)
             elif kind == "center_total":
-                rhs = [_front_sum(fronts[0], p, h) for p, h in weights]
+                rhs = terms.sums(fronts[0], _front_sum)[:]
                 certs = [js[center]] * len(alphas)
             else:  # "j" and "rank_j": J_A + J_B (+ J_C1), added in focus order
-                vals = [j.squared_values for j in js]
-                rhs = []
-                for p, h in weights:
-                    r = _j_sum(vals[0], p, h)
-                    for v in vals[1:]:
-                        r += _j_sum(v, p, h)
-                    if kind == "rank_j":
-                        r = (fixed ** p if fixed > 0.0 else 0.0) * r
-                    rhs.append(r)
+                rhs = terms.sums(js[0].squared_values, _j_sum)[:]
+                for j in js[1:]:
+                    rhs = [r + x for r, x in zip(rhs, terms.sums(j.squared_values, _j_sum))]
+                if kind == "rank_j":
+                    rhs = [f * r for f, r in zip(terms.power(fixed), rhs)]
                 certs = [js[center]] * len(alphas)
             for i in minus:
-                vals = js[i].squared_values
-                rhs = [r - _j_sum(vals, p, h) for r, (p, h) in zip(rhs, weights)]
+                rhs = [r - x for r, x in zip(rhs, terms.sums(js[i].squared_values, _j_sum))]
         slack = ([r - x for x, r in zip(lhs, rhs)] if upper
                  else [x - r for x, r in zip(lhs, rhs)])
         return BoundColumns(tid, alphas, lhs, rhs, slack, [x >= -SLACK_TOL for x in slack],

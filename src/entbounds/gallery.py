@@ -212,11 +212,19 @@ def _spec_qubits(value) -> int:
 
 
 def _spec_numbers(obj: dict, key: str, default=None) -> tuple[float, ...]:
-    """``obj[key]`` as floats; it must be an array of numbers, not bools or
-    strings, and each must fit a float (JSON integers are unbounded)."""
+    """``obj[key]`` as a tuple of floats; it must be an array of numbers, not
+    bools or strings, and each must fit a float (JSON integers are unbounded).
+
+    An array of floats alone, as JSON amplitudes usually are, is copied as
+    it is: only an array that holds integers is converted here, so
+    ``StateSpec.build`` converts each amplitude array once.
+    """
     value = obj.get(key, default)
-    if not isinstance(value, (list, tuple)) or not set(map(type, value)) <= _JSON_NUMBERS:
+    types = set(map(type, value)) if isinstance(value, (list, tuple)) else None
+    if types is None or not types <= _JSON_NUMBERS:
         raise ValueError(f"{key!r} must be an array of numbers, got {value!r}")
+    if int not in types:
+        return tuple(value)
     try:
         return tuple(map(float, value))
     except OverflowError:
@@ -263,7 +271,7 @@ class StateSpec:
         n = _spec_qubits(self.n)
         if len(self.re) != len(self.im):
             raise ValueError("'re' and 'im' must have equal length")
-        re, im = np.array(self.re, dtype=float), np.array(self.im, dtype=float)
+        re, im = (np.fromiter(v, float, len(v)) for v in (self.re, self.im))
         if not (np.isfinite(re).all() and np.isfinite(im).all()):
             raise ValueError("amplitudes must be finite (no NaN or infinity)")
         amps = re + 1j * im

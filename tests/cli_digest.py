@@ -16,7 +16,8 @@ The states are built here from fixed seeds and passed inline as JSON:
 * every gallery family in CSV and in JSON;
 * ``sweep --theorem all`` at n = 2..12 in CSV and in JSON, and at n = 4 and
   6 on a grid that holds 0 (the ``0**0`` rows) and 2;
-* ``verify`` on a one-value grid, and a W-class state whose lower bounds
+* ``verify`` on a one-value grid, ``verify`` and ``sweep`` on the grids ``0,1``
+  and ``-0,1`` (which print the same bytes), and a W-class state whose lower bounds
   read violated at the numerical floor (exit 1);
 * the three figures, ``gallery-list`` and the input-error paths.
 
@@ -103,6 +104,15 @@ def commands() -> list[tuple[str, list[str]]]:
                           "--theorem", "all", "--alpha", "0,0.5,1,2", "--format", fmt]))
     cmds.append(("verify-haar-n6-one-alpha",
                  ["verify", "--state", _states(6)["haar"], "--theorem", "all", "--alpha", "1"]))
+    # A grid that starts at -0 prints the same bytes as one that starts at 0.
+    for zero in ("0", "-0"):
+        for fmt in ("csv", "json"):
+            cmds.append((f"verify-haar-n5-alpha{zero}-1-{fmt}",
+                         ["verify", "--state", _states(5)["haar"], "--theorem", "all",
+                          f"--alpha={zero},1", "--format", fmt]))
+            cmds.append((f"sweep-n4-alpha{zero}-1-{fmt}",
+                         ["sweep", "--qubits", "4", "--samples", "3", "--seed", "4",
+                          "--theorem", "all", f"--alpha={zero},1", "--format", fmt]))
     floor = json.dumps({"kind": "named", "family": "wclass4",
                         "params": [2.5e-7, 1.3e-7, 0.003, 0.9999955]})
     cmds.append(("verify-wclass4-floor-violation",

@@ -251,3 +251,16 @@ def test_named_keeps_finite_parameters():
     assert named("gsd3", _GSD3).num_qubits == 3
     assert named("gsd3", _GSD3[:5] + (1e308,)).num_qubits == 3
     assert named("wclass4", _WCLASS4).num_qubits == 4
+
+
+def test_state_spec_holds_float_tuples_however_the_numbers_came():
+    """An all-float array is kept as given and an array with integers is
+    converted, so two specs of the same state compare and hash alike."""
+    amps = [0.6, 0.0, 0.0, 0.8]
+    floats = StateSpec.from_dict({"kind": "amplitudes", "n": 2, "re": amps, "im": [0.0] * 4})
+    mixed = StateSpec.from_dict({"kind": "amplitudes", "n": 2, "re": [0.6, 0, 0, 0.8],
+                                 "im": [0, 0, 0, 0]})
+    assert floats.re == tuple(amps) and type(floats.re) is tuple
+    assert all(type(v) is float for v in mixed.re + mixed.im)
+    assert floats == mixed and hash(floats) == hash(mixed)
+    assert np.array_equal(floats.build().amplitudes, mixed.build().amplitudes)

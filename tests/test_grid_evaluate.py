@@ -305,3 +305,191 @@ def test_verify_rows_are_the_grid_columns(capsys):
     assert rows == want
     assert code == cli.EXIT_VIOLATION
     assert any(not r["satisfied"] for r in rows)
+
+
+# -- the grid-wide front column and the per-state alpha columns ---------------
+
+FRONT_STATES = [s for s in STATES if s[1] != "gallery" and s[2] >= 3] + \
+    [s for s in STATES if s[1] == "gallery"]
+
+
+@pytest.mark.parametrize("kind,arg", [s[1:] for s in FRONT_STATES],
+                         ids=[s[0] for s in FRONT_STATES])
+def test_the_front_column_is_the_one_alpha_front(kind, arg):
+    """``front_best(f, grid)[i]`` is ``front_best(f, grid[i])``: floats by
+    ``float.hex``, certificates by identity, and the grouping is one object
+    across states (a fresh evaluator builds no grouping of its own)."""
+    psi = _build(kind, arg)
+    ev, fresh = StateEvaluator(psi), StateEvaluator(psi)
+    for focus in range(min(psi.num_qubits, 4)):
+        for grid in GRIDS:
+            column = ev.front_best(focus, grid)
+            assert type(column) is list and len(column) == len(grid)
+            for (grouping, cert, lead), a in zip(column, grid):
+                one = ev.front_best(focus, a)
+                assert one[0] is grouping and one[1] is cert
+                assert _hex(one[2]) == _hex(lead), (focus, a)
+                other = fresh.front_best(focus, a)
+                assert other[0] is grouping and other[1] == cert
+                assert _hex(other[2]) == _hex(lead)
+                assert _hex(lead) == _hex(_front_weighted_sum(
+                    _group_sums(ev.tables(focus)[0], grouping), a))
+
+
+def _requests(psi):
+    """Grid A, then grid B (which shares values with A), then one alpha, then
+    the caller groupings of ``_calls``, for every bound."""
+    ev = StateEvaluator(psi)
+    grid_a, grid_b = AlphaGrid((0.0, 0.25, 0.5, 1.0, 2.0)), AlphaGrid((0.25, 0.75, 1.0, 1.37))
+    calls = [c for c in _calls(ev, psi) if c[1] is None]
+    for alpha in (grid_a, grid_b, 1.0):
+        for tid, _, _ in calls:
+            yield tid, alpha, None
+    for tid, _, groupings in calls:
+        if groupings is not None:
+            yield tid, grid_b, groupings
+
+
+def _bits(result):
+    cols = result if type(result) is BoundColumns else BoundColumns(
+        result.theorem_id, (result.alpha,), [result.lhs], [result.rhs], [result.slack],
+        [result.satisfied], [result.ordering], result.applicable)
+    floats = [[_hex(x) for x in col] for col in (cols.alpha, cols.lhs, cols.rhs, cols.slack)]
+    return cols.theorem_id, floats, list(cols.satisfied), list(cols.ordering), cols.applicable
+
+
+@pytest.mark.parametrize("kind,arg", [("haar", 4), ("haar", 6), ("wclass-log6", 6),
+                                      ("ghz-w", 7), ("ghz-w", 12), ("gallery", "cor_a")])
+def test_a_warm_evaluator_gives_a_fresh_ones_bits(kind, arg):
+    """Every kept column (lhs, J, leads, fronts) is keyed by the grid's
+    values: a warm evaluator asked for grid A, then an overlapping grid B,
+    then one alpha, then ``groupings=``, answers as a fresh one does."""
+    psi = _build(kind, arg)
+    warm = StateEvaluator(psi)
+    for tid, alpha, groupings in _requests(psi):
+        got = warm.evaluate(tid, alpha, None, groupings)
+        want = StateEvaluator(psi).evaluate(tid, alpha, None, groupings)
+        assert _bits(got) == _bits(want), (tid, alpha, groupings)
+
+
+def test_no_two_returned_columns_share_a_list():
+    """The kept lhs, J, lead and front columns are copied on the way out:
+    two calls, or two bounds that read one kept column, never share a
+    list, and changing a returned list changes no later answer."""
+    psi = _state("wclass-log6", 7)
+    ev = StateEvaluator(psi)
+    grid = AlphaGrid((0.0, 0.5, 1.0, 2.0))
+    first = {tid: ev.evaluate(tid, grid) for tid in BOUNDS}
+    want = {tid: _bits(cols) for tid, cols in first.items()}
+    seen = [col for cols in first.values() for col in cols[2:7]]
+    for cols in first.values():
+        for col in cols[2:7]:
+            col.reverse()
+    fronts = [ev.front_best(f, grid) for f in (0, 1, 0, 1)]
+    for column in fronts:
+        column.clear()
+    for tid in BOUNDS:
+        again = ev.evaluate(tid, grid)
+        assert _bits(again) == want[tid], tid
+        seen += again[2:7]
+    seen += fronts
+    assert len({id(col) for col in seen}) == len(seen)
+    assert [len(ev.front_best(f, grid)) for f in (0, 1)] == [len(grid)] * 2
+
+
+def test_each_focus_runs_one_dp_per_alpha_whatever_the_front_bounds(monkeypatch):
+    """thm2, thm6 and cor1_thm2 share one front column per (focus, grid):
+    ``_chain_dp`` runs once per (focus, alpha) per state, and each front
+    bound asks ``front_best`` once per focus per grid call."""
+    import entbounds.bounds as bounds
+
+    dp_runs, front_calls = [], []
+    real_dp, real_front = bounds._chain_dp, StateEvaluator.front_best
+
+    def counted_dp(*args):
+        dp_runs.append(args[2])
+        return real_dp(*args)
+
+    def counted_front(self, focus, alpha):
+        front_calls.append(focus)
+        return real_front(self, focus, alpha)
+
+    monkeypatch.setattr(bounds, "_chain_dp", counted_dp)
+    monkeypatch.setattr(StateEvaluator, "front_best", counted_front)
+    grid = AlphaGrid.default()
+    fronts = [tid for tid, spec in BOUNDS.items() if spec.rhs == "front"]
+    assert fronts == ["thm2", "thm6", "cor1_thm2"]
+    for n in (6, 8):
+        ev = StateEvaluator(_state("wclass-log6", n))
+        assert all(ev._split_search(f).splits for f in (0, 1))  # both foci run the DP
+        dp_runs.clear()
+        for repeat in range(2):
+            front_calls.clear()
+            for tid in BOUNDS:
+                ev.evaluate(tid, grid)
+            assert front_calls == [0, 1] * len(fronts)
+        assert len(dp_runs) == 2 * len(grid)
+        assert dp_runs == [h for _, h in bounds._grid_weights(grid.values)] * 2
+
+
+def test_a_shared_chain_grouping_equals_a_fresh_one():
+    """The merged group, a searched chain's grouping and a singleton order
+    are built once per process and equal the ``Grouping`` built from scratch,
+    text included; two states with the same chain hold one object."""
+    import entbounds.bounds as bounds
+
+    grid = AlphaGrid.default()
+    for n in (4, 6, 8):
+        states = [_state("wclass-log6", n), _state("ghz-w", n)]
+        picked = {}
+        for psi in states:
+            ev = StateEvaluator(psi)
+            for focus in range(n):
+                partners = tuple(q for q in range(n) if q != focus)
+                merged = ev._merged_group(focus)[0]
+                assert merged == Grouping.merged(partners) and str(merged) == \
+                    ",".join(map(str, partners))
+                search = ev._split_search(focus)
+                for grouping, _, _ in ev.front_best(focus, grid):
+                    fresh = Grouping(tuple(tuple(g) for g in grouping.groups))
+                    assert grouping == fresh and str(grouping) == str(fresh)
+                    masks = tuple(sum(1 << partners.index(q) for q in g)
+                                  for g in grouping.groups)
+                    assert search.grouping(masks) is grouping
+                    picked.setdefault((partners, masks), set()).add(id(grouping))
+                order = _descending_singletons(ev.tables(focus)[1])
+                if order is not None:
+                    assert order == Grouping.singletons(q for (q,) in order.groups)
+        assert all(len(ids) == 1 for ids in picked.values())
+        assert bounds._shared_grouping.cache_info().hits > 0
+
+
+def test_minus_zero_alpha_is_zero():
+    """-0.0 == 0.0, so "-0" passed the grid's range check and printed as
+    alpha -0; the grid now holds +0.0, and every kept column keyed by the
+    grid's values reads the same for both."""
+    grid = AlphaGrid((-0.0, 1.0))
+    assert math.copysign(1.0, grid.values[0]) == 1.0
+    assert grid == AlphaGrid((0.0, 1.0))
+    assert math.copysign(1.0, AlphaGrid.from_range(-0.0, 1.0, 0.5).values[0]) == 1.0
+    psi = _state("ghz-w", 6)
+    ev = StateEvaluator(psi)
+    for tid in BOUNDS:
+        zero = StateEvaluator(psi).evaluate(tid, 0.0)
+        signed = ev.evaluate(tid, -0.0)
+        assert _bits(signed)[1][1:] == _bits(zero)[1][1:]
+        assert _bits(ev.evaluate(tid, grid)) == _bits(StateEvaluator(psi).evaluate(
+            tid, AlphaGrid((0.0, 1.0))))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--state", json.dumps({"kind": "named", "family": "w", "params": [5]}),
+     "--theorem", "all"],
+    ["sweep", "--qubits", "4", "--samples", "2", "--theorem", "all"]])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_minus_zero_alpha_prints_as_zero(argv, fmt, capsys):
+    outputs = []
+    for alpha in ("--alpha=-0,1", "--alpha=0,1"):
+        code = cli.main(argv + [alpha, "--format", fmt])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
