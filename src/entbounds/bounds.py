@@ -359,10 +359,9 @@ def h_weight(alpha: float) -> float:
     return 2.0 ** (alpha / 2.0) - 1.0
 
 
-@lru_cache(maxsize=64)
-def _grid_weights(alphas: tuple[float, ...]) -> tuple[tuple[float, float], ...]:
-    """``(p, h)`` = ``(alpha/2, h_weight(alpha))`` of each grid value, once per grid."""
-    return tuple((a / 2.0, h_weight(a)) for a in alphas)
+def _grid_weights(alphas: tuple[float, ...]) -> list[tuple[float, float]]:
+    """``(p, h)`` = ``(alpha/2, h_weight(alpha))`` of each grid value."""
+    return [(a / 2.0, h_weight(a)) for a in alphas]
 
 
 def lemma_check(x: float, y: float, alpha: float) -> tuple[bool, bool]:
@@ -641,7 +640,7 @@ def _split_table(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=256)
 def _shared_grouping(partners: tuple[int, ...], masks: tuple[int, ...]) -> Grouping:
     """The grouping whose groups are the given bit masks over the sorted
     ``partners``, in order, built and validated once per process.
@@ -649,7 +648,10 @@ def _shared_grouping(partners: tuple[int, ...], masks: tuple[int, ...]) -> Group
     A ``Grouping`` is frozen and keeps its text on itself, so one instance
     serves every state: the merged group, each searched chain and each
     descending singleton order.  Certificates, which hold a state's values,
-    are never shared.
+    are never shared.  Few keys recur: on the three benchmark workloads
+    99.6-99.9% of lookups hit, and the whole CLI digest command set (every
+    family at 2-12 qubits) leaves 61 keys, so 256 entries keep every common
+    key while bounding what an unusual stream of states can hold.
     """
     return Grouping(tuple(tuple(q for i, q in enumerate(partners) if t >> i & 1)
                           for t in masks))
@@ -826,46 +828,6 @@ class _Row(NamedTuple):
     fixed: object
 
 
-class _GridTerms:
-    """One state's alpha columns over one grid, each computed once.
-
-    ``lhs(x)`` is ``x**alpha`` and ``power(v)`` is ``v**(alpha/2)`` at each
-    grid value, 0 where the base is at or below 0, kept per base value: a
-    cut's lhs, the merged group's J, a total lead and thm8's rank factor are
-    each one such column, whichever bounds read them.  ``weights`` holds
-    ``(p, h)`` per value and ``fronts`` ``front_best``'s column per focus.
-    A kept list is copied before it leaves the evaluator.
-    """
-
-    __slots__ = ("alphas", "weights", "fronts", "_lhs", "_power")
-
-    def __init__(self, alphas: tuple[float, ...]):
-        self.alphas = alphas
-        self.weights = _grid_weights(alphas)
-        self.fronts: dict[int, list[tuple[Grouping, OrderingCertificate, float]]] = {}
-        self._lhs: dict[float, list[float]] = {}
-        self._power: dict[float, list[float]] = {}
-
-    def lhs(self, x: float) -> list[float]:
-        column = self._lhs.get(x)
-        if column is None:
-            column = self._lhs[x] = [x ** a if x > 0.0 else 0.0 for a in self.alphas]
-        return column
-
-    def power(self, v: float) -> list[float]:
-        column = self._power.get(v)
-        if column is None:
-            column = self._power[v] = [v ** p if v > 0.0 else 0.0 for p, _ in self.weights]
-        return column
-
-    def sums(self, grouped: Sequence[float], kernel) -> list[float]:
-        """``kernel(grouped, p, h)`` at each grid value, for ``_j_sum`` (J) or
-        ``_front_sum`` (a lead): both reduce one group to ``power``."""
-        if len(grouped) == 1:
-            return self.power(grouped[0])
-        return [kernel(grouped, p, h) for p, h in self.weights]
-
-
 class StateEvaluator:
     """Caches every alpha-independent quantity of one state.
 
@@ -895,12 +857,10 @@ class StateEvaluator:
     (grouping, certificate, grouped C sums) is kept once per focus and the
     front grouping's once per (focus, chain of leading groups); the
     ``Grouping`` objects themselves are shared by every state
-    (``_shared_grouping``).  Per grid values, a ``_GridTerms`` keeps the
-    weights and each alpha column: every lhs ``cut**alpha`` once per cut
-    value, every one-group J or total lead once per value, and each
-    focus's front column, which thm2, thm6 and cor1_thm2 share.  Every
-    kept object is immutable or copied on the way out, and the state is
-    fixed, so none can go stale.
+    (``_shared_grouping``).  Per grid values, ``_grid`` keeps the weights
+    ``(alpha/2, h_weight(alpha))`` and each focus's front column, which
+    thm2, thm6 and cor1_thm2 share.  Every kept object is immutable or
+    copied on the way out, and the state is fixed, so none can go stale.
 
     * ``J`` takes the merged group.  The paper's Lemma gives
       ``(x + y)^p <= x^p + h y^p`` for ``x >= y``, ``p = a/2``; applied from
@@ -940,7 +900,7 @@ class StateEvaluator:
         self._splits: dict[int, _SplitSearch] = {}
         self._merged: dict[int, Certified] = {}
         self._chains: dict[tuple[int, tuple[int, ...] | None], Certified] = {}
-        self._grids: dict[tuple[float, ...], _GridTerms] = {}
+        self._grids: dict[tuple[float, ...], tuple[list[tuple[float, float]], dict]] = {}
         self._rows: dict[str | tuple[str, tuple[int, ...]], _Row] = {}
 
     # -- cached primitives ---------------------------------------------------
@@ -1056,46 +1016,36 @@ class StateEvaluator:
         if type(focus) is not int:
             focus = qubit_index(focus, self.psi.num_qubits, "focus")
         if isinstance(alpha, AlphaGrid):
-            return self._front_column(focus, self._grid_terms(alpha.values))[:]
+            return self._front_column(focus, alpha.values)[:]
         h_weight(alpha)
-        return self._front_column(focus, self._grid_terms(AlphaGrid((alpha,)).values))[0]
+        return self._front_column(focus, AlphaGrid((alpha,)).values)[0]
 
-    def _grid_terms(self, alphas: tuple[float, ...]) -> _GridTerms:
-        """The kept ``_GridTerms`` of one grid; its one hash per call."""
-        terms = self._grids.get(alphas)
-        if terms is None:
-            terms = self._grids[alphas] = _GridTerms(alphas)
-        return terms
+    def _grid(self, alphas: tuple[float, ...]):
+        """The kept ``(weights, fronts)`` of one grid: ``(alpha/2,
+        h_weight(alpha))`` per value, and ``front_best``'s column per focus."""
+        kept = self._grids.get(alphas)
+        if kept is None:
+            kept = self._grids[alphas] = (_grid_weights(alphas), {})
+        return kept
 
-    def _front_column(self, focus: int, terms: _GridTerms):
+    def _front_column(self, focus: int, alphas: tuple[float, ...]):
         """``front_best``'s kept column of one focus over one grid."""
-        column = terms.fronts.get(focus)
+        weights, fronts = self._grid(alphas)
+        column = fronts.get(focus)
         if column is not None:
             return column
         search = self._split_search(focus) if self.search == "exhaustive" else None
-        if search is None or not search.splits:
-            # One grouping at every alpha: the canonical one, or, when the
-            # focus's pair C are all 0, the merged group with no DP.
-            if search is None:
-                certified = self._chains.get((focus, None))
-                if certified is None:
-                    certified = self._chains[focus, None] = self._certified(
-                        focus, canonical_grouping(self.tables(focus)[1]))
-            else:
-                certified = self._merged_group(focus)
+        column, chains = [], self._chains
+        for p, h in weights:
+            chain = None if search is None else search.chain(p, h)
+            certified = chains.get((focus, chain))
+            if certified is None:
+                grouping = (canonical_grouping(self.tables(focus)[1]) if search is None
+                            else search.grouping(chain))
+                certified = chains[focus, chain] = self._certified(focus, grouping)
             grouping, cert, c_sums = certified
-            column = [(grouping, cert, lead) for lead in terms.sums(c_sums, _front_sum)]
-        else:
-            column, chains = [], self._chains
-            for p, h in terms.weights:
-                chain = search.chain(p, h)
-                certified = chains.get((focus, chain))
-                if certified is None:
-                    certified = chains[focus, chain] = self._certified(
-                        focus, search.grouping(chain))
-                grouping, cert, c_sums = certified
-                column.append((grouping, cert, _front_sum(c_sums, p, h)))
-        terms.fronts[focus] = column
+            column.append((grouping, cert, _front_sum(c_sums, p, h)))
+        fronts[focus] = column
         return column
 
     # -- report assembly -----------------------------------------------------
@@ -1233,54 +1183,60 @@ class StateEvaluator:
         """The columns of ``row`` over ``grid``, in order; ``alphas`` labels
         the rows as the caller gave them (the grid's values by default).
 
-        The grid's ``_GridTerms`` give each lhs, J and total lead column, and
-        ``front_best`` each searched lead column, each computed once per
-        state and grid.  The foci's J are added in focus order and the
-        ``minus`` J subtracted at the end, per alpha.  Every returned list is
-        fresh.
+        Each value reads ``p = alpha/2`` and ``h = h_weight(alpha)``, kept
+        once per state and grid, and a searched lead reads ``front_best``'s
+        column; the foci's J are added in focus order and the ``minus`` J
+        subtracted at the end, per alpha.
         """
         kind, tid, upper, cut, foci, center, minus, js, fronts, fixed = row
         if kind == "pair_sum":
             alphas, lhs, rhs, certs = (2.0,), [fixed[0]], [fixed[1]], [None]
         else:
-            terms = self._grid_terms(grid.values)
             if alphas is None:
                 alphas = grid.values
-            lhs = terms.lhs(cut)[:]
+            lhs = [cut ** a if cut > 0.0 else 0.0 for a in grid.values]
             if (kind == "jin" and fixed is None) or (kind == "center_total" and fronts is None):
                 nan = [math.nan] * len(alphas)
                 return BoundColumns(tid, alphas, lhs, nan, nan[:], [True] * len(alphas),
                                     [None] * len(alphas), False)
+            weights = self._grid(grid.values)[0]
             if kind == "jin":
                 cert = fixed[1]
-                rhs = [_j_sum(cert.squared_values, p, p) for p, _ in terms.weights]
+                rhs = [_j_sum(cert.squared_values, p, p) for p, _ in weights]
                 certs = [cert] * len(alphas)
             elif kind == "front":
                 if fronts is None:
                     col_a, col_b = self.front_best(foci[0], grid), self.front_best(foci[1], grid)
-                else:
-                    col_a, col_b = (zip(itertools.repeat(None), itertools.repeat(j),
-                                        terms.sums(f, _front_sum)) for j, f in zip(js, fronts))
                 rhs, certs = [], []
-                for (_, cert_a, lead_a), (_, cert_b, lead_b), j_a, j_b in zip(
-                        col_a, col_b, terms.sums(js[0].squared_values, _j_sum),
-                        terms.sums(js[1].squared_values, _j_sum)):
+                vals_a, vals_b = js[0].squared_values, js[1].squared_values
+                for i, (p, h) in enumerate(weights):
+                    j_a, j_b = _j_sum(vals_a, p, h), _j_sum(vals_b, p, h)
+                    if fronts is None:
+                        (_, cert_a, lead_a), (_, cert_b, lead_b) = col_a[i], col_b[i]
+                    else:
+                        cert_a, cert_b = js[0], js[1]
+                        lead_a, lead_b = _front_sum(fronts[0], p, h), _front_sum(fronts[1], p, h)
                     branch_a, branch_b = lead_a - j_b, lead_b - j_a
                     r, cert = (branch_a, cert_a) if branch_a >= branch_b else (branch_b, cert_b)
                     rhs.append(r)
                     certs.append(cert)
             elif kind == "center_total":
-                rhs = terms.sums(fronts[0], _front_sum)[:]
+                rhs = [_front_sum(fronts[0], p, h) for p, h in weights]
                 certs = [js[center]] * len(alphas)
             else:  # "j" and "rank_j": J_A + J_B (+ J_C1), added in focus order
-                rhs = terms.sums(js[0].squared_values, _j_sum)[:]
-                for j in js[1:]:
-                    rhs = [r + x for r, x in zip(rhs, terms.sums(j.squared_values, _j_sum))]
-                if kind == "rank_j":
-                    rhs = [f * r for f, r in zip(terms.power(fixed), rhs)]
+                vals = [j.squared_values for j in js]
+                rhs = []
+                for p, h in weights:
+                    r = _j_sum(vals[0], p, h)
+                    for v in vals[1:]:
+                        r += _j_sum(v, p, h)
+                    if kind == "rank_j":
+                        r = (fixed ** p if fixed > 0.0 else 0.0) * r
+                    rhs.append(r)
                 certs = [js[center]] * len(alphas)
             for i in minus:
-                rhs = [r - x for r, x in zip(rhs, terms.sums(js[i].squared_values, _j_sum))]
+                vals = js[i].squared_values
+                rhs = [r - _j_sum(vals, p, h) for r, (p, h) in zip(rhs, weights)]
         slack = ([r - x for x, r in zip(lhs, rhs)] if upper
                  else [x - r for x, r in zip(lhs, rhs)])
         return BoundColumns(tid, alphas, lhs, rhs, slack, [x >= -SLACK_TOL for x in slack],

@@ -307,7 +307,7 @@ def test_verify_rows_are_the_grid_columns(capsys):
     assert any(not r["satisfied"] for r in rows)
 
 
-# -- the grid-wide front column and the per-state alpha columns ---------------
+# -- the grid-wide front column and the shared groupings ----------------------
 
 FRONT_STATES = [s for s in STATES if s[1] != "gallery" and s[2] >= 3] + \
     [s for s in STATES if s[1] == "gallery"]
@@ -361,9 +361,9 @@ def _bits(result):
 @pytest.mark.parametrize("kind,arg", [("haar", 4), ("haar", 6), ("wclass-log6", 6),
                                       ("ghz-w", 7), ("ghz-w", 12), ("gallery", "cor_a")])
 def test_a_warm_evaluator_gives_a_fresh_ones_bits(kind, arg):
-    """Every kept column (lhs, J, leads, fronts) is keyed by the grid's
-    values: a warm evaluator asked for grid A, then an overlapping grid B,
-    then one alpha, then ``groupings=``, answers as a fresh one does."""
+    """The kept weights and front columns are keyed by the grid's values: a
+    warm evaluator asked for grid A, then an overlapping grid B, then one
+    alpha, then ``groupings=``, answers as a fresh one does."""
     psi = _build(kind, arg)
     warm = StateEvaluator(psi)
     for tid, alpha, groupings in _requests(psi):
@@ -373,9 +373,10 @@ def test_a_warm_evaluator_gives_a_fresh_ones_bits(kind, arg):
 
 
 def test_no_two_returned_columns_share_a_list():
-    """The kept lhs, J, lead and front columns are copied on the way out:
-    two calls, or two bounds that read one kept column, never share a
-    list, and changing a returned list changes no later answer."""
+    """A kept front column is copied on the way out and every other column
+    is built per call: two calls, or two bounds that read one front column,
+    never share a list, and changing a returned list changes no later
+    answer."""
     psi = _state("wclass-log6", 7)
     ev = StateEvaluator(psi)
     grid = AlphaGrid((0.0, 0.5, 1.0, 2.0))
