@@ -82,7 +82,8 @@ class BoundSpec:
     * ``front`` / ``total``: the larger branch "lead term of focus A (B)
       minus ``J`` of B (A)", the lead being the front-weighted C sum, or
       the total C^2 to the power alpha/2, which is the front sum of the
-      merged group; ``minus_jc1`` subtracts ``J_C1``;
+      merged group; the ``J`` of every focus after the first two (cor1's
+      ``J_C1``) is then subtracted;
     * ``center_total``: total C^2 of focus ``center`` to the power alpha/2
       minus the other foci's ``J``; not applicable when the other foci's
       cut exceeds the ``center`` cut (``center_cuts``).
@@ -95,7 +96,6 @@ class BoundSpec:
     min_qubits: int
     cut: str
     rhs: str
-    minus_jc1: bool = False
     center: int = 0
 
     @property
@@ -127,8 +127,8 @@ BOUNDS: dict[str, BoundSpec] = {
     "thm6": BoundSpec("lower", 2, 4, "N", "front"),
     "thm7": BoundSpec("lower", 2, 4, "N", "total"),
     "thm8": BoundSpec("upper", 2, 4, "N", "rank_j"),
-    "cor1_thm2": BoundSpec("lower", 3, 6, "C", "front", minus_jc1=True),
-    "cor1_thm3": BoundSpec("lower", 3, 6, "C", "total", minus_jc1=True),
+    "cor1_thm2": BoundSpec("lower", 3, 6, "C", "front"),
+    "cor1_thm3": BoundSpec("lower", 3, 6, "C", "total"),
     "cor2_lower": BoundSpec("lower", 3, 6, "C", "center_total", center=2),
     "cor2_upper": BoundSpec("upper", 3, 6, "C", "j", center=2),
 }
@@ -365,9 +365,10 @@ def _grid_weights(alphas: tuple[float, ...]) -> list[tuple[float, float]]:
 
 
 def lemma_check(x: float, y: float, alpha: float) -> tuple[bool, bool]:
-    """Truth of (x-y)^a >= x^a - y^a and (x+y)^a <= x^a + y^a for x >= y >= 0."""
-    if y < 0 or x < y:
-        raise ValueError("requires x >= y >= 0")
+    """Truth of (x-y)^a >= x^a - y^a and (x+y)^a <= x^a + y^a for finite
+    x >= y >= 0; NaN and infinite x or y are refused."""
+    if not 0 <= y <= x < math.inf:
+        raise ValueError("requires finite x >= y >= 0")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("requires 0 <= alpha <= 1")
     first = (x - y) ** alpha >= x ** alpha - y ** alpha - 1e-12
@@ -388,13 +389,13 @@ def feasibility(values_sq: Sequence[float],
 
     Feasible iff every value dominates the sum of all later values
     (``_dominates``).  A single group is vacuously feasible.  A value below
-    ``-FEAS_TOL`` is refused with ``ValueError``.
+    ``-FEAS_TOL``, NaN or infinite is refused with ``ValueError``.
     """
     vals = tuple(float(v) for v in values_sq)
     if not vals:
         raise ValueError("at least one squared value is required")
-    if any(v < -FEAS_TOL for v in vals):
-        raise ValueError("squared values must be non-negative")
+    if not all(-FEAS_TOL <= v < math.inf for v in vals):
+        raise ValueError("squared values must be finite and non-negative")
     tail = list(itertools.accumulate(reversed(vals)))[::-1]
     feasible = all(_dominates(vals[t], tail[t + 1]) for t in range(len(vals) - 1))
     return OrderingCertificate(grouping, vals, feasible)
@@ -799,35 +800,6 @@ def canonical_grouping(pair_sq: Mapping[int, float]) -> Grouping:
     return _descending_singletons(pair_sq) or _shared_merged(tuple(sorted(pair_sq)))
 
 
-class _Row(NamedTuple):
-    """Everything about one (bound, foci, groupings) that no alpha changes.
-
-    ``evaluate`` adds only the alpha arithmetic.  ``kind`` is the bound's
-    ``rhs``, except that a ``total`` bound is a ``front`` row.  ``js`` holds,
-    per focus, the certificate of the grouping that J sums: the merged group
-    for the best groupings, else the caller's.  ``fronts`` holds the grouped
-    C^2 sums that ``_front_sum`` turns into lead terms: for ``front``, the
-    first two foci's caller groupings, or each focus's total C^2 as one
-    group for ``total``, and None when ``front_best`` searches them; for
-    ``center_total``, the center's total C^2 as one group, or None when the
-    bound does not apply.  ``fixed`` depends on ``kind``: the alpha = 2
-    ``(lhs, rhs)`` of ``pair_sum``; jin's ``Certified`` singleton order, or
-    None when no order is feasible; thm8's r(r-1)/2 of ``rank_j``.  A row
-    never holds its evaluator.
-    """
-
-    kind: str
-    theorem_id: str
-    upper: bool                        # slack is rhs - lhs, else lhs - rhs
-    cut: float                         # the lhs base: C or N of the foci's cut
-    foci: tuple[int, ...]
-    center: int                        # index in foci of the certifying J focus
-    minus: tuple[int, ...]             # indices in foci of the J subtracted at the end
-    js: tuple[OrderingCertificate, ...]
-    fronts: tuple[tuple[float, ...], ...] | None
-    fixed: object
-
-
 class StateEvaluator:
     """Caches every alpha-independent quantity of one state.
 
@@ -842,25 +814,22 @@ class StateEvaluator:
     one stacked ``eigh`` + ``svd`` and one ``eigvalsh`` per cut size, and a
     later miss in ``tables`` or ``_cut`` fills as a chunk of one.
 
-    ``evaluate`` resolves a bound's ``BOUNDS`` row once per (bound, foci)
-    into a ``_Row`` that holds all its alpha-free parts: the lhs cut value
-    and direction, the foci, each focus's J certificate, the C^2 sums of
-    the lead terms that are not searched (a total C^2 as one group),
-    cor2_lower's applicability, thm8's rank factor and the alpha = 2
-    ``(lhs, rhs)`` of ckw and coa_dual.  A call checks alpha once, one value
-    or a whole ``AlphaGrid`` (a float is a grid of one), and then adds only
-    the alpha arithmetic by two kernels: ``_j_sum`` for J and jin, and
-    ``_front_sum`` for every lead term, the searched ones from
-    ``front_best``.  With ``groupings=`` the same row builder takes the
-    caller's checked groupings for J and the front sum, and that row is not
-    kept.  The merged group's ``Certified`` triple
-    (grouping, certificate, grouped C sums) is kept once per focus and the
-    front grouping's once per (focus, chain of leading groups); the
-    ``Grouping`` objects themselves are shared by every state
-    (``_shared_grouping``).  Per grid values, ``_grid`` keeps the weights
-    ``(alpha/2, h_weight(alpha))`` and each focus's front column, which
-    thm2, thm6 and cor1_thm2 share.  Every kept object is immutable or
-    copied on the way out, and the state is fixed, so none can go stale.
+    ``evaluate`` computes a bound in one pass over its ``BOUNDS`` row and
+    keeps nothing per bound: it reads the lhs cut value, the C^2 totals and
+    each focus's J certificate off these caches and adds only the alpha
+    arithmetic, by two kernels: ``_j_sum`` for J and jin, and ``_front_sum``
+    for every lead term, the searched ones from ``front_best``.  With
+    ``groupings=`` the caller's checked groupings take the place of J's
+    certificates and of the searched fronts.  The merged group's
+    ``Certified`` triple (grouping, certificate, grouped C sums) is kept
+    once per focus, as is jin's descending singleton order (or None when no
+    order is feasible), and the front grouping's once per (focus, chain of
+    leading groups); the ``Grouping`` objects themselves are shared by every
+    state (``_shared_grouping``).  Per grid values, ``_grid`` keeps the
+    weights ``(alpha/2, h_weight(alpha))`` and each focus's front column,
+    which thm2, thm6 and cor1_thm2 share.  Every kept object is immutable or
+    copied on the way out, and the state is fixed, so none can go stale;
+    none refers back to its evaluator.
 
     * ``J`` takes the merged group.  The paper's Lemma gives
       ``(x + y)^p <= x^p + h y^p`` for ``x >= y``, ``p = a/2``; applied from
@@ -879,14 +848,17 @@ class StateEvaluator:
       lexicographically, at every subset.  A subset whose C^2 sum is 0 reads
       0 under every grouping, so it is kept whole with no row; a focus whose
       pair C are all 0 takes the merged group with no DP at all.  Above 8
-      non-focus qubits the front sum takes ``canonical_grouping``, by a
-      measured decision.  On a 12-qubit Gaussian W-class focus the exact
-      search would cost 0.1-0.18 s to build ``_split_table(11)`` once per
-      process, 10-13 ms of split rows and 61-72 ms of DPs for the 40
-      default alphas (11, 3 and 8-14 ms at 10 qubits), against ~6 ms for a
-      whole 12-qubit ``verify``.  The price is tightness: on GHZ+W states
-      at 11 and 12 qubits the exact optimum beats the canonical grouping's
-      front sum by up to 0.03-0.06.
+      non-focus qubits the front sum takes the merged group, or
+      ``canonical_grouping`` at an alpha where its front sum is strictly
+      larger (the tie rule of the search), by a measured decision.  On a
+      12-qubit Gaussian W-class focus the exact search would cost
+      0.1-0.18 s to build ``_split_table(11)`` once per process, 10-13 ms
+      of split rows and 61-72 ms of DPs for the 40 default alphas (11, 3
+      and 8-14 ms at 10 qubits), against ~6 ms for a whole 12-qubit
+      ``verify``.  The price is tightness: over 30 states per size at 10-12
+      qubits, the exact optimum beats this front sum by up to 0.03-0.07 on
+      GHZ+W states, by up to 0.01 on log-uniform W-class states over 6
+      decades, and not at all on Haar or Gaussian W-class states.
 
     Reported values are always summed over the chosen grouping.
     """
@@ -901,7 +873,7 @@ class StateEvaluator:
         self._merged: dict[int, Certified] = {}
         self._chains: dict[tuple[int, tuple[int, ...] | None], Certified] = {}
         self._grids: dict[tuple[float, ...], tuple[list[tuple[float, float]], dict]] = {}
-        self._rows: dict[str | tuple[str, tuple[int, ...]], _Row] = {}
+        self._singletons: dict[int, Certified | None] = {}
 
     # -- cached primitives ---------------------------------------------------
 
@@ -985,13 +957,21 @@ class StateEvaluator:
                 focus, _shared_merged(tuple(sorted(self.tables(focus)[1]))))
         return merged
 
+    def _singleton_order(self, focus: int) -> Certified | None:
+        """jin's descending singleton order as a ``Certified`` triple, or
+        None when no singleton order is feasible; kept once per focus."""
+        if focus not in self._singletons:
+            order = _descending_singletons(self.tables(focus)[1])
+            self._singletons[focus] = None if order is None else self._certified(focus, order)
+        return self._singletons[focus]
+
     # The term getters check a focus that is not an int and the alpha before
     # any kept value answers, so a warm evaluator refuses what a fresh one does.
     def j_best(self, focus: int, alpha: float):
         """``(grouping, certificate, J)`` of the merged group, which minimizes
         the geometric assistance sum: ``J = Ca2(all)^(alpha/2)`` by ``_j_sum``.
-        ``evaluate`` keeps the same certificate in its rows and computes the
-        same J from it, so it never calls this."""
+        ``evaluate`` reads the same kept certificate and computes the same J
+        from it, so it never calls this."""
         if type(focus) is not int:
             focus = qubit_index(focus, self.psi.num_qubits, "focus")
         h = h_weight(alpha)
@@ -1043,8 +1023,16 @@ class StateEvaluator:
                 grouping = (canonical_grouping(self.tables(focus)[1]) if search is None
                             else search.grouping(chain))
                 certified = chains[focus, chain] = self._certified(focus, grouping)
-            grouping, cert, c_sums = certified
-            column.append((grouping, cert, _front_sum(c_sums, p, h)))
+            front = _front_sum(certified[2], p, h)
+            if search is None:
+                # The merged group is always feasible: as a tie keeps the
+                # whole subset in the search, it stays unless the canonical
+                # grouping's front sum is strictly larger.
+                merged = self._merged_group(focus)
+                merged_front = _front_sum(merged[2], p, h)
+                if not front > merged_front:
+                    certified, front = merged, merged_front
+            column.append((certified[0], certified[1], front))
         fronts[focus] = column
         return column
 
@@ -1082,67 +1070,6 @@ class StateEvaluator:
                       _grouped_sums(self.tables(f)[0], g))
                      for f, g in zip(foci, given))
 
-    def _row(self, theorem_id: str, foci, groupings) -> _Row:
-        """The row of a call that the default-foci lookup did not answer.
-
-        The foci and groupings are checked first.  A best-grouping row is
-        kept under the bound id at its default foci, else under (bound id,
-        foci); a ``groupings=`` row is built per call.
-        """
-        spec = BOUNDS[theorem_id]
-        foci = self._foci(theorem_id, spec, foci)
-        if groupings is not None:
-            return self._build_row(theorem_id, spec, foci,
-                                   self._given(theorem_id, spec, foci, groupings))
-        key = theorem_id if foci == spec.foci else (theorem_id, foci)
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = self._build_row(theorem_id, spec, foci, None)
-        return row
-
-    def _build_row(self, theorem_id: str, spec: BoundSpec, foci: tuple[int, ...],
-                   given: tuple[Certified, ...] | None) -> _Row:
-        """The alpha-free ``_Row`` of a bound on validated foci; ``given`` is
-        None for the best groupings, else the caller's, one per focus."""
-        # A total C^2 is the front sum of the merged group, so a total row is
-        # a front row whose fronts are never searched.
-        kind = "front" if spec.rhs == "total" else spec.rhs
-        upper = spec.direction == "upper"
-        c_cut, n_cut, rank = self._cut(foci)
-        center, minus, js, fronts, fixed = spec.center, (), (), None, None
-        if kind == "pair_sum":
-            c_sq, ca_sq = self.tables(foci[0])
-            # Printed as "smaller side, larger side": ckw's lhs is the pair
-            # sum, and the slack is rhs - lhs in both directions.
-            fixed = (c_cut ** 2, sum(ca_sq.values())) if upper \
-                else (sum(c_sq.values()), c_cut ** 2)
-            upper = True
-        elif kind == "jin":
-            if given is not None:
-                fixed = given[0]
-            else:
-                order = _descending_singletons(self.tables(foci[0])[1])
-                fixed = None if order is None else self._certified(foci[0], order)
-        else:
-            js = tuple(cert for _, cert, _ in (
-                given if given is not None else map(self._merged_group, foci)))
-            if kind == "front":
-                if spec.minus_jc1:
-                    minus = tuple(range(2, len(foci)))
-                if spec.rhs == "total":
-                    fronts = tuple((sum(self.tables(f)[0].values()),) for f in foci[:2])
-                elif given is not None:
-                    fronts = tuple(c_sums for _, _, c_sums in given[:2])
-            elif kind == "center_total":
-                center_cut, others = spec.center_cuts(foci)
-                minus = tuple(map(foci.index, others))
-                if not self._cut(others)[0] > self._cut(center_cut)[0] + SLACK_TOL:
-                    fronts = ((sum(self.tables(foci[center])[0].values()),),)
-            elif kind == "rank_j":
-                fixed = rank * (rank - 1) / 2.0
-        return _Row(kind, theorem_id, upper, n_cut if spec.cut == "N" else c_cut, foci,
-                    center, minus, js, fronts, fixed)
-
     def evaluate(self, theorem_id: str, alpha: float | AlphaGrid, foci=None,
                  groupings=None) -> BoundReport | BoundColumns:
         """One bound read off its ``BOUNDS`` row, at one exponent or over a grid.
@@ -1151,96 +1078,128 @@ class StateEvaluator:
         ``AlphaGrid``, which gives the bound's ``BoundColumns``: one row per
         grid value, or the one alpha = 2 row of ``ckw`` and ``coa_dual``.  A
         report is row 0 of the columns of a one-value grid, so both share
-        one body, ``_columns``.  ``foci`` defaults to qubits 0..arity-1.
-        Everything that no alpha changes, each focus's J grouping included,
-        is resolved once per (bound, foci) into a kept ``_Row``.  A call
-        checks the bound id, then alpha once (a grid checked its values when
-        it was built), then the foci of a row it does not keep, and adds
-        only the alpha arithmetic: J and jin by ``_j_sum`` from the row, and
-        each lead term by ``_front_sum``, from the row's C^2 sums or, for a
-        searched front, through ``front_best`` per (focus, grid).  thm3,
-        thm7 and cor1_thm3 are front rows whose leads are each focus's total
+        one body, ``_columns``.  ``foci`` defaults to qubits 0..arity-1.  A
+        call checks the bound id, then alpha once (a grid checked its values
+        when it was built), then the foci, then the caller's groupings, and
+        computes the bound in one pass from the evaluator's kept alpha-free
+        values: J and jin by ``_j_sum``, and each lead term by
+        ``_front_sum``, from a total C^2 as one group, from a caller's
+        grouping or, for a searched front, through ``front_best`` per
+        (focus, grid).  thm3, thm7 and cor1_thm3 lead with each focus's total
         C^2 as one group, and report the winning focus's J certificate, as
-        caller front rows do.  Otherwise ``groupings`` holds one grouping
+        caller front bounds do.  Otherwise ``groupings`` holds one grouping
         per focus; each must cover its focus's partners and pass the
-        dominance check (else ``InfeasibleGroupingError``), and builds a row
-        of its own that is never searched or kept.
+        dominance check (else ``InfeasibleGroupingError``), and it is never
+        searched or kept.
         """
-        row = self._rows.get(theorem_id) if foci is None and groupings is None else None
-        if row is None and theorem_id not in BOUNDS:
+        spec = BOUNDS.get(theorem_id)
+        if spec is None:
             raise ValueError(f"unknown theorem_id {theorem_id!r}")
         grid = isinstance(alpha, AlphaGrid)
         if not grid:
             h_weight(alpha)  # checks alpha
-        if row is None:
-            row = self._row(theorem_id, foci, groupings)
+        foci = self._foci(theorem_id, spec, foci)
+        given = None if groupings is None else self._given(theorem_id, spec, foci, groupings)
         if grid:
-            return self._columns(row, alpha)
-        return self._columns(row, AlphaGrid((alpha,)), (alpha,)).report(0)
+            return self._columns(theorem_id, spec, foci, given, alpha, alpha.values)
+        return self._columns(theorem_id, spec, foci, given, AlphaGrid((alpha,)),
+                             (alpha,)).report(0)
 
-    def _columns(self, row: _Row, grid: AlphaGrid,
-                 alphas: tuple[float, ...] | None = None) -> BoundColumns:
-        """The columns of ``row`` over ``grid``, in order; ``alphas`` labels
-        the rows as the caller gave them (the grid's values by default).
+    def _columns(self, theorem_id: str, spec: BoundSpec, foci: tuple[int, ...],
+                 given: tuple[Certified, ...] | None, grid: AlphaGrid,
+                 alphas: tuple[float, ...]) -> BoundColumns:
+        """The columns of a bound on validated foci over ``grid``, in order;
+        ``given`` is None for the best groupings, else the caller's, one per
+        focus, and ``alphas`` labels the rows as the caller gave them.
 
         Each value reads ``p = alpha/2`` and ``h = h_weight(alpha)``, kept
         once per state and grid, and a searched lead reads ``front_best``'s
-        column; the foci's J are added in focus order and the ``minus`` J
-        subtracted at the end, per alpha.
+        column.  The foci's J are added in focus order.  A front or total
+        lead is followed by the J of each focus after the first two, and
+        cor2_lower's center lead by the J of each other focus, each
+        subtracted in focus order.
         """
-        kind, tid, upper, cut, foci, center, minus, js, fronts, fixed = row
+        kind = spec.rhs
+        c_cut, n_cut, rank = self._cut(foci)
         if kind == "pair_sum":
-            alphas, lhs, rhs, certs = (2.0,), [fixed[0]], [fixed[1]], [None]
+            c_sq, ca_sq = self.tables(foci[0])
+            # Printed as "smaller side, larger side": ckw's lhs is the pair
+            # sum, and the slack is rhs - lhs in both directions.
+            lhs, rhs = ((c_cut ** 2, sum(ca_sq.values())) if spec.direction == "upper"
+                        else (sum(c_sq.values()), c_cut ** 2))
+            slack = rhs - lhs
+            return BoundColumns(theorem_id, (2.0,), [lhs], [rhs], [slack],
+                                [slack >= -SLACK_TOL], [None], True)
+        cut = n_cut if spec.cut == "N" else c_cut
+        lhs = [cut ** a if cut > 0.0 else 0.0 for a in grid.values]
+        weights = self._grid(grid.values)[0]
+        if kind == "jin":
+            certified = given[0] if given is not None else self._singleton_order(foci[0])
+            if certified is None:
+                return _inapplicable(theorem_id, alphas, lhs)
+            cert = certified[1]
+            rhs = [_j_sum(cert.squared_values, p, p) for p, _ in weights]
+            certs = [cert] * len(alphas)
         else:
-            if alphas is None:
-                alphas = grid.values
-            lhs = [cut ** a if cut > 0.0 else 0.0 for a in grid.values]
-            if (kind == "jin" and fixed is None) or (kind == "center_total" and fronts is None):
-                nan = [math.nan] * len(alphas)
-                return BoundColumns(tid, alphas, lhs, nan, nan[:], [True] * len(alphas),
-                                    [None] * len(alphas), False)
-            weights = self._grid(grid.values)[0]
-            if kind == "jin":
-                cert = fixed[1]
-                rhs = [_j_sum(cert.squared_values, p, p) for p, _ in weights]
-                certs = [cert] * len(alphas)
-            elif kind == "front":
-                if fronts is None:
+            js = [cert for _, cert, _ in (
+                given if given is not None else map(self._merged_group, foci))]
+            vals = [j.squared_values for j in js]
+            certs = [js[spec.center]] * len(alphas)
+            if kind == "front" or kind == "total":
+                if kind == "total":
+                    fronts = [(sum(self.tables(f)[0].values()),) for f in foci[:2]]
+                elif given is not None:
+                    fronts = [c_sums for _, _, c_sums in given[:2]]
+                else:
+                    fronts = None
                     col_a, col_b = self.front_best(foci[0], grid), self.front_best(foci[1], grid)
-                rhs, certs = [], []
-                vals_a, vals_b = js[0].squared_values, js[1].squared_values
+                rhs = []
                 for i, (p, h) in enumerate(weights):
-                    j_a, j_b = _j_sum(vals_a, p, h), _j_sum(vals_b, p, h)
+                    j_a, j_b = _j_sum(vals[0], p, h), _j_sum(vals[1], p, h)
                     if fronts is None:
                         (_, cert_a, lead_a), (_, cert_b, lead_b) = col_a[i], col_b[i]
                     else:
                         cert_a, cert_b = js[0], js[1]
                         lead_a, lead_b = _front_sum(fronts[0], p, h), _front_sum(fronts[1], p, h)
                     branch_a, branch_b = lead_a - j_b, lead_b - j_a
-                    r, cert = (branch_a, cert_a) if branch_a >= branch_b else (branch_b, cert_b)
+                    r, certs[i] = (branch_a, cert_a) if branch_a >= branch_b else (branch_b, cert_b)
+                    for v in vals[2:]:  # cor1: minus J_C1
+                        r -= _j_sum(v, p, h)
                     rhs.append(r)
-                    certs.append(cert)
             elif kind == "center_total":
-                rhs = [_front_sum(fronts[0], p, h) for p, h in weights]
-                certs = [js[center]] * len(alphas)
+                center_cut, others = spec.center_cuts(foci)
+                if self._cut(others)[0] > self._cut(center_cut)[0] + SLACK_TOL:
+                    return _inapplicable(theorem_id, alphas, lhs)
+                lead = (sum(self.tables(foci[spec.center])[0].values()),)
+                minus = vals[:spec.center] + vals[spec.center + 1:]
+                rhs = []
+                for p, h in weights:
+                    r = _front_sum(lead, p, h)
+                    for v in minus:
+                        r -= _j_sum(v, p, h)
+                    rhs.append(r)
             else:  # "j" and "rank_j": J_A + J_B (+ J_C1), added in focus order
-                vals = [j.squared_values for j in js]
+                factor = rank * (rank - 1) / 2.0
                 rhs = []
                 for p, h in weights:
                     r = _j_sum(vals[0], p, h)
                     for v in vals[1:]:
                         r += _j_sum(v, p, h)
                     if kind == "rank_j":
-                        r = (fixed ** p if fixed > 0.0 else 0.0) * r
+                        r = (factor ** p if factor > 0.0 else 0.0) * r
                     rhs.append(r)
-                certs = [js[center]] * len(alphas)
-            for i in minus:
-                vals = js[i].squared_values
-                rhs = [r - _j_sum(vals, p, h) for r, (p, h) in zip(rhs, weights)]
-        slack = ([r - x for x, r in zip(lhs, rhs)] if upper
+        slack = ([r - x for x, r in zip(lhs, rhs)] if spec.direction == "upper"
                  else [x - r for x, r in zip(lhs, rhs)])
-        return BoundColumns(tid, alphas, lhs, rhs, slack, [x >= -SLACK_TOL for x in slack],
-                            certs, True)
+        return BoundColumns(theorem_id, alphas, lhs, rhs, slack,
+                            [x >= -SLACK_TOL for x in slack], certs, True)
+
+
+def _inapplicable(theorem_id: str, alphas: tuple[float, ...], lhs: list[float]) -> BoundColumns:
+    """The columns of a bound that does not apply: NaN rhs and slack, no
+    ordering, and every row ``satisfied``."""
+    nan = [math.nan] * len(alphas)
+    return BoundColumns(theorem_id, alphas, lhs, nan, nan[:], [True] * len(alphas),
+                        [None] * len(alphas), False)
 
 
 def fill_spectra(evaluators: Sequence[StateEvaluator], pairs: Collection[tuple[int, int]],
@@ -1312,8 +1271,9 @@ def optimize_grouping(psi: PureState, focus, alpha: float,
     The bound's direction sets the objective: the lowest upper bound or the
     highest lower bound.  The groupings are ``StateEvaluator``'s: J takes the
     merged group, jin the descending singleton order, and the front sum is
-    searched exactly up to 8 non-focus qubits and canonical above.  A report
-    is always produced, except for the singleton-only bound ``jin``, which is
-    reported not-applicable when no singleton order is dominance-feasible.
+    searched exactly up to 8 non-focus qubits and in canonical mode above.
+    A report is always produced, except for the singleton-only bound
+    ``jin``, which is reported not-applicable when no singleton order is
+    dominance-feasible.
     """
     return StateEvaluator(psi).evaluate(theorem_id, alpha, foci=focus)

@@ -42,6 +42,7 @@ from entbounds.bounds import (
 from entbounds.gallery import cor_a, cor_b, fig3, ghz, gsd3, thm2_saturating, w, wclass4
 from entbounds.measures import coa_two_qubit, concurrence_pure
 from entbounds.qcore import PureState, haar_random_pure, reduced_density
+from oracles import _front_weighted_sum
 
 EV5 = 1 / math.sqrt(5)
 EX1 = gsd3(EV5, EV5, EV5, EV5, EV5)
@@ -77,6 +78,14 @@ def test_lemma_check_reference_points():
         lemma_check(0.5, 1.0, 0.5)
     with pytest.raises(ValueError):
         lemma_check(1.0, 0.5, 1.5)
+
+
+@pytest.mark.parametrize("x,y,alpha", [
+    (math.nan, 0.0, 0.5), (1.0, math.nan, 0.5), (math.inf, 0.0, 0.5), (math.inf, math.inf, 0.5),
+    (0.0, -math.inf, 0.5), (-math.inf, -math.inf, 0.5), (1.0, 0.5, math.nan), (1.0, 0.5, math.inf)])
+def test_lemma_check_refuses_non_finite_input(x, y, alpha):
+    with pytest.raises(ValueError, match="requires"):
+        lemma_check(x, y, alpha)
 
 
 @given(st.floats(0.0, 100.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -118,6 +127,17 @@ def test_feasibility_reference_cases():
     assert feasibility([2.0, 1.0]).feasible
     for perm in itertools.permutations([1.0, 1.0, 1.0]):
         assert not feasibility(perm).feasible
+
+
+@pytest.mark.parametrize("values", [
+    (math.nan,), (math.inf, 1.0), (1.0, math.inf), (1.0, -math.inf), (0.5, math.nan, 0.1)])
+def test_feasibility_refuses_non_finite_values(values):
+    for check in (feasibility, sort_descending_then_check):
+        with pytest.raises(ValueError, match="non-negative"):
+            check(values)
+    ca_sq = dict(enumerate(values, start=1))
+    with pytest.raises(ValueError, match="non-negative"):
+        bounds_module._descending_singletons(ca_sq)
 
 
 def test_sort_descending_then_check():
@@ -541,22 +561,36 @@ def test_optimize_objective_validation():
         optimize_grouping(EX1, 0, 1.0, theorem_id="thm99")
 
 
+def _canonical_front(c_sq, ca_sq, alpha):
+    """Canonical mode's front grouping: the merged group, unless the
+    canonical grouping's front-weighted C sum is strictly larger."""
+    merged, canonical = Grouping.merged(ca_sq), canonical_grouping(ca_sq)
+    front = [_front_weighted_sum([sum(c_sq[q] for q in g) for g in grouping.groups], alpha)
+             for grouping in (merged, canonical)]
+    return canonical if front[1] > front[0] else merged
+
+
 def test_optimize_above_the_partner_cap_is_canonical():
-    # Above 8 partners only the front sum (thm2's certificate) is canonical;
-    # J (thm1) is the merged group at every size and jin a sorted order.
+    # Above 8 partners only the front sum (thm2's certificate) takes canonical
+    # mode's grouping, the better of the merged group and canonical_grouping
+    # at each alpha; J (thm1) is the merged group at every size and jin a
+    # sorted order.
     for n in (10, 12):
         for psi in (haar_random_pure(n, 1), _geometric_wclass(n)):
             for tid in ("thm1", "thm2", "jin"):
                 foci = tuple(range(BOUNDS[tid].arity))
-                r = optimize_grouping(psi, foci, 1.0, theorem_id=tid)
-                assert _same_report(r, StateEvaluator(psi).evaluate(tid, 1.0, foci))
-                assert r.satisfied
-                if not r.applicable:  # jin on the Haar state
-                    continue
-                tables = [pairwise_tables(psi, f)[1] for f in foci]
-                expected = {"thm1": Grouping.merged, "thm2": canonical_grouping,
-                            "jin": lambda ca: Grouping.singletons(sorted(ca, key=lambda q: -ca[q]))}
-                assert r.ordering.grouping in [expected[tid](ca) for ca in tables]
+                for alpha in (0.05, 1.0, 2.0):
+                    r = optimize_grouping(psi, foci, alpha, theorem_id=tid)
+                    assert _same_report(r, StateEvaluator(psi).evaluate(tid, alpha, foci))
+                    assert r.satisfied
+                    if not r.applicable:  # jin on the Haar state
+                        continue
+                    tables = [pairwise_tables(psi, f) for f in foci]
+                    expected = {
+                        "thm1": lambda c, ca: Grouping.merged(ca),
+                        "thm2": lambda c, ca: _canonical_front(c, ca, alpha),
+                        "jin": lambda c, ca: Grouping.singletons(sorted(ca, key=lambda q: -ca[q]))}
+                    assert r.ordering.grouping in [expected[tid](*t) for t in tables]
 
 
 def test_optimizer_matches_explicit_enumeration():
@@ -696,10 +730,11 @@ def test_given_groupings_are_never_searched_or_cached():
         merged = Grouping.merged(range(1, n))
         ev = StateEvaluator(psi)
         assert ev.evaluate("thm1", 1.0, 0, (merged,)) == thm1_upper(psi, 0, merged, 1.0)
-        assert ev._rows == {} and ev._splits == {} and ev._merged == {} and ev._chains == {}
+        assert ev._singletons == {} and ev._splits == {} and ev._merged == {} and ev._chains == {}
         best = ev.evaluate("thm1", 1.0, 0)  # J is the merged group at every n
         assert best.satisfied and best.ordering.grouping == merged
-        assert set(ev._rows) == {"thm1"} and set(ev._merged) == {0} and ev._splits == {}
+        assert set(ev._merged) == {0} and ev._splits == {}
+        assert ev._chains == {} and ev._singletons == {}
         ev.evaluate("thm2", 1.0)  # the front sum is searched by size
         assert bool(ev._splits) == (ev.search == "exhaustive")
         assert ((0, None) in ev._chains) == (ev.search == "canonical")
@@ -727,7 +762,8 @@ def test_a_warm_row_never_answers_for_caller_groupings():
     for tid in BOUNDS:
         for alpha in (0.5, 1.0):
             warm.evaluate(tid, alpha)
-    rows = dict(warm._rows)
+    kept = {name: dict(getattr(warm, name)) for name in ("_merged", "_chains", "_singletons")}
+    assert all(kept.values())
     for tid, spec in BOUNDS.items():
         orders = [bounds_module._descending_singletons(warm.tables(f)[1]) for f in spec.foci]
         for alpha in (0.5, 1.0):
@@ -740,7 +776,9 @@ def test_a_warm_row_never_answers_for_caller_groupings():
         ascending = [Grouping.singletons(q for (q,) in reversed(g.groups)) for g in orders]
         with pytest.raises(InfeasibleGroupingError):
             warm.evaluate(tid, 1.0, None, ascending)
-    assert warm._rows == rows
+    for name, before in kept.items():  # no caller call adds or replaces a kept entry
+        after = getattr(warm, name)
+        assert after.keys() == before.keys() and all(after[k] is v for k, v in before.items())
 
 
 def test_the_fast_report_equals_the_dataclass_report():

@@ -430,8 +430,9 @@ def test_a_warm_evaluator_refuses_what_a_fresh_one_refuses(bad):
         for read in (ev.cut_concurrence, ev.cut_negativity, ev.cut_rank):
             with pytest.raises(ValueError, match="integer qubit index"):
                 read((bad,))
-    # Every bound's row is kept at the default foci and at the foci that
-    # ``bad`` equals (1, 2, ...), yet the checks still run first.
+    # Every bound has run at the default foci and at the foci that ``bad``
+    # equals (1, 2, ...), so every per-focus cache is warm, yet the checks
+    # still run first.
     psi = w(6)
     warm = StateEvaluator(psi)
     _evaluate_all(warm, (0.5, 1.0))
@@ -577,8 +578,8 @@ def test_after_the_fill_evaluate_reduces_nothing(monkeypatch, n):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_an_evaluator_is_freed_without_the_cycle_collector(n):
-    """Kept rows never hold their evaluator, so a sweep releases each one
-    when it is dropped, not when the cycle collector next runs."""
+    """No kept certificate or column holds its evaluator, so a sweep releases
+    each one when it is dropped, not when the cycle collector next runs."""
     psi = haar_random_pure(n, 9700 + n)
     theorems = cli._parse_theorems("all", n)
     collecting = gc.isenabled()
@@ -597,7 +598,11 @@ def test_an_evaluator_is_freed_without_the_cycle_collector(n):
                                  for f in BOUNDS[tid].foci]
                 for alpha in (0.5, 2.0):
                     ev.evaluate(tid, alpha, None, groupings)
-            assert set(ev._rows) == (set() if caller else set(theorems))
+            j_foci = {f for tid in theorems if BOUNDS[tid].rhs not in ("pair_sum", "jin")
+                      for f in BOUNDS[tid].foci}
+            assert set(ev._merged) == (set() if caller else j_foci)
+            assert set(ev._singletons) == (set() if caller else {0})
+            assert bool(ev._chains) == (not caller and "thm2" in theorems)
             ref = weakref.ref(ev)
             del ev
             assert ref() is None, caller
@@ -646,8 +651,9 @@ def test_j_sum_equals_the_geometric_sum_bit_for_bit(k):
 
 @pytest.mark.parametrize("n", [6, 10])
 def test_evaluate_reads_j_off_its_rows_and_searches_only_front_rows(n, monkeypatch):
-    """J is row data: ``evaluate`` never asks ``j_best``, and asks
-    ``front_best`` once per focus of a best-grouping front row only."""
+    """J is read off the kept merged group: ``evaluate`` never asks
+    ``j_best``, and asks ``front_best`` once per focus of a best-grouping
+    front bound only."""
     front_calls = []
     front_best = StateEvaluator.front_best
 
@@ -676,4 +682,5 @@ def test_evaluate_reads_j_off_its_rows_and_searches_only_front_rows(n, monkeypat
                     searched = spec.rhs == "front" and groupings is None
                     assert front_calls == (list(spec.foci[:2]) if searched else []), \
                         (tid, warm, groupings)
-    assert set(ev._rows) == set(BOUNDS)
+    assert set(ev._merged) == {0, 1, 2} and set(ev._singletons) == {0}
+    assert {focus for focus, _ in ev._chains} == {0, 1}

@@ -134,8 +134,9 @@ def test_every_grid_row_equals_the_one_alpha_report(kind, arg):
             assert all(len(col) == rows for col in cols[2:7])
             for i, r in enumerate(reports):
                 assert type(r) is BoundReport
-                # A groupings= row is built per call, so its certificates are
-                # new objects each call; kept rows share theirs.
+                # A groupings= call certifies the caller's groupings anew, so
+                # its certificates are new objects each call; the best
+                # groupings' certificates are kept and shared.
                 _assert_row_equals(cols, i, r, same_certificate=groupings is None)
             again = fresh.evaluate(tid, grid, foci, groupings)
             for i, r in enumerate(reports):

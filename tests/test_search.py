@@ -25,6 +25,7 @@ import pytest
 
 from entbounds.bounds import (
     _TIE_TOL,
+    BOUNDS,
     FEAS_TOL,
     AlphaGrid,
     Grouping,
@@ -383,6 +384,26 @@ def test_zero_c_foci_take_the_merged_group_on_both_sides_of_the_size_switch(n):
         assert ev.front_best(0, alpha)[0] == merged, alpha
     if n >= 10:
         assert canonical_grouping(ev.tables(0)[1]) == merged
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_the_best_front_never_falls_below_the_total(n):
+    """The merged group is always feasible and its front sum is the total
+    C^2 to the power alpha/2, so the best-front bounds never read below the
+    total ones: rhs(thm2) >= rhs(thm3), rhs(thm6) >= rhs(thm7) and
+    rhs(cor1_thm2) >= rhs(cor1_thm3), within ``_TIE_TOL``, in both search
+    modes.  Log-uniform W-class states over 3 decades are where the
+    descending singleton order, feasible but worse than the merged group,
+    would otherwise win above 8 partners."""
+    grid = AlphaGrid.default()
+    for seed in range(20):
+        ev = StateEvaluator(_log_wclass(n, 3, 8800 + 100 * n + seed))
+        for best, total in (("thm2", "thm3"), ("thm6", "thm7"), ("cor1_thm2", "cor1_thm3")):
+            if n < BOUNDS[best].min_qubits:
+                continue
+            high, low = ev.evaluate(best, grid).rhs, ev.evaluate(total, grid).rhs
+            for a, x, y in zip(grid, high, low):
+                assert x >= y - _TIE_TOL, (best, seed, a, x - y)
 
 
 @pytest.mark.parametrize("call", [
