@@ -32,7 +32,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import add
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -301,14 +302,17 @@ class BoundColumns(NamedTuple):
 
 @dataclass(frozen=True)
 class AlphaGrid:
-    """Strictly increasing exponents within [0, 2]."""
+    """Strictly increasing exponents within [0, 2]; a bool is refused."""
 
     values: tuple[float, ...]
 
     def __post_init__(self):
+        given = tuple(self.values)
+        if any(isinstance(v, (bool, np.bool_)) for v in given):
+            raise ValueError(f"alpha values must be numbers, not booleans, got {given!r}")
         # ``+ 0.0`` turns -0.0 into 0.0 and leaves every other value as it is,
         # so "-0" reads and prints as alpha 0.
-        vals = tuple(float(v) + 0.0 for v in self.values)
+        vals = tuple(float(v) + 0.0 for v in given)
         if not vals:
             raise ValueError("alpha grid must be non-empty")
         if len(vals) > _MAX_ALPHA_VALUES:
@@ -345,6 +349,11 @@ class AlphaGrid:
         # Starts above 0 so the 0**0 convention never matters on default runs.
         return cls.from_range(0.05, 2.0, 0.05)
 
+    @cached_property
+    def weights(self) -> tuple[tuple[float, float], ...]:
+        """``(p, h)`` = ``(alpha/2, h_weight(alpha))`` of each value, built once per grid."""
+        return tuple((a / 2.0, h_weight(a)) for a in self.values)
+
     def __iter__(self):
         return iter(self.values)
 
@@ -353,15 +362,13 @@ class AlphaGrid:
 
 
 def h_weight(alpha: float) -> float:
-    """Geometric weight 2**(alpha/2) - 1; lies in [0, 1] and below alpha/2."""
+    """Geometric weight 2**(alpha/2) - 1; lies in [0, 1] and below alpha/2.
+    A bool alpha is refused, as a bool qubit index is."""
+    if isinstance(alpha, (bool, np.bool_)):
+        raise ValueError(f"alpha must be a number, not a boolean, got {alpha!r}")
     if not 0.0 <= alpha <= 2.0:
         raise ValueError(f"alpha must be in [0, 2], got {alpha}")
     return 2.0 ** (alpha / 2.0) - 1.0
-
-
-def _grid_weights(alphas: tuple[float, ...]) -> list[tuple[float, float]]:
-    """``(p, h)`` = ``(alpha/2, h_weight(alpha))`` of each grid value."""
-    return [(a / 2.0, h_weight(a)) for a in alphas]
 
 
 def lemma_check(x: float, y: float, alpha: float) -> tuple[bool, bool]:
@@ -437,8 +444,15 @@ def _covering_grouping(grouping: Grouping, universe: frozenset[int]) -> Grouping
     return grouping
 
 
+def _sum_in_order(values: Iterable[float]) -> float:
+    """The values added left to right from 0.0, as ``_subset_sums`` and
+    ``feasibility`` add them.  Built-in ``sum`` of floats is compensated from
+    Python 3.12 on, so it would round differently across versions."""
+    return reduce(add, values, 0.0)
+
+
 def _grouped_sums(pair_sq: Mapping[int, float], grouping: Grouping) -> tuple[float, ...]:
-    return tuple(sum(pair_sq[q] for q in g) for g in grouping.groups)
+    return tuple(_sum_in_order(pair_sq[q] for q in g) for g in grouping.groups)
 
 
 def _require_feasible(pair_sq: Mapping[int, float], grouping: Grouping,
@@ -453,15 +467,15 @@ def _require_feasible(pair_sq: Mapping[int, float], grouping: Grouping,
 
 # The two weighted sums of the bounds.  Each takes ``p = alpha/2`` and a
 # weight, and reads a value at or below 0 as 0 (``0**alpha`` is 0); a single
-# group is one ``**``.  Several groups keep the generator ``sum``, as ``sum``
-# of floats rounds differently across Python versions.
+# group is one ``**``, and several are added by ``_sum_in_order``.
 
 def _j_sum(grouped_sq: Sequence[float], p: float, ratio: float) -> float:
     """sum_i ratio^(i-1) * (g_i^2)^p over the groups in order: J with
     ``ratio = h_weight(alpha)``, jin with ``ratio = p``."""
     if len(grouped_sq) == 1:  # the merged group
         return grouped_sq[0] ** p if grouped_sq[0] > 0.0 else 0.0
-    return sum((ratio ** i) * (v ** p if v > 0.0 else 0.0) for i, v in enumerate(grouped_sq))
+    return _sum_in_order((ratio ** i) * (v ** p if v > 0.0 else 0.0)
+                         for i, v in enumerate(grouped_sq))
 
 
 def _front_sum(c_sums: Sequence[float], p: float, h: float) -> float:
@@ -470,7 +484,7 @@ def _front_sum(c_sums: Sequence[float], p: float, h: float) -> float:
     if len(c_sums) == 1:  # the merged group
         return c_sums[0] ** p if c_sums[0] > 0.0 else 0.0
     terms = [v ** p if v > 0.0 else 0.0 for v in c_sums]
-    return h * sum(terms[:-1]) + terms[-1]
+    return h * _sum_in_order(terms[:-1]) + terms[-1]
 
 
 def _per_focus(groupings) -> tuple:
@@ -801,7 +815,7 @@ def canonical_grouping(pair_sq: Mapping[int, float]) -> Grouping:
 
 
 class StateEvaluator:
-    """Caches every alpha-independent quantity of one state.
+    """Keeps the alpha-independent values of one state that its calls read again.
 
     Each distinct qubit pair is reduced and measured once, whichever focus
     asks for it, and the focus tables are read from those pair values; its C
@@ -820,16 +834,18 @@ class StateEvaluator:
     arithmetic, by two kernels: ``_j_sum`` for J and jin, and ``_front_sum``
     for every lead term, the searched ones from ``front_best``.  With
     ``groupings=`` the caller's checked groupings take the place of J's
-    certificates and of the searched fronts.  The merged group's
-    ``Certified`` triple (grouping, certificate, grouped C sums) is kept
-    once per focus, as is jin's descending singleton order (or None when no
-    order is feasible), and the front grouping's once per (focus, chain of
-    leading groups); the ``Grouping`` objects themselves are shared by every
-    state (``_shared_grouping``).  Per grid values, ``_grid`` keeps the
-    weights ``(alpha/2, h_weight(alpha))`` and each focus's front column,
-    which thm2, thm6 and cor1_thm2 share.  Every kept object is immutable or
-    copied on the way out, and the state is fixed, so none can go stale;
-    none refers back to its evaluator.
+    certificates and of the searched fronts.  Five dicts are kept: the pair
+    values (``_pairs``), the focus tables (``_tables``), the cut values
+    (``_cuts``), each focus's merged-group ``Certified`` triple (grouping,
+    certificate, grouped C sums; ``_merged``) and ``front_best``'s column
+    per (focus, grid values) (``_fronts``), which thm2, thm6 and cor1_thm2
+    share.  jin certifies its descending singleton order on each call, and
+    a column certifies each chain of leading groups once; the ``Grouping``
+    objects themselves are shared by every state (``_shared_grouping``).
+    The weights ``(alpha/2, h_weight(alpha))`` are the grid's own
+    (``AlphaGrid.weights``).  Every kept object is immutable or copied on
+    the way out, and the state is fixed, so none can go stale; none refers
+    back to its evaluator.
 
     * ``J`` takes the merged group.  The paper's Lemma gives
       ``(x + y)^p <= x^p + h y^p`` for ``x >= y``, ``p = a/2``; applied from
@@ -842,16 +858,16 @@ class StateEvaluator:
       listing the Fubini(m) groupings.  It visits only the subsets ``S``
       reachable from the full partner set through such splits, with their
       (subset, leading group) pairs, at most 3^m of them for m partners;
-      the rows and their order are built once per focus and shared by every
-      alpha.  Values within ``_TIE_TOL`` tie, and a tie keeps the whole
-      subset, then the leading group that comes first by size and then
-      lexicographically, at every subset.  A subset whose C^2 sum is 0 reads
-      0 under every grouping, so it is kept whole with no row; a focus whose
-      pair C are all 0 takes the merged group with no DP at all.  Above 8
-      non-focus qubits the front sum takes the merged group, or
-      ``canonical_grouping`` at an alpha where its front sum is strictly
-      larger (the tie rule of the search), by a measured decision.  On a
-      12-qubit Gaussian W-class focus the exact search would cost
+      the rows and their order are built once per front column and shared
+      by every alpha of its grid.  Values within ``_TIE_TOL`` tie, and a
+      tie keeps the whole subset, then the leading group that comes first
+      by size and then lexicographically, at every subset.  A subset whose
+      C^2 sum is 0 reads 0 under every grouping, so it is kept whole with no
+      row; a focus whose pair C are all 0 takes the merged group with no DP
+      at all.  Above 8 non-focus qubits the front sum takes the merged
+      group, or ``canonical_grouping`` at an alpha where its front sum is
+      strictly larger (the tie rule of the search), by a measured decision.
+      On a 12-qubit Gaussian W-class focus the exact search would cost
       0.1-0.18 s to build ``_split_table(11)`` once per process, 10-13 ms
       of split rows and 61-72 ms of DPs for the 40 default alphas (11, 3
       and 8-14 ms at 10 qubits), against ~6 ms for a whole 12-qubit
@@ -869,11 +885,8 @@ class StateEvaluator:
         self._pairs: dict[tuple[int, int], tuple[float, float]] = {}
         self._tables: dict[int, tuple[dict[int, float], dict[int, float]]] = {}
         self._cuts: dict[tuple[int, ...], tuple[float, float, int]] = {}
-        self._splits: dict[int, _SplitSearch] = {}
         self._merged: dict[int, Certified] = {}
-        self._chains: dict[tuple[int, tuple[int, ...] | None], Certified] = {}
-        self._grids: dict[tuple[float, ...], tuple[list[tuple[float, float]], dict]] = {}
-        self._singletons: dict[int, Certified | None] = {}
+        self._fronts: dict[tuple[int, tuple[float, ...]], list[tuple]] = {}
 
     # -- cached primitives ---------------------------------------------------
 
@@ -922,11 +935,6 @@ class StateEvaluator:
     def cut_rank(self, qubits: tuple[int, ...]) -> int:
         return self._cut(_subsystem(qubits, self.psi.num_qubits, name="cut"))[2]
 
-    def _split_search(self, focus: int) -> _SplitSearch:
-        if focus not in self._splits:
-            self._splits[focus] = _SplitSearch(*self.tables(focus))
-        return self._splits[focus]
-
     def feasible_groupings(self, focus: int):
         """(grouping, ca_grouped, c_grouped) per dominance-feasible ordering.
 
@@ -941,7 +949,7 @@ class StateEvaluator:
             raise ValueError(f"feasible_groupings caps at {_MAX_OPT_PARTNERS} "
                              f"non-focus qubits, got {len(ca_sq)}")
         return [(g, _grouped_sums(ca_sq, g), _grouped_sums(c_sq, g))
-                for g in self._split_search(focus).groupings()]
+                for g in _SplitSearch(c_sq, ca_sq).groupings()]
 
     def _certified(self, focus: int, grouping: Grouping) -> Certified:
         """``Certified`` triple of a grouping known to be feasible."""
@@ -956,14 +964,6 @@ class StateEvaluator:
             merged = self._merged[focus] = self._certified(
                 focus, _shared_merged(tuple(sorted(self.tables(focus)[1]))))
         return merged
-
-    def _singleton_order(self, focus: int) -> Certified | None:
-        """jin's descending singleton order as a ``Certified`` triple, or
-        None when no singleton order is feasible; kept once per focus."""
-        if focus not in self._singletons:
-            order = _descending_singletons(self.tables(focus)[1])
-            self._singletons[focus] = None if order is None else self._certified(focus, order)
-        return self._singletons[focus]
 
     # The term getters check a focus that is not an int and the alpha before
     # any kept value answers, so a warm evaluator refuses what a fresh one does.
@@ -986,43 +986,36 @@ class StateEvaluator:
         A float alpha is a grid of one: ``front_best(f, a)`` is
         ``front_best(f, AlphaGrid((a,)))[0]``.  The column is found once per
         (focus, grid values) and kept, as thm2, thm6 and cor1_thm2 share
-        it; each call returns a fresh list.  Each alpha runs the chain DP
-        once, and the grouping it picks is certified once per (focus,
-        chain): alphas that pick the same chain share one ``Certified``
-        triple, and every state shares the ``Grouping`` of a chain.  The sum
-        is ``_front_sum`` of the grouping's C^2 sums, the kernel that
-        ``evaluate`` applies to every other lead term.
+        it; each call returns a fresh list.  Building it builds the focus's
+        ``_SplitSearch`` and runs the chain DP once per alpha, and certifies
+        each chain it picks once: alphas of the column that pick the same
+        chain share one ``Certified`` triple, and every state shares the
+        ``Grouping`` of a chain.  The sum is ``_front_sum`` of the grouping's
+        C^2 sums, the kernel that ``evaluate`` applies to every other lead
+        term.
         """
         if type(focus) is not int:
             focus = qubit_index(focus, self.psi.num_qubits, "focus")
         if isinstance(alpha, AlphaGrid):
-            return self._front_column(focus, alpha.values)[:]
+            return self._front_column(focus, alpha)[:]
         h_weight(alpha)
-        return self._front_column(focus, AlphaGrid((alpha,)).values)[0]
+        return self._front_column(focus, AlphaGrid((alpha,)))[0]
 
-    def _grid(self, alphas: tuple[float, ...]):
-        """The kept ``(weights, fronts)`` of one grid: ``(alpha/2,
-        h_weight(alpha))`` per value, and ``front_best``'s column per focus."""
-        kept = self._grids.get(alphas)
-        if kept is None:
-            kept = self._grids[alphas] = (_grid_weights(alphas), {})
-        return kept
-
-    def _front_column(self, focus: int, alphas: tuple[float, ...]):
+    def _front_column(self, focus: int, grid: AlphaGrid):
         """``front_best``'s kept column of one focus over one grid."""
-        weights, fronts = self._grid(alphas)
-        column = fronts.get(focus)
+        key = (focus, grid.values)
+        column = self._fronts.get(key)
         if column is not None:
             return column
-        search = self._split_search(focus) if self.search == "exhaustive" else None
-        column, chains = [], self._chains
-        for p, h in weights:
+        c_sq, ca_sq = self.tables(focus)
+        search = _SplitSearch(c_sq, ca_sq) if self.search == "exhaustive" else None
+        column, chains = [], {}
+        for p, h in grid.weights:
             chain = None if search is None else search.chain(p, h)
-            certified = chains.get((focus, chain))
+            certified = chains.get(chain)
             if certified is None:
-                grouping = (canonical_grouping(self.tables(focus)[1]) if search is None
-                            else search.grouping(chain))
-                certified = chains[focus, chain] = self._certified(focus, grouping)
+                grouping = canonical_grouping(ca_sq) if search is None else search.grouping(chain)
+                certified = chains[chain] = self._certified(focus, grouping)
             front = _front_sum(certified[2], p, h)
             if search is None:
                 # The merged group is always feasible: as a tie keeps the
@@ -1033,7 +1026,7 @@ class StateEvaluator:
                 if not front > merged_front:
                     certified, front = merged, merged_front
             column.append((certified[0], certified[1], front))
-        fronts[focus] = column
+        self._fronts[key] = column
         return column
 
     # -- report assembly -----------------------------------------------------
@@ -1112,10 +1105,10 @@ class StateEvaluator:
         ``given`` is None for the best groupings, else the caller's, one per
         focus, and ``alphas`` labels the rows as the caller gave them.
 
-        Each value reads ``p = alpha/2`` and ``h = h_weight(alpha)``, kept
-        once per state and grid, and a searched lead reads ``front_best``'s
-        column.  The foci's J are added in focus order.  A front or total
-        lead is followed by the J of each focus after the first two, and
+        Each value reads ``p = alpha/2`` and ``h = h_weight(alpha)`` from
+        ``grid.weights``, and a searched lead reads ``front_best``'s column.
+        The foci's J are added in focus order.  A front or total lead is
+        followed by the J of each focus after the first two, and
         cor2_lower's center lead by the J of each other focus, each
         subtracted in focus order.
         """
@@ -1125,19 +1118,21 @@ class StateEvaluator:
             c_sq, ca_sq = self.tables(foci[0])
             # Printed as "smaller side, larger side": ckw's lhs is the pair
             # sum, and the slack is rhs - lhs in both directions.
-            lhs, rhs = ((c_cut ** 2, sum(ca_sq.values())) if spec.direction == "upper"
-                        else (sum(c_sq.values()), c_cut ** 2))
+            lhs, rhs = ((c_cut ** 2, _sum_in_order(ca_sq.values())) if spec.direction == "upper"
+                        else (_sum_in_order(c_sq.values()), c_cut ** 2))
             slack = rhs - lhs
             return BoundColumns(theorem_id, (2.0,), [lhs], [rhs], [slack],
                                 [slack >= -SLACK_TOL], [None], True)
         cut = n_cut if spec.cut == "N" else c_cut
         lhs = [cut ** a if cut > 0.0 else 0.0 for a in grid.values]
-        weights = self._grid(grid.values)[0]
+        weights = grid.weights
         if kind == "jin":
-            certified = given[0] if given is not None else self._singleton_order(foci[0])
-            if certified is None:
-                return _inapplicable(theorem_id, alphas, lhs)
-            cert = certified[1]
+            if given is None:
+                order = _descending_singletons(self.tables(foci[0])[1])
+                if order is None:
+                    return _inapplicable(theorem_id, alphas, lhs)
+                given = (self._certified(foci[0], order),)
+            cert = given[0][1]
             rhs = [_j_sum(cert.squared_values, p, p) for p, _ in weights]
             certs = [cert] * len(alphas)
         else:
@@ -1147,7 +1142,7 @@ class StateEvaluator:
             certs = [js[spec.center]] * len(alphas)
             if kind == "front" or kind == "total":
                 if kind == "total":
-                    fronts = [(sum(self.tables(f)[0].values()),) for f in foci[:2]]
+                    fronts = [(_sum_in_order(self.tables(f)[0].values()),) for f in foci[:2]]
                 elif given is not None:
                     fronts = [c_sums for _, _, c_sums in given[:2]]
                 else:
@@ -1170,7 +1165,7 @@ class StateEvaluator:
                 center_cut, others = spec.center_cuts(foci)
                 if self._cut(others)[0] > self._cut(center_cut)[0] + SLACK_TOL:
                     return _inapplicable(theorem_id, alphas, lhs)
-                lead = (sum(self.tables(foci[spec.center])[0].values()),)
+                lead = (_sum_in_order(self.tables(foci[spec.center])[0].values()),)
                 minus = vals[:spec.center] + vals[spec.center + 1:]
                 rhs = []
                 for p, h in weights:

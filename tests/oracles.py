@@ -4,14 +4,25 @@ Each is written from the paper's statement with one alpha argument, apart
 from the kernels in ``entbounds.bounds`` (``_j_sum`` and ``_front_sum``),
 which take ``p = alpha/2`` and a weight.  The tests compare the kernels and
 every report against these, bit for bit where the summation order agrees.
+Every sum here adds left to right from 0.0 (``_ordered_sum``), as the
+library does on every Python version.
 
 ``sweep_tally`` is the sweep's aggregation one report at a time, as
 ``sweep`` did before it read each bound's rows as columns.
 """
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from entbounds.bounds import h_weight
+
+
+def _ordered_sum(values: Iterable[float]) -> float:
+    """The values added one at a time, left to right, from 0.0; built-in
+    ``sum`` of floats is compensated from Python 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _apow(value: float, alpha: float) -> float:
@@ -25,20 +36,20 @@ def _apow(value: float, alpha: float) -> float:
 def _geometric_sum(grouped_sq: Sequence[float], alpha: float) -> float:
     """sum_i h^(i-1) * (g_i^2)^(alpha/2) over the groups in order."""
     h = h_weight(alpha)
-    return sum((h ** i) * _apow(v, alpha / 2.0) for i, v in enumerate(grouped_sq))
+    return _ordered_sum((h ** i) * _apow(v, alpha / 2.0) for i, v in enumerate(grouped_sq))
 
 
 def _front_weighted_sum(grouped_sq: Sequence[float], alpha: float) -> float:
     """h * sum_{i<k} (g_i^2)^(alpha/2) + (g_k^2)^(alpha/2)."""
     h = h_weight(alpha)
     terms = [_apow(v, alpha / 2.0) for v in grouped_sq]
-    return h * sum(terms[:-1]) + terms[-1]
+    return h * _ordered_sum(terms[:-1]) + terms[-1]
 
 
 def _jin_sum(grouped_sq: Sequence[float], alpha: float) -> float:
     """sum_i (alpha/2)^(i-1) * (g_i^2)^(alpha/2) over the groups in order."""
-    return sum(((alpha / 2.0) ** i) * _apow(v, alpha / 2.0)
-               for i, v in enumerate(grouped_sq))
+    return _ordered_sum(((alpha / 2.0) ** i) * _apow(v, alpha / 2.0)
+                        for i, v in enumerate(grouped_sq))
 
 
 def sweep_tally(stats: dict, report) -> None:

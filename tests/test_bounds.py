@@ -42,7 +42,7 @@ from entbounds.bounds import (
 from entbounds.gallery import cor_a, cor_b, fig3, ghz, gsd3, thm2_saturating, w, wclass4
 from entbounds.measures import coa_two_qubit, concurrence_pure
 from entbounds.qcore import PureState, haar_random_pure, reduced_density
-from oracles import _front_weighted_sum
+from oracles import _front_weighted_sum, _ordered_sum
 
 EV5 = 1 / math.sqrt(5)
 EX1 = gsd3(EV5, EV5, EV5, EV5, EV5)
@@ -193,6 +193,21 @@ def test_alpha_grid():
         AlphaGrid((0.5, 0.5))
     with pytest.raises(ValueError):
         AlphaGrid((0.5, 2.5))
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=str)
+def test_a_bool_alpha_is_refused(flag):
+    """A bool is not an exponent, as it is not a qubit index: without the
+    check, True read as alpha 1 and a report carried ``alpha is True``."""
+    ev = StateEvaluator(haar_random_pure(4, 3))
+    for call in (lambda: ev.evaluate("thm1", flag), lambda: ev.evaluate("ckw", flag),
+                 lambda: ev.front_best(0, flag), lambda: ev.j_best(0, flag),
+                 lambda: h_weight(flag), lambda: AlphaGrid((flag, 1.5)),
+                 lambda: ev.evaluate("thm2", AlphaGrid((0.5, flag)))):
+        with pytest.raises(ValueError, match="boolean"):
+            call()
+    assert ev.evaluate("thm1", 1).alpha == 1
+    assert AlphaGrid((np.float64(0.5), 1)).values == (0.5, 1.0)
 
 
 def test_alpha_range_never_passes_its_stop():
@@ -565,7 +580,8 @@ def _canonical_front(c_sq, ca_sq, alpha):
     """Canonical mode's front grouping: the merged group, unless the
     canonical grouping's front-weighted C sum is strictly larger."""
     merged, canonical = Grouping.merged(ca_sq), canonical_grouping(ca_sq)
-    front = [_front_weighted_sum([sum(c_sq[q] for q in g) for g in grouping.groups], alpha)
+    front = [_front_weighted_sum([_ordered_sum(c_sq[q] for q in g) for g in grouping.groups],
+                                 alpha)
              for grouping in (merged, canonical)]
     return canonical if front[1] > front[0] else merged
 
@@ -724,20 +740,25 @@ def test_readme_bound_table_matches_the_spec_table():
     assert rows == {tid: spec.min_qubits for tid, spec in BOUNDS.items()}
 
 
-def test_given_groupings_are_never_searched_or_cached():
+def test_given_groupings_are_never_searched_or_cached(monkeypatch):
+    searches, search = [], bounds_module._SplitSearch
+    monkeypatch.setattr(bounds_module, "_SplitSearch",
+                        lambda c_sq, ca_sq: searches.append(tuple(ca_sq)) or search(c_sq, ca_sq))
     for n in (6, 12):
+        searches.clear()
         psi = haar_random_pure(n, 5)
         merged = Grouping.merged(range(1, n))
         ev = StateEvaluator(psi)
         assert ev.evaluate("thm1", 1.0, 0, (merged,)) == thm1_upper(psi, 0, merged, 1.0)
-        assert ev._singletons == {} and ev._splits == {} and ev._merged == {} and ev._chains == {}
+        fronts = [Grouping.merged(q for q in range(n) if q != f) for f in (0, 1)]
+        ev.evaluate("thm2", 1.0, None, fronts)
+        assert ev._merged == {} and ev._fronts == {} and searches == []
         best = ev.evaluate("thm1", 1.0, 0)  # J is the merged group at every n
         assert best.satisfied and best.ordering.grouping == merged
-        assert set(ev._merged) == {0} and ev._splits == {}
-        assert ev._chains == {} and ev._singletons == {}
+        assert set(ev._merged) == {0} and ev._fronts == {} and searches == []
         ev.evaluate("thm2", 1.0)  # the front sum is searched by size
-        assert bool(ev._splits) == (ev.search == "exhaustive")
-        assert ((0, None) in ev._chains) == (ev.search == "canonical")
+        assert set(ev._fronts) == {(0, (1.0,)), (1, (1.0,))}
+        assert len(searches) == (2 if ev.search == "exhaustive" else 0)
     with pytest.raises(ValueError, match="caps at 8"):  # listing stays capped at 8 partners
         ev.feasible_groupings(0)
 
@@ -762,7 +783,7 @@ def test_a_warm_row_never_answers_for_caller_groupings():
     for tid in BOUNDS:
         for alpha in (0.5, 1.0):
             warm.evaluate(tid, alpha)
-    kept = {name: dict(getattr(warm, name)) for name in ("_merged", "_chains", "_singletons")}
+    kept = {name: dict(getattr(warm, name)) for name in ("_merged", "_fronts")}
     assert all(kept.values())
     for tid, spec in BOUNDS.items():
         orders = [bounds_module._descending_singletons(warm.tables(f)[1]) for f in spec.foci]

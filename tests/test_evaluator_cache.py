@@ -7,9 +7,10 @@ chunk's stacked reduction equals ``reduced_density`` of its state alone, for
 chunks of one qubit count or several.  The kept objects are pinned
 too: one mu spectrum per pair, solved in one stack per fill (a focus's
 missing pairs when ``tables`` fills lazily, a whole chunk's when ``verify``
-or ``sweep`` fills up front), one certified grouping per front-search chain,
-one text per grouping, and one row per bound that never holds its evaluator
-and from which ``evaluate`` reads J without calling ``j_best``.
+or ``sweep`` fills up front), one search per front focus and call, one
+certified grouping per front-search chain of a column, one text per
+grouping, and kept values that never hold their evaluator, from which
+``evaluate`` reads J without calling ``j_best``.
 """
 
 import gc
@@ -35,7 +36,7 @@ from entbounds.bounds import (
     coa_dual_check,
     pairwise_tables,
 )
-from entbounds.gallery import FAMILIES, ghz, named, w
+from entbounds.gallery import FAMILIES, StateSpec, ghz, named, w
 from entbounds.measures import (
     coa_two_qubit,
     concurrence_pure,
@@ -124,40 +125,57 @@ def test_canonical_mode_picks_the_canonical_grouping(n):
                 assert ev.front_best(f, alpha)[0] == canonical_grouping(ca_sq)
 
 
-def test_jin_sorts_once_per_focus(monkeypatch):
-    sorts = []
+def _counted_searches(monkeypatch) -> list:
+    """The partners of each ``_SplitSearch`` built from now on, in order."""
+    searches, search = [], bounds._SplitSearch
+    monkeypatch.setattr(bounds, "_SplitSearch",
+                        lambda c_sq, ca_sq: searches.append(tuple(ca_sq)) or search(c_sq, ca_sq))
+    return searches
+
+
+def _partners(n, foci):
+    return [tuple(q for q in range(n) if q != f) for f in foci]
+
+
+def test_verify_all_builds_one_search_per_front_focus_and_sorts_once(monkeypatch, capsys):
+    """The search and sort work of one ``verify --theorem all``: at 6 qubits
+    one ``_SplitSearch`` per front focus (0 and 1), which thm2, thm6 and
+    cor1_thm2 share through the kept front column, and one sort, jin's on
+    focus 0.  At 12 qubits the front sum is canonical: no search is built,
+    and each front column sorts once for its canonical grouping."""
+    searches, sorts = _counted_searches(monkeypatch), []
     sort = bounds.sort_descending_then_check
-
-    def counted(values):
-        sorts.append(tuple(values))
-        return sort(values)
-
-    monkeypatch.setattr(bounds, "sort_descending_then_check", counted)
-    ev = StateEvaluator(haar_random_pure(6, 31))
-    for _ in range(5):
-        for f in (0, 3):
-            for alpha in (0.5, 1.0):
-                ev.evaluate("jin", alpha, f)
-    assert sorts == [tuple(ev.tables(f)[1].values()) for f in (0, 3)]
-    assert ev._splits == {}
+    monkeypatch.setattr(bounds, "sort_descending_then_check",
+                        lambda values: sorts.append(tuple(values)) or sort(values))
+    for n, searched, sorted_foci in ((6, (0, 1), (0,)), (12, (), (0, 0, 1))):
+        searches.clear()
+        sorts.clear()
+        spec = _spec(haar_random_pure(n, 8250 + n))
+        assert cli.main(["verify", "--state", spec, "--theorem", "all"]) == 0
+        capsys.readouterr()
+        assert searches == _partners(n, searched), n
+        ev = StateEvaluator(StateSpec.from_dict(json.loads(spec)).build())
+        assert sorts == [tuple(ev.tables(f)[1].values()) for f in sorted_foci], n
 
 
 @pytest.mark.parametrize("n", [4, 6, 9])
-def test_only_front_bounds_build_the_split_table(n):
+def test_only_front_bounds_build_the_split_table(monkeypatch, n):
     front = {tid for tid, spec in BOUNDS.items() if spec.rhs == "front"}
     assert front == {"thm2", "thm6", "cor1_thm2"}
+    searches = _counted_searches(monkeypatch)
     psi = haar_random_pure(n, 8300 + n)
     ev = StateEvaluator(psi)
     for tid in sorted(set(THEOREM_IDS) - front):
         if n >= BOUNDS[tid].min_qubits:
             for alpha in (0.0, 0.5, 2.0):
                 ev.evaluate(tid, alpha)
-    assert ev._splits == {}
+    assert searches == []
     for tid in sorted(front):
         if n >= BOUNDS[tid].min_qubits:
             ev = StateEvaluator(psi)
             ev.evaluate(tid, 0.5)
-            assert set(ev._splits) == {0, 1}
+            assert searches == _partners(n, (0, 1)), tid
+            searches.clear()
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -601,8 +619,7 @@ def test_an_evaluator_is_freed_without_the_cycle_collector(n):
             j_foci = {f for tid in theorems if BOUNDS[tid].rhs not in ("pair_sum", "jin")
                       for f in BOUNDS[tid].foci}
             assert set(ev._merged) == (set() if caller else j_foci)
-            assert set(ev._singletons) == (set() if caller else {0})
-            assert bool(ev._chains) == (not caller and "thm2" in theorems)
+            assert bool(ev._fronts) == (not caller and "thm2" in theorems)
             ref = weakref.ref(ev)
             del ev
             assert ref() is None, caller
@@ -649,6 +666,41 @@ def test_j_sum_equals_the_geometric_sum_bit_for_bit(k):
                 float(_front_weighted_sum(values, alpha)).hex(), where
 
 
+def test_every_sum_adds_left_to_right_on_every_python():
+    """Adding 1.0, 1e-16 and 1e-16 in order stays at 1.0, while a compensated
+    sum, as built-in ``sum`` of floats is from Python 3.12 on, rounds up to
+    the next float.  Every kernel adds in order, so its bits do not depend on
+    the Python version."""
+    values = (1.0, 1e-16, 1e-16)
+    in_order = (1.0 + 1e-16) + 1e-16
+    assert in_order.hex() == "0x1.0000000000000p+0" and math.fsum(values) > in_order
+    assert bounds._sum_in_order(values).hex() == in_order.hex()
+    table = dict(zip((1, 2, 3), values))
+    assert [x.hex() for x in bounds._grouped_sums(table, Grouping.merged(table))] == \
+        [in_order.hex()]
+    # At p = 1 with weight 1 every term is its value, and the front sum's
+    # last term, here 0.0, is added after the others.
+    assert bounds._j_sum(values, 1.0, 1.0).hex() == in_order.hex()
+    assert bounds._front_sum(values + (0.0,), 1.0, 1.0).hex() == in_order.hex()
+
+
+def test_grouped_sums_equal_the_subset_sums_at_their_masks():
+    """A grouping's sums equal the search's subset sums at its groups' masks,
+    bit for bit, so the chain DP ranks the sums that the certificate reports."""
+    rng = np.random.default_rng(9950)
+    for m in range(1, 9):
+        partners = tuple(range(1, m + 1))
+        for _ in range(30):
+            values = (rng.random(m) * 10.0 ** -rng.integers(0, 12, m)).tolist()
+            sums = bounds._subset_sums(values)
+            order = rng.permutation(partners).tolist()
+            cuts = sorted(rng.choice(range(1, m), rng.integers(0, m), replace=False).tolist())
+            g = Grouping(tuple(tuple(order[i:j]) for i, j in zip([0] + cuts, cuts + [m])))
+            masks = [sum(1 << partners.index(q) for q in group) for group in g.groups]
+            assert [x.hex() for x in bounds._grouped_sums(dict(zip(partners, values)), g)] == \
+                [sums[t].hex() for t in masks], (values, g)
+
+
 @pytest.mark.parametrize("n", [6, 10])
 def test_evaluate_reads_j_off_its_rows_and_searches_only_front_rows(n, monkeypatch):
     """J is read off the kept merged group: ``evaluate`` never asks
@@ -682,5 +734,5 @@ def test_evaluate_reads_j_off_its_rows_and_searches_only_front_rows(n, monkeypat
                     searched = spec.rhs == "front" and groupings is None
                     assert front_calls == (list(spec.foci[:2]) if searched else []), \
                         (tid, warm, groupings)
-    assert set(ev._merged) == {0, 1, 2} and set(ev._singletons) == {0}
-    assert {focus for focus, _ in ev._chains} == {0, 1}
+    assert set(ev._merged) == {0, 1, 2}
+    assert {focus for focus, _ in ev._fronts} == {0, 1}

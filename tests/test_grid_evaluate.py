@@ -1,12 +1,13 @@
 """``StateEvaluator.evaluate`` over an ``AlphaGrid`` against one alpha at a time.
 
 Each row of ``evaluate(tid, grid)`` must equal ``evaluate(tid, a)`` at its
-grid value ``a``, floats by ``float.hex`` and certificates by identity, on
-Haar, log-uniform W-class and GHZ+W states at n = 2..9 and 12 and on every
-gallery family, at the default foci, at explicit foci and with
-``groupings=``.  The values are also rebuilt from the reference sums in
-``tests/oracles.py``, and the sweep's column aggregation is checked against
-its one-report-at-a-time oracle.
+grid value ``a``, floats by ``float.hex`` and certificates by value (by
+identity where the evaluator keeps them, as the merged groups' J), on Haar,
+log-uniform W-class and GHZ+W states at n = 2..9 and 12 and on every gallery
+family, at the default foci, at explicit foci and with ``groupings=``.  The
+values are also rebuilt from the reference sums in ``tests/oracles.py``, and
+the sweep's column aggregation is checked against its one-report-at-a-time
+oracle.
 """
 
 import json
@@ -17,11 +18,12 @@ import pytest
 
 from entbounds import cli
 from entbounds.bounds import (BOUNDS, SLACK_TOL, AlphaGrid, BoundColumns, BoundReport,
-                              Grouping, StateEvaluator, _descending_singletons)
+                              Grouping, StateEvaluator, _descending_singletons, _SplitSearch)
 from entbounds.gallery import StateSpec
 from entbounds.qcore import PureState, haar_random_pure
 
-from oracles import _apow, _front_weighted_sum, _geometric_sum, _jin_sum, sweep_tally
+from oracles import (_apow, _front_weighted_sum, _geometric_sum, _jin_sum, _ordered_sum,
+                     sweep_tally)
 
 GRIDS = (AlphaGrid((0.0, 0.05, 0.5, 1.0, 1.37, 2.0)), AlphaGrid((0.0,)), AlphaGrid((2.0,)),
          AlphaGrid((0.25, 0.75, 1.5)))
@@ -134,10 +136,12 @@ def test_every_grid_row_equals_the_one_alpha_report(kind, arg):
             assert all(len(col) == rows for col in cols[2:7])
             for i, r in enumerate(reports):
                 assert type(r) is BoundReport
-                # A groupings= call certifies the caller's groupings anew, so
-                # its certificates are new objects each call; the best
-                # groupings' certificates are kept and shared.
-                _assert_row_equals(cols, i, r, same_certificate=groupings is None)
+                # A groupings= call certifies the caller's groupings anew, and
+                # so do jin and each front column, so their certificates are
+                # new objects each call; the kept merged groups' J
+                # certificates are shared.
+                _assert_row_equals(cols, i, r, same_certificate=groupings is None and
+                                   BOUNDS[tid].rhs not in ("jin", "front"))
             again = fresh.evaluate(tid, grid, foci, groupings)
             for i, r in enumerate(reports):
                 _assert_row_equals(again, i, r, same_certificate=False)
@@ -149,7 +153,7 @@ def test_every_grid_row_equals_the_one_alpha_report(kind, arg):
 
 
 def _group_sums(table, grouping):
-    return tuple(sum(table[q] for q in g) for g in grouping.groups)
+    return tuple(_ordered_sum(table[q] for q in g) for g in grouping.groups)
 
 
 def _assert_reference_values(ev, psi, tid, foci, groupings, cols):
@@ -160,8 +164,8 @@ def _assert_reference_values(ev, psi, tid, foci, groupings, cols):
     c_cut = ev.cut_concurrence(foci)
     if spec.fixed_alpha:
         c_sq, ca_sq = ev.tables(foci[0])
-        want = ((c_cut ** 2, sum(ca_sq.values())) if spec.direction == "upper"
-                else (sum(c_sq.values()), c_cut ** 2))
+        want = ((c_cut ** 2, _ordered_sum(ca_sq.values())) if spec.direction == "upper"
+                else (_ordered_sum(c_sq.values()), c_cut ** 2))
         assert (_hex(cols.lhs[0]), _hex(cols.rhs[0])) == tuple(map(_hex, want))
         assert _hex(cols.slack[0]) == _hex(want[1] - want[0])
         assert cols.applicable and cols.ordering == [None]
@@ -189,11 +193,12 @@ def _assert_reference_values(ev, psi, tid, foci, groupings, cols):
             assert cert.squared_values == j_vals[spec.center]
         elif spec.rhs == "center_total":
             center = foci[spec.center]
-            rhs = _front_weighted_sum((sum(ev.tables(center)[0].values()),), a) - js[0] - js[1]
+            lead = (_ordered_sum(ev.tables(center)[0].values()),)
+            rhs = _front_weighted_sum(lead, a) - js[0] - js[1]
             assert cert.squared_values == j_vals[spec.center]
         else:  # front and total: the larger branch, minus J_C1
             if spec.rhs == "total":
-                leads = [(sum(ev.tables(f)[0].values()),) for f in foci[:2]]
+                leads = [(_ordered_sum(ev.tables(f)[0].values()),) for f in foci[:2]]
             elif groupings is not None:
                 leads = [_group_sums(ev.tables(f)[0], g) for f, g in zip(foci, groupings[:2])]
             else:
@@ -318,8 +323,9 @@ FRONT_STATES = [s for s in STATES if s[1] != "gallery" and s[2] >= 3] + \
                          ids=[s[0] for s in FRONT_STATES])
 def test_the_front_column_is_the_one_alpha_front(kind, arg):
     """``front_best(f, grid)[i]`` is ``front_best(f, grid[i])``: floats by
-    ``float.hex``, certificates by identity, and the grouping is one object
-    across states (a fresh evaluator builds no grouping of its own)."""
+    ``float.hex``, certificates by value (each column certifies its own
+    groupings), and the grouping is one object across states (a fresh
+    evaluator builds no grouping of its own)."""
     psi = _build(kind, arg)
     ev, fresh = StateEvaluator(psi), StateEvaluator(psi)
     for focus in range(min(psi.num_qubits, 4)):
@@ -328,7 +334,7 @@ def test_the_front_column_is_the_one_alpha_front(kind, arg):
             assert type(column) is list and len(column) == len(grid)
             for (grouping, cert, lead), a in zip(column, grid):
                 one = ev.front_best(focus, a)
-                assert one[0] is grouping and one[1] is cert
+                assert one[0] is grouping and one[1] == cert
                 assert _hex(one[2]) == _hex(lead), (focus, a)
                 other = fresh.front_best(focus, a)
                 assert other[0] is grouping and other[1] == cert
@@ -423,7 +429,7 @@ def test_each_focus_runs_one_dp_per_alpha_whatever_the_front_bounds(monkeypatch)
     assert fronts == ["thm2", "thm6", "cor1_thm2"]
     for n in (6, 8):
         ev = StateEvaluator(_state("wclass-log6", n))
-        assert all(ev._split_search(f).splits for f in (0, 1))  # both foci run the DP
+        assert all(_SplitSearch(*ev.tables(f)).splits for f in (0, 1))  # both foci run the DP
         dp_runs.clear()
         for repeat in range(2):
             front_calls.clear()
@@ -431,7 +437,7 @@ def test_each_focus_runs_one_dp_per_alpha_whatever_the_front_bounds(monkeypatch)
                 ev.evaluate(tid, grid)
             assert front_calls == [0, 1] * len(fronts)
         assert len(dp_runs) == 2 * len(grid)
-        assert dp_runs == [h for _, h in bounds._grid_weights(grid.values)] * 2
+        assert dp_runs == [h for _, h in grid.weights] * 2
 
 
 def test_a_shared_chain_grouping_equals_a_fresh_one():
@@ -451,7 +457,7 @@ def test_a_shared_chain_grouping_equals_a_fresh_one():
                 merged = ev._merged_group(focus)[0]
                 assert merged == Grouping.merged(partners) and str(merged) == \
                     ",".join(map(str, partners))
-                search = ev._split_search(focus)
+                search = _SplitSearch(*ev.tables(focus))
                 for grouping, _, _ in ev.front_best(focus, grid):
                     fresh = Grouping(tuple(tuple(g) for g in grouping.groups))
                     assert grouping == fresh and str(grouping) == str(fresh)

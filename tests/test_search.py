@@ -27,6 +27,7 @@ from entbounds.bounds import (
     _TIE_TOL,
     BOUNDS,
     FEAS_TOL,
+    _SplitSearch,
     AlphaGrid,
     Grouping,
     OrderingCertificate,
@@ -253,7 +254,7 @@ def test_reachable_search_matches_the_full_table(name, psi):
     for focus in range(n):
         c_sq, ca_sq = ev.tables(focus)
         ref = _FullTable(c_sq, ca_sq)
-        splits = ev._split_search(focus).splits
+        splits = _SplitSearch(*ev.tables(focus)).splits
         assert splits == {s: ref.rows[s] for s in ref.reachable()}, focus
         for alpha in (0.0, 0.05, 0.25, 1.0, 1.37, 2.0):
             g = ref.best(alpha)[0]
@@ -264,7 +265,7 @@ def test_reachable_search_matches_the_full_table(name, psi):
             assert ev.feasible_groupings(focus) == [
                 (g, _grouped_sums(ca_sq, g), _grouped_sums(c_sq, g)) for g in ref.groupings()]
     if name.startswith("haar3_zeros"):  # a |0> focus has every pair C at 0
-        assert ev._split_search(n - 1).splits == {}
+        assert _SplitSearch(*ev.tables(n - 1)).splits == {}
 
 
 def test_only_reachable_subsets_get_a_split_row():
@@ -272,7 +273,7 @@ def test_only_reachable_subsets_get_a_split_row():
     the rests made of them are leaves with no row."""
     psi = PureState.from_amplitudes(np.kron(_random_wclass(4, 3).amplitudes,
                                             _random_wclass(4, 4).amplitudes))
-    search = StateEvaluator(psi)._split_search(0)
+    search = _SplitSearch(*StateEvaluator(psi).tables(0))
     splits, full = search.splits, 2 ** 7 - 1
     assert full in splits and len(splits) < 2 ** 7
     assert all(search.c[s] > 0.0 for s in splits)
@@ -309,7 +310,7 @@ def test_chain_equals_the_full_row_dp(name, psi):
     ev = StateEvaluator(psi)
     for focus in _oracle_foci(psi.num_qubits):
         ref = _FullTable(*ev.tables(focus))
-        splits = ev._split_search(focus).splits
+        splits = _SplitSearch(*ev.tables(focus)).splits
         assert splits == {s: ref.rows[s] for s in ref.reachable()}, focus
         for alpha in ORACLE_ALPHAS:
             g, v = ref.best(alpha)
@@ -324,7 +325,7 @@ def test_oracle_states_hold_every_kind_of_focus():
     for _, psi in ORACLE:
         ev = StateEvaluator(psi)
         for focus in _oracle_foci(psi.num_qubits):
-            search = ev._split_search(focus)
+            search = _SplitSearch(*ev.tables(focus))
             leaves = any(search.c[r] == 0.0 for row in search.splits.values() for _, r in row)
             kinds.add("all" if not search.splits else "some" if leaves else "none")
     assert kinds == {"all", "some", "none"}
@@ -360,7 +361,7 @@ def test_zero_c_foci_run_no_dp(name, psi, foci, monkeypatch):
     for focus in foci:
         c_sq, runs, ev = _dp_runs(monkeypatch, psi, focus)
         assert not any(c_sq.values()), focus
-        assert ev._split_search(focus).splits == {}, focus
+        assert _SplitSearch(*ev.tables(focus)).splits == {}, focus
         assert runs == 0, focus
         assert ev.front_best(focus, 1.0)[0] == Grouping.merged(sorted(c_sq)), focus
 
@@ -468,7 +469,7 @@ def test_a_zero_c_focus_builds_no_split_work(monkeypatch, psi):
         ev.evaluate("thm2", alpha)
     ev.evaluate("thm2", AlphaGrid((0.0, 0.5, 2.0)))
     for focus in (0, 1):
-        search = ev._split_search(focus)
+        search = _SplitSearch(*ev.tables(focus))
         assert sum(ev.tables(focus)[0].values()) == 0.0 and search.splits == {}
         assert "_ca" not in vars(search) and search.c is None
         assert search.full == 2 ** (psi.num_qubits - 1) - 1
