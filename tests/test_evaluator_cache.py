@@ -7,7 +7,7 @@ chunk's stacked reduction equals ``reduced_density`` of its state alone, for
 chunks of one qubit count or several.  The kept objects are pinned
 too: one mu spectrum per pair, solved in one stack per fill (a focus's
 missing pairs when ``tables`` fills lazily, a whole chunk's when ``verify``
-or ``sweep`` fills up front), one search per front focus and call, one
+or ``sweep`` fills up front), one search per front column, one
 certified grouping per front-search chain of a column, one text per
 grouping, and kept values that never hold their evaluator, from which
 ``evaluate`` reads J without calling ``j_best``.
