@@ -18,8 +18,10 @@ pass, are checked and used as given.
 
 The weighted sums have one kernel each: ``_j_sum`` for J and jin, and
 ``_front_sum`` for every lead term, the total C^2 being the front sum of one
-group.  The dominance precondition has one test, ``_dominates``, which the
-front search and ``feasibility`` both read.
+group; the front search applies ``_front_sum``'s formula, ``_front_of_terms``,
+to the terms its chain DP has already raised.  The dominance precondition
+has one test, ``_dominates``, which the front search and ``feasibility``
+both read.
 
 Conventions:
   * ``0**alpha`` is taken as 0 for every alpha in [0, 2], including alpha = 0.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import add
@@ -99,9 +102,9 @@ class BoundSpec:
     rhs: str
     center: int = 0
 
-    @property
+    @cached_property
     def foci(self) -> tuple[int, ...]:
-        """The default foci: qubits 0..arity-1."""
+        """The default foci: qubits 0..arity-1, built once per spec."""
         return tuple(range(self.arity))
 
     @property
@@ -241,6 +244,21 @@ class OrderingCertificate:
     feasible: bool
 
 
+def _feasible_certificate(grouping: Grouping,
+                          squared_values: tuple[float, ...]) -> OrderingCertificate:
+    """The certificate of a grouping that is feasible by construction: the
+    merged group, a searched chain or a feasible descending singleton order.
+
+    Built as ``BoundColumns.report`` builds a report: ``object.__new__`` and
+    one update of the field dict, which skips the frozen dataclass's
+    per-field ``object.__setattr__`` calls.  Equality, hashing and ``repr``
+    read the same fields, and setting one still raises.
+    """
+    cert = object.__new__(OrderingCertificate)
+    vars(cert).update(grouping=grouping, squared_values=squared_values, feasible=True)
+    return cert
+
+
 # A dominance-feasible grouping with its certificate and its grouped squared
 # concurrences: all that a term needs besides alpha.
 Certified = tuple[Grouping, OrderingCertificate, tuple[float, ...]]
@@ -302,14 +320,18 @@ class BoundColumns(NamedTuple):
 
 @dataclass(frozen=True)
 class AlphaGrid:
-    """Strictly increasing exponents within [0, 2]; a bool is refused."""
+    """Strictly increasing exponents within [0, 2]; each value must be a
+    real number (``_check_alpha``)."""
 
     values: tuple[float, ...]
 
     def __post_init__(self):
-        given = tuple(self.values)
-        if any(isinstance(v, (bool, np.bool_)) for v in given):
-            raise ValueError(f"alpha values must be numbers, not booleans, got {given!r}")
+        # Text is one value, not a sequence of them, so bytes are not read
+        # as their byte values.
+        text = isinstance(self.values, (str, bytes, bytearray))
+        given = (self.values,) if text else tuple(self.values)
+        for v in given:
+            _check_alpha(v)
         # ``+ 0.0`` turns -0.0 into 0.0 and leaves every other value as it is,
         # so "-0" reads and prints as alpha 0.
         vals = tuple(float(v) + 0.0 for v in given)
@@ -361,11 +383,22 @@ class AlphaGrid:
         return len(self.values)
 
 
-def h_weight(alpha: float) -> float:
-    """Geometric weight 2**(alpha/2) - 1; lies in [0, 1] and below alpha/2.
-    A bool alpha is refused, as a bool qubit index is."""
+def _check_alpha(alpha) -> None:
+    """Refuse, with ``ValueError``, an alpha that is not a real number: a bool,
+    as a bool qubit index is, and a str, bytes, ``Decimal``, complex or None,
+    which ``float`` would read or a comparison would refuse with ``TypeError``."""
+    if type(alpha) is float:
+        return
     if isinstance(alpha, (bool, np.bool_)):
         raise ValueError(f"alpha must be a number, not a boolean, got {alpha!r}")
+    if not isinstance(alpha, numbers.Real):
+        raise ValueError(f"alpha must be a real number, got {alpha!r}")
+
+
+def h_weight(alpha: float) -> float:
+    """Geometric weight 2**(alpha/2) - 1; lies in [0, 1] and below alpha/2.
+    An alpha that is not a real number is refused (``_check_alpha``)."""
+    _check_alpha(alpha)
     if not 0.0 <= alpha <= 2.0:
         raise ValueError(f"alpha must be in [0, 2], got {alpha}")
     return 2.0 ** (alpha / 2.0) - 1.0
@@ -483,7 +516,16 @@ def _front_sum(c_sums: Sequence[float], p: float, h: float) -> float:
     front-weighted C sum; of one group, the total C^2 to the power p."""
     if len(c_sums) == 1:  # the merged group
         return c_sums[0] ** p if c_sums[0] > 0.0 else 0.0
-    terms = [v ** p if v > 0.0 else 0.0 for v in c_sums]
+    return _front_of_terms([v ** p if v > 0.0 else 0.0 for v in c_sums], h)
+
+
+def _front_of_terms(terms: Sequence[float], h: float) -> float:
+    """``_front_sum``'s formula on the groups' terms ``(g_i^2)^p``, already
+    raised: h times the sum of all but the last, plus the last; of one
+    group, its term.  The front search reads its chain's terms off the
+    chain DP's leads with it."""
+    if len(terms) == 1:
+        return terms[0]
     return h * _sum_in_order(terms[:-1]) + terms[-1]
 
 
@@ -770,17 +812,35 @@ class _SplitSearch:
         """Leading-group masks of the grouping that maximizes the front-weighted
         C sum at ``p = alpha/2`` and ``h = h_weight(alpha)``; ``grouping``
         turns them into the grouping."""
-        s = self.full
         if not self.splits:  # the full set's C^2 sum is 0: the merged group
-            return (s,)
-        # The front sum is maximized: minimize its negation.  Each lead is
-        # the negated one-group ``_front_sum`` of the subset, inlined.
-        pick = _chain_dp(self.splits, [-(v ** p) if v > 0.0 else -0.0 for v in self.c], h)[1]
-        chain = []
+            return (self.full,)
+        return self.best(p, h)[0]
+
+    def best(self, p: float, h: float) -> tuple[tuple[int, ...], float]:
+        """``chain``'s masks and their front-weighted C sum, on a search with
+        splits.
+
+        The front sum is maximized: the DP minimizes its negation.  Each lead
+        is the negated one-group ``_front_sum`` of the subset, inlined, so the
+        chain's terms are its groups' negated leads and its front sum is
+        ``_front_of_terms`` of them, as ``_front_sum`` of its grouped C^2
+        sums would give it: those sums are the subset sums ``c`` at the
+        chain's masks, bit for bit.
+        """
+        lead = [-(v ** p) if v > 0.0 else -0.0 for v in self.c]
+        pick = _chain_dp(self.splits, lead, h)[1]
+        s, chain = self.full, []
         while s:
             chain.append(pick[s])
             s ^= pick[s]
-        return tuple(chain)
+        return tuple(chain), _front_of_terms([-lead[t] for t in chain], h)
+
+    def certificate(self, chain: tuple[int, ...]) -> OrderingCertificate:
+        """The certificate of a chain of feasible splits, read off the Ca^2
+        subset sums at its masks, which equal the grouping's summed Ca^2
+        values bit for bit."""
+        ca = self._ca
+        return _feasible_certificate(self.grouping(chain), tuple(ca[t] for t in chain))
 
     def groupings(self):
         """Every feasible grouping, in ``ordered_groupings`` order."""
@@ -794,15 +854,27 @@ class _SplitSearch:
             yield self.grouping(chain)
 
 
-def _descending_singletons(pair_sq: Mapping[int, float]) -> Grouping | None:
-    """Singletons in descending order of value when dominance-feasible, else None.
+def _singleton_certificate(pair_sq: Mapping[int, float]) -> OrderingCertificate | None:
+    """The certificate of the descending singleton order when it is
+    dominance-feasible, else None.
 
     A feasible singleton order is non-increasing, since each value is at
-    least the sum of all later ones, so this is the only candidate.
+    least the sum of all later ones, so this is the only candidate.  The
+    certificate is the one that ``sort_descending_then_check`` builds, its
+    values taken as they are, with the order's shared ``Grouping`` attached.
     """
     partners = tuple(sorted(pair_sq))
     order, cert = sort_descending_then_check([pair_sq[q] for q in partners])
-    return _shared_grouping(partners, tuple(1 << i for i in order)) if cert.feasible else None
+    if not cert.feasible:
+        return None
+    return _feasible_certificate(_shared_grouping(partners, tuple(1 << i for i in order)),
+                                 cert.squared_values)
+
+
+def _descending_singletons(pair_sq: Mapping[int, float]) -> Grouping | None:
+    """Singletons in descending order of value when dominance-feasible, else None."""
+    cert = _singleton_certificate(pair_sq)
+    return None if cert is None else cert.grouping
 
 
 def canonical_grouping(pair_sq: Mapping[int, float]) -> Grouping:
@@ -839,9 +911,17 @@ class StateEvaluator:
     (``_cuts``), each focus's merged-group ``Certified`` triple (grouping,
     certificate, grouped C sums; ``_merged``) and ``front_best``'s column
     per (focus, grid values) (``_fronts``), which thm2, thm6 and cor1_thm2
-    share.  jin certifies its descending singleton order on each call, and
-    a column certifies each chain of leading groups once; the ``Grouping``
-    objects themselves are shared by every state (``_shared_grouping``).
+    share.  No certificate or front sum re-sums what is already summed:
+    the merged group's one-group sums add the focus tables in order; jin
+    takes the certificate that ``sort_descending_then_check`` builds for
+    its descending singleton order, once per call; a searched column reads
+    each chain's certificate off the search's Ca^2 subset sums, once per
+    distinct chain, and each front sum off the chain DP's leads.  Only a
+    canonical grouping and a zero-C focus's merged group are summed
+    afresh, once per column.  Certificates of these groupings, feasible by
+    construction, are built without the dataclass's per-field set-up
+    (``_feasible_certificate``).  The ``Grouping`` objects themselves are
+    shared by every state (``_shared_grouping``).
     The weights ``(alpha/2, h_weight(alpha))`` are the grid's own
     (``AlphaGrid.weights``).  Every kept object is immutable or copied on
     the way out, and the state is fixed, so none can go stale; none refers
@@ -919,10 +999,13 @@ class StateEvaluator:
 
     def _cut(self, qubits: tuple[int, ...]) -> tuple[float, float, int]:
         """Concurrence, negativity and Schmidt rank across one cut."""
-        key = tuple(sorted(qubits))
-        if key not in self._cuts:
-            fill_spectra((self,), (), (key,))
-        return self._cuts[key]
+        cut = self._cuts.get(qubits)  # kept keys are sorted, as most callers' cuts are
+        if cut is None:
+            key = tuple(sorted(qubits))
+            if key not in self._cuts:
+                fill_spectra((self,), (), (key,))
+            cut = self._cuts[key]
+        return cut
 
     # The public cut readers check ``qubits`` before the cache is consulted,
     # so a cached cut never answers for an index that a fresh one refuses.
@@ -952,17 +1035,24 @@ class StateEvaluator:
                 for g in _SplitSearch(c_sq, ca_sq).groupings()]
 
     def _certified(self, focus: int, grouping: Grouping) -> Certified:
-        """``Certified`` triple of a grouping known to be feasible."""
+        """``Certified`` triple of a grouping known to be feasible, summed
+        afresh: the canonical grouping and a zero-C focus's merged group."""
         c_sq, ca_sq = self.tables(focus)
-        return (grouping, OrderingCertificate(grouping, _grouped_sums(ca_sq, grouping), True),
+        return (grouping, _feasible_certificate(grouping, _grouped_sums(ca_sq, grouping)),
                 _grouped_sums(c_sq, grouping))
 
     def _merged_group(self, focus: int) -> Certified:
-        """The merged group's ``Certified`` triple, kept once per focus."""
+        """The merged group's ``Certified`` triple, kept once per focus.
+
+        Its one-group sums add the tables' values in order; the tables are
+        keyed in ascending partner order, as the merged group lists them."""
         merged = self._merged.get(focus)
         if merged is None:
-            merged = self._merged[focus] = self._certified(
-                focus, _shared_merged(tuple(sorted(self.tables(focus)[1]))))
+            c_sq, ca_sq = self.tables(focus)
+            grouping = _shared_merged(tuple(ca_sq))
+            merged = self._merged[focus] = (
+                grouping, _feasible_certificate(grouping, (_sum_in_order(ca_sq.values()),)),
+                (_sum_in_order(c_sq.values()),))
         return merged
 
     # The term getters check a focus that is not an int and the alpha before
@@ -989,10 +1079,11 @@ class StateEvaluator:
         it; each call returns a fresh list.  Building it builds the focus's
         ``_SplitSearch`` and runs the chain DP once per alpha, and certifies
         each chain it picks once: alphas of the column that pick the same
-        chain share one ``Certified`` triple, and every state shares the
-        ``Grouping`` of a chain.  The sum is ``_front_sum`` of the grouping's
-        C^2 sums, the kernel that ``evaluate`` applies to every other lead
-        term.
+        chain share one certificate, and every state shares the
+        ``Grouping`` of a chain.  Where each value is read from is told in
+        ``_front_column``; the sum equals, bit for bit, ``_front_sum`` of
+        the grouping's C^2 sums, the kernel that ``evaluate`` applies to
+        every other lead term.
         """
         if type(focus) is not int:
             focus = qubit_index(focus, self.psi.num_qubits, "focus")
@@ -1002,30 +1093,52 @@ class StateEvaluator:
         return self._front_column(focus, AlphaGrid((alpha,)))[0]
 
     def _front_column(self, focus: int, grid: AlphaGrid):
-        """``front_best``'s kept column of one focus over one grid."""
+        """``front_best``'s kept column of one focus over one grid.
+
+        On a search with splits, ``_SplitSearch.best`` gives each alpha's
+        chain and its front sum, ``_front_of_terms`` of the chain's terms,
+        which the DP's leads already hold as ``(C^2 subset sum)^p``; each
+        distinct chain's certificate is read off the Ca^2 subset sums at its
+        masks (``_SplitSearch.certificate``).  Those subset sums equal the
+        grouping's ``_grouped_sums`` bit for bit, so nothing is summed or
+        raised twice.  A zero-C focus (no splits, no DP) and canonical mode
+        certify their one grouping per column with ``_certified`` and take
+        each front sum from ``_front_sum`` of its C^2 sums; canonical mode
+        keeps the merged group unless the canonical front sum is strictly
+        larger.
+        """
         key = (focus, grid.values)
         column = self._fronts.get(key)
         if column is not None:
             return column
         c_sq, ca_sq = self.tables(focus)
         search = _SplitSearch(c_sq, ca_sq) if self.search == "exhaustive" else None
-        column, chains = [], {}
-        for p, h in grid.weights:
-            chain = None if search is None else search.chain(p, h)
-            certified = chains.get(chain)
-            if certified is None:
-                grouping = canonical_grouping(ca_sq) if search is None else search.grouping(chain)
-                certified = chains[chain] = self._certified(focus, grouping)
-            front = _front_sum(certified[2], p, h)
-            if search is None:
-                # The merged group is always feasible: as a tie keeps the
-                # whole subset in the search, it stays unless the canonical
-                # grouping's front sum is strictly larger.
-                merged = self._merged_group(focus)
-                merged_front = _front_sum(merged[2], p, h)
-                if not front > merged_front:
-                    certified, front = merged, merged_front
-            column.append((certified[0], certified[1], front))
+        column = []
+        if search is not None and search.splits:
+            certs: dict[tuple[int, ...], OrderingCertificate] = {}
+            for p, h in grid.weights:
+                chain, front = search.best(p, h)
+                cert = certs.get(chain)
+                if cert is None:
+                    cert = certs[chain] = search.certificate(chain)
+                column.append((cert.grouping, cert, front))
+        else:
+            # A zero-C focus keeps its merged group, canonical mode its
+            # canonical grouping; each is certified once per column.
+            grouping = (canonical_grouping(ca_sq) if search is None
+                        else _shared_merged(search.partners))
+            certified = self._certified(focus, grouping)
+            for p, h in grid.weights:
+                chosen, front = certified, _front_sum(certified[2], p, h)
+                if search is None:
+                    # The merged group is always feasible: as a tie keeps the
+                    # whole subset in the search, it stays unless the canonical
+                    # grouping's front sum is strictly larger.
+                    merged = self._merged_group(focus)
+                    merged_front = _front_sum(merged[2], p, h)
+                    if not front > merged_front:
+                        chosen, front = merged, merged_front
+                column.append((chosen[0], chosen[1], front))
         self._fronts[key] = column
         return column
 
@@ -1128,11 +1241,11 @@ class StateEvaluator:
         weights = grid.weights
         if kind == "jin":
             if given is None:
-                order = _descending_singletons(self.tables(foci[0])[1])
-                if order is None:
+                cert = _singleton_certificate(self.tables(foci[0])[1])
+                if cert is None:
                     return _inapplicable(theorem_id, alphas, lhs)
-                given = (self._certified(foci[0], order),)
-            cert = given[0][1]
+            else:
+                cert = given[0][1]
             rhs = [_j_sum(cert.squared_values, p, p) for p, _ in weights]
             certs = [cert] * len(alphas)
         else:

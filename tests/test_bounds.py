@@ -3,6 +3,8 @@ import itertools
 import math
 import pathlib
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -208,6 +210,37 @@ def test_a_bool_alpha_is_refused(flag):
             call()
     assert ev.evaluate("thm1", 1).alpha == 1
     assert AlphaGrid((np.float64(0.5), 1)).values == (0.5, 1.0)
+
+
+@pytest.mark.parametrize("value", ["1", "0.5", b"1", Decimal("0.5"), complex(0.5, 0.0),
+                                   np.complex128(0.5), None], ids=repr)
+def test_a_non_real_alpha_is_refused(value):
+    """Only a real number is an exponent: a str or bytes, which ``float``
+    would read, and a ``Decimal``, complex or None, which a comparison
+    would refuse with ``TypeError``, are refused with ``ValueError`` by
+    every entry point, one check for the grid and ``h_weight``."""
+    ev = StateEvaluator(haar_random_pure(4, 3))
+    for call in (lambda: ev.evaluate("thm1", value), lambda: ev.evaluate("ckw", value),
+                 lambda: ev.front_best(0, value), lambda: ev.j_best(0, value),
+                 lambda: h_weight(value), lambda: AlphaGrid((value,)),
+                 lambda: AlphaGrid((0.25, value)),
+                 lambda: ev.evaluate("thm2", AlphaGrid((value, 1.5)))):
+        with pytest.raises(ValueError, match="real number"):
+            call()
+    for text in ("12", b"1"):
+        with pytest.raises(ValueError, match="real number"):
+            AlphaGrid(text)
+
+
+def test_every_real_alpha_type_is_read_as_its_float():
+    """A ``Fraction``, a numpy float or integer and an int pass the check
+    and read as their float value."""
+    ev = StateEvaluator(haar_random_pure(4, 3))
+    for value in (Fraction(1, 2), np.float32(0.5), np.float64(0.5), np.int64(1), 1):
+        assert ev.evaluate("thm1", value).rhs == ev.evaluate("thm1", float(value)).rhs
+        assert ev.front_best(0, value) == ev.front_best(0, float(value))
+    assert h_weight(Fraction(1, 2)) == h_weight(0.5) and h_weight(np.int64(1)) == h_weight(1.0)
+    assert AlphaGrid((Fraction(1, 4), np.float32(0.5), np.int64(1))).values == (0.25, 0.5, 1.0)
 
 
 def test_alpha_range_never_passes_its_stop():

@@ -13,6 +13,7 @@ grouping, and kept values that never hold their evaluator, from which
 ``evaluate`` reads J without calling ``j_best``.
 """
 
+import dataclasses
 import gc
 import itertools
 import json
@@ -736,3 +737,113 @@ def test_evaluate_reads_j_off_its_rows_and_searches_only_front_rows(n, monkeypat
                         (tid, warm, groupings)
     assert set(ev._merged) == {0, 1, 2}
     assert {focus for focus, _ in ev._fronts} == {0, 1}
+
+
+def _geometric_wclass(n):
+    """sum_k l_k |0..1_k..0> with l_k^2 proportional to 3^-k: every pair C is
+    above 0 and jin's singleton order is feasible."""
+    amps = np.zeros(2 ** n)
+    for k in range(n):
+        amps[1 << (n - 1 - k)] = 3.0 ** (-k / 2)
+    return qcore.PureState(n, amps / np.linalg.norm(amps))
+
+
+def _ghz_plus_wclass(n, seed):
+    """GHZ ends of 0.5 plus a W-class part with coefficients uniform in [0, 1):
+    the front search leaves the merged group at some alphas."""
+    amps = np.zeros(2 ** n)
+    amps[[1 << (n - 1 - q) for q in range(n)]] = np.random.default_rng(seed).random(n)
+    amps[0] = amps[-1] = 0.5
+    return qcore.PureState.from_amplitudes(amps, normalize=True)
+
+
+def test_a_feasible_certificate_is_an_ordinary_frozen_certificate():
+    """The certificates built without the dataclass's per-field set-up (the
+    merged group, each searched chain, jin's order) equal, hash and print as
+    ``OrderingCertificate(...)`` does, and setting or deleting a field
+    still raises."""
+    ev = StateEvaluator(_ghz_plus_wclass(6, 8402))
+    chains = [cert for _, cert, _ in ev.front_best(0, bounds.AlphaGrid.default())]
+    jin = StateEvaluator(_geometric_wclass(6)).evaluate("jin", 1.0).ordering
+    assert {cert.grouping.k for cert in chains} == {1, 2} and jin.grouping.k == 5
+    certs = [bounds._feasible_certificate(Grouping(((1, 2), (3,))), (0.5, 0.25)),
+             ev._merged_group(0)[1], jin, *chains]
+    for cert in certs:
+        ref = bounds.OrderingCertificate(cert.grouping, cert.squared_values, True)
+        assert type(cert) is bounds.OrderingCertificate and vars(cert) == vars(ref)
+        assert cert == ref and hash(cert) == hash(ref) and repr(cert) == repr(ref)
+        for field in ("grouping", "squared_values", "feasible"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cert, field, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(cert, field)
+
+
+def test_reversed_foci_read_the_sorted_cut(monkeypatch):
+    """``_cut`` tries the tuple it is given, then its sorted key: foci in any
+    order read the one kept cut, fill each cut once, and never keep an
+    unsorted key."""
+    grid = bounds.AlphaGrid((0.0, 0.5, 1.37, 2.0))
+    psi = haar_random_pure(6, 8450)
+    cols = StateEvaluator(psi).evaluate("thm2", grid, foci=(0, 1))
+    fills, fill = [], bounds.fill_spectra
+    monkeypatch.setattr(bounds, "fill_spectra",
+                        lambda evs, pairs, cuts: fills.extend(cuts) or fill(evs, pairs, cuts))
+    ev = StateEvaluator(psi)
+    reversed_cols = ev.evaluate("thm2", grid, foci=(1, 0))
+    assert list(ev._cuts) == [(0, 1)]
+    c = ev.cut_concurrence((0, 1))
+    assert [x.hex() for x in reversed_cols.lhs] == [(c ** a).hex() for a in grid]
+    assert [x.hex() for x in reversed_cols.rhs] == [x.hex() for x in cols.rhs]
+    ev.evaluate("cor2_lower", grid, foci=(2, 1, 0))  # center cuts (0,) and (2, 1)
+    kept = set(ev._cuts)
+    assert kept == {(0, 1), (0, 1, 2), (1, 2), (0,)}
+    assert sorted(fills) == sorted(kept)
+    fills.clear()
+    for foci in ((1, 0), (0, 1)):
+        ev.evaluate("thm6", grid, foci=foci)
+    for foci in ((2, 1, 0), (1, 2, 0)):  # center 0, others {1, 2}
+        ev.evaluate("cor2_lower", 0.5, foci=foci)
+    assert fills == [] and set(ev._cuts) == kept
+    assert all(key == tuple(sorted(key)) for key in ev._cuts)
+
+
+def test_a_bound_row_builds_its_default_foci_once():
+    for spec in BOUNDS.values():
+        assert spec.foci is spec.foci and spec.foci == tuple(range(spec.arity))
+        twin = bounds.BoundSpec(spec.direction, spec.arity, spec.min_qubits, spec.cut,
+                                spec.rhs, spec.center)
+        assert twin == spec and hash(twin) == hash(spec) and repr(twin) == repr(spec)
+
+
+@pytest.mark.parametrize("name,psi,summed", [
+    ("ghz_wclass6", _ghz_plus_wclass(6, 8402), 0),
+    ("ghz_wclass9", _ghz_plus_wclass(9, 8402), 0),
+    ("wclass6", _geometric_wclass(6), 0),
+    ("ghz6", ghz(6), 4),
+    ("wclass12", _geometric_wclass(12), 4)])
+def test_verify_sums_no_grouping_twice(monkeypatch, capsys, name, psi, summed):
+    """The grouping sums of one ``verify --theorem all``.  Where every front
+    focus has pair C above 0, no grouping is summed by ``_grouped_sums``:
+    the merged group adds the tables, jin takes the sort's certificate, and
+    each searched column certifies each distinct chain once from the search's
+    subset sums.  A zero-C front focus (GHZ) and a canonical column (12
+    qubits) sum their one grouping's C^2 and Ca^2 once per column: 2 sums
+    for each of foci 0 and 1."""
+    fresh, grid = StateEvaluator(psi), bounds.AlphaGrid.default()
+    chains = [len({g for g, _, _ in fresh.front_best(f, grid)}) for f in (0, 1)
+              if fresh.search == "exhaustive" and bounds._SplitSearch(*fresh.tables(f)).splits]
+    sums, certified = [], []
+    grouped_sums, certificate = bounds._grouped_sums, bounds._SplitSearch.certificate
+    monkeypatch.setattr(bounds, "_grouped_sums",
+                        lambda pair_sq, g: sums.append(g) or grouped_sums(pair_sq, g))
+    monkeypatch.setattr(bounds._SplitSearch, "certificate",
+                        lambda self, chain: certified.append(chain) or certificate(self, chain))
+    amps = psi.amplitudes
+    spec = json.dumps({"kind": "amplitudes", "n": psi.num_qubits,
+                       "re": amps.real.tolist(), "im": amps.imag.tolist()})
+    assert cli.main(["verify", "--state", spec, "--theorem", "all"]) == 0
+    capsys.readouterr()
+    assert len(sums) == summed, name
+    assert len(certified) == sum(chains), name
+    assert (sum(chains) > 2) == name.startswith("ghz_wclass"), chains

@@ -32,6 +32,7 @@ from entbounds.bounds import (
     Grouping,
     OrderingCertificate,
     StateEvaluator,
+    _front_sum,
     _grouped_sums,
     _split_table,
     _subset_sums,
@@ -42,7 +43,7 @@ from entbounds.bounds import (
 )
 from entbounds.gallery import FAMILIES, ghz, named, w
 from entbounds.qcore import PureState, haar_random_pure
-from oracles import _apow, _front_weighted_sum, _geometric_sum, _jin_sum
+from oracles import _apow, _front_weighted_sum, _geometric_sum, _jin_sum, _ordered_sum
 
 ALPHAS = (0.0, 0.25, 1.0, 1.7, 2.0)
 
@@ -478,3 +479,82 @@ def test_a_zero_c_focus_builds_no_split_work(monkeypatch, psi):
     assert ev.feasible_groupings(0) == _feasible(*ev.tables(0))[0]
     assert set(read) == {psi.num_qubits - 1}
     assert summed == [[ev.tables(0)[1][q] for q in sorted(ev.tables(0)[1])]]  # the Ca^2 sums
+
+
+def _product_state(n, seed):
+    """A Haar state of min(3, n - 1) qubits times |0...0>."""
+    k = min(3, n - 1)
+    zeros = np.zeros(2 ** (n - k))
+    zeros[0] = 1.0
+    return PureState.from_amplitudes(np.kron(haar_random_pure(k, seed).amplitudes, zeros))
+
+
+REBUILD = [(f"{name}{n}", make(n)) for n in range(2, 10) for name, make in (
+    ("haar", lambda n: haar_random_pure(n, 6500 + n)),
+    ("wclass", lambda n: _random_wclass(n, 6600 + n)),
+    ("wclass_log6", lambda n: _log_wclass(n, 6, 6700 + n)),
+    ("ghz_w", lambda n: _ghz_plus_w(n, 6800 + n)),
+    ("product", lambda n: _product_state(n, 6900 + n)))]
+REBUILD_GRIDS = (AlphaGrid((0.0, 0.05, 0.25, 1.0, 1.37, 2.0)), AlphaGrid.from_range(0.0, 2.0, 0.25))
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _same_certificate(cert, reference):
+    return cert == reference and hash(cert) == hash(reference) and repr(cert) == repr(reference)
+
+
+@pytest.mark.parametrize("name,psi", REBUILD, ids=[s[0] for s in REBUILD])
+def test_certificates_and_front_sums_equal_a_rebuild_from_the_tables(name, psi):
+    """Every certificate and front sum that the evaluator reads from sums it
+    already holds (search subset sums, DP leads, the sort's certificate,
+    the tables in order) equals, bit for bit, a rebuild that sums each
+    grouping afresh from the focus tables: ``_grouped_sums``, then
+    ``feasibility`` and ``_front_sum``, and the oracle's own ordered sums."""
+    n = psi.num_qubits
+    ev = StateEvaluator(psi)
+    for focus in range(n) if n <= 6 else (0, 1, n - 1):
+        c_sq, ca_sq = ev.tables(focus)
+        for grid in REBUILD_GRIDS:
+            for (g, cert, front), (p, h), alpha in zip(ev.front_best(focus, grid),
+                                                       grid.weights, grid):
+                where = (focus, alpha, str(g))
+                ca_ref, c_ref = _grouped_sums(ca_sq, g), _grouped_sums(c_sq, g)
+                assert _hex(cert.squared_values) == _hex(ca_ref), where
+                assert _hex(c_ref) == _hex(_ordered_sum(c_sq[q] for q in grp)
+                                           for grp in g.groups), where
+                assert front.hex() == _front_sum(c_ref, p, h).hex(), where
+                assert front.hex() == float(_front_weighted_sum(c_ref, alpha)).hex(), where
+                assert cert.grouping is g and _same_certificate(cert, feasibility(ca_ref, g)), where
+        g, cert, c_sums = ev._merged_group(focus)
+        assert g == Grouping.merged(ca_sq), focus
+        assert _hex(c_sums) == _hex(_grouped_sums(c_sq, g)), focus
+        assert _same_certificate(cert, feasibility(_grouped_sums(ca_sq, g), g)), focus
+        assert _same_certificate(ev.j_best(focus, 1.0)[1], cert), focus
+        jin = ev.evaluate("jin", REBUILD_GRIDS[0], (focus,))
+        order = sorted(ca_sq, key=lambda q: -ca_sq[q])
+        assert jin.applicable == feasibility([ca_sq[q] for q in order]).feasible, focus
+        if jin.applicable:
+            cert = jin.ordering[0]
+            g = Grouping.singletons(order)
+            assert cert.grouping == g and all(c is cert for c in jin.ordering), focus
+            assert _same_certificate(cert, feasibility(_grouped_sums(ca_sq, g), g)), focus
+            assert _hex(cert.squared_values) == _hex(_grouped_sums(ca_sq, g)), focus
+
+
+def test_the_rebuild_states_hold_every_kind_of_front_and_jin():
+    """The rebuild above sees searched chains of several groups, zero-C foci
+    (no DP), and foci with and without a feasible singleton order."""
+    kinds = set()
+    for _, psi in REBUILD:
+        n = psi.num_qubits
+        ev = StateEvaluator(psi)
+        for focus in range(n) if n <= 6 else (0, 1, n - 1):
+            if not any(ev.tables(focus)[0].values()):
+                kinds.add("zero_c")
+            if any(g.k > 1 for g, _, _ in ev.front_best(focus, REBUILD_GRIDS[0])):
+                kinds.add("split_chain")
+            kinds.add("jin" if ev.evaluate("jin", 1.0, (focus,)).applicable else "no_jin")
+    assert kinds == {"zero_c", "split_chain", "jin", "no_jin"}
