@@ -16,12 +16,15 @@ descending singleton order for jin, and a search for the front sum.
 Explicit groupings, which the public ``thm*``/``jin``/``cor*`` functions
 pass, are checked and used as given.
 
-The weighted sums have one kernel each: ``_j_sum`` for J and jin, and
-``_front_sum`` for every lead term, the total C^2 being the front sum of one
-group; the front search applies ``_front_sum``'s formula, ``_front_of_terms``,
-to the terms its chain DP has already raised.  The dominance precondition
-has one test, ``_dominates``, which the front search and ``feasibility``
-both read.
+``evaluate`` and ``fill_columns`` compute every bound that reads alpha in
+one array pass over a chunk of states (``_ChunkPass``): each rhs is one
+formula of eight rows of (states x alpha) values (``_recipe``), raised with
+``np.float_power`` so that every value equals the per-alpha Python
+arithmetic bit for bit.  The scalar kernels ``_j_sum`` and ``_front_sum``
+remain for ``j_best`` and the front search, which applies ``_front_sum``'s
+formula, ``_front_of_terms``, to the terms its chain DP has already raised.
+The dominance precondition has one test, ``_dominates``, which the front
+search and ``feasibility`` both read.
 
 Conventions:
   * ``0**alpha`` is taken as 0 for every alpha in [0, 2], including alpha = 0.
@@ -48,6 +51,7 @@ from .measures import (
     concurrence_two_qubit,
 )
 from .qcore import (
+    MAX_QUBITS,
     PureState,
     _amplitude_tensor,
     _gram_density,
@@ -397,11 +401,14 @@ def _check_alpha(alpha) -> None:
 
 def h_weight(alpha: float) -> float:
     """Geometric weight 2**(alpha/2) - 1; lies in [0, 1] and below alpha/2.
-    An alpha that is not a real number is refused (``_check_alpha``)."""
+    An alpha that is not a real number is refused (``_check_alpha``); any
+    other is read as its Python float, so a numpy ``float32`` or ``float16``
+    alpha gives a Python float, as ``AlphaGrid`` reads its values."""
     _check_alpha(alpha)
-    if not 0.0 <= alpha <= 2.0:
+    a = float(alpha)
+    if not 0.0 <= a <= 2.0:
         raise ValueError(f"alpha must be in [0, 2], got {alpha}")
-    return 2.0 ** (alpha / 2.0) - 1.0
+    return 2.0 ** (a / 2.0) - 1.0
 
 
 def lemma_check(x: float, y: float, alpha: float) -> tuple[bool, bool]:
@@ -900,26 +907,39 @@ class StateEvaluator:
     one stacked ``eigh`` + ``svd`` and one ``eigvalsh`` per cut size, and a
     later miss in ``tables`` or ``_cut`` fills as a chunk of one.
 
-    ``evaluate`` computes a bound in one pass over its ``BOUNDS`` row and
-    keeps nothing per bound: it reads the lhs cut value, the C^2 totals and
-    each focus's J certificate off these caches and adds only the alpha
-    arithmetic, by two kernels: ``_j_sum`` for J and jin, and ``_front_sum``
-    for every lead term, the searched ones from ``front_best``.  With
-    ``groupings=`` the caller's checked groupings take the place of J's
-    certificates and of the searched fronts.  Five dicts are kept: the pair
-    values (``_pairs``), the focus tables (``_tables``), the cut values
+    The alpha arithmetic of the bounds runs as one array pass over a chunk
+    of states (``_ChunkPass``): ``verify`` and ``sweep`` call
+    ``fill_columns`` once per chunk, after ``fill_spectra``, which forms
+    every bound's lhs, rhs, slack and verdict as (states x alpha) arrays and
+    leaves each state's ``BoundColumns`` here, and ``evaluate`` takes them;
+    a lone ``evaluate`` call, at other foci or with ``groupings=``, runs
+    the same pass as a chunk of one.  Per chunk, the pass reads the cut
+    values, each focus's merged group (J's certificate, its Ca^2 and the
+    total C^2), jin's certificate and each searched focus's ``front_best``
+    column off these caches, once each, and raises every base with one
+    ``np.float_power`` call.  ``np.float_power`` calls the C library's
+    ``pow``, as Python's ``**`` on floats does, so each value equals the
+    per-alpha Python arithmetic bit for bit; ``np.power`` runs numpy's own
+    float64 loops, which differ from it by an ulp on about 5% of inputs.
+    With ``groupings=`` the caller's checked groupings take the place of
+    J's certificates and of the searched fronts.  Six dicts are kept: the
+    pair values (``_pairs``), the focus tables (``_tables``), the cut values
     (``_cuts``), each focus's merged-group ``Certified`` triple (grouping,
-    certificate, grouped C sums; ``_merged``) and ``front_best``'s column
-    per (focus, grid values) (``_fronts``), which thm2, thm6 and cor1_thm2
-    share.  No certificate or front sum re-sums what is already summed:
-    the merged group's one-group sums add the focus tables in order; jin
-    takes the certificate that ``sort_descending_then_check`` builds for
-    its descending singleton order, once per call; a searched column reads
-    each chain's certificate off the search's Ca^2 subset sums, once per
-    distinct chain, and each front sum off the chain DP's leads.  Only a
-    canonical grouping and a zero-C focus's merged group are summed
-    afresh, once per column.  Certificates of these groupings, feasible by
-    construction, are built without the dataclass's per-field set-up
+    certificate, grouped C sums; ``_merged``), ``front_best``'s column per
+    (focus, grid values) (``_fronts``), which thm2, thm6 and cor1_thm2
+    share, and, per bound, the columns that ``fill_columns`` left, with
+    their foci and grid values, until ``evaluate`` takes them
+    (``_columns``).  No certificate or front sum re-sums what is already
+    summed: the merged group's one-group sums add the focus tables in
+    order, and the total C^2 of thm3, thm7, cor1_thm3, cor2_lower, ckw and
+    coa_dual is read off it; jin takes the certificate that
+    ``sort_descending_then_check`` builds for its descending singleton
+    order, once per pass; a searched column reads each chain's certificate
+    off the search's Ca^2 subset sums, once per distinct chain, and each
+    front sum off the chain DP's leads; a focus whose pair C are all 0
+    takes its merged group, with no search built.  Only a canonical
+    grouping is summed afresh, once per column.  Certificates of these
+    groupings, feasible by construction, are built without the dataclass's per-field set-up
     (``_feasible_certificate``).  The ``Grouping`` objects themselves are
     shared by every state (``_shared_grouping``).
     The weights ``(alpha/2, h_weight(alpha))`` are the grid's own
@@ -967,6 +987,7 @@ class StateEvaluator:
         self._cuts: dict[tuple[int, ...], tuple[float, float, int]] = {}
         self._merged: dict[int, Certified] = {}
         self._fronts: dict[tuple[int, tuple[float, ...]], list[tuple]] = {}
+        self._columns: dict[str, tuple[tuple[int, ...], tuple[float, ...], BoundColumns]] = {}
 
     # -- cached primitives ---------------------------------------------------
 
@@ -1036,7 +1057,7 @@ class StateEvaluator:
 
     def _certified(self, focus: int, grouping: Grouping) -> Certified:
         """``Certified`` triple of a grouping known to be feasible, summed
-        afresh: the canonical grouping and a zero-C focus's merged group."""
+        afresh: the canonical grouping."""
         c_sq, ca_sq = self.tables(focus)
         return (grouping, _feasible_certificate(grouping, _grouped_sums(ca_sq, grouping)),
                 _grouped_sums(c_sq, grouping))
@@ -1077,13 +1098,12 @@ class StateEvaluator:
         ``front_best(f, AlphaGrid((a,)))[0]``.  The column is found once per
         (focus, grid values) and kept, as thm2, thm6 and cor1_thm2 share
         it; each call returns a fresh list.  Building it builds the focus's
-        ``_SplitSearch`` and runs the chain DP once per alpha, and certifies
-        each chain it picks once: alphas of the column that pick the same
-        chain share one certificate, and every state shares the
-        ``Grouping`` of a chain.  Where each value is read from is told in
-        ``_front_column``; the sum equals, bit for bit, ``_front_sum`` of
-        the grouping's C^2 sums, the kernel that ``evaluate`` applies to
-        every other lead term.
+        ``_SplitSearch`` and runs the chain DP once per alpha, unless the
+        focus's pair C are all 0, and certifies each chain it picks once:
+        alphas of the column that pick the same chain share one
+        certificate, and every state shares the ``Grouping`` of a chain.
+        Where each value is read from is told in ``_front_column``; the sum
+        equals, bit for bit, ``_front_sum`` of the grouping's C^2 sums.
         """
         if type(focus) is not int:
             focus = qubit_index(focus, self.psi.num_qubits, "focus")
@@ -1101,20 +1121,22 @@ class StateEvaluator:
         distinct chain's certificate is read off the Ca^2 subset sums at its
         masks (``_SplitSearch.certificate``).  Those subset sums equal the
         grouping's ``_grouped_sums`` bit for bit, so nothing is summed or
-        raised twice.  A zero-C focus (no splits, no DP) and canonical mode
-        certify their one grouping per column with ``_certified`` and take
-        each front sum from ``_front_sum`` of its C^2 sums; canonical mode
-        keeps the merged group unless the canonical front sum is strictly
-        larger.
+        raised twice.  A focus whose pair C are all 0 takes the merged
+        group's kept certificate, J's own, with no search built, and its
+        front sum is 0.0, as ``_front_sum`` of the C^2 sum 0.0 gives it.
+        Canonical mode certifies its one grouping per column with
+        ``_certified``, and keeps the merged group unless the canonical
+        front sum is strictly larger; it takes each front sum from
+        ``_front_sum`` of the grouping's C^2 sums.
         """
         key = (focus, grid.values)
         column = self._fronts.get(key)
         if column is not None:
             return column
         c_sq, ca_sq = self.tables(focus)
-        search = _SplitSearch(c_sq, ca_sq) if self.search == "exhaustive" else None
         column = []
-        if search is not None and search.splits:
+        if self.search == "exhaustive" and any(c_sq.values()):
+            search = _SplitSearch(c_sq, ca_sq)
             certs: dict[tuple[int, ...], OrderingCertificate] = {}
             for p, h in grid.weights:
                 chain, front = search.best(p, h)
@@ -1122,22 +1144,22 @@ class StateEvaluator:
                 if cert is None:
                     cert = certs[chain] = search.certificate(chain)
                 column.append((cert.grouping, cert, front))
+        elif self.search == "exhaustive":
+            # Every grouping of a zero-C focus reads 0 at every alpha, and a
+            # tie keeps the whole set: the merged group.
+            grouping, cert, _ = self._merged_group(focus)
+            column = [(grouping, cert, 0.0)] * len(grid)
         else:
-            # A zero-C focus keeps its merged group, canonical mode its
-            # canonical grouping; each is certified once per column.
-            grouping = (canonical_grouping(ca_sq) if search is None
-                        else _shared_merged(search.partners))
-            certified = self._certified(focus, grouping)
+            merged = self._merged_group(focus)
+            certified = self._certified(focus, canonical_grouping(ca_sq))
             for p, h in grid.weights:
                 chosen, front = certified, _front_sum(certified[2], p, h)
-                if search is None:
-                    # The merged group is always feasible: as a tie keeps the
-                    # whole subset in the search, it stays unless the canonical
-                    # grouping's front sum is strictly larger.
-                    merged = self._merged_group(focus)
-                    merged_front = _front_sum(merged[2], p, h)
-                    if not front > merged_front:
-                        chosen, front = merged, merged_front
+                # The merged group is always feasible: as a tie keeps the
+                # whole subset in the search, it stays unless the canonical
+                # grouping's front sum is strictly larger.
+                merged_front = _front_sum(merged[2], p, h)
+                if not front > merged_front:
+                    chosen, front = merged, merged_front
                 column.append((chosen[0], chosen[1], front))
         self._fronts[key] = column
         return column
@@ -1183,20 +1205,25 @@ class StateEvaluator:
         ``alpha`` is one exponent, which gives a ``BoundReport``, or an
         ``AlphaGrid``, which gives the bound's ``BoundColumns``: one row per
         grid value, or the one alpha = 2 row of ``ckw`` and ``coa_dual``.  A
-        report is row 0 of the columns of a one-value grid, so both share
-        one body, ``_columns``.  ``foci`` defaults to qubits 0..arity-1.  A
-        call checks the bound id, then alpha once (a grid checked its values
-        when it was built), then the foci, then the caller's groupings, and
-        computes the bound in one pass from the evaluator's kept alpha-free
-        values: J and jin by ``_j_sum``, and each lead term by
-        ``_front_sum``, from a total C^2 as one group, from a caller's
-        grouping or, for a searched front, through ``front_best`` per
-        (focus, grid).  thm3, thm7 and cor1_thm3 lead with each focus's total
-        C^2 as one group, and report the winning focus's J certificate, as
-        caller front bounds do.  Otherwise ``groupings`` holds one grouping
-        per focus; each must cover its focus's partners and pass the
-        dominance check (else ``InfeasibleGroupingError``), and it is never
-        searched or kept.
+        report is row 0 of the columns of a one-value grid.  ``foci``
+        defaults to qubits 0..arity-1.  A call checks the bound id, then
+        alpha once (a grid checked its values when it was built), then the
+        foci, then the caller's groupings.  The columns that ``fill_columns``
+        left for this bound are then taken off the evaluator and returned,
+        if they are for these foci and grid values; otherwise the bound is computed by the same
+        array pass as a chunk of one state (``_ChunkPass``), from the
+        evaluator's kept alpha-free values: J and jin by the geometric sum,
+        and each lead term by the front sum, from a total C^2 as one group,
+        from a caller's grouping or, for a searched front, through
+        ``front_best`` per (focus, grid).  The pass raises with
+        ``np.float_power``, the C library's ``pow`` that Python's ``**``
+        calls, so every value equals the per-alpha Python arithmetic bit for
+        bit.  thm3, thm7 and cor1_thm3 lead with each focus's total C^2 as
+        one group, and report the winning focus's J certificate, as caller
+        front bounds do.  Otherwise ``groupings`` holds one grouping per
+        focus; each must cover its focus's partners and pass the dominance
+        check (else ``InfeasibleGroupingError``), and it is never searched
+        or kept.
         """
         spec = BOUNDS.get(theorem_id)
         if spec is None:
@@ -1206,100 +1233,16 @@ class StateEvaluator:
             h_weight(alpha)  # checks alpha
         foci = self._foci(theorem_id, spec, foci)
         given = None if groupings is None else self._given(theorem_id, spec, foci, groupings)
-        if grid:
-            return self._columns(theorem_id, spec, foci, given, alpha, alpha.values)
-        return self._columns(theorem_id, spec, foci, given, AlphaGrid((alpha,)),
-                             (alpha,)).report(0)
-
-    def _columns(self, theorem_id: str, spec: BoundSpec, foci: tuple[int, ...],
-                 given: tuple[Certified, ...] | None, grid: AlphaGrid,
-                 alphas: tuple[float, ...]) -> BoundColumns:
-        """The columns of a bound on validated foci over ``grid``, in order;
-        ``given`` is None for the best groupings, else the caller's, one per
-        focus, and ``alphas`` labels the rows as the caller gave them.
-
-        Each value reads ``p = alpha/2`` and ``h = h_weight(alpha)`` from
-        ``grid.weights``, and a searched lead reads ``front_best``'s column.
-        The foci's J are added in focus order.  A front or total lead is
-        followed by the J of each focus after the first two, and
-        cor2_lower's center lead by the J of each other focus, each
-        subtracted in focus order.
-        """
-        kind = spec.rhs
-        c_cut, n_cut, rank = self._cut(foci)
-        if kind == "pair_sum":
-            c_sq, ca_sq = self.tables(foci[0])
-            # Printed as "smaller side, larger side": ckw's lhs is the pair
-            # sum, and the slack is rhs - lhs in both directions.
-            lhs, rhs = ((c_cut ** 2, _sum_in_order(ca_sq.values())) if spec.direction == "upper"
-                        else (_sum_in_order(c_sq.values()), c_cut ** 2))
-            slack = rhs - lhs
-            return BoundColumns(theorem_id, (2.0,), [lhs], [rhs], [slack],
-                                [slack >= -SLACK_TOL], [None], True)
-        cut = n_cut if spec.cut == "N" else c_cut
-        lhs = [cut ** a if cut > 0.0 else 0.0 for a in grid.values]
-        weights = grid.weights
-        if kind == "jin":
-            if given is None:
-                cert = _singleton_certificate(self.tables(foci[0])[1])
-                if cert is None:
-                    return _inapplicable(theorem_id, alphas, lhs)
-            else:
-                cert = given[0][1]
-            rhs = [_j_sum(cert.squared_values, p, p) for p, _ in weights]
-            certs = [cert] * len(alphas)
-        else:
-            js = [cert for _, cert, _ in (
-                given if given is not None else map(self._merged_group, foci))]
-            vals = [j.squared_values for j in js]
-            certs = [js[spec.center]] * len(alphas)
-            if kind == "front" or kind == "total":
-                if kind == "total":
-                    fronts = [(_sum_in_order(self.tables(f)[0].values()),) for f in foci[:2]]
-                elif given is not None:
-                    fronts = [c_sums for _, _, c_sums in given[:2]]
-                else:
-                    fronts = None
-                    col_a, col_b = self.front_best(foci[0], grid), self.front_best(foci[1], grid)
-                rhs = []
-                for i, (p, h) in enumerate(weights):
-                    j_a, j_b = _j_sum(vals[0], p, h), _j_sum(vals[1], p, h)
-                    if fronts is None:
-                        (_, cert_a, lead_a), (_, cert_b, lead_b) = col_a[i], col_b[i]
-                    else:
-                        cert_a, cert_b = js[0], js[1]
-                        lead_a, lead_b = _front_sum(fronts[0], p, h), _front_sum(fronts[1], p, h)
-                    branch_a, branch_b = lead_a - j_b, lead_b - j_a
-                    r, certs[i] = (branch_a, cert_a) if branch_a >= branch_b else (branch_b, cert_b)
-                    for v in vals[2:]:  # cor1: minus J_C1
-                        r -= _j_sum(v, p, h)
-                    rhs.append(r)
-            elif kind == "center_total":
-                center_cut, others = spec.center_cuts(foci)
-                if self._cut(others)[0] > self._cut(center_cut)[0] + SLACK_TOL:
-                    return _inapplicable(theorem_id, alphas, lhs)
-                lead = (_sum_in_order(self.tables(foci[spec.center])[0].values()),)
-                minus = vals[:spec.center] + vals[spec.center + 1:]
-                rhs = []
-                for p, h in weights:
-                    r = _front_sum(lead, p, h)
-                    for v in minus:
-                        r -= _j_sum(v, p, h)
-                    rhs.append(r)
-            else:  # "j" and "rank_j": J_A + J_B (+ J_C1), added in focus order
-                factor = rank * (rank - 1) / 2.0
-                rhs = []
-                for p, h in weights:
-                    r = _j_sum(vals[0], p, h)
-                    for v in vals[1:]:
-                        r += _j_sum(v, p, h)
-                    if kind == "rank_j":
-                        r = (factor ** p if factor > 0.0 else 0.0) * r
-                    rhs.append(r)
-        slack = ([r - x for x, r in zip(lhs, rhs)] if spec.direction == "upper"
-                 else [x - r for x, r in zip(lhs, rhs)])
-        return BoundColumns(theorem_id, alphas, lhs, rhs, slack,
-                            [x >= -SLACK_TOL for x in slack], certs, True)
+        bound = ((theorem_id, foci, given is not None),)
+        if not grid:
+            return _ChunkPass((self,), AlphaGrid((alpha,)), given).columns(
+                bound, (alpha,))[0][0].report(0)
+        if given is None:
+            kept = self._columns.get(theorem_id)
+            if kept is not None and kept[0] == foci and kept[1] == alpha.values:
+                del self._columns[theorem_id]
+                return kept[2]
+        return _ChunkPass((self,), alpha, given).columns(bound, alpha.values)[0][0]
 
 
 def _inapplicable(theorem_id: str, alphas: tuple[float, ...], lhs: list[float]) -> BoundColumns:
@@ -1308,6 +1251,400 @@ def _inapplicable(theorem_id: str, alphas: tuple[float, ...], lhs: list[float]) 
     nan = [math.nan] * len(alphas)
     return BoundColumns(theorem_id, alphas, lhs, nan, nan[:], [True] * len(alphas),
                         [None] * len(alphas), False)
+
+
+def _pair_sum_columns(ev: StateEvaluator, theorem_id: str, spec: BoundSpec,
+                      foci: tuple[int, ...], merged: Certified | None) -> BoundColumns:
+    """The one alpha = 2 row of ``ckw`` or ``coa_dual``, printed as "smaller
+    side, larger side": ckw's lhs is the pair sum, and the slack is
+    rhs - lhs in both directions.  The pair sums are the focus's merged
+    group's, or, for caller groupings, which keep no merged group, the
+    tables' values summed."""
+    c_cut = ev._cut(foci)[0]
+    if merged is None:
+        c_sq, ca_sq = ev.tables(foci[0])
+        c_total, ca_total = _sum_in_order(c_sq.values()), _sum_in_order(ca_sq.values())
+    else:
+        c_total, ca_total = merged[2][0], merged[1].squared_values[0]
+    lhs, rhs = ((c_cut ** 2, ca_total) if spec.direction == "upper" else (c_total, c_cut ** 2))
+    slack = rhs - lhs
+    return BoundColumns(theorem_id, (2.0,), [lhs], [rhs], [slack], [slack >= -SLACK_TOL],
+                        [None], True)
+
+
+# A row of a pass's table, named by what it holds for each state:
+#   ("cut", foci, k)   the cut's C (k = 0) or N (k = 1), to the power alpha;
+#   ("J", f)           J of focus f: its merged group's Ca^2, to the power p;
+#   ("total", f)       its merged group's C^2, to the power p (the front sum
+#                      of the merged group);
+#   ("rank", foci)     the cut's r(r-1)/2, r its Schmidt rank, to the power p;
+#   ("jin term", f, i) jin's i-th singleton Ca^2 on focus f, to the power p;
+#   ("jin", f)         jin's sum of those terms, weighted by p^i;
+#   ("front", f)       the searched front sum of focus f;
+#   ("given J", k), ("given front", k), ("given total", f): J, the front sum
+#                      and the total lead from the caller's grouping of the
+#                      k-th focus (f);
+#   ("zero",), ("one",): +0.0 and 1.0.
+# A row whose kind is in _FORMED is formed, from the raised rows or the
+# front columns; every other row is a base raised to its power.
+_FORMED = ("jin", "front", "given J", "given front")
+_ZERO, _ONE = ("zero",), ("one",)
+# The exponents i of the weights ratio^i of a sum of up to MAX_QUBITS groups.
+_POWERS = np.arange(float(MAX_QUBITS))[:, None]
+
+
+def _recipe(spec: BoundSpec, foci: tuple[int, ...], given: bool):
+    """``(operands, certificates, check)`` of a bound that reads alpha.
+
+    Every such bound's rhs is one formula of eight operand rows
+    ``(A, B, C, D, E, G1, G2, F)``, in the order of the per-alpha Python
+    arithmetic:
+
+        F * (((max(A - B, C - D) - E) + G1) + G2),
+
+    ``max`` taking ``A - B`` on a tie, as ``branch_a >= branch_b`` does.
+    A front or total bound is the larger branch "lead A minus J_B", "lead
+    B minus J_A", minus cor1's J_C1 (E); cor2_lower is the center's lead
+    minus the other foci's J (B, then E); thm1, thm4, thm5, thm8 and
+    cor2_upper add the foci's J in focus order (A, G1, G2), times thm8's
+    rank factor (F); jin is its weighted sum (A).  A bound with one branch
+    reads it twice (C = A, D = B), and an unused operand reads a row that
+    changes nothing: 1.0 for F, and 0.0 for B, E, G1 and G2.  ``x - 0.0`` is
+    ``x`` for every x, and ``x + 0.0`` is ``x`` for every x but -0.0, which
+    no sum here is: every lead and J is at least +0.0, and a difference of
+    two such values is never -0.0.
+
+    ``certificates`` names where each row's certificate is read: one source,
+    or for a branch bound the sources of branch A and of branch B.
+    ``check`` names which states the bound does not apply to (None: it
+    applies to all).
+    """
+    kind = spec.rhs
+    if kind == "jin":
+        jin = ("jin", foci[0])
+        return (jin, _ZERO, jin, _ZERO, _ZERO, _ZERO, _ZERO, _ONE), jin, jin
+    js = tuple(("given J", k) if given else ("J", f) for k, f in enumerate(foci))
+    if kind == "front" or kind == "total":
+        if not given:
+            leads = tuple((kind, f) for f in foci[:2])
+        elif kind == "front":
+            leads = (("given front", 0), ("given front", 1))
+        else:
+            leads = (("given total", foci[0]), ("given total", foci[1]))
+        (minus,) = js[2:] or (_ZERO,)  # cor1: J_C1
+        certs = tuple(lead if lead[0] == "front" else j for lead, j in zip(leads, js))
+        return (leads[0], js[1], leads[1], js[0], minus, _ZERO, _ZERO, _ONE), certs, None
+    center = spec.center
+    if kind == "center_total":
+        lead = (("given total", foci[center]) if given else ("total", foci[center]))
+        first, second = js[:center] + js[center + 1:]
+        return ((lead, first, lead, first, second, _ZERO, _ZERO, _ONE), js[center],
+                ("center",) + spec.center_cuts(foci))
+    # "j" and "rank_j": J_A + J_B (+ J_C1), added in focus order
+    first, *more = js
+    g1, g2 = tuple(more) + (_ZERO,) * (2 - len(more))
+    factor = ("rank", foci) if kind == "rank_j" else _ONE
+    return (first, _ZERO, first, _ZERO, _ZERO, g1, g2, factor), js[center], None
+
+
+class _Layout(NamedTuple):
+    """The alpha-free, state-free plan of a pass over a list of bounds on
+    states of one size.
+
+    ``sources`` names the table's distinct rows: the ``raised`` ones, then
+    the formed ones, jin's sums last.  ``of_alpha`` tells which raised rows
+    take the exponent alpha (the cuts) rather than p, and ``terms`` holds
+    the slice of the table that holds each jin sum's terms.  ``take`` lists
+    the table rows of each bound's lhs, then of its operands A of every
+    bound, its operands B, and so on.  ``upper``
+    tells whether each bound's slack is rhs - lhs, and ``bounds`` holds each
+    bound's ``(index, theorem id, certificate sources, check)`` in table
+    order; ``fixed`` lists the indices of the fixed-alpha bounds.
+    """
+
+    sources: tuple[tuple, ...]
+    raised: int
+    of_alpha: np.ndarray
+    terms: dict[tuple, slice]
+    take: np.ndarray
+    upper: np.ndarray
+    bounds: tuple[tuple[int, str, tuple, tuple | None], ...]
+    fixed: tuple[int, ...]
+
+
+@lru_cache(maxsize=256)
+def _layout(bounds: tuple[tuple[str, tuple[int, ...], bool], ...], num_qubits: int) -> _Layout:
+    """The layout of a pass over ``bounds``, each ``(theorem id, foci,
+    whether the caller gives the groupings)``, on ``num_qubits`` qubits;
+    derived once per process for each list that the CLI evaluates, and for
+    each lone call's bound."""
+    members, fixed = [], []
+    for b, (theorem_id, foci, given) in enumerate(bounds):
+        spec = BOUNDS[theorem_id]
+        if spec.fixed_alpha:
+            fixed.append(b)
+        else:
+            members.append((b, theorem_id, spec, foci, *_recipe(spec, foci, given)))
+    slots = [("cut", foci, 1 if spec.cut == "N" else 0) for _, _, spec, foci, _, _, _ in members]
+    slots += [operands[k] for k in range(8) for _, _, _, _, operands, _, _ in members]
+    jins = list(dict.fromkeys(s for s in slots if s[0] == "jin"))
+    terms = [("jin term", jin[1], i) for jin in jins for i in range(num_qubits - 1)]
+    distinct = list(dict.fromkeys(slots))
+    raised = [s for s in distinct if s[0] not in _FORMED] + terms
+    sources = raised + [s for s in distinct if s[0] in _FORMED and s[0] != "jin"] + jins
+    index = {source: i for i, source in enumerate(sources)}
+    arrays = (np.array([s[0] == "cut" for s in raised], dtype=bool)[:, None],
+              np.array([index[s] for s in slots], dtype=np.intp),
+              np.array([spec.direction == "upper"
+                        for _, _, spec, _, _, _, _ in members])[:, None, None])
+    for array in arrays:  # shared by every pass over these bounds
+        array.setflags(write=False)
+    of_alpha, take, upper = arrays
+    return _Layout(
+        tuple(sources), len(raised), of_alpha,
+        {jin: slice(index["jin term", jin[1], 0], index["jin term", jin[1], 0] + num_qubits - 1)
+         for jin in jins},
+        take, upper,
+        tuple((b, theorem_id, certs, check) for b, theorem_id, _, _, _, certs, check in members),
+        tuple(fixed))
+
+
+class _ChunkPass:
+    """The bounds of a chunk of same-size states over one grid, formed as
+    one table of (states x alpha) rows instead of a Python loop per (state,
+    bound, alpha).
+
+    Every value equals, bit for bit, what a per-alpha loop of Python floats
+    gives (``tests/oracles.py`` keeps that loop):
+
+    * each ``x**y`` is ``np.float_power``, which calls the C library's
+      ``pow`` as Python's ``**`` on floats does, where ``np.power`` runs
+      numpy's own float64 loops, which differ by an ulp on about 5% of
+      inputs; a base at or below 0 reads 0, also at exponent 0, where
+      ``0.0**0`` is 1.0;
+    * ``+``, ``-`` and ``*`` run element-wise with the operands in the same
+      order, and ``np.where`` takes the larger branch as ``branch_a >=
+      branch_b`` does;
+    * a sum over several groups adds its terms one at a time in group
+      order (``np.add.accumulate``); Python adds them to 0.0, which changes
+      nothing, as no term is below +0.0.
+
+    What does not depend on the states, which rows each bound reads and in
+    which operand of the one formula of ``_recipe``, is a ``_Layout``,
+    derived once per list of bounds.  Per chunk, each distinct row's
+    alpha-free inputs are gathered once and shared by every bound that
+    reads them: each cut's C, N and Schmidt rank, each focus's merged group
+    (J's certificate and Ca^2, and the total C^2), jin's certificate and
+    each focus's ``front_best`` column, whose search stays per state.  One
+    ``np.float_power`` call raises every base of the chunk, one take lays
+    out the operands, and the formula runs once for all bounds.  So a chunk
+    costs a fixed number of numpy calls, whatever its size and bounds.  A
+    chunk of one state is the pass that a lone ``evaluate`` call runs, and
+    ``given`` holds a lone call's caller groupings.
+    """
+
+    def __init__(self, evaluators: Sequence[StateEvaluator], grid: AlphaGrid,
+                 given: tuple[Certified, ...] | None = None):
+        self.evaluators = evaluators
+        self.grid = grid
+        self.given = given
+        self.alpha, self.p, self.h = np.array([grid.values, *zip(*grid.weights)])
+        self._merged: dict[int, list[Certified]] = {}
+        self._fronts: dict[int, list[list[tuple]]] = {}
+        self._jin: dict[int, list[OrderingCertificate | None]] = {}
+        self._terms: dict[int, list[tuple[float, ...]]] = {}
+        self._certificates: dict[tuple, list] = {}
+
+    def columns(self, bounds: tuple[tuple[str, tuple[int, ...], bool], ...],
+                alphas: tuple[float, ...]) -> list[list[BoundColumns]]:
+        """Each bound's ``BoundColumns`` per state, for ``bounds`` given as
+        ``_layout`` takes them, ``(theorem_id, foci, given)`` with checked
+        foci and ``given`` true for a lone call's caller groupings;
+        ``alphas`` labels the rows.  The slacks and verdicts of every bound
+        are formed in one stacked step, and each array is turned into
+        Python floats and bools once."""
+        evs = self.evaluators
+        layout = _layout(bounds, evs[0].psi.num_qubits)
+        out: list = [None] * len(bounds)
+        for b in layout.fixed:
+            tid, foci, _ = bounds[b]
+            merged = ([None] * len(evs) if self.given is not None else
+                      self._merged_groups(foci[0]))
+            out[b] = [_pair_sum_columns(ev, tid, BOUNDS[tid], foci, m)
+                      for ev, m in zip(evs, merged)]
+        if not layout.bounds:
+            return out
+        count = len(layout.bounds)
+        rows = self._table(layout)[layout.take]
+        lhs = rows[:count]
+        a, b, c, d, e, g1, g2, f = rows[count:].reshape(8, count, *lhs.shape[1:])
+        branch_a, branch_b = a - b, c - d
+        pick = branch_a >= branch_b
+        rhs = f * (((np.where(pick, branch_a, branch_b) - e) + g1) + g2)
+        slack = np.where(layout.upper, rhs - lhs, lhs - rhs)
+        # One list per (bound, state) row, each read by index: bound i's
+        # rows start at i * states.
+        states = len(evs)
+        flat = (count * states, len(self.grid))
+        satisfied = (slack >= -SLACK_TOL).reshape(flat).tolist()
+        lhs, rhs, slack, pick = (x.reshape(flat).tolist() for x in (lhs, rhs, slack, pick))
+        size, repeat, new = len(self.grid), itertools.repeat, tuple.__new__
+        for i, (index, theorem_id, source, check) in enumerate(layout.bounds):
+            span = slice(i * states, (i + 1) * states)
+            if type(source[0]) is tuple:  # a branch bound: each row reports its branch's
+                sides = [self._certs(side) if side[0] == "front" else  # certificate
+                         map(repeat, self._certs(side)) for side in source]
+                certs = [[x if won else y for won, x, y in zip(row, row_a, row_b)]
+                         for row, row_a, row_b in zip(pick[span], *sides)]
+            else:
+                certs = [[cert] * size for cert in self._certs(source)]
+            # Built as BoundColumns builds itself, without its Python-level
+            # __new__: one tuple of the fields, in order.
+            out[index] = columns = [
+                new(BoundColumns, (theorem_id, alphas, *row, True))
+                for row in zip(lhs[span], rhs[span], slack[span], satisfied[span], certs)]
+            if check is not None:
+                for s, off in enumerate(self._not_applicable(check)):
+                    if off:
+                        columns[s] = _inapplicable(theorem_id, alphas, columns[s].lhs)
+        return out
+
+    def _table(self, layout: _Layout) -> np.ndarray:
+        """The (sources x states x alpha) table: every raised row's bases
+        raised to alpha or to p by one ``np.float_power`` call, then the
+        formed rows."""
+        raised = layout.raised
+        table = np.zeros((len(layout.sources), len(self.evaluators), len(self.grid)))
+        bases = np.array([self._bases(source) for source in layout.sources[:raised]],
+                         dtype=float)[:, :, None]
+        np.float_power(bases, np.where(layout.of_alpha, self.alpha, self.p)[:, None, :],
+                       out=table[:raised], where=bases > 0.0)
+        first_jin = len(layout.sources) - len(layout.terms)
+        if raised < first_jin:
+            table[raised:first_jin] = [self._formed(source)
+                                       for source in layout.sources[raised:first_jin]]
+        for i, terms in enumerate(layout.terms.values(), first_jin):
+            table[i] = _geometric_sum(table[terms], self.p)
+        return table
+
+    # -- the inputs of each row, gathered once per chunk ---------------------
+
+    def _bases(self, source: tuple) -> list[float]:
+        """Each state's base of a raised row."""
+        kind, evs = source[0], self.evaluators
+        if kind == "jin term":
+            return self._jin_terms(source[1])[source[2]]
+        if kind == "cut":
+            return [ev._cut(source[1])[source[2]] for ev in evs]
+        if kind == "J":
+            return [cert.squared_values[0] for _, cert, _ in self._merged_groups(source[1])]
+        if kind == "total":
+            return [c_sums[0] for _, _, c_sums in self._merged_groups(source[1])]
+        if kind == "rank":
+            return [r * (r - 1) / 2.0 for r in (ev._cut(source[1])[2] for ev in evs)]
+        if kind == "given total":  # caller groupings keep no merged group
+            return [_sum_in_order(ev.tables(source[1])[0].values()) for ev in evs]
+        return [1.0 if source == _ONE else 0.0] * len(evs)
+
+    def _formed(self, source: tuple):
+        """Each state's row of a formed source other than jin's sum: a
+        searched front column, or the caller's multi-group J or front sum of
+        one focus."""
+        kind = source[0]
+        if kind == "front":
+            return [[front for _, _, front in col] for col in self._front_columns(source[1])]
+        _, cert, c_sums = self.given[source[1]]
+        if kind == "given J":
+            return _geometric_sum(self._powers([cert.squared_values]), self.h)
+        return _front_of_rows(self._powers([c_sums]), self.h)
+
+    def _certs(self, source: tuple) -> list:
+        """Each state's certificate read off ``source``, once per pass: a
+        front column's list per alpha, or the one certificate of the merged
+        group, of the caller's grouping or of jin's order.  The lists are
+        only read, never returned."""
+        certs = self._certificates.get(source)
+        if certs is None:
+            kind = source[0]
+            if kind == "front":
+                certs = [[cert for _, cert, _ in col] for col in self._front_columns(source[1])]
+            elif kind == "J":
+                certs = [cert for _, cert, _ in self._merged_groups(source[1])]
+            elif kind == "given J":
+                certs = [self.given[source[1]][1]]
+            else:
+                certs = self._jin_certs(source[1])
+            self._certificates[source] = certs
+        return certs
+
+    def _not_applicable(self, check: tuple) -> list[bool]:
+        """Whether the bound does not apply to each state: jin with no
+        feasible singleton order, or cor2_lower where the other foci's cut
+        exceeds the center's."""
+        if check[0] == "jin":
+            return [cert is None for cert in self._jin_certs(check[1])]
+        _, center_cut, others = check
+        return [ev._cut(others)[0] > ev._cut(center_cut)[0] + SLACK_TOL
+                for ev in self.evaluators]
+
+    def _merged_groups(self, focus: int) -> list[Certified]:
+        groups = self._merged.get(focus)
+        if groups is None:
+            groups = self._merged[focus] = [ev._merged_group(focus) for ev in self.evaluators]
+        return groups
+
+    def _front_columns(self, focus: int) -> list[list[tuple]]:
+        columns = self._fronts.get(focus)
+        if columns is None:
+            columns = self._fronts[focus] = [ev.front_best(focus, self.grid)
+                                             for ev in self.evaluators]
+        return columns
+
+    def _jin_certs(self, focus: int) -> list[OrderingCertificate | None]:
+        """Each state's jin certificate on ``focus``, the caller's or the
+        descending singleton order's, None where that is not feasible."""
+        certs = self._jin.get(focus)
+        if certs is None:
+            certs = self._jin[focus] = (
+                [self.given[0][1]] if self.given is not None else
+                [_singleton_certificate(ev.tables(focus)[1]) for ev in self.evaluators])
+        return certs
+
+    def _jin_terms(self, focus: int) -> list[tuple[float, ...]]:
+        """Each singleton's value per state, in jin's order: the rows of the
+        jin terms; a state that jin does not apply to reads zeros, which
+        are not read."""
+        terms = self._terms.get(focus)
+        if terms is None:
+            zeros = (0.0,) * (self.evaluators[0].psi.num_qubits - 1)
+            terms = self._terms[focus] = list(zip(*[zeros if cert is None else cert.squared_values
+                                                    for cert in self._jin_certs(focus)]))
+        return terms
+
+    def _powers(self, grouped: Sequence[Sequence[float]]) -> np.ndarray:
+        """The (groups x states x alpha) array of each state's group values
+        to the power p."""
+        bases = np.array(grouped, dtype=float).T[:, :, None]
+        return np.float_power(bases, self.p, where=bases > 0.0,
+                              out=np.zeros(bases.shape[:2] + self.p.shape))
+
+
+def _geometric_sum(terms: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """``sum_i ratio^i terms[i]`` over the first axis, added one term at a
+    time in order; of one term, that term.  J with ratio h, jin with ratio
+    p, as ``_j_sum``."""
+    if len(terms) == 1:
+        return terms[0]
+    weights = np.float_power(ratio, _POWERS[:len(terms)])
+    return np.add.accumulate(weights[:, None, :] * terms, axis=0)[-1]
+
+
+def _front_of_rows(terms: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``h * sum_{i<k} terms[i] + terms[k]`` over the first axis, as
+    ``_front_of_terms``; of one term, that term."""
+    if len(terms) == 1:
+        return terms[0]
+    return h * np.add.accumulate(terms[:-1], axis=0)[-1] + terms[-1]
 
 
 def fill_spectra(evaluators: Sequence[StateEvaluator], pairs: Collection[tuple[int, int]],
@@ -1370,6 +1707,49 @@ def fill_spectra(evaluators: Sequence[StateEvaluator], pairs: Collection[tuple[i
         spectra = _schmidt_spectra([reduced_density(ev.psi, key).matrix for ev, key in todo])
         for (ev, key), c, neg, rank in zip(todo, *_cut_measures(spectra)):
             ev._cuts[key] = (c, neg, rank)
+
+
+def fill_columns(evaluators: Sequence[StateEvaluator], theorem_ids: Iterable[str],
+                 grid: AlphaGrid) -> None:
+    """Leave on each evaluator the ``BoundColumns`` of the listed bounds at
+    their default foci over ``grid``, for ``evaluate`` to take.
+
+    The evaluators are grouped by qubit count, and each group takes the
+    bounds that its size admits in one ``_ChunkPass``: every bound's lhs,
+    rhs, slack and verdict are formed as (states x alpha) arrays, from the
+    alpha-free values gathered once for the group.  ``verify`` calls this
+    once and ``sweep`` once per chunk, after ``fill_spectra``; each then
+    asks ``evaluate`` for each (state, bound), which takes the kept columns
+    off the evaluator.  The values equal, bit for bit, those of a chunk of
+    one, which a lone ``evaluate`` computes.
+    """
+    theorem_ids = tuple(theorem_ids)
+    by_size: dict[int, list[StateEvaluator]] = {}
+    for ev in evaluators:
+        by_size.setdefault(ev.psi.num_qubits, []).append(ev)
+    for n, group in by_size.items():
+        bounds = _default_bounds(theorem_ids, n)
+        if not bounds:
+            continue
+        for (tid, foci, _), columns in zip(bounds, _ChunkPass(group, grid).columns(
+                bounds, grid.values)):
+            for ev, cols in zip(group, columns):
+                ev._columns[tid] = (foci, grid.values, cols)
+
+
+@lru_cache(maxsize=256)
+def _default_bounds(theorem_ids: tuple[str, ...], num_qubits: int
+                    ) -> tuple[tuple[str, tuple[int, ...], bool], ...]:
+    """The listed bounds that ``num_qubits`` qubits admit, at their default
+    foci, as ``_ChunkPass.columns`` takes them; an unknown id is refused."""
+    specs = []
+    for theorem_id in theorem_ids:
+        spec = BOUNDS.get(theorem_id)
+        if spec is None:
+            raise ValueError(f"unknown theorem_id {theorem_id!r}")
+        specs.append((theorem_id, spec))
+    return tuple((tid, spec.foci, False) for tid, spec in specs
+                 if num_qubits >= spec.min_qubits)
 
 
 def optimize_grouping(psi: PureState, focus, alpha: float,

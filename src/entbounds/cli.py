@@ -22,7 +22,8 @@ import sys
 import numpy as np
 
 from .bounds import (BOUNDS, AlphaGrid, BoundColumns, OrderingCertificate, StateEvaluator,
-                     THEOREM_IDS, fill_spectra, h_weight, search_mode, spectra_keys)
+                     THEOREM_IDS, fill_columns, fill_spectra, h_weight, search_mode,
+                     spectra_keys)
 from .gallery import FAMILIES, StateSpec
 from .qcore import MAX_QUBITS, haar_random_pure
 
@@ -141,6 +142,7 @@ def cmd_verify(state: StateSpec, theorem: str, alphas: AlphaGrid, fmt: str,
     theorems = _parse_theorems(theorem, psi.num_qubits)
     ev = StateEvaluator(psi)
     fill_spectra((ev,), *spectra_keys(theorems, psi.num_qubits))
+    fill_columns((ev,), theorems, alphas)
     columns = [ev.evaluate(tid, alphas) for tid in theorems]
     rows = [row for c in columns for row in _column_rows(c)]
     _write_output(_table_text(fmt, _REPORT_COLUMNS, rows), out)
@@ -190,6 +192,7 @@ def cmd_sweep(qubits: int, samples: int, seed: int, theorem: str, alphas: AlphaG
         chunk = [StateEvaluator(haar_random_pure(qubits, int(state_seed)))
                  for state_seed in seeds[start:start + _SWEEP_CHUNK]]
         fill_spectra(chunk, *keys)
+        fill_columns(chunk, theorems, alphas)
         # Popped in draw order, so each evaluator is released once evaluated.
         chunk.reverse()
         while chunk:

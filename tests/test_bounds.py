@@ -243,6 +243,18 @@ def test_every_real_alpha_type_is_read_as_its_float():
     assert AlphaGrid((Fraction(1, 4), np.float32(0.5), np.int64(1))).values == (0.25, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("value", [np.float32(0.1), np.float16(0.3), np.float32(2.0),
+                                   np.float16(0.0), np.float64(1.37), np.int32(1),
+                                   Fraction(3, 7), 1])
+def test_h_weight_is_a_python_float_for_every_real_alpha(value):
+    """``h_weight`` reads a real alpha as its Python float, as ``AlphaGrid``
+    does: a numpy ``float32`` or ``float16`` alpha gives the Python float
+    weight of that value, not a weight of the argument's own type."""
+    got = h_weight(value)
+    assert type(got) is float
+    assert got.hex() == h_weight(float(value)).hex() == (2.0 ** (float(value) / 2.0) - 1.0).hex()
+
+
 def test_alpha_range_never_passes_its_stop():
     grid = AlphaGrid.from_range(0.0, 1.0, 0.10000000001)
     assert len(grid) == 10 and grid.values[-1] <= 1.0
@@ -783,15 +795,20 @@ def test_given_groupings_are_never_searched_or_cached(monkeypatch):
         merged = Grouping.merged(range(1, n))
         ev = StateEvaluator(psi)
         assert ev.evaluate("thm1", 1.0, 0, (merged,)) == thm1_upper(psi, 0, merged, 1.0)
-        fronts = [Grouping.merged(q for q in range(n) if q != f) for f in (0, 1)]
-        ev.evaluate("thm2", 1.0, None, fronts)
+        fronts = [Grouping.merged(q for q in range(n) if q != f) for f in (0, 1, 2)]
+        for tid in ("thm2", "thm3", "thm7", "cor1_thm3", "cor2_lower"):  # totals too
+            ev.evaluate(tid, 1.0, None, fronts[:BOUNDS[tid].arity])
         assert ev._merged == {} and ev._fronts == {} and searches == []
         best = ev.evaluate("thm1", 1.0, 0)  # J is the merged group at every n
         assert best.satisfied and best.ordering.grouping == merged
         assert set(ev._merged) == {0} and ev._fronts == {} and searches == []
         ev.evaluate("thm2", 1.0)  # the front sum is searched by size
         assert set(ev._fronts) == {(0, (1.0,)), (1, (1.0,))}
-        assert len(searches) == (2 if ev.search == "exhaustive" else 0)
+        # A focus whose pair C are all 0 takes its merged group unsearched.
+        searched = [f for f in (0, 1) if any(ev.tables(f)[0].values())]
+        assert searched == {6: [1], 12: []}[n]
+        assert searches == [tuple(q for q in range(n) if q != f) for f in searched
+                            if ev.search == "exhaustive"]
     with pytest.raises(ValueError, match="caps at 8"):  # listing stays capped at 8 partners
         ev.feasible_groupings(0)
 

@@ -165,6 +165,7 @@ def test_verify_exit_1_on_violation(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "StateEvaluator", Stub)
     monkeypatch.setattr(cli, "fill_spectra", lambda evaluators, pairs, cuts: None)
+    monkeypatch.setattr(cli, "fill_columns", lambda evaluators, theorem_ids, grid: None)
     code, _, _ = run_main(
         ["verify", "--state", GSD3_EQUAL, "--theorem", "thm1",
          "--alpha", "1.0"], capsys)

@@ -138,9 +138,17 @@ def _partners(n, foci):
     return [tuple(q for q in range(n) if q != f) for f in foci]
 
 
+def _searched(psi, foci):
+    """The foci that build a front search: those with a pair C above 0; a
+    zero-C focus takes its merged group with no search."""
+    ev = StateEvaluator(psi)
+    return tuple(f for f in foci if any(ev.tables(f)[0].values()))
+
+
 def test_verify_all_builds_one_search_per_front_focus_and_sorts_once(monkeypatch, capsys):
     """The search and sort work of one ``verify --theorem all``: at 6 qubits
-    one ``_SplitSearch`` per front focus (0 and 1), which thm2, thm6 and
+    one ``_SplitSearch`` per front focus with a pair C above 0 (both foci of
+    the W-class state, neither of the Haar state), which thm2, thm6 and
     cor1_thm2 share through the kept front column, and one sort, jin's on
     focus 0.  At 12 qubits the front sum is canonical: no search is built,
     and each front column sorts once for its canonical grouping."""
@@ -148,10 +156,15 @@ def test_verify_all_builds_one_search_per_front_focus_and_sorts_once(monkeypatch
     sort = bounds.sort_descending_then_check
     monkeypatch.setattr(bounds, "sort_descending_then_check",
                         lambda values: sorts.append(tuple(values)) or sort(values))
-    for n, searched, sorted_foci in ((6, (0, 1), (0,)), (12, (), (0, 0, 1))):
+    for psi, searched, sorted_foci in ((_geometric_wclass(6), (0, 1), (0,)),
+                                       (haar_random_pure(6, 8256), (), (0,)),
+                                       (haar_random_pure(12, 8262), (), (0, 0, 1))):
+        n = psi.num_qubits
+        if n == 6:
+            assert _searched(psi, (0, 1)) == searched
         searches.clear()
         sorts.clear()
-        spec = _spec(haar_random_pure(n, 8250 + n))
+        spec = _spec(psi)
         assert cli.main(["verify", "--state", spec, "--theorem", "all"]) == 0
         capsys.readouterr()
         assert searches == _partners(n, searched), n
@@ -171,11 +184,13 @@ def test_only_front_bounds_build_the_split_table(monkeypatch, n):
             for alpha in (0.0, 0.5, 2.0):
                 ev.evaluate(tid, alpha)
     assert searches == []
+    searched = _searched(psi, (0, 1))
+    assert searched == {4: (0, 1), 6: (), 9: ()}[n]  # zero-C foci build no search
     for tid in sorted(front):
         if n >= BOUNDS[tid].min_qubits:
             ev = StateEvaluator(psi)
             ev.evaluate(tid, 0.5)
-            assert searches == _partners(n, (0, 1)), tid
+            assert searches == _partners(n, searched), tid
             searches.clear()
 
 
@@ -820,16 +835,16 @@ def test_a_bound_row_builds_its_default_foci_once():
     ("ghz_wclass6", _ghz_plus_wclass(6, 8402), 0),
     ("ghz_wclass9", _ghz_plus_wclass(9, 8402), 0),
     ("wclass6", _geometric_wclass(6), 0),
-    ("ghz6", ghz(6), 4),
+    ("ghz6", ghz(6), 0),
     ("wclass12", _geometric_wclass(12), 4)])
 def test_verify_sums_no_grouping_twice(monkeypatch, capsys, name, psi, summed):
     """The grouping sums of one ``verify --theorem all``.  Where every front
     focus has pair C above 0, no grouping is summed by ``_grouped_sums``:
     the merged group adds the tables, jin takes the sort's certificate, and
     each searched column certifies each distinct chain once from the search's
-    subset sums.  A zero-C front focus (GHZ) and a canonical column (12
-    qubits) sum their one grouping's C^2 and Ca^2 once per column: 2 sums
-    for each of foci 0 and 1."""
+    subset sums.  A zero-C front focus (GHZ) takes its kept merged group.
+    A canonical column (12 qubits) sums its one grouping's C^2 and Ca^2
+    once per column: 2 sums for each of foci 0 and 1."""
     fresh, grid = StateEvaluator(psi), bounds.AlphaGrid.default()
     chains = [len({g for g, _, _ in fresh.front_best(f, grid)}) for f in (0, 1)
               if fresh.search == "exhaustive" and bounds._SplitSearch(*fresh.tables(f)).splits]
