@@ -20,11 +20,13 @@ pass, are checked and used as given.
 one array pass over a chunk of states (``_ChunkPass``): each rhs is one
 formula of eight rows of (states x alpha) values (``_recipe``), raised with
 ``np.float_power`` so that every value equals the per-alpha Python
-arithmetic bit for bit.  The scalar kernels ``_j_sum`` and ``_front_sum``
-remain for ``j_best`` and the front search, which applies ``_front_sum``'s
-formula, ``_front_of_terms``, to the terms its chain DP has already raised.
+arithmetic bit for bit.  The pass also searches each front focus of the
+chunk with one chain DP over (subsets x states x alpha) arrays
+(``_front_dp``), and applies ``_front_sum``'s formula to the terms that the
+DP has already raised (``_front_chains``).  The scalar kernels ``_j_sum``
+and ``_front_sum`` remain for ``j_best`` and the canonical front column.
 The dominance precondition has one test, ``_dominates``, which the front
-search and ``feasibility`` both read.
+search and ``feasibility`` both read, on floats and on arrays.
 
 Conventions:
   * ``0**alpha`` is taken as 0 for every alpha in [0, 2], including alpha = 0.
@@ -523,16 +525,7 @@ def _front_sum(c_sums: Sequence[float], p: float, h: float) -> float:
     front-weighted C sum; of one group, the total C^2 to the power p."""
     if len(c_sums) == 1:  # the merged group
         return c_sums[0] ** p if c_sums[0] > 0.0 else 0.0
-    return _front_of_terms([v ** p if v > 0.0 else 0.0 for v in c_sums], h)
-
-
-def _front_of_terms(terms: Sequence[float], h: float) -> float:
-    """``_front_sum``'s formula on the groups' terms ``(g_i^2)^p``, already
-    raised: h times the sum of all but the last, plus the last; of one
-    group, its term.  The front search reads its chain's terms off the
-    chain DP's leads with it."""
-    if len(terms) == 1:
-        return terms[0]
+    terms = [v ** p if v > 0.0 else 0.0 for v in c_sums]
     return h * _sum_in_order(terms[:-1]) + terms[-1]
 
 
@@ -726,139 +719,105 @@ def _shared_merged(partners: tuple[int, ...]) -> Grouping:
     return _shared_grouping(partners, ((1 << len(partners)) - 1,))
 
 
-def _subset_sums(values: Sequence[float]) -> list[float]:
-    """Sum over every bit mask, added in ascending position like ``_grouped_sums``."""
-    sums = [0.0] * (1 << len(values))
-    for s in range(1, len(sums)):
-        top = s.bit_length() - 1
-        sums[s] = sums[s ^ (1 << top)] + values[top]
+@lru_cache(maxsize=None)
+def _split_layers(m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """``_split_table(m)`` as index arrays, one layer per subset size k = 2..m.
+
+    A layer holds its subsets ascending and the leading group and the rest
+    of each of their splits, as (2^k - 2 positions x subsets) arrays: row
+    ``j`` holds each subset's ``j``-th split in ``_split_table`` order.
+    Every rest is smaller than its subset, so a layer reads only the values
+    of layers before it.  The arrays are built once per process and are
+    read-only.
+    """
+    table, layers = _split_table(m), []
+    for k in range(2, m + 1):
+        subsets = np.array([s for s in range(1 << m) if bin(s).count("1") == k], dtype=np.intp)
+        heads = np.array([table[s] for s in subsets.tolist()], dtype=np.intp).T
+        layer = (subsets, heads, subsets ^ heads)
+        for array in layer:
+            array.setflags(write=False)
+        layers.append(layer)
+    return tuple(layers)
+
+
+def _subset_sums(values: np.ndarray) -> np.ndarray:
+    """The sum over every bit mask of the m values along the first axis, as
+    a (2^m, ...) array: each mask's sum is the sum of the mask without its
+    top bit plus that bit's value, so every mask adds its members in
+    ascending position, as ``_grouped_sums`` adds a group's."""
+    sums = np.zeros((1 << len(values),) + values.shape[1:])
+    for i, v in enumerate(values):
+        sums[1 << i:2 << i] = sums[:1 << i] + v
     return sums
 
 
-def _chain_dp(splits: Mapping[int, Sequence[tuple[int, int]]],
-              lead: Sequence[float], h: float) -> tuple[list[float], list[int]]:
-    """``(value, pick)`` of the minimal chain over every subset: its value and
-    its leading group.
+def _front_dp(lead: np.ndarray, ca: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The leading group of the minimal chain of every subset, for every
+    state and alpha: the chain DP over (subsets x states x alpha) arrays.
 
-    ``value(s)`` is the smaller of ``lead[s]`` (the whole subset as one group)
-    and, over ``(t, r)`` in ``splits[s]``, ``h * lead[t] + value(r)``.  A
-    subset that ``splits`` does not hold is a leaf: its value is ``lead[s]``
-    and its pick the subset itself.  The subsets are visited in ``splits``
-    order, which puts every rest ``r`` before the subsets that split into it.
-    The whole subset is the first candidate and the splits follow in search
-    order; a split replaces the current best only when it is lower by more
-    than ``_TIE_TOL``.  So at each subset a tie keeps the whole subset, and
-    after that the first leading group.
+    ``lead`` holds each subset's value as one group, ``ca`` each subset's
+    Ca^2 sum per state (subsets x states), and ``h`` the weight of each
+    alpha.  ``value(s)`` is the smaller of ``lead[s]`` (the whole subset)
+    and, over the splits ``(t, s ^ t)`` of ``s`` whose Ca^2(t) dominates
+    Ca^2(s ^ t) (``_dominates``), ``h * lead[t] + value(s ^ t)``; a
+    subset of one member is its own pick.  The subsets are solved by size,
+    each size's splits as one array; a state masks the splits it does not
+    hold.  The whole subset is the first candidate and the splits follow
+    in ``_split_table`` order, one array step per position, skipped where
+    no state holds a split: a split replaces the running best only where
+    it is lower by more than ``_TIE_TOL``.  So at every subset a tie keeps
+    the whole subset, and after that the first leading group, as a
+    per-state scan of the same candidates does.
     """
-    value, pick = list(lead), list(range(len(lead)))
-    for s, row in splits.items():
-        best, best_t = lead[s], s
-        for t, r in row:
-            v = h * lead[t] + value[r]
-            if v < best - _TIE_TOL:
-                best, best_t = v, t
-        value[s], pick[s] = best, best_t
-    return value, pick
+    value = lead.copy()
+    pick = np.empty(lead.shape, dtype=np.intp)
+    pick[...] = np.arange(len(lead))[:, None, None]
+    for subsets, heads, rests in _split_layers(len(lead).bit_length() - 1):
+        held = _dominates(ca[heads], ca[rests])
+        candidates = np.where(held[..., None], h * lead[heads] + value[rests], np.inf)
+        best, chosen = value[subsets], pick[subsets]
+        for j in np.flatnonzero(held.reshape(len(held), -1).any(1)).tolist():
+            v = candidates[j]
+            better = v < best - _TIE_TOL
+            np.copyto(best, v, where=better)
+            np.copyto(chosen, heads[j, :, None, None], where=better)
+        value[subsets], pick[subsets] = best, chosen
+    return pick
 
 
-class _SplitSearch:
-    """Dominance-feasible splits of one focus's partners, shared by every alpha.
+def _front_chains(pick: np.ndarray, terms: np.ndarray, h: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``(chains, fronts)`` read off ``_front_dp``'s picks: each state's and
+    alpha's leading groups from the full set down, as (states x alpha x
+    groups) masks padded with 0, and its front sum, ``_front_sum``'s
+    formula on the groups' ``terms`` (C^2 subset sum to the power p): h
+    times the sum of all but the last, added in order from 0.0, plus the
+    last.  Each group writes that sum over the groups so far, so the last
+    group's write stands; the empty set picks itself, 0, with term 0.0, so
+    a finished chain adds nothing."""
+    size, shape = len(pick), pick.shape[1:]
+    pick, terms = pick.reshape(size, -1), terms.reshape(size, -1)
+    each = np.arange(pick.shape[1]).reshape(shape)
+    rest = np.full(shape, size - 1)
+    before, front, chain = np.zeros(shape), np.zeros(shape), []
+    while rest.any():
+        t = pick[rest, each]
+        term = terms[t, each]
+        np.copyto(front, h * before + term, where=t != 0)
+        before = before + term
+        rest = rest ^ t
+        chain.append(t)
+    return np.stack(chain, axis=-1), front
 
-    Subsets of the sorted partners are bit masks.  ``_row(s)`` holds each
-    ``(t, s ^ t)`` whose ``Ca2(t)`` dominates ``Ca2(s ^ t)`` by the rule that
-    ``feasibility`` applies (``_dominates``), in search order, so a
-    feasible grouping of ``s`` is a feasible split followed by a feasible
-    grouping of the rest.  ``splits`` keeps the row of each subset
-    that is reachable from the full set and has a C^2 sum above 0: the full
-    set and every rest of a kept row.  C^2 values are non-negative, so every
-    grouping of a subset whose C^2 sum is 0 reads 0 at every alpha, and the
-    tie rule keeps the whole subset: it is a leaf, with no row, whose rests
-    are not expanded.  When the full set's C^2 sum is 0, as on Haar states
-    at 8 qubits and on GHZ states, ``splits`` is empty and no DP runs: the
-    C^2 subset sums ``c`` are not built (None), no mask is scanned, and no
-    ``_row`` reads the Ca^2 subset sums or ``_split_table``.  ``full`` is
-    the full set's mask.  A rest is a proper sub-mask, so a descending scan
-    reaches each subset after every subset that splits into it, and the
-    rows are kept in ascending order, rests first.
-    """
 
-    def __init__(self, c_sq: Mapping[int, float], ca_sq: Mapping[int, float]):
-        self.partners = tuple(sorted(ca_sq))
-        values = [float(c_sq[q]) for q in self.partners]
-        self.full = (1 << len(values)) - 1
-        self._ca_sq = ca_sq
-        self.splits: dict[int, list[tuple[int, int]]] = {}
-        self.c = _subset_sums(values) if any(values) else None
-        if self.c is None:
-            return
-        reached = [False] * self.full + [True]
-        splits = {}
-        for s in range(self.full, 0, -1):
-            if reached[s] and self.c[s] != 0.0:
-                splits[s] = row = self._row(s)
-                for _, r in row:
-                    reached[r] = True
-        self.splits = dict(reversed(splits.items()))
-
-    @cached_property
-    def _ca(self) -> list[float]:
-        return _subset_sums([self._ca_sq[q] for q in self.partners])
-
-    def _row(self, s: int) -> list[tuple[int, int]]:
-        """The dominance-feasible splits ``(t, s ^ t)`` of ``s``, in search order."""
-        ca = self._ca
-        return [(t, s ^ t) for t in _split_table(len(self.partners))[s]
-                if _dominates(ca[t], ca[s ^ t])]
-
-    def grouping(self, masks: Iterable[int]) -> Grouping:
-        """The grouping whose groups are the given partner masks, in order,
-        shared across states by ``_shared_grouping``."""
-        return _shared_grouping(self.partners, tuple(masks))
-
-    def chain(self, p: float, h: float) -> tuple[int, ...]:
-        """Leading-group masks of the grouping that maximizes the front-weighted
-        C sum at ``p = alpha/2`` and ``h = h_weight(alpha)``; ``grouping``
-        turns them into the grouping."""
-        if not self.splits:  # the full set's C^2 sum is 0: the merged group
-            return (self.full,)
-        return self.best(p, h)[0]
-
-    def best(self, p: float, h: float) -> tuple[tuple[int, ...], float]:
-        """``chain``'s masks and their front-weighted C sum, on a search with
-        splits.
-
-        The front sum is maximized: the DP minimizes its negation.  Each lead
-        is the negated one-group ``_front_sum`` of the subset, inlined, so the
-        chain's terms are its groups' negated leads and its front sum is
-        ``_front_of_terms`` of them, as ``_front_sum`` of its grouped C^2
-        sums would give it: those sums are the subset sums ``c`` at the
-        chain's masks, bit for bit.
-        """
-        lead = [-(v ** p) if v > 0.0 else -0.0 for v in self.c]
-        pick = _chain_dp(self.splits, lead, h)[1]
-        s, chain = self.full, []
-        while s:
-            chain.append(pick[s])
-            s ^= pick[s]
-        return tuple(chain), _front_of_terms([-lead[t] for t in chain], h)
-
-    def certificate(self, chain: tuple[int, ...]) -> OrderingCertificate:
-        """The certificate of a chain of feasible splits, read off the Ca^2
-        subset sums at its masks, which equal the grouping's summed Ca^2
-        values bit for bit."""
-        ca = self._ca
-        return _feasible_certificate(self.grouping(chain), tuple(ca[t] for t in chain))
-
-    def groupings(self):
-        """Every feasible grouping, in ``ordered_groupings`` order."""
-        def walk(s):
-            for t, r in self._row(s):
-                for tail in walk(r):
-                    yield (t,) + tail
-            yield (s,)
-
-        for chain in walk(self.full):
-            yield self.grouping(chain)
+def _chain_certificate(partners: tuple[int, ...], chain: tuple[int, ...],
+                       ca: Sequence[float]) -> OrderingCertificate:
+    """The certificate of a searched chain of feasible splits, with the
+    chain's shared ``Grouping``: read off the Ca^2 subset sums ``ca`` at its
+    masks, which equal the grouping's summed Ca^2 values bit for bit."""
+    return _feasible_certificate(_shared_grouping(partners, chain),
+                                 tuple(map(ca.__getitem__, chain)))
 
 
 def _singleton_certificate(pair_sq: Mapping[int, float]) -> OrderingCertificate | None:
@@ -917,7 +876,11 @@ class StateEvaluator:
     values, each focus's merged group (J's certificate, its Ca^2 and the
     total C^2), jin's certificate and each searched focus's ``front_best``
     column off these caches, once each, and raises every base with one
-    ``np.float_power`` call.  ``np.float_power`` calls the C library's
+    ``np.float_power`` call.  The front columns themselves are searched
+    per chunk too: one chain DP per (chunk, focus, grid) over every state
+    whose focus has a pair C above 0 (``_ChunkPass._fill_fronts``), which
+    leaves each state's column here; a lone ``front_best`` searches as a
+    chunk of one.  ``np.float_power`` calls the C library's
     ``pow``, as Python's ``**`` on floats does, so each value equals the
     per-alpha Python arithmetic bit for bit; ``np.power`` runs numpy's own
     float64 loops, which differ from it by an ulp on about 5% of inputs.
@@ -935,14 +898,14 @@ class StateEvaluator:
     coa_dual is read off it; jin takes the certificate that
     ``sort_descending_then_check`` builds for its descending singleton
     order, once per pass; a searched column reads each chain's certificate
-    off the search's Ca^2 subset sums, once per distinct chain, and each
-    front sum off the chain DP's leads; a focus whose pair C are all 0
-    takes its merged group, with no search built.  Only a canonical
-    grouping is summed afresh, once per column.  Certificates of these
-    groupings, feasible by construction, are built without the dataclass's per-field set-up
-    (``_feasible_certificate``).  The ``Grouping`` objects themselves are
-    shared by every state (``_shared_grouping``).
-    The weights ``(alpha/2, h_weight(alpha))`` are the grid's own
+    off the search's Ca^2 subset sums, once per distinct chain and state,
+    and each front sum off the terms that the chain DP raised; a focus
+    whose pair C are all 0 takes its merged group, with no DP.  Only a
+    canonical grouping is summed afresh, once per column.  Certificates of
+    these groupings, feasible by construction, are built without the
+    dataclass's per-field set-up (``_feasible_certificate``).  The
+    ``Grouping`` objects themselves are shared by every state
+    (``_shared_grouping``).  The weights ``(alpha/2, h_weight(alpha))`` are the grid's own
     (``AlphaGrid.weights``).  Every kept object is immutable or copied on
     the way out, and the state is fixed, so none can go stale; none refers
     back to its evaluator.
@@ -955,26 +918,28 @@ class StateEvaluator:
     * The front sum is searched.  Up to 8 non-focus qubits (``search_mode``)
       one pass solves ``F(S) = max(C2(S)^(a/2), max_T h C2(T)^(a/2) + F(S - T))``
       over the leading groups ``T`` with ``Ca2(T) >= Ca2(S - T)``, without
-      listing the Fubini(m) groupings.  It visits only the subsets ``S``
-      reachable from the full partner set through such splits, with their
-      (subset, leading group) pairs, at most 3^m of them for m partners;
-      the rows and their order are built once per front column and shared
-      by every alpha of its grid.  Values within ``_TIE_TOL`` tie, and a
-      tie keeps the whole subset, then the leading group that comes first
-      by size and then lexicographically, at every subset.  A subset whose
-      C^2 sum is 0 reads 0 under every grouping, so it is kept whole with no
-      row; a focus whose pair C are all 0 takes the merged group with no DP
-      at all.  Above 8 non-focus qubits the front sum takes the merged
-      group, or ``canonical_grouping`` at an alpha where its front sum is
-      strictly larger (the tie rule of the search), by a measured decision.
-      On a 12-qubit Gaussian W-class focus the exact search would cost
-      0.1-0.18 s to build ``_split_table(11)`` once per process, 10-13 ms
-      of split rows and 61-72 ms of DPs for the 40 default alphas (11, 3
-      and 8-14 ms at 10 qubits), against ~6 ms for a whole 12-qubit
-      ``verify``.  The price is tightness: over 30 states per size at 10-12
-      qubits, the exact optimum beats this front sum by up to 0.03-0.07 on
-      GHZ+W states, by up to 0.01 on log-uniform W-class states over 6
-      decades, and not at all on Haar or Gaussian W-class states.
+      listing the Fubini(m) groupings.  It solves every subset ``S`` of the
+      partners by size, over all (subset, leading group) pairs of that
+      size as one array step per position in ``_split_table``'s order,
+      3^m pairs in all for m partners, for every searched state of a
+      chunk and every alpha of its grid at once (``_front_dp``).  Values
+      within ``_TIE_TOL`` tie, and a tie keeps the whole subset, then the
+      leading group that comes first by size and then lexicographically,
+      at every subset.  A subset whose C^2 sum is 0 reads 0 under every
+      grouping, so the tie rule keeps it whole; a focus whose pair C are
+      all 0 takes the merged group with no DP at all.  Above 8 non-focus
+      qubits the front sum takes the merged group, or
+      ``canonical_grouping`` at an alpha where its front sum is strictly
+      larger (the tie rule of the search), by a measured decision.  On a
+      12-qubit Gaussian W-class focus the exact search, as a per-state
+      program over the reachable subsets, would cost 0.1-0.18 s to build
+      ``_split_table(11)`` once per process, 10-13 ms of split rows and
+      61-72 ms of DPs for the 40 default alphas (11, 3 and 8-14 ms at 10
+      qubits), against ~6 ms for a whole 12-qubit ``verify``.  The price
+      is tightness: over 30 states per size at 10-12 qubits, the exact
+      optimum beats this front sum by up to 0.03-0.07 on GHZ+W states, by
+      up to 0.01 on log-uniform W-class states over 6 decades, and not at
+      all on Haar or Gaussian W-class states.
 
     Reported values are always summed over the chosen grouping.
     """
@@ -1043,17 +1008,29 @@ class StateEvaluator:
         """(grouping, ca_grouped, c_grouped) per dominance-feasible ordering.
 
         Lists what the search chooses from, in ``ordered_groupings`` order,
-        by walking the search's feasible split rows from the full partner
-        set, zero-C^2 subsets included; the search itself never builds this
-        list.  The list has up to Fubini(m) entries, so m is capped at 8
-        non-focus qubits.
+        by walking the feasible splits (``_dominates`` on the Ca^2 subset
+        sums) of ``_split_table`` from the full partner set, zero-C^2
+        subsets included; the search itself never builds this list.  The
+        list has up to Fubini(m) entries, so m is capped at 8 non-focus
+        qubits.
         """
         c_sq, ca_sq = self.tables(focus)
         if len(ca_sq) > _MAX_OPT_PARTNERS:
             raise ValueError(f"feasible_groupings caps at {_MAX_OPT_PARTNERS} "
                              f"non-focus qubits, got {len(ca_sq)}")
+        partners = tuple(ca_sq)
+        ca = _subset_sums(np.array(list(ca_sq.values()), dtype=float)).tolist()
+        table = _split_table(len(partners))
+
+        def walk(s):
+            for t in table[s]:
+                if _dominates(ca[t], ca[s ^ t]):
+                    for tail in walk(s ^ t):
+                        yield (t,) + tail
+            yield (s,)
+
         return [(g, _grouped_sums(ca_sq, g), _grouped_sums(c_sq, g))
-                for g in _SplitSearch(c_sq, ca_sq).groupings()]
+                for g in (_shared_grouping(partners, chain) for chain in walk(len(ca) - 1))]
 
     def _certified(self, focus: int, grouping: Grouping) -> Certified:
         """``Certified`` triple of a grouping known to be feasible, summed
@@ -1097,13 +1074,14 @@ class StateEvaluator:
         A float alpha is a grid of one: ``front_best(f, a)`` is
         ``front_best(f, AlphaGrid((a,)))[0]``.  The column is found once per
         (focus, grid values) and kept, as thm2, thm6 and cor1_thm2 share
-        it; each call returns a fresh list.  Building it builds the focus's
-        ``_SplitSearch`` and runs the chain DP once per alpha, unless the
-        focus's pair C are all 0, and certifies each chain it picks once:
-        alphas of the column that pick the same chain share one
-        certificate, and every state shares the ``Grouping`` of a chain.
-        Where each value is read from is told in ``_front_column``; the sum
-        equals, bit for bit, ``_front_sum`` of the grouping's C^2 sums.
+        it; each call returns a fresh list.  A column that is not kept yet
+        is found by the chunk pass's front search as a chunk of one
+        (``_ChunkPass._fill_fronts``): one chain DP over the whole grid,
+        unless the focus's pair C are all 0.  Each chain it picks is
+        certified once: alphas of the column that pick the same chain
+        share one certificate, and every state shares the ``Grouping`` of
+        a chain.  The sum equals, bit for bit, ``_front_sum`` of the
+        grouping's C^2 sums.
         """
         if type(focus) is not int:
             focus = qubit_index(focus, self.psi.num_qubits, "focus")
@@ -1113,55 +1091,31 @@ class StateEvaluator:
         return self._front_column(focus, AlphaGrid((alpha,)))[0]
 
     def _front_column(self, focus: int, grid: AlphaGrid):
-        """``front_best``'s kept column of one focus over one grid.
+        """``front_best``'s kept column of one focus over one grid, found as a
+        chunk of one if it is not kept yet."""
+        column = self._fronts.get((focus, grid.values))
+        if column is None:
+            _ChunkPass((self,), grid)._fill_fronts(focus)
+            column = self._fronts[focus, grid.values]
+        return column
 
-        On a search with splits, ``_SplitSearch.best`` gives each alpha's
-        chain and its front sum, ``_front_of_terms`` of the chain's terms,
-        which the DP's leads already hold as ``(C^2 subset sum)^p``; each
-        distinct chain's certificate is read off the Ca^2 subset sums at its
-        masks (``_SplitSearch.certificate``).  Those subset sums equal the
-        grouping's ``_grouped_sums`` bit for bit, so nothing is summed or
-        raised twice.  A focus whose pair C are all 0 takes the merged
-        group's kept certificate, J's own, with no search built, and its
-        front sum is 0.0, as ``_front_sum`` of the C^2 sum 0.0 gives it.
-        Canonical mode certifies its one grouping per column with
-        ``_certified``, and keeps the merged group unless the canonical
-        front sum is strictly larger; it takes each front sum from
-        ``_front_sum`` of the grouping's C^2 sums.
-        """
-        key = (focus, grid.values)
-        column = self._fronts.get(key)
-        if column is not None:
-            return column
-        c_sq, ca_sq = self.tables(focus)
+    def _canonical_column(self, focus: int, grid: AlphaGrid) -> list[tuple]:
+        """The front column above 8 partners: the canonical grouping,
+        certified once per column with ``_certified``, where its front sum
+        is strictly larger than the merged group's, else the merged group,
+        each front sum from ``_front_sum`` of the grouping's C^2 sums."""
+        merged = self._merged_group(focus)
+        certified = self._certified(focus, canonical_grouping(self.tables(focus)[1]))
         column = []
-        if self.search == "exhaustive" and any(c_sq.values()):
-            search = _SplitSearch(c_sq, ca_sq)
-            certs: dict[tuple[int, ...], OrderingCertificate] = {}
-            for p, h in grid.weights:
-                chain, front = search.best(p, h)
-                cert = certs.get(chain)
-                if cert is None:
-                    cert = certs[chain] = search.certificate(chain)
-                column.append((cert.grouping, cert, front))
-        elif self.search == "exhaustive":
-            # Every grouping of a zero-C focus reads 0 at every alpha, and a
-            # tie keeps the whole set: the merged group.
-            grouping, cert, _ = self._merged_group(focus)
-            column = [(grouping, cert, 0.0)] * len(grid)
-        else:
-            merged = self._merged_group(focus)
-            certified = self._certified(focus, canonical_grouping(ca_sq))
-            for p, h in grid.weights:
-                chosen, front = certified, _front_sum(certified[2], p, h)
-                # The merged group is always feasible: as a tie keeps the
-                # whole subset in the search, it stays unless the canonical
-                # grouping's front sum is strictly larger.
-                merged_front = _front_sum(merged[2], p, h)
-                if not front > merged_front:
-                    chosen, front = merged, merged_front
-                column.append((chosen[0], chosen[1], front))
-        self._fronts[key] = column
+        for p, h in grid.weights:
+            chosen, front = certified, _front_sum(certified[2], p, h)
+            # The merged group is always feasible: as a tie keeps the
+            # whole subset in the search, it stays unless the canonical
+            # grouping's front sum is strictly larger.
+            merged_front = _front_sum(merged[2], p, h)
+            if not front > merged_front:
+                chosen, front = merged, merged_front
+            column.append((chosen[0], chosen[1], front))
         return column
 
     # -- report assembly -----------------------------------------------------
@@ -1435,12 +1389,16 @@ class _ChunkPass:
     alpha-free inputs are gathered once and shared by every bound that
     reads them: each cut's C, N and Schmidt rank, each focus's merged group
     (J's certificate and Ca^2, and the total C^2), jin's certificate and
-    each focus's ``front_best`` column, whose search stays per state.  One
-    ``np.float_power`` call raises every base of the chunk, one take lays
-    out the operands, and the formula runs once for all bounds.  So a chunk
-    costs a fixed number of numpy calls, whatever its size and bounds.  A
-    chunk of one state is the pass that a lone ``evaluate`` call runs, and
-    ``given`` holds a lone call's caller groupings.
+    each focus's ``front_best`` column.  One ``np.float_power`` call raises
+    every base of the chunk, one take lays out the operands, and the
+    formula runs once for all bounds.  So a chunk costs a fixed number of
+    numpy calls, whatever its size and bounds.  The front columns are
+    searched per chunk as well (``_fill_fronts``): one chain DP per front
+    focus over every state that needs it and the whole grid, whose number
+    of array steps depends on the partner count, not on the chunk.  A
+    chunk of one state is the pass that a lone ``evaluate`` or
+    ``front_best`` call runs, and ``given`` holds a lone call's caller
+    groupings.
     """
 
     def __init__(self, evaluators: Sequence[StateEvaluator], grid: AlphaGrid,
@@ -1596,9 +1554,60 @@ class _ChunkPass:
     def _front_columns(self, focus: int) -> list[list[tuple]]:
         columns = self._fronts.get(focus)
         if columns is None:
+            self._fill_fronts(focus)
             columns = self._fronts[focus] = [ev.front_best(focus, self.grid)
                                              for ev in self.evaluators]
         return columns
+
+    def _fill_fronts(self, focus: int) -> None:
+        """Keep on each evaluator that lacks it its front column of ``focus``
+        over the grid (``StateEvaluator._fronts``), for ``front_best`` to
+        read.
+
+        Every state whose focus has a pair C above 0 is searched by one
+        chain DP over (subsets x states x alpha) arrays (``_front_dp``):
+        the C^2 and Ca^2 subset sums are formed for all of them at once
+        (``_subset_sums``), the leads ``-(C^2 sum)^p`` are raised with one
+        ``np.float_power`` call, and the chains and front sums are read off
+        the picks as arrays (``_front_chains``).  Each state then certifies
+        each distinct chain once, off its Ca^2 subset sums, which equal the
+        grouping's ``_grouped_sums`` bit for bit, with the chain's shared
+        ``Grouping``.  A focus whose pair C are all 0 takes the merged
+        group's kept certificate, J's own, with front sum 0.0: every
+        grouping reads 0 at every alpha, and a tie keeps the whole set.
+        Above 8 partners a state takes its canonical column.
+        """
+        key, grid = (focus, self.grid.values), self.grid
+        searched = []
+        for ev in self.evaluators:
+            if key in ev._fronts:
+                continue
+            if ev.search == "canonical":
+                ev._fronts[key] = ev._canonical_column(focus, grid)
+            elif any(ev.tables(focus)[0].values()):
+                searched.append(ev)
+            else:
+                grouping, cert, _ = ev._merged_group(focus)
+                ev._fronts[key] = [(grouping, cert, 0.0)] * len(grid)
+        if not searched:
+            return
+        tables = [ev.tables(focus) for ev in searched]
+        values = np.array([[*c_sq.values(), *ca_sq.values()] for c_sq, ca_sq in tables],
+                          dtype=float)
+        c, ca = _subset_sums(values.reshape(len(tables), 2, -1).T).transpose(1, 0, 2)
+        terms = self._powers(c.T)
+        chains, fronts = _front_chains(_front_dp(-terms, ca, self.h), terms, self.h)
+        partners = tuple(tables[0][1])
+        for ev, ca_sums, rows, row_fronts in zip(searched, ca.T.tolist(), chains.tolist(),
+                                                 fronts.tolist()):
+            certs, column = {}, []
+            for chain, front in zip(map(tuple, rows), row_fronts):
+                cert = certs.get(chain)
+                if cert is None:
+                    cert = certs[chain] = _chain_certificate(
+                        partners, tuple(filter(None, chain)), ca_sums)
+                column.append((cert.grouping, cert, front))
+            ev._fronts[key] = column
 
     def _jin_certs(self, focus: int) -> list[OrderingCertificate | None]:
         """Each state's jin certificate on ``focus``, the caller's or the
@@ -1641,7 +1650,7 @@ def _geometric_sum(terms: np.ndarray, ratio: np.ndarray) -> np.ndarray:
 
 def _front_of_rows(terms: np.ndarray, h: np.ndarray) -> np.ndarray:
     """``h * sum_{i<k} terms[i] + terms[k]`` over the first axis, as
-    ``_front_of_terms``; of one term, that term."""
+    ``_front_sum``; of one term, that term."""
     if len(terms) == 1:
         return terms[0]
     return h * np.add.accumulate(terms[:-1], axis=0)[-1] + terms[-1]
@@ -1717,11 +1726,13 @@ def fill_columns(evaluators: Sequence[StateEvaluator], theorem_ids: Iterable[str
     The evaluators are grouped by qubit count, and each group takes the
     bounds that its size admits in one ``_ChunkPass``: every bound's lhs,
     rhs, slack and verdict are formed as (states x alpha) arrays, from the
-    alpha-free values gathered once for the group.  ``verify`` calls this
-    once and ``sweep`` once per chunk, after ``fill_spectra``; each then
-    asks ``evaluate`` for each (state, bound), which takes the kept columns
-    off the evaluator.  The values equal, bit for bit, those of a chunk of
-    one, which a lone ``evaluate`` computes.
+    alpha-free values gathered once for the group, and each front focus is
+    searched by one chain DP for the group (``_ChunkPass._fill_fronts``),
+    which also leaves the focus's ``front_best`` columns.  ``verify``
+    calls this once and ``sweep`` once per chunk, after ``fill_spectra``;
+    each then asks ``evaluate`` for each (state, bound), which takes the
+    kept columns off the evaluator.  The values equal, bit for bit, those
+    of a chunk of one, which a lone ``evaluate`` computes.
     """
     theorem_ids = tuple(theorem_ids)
     by_size: dict[int, list[StateEvaluator]] = {}

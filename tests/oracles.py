@@ -11,13 +11,18 @@ library does on every Python version.
 ``sweep`` did before it read each bound's rows as columns, and
 ``bound_columns`` is a bound's per-alpha evaluation in Python floats, as
 ``evaluate`` did before a chunk's bounds were evaluated as arrays.
+``front_column`` is one focus's front search per state, one chain DP per
+alpha, as ``front_best`` ran it before a chunk's fronts were searched as
+one (states x alpha) array DP; ``chain_dp`` is that DP.
 """
 
 import math
 from typing import Iterable, Sequence
 
-from entbounds.bounds import (BOUNDS, SLACK_TOL, BoundColumns, _front_sum, _j_sum,
-                              _singleton_certificate, _sum_in_order, h_weight)
+from entbounds.bounds import (_TIE_TOL, BOUNDS, SLACK_TOL, BoundColumns, _dominates,
+                              _feasible_certificate, _front_sum, _j_sum,
+                              _shared_grouping, _singleton_certificate, _split_table,
+                              _sum_in_order, h_weight)
 
 
 def _ordered_sum(values: Iterable[float]) -> float:
@@ -159,3 +164,86 @@ def bound_columns(ev, theorem_id: str, grid, foci=None, groupings=None):
              else [x - r for x, r in zip(lhs, rhs)])
     return BoundColumns(theorem_id, alphas, lhs, rhs, slack,
                         [x >= -SLACK_TOL for x in slack], certs, True)
+
+
+def subset_sums(values: Sequence[float]) -> list[float]:
+    """Sum over every bit mask: the sum of the mask without its top bit, plus
+    that bit's value, so each mask adds its members in ascending position."""
+    sums = [0.0] * (1 << len(values))
+    for s in range(1, len(sums)):
+        top = s.bit_length() - 1
+        sums[s] = sums[s ^ (1 << top)] + values[top]
+    return sums
+
+
+def split_rows(c_sq, ca_sq) -> tuple[list[float], list[float], dict]:
+    """``(c, ca, rows)``: the C^2 and Ca^2 subset sums over the sorted
+    partners, and the dominance-feasible splits ``(t, s ^ t)`` of each subset
+    ``s`` that the full set reaches through such splits and whose C^2 sum is
+    above 0, in ``_split_table`` order, the subsets ascending.  A reached
+    subset whose C^2 sum is 0 is a leaf with no row; when the full set's
+    C^2 sum is 0 there are no rows."""
+    partners = tuple(sorted(ca_sq))
+    c = subset_sums([float(c_sq[q]) for q in partners])
+    ca = subset_sums([ca_sq[q] for q in partners])
+    full = len(c) - 1
+    reached, rows = {full}, {}
+    for s in range(full, 0, -1):
+        if s in reached and c[s] != 0.0:
+            rows[s] = [(t, s ^ t) for t in _split_table(len(partners))[s]
+                       if _dominates(ca[t], ca[s ^ t])]
+            reached.update(r for _, r in rows[s])
+    return c, ca, dict(reversed(rows.items()))
+
+
+def chain_dp(splits, lead: Sequence[float], h: float) -> tuple[list[float], list[int]]:
+    """``(value, pick)`` of the minimal chain over every subset: its value and
+    its leading group.  ``value(s)`` is the smaller of ``lead[s]`` and, over
+    ``(t, r)`` in ``splits[s]``, ``h * lead[t] + value(r)``; a subset with no
+    row is a leaf.  The whole subset is the first candidate and the splits
+    follow in order; a split replaces the running best only when it is
+    lower by more than ``_TIE_TOL``."""
+    value, pick = list(lead), list(range(len(lead)))
+    for s, row in splits.items():
+        best, best_t = lead[s], s
+        for t, r in row:
+            v = h * lead[t] + value[r]
+            if v < best - _TIE_TOL:
+                best, best_t = v, t
+        value[s], pick[s] = best, best_t
+    return value, pick
+
+
+def front_column(c_sq, ca_sq, grid) -> list[tuple]:
+    """One focus's ``(grouping, certificate, front sum)`` per alpha of
+    ``grid``, searched exhaustively for this state alone: the split rows
+    once, then per alpha the chain DP over the negated leads
+    ``-(C^2 subset sum)^p``, the walk from the full set down the picks,
+    the front sum of the chain's terms (h times the sum of all but the
+    last, plus the last; of one group, its term), and each distinct
+    chain's certificate read off the Ca^2 subset sums.  A focus whose pair
+    C are all 0 takes the merged group, front sum 0.0."""
+    partners = tuple(sorted(ca_sq))
+    c, ca, rows = split_rows(c_sq, ca_sq)
+    full = len(c) - 1
+    if not rows:
+        merged = _shared_grouping(partners, (full,))
+        cert = _feasible_certificate(merged, (_sum_in_order(ca_sq[q] for q in partners),))
+        return [(merged, cert, 0.0)] * len(grid)
+    column, certs = [], {}
+    for p, h in grid.weights:
+        lead = [-(v ** p) if v > 0.0 else -0.0 for v in c]
+        pick = chain_dp(rows, lead, h)[1]
+        s, chain = full, []
+        while s:
+            chain.append(pick[s])
+            s ^= pick[s]
+        chain = tuple(chain)
+        cert = certs.get(chain)
+        if cert is None:
+            cert = certs[chain] = _feasible_certificate(_shared_grouping(partners, chain),
+                                                        tuple(ca[t] for t in chain))
+        terms = [-lead[t] for t in chain]
+        front = terms[0] if len(terms) == 1 else h * _sum_in_order(terms[:-1]) + terms[-1]
+        column.append((cert.grouping, cert, front))
+    return column

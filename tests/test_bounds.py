@@ -44,6 +44,7 @@ from entbounds.bounds import (
 from entbounds.gallery import cor_a, cor_b, fig3, ghz, gsd3, thm2_saturating, w, wclass4
 from entbounds.measures import coa_two_qubit, concurrence_pure
 from entbounds.qcore import PureState, haar_random_pure, reduced_density
+from dp_count import DpCount
 from oracles import _front_weighted_sum, _ordered_sum
 
 EV5 = 1 / math.sqrt(5)
@@ -786,11 +787,10 @@ def test_readme_bound_table_matches_the_spec_table():
 
 
 def test_given_groupings_are_never_searched_or_cached(monkeypatch):
-    searches, search = [], bounds_module._SplitSearch
-    monkeypatch.setattr(bounds_module, "_SplitSearch",
-                        lambda c_sq, ca_sq: searches.append(tuple(ca_sq)) or search(c_sq, ca_sq))
+    count = DpCount(monkeypatch)
+    searches = count.runs
     for n in (6, 12):
-        searches.clear()
+        count.clear()
         psi = haar_random_pure(n, 5)
         merged = Grouping.merged(range(1, n))
         ev = StateEvaluator(psi)
@@ -807,7 +807,7 @@ def test_given_groupings_are_never_searched_or_cached(monkeypatch):
         # A focus whose pair C are all 0 takes its merged group unsearched.
         searched = [f for f in (0, 1) if any(ev.tables(f)[0].values())]
         assert searched == {6: [1], 12: []}[n]
-        assert searches == [tuple(q for q in range(n) if q != f) for f in searched
+        assert searches == [([tuple(ev.tables(f)[1].values())], 1) for f in searched
                             if ev.search == "exhaustive"]
     with pytest.raises(ValueError, match="caps at 8"):  # listing stays capped at 8 partners
         ev.feasible_groupings(0)

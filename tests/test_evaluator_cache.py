@@ -45,7 +45,8 @@ from entbounds.measures import (
     negativity_pure_schmidt,
 )
 from entbounds.qcore import _PAIR_NOISE_FLOOR, _RANK_CUTOFF, _YY, haar_random_pure, schmidt_rank
-from oracles import _front_weighted_sum, _geometric_sum, _jin_sum
+from dp_count import DpCount
+from oracles import _front_weighted_sum, _geometric_sum, _jin_sum, front_column
 
 _S = 1 / math.sqrt(5)
 GALLERY_PARAMS = {
@@ -126,16 +127,12 @@ def test_canonical_mode_picks_the_canonical_grouping(n):
                 assert ev.front_best(f, alpha)[0] == canonical_grouping(ca_sq)
 
 
-def _counted_searches(monkeypatch) -> list:
-    """The partners of each ``_SplitSearch`` built from now on, in order."""
-    searches, search = [], bounds._SplitSearch
-    monkeypatch.setattr(bounds, "_SplitSearch",
-                        lambda c_sq, ca_sq: searches.append(tuple(ca_sq)) or search(c_sq, ca_sq))
-    return searches
-
-
-def _partners(n, foci):
-    return [tuple(q for q in range(n) if q != f) for f in foci]
+def _searched_runs(psi, foci):
+    """The chain DP runs that searching ``foci`` of ``psi`` alone makes, as
+    ``DpCount`` keeps them: one per focus with a pair C above 0."""
+    ev = StateEvaluator(psi)
+    return [([tuple(ev.tables(f)[1].values())], len(bounds.AlphaGrid.default()))
+            for f in _searched(psi, foci)]
 
 
 def _searched(psi, foci):
@@ -147,12 +144,13 @@ def _searched(psi, foci):
 
 def test_verify_all_builds_one_search_per_front_focus_and_sorts_once(monkeypatch, capsys):
     """The search and sort work of one ``verify --theorem all``: at 6 qubits
-    one ``_SplitSearch`` per front focus with a pair C above 0 (both foci of
-    the W-class state, neither of the Haar state), which thm2, thm6 and
-    cor1_thm2 share through the kept front column, and one sort, jin's on
-    focus 0.  At 12 qubits the front sum is canonical: no search is built,
-    and each front column sorts once for its canonical grouping."""
-    searches, sorts = _counted_searches(monkeypatch), []
+    one chain DP per front focus with a pair C above 0 (both foci of the
+    W-class state, neither of the Haar state), over the whole grid, which
+    thm2, thm6 and cor1_thm2 share through the kept front column, and one
+    sort, jin's on focus 0.  At 12 qubits the front sum is canonical: no
+    DP runs, and each front column sorts once for its canonical
+    grouping."""
+    count, sorts = DpCount(monkeypatch), []
     sort = bounds.sort_descending_then_check
     monkeypatch.setattr(bounds, "sort_descending_then_check",
                         lambda values: sorts.append(tuple(values)) or sort(values))
@@ -162,13 +160,15 @@ def test_verify_all_builds_one_search_per_front_focus_and_sorts_once(monkeypatch
         n = psi.num_qubits
         if n == 6:
             assert _searched(psi, (0, 1)) == searched
-        searches.clear()
+        count.clear()
         sorts.clear()
         spec = _spec(psi)
         assert cli.main(["verify", "--state", spec, "--theorem", "all"]) == 0
         capsys.readouterr()
-        assert searches == _partners(n, searched), n
-        ev = StateEvaluator(StateSpec.from_dict(json.loads(spec)).build())
+        built = StateSpec.from_dict(json.loads(spec)).build()
+        assert count.runs == count.expected(), n
+        assert count.runs == (_searched_runs(built, searched) if n == 6 else []), n
+        ev = StateEvaluator(built)
         assert sorts == [tuple(ev.tables(f)[1].values()) for f in sorted_foci], n
 
 
@@ -176,22 +176,22 @@ def test_verify_all_builds_one_search_per_front_focus_and_sorts_once(monkeypatch
 def test_only_front_bounds_build_the_split_table(monkeypatch, n):
     front = {tid for tid, spec in BOUNDS.items() if spec.rhs == "front"}
     assert front == {"thm2", "thm6", "cor1_thm2"}
-    searches = _counted_searches(monkeypatch)
+    count = DpCount(monkeypatch)
     psi = haar_random_pure(n, 8300 + n)
     ev = StateEvaluator(psi)
     for tid in sorted(set(THEOREM_IDS) - front):
         if n >= BOUNDS[tid].min_qubits:
             for alpha in (0.0, 0.5, 2.0):
                 ev.evaluate(tid, alpha)
-    assert searches == []
+    assert count.fills == [] and count.runs == []
     searched = _searched(psi, (0, 1))
-    assert searched == {4: (0, 1), 6: (), 9: ()}[n]  # zero-C foci build no search
+    assert searched == {4: (0, 1), 6: (), 9: ()}[n]  # zero-C foci run no DP
     for tid in sorted(front):
         if n >= BOUNDS[tid].min_qubits:
             ev = StateEvaluator(psi)
             ev.evaluate(tid, 0.5)
-            assert searches == _partners(n, searched), tid
-            searches.clear()
+            assert count.runs == [([tuple(ev.tables(f)[1].values())], 1) for f in searched], tid
+            count.clear()
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -305,16 +305,14 @@ def test_front_best_keeps_one_grouping_per_chain(name, psi):
     shared = 0
     for focus in range(psi.num_qubits):
         c_sq, ca_sq = ev.tables(focus)
-        ref = bounds._SplitSearch(c_sq, ca_sq)
         chains = {}
         for alpha in CHAIN_ALPHAS:
-            chain = ref.chain(alpha / 2.0, bounds.h_weight(alpha))
-            g = ref.grouping(chain)
+            g = front_column(c_sq, ca_sq, bounds.AlphaGrid((alpha,)))[0][0]
             term = (g, bounds.OrderingCertificate(g, bounds._grouped_sums(ca_sq, g), True),
                     _front_weighted_sum(bounds._grouped_sums(c_sq, g), alpha))
             best = ev.front_best(focus, alpha)
             assert best == term, (focus, alpha)
-            chains.setdefault(chain, []).append(best[0])
+            chains.setdefault(g, []).append(best[0])
         for groupings in chains.values():
             assert all(g is groupings[0] for g in groupings)
             shared += len(groupings) - 1
@@ -708,7 +706,7 @@ def test_grouped_sums_equal_the_subset_sums_at_their_masks():
         partners = tuple(range(1, m + 1))
         for _ in range(30):
             values = (rng.random(m) * 10.0 ** -rng.integers(0, 12, m)).tolist()
-            sums = bounds._subset_sums(values)
+            sums = bounds._subset_sums(np.array(values)).tolist()
             order = rng.permutation(partners).tolist()
             cuts = sorted(rng.choice(range(1, m), rng.integers(0, m), replace=False).tolist())
             g = Grouping(tuple(tuple(order[i:j]) for i, j in zip([0] + cuts, cuts + [m])))
@@ -847,13 +845,13 @@ def test_verify_sums_no_grouping_twice(monkeypatch, capsys, name, psi, summed):
     once per column: 2 sums for each of foci 0 and 1."""
     fresh, grid = StateEvaluator(psi), bounds.AlphaGrid.default()
     chains = [len({g for g, _, _ in fresh.front_best(f, grid)}) for f in (0, 1)
-              if fresh.search == "exhaustive" and bounds._SplitSearch(*fresh.tables(f)).splits]
+              if fresh.search == "exhaustive" and any(fresh.tables(f)[0].values())]
     sums, certified = [], []
-    grouped_sums, certificate = bounds._grouped_sums, bounds._SplitSearch.certificate
+    grouped_sums, certificate = bounds._grouped_sums, bounds._chain_certificate
     monkeypatch.setattr(bounds, "_grouped_sums",
                         lambda pair_sq, g: sums.append(g) or grouped_sums(pair_sq, g))
-    monkeypatch.setattr(bounds._SplitSearch, "certificate",
-                        lambda self, chain: certified.append(chain) or certificate(self, chain))
+    monkeypatch.setattr(bounds, "_chain_certificate",
+                        lambda *args: certified.append(args[1]) or certificate(*args))
     amps = psi.amplitudes
     spec = json.dumps({"kind": "amplitudes", "n": psi.num_qubits,
                        "re": amps.real.tolist(), "im": amps.imag.tolist()})

@@ -18,10 +18,11 @@ import pytest
 
 from entbounds import cli
 from entbounds.bounds import (BOUNDS, SLACK_TOL, AlphaGrid, BoundColumns, BoundReport,
-                              Grouping, StateEvaluator, _descending_singletons, _SplitSearch)
+                              Grouping, StateEvaluator, _descending_singletons, _shared_grouping)
 from entbounds.gallery import StateSpec
 from entbounds.qcore import PureState, haar_random_pure
 
+from dp_count import DpCount
 from oracles import (_apow, _front_weighted_sum, _geometric_sum, _jin_sum, _ordered_sum,
                      sweep_tally)
 
@@ -405,39 +406,45 @@ def test_no_two_returned_columns_share_a_list():
     assert [len(ev.front_best(f, grid)) for f in (0, 1)] == [len(grid)] * 2
 
 
-def test_each_focus_runs_one_dp_per_alpha_whatever_the_front_bounds(monkeypatch):
-    """thm2, thm6 and cor1_thm2 share one front column per (focus, grid):
-    ``_chain_dp`` runs once per (focus, alpha) per state, and each front
-    bound asks ``front_best`` once per focus per grid call."""
-    import entbounds.bounds as bounds
-
-    dp_runs, front_calls = [], []
-    real_dp, real_front = bounds._chain_dp, StateEvaluator.front_best
-
-    def counted_dp(*args):
-        dp_runs.append(args[2])
-        return real_dp(*args)
+def test_each_focus_runs_one_dp_per_chunk_whatever_the_front_bounds(monkeypatch, capsys):
+    """thm2, thm6 and cor1_thm2 share one front column per (state, focus,
+    grid): the chunk's front search runs one chain DP per (chunk, focus)
+    over the whole grid, and each state's column is read through
+    ``front_best`` once per focus, whichever front bounds are asked for.
+    On the ``sweep`` path at 5 qubits two chunks (16 and 4 states) run at
+    most two DPs each; a lone evaluator (W-class at 6 and 8 qubits, where
+    both foci are searched) runs one per focus for every bound."""
+    front_calls = []
+    real_front = StateEvaluator.front_best
 
     def counted_front(self, focus, alpha):
         front_calls.append(focus)
         return real_front(self, focus, alpha)
 
-    monkeypatch.setattr(bounds, "_chain_dp", counted_dp)
+    count = DpCount(monkeypatch)
     monkeypatch.setattr(StateEvaluator, "front_best", counted_front)
-    grid = AlphaGrid.default()
     fronts = [tid for tid, spec in BOUNDS.items() if spec.rhs == "front"]
     assert fronts == ["thm2", "thm6", "cor1_thm2"]
+    for theorems in ("thm2", "thm6", "thm2,thm6", "all"):
+        count.clear()
+        front_calls.clear()
+        assert cli.main(["sweep", "--qubits", "5", "--samples", "20", "--theorem", theorems]) == 0
+        capsys.readouterr()
+        assert [(len(evs), focus) for evs, focus, _ in count.fills] == [
+            (16, 0), (16, 1), (4, 0), (4, 1)], theorems
+        assert count.runs == count.expected() and 2 <= len(count.runs) <= 4, theorems
+        assert front_calls == [0] * 16 + [1] * 16 + [0] * 4 + [1] * 4, theorems
+    grid = AlphaGrid.default()
     for n in (6, 8):
         ev = StateEvaluator(_state("wclass-log6", n))
-        assert all(_SplitSearch(*ev.tables(f)).splits for f in (0, 1))  # both foci run the DP
-        dp_runs.clear()
+        assert all(any(ev.tables(f)[0].values()) for f in (0, 1))  # both foci are searched
+        count.clear()
         for repeat in range(2):
             front_calls.clear()
             for tid in BOUNDS:
                 ev.evaluate(tid, grid)
             assert front_calls == [0, 1] * len(fronts)
-        assert len(dp_runs) == 2 * len(grid)
-        assert dp_runs == [h for _, h in grid.weights] * 2
+        assert count.runs == [([tuple(ev.tables(f)[1].values())], len(grid)) for f in (0, 1)]
 
 
 def test_a_shared_chain_grouping_equals_a_fresh_one():
@@ -457,13 +464,12 @@ def test_a_shared_chain_grouping_equals_a_fresh_one():
                 merged = ev._merged_group(focus)[0]
                 assert merged == Grouping.merged(partners) and str(merged) == \
                     ",".join(map(str, partners))
-                search = _SplitSearch(*ev.tables(focus))
                 for grouping, _, _ in ev.front_best(focus, grid):
                     fresh = Grouping(tuple(tuple(g) for g in grouping.groups))
                     assert grouping == fresh and str(grouping) == str(fresh)
                     masks = tuple(sum(1 << partners.index(q) for q in g)
                                   for g in grouping.groups)
-                    assert search.grouping(masks) is grouping
+                    assert _shared_grouping(partners, masks) is grouping
                     picked.setdefault((partners, masks), set()).add(id(grouping))
                 order = _descending_singletons(ev.tables(focus)[1])
                 if order is not None:

@@ -11,23 +11,25 @@ first.  J is not searched: the merged group must reach the oracle's least
 J, as the paper's Lemma says.
 
 Brute force stops at 7 qubits.  At 8 and 9, and on the ``ORACLE`` states
-from 3 to 9 qubits, the front-sum search, which builds rows only for the
-reachable subsets with a C^2 sum above 0, is checked against
-``_FullTable``: the bottom-up scan over every subset, zero-C^2 ones
-included, kept here as the reference.
+from 3 to 9 qubits, the front-sum search is checked against ``_FullTable``:
+the bottom-up scan over every subset, zero-C^2 ones included, kept here as
+the reference.  So are the split rows of ``oracles.front_column``, the
+per-state search, which builds rows only for the reachable subsets with a
+C^2 sum above 0.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from entbounds import cli
 from entbounds.bounds import (
     _TIE_TOL,
     BOUNDS,
     FEAS_TOL,
-    _SplitSearch,
     AlphaGrid,
     Grouping,
     OrderingCertificate,
@@ -35,7 +37,6 @@ from entbounds.bounds import (
     _front_sum,
     _grouped_sums,
     _split_table,
-    _subset_sums,
     canonical_grouping,
     feasibility,
     h_weight,
@@ -43,7 +44,9 @@ from entbounds.bounds import (
 )
 from entbounds.gallery import FAMILIES, ghz, named, w
 from entbounds.qcore import PureState, haar_random_pure
-from oracles import _apow, _front_weighted_sum, _geometric_sum, _jin_sum, _ordered_sum
+from dp_count import DpCount
+from oracles import (_apow, _front_weighted_sum, _geometric_sum, _jin_sum, _ordered_sum,
+                     front_column, split_rows, subset_sums)
 
 ALPHAS = (0.0, 0.25, 1.0, 1.7, 2.0)
 
@@ -159,8 +162,8 @@ class _FullTable:
 
     def __init__(self, c_sq, ca_sq):
         self.partners = tuple(sorted(ca_sq))
-        self.c = _subset_sums([c_sq[q] for q in self.partners])
-        ca = _subset_sums([ca_sq[q] for q in self.partners])
+        self.c = subset_sums([c_sq[q] for q in self.partners])
+        ca = subset_sums([ca_sq[q] for q in self.partners])
         self.rows = [[(t, s ^ t) for t in subs if ca[t] >= ca[s ^ t] - FEAS_TOL]
                      for s, subs in enumerate(_split_table(len(self.partners)))]
 
@@ -255,7 +258,7 @@ def test_reachable_search_matches_the_full_table(name, psi):
     for focus in range(n):
         c_sq, ca_sq = ev.tables(focus)
         ref = _FullTable(c_sq, ca_sq)
-        splits = _SplitSearch(*ev.tables(focus)).splits
+        splits = split_rows(c_sq, ca_sq)[2]
         assert splits == {s: ref.rows[s] for s in ref.reachable()}, focus
         for alpha in (0.0, 0.05, 0.25, 1.0, 1.37, 2.0):
             g = ref.best(alpha)[0]
@@ -266,22 +269,26 @@ def test_reachable_search_matches_the_full_table(name, psi):
             assert ev.feasible_groupings(focus) == [
                 (g, _grouped_sums(ca_sq, g), _grouped_sums(c_sq, g)) for g in ref.groupings()]
     if name.startswith("haar3_zeros"):  # a |0> focus has every pair C at 0
-        assert _SplitSearch(*ev.tables(n - 1)).splits == {}
+        assert split_rows(*ev.tables(n - 1))[2] == {}
 
 
 def test_only_reachable_subsets_get_a_split_row():
     """Two W-class blocks: focus 0's partners in the other block have C = 0, so
-    the rests made of them are leaves with no row."""
+    the rests made of them are leaves with no row in the per-state search.
+    The chunk DP, which solves every subset, picks the same front column."""
     psi = PureState.from_amplitudes(np.kron(_random_wclass(4, 3).amplitudes,
                                             _random_wclass(4, 4).amplitudes))
-    search = _SplitSearch(*StateEvaluator(psi).tables(0))
-    splits, full = search.splits, 2 ** 7 - 1
+    ev = StateEvaluator(psi)
+    c, _, splits = split_rows(*ev.tables(0))
+    full = 2 ** 7 - 1
     assert full in splits and len(splits) < 2 ** 7
-    assert all(search.c[s] > 0.0 for s in splits)
+    assert all(c[s] > 0.0 for s in splits)
     rests = {r for row in splits.values() for _, r in row}
-    assert all(r in splits or search.c[r] == 0.0 for r in rests)
-    assert any(search.c[r] == 0.0 for r in rests)
+    assert all(r in splits or c[r] == 0.0 for r in rests)
+    assert any(c[r] == 0.0 for r in rests)
     assert list(splits) == sorted(splits)
+    grid = AlphaGrid((0.0, 0.05, 0.25, 1.0, 1.37, 2.0))
+    assert ev.front_best(0, grid) == front_column(*ev.tables(0), grid)
 
 
 def _haar_times_qubit(n, seed):
@@ -311,7 +318,7 @@ def test_chain_equals_the_full_row_dp(name, psi):
     ev = StateEvaluator(psi)
     for focus in _oracle_foci(psi.num_qubits):
         ref = _FullTable(*ev.tables(focus))
-        splits = _SplitSearch(*ev.tables(focus)).splits
+        splits = split_rows(*ev.tables(focus))[2]
         assert splits == {s: ref.rows[s] for s in ref.reachable()}, focus
         for alpha in ORACLE_ALPHAS:
             g, v = ref.best(alpha)
@@ -326,54 +333,72 @@ def test_oracle_states_hold_every_kind_of_focus():
     for _, psi in ORACLE:
         ev = StateEvaluator(psi)
         for focus in _oracle_foci(psi.num_qubits):
-            search = _SplitSearch(*ev.tables(focus))
-            leaves = any(search.c[r] == 0.0 for row in search.splits.values() for _, r in row)
-            kinds.add("all" if not search.splits else "some" if leaves else "none")
+            c, _, splits = split_rows(*ev.tables(focus))
+            leaves = any(c[r] == 0.0 for row in splits.values() for _, r in row)
+            kinds.add("all" if not splits else "some" if leaves else "none")
     assert kinds == {"all", "some", "none"}
 
 
-SWEEP_ALPHAS = tuple(0.25 * k for k in range(1, 9))
+def _run(argv, capsys):
+    assert cli.main(argv) == 0
+    capsys.readouterr()
 
 
-def _dp_runs(monkeypatch, psi, focus):
-    """``_chain_dp`` calls while one focus's front grouping is found at 8 alphas,
-    with the focus's pair C and the evaluator."""
-    import entbounds.bounds as bounds
-
-    calls = []
-    real = bounds._chain_dp
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(bounds, "_chain_dp", counted)
-    ev = StateEvaluator(psi)
-    c_sq = ev.tables(focus)[0]
-    for alpha in SWEEP_ALPHAS:
-        ev.front_best(focus, alpha)
-    return c_sq, len(calls), ev
+def _amplitude_spec(psi):
+    amps = psi.amplitudes
+    return json.dumps({"kind": "amplitudes", "n": psi.num_qubits,
+                       "re": amps.real.tolist(), "im": amps.imag.tolist()})
 
 
 @pytest.mark.parametrize("name,psi,foci", [
     ("ghz6", ghz(6), range(6)),
-    ("haar8", haar_random_pure(8, 6200), (0, 1, 7))])
-def test_zero_c_foci_run_no_dp(name, psi, foci, monkeypatch):
+    ("haar8", haar_random_pure(8, 6200), (0, 1, 7)),
+    ("canonical10", haar_random_pure(10, 6210), (0, 1))])
+def test_zero_c_foci_run_no_dp(name, psi, foci, monkeypatch, capsys):
+    """A chunk whose front foci have pair C all 0 runs no chain DP: ``verify``
+    on GHZ, and a ``sweep`` chunk of 16 Haar states at 8 qubits.  Neither
+    does a chunk in canonical mode (10 qubits), whatever its pair C.  A
+    zero-C focus takes its merged group."""
+    count = DpCount(monkeypatch)
+    n = psi.num_qubits
+    if name == "ghz6":
+        _run(["verify", "--state", _amplitude_spec(psi), "--theorem", "all"], capsys)
+    else:
+        _run(["sweep", "--qubits", str(n), "--samples", "16", "--seed", "62",
+              "--theorem", "all"], capsys)
+    assert [focus for _, focus, _ in count.fills] == [0, 1]
+    assert count.runs == [] and count.expected() == []
+    ev = StateEvaluator(psi)
     for focus in foci:
-        c_sq, runs, ev = _dp_runs(monkeypatch, psi, focus)
+        c_sq = ev.tables(focus)[0]
+        if ev.search == "canonical":
+            assert ev.front_best(focus, 1.0)[0] == canonical_grouping(ev.tables(focus)[1])
+            continue
         assert not any(c_sq.values()), focus
-        assert _SplitSearch(*ev.tables(focus)).splits == {}, focus
-        assert runs == 0, focus
         assert ev.front_best(focus, 1.0)[0] == Grouping.merged(sorted(c_sq)), focus
+    assert count.runs == []
 
 
-def test_alpha_dependent_foci_run_the_dp_once_per_alpha(monkeypatch):
-    c_sq, runs, _ = _dp_runs(monkeypatch, _random_wclass(6, 6300), 0)
-    assert all(c_sq.values())
-    assert runs == len(SWEEP_ALPHAS)
-    c_sq, runs, _ = _dp_runs(monkeypatch, _haar_times_qubit(6, 0), 0)
-    assert any(c_sq.values()) and not all(c_sq.values())
-    assert runs == len(SWEEP_ALPHAS)
+def test_alpha_dependent_foci_run_one_dp_per_chunk(monkeypatch, capsys):
+    """``sweep`` runs one chain DP per (chunk, front focus, grid), over the
+    chunk's states whose focus has a pair C above 0 and over the whole
+    grid, not one per (state, alpha).  At 4 qubits each of three chunks
+    (16, 16 and 3 states) searches foci 0 and 1; at 5 qubits the first
+    chunk mixes searched and zero-C foci, and the second is a chunk of
+    one."""
+    count = DpCount(monkeypatch)
+    _run(["sweep", "--qubits", "4", "--samples", "35", "--theorem", "all"], capsys)
+    assert [focus for _, focus, _ in count.fills] == [0, 1] * 3
+    assert [len(evs) for evs, _, _ in count.fills] == [16, 16, 16, 16, 3, 3]
+    assert count.runs == count.expected()
+    assert len(count.runs) == 6 and all(alphas == 8 for _, alphas in count.runs)
+    count.clear()
+    _run(["sweep", "--qubits", "5", "--samples", "17", "--theorem", "all"], capsys)
+    assert [len(evs) for evs, _, _ in count.fills] == [16, 16, 1, 1]
+    assert count.runs == count.expected()
+    assert all(0 < len(states) < 16 for states, _ in count.runs[:2])  # mixed chunks
+    assert len(count.runs) == 2 + sum(any(evs[0].tables(f)[0].values())
+                                      for evs, f, _ in count.fills[2:])
 
 
 @pytest.mark.parametrize("n", range(4, 13))
@@ -455,29 +480,33 @@ def test_searched_front_chains_pass_feasibility(ensemble):
 
 @pytest.mark.parametrize("psi", [ghz(6), haar_random_pure(7, 3)], ids=["ghz6", "haar7"])
 def test_a_zero_c_focus_builds_no_split_work(monkeypatch, psi):
-    """A focus whose pair C^2 sum is 0 takes the merged group with no DP: its
-    search builds no subset sums (C^2 or Ca^2) and reads no split table,
-    until ``feasible_groupings`` walks its rows, which it lists unchanged."""
+    """A focus whose pair C^2 sum is 0 takes the merged group with no DP: no
+    subset sums (C^2 or Ca^2) are built, and neither the split table nor
+    its index arrays are read, until ``feasible_groupings`` walks the
+    focus's feasible splits, which it lists unchanged from the Ca^2 sums
+    alone."""
     import entbounds.bounds as bounds
 
-    read, summed = [], []
-    table, subset_sums = bounds._split_table, bounds._subset_sums
+    read, summed, dps = [], [], []
+    table, layers, subset_sums = bounds._split_table, bounds._split_layers, bounds._subset_sums
+    front_dp = bounds._front_dp
     monkeypatch.setattr(bounds, "_split_table", lambda m: read.append(m) or table(m))
+    monkeypatch.setattr(bounds, "_split_layers",
+                        lambda m: read.append(("layers", m)) or layers(m))
     monkeypatch.setattr(bounds, "_subset_sums",
-                        lambda values: summed.append(list(values)) or subset_sums(values))
+                        lambda values: summed.append(values.tolist()) or subset_sums(values))
+    monkeypatch.setattr(bounds, "_front_dp", lambda *args: dps.append(args) or front_dp(*args))
     ev = StateEvaluator(psi)
     for alpha in (0.05, 1.0, 2.0):
         ev.evaluate("thm2", alpha)
-    ev.evaluate("thm2", AlphaGrid((0.0, 0.5, 2.0)))
+    grid = AlphaGrid((0.0, 0.5, 2.0))
+    ev.evaluate("thm2", grid)
     for focus in (0, 1):
-        search = _SplitSearch(*ev.tables(focus))
-        assert sum(ev.tables(focus)[0].values()) == 0.0 and search.splits == {}
-        assert "_ca" not in vars(search) and search.c is None
-        assert search.full == 2 ** (psi.num_qubits - 1) - 1
-        assert search.chain(0.5, h_weight(1.0)) == (search.full,)
-    assert read == [] and summed == []
+        assert sum(ev.tables(focus)[0].values()) == 0.0
+        assert ev.front_best(focus, grid) == [ev._merged_group(focus)[:2] + (0.0,)] * len(grid)
+    assert read == [] and summed == [] and dps == []
     assert ev.feasible_groupings(0) == _feasible(*ev.tables(0))[0]
-    assert set(read) == {psi.num_qubits - 1}
+    assert read == [psi.num_qubits - 1] and dps == []
     assert summed == [[ev.tables(0)[1][q] for q in sorted(ev.tables(0)[1])]]  # the Ca^2 sums
 
 
