@@ -102,14 +102,16 @@ def test_chunk_fronts_equal_the_per_state_oracle(n, size):
 
 
 def test_a_mixed_chunk_equals_the_oracle_focus_by_focus():
-    """One 7-qubit chunk whose foci are zero-C on some states (GHZ), reach
-    zero-C leaves on others (a Haar block times |0...0>), and reach none
-    on the rest; the states' reachable rows differ.  Each focus's columns
-    equal the oracle whichever states share the chunk."""
+    """One 7-qubit chunk whose foci are zero-C on some states (GHZ), have a
+    row for the full set only, every rest a zero-C leaf, on others (a Haar
+    pair times |0...0>), reach zero-C leaves further down on others (a
+    larger Haar block times |0...0>), and reach none on the rest; the
+    states' reachable rows differ.  Each focus's columns equal the oracle
+    whichever states share the chunk."""
     n = 7
     states = [ghz(n), _state("haar-zeros", n, 3701), _state("wclass-log6", n, 3702),
-              haar_random_pure(n, 3703), _state("ghz-w", n, 3704), _state("haar-zeros", n, 3706),
-              _state("wclass-log6", n, 3708)]
+              _state("haar-zeros", n, 3703), _state("ghz-w", n, 3704),
+              _state("haar-zeros", n, 3706), _state("wclass-log6", n, 3708)]
     grid = GRIDS[0]
     kinds, reach = set(), set()
     for focus in range(n):
@@ -120,9 +122,10 @@ def test_a_mixed_chunk_equals_the_oracle_focus_by_focus():
             _assert_same(column, front_column(c_sq, ca_sq, grid), (focus, ev.psi.num_qubits))
             c, _, rows = split_rows(c_sq, ca_sq)
             leaves = any(c[r] == 0.0 for row in rows.values() for _, r in row)
-            kinds.add("zero_c" if not rows else "leaves" if leaves else "no_leaves")
+            kinds.add("zero_c" if not rows else "leaf_only" if len(rows) == 1 and leaves
+                      else "leaves" if leaves else "no_leaves")
             reach.add(tuple(rows))
-    assert kinds == {"zero_c", "leaves", "no_leaves"}
+    assert kinds == {"zero_c", "leaf_only", "leaves", "no_leaves"}
     assert len(reach) > 3
 
 
