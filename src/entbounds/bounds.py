@@ -880,8 +880,8 @@ class StateEvaluator:
     per chunk too: one chain DP per (chunk, focus, grid) over every state
     whose focus has a pair C above 0 (``_ChunkPass._fill_fronts``), which
     leaves each state's column here; a lone ``front_best`` searches as a
-    chunk of one.  ``np.float_power`` calls the C library's
-    ``pow``, as Python's ``**`` on floats does, so each value equals the
+    chunk of one.  ``np.float_power`` calls the C library's ``pow``, as
+    Python's ``**`` on floats does, so each value equals the
     per-alpha Python arithmetic bit for bit; ``np.power`` runs numpy's own
     float64 loops, which differ from it by an ulp on about 5% of inputs.
     With ``groupings=`` the caller's checked groupings take the place of
@@ -905,10 +905,10 @@ class StateEvaluator:
     these groupings, feasible by construction, are built without the
     dataclass's per-field set-up (``_feasible_certificate``).  The
     ``Grouping`` objects themselves are shared by every state
-    (``_shared_grouping``).  The weights ``(alpha/2, h_weight(alpha))`` are the grid's own
-    (``AlphaGrid.weights``).  Every kept object is immutable or copied on
-    the way out, and the state is fixed, so none can go stale; none refers
-    back to its evaluator.
+    (``_shared_grouping``).  The weights ``(alpha/2, h_weight(alpha))``
+    are the grid's own (``AlphaGrid.weights``).  Every kept object is
+    immutable or copied on the way out, and the state is fixed, so none
+    can go stale; none refers back to its evaluator.
 
     * ``J`` takes the merged group.  The paper's Lemma gives
       ``(x + y)^p <= x^p + h y^p`` for ``x >= y``, ``p = a/2``; applied from
