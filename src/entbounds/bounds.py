@@ -9,21 +9,26 @@ weighting relies on: every group's squared assistance value must be at least
 the sum over all later groups.
 
 Each bound id has one ``BoundSpec`` row in ``BOUNDS``, and only
-``StateEvaluator.evaluate`` computes a bound.  Its ``groupings=`` argument
-picks the grouping provider.  None takes each focus's best grouping: the
-merged group for the geometric sum J (exact by the paper's Lemma), the
-descending singleton order for jin, and a search for the front sum.
-Explicit groupings, which the public ``thm*``/``jin``/``cor*`` functions
-pass, are checked and used as given.
+``StateEvaluator.evaluate`` computes a bound.  The paper states every bound
+for any dominance-feasible ordered grouping, and ``evaluate``'s
+``groupings=`` argument only picks which grouping each focus feeds in.
+None takes each focus's best grouping: the merged group for the geometric
+sum J (exact by the paper's Lemma), the descending singleton order for
+jin, and a search for the front sum.  Explicit groupings, which the public
+``thm*``/``jin``/``cor*`` functions pass, are checked and fed in as they
+are.
 
 ``evaluate`` and ``fill_columns`` compute every bound that reads alpha in
 one array pass over a chunk of states (``_ChunkPass``): each rhs is one
-formula of eight rows of (states x alpha) values (``_recipe``), raised with
-``np.float_power`` so that every value equals the per-alpha Python
-arithmetic bit for bit.  The pass also searches each front focus of the
-chunk with one chain DP over (subsets x states x alpha) arrays
-(``_front_dp``), and applies ``_front_sum``'s formula to the terms that the
-DP has already raised (``_front_chains``).  The scalar kernels ``_j_sum``
+formula of eight rows of (states x alpha) values (``_recipe``), and one
+``np.float_power`` call raises every row's base, each group term of J and
+jin among them, so that every value equals the per-alpha Python arithmetic
+bit for bit.  Best and caller groupings read the same row kinds; a focus's
+grouping only sets how many group terms its J and front sum add.  The pass
+also searches each front focus of the chunk with one chain DP over
+(subsets x states x alpha) arrays (``_front_dp``), and applies
+``_front_sum``'s formula to the terms that the DP has already raised
+(``_front_chains``).  The scalar kernels ``_j_sum``
 and ``_front_sum`` remain for ``j_best`` and the canonical front column.
 The dominance precondition has one test, ``_dominates``, which the front
 search and ``feasibility`` both read, on floats and on arrays.
@@ -879,13 +884,17 @@ class StateEvaluator:
     ``np.float_power`` call.  The front columns themselves are searched
     per chunk too: one chain DP per (chunk, focus, grid) over every state
     whose focus has a pair C above 0 (``_ChunkPass._fill_fronts``), which
-    leaves each state's column here; a lone ``front_best`` searches as a
-    chunk of one.  ``np.float_power`` calls the C library's ``pow``, as
-    Python's ``**`` on floats does, so each value equals the
-    per-alpha Python arithmetic bit for bit; ``np.power`` runs numpy's own
-    float64 loops, which differ from it by an ulp on about 5% of inputs.
-    With ``groupings=`` the caller's checked groupings take the place of
-    J's certificates and of the searched fronts.  Six dicts are kept: the
+    leaves each state's column here.  A lone ``front_best`` searches as a
+    chunk of one; a column that needs no DP, in canonical mode or on a
+    focus whose pair C are all 0, is kept with no pass built
+    (``_keeps_front``).  ``np.float_power`` calls the C library's ``pow``,
+    as Python's ``**`` on floats does, so each value equals the per-alpha
+    Python arithmetic bit for bit; ``np.power`` runs numpy's own float64
+    loops, which differ from it by an ulp on about 5% of inputs.  With
+    ``groupings=`` the pass reads the same rows, from the caller's checked
+    groupings instead of these caches: they are its J and jin
+    certificates and its front groupings, and it keeps them itself, so
+    nothing here changes.  Six dicts are kept: the
     pair values (``_pairs``), the focus tables (``_tables``), the cut values
     (``_cuts``), each focus's merged-group ``Certified`` triple (grouping,
     certificate, grouped C sums; ``_merged``), ``front_best``'s column per
@@ -1076,8 +1085,9 @@ class StateEvaluator:
         (focus, grid values) and kept, as thm2, thm6 and cor1_thm2 share
         it; each call returns a fresh list.  A column that is not kept yet
         is found by the chunk pass's front search as a chunk of one
-        (``_ChunkPass._fill_fronts``): one chain DP over the whole grid,
-        unless the focus's pair C are all 0.  Each chain it picks is
+        (``_ChunkPass._fill_fronts``): one chain DP over the whole grid.  In
+        canonical mode, or when the focus's pair C are all 0, the column
+        needs no DP and is kept with no pass built.  Each chain it picks is
         certified once: alphas of the column that pick the same chain
         share one certificate, and every state shares the ``Grouping`` of
         a chain.  The sum equals, bit for bit, ``_front_sum`` of the
@@ -1091,13 +1101,32 @@ class StateEvaluator:
         return self._front_column(focus, AlphaGrid((alpha,)))[0]
 
     def _front_column(self, focus: int, grid: AlphaGrid):
-        """``front_best``'s kept column of one focus over one grid, found as a
-        chunk of one if it is not kept yet."""
+        """``front_best``'s kept column of one focus over one grid; a column
+        that needs the chain DP is found as a chunk of one."""
         column = self._fronts.get((focus, grid.values))
         if column is None:
-            _ChunkPass((self,), grid)._fill_fronts(focus)
+            if not self._keeps_front(focus, grid):
+                _ChunkPass((self,), grid)._fill_fronts(focus)
             column = self._fronts[focus, grid.values]
         return column
+
+    def _keeps_front(self, focus: int, grid: AlphaGrid) -> bool:
+        """Whether the front column of ``focus`` over ``grid`` is kept, once
+        a column that needs no chain DP is: above 8 partners the canonical
+        column, and for a focus whose pair C are all 0 the merged group's
+        kept certificate, J's own, with front sum 0.0 at every alpha, as
+        every grouping reads 0 and a tie keeps the whole set."""
+        key = (focus, grid.values)
+        if key in self._fronts:
+            return True
+        if self.search == "canonical":
+            self._fronts[key] = self._canonical_column(focus, grid)
+        elif any(self.tables(focus)[0].values()):
+            return False
+        else:
+            grouping, cert, _ = self._merged_group(focus)
+            self._fronts[key] = [(grouping, cert, 0.0)] * len(grid)
+        return True
 
     def _canonical_column(self, focus: int, grid: AlphaGrid) -> list[tuple]:
         """The front column above 8 partners: the canonical grouping,
@@ -1164,20 +1193,21 @@ class StateEvaluator:
         alpha once (a grid checked its values when it was built), then the
         foci, then the caller's groupings.  The columns that ``fill_columns``
         left for this bound are then taken off the evaluator and returned,
-        if they are for these foci and grid values; otherwise the bound is computed by the same
-        array pass as a chunk of one state (``_ChunkPass``), from the
-        evaluator's kept alpha-free values: J and jin by the geometric sum,
-        and each lead term by the front sum, from a total C^2 as one group,
-        from a caller's grouping or, for a searched front, through
-        ``front_best`` per (focus, grid).  The pass raises with
-        ``np.float_power``, the C library's ``pow`` that Python's ``**``
-        calls, so every value equals the per-alpha Python arithmetic bit for
-        bit.  thm3, thm7 and cor1_thm3 lead with each focus's total C^2 as
-        one group, and report the winning focus's J certificate, as caller
-        front bounds do.  Otherwise ``groupings`` holds one grouping per
-        focus; each must cover its focus's partners and pass the dominance
-        check (else ``InfeasibleGroupingError``), and it is never searched
-        or kept.
+        if no groupings are given and they are for these foci and grid
+        values; otherwise the bound is computed by the same array pass as a
+        chunk of one state (``_ChunkPass``): J and jin by the geometric sum
+        of their group terms, and each lead term by the front sum, from a
+        total C^2 as one group or from the focus's front grouping, searched
+        through ``front_best`` per (focus, grid) or the caller's.  The pass
+        raises with ``np.float_power``, the C library's ``pow`` that
+        Python's ``**`` calls, so every value equals the per-alpha Python
+        arithmetic bit for bit.  thm3, thm7 and cor1_thm3 lead with each
+        focus's total C^2 as one group, and report the winning focus's J
+        certificate.  ``groupings`` is None, for each focus's best grouping,
+        or one grouping per focus; each must cover its focus's partners and
+        pass the dominance check (else ``InfeasibleGroupingError``).  A
+        caller's grouping is its focus's J, jin and front grouping alike,
+        and is never searched or kept.
         """
         spec = BOUNDS.get(theorem_id)
         if spec is None:
@@ -1186,12 +1216,13 @@ class StateEvaluator:
         if not grid:
             h_weight(alpha)  # checks alpha
         foci = self._foci(theorem_id, spec, foci)
-        given = None if groupings is None else self._given(theorem_id, spec, foci, groupings)
-        bound = ((theorem_id, foci, given is not None),)
+        given = () if groupings is None else tuple(
+            zip(foci, self._given(theorem_id, spec, foci, groupings)))
+        bound = ((theorem_id, foci),)
         if not grid:
             return _ChunkPass((self,), AlphaGrid((alpha,)), given).columns(
                 bound, (alpha,))[0][0].report(0)
-        if given is None:
+        if not given:
             kept = self._columns.get(theorem_id)
             if kept is not None and kept[0] == foci and kept[1] == alpha.values:
                 del self._columns[theorem_id]
@@ -1208,19 +1239,13 @@ def _inapplicable(theorem_id: str, alphas: tuple[float, ...], lhs: list[float]) 
 
 
 def _pair_sum_columns(ev: StateEvaluator, theorem_id: str, spec: BoundSpec,
-                      foci: tuple[int, ...], merged: Certified | None) -> BoundColumns:
+                      foci: tuple[int, ...], totals: tuple[float, float]) -> BoundColumns:
     """The one alpha = 2 row of ``ckw`` or ``coa_dual``, printed as "smaller
     side, larger side": ckw's lhs is the pair sum, and the slack is
-    rhs - lhs in both directions.  The pair sums are the focus's merged
-    group's, or, for caller groupings, which keep no merged group, the
-    tables' values summed."""
+    rhs - lhs in both directions.  ``totals`` are the focus's C^2 and Ca^2
+    sums."""
     c_cut = ev._cut(foci)[0]
-    if merged is None:
-        c_sq, ca_sq = ev.tables(foci[0])
-        c_total, ca_total = _sum_in_order(c_sq.values()), _sum_in_order(ca_sq.values())
-    else:
-        c_total, ca_total = merged[2][0], merged[1].squared_values[0]
-    lhs, rhs = ((c_cut ** 2, ca_total) if spec.direction == "upper" else (c_total, c_cut ** 2))
+    lhs, rhs = ((c_cut ** 2, totals[1]) if spec.direction == "upper" else (totals[0], c_cut ** 2))
     slack = rhs - lhs
     return BoundColumns(theorem_id, (2.0,), [lhs], [rhs], [slack], [slack >= -SLACK_TOL],
                         [None], True)
@@ -1228,26 +1253,29 @@ def _pair_sum_columns(ev: StateEvaluator, theorem_id: str, spec: BoundSpec,
 
 # A row of a pass's table, named by what it holds for each state:
 #   ("cut", foci, k)   the cut's C (k = 0) or N (k = 1), to the power alpha;
-#   ("J", f)           J of focus f: its merged group's Ca^2, to the power p;
-#   ("total", f)       its merged group's C^2, to the power p (the front sum
-#                      of the merged group);
 #   ("rank", foci)     the cut's r(r-1)/2, r its Schmidt rank, to the power p;
-#   ("jin term", f, i) jin's i-th singleton Ca^2 on focus f, to the power p;
-#   ("jin", f)         jin's sum of those terms, weighted by p^i;
-#   ("front", f)       the searched front sum of focus f;
-#   ("given J", k), ("given front", k), ("given total", f): J, the front sum
-#                      and the total lead from the caller's grouping of the
-#                      k-th focus (f);
+#   ("total", f)       the total C^2 of focus f to the power p, the front sum
+#                      of its merged group;
+#   ("J", f)           J of focus f, sum_i h^i t_i over its J certificate's
+#                      group terms t_i, each group's Ca^2 to the power p;
+#   ("jin", f)         jin on focus f, sum_i p^i t_i over the terms of its
+#                      singleton certificate (0.0 where jin does not apply);
+#   ("front", f)       the front sum of focus f: read off its searched front
+#                      column, or for a caller's grouping h * sum_{i<k} t_i +
+#                      t_k over the terms of its groups' C^2;
+#   (kind, f, i)       the i-th group term t_i of one of those three;
 #   ("zero",), ("one",): +0.0 and 1.0.
-# A row whose kind is in _FORMED is formed, from the raised rows or the
-# front columns; every other row is a base raised to its power.
-_FORMED = ("jin", "front", "given J", "given front")
+# A row of several group terms is formed from them, and a row of one term is
+# that term's row, so the merged group's J is one raised base.  A searched
+# front is formed from its column.  Every other row is a base raised to its
+# power.
+_TERMED = ("J", "jin", "front")
 _ZERO, _ONE = ("zero",), ("one",)
 # The exponents i of the weights ratio^i of a sum of up to MAX_QUBITS groups.
 _POWERS = np.arange(float(MAX_QUBITS))[:, None]
 
 
-def _recipe(spec: BoundSpec, foci: tuple[int, ...], given: bool):
+def _recipe(spec: BoundSpec, foci: tuple[int, ...]):
     """``(operands, certificates, check)`` of a bound that reads alpha.
 
     Every such bound's rhs is one formula of eight operand rows
@@ -1277,20 +1305,15 @@ def _recipe(spec: BoundSpec, foci: tuple[int, ...], given: bool):
     if kind == "jin":
         jin = ("jin", foci[0])
         return (jin, _ZERO, jin, _ZERO, _ZERO, _ZERO, _ZERO, _ONE), jin, jin
-    js = tuple(("given J", k) if given else ("J", f) for k, f in enumerate(foci))
+    js = tuple(("J", f) for f in foci)
     if kind == "front" or kind == "total":
-        if not given:
-            leads = tuple((kind, f) for f in foci[:2])
-        elif kind == "front":
-            leads = (("given front", 0), ("given front", 1))
-        else:
-            leads = (("given total", foci[0]), ("given total", foci[1]))
+        leads = tuple((kind, f) for f in foci[:2])
         (minus,) = js[2:] or (_ZERO,)  # cor1: J_C1
-        certs = tuple(lead if lead[0] == "front" else j for lead, j in zip(leads, js))
-        return (leads[0], js[1], leads[1], js[0], minus, _ZERO, _ZERO, _ONE), certs, None
+        return ((leads[0], js[1], leads[1], js[0], minus, _ZERO, _ZERO, _ONE),
+                leads if kind == "front" else js[:2], None)
     center = spec.center
     if kind == "center_total":
-        lead = (("given total", foci[center]) if given else ("total", foci[center]))
+        lead = ("total", foci[center])
         first, second = js[:center] + js[center + 1:]
         return ((lead, first, lead, first, second, _ZERO, _ZERO, _ONE), js[center],
                 ("center",) + spec.center_cuts(foci))
@@ -1305,20 +1328,24 @@ class _Layout(NamedTuple):
     """The alpha-free, state-free plan of a pass over a list of bounds on
     states of one size.
 
-    ``sources`` names the table's distinct rows: the ``raised`` ones, then
-    the formed ones, jin's sums last.  ``of_alpha`` tells which raised rows
-    take the exponent alpha (the cuts) rather than p, and ``terms`` holds
-    the slice of the table that holds each jin sum's terms.  ``take`` lists
-    the table rows of each bound's lhs, then of its operands A of every
-    bound, its operands B, and so on.  ``upper``
-    tells whether each bound's slack is rhs - lhs, and ``bounds`` holds each
-    bound's ``(index, theorem id, certificate sources, check)`` in table
-    order; ``fixed`` lists the indices of the fixed-alpha bounds.
+    The table's first ``raised`` rows are raised: ``bases`` names what they
+    read, in order, a row of its own base each, then the rows of group
+    terms, which read one raised row per term.  ``of_alpha`` tells which
+    raised rows take the exponent alpha (the cuts) rather than p.  The
+    searched front rows of the foci ``fronts`` follow, and the rows of
+    several group terms come last, ``terms`` holding the slice of the
+    table that holds each one's terms.  ``take`` lists the table rows of
+    each bound's lhs, then of its operands A of every bound, its operands
+    B, and so on.  ``upper`` tells whether each bound's slack is rhs - lhs,
+    and ``bounds`` holds each bound's ``(index, theorem id, certificate
+    sources, check)`` in table order; ``fixed`` lists the indices of the
+    fixed-alpha bounds.
     """
 
-    sources: tuple[tuple, ...]
+    bases: tuple[tuple, ...]
     raised: int
     of_alpha: np.ndarray
+    fronts: tuple[int, ...]
     terms: dict[tuple, slice]
     take: np.ndarray
     upper: np.ndarray
@@ -1327,26 +1354,34 @@ class _Layout(NamedTuple):
 
 
 @lru_cache(maxsize=256)
-def _layout(bounds: tuple[tuple[str, tuple[int, ...], bool], ...], num_qubits: int) -> _Layout:
-    """The layout of a pass over ``bounds``, each ``(theorem id, foci,
-    whether the caller gives the groupings)``, on ``num_qubits`` qubits;
-    derived once per process for each list that the CLI evaluates, and for
-    each lone call's bound."""
+def _layout(bounds: tuple[tuple[str, tuple[int, ...]], ...], num_qubits: int,
+            groups: tuple[tuple[int, int], ...]) -> _Layout:
+    """The layout of a pass over ``bounds``, each ``(theorem id, foci)``, on
+    ``num_qubits`` qubits.  ``groups`` lists ``(focus, count)`` for each
+    focus that takes a caller's grouping of ``count`` groups, whose J and
+    front sum add that many group terms.  Any other focus's J is its merged
+    group's, one term, and its front sum is searched; jin adds
+    ``num_qubits - 1`` singleton terms.  Derived once per process for each
+    list that the CLI evaluates, and for each lone call's bound and group
+    counts."""
     members, fixed = [], []
-    for b, (theorem_id, foci, given) in enumerate(bounds):
+    for b, (theorem_id, foci) in enumerate(bounds):
         spec = BOUNDS[theorem_id]
         if spec.fixed_alpha:
             fixed.append(b)
         else:
-            members.append((b, theorem_id, spec, foci, *_recipe(spec, foci, given)))
+            members.append((b, theorem_id, spec, foci, *_recipe(spec, foci)))
     slots = [("cut", foci, 1 if spec.cut == "N" else 0) for _, _, spec, foci, _, _, _ in members]
     slots += [operands[k] for k in range(8) for _, _, _, _, operands, _, _ in members]
-    jins = list(dict.fromkeys(s for s in slots if s[0] == "jin"))
-    terms = [("jin term", jin[1], i) for jin in jins for i in range(num_qubits - 1)]
-    distinct = list(dict.fromkeys(slots))
-    raised = [s for s in distinct if s[0] not in _FORMED] + terms
-    sources = raised + [s for s in distinct if s[0] in _FORMED and s[0] != "jin"] + jins
-    index = {source: i for i, source in enumerate(sources)}
+    distinct, counts = list(dict.fromkeys(slots)), dict(groups)
+    sums = {s: num_qubits - 1 if s[0] == "jin" else counts.get(s[1], 1) for s in distinct
+            if s[0] in _TERMED and (s[0] != "front" or s[1] in counts)}
+    own = [s for s in distinct if s[0] not in _TERMED]
+    raised = own + [s + (i,) for s, count in sums.items() for i in range(count)]
+    fronts = [s for s in distinct if s[0] == "front" and s not in sums]
+    many = [s for s, count in sums.items() if count > 1]
+    index = {source: i for i, source in enumerate(raised + fronts + many)}
+    index.update((s, index[s + (0,)]) for s, count in sums.items() if count == 1)
     arrays = (np.array([s[0] == "cut" for s in raised], dtype=bool)[:, None],
               np.array([index[s] for s in slots], dtype=np.intp),
               np.array([spec.direction == "upper"
@@ -1355,9 +1390,8 @@ def _layout(bounds: tuple[tuple[str, tuple[int, ...], bool], ...], num_qubits: i
         array.setflags(write=False)
     of_alpha, take, upper = arrays
     return _Layout(
-        tuple(sources), len(raised), of_alpha,
-        {jin: slice(index["jin term", jin[1], 0], index["jin term", jin[1], 0] + num_qubits - 1)
-         for jin in jins},
+        tuple(own + list(sums)), len(raised), of_alpha, tuple(f for _, f in fronts),
+        {s: slice(index[s + (0,)], index[s + (0,)] + sums[s]) for s in many},
         take, upper,
         tuple((b, theorem_id, certs, check) for b, theorem_id, _, _, _, certs, check in members),
         tuple(fixed))
@@ -1388,48 +1422,61 @@ class _ChunkPass:
     derived once per list of bounds.  Per chunk, each distinct row's
     alpha-free inputs are gathered once and shared by every bound that
     reads them: each cut's C, N and Schmidt rank, each focus's merged group
-    (J's certificate and Ca^2, and the total C^2), jin's certificate and
-    each focus's ``front_best`` column.  One ``np.float_power`` call raises
-    every base of the chunk, one take lays out the operands, and the
-    formula runs once for all bounds.  So a chunk costs a fixed number of
-    numpy calls, whatever its size and bounds.  The front columns are
-    searched per chunk as well (``_fill_fronts``): one chain DP per front
-    focus over every state that needs it and the whole grid, whose number
-    of array steps depends on the partner count, not on the chunk.  A
-    chunk of one state is the pass that a lone ``evaluate`` or
-    ``front_best`` call runs, and ``given`` holds a lone call's caller
-    groupings.
+    (the total C^2, and J's certificate), jin's certificate and each
+    focus's ``front_best`` column.  One ``np.float_power`` call raises
+    every base of the chunk, the group terms of J and jin among them, one
+    take lays out the operands, and the formula runs once for all bounds.
+    So a chunk costs a fixed number of numpy calls, whatever its size and
+    bounds.  The front columns are searched per chunk as well
+    (``_fill_fronts``): one chain DP per front focus over every state that
+    needs it and the whole grid, whose number of array steps depends on the
+    partner count, not on the chunk.  A chunk of one state is the pass
+    that a lone ``evaluate`` call runs, and a lone ``front_best`` call whose
+    column needs the DP.
+
+    A lone ``evaluate`` call with ``groupings=`` gives the pass its checked
+    groupings, as ``given`` pairs of a focus and its ``Certified`` triple.
+    They become that focus's inputs, kept by this pass only: J's and jin's
+    certificate are the caller's, the front sum's certificate is the
+    caller's at every alpha and its group values are the grouping's C^2
+    sums, and the C^2 and Ca^2 totals are summed from the tables rather
+    than read off a merged group kept on the evaluator.  The same row kinds
+    serve both paths; the layout gives such a focus's J and front sum as
+    many group terms as the caller's grouping has groups.
     """
 
     def __init__(self, evaluators: Sequence[StateEvaluator], grid: AlphaGrid,
-                 given: tuple[Certified, ...] | None = None):
+                 given: Sequence[tuple[int, Certified]] = ()):
         self.evaluators = evaluators
         self.grid = grid
-        self.given = given
         self.alpha, self.p, self.h = np.array([grid.values, *zip(*grid.weights)])
-        self._merged: dict[int, list[Certified]] = {}
+        self._totals: dict[int, list[tuple[float, float]]] = {}
         self._fronts: dict[int, list[list[tuple]]] = {}
-        self._jin: dict[int, list[OrderingCertificate | None]] = {}
-        self._terms: dict[int, list[tuple[float, ...]]] = {}
         self._certificates: dict[tuple, list] = {}
+        self._grouped_c: dict[int, list[tuple[float, ...]]] = {}
+        self.groups = ()
+        for focus, (grouping, cert, c_sums) in given:  # a lone call: one state
+            c_sq, ca_sq = evaluators[0].tables(focus)
+            self.groups += ((focus, grouping.k),)
+            self._totals[focus] = [(_sum_in_order(c_sq.values()), _sum_in_order(ca_sq.values()))]
+            self._certificates["J", focus] = self._certificates["jin", focus] = [cert]
+            self._certificates["front", focus] = [[cert] * len(grid)]
+            self._grouped_c[focus] = [c_sums]
 
-    def columns(self, bounds: tuple[tuple[str, tuple[int, ...], bool], ...],
+    def columns(self, bounds: tuple[tuple[str, tuple[int, ...]], ...],
                 alphas: tuple[float, ...]) -> list[list[BoundColumns]]:
         """Each bound's ``BoundColumns`` per state, for ``bounds`` given as
-        ``_layout`` takes them, ``(theorem_id, foci, given)`` with checked
-        foci and ``given`` true for a lone call's caller groupings;
+        ``_layout`` takes them, ``(theorem_id, foci)`` with checked foci;
         ``alphas`` labels the rows.  The slacks and verdicts of every bound
         are formed in one stacked step, and each array is turned into
         Python floats and bools once."""
         evs = self.evaluators
-        layout = _layout(bounds, evs[0].psi.num_qubits)
+        layout = _layout(bounds, evs[0].psi.num_qubits, self.groups)
         out: list = [None] * len(bounds)
         for b in layout.fixed:
-            tid, foci, _ = bounds[b]
-            merged = ([None] * len(evs) if self.given is not None else
-                      self._merged_groups(foci[0]))
-            out[b] = [_pair_sum_columns(ev, tid, BOUNDS[tid], foci, m)
-                      for ev, m in zip(evs, merged)]
+            tid, foci = bounds[b]
+            out[b] = [_pair_sum_columns(ev, tid, BOUNDS[tid], foci, totals)
+                      for ev, totals in zip(evs, self._total_sums(foci[0]))]
         if not layout.bounds:
             return out
         count = len(layout.bounds)
@@ -1468,70 +1515,62 @@ class _ChunkPass:
         return out
 
     def _table(self, layout: _Layout) -> np.ndarray:
-        """The (sources x states x alpha) table: every raised row's bases
+        """The (rows x states x alpha) table: every raised row's bases
         raised to alpha or to p by one ``np.float_power`` call, then the
-        formed rows."""
-        raised = layout.raised
-        table = np.zeros((len(layout.sources), len(self.evaluators), len(self.grid)))
-        bases = np.array([self._bases(source) for source in layout.sources[:raised]],
+        searched fronts off their columns, then the rows of several group
+        terms: J weighted by h, jin by p, and a caller's front sum."""
+        raised, fronts = layout.raised, layout.fronts
+        table = np.zeros((raised + len(fronts) + len(layout.terms), len(self.evaluators),
+                          len(self.grid)))
+        bases = np.array([row for source in layout.bases for row in self._bases(source)],
                          dtype=float)[:, :, None]
         np.float_power(bases, np.where(layout.of_alpha, self.alpha, self.p)[:, None, :],
                        out=table[:raised], where=bases > 0.0)
-        first_jin = len(layout.sources) - len(layout.terms)
-        if raised < first_jin:
-            table[raised:first_jin] = [self._formed(source)
-                                       for source in layout.sources[raised:first_jin]]
-        for i, terms in enumerate(layout.terms.values(), first_jin):
-            table[i] = _geometric_sum(table[terms], self.p)
+        if fronts:
+            table[raised:raised + len(fronts)] = [
+                [[front for _, _, front in column] for column in self._front_columns(focus)]
+                for focus in fronts]
+        for i, ((kind, _), terms) in enumerate(layout.terms.items(), raised + len(fronts)):
+            table[i] = (_front_of_rows(table[terms], self.h) if kind == "front" else
+                        _geometric_sum(table[terms], self.h if kind == "J" else self.p))
         return table
 
     # -- the inputs of each row, gathered once per chunk ---------------------
 
-    def _bases(self, source: tuple) -> list[float]:
-        """Each state's base of a raised row."""
+    def _bases(self, source: tuple) -> Iterable[Sequence[float]]:
+        """Each state's base in each raised row that ``source`` reads: its
+        own row, or one row per group term of a J, jin or caller's front sum,
+        of the caller's C^2 sums or else of the certificate's values (zeros
+        where jin does not apply)."""
         kind, evs = source[0], self.evaluators
-        if kind == "jin term":
-            return self._jin_terms(source[1])[source[2]]
         if kind == "cut":
-            return [ev._cut(source[1])[source[2]] for ev in evs]
-        if kind == "J":
-            return [cert.squared_values[0] for _, cert, _ in self._merged_groups(source[1])]
-        if kind == "total":
-            return [c_sums[0] for _, _, c_sums in self._merged_groups(source[1])]
-        if kind == "rank":
-            return [r * (r - 1) / 2.0 for r in (ev._cut(source[1])[2] for ev in evs)]
-        if kind == "given total":  # caller groupings keep no merged group
-            return [_sum_in_order(ev.tables(source[1])[0].values()) for ev in evs]
-        return [1.0 if source == _ONE else 0.0] * len(evs)
-
-    def _formed(self, source: tuple):
-        """Each state's row of a formed source other than jin's sum: a
-        searched front column, or the caller's multi-group J or front sum of
-        one focus."""
-        kind = source[0]
+            return [[ev._cut(source[1])[source[2]] for ev in evs]]
         if kind == "front":
-            return [[front for _, _, front in col] for col in self._front_columns(source[1])]
-        _, cert, c_sums = self.given[source[1]]
-        if kind == "given J":
-            return _geometric_sum(self._powers([cert.squared_values]), self.h)
-        return _front_of_rows(self._powers([c_sums]), self.h)
+            return zip(*self._grouped_c[source[1]])
+        if kind in _TERMED:
+            zeros = (0.0,) * (evs[0].psi.num_qubits - 1)
+            return zip(*[zeros if cert is None else cert.squared_values
+                         for cert in self._certs(source)])
+        if kind == "total":
+            return [[c_total for c_total, _ in self._total_sums(source[1])]]
+        if kind == "rank":
+            return [[r * (r - 1) / 2.0 for r in (ev._cut(source[1])[2] for ev in evs)]]
+        return [[1.0 if source == _ONE else 0.0] * len(evs)]
 
     def _certs(self, source: tuple) -> list:
         """Each state's certificate read off ``source``, once per pass: a
-        front column's list per alpha, or the one certificate of the merged
-        group, of the caller's grouping or of jin's order.  The lists are
-        only read, never returned."""
+        front column's list per alpha, or the one certificate of J's
+        grouping or of jin's order (None where that is not feasible).  The
+        lists are only read, never returned."""
         certs = self._certificates.get(source)
         if certs is None:
-            kind = source[0]
+            kind, focus = source
             if kind == "front":
-                certs = [[cert for _, cert, _ in col] for col in self._front_columns(source[1])]
+                certs = [[cert for _, cert, _ in col] for col in self._front_columns(focus)]
             elif kind == "J":
-                certs = [cert for _, cert, _ in self._merged_groups(source[1])]
-            elif kind == "given J":
-                certs = [self.given[source[1]][1]]
+                certs = [ev._merged_group(focus)[1] for ev in self.evaluators]
             else:
-                certs = self._jin_certs(source[1])
+                certs = [_singleton_certificate(ev.tables(focus)[1]) for ev in self.evaluators]
             self._certificates[source] = certs
         return certs
 
@@ -1540,16 +1579,20 @@ class _ChunkPass:
         feasible singleton order, or cor2_lower where the other foci's cut
         exceeds the center's."""
         if check[0] == "jin":
-            return [cert is None for cert in self._jin_certs(check[1])]
+            return [cert is None for cert in self._certs(check)]
         _, center_cut, others = check
         return [ev._cut(others)[0] > ev._cut(center_cut)[0] + SLACK_TOL
                 for ev in self.evaluators]
 
-    def _merged_groups(self, focus: int) -> list[Certified]:
-        groups = self._merged.get(focus)
-        if groups is None:
-            groups = self._merged[focus] = [ev._merged_group(focus) for ev in self.evaluators]
-        return groups
+    def _total_sums(self, focus: int) -> list[tuple[float, float]]:
+        """Each state's C^2 and Ca^2 sums over the partners of ``focus``, its
+        kept merged group's."""
+        totals = self._totals.get(focus)
+        if totals is None:
+            merged = [ev._merged_group(focus) for ev in self.evaluators]
+            totals = self._totals[focus] = [(c_sums[0], cert.squared_values[0])
+                                            for _, cert, c_sums in merged]
+        return totals
 
     def _front_columns(self, focus: int) -> list[list[tuple]]:
         columns = self._fronts.get(focus)
@@ -1564,31 +1607,21 @@ class _ChunkPass:
         over the grid (``StateEvaluator._fronts``), for ``front_best`` to
         read.
 
-        Every state whose focus has a pair C above 0 is searched by one
-        chain DP over (subsets x states x alpha) arrays (``_front_dp``):
-        the C^2 and Ca^2 subset sums are formed for all of them at once
-        (``_subset_sums``), the leads ``-(C^2 sum)^p`` are raised with one
-        ``np.float_power`` call, and the chains and front sums are read off
-        the picks as arrays (``_front_chains``).  Each state then certifies
-        each distinct chain once, off its Ca^2 subset sums, which equal the
-        grouping's ``_grouped_sums`` bit for bit, with the chain's shared
-        ``Grouping``.  A focus whose pair C are all 0 takes the merged
-        group's kept certificate, J's own, with front sum 0.0: every
-        grouping reads 0 at every alpha, and a tie keeps the whole set.
-        Above 8 partners a state takes its canonical column.
+        A column that needs no chain DP is kept by its evaluator
+        (``StateEvaluator._keeps_front``): above 8 partners the canonical
+        column, and for a focus whose pair C are all 0 the merged group.
+        Every other state is searched by one chain DP over (subsets x
+        states x alpha) arrays (``_front_dp``): the C^2 and Ca^2 subset sums
+        are formed for all of them at once (``_subset_sums``), the leads
+        ``-(C^2 sum)^p`` are raised with one ``np.float_power`` call, and
+        the chains and front sums are read off the picks as arrays
+        (``_front_chains``).  Each state then certifies each distinct chain
+        once, off its Ca^2 subset sums, which equal the grouping's
+        ``_grouped_sums`` bit for bit, with the chain's shared
+        ``Grouping``.
         """
         key, grid = (focus, self.grid.values), self.grid
-        searched = []
-        for ev in self.evaluators:
-            if key in ev._fronts:
-                continue
-            if ev.search == "canonical":
-                ev._fronts[key] = ev._canonical_column(focus, grid)
-            elif any(ev.tables(focus)[0].values()):
-                searched.append(ev)
-            else:
-                grouping, cert, _ = ev._merged_group(focus)
-                ev._fronts[key] = [(grouping, cert, 0.0)] * len(grid)
+        searched = [ev for ev in self.evaluators if not ev._keeps_front(focus, grid)]
         if not searched:
             return
         tables = [ev.tables(focus) for ev in searched]
@@ -1609,27 +1642,6 @@ class _ChunkPass:
                 column.append((cert.grouping, cert, front))
             ev._fronts[key] = column
 
-    def _jin_certs(self, focus: int) -> list[OrderingCertificate | None]:
-        """Each state's jin certificate on ``focus``, the caller's or the
-        descending singleton order's, None where that is not feasible."""
-        certs = self._jin.get(focus)
-        if certs is None:
-            certs = self._jin[focus] = (
-                [self.given[0][1]] if self.given is not None else
-                [_singleton_certificate(ev.tables(focus)[1]) for ev in self.evaluators])
-        return certs
-
-    def _jin_terms(self, focus: int) -> list[tuple[float, ...]]:
-        """Each singleton's value per state, in jin's order: the rows of the
-        jin terms; a state that jin does not apply to reads zeros, which
-        are not read."""
-        terms = self._terms.get(focus)
-        if terms is None:
-            zeros = (0.0,) * (self.evaluators[0].psi.num_qubits - 1)
-            terms = self._terms[focus] = list(zip(*[zeros if cert is None else cert.squared_values
-                                                    for cert in self._jin_certs(focus)]))
-        return terms
-
     def _powers(self, grouped: Sequence[Sequence[float]]) -> np.ndarray:
         """The (groups x states x alpha) array of each state's group values
         to the power p."""
@@ -1639,20 +1651,16 @@ class _ChunkPass:
 
 
 def _geometric_sum(terms: np.ndarray, ratio: np.ndarray) -> np.ndarray:
-    """``sum_i ratio^i terms[i]`` over the first axis, added one term at a
-    time in order; of one term, that term.  J with ratio h, jin with ratio
-    p, as ``_j_sum``."""
-    if len(terms) == 1:
-        return terms[0]
+    """``sum_i ratio^i terms[i]`` over the first axis of two terms or more,
+    added one term at a time in order: J with ratio h, jin with ratio p, as
+    ``_j_sum``."""
     weights = np.float_power(ratio, _POWERS[:len(terms)])
     return np.add.accumulate(weights[:, None, :] * terms, axis=0)[-1]
 
 
 def _front_of_rows(terms: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """``h * sum_{i<k} terms[i] + terms[k]`` over the first axis, as
-    ``_front_sum``; of one term, that term."""
-    if len(terms) == 1:
-        return terms[0]
+    """``h * sum_{i<k} terms[i] + terms[k]`` over the first axis of two terms
+    or more, as ``_front_sum``."""
     return h * np.add.accumulate(terms[:-1], axis=0)[-1] + terms[-1]
 
 
@@ -1742,7 +1750,7 @@ def fill_columns(evaluators: Sequence[StateEvaluator], theorem_ids: Iterable[str
         bounds = _default_bounds(theorem_ids, n)
         if not bounds:
             continue
-        for (tid, foci, _), columns in zip(bounds, _ChunkPass(group, grid).columns(
+        for (tid, foci), columns in zip(bounds, _ChunkPass(group, grid).columns(
                 bounds, grid.values)):
             for ev, cols in zip(group, columns):
                 ev._columns[tid] = (foci, grid.values, cols)
@@ -1750,7 +1758,7 @@ def fill_columns(evaluators: Sequence[StateEvaluator], theorem_ids: Iterable[str
 
 @lru_cache(maxsize=256)
 def _default_bounds(theorem_ids: tuple[str, ...], num_qubits: int
-                    ) -> tuple[tuple[str, tuple[int, ...], bool], ...]:
+                    ) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """The listed bounds that ``num_qubits`` qubits admit, at their default
     foci, as ``_ChunkPass.columns`` takes them; an unknown id is refused."""
     specs = []
@@ -1759,7 +1767,7 @@ def _default_bounds(theorem_ids: tuple[str, ...], num_qubits: int
         if spec is None:
             raise ValueError(f"unknown theorem_id {theorem_id!r}")
         specs.append((theorem_id, spec))
-    return tuple((tid, spec.foci, False) for tid, spec in specs
+    return tuple((tid, spec.foci) for tid, spec in specs
                  if num_qubits >= spec.min_qubits)
 
 

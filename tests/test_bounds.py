@@ -796,9 +796,14 @@ def test_given_groupings_are_never_searched_or_cached(monkeypatch):
         ev = StateEvaluator(psi)
         assert ev.evaluate("thm1", 1.0, 0, (merged,)) == thm1_upper(psi, 0, merged, 1.0)
         fronts = [Grouping.merged(q for q in range(n) if q != f) for f in (0, 1, 2)]
-        for tid in ("thm2", "thm3", "thm7", "cor1_thm3", "cor2_lower"):  # totals too
+        for tid in ("thm2", "thm3", "thm7", "cor1_thm3", "cor2_lower",  # totals too
+                    "ckw", "coa_dual"):
             ev.evaluate(tid, 1.0, None, fronts[:BOUNDS[tid].arity])
         assert ev._merged == {} and ev._fronts == {} and searches == []
+        wclass = StateEvaluator(_geometric_wclass(n))  # its singleton orders are feasible
+        order = bounds_module._descending_singletons(wclass.tables(0)[1])
+        assert wclass.evaluate("jin", 1.0, 0, (order,)).ordering.grouping == order
+        assert wclass._merged == {} and wclass._fronts == {} and searches == []
         best = ev.evaluate("thm1", 1.0, 0)  # J is the merged group at every n
         assert best.satisfied and best.ordering.grouping == merged
         assert set(ev._merged) == {0} and ev._fronts == {} and searches == []

@@ -25,6 +25,7 @@ import math
 import numpy as np
 import pytest
 
+import entbounds.bounds as bounds_module
 from entbounds import cli
 from entbounds.bounds import (
     _TIE_TOL,
@@ -377,6 +378,36 @@ def test_zero_c_foci_run_no_dp(name, psi, foci, monkeypatch, capsys):
         assert not any(c_sq.values()), focus
         assert ev.front_best(focus, 1.0)[0] == Grouping.merged(sorted(c_sq)), focus
     assert count.runs == []
+
+
+@pytest.mark.parametrize("psi", [ghz(6), w(12)], ids=["zero_c", "canonical"])
+def test_a_front_column_that_needs_no_dp_builds_no_pass(psi, monkeypatch):
+    """A lone ``front_best`` on a focus whose pair C are all 0 (GHZ-6), or in
+    canonical mode (W-12, whose pair C are above 0), keeps its column with
+    no ``_ChunkPass`` built, over a grid and at one alpha, and the column
+    is the one that a chunk pass reads.  A lone miss on a searched focus
+    still builds one pass."""
+    built = []
+    init = bounds_module._ChunkPass.__init__
+
+    def counted(chunk_pass, *args, **kwargs):
+        built.append(chunk_pass)
+        init(chunk_pass, *args, **kwargs)
+
+    monkeypatch.setattr(bounds_module._ChunkPass, "__init__", counted)
+    grid = AlphaGrid.default()
+    ev = StateEvaluator(psi)
+    columns = [ev.front_best(focus, grid) for focus in (0, 1)]
+    singles = [ev.front_best(focus, 0.5) for focus in (0, 1)]
+    assert built == []
+    chunk = bounds_module._ChunkPass((StateEvaluator(psi),), grid)
+    assert columns == [chunk._front_columns(focus)[0] for focus in (0, 1)]
+    fresh = StateEvaluator(psi)
+    assert singles == [fresh.front_best(focus, AlphaGrid((0.5,)))[0] for focus in (0, 1)]
+    built.clear()
+    searched = StateEvaluator(haar_random_pure(4, 11))  # pair C above 0 at focus 0
+    searched.front_best(0, grid)
+    assert len(built) == 1
 
 
 def test_alpha_dependent_foci_run_one_dp_per_chunk(monkeypatch, capsys):
