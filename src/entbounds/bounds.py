@@ -28,10 +28,10 @@ grouping only sets how many group terms its J and front sum add.  The pass
 also searches each front focus of the chunk with one chain DP over
 (subsets x states x alpha) arrays (``_front_dp``), and applies
 ``_front_sum``'s formula to the terms that the DP has already raised
-(``_front_chains``).  The scalar kernels ``_j_sum``
-and ``_front_sum`` remain for ``j_best`` and the canonical front column.
-The dominance precondition has one test, ``_dominates``, which the front
-search and ``feasibility`` both read, on floats and on arrays.
+(``_front_chains``).  The scalar kernels ``_j_sum`` and ``_front_sum``
+remain for ``j_best`` and the canonical front column.  The dominance
+precondition has one test, ``_dominates``, which the front search and
+``feasibility`` both read, on floats and on arrays.
 
 Conventions:
   * ``0**alpha`` is taken as 0 for every alpha in [0, 2], including alpha = 0.
@@ -892,16 +892,15 @@ class StateEvaluator:
     Python arithmetic bit for bit; ``np.power`` runs numpy's own float64
     loops, which differ from it by an ulp on about 5% of inputs.  With
     ``groupings=`` the pass reads the same rows, from the caller's checked
-    groupings instead of these caches: they are its J and jin
-    certificates and its front groupings, and it keeps them itself, so
-    nothing here changes.  Six dicts are kept: the
-    pair values (``_pairs``), the focus tables (``_tables``), the cut values
-    (``_cuts``), each focus's merged-group ``Certified`` triple (grouping,
-    certificate, grouped C sums; ``_merged``), ``front_best``'s column per
-    (focus, grid values) (``_fronts``), which thm2, thm6 and cor1_thm2
-    share, and, per bound, the columns that ``fill_columns`` left, with
-    their foci and grid values, until ``evaluate`` takes them
-    (``_columns``).  No certificate or front sum re-sums what is already
+    groupings instead of these caches: they are its J and jin certificates
+    and its front groupings, and it keeps them itself, so nothing here
+    changes.  Six dicts are kept: the pair values (``_pairs``), the focus
+    tables (``_tables``), the cut values (``_cuts``), each focus's
+    merged-group ``Certified`` triple (grouping, certificate, grouped C
+    sums; ``_merged``), ``front_best``'s column per (focus, grid values)
+    (``_fronts``), which thm2, thm6 and cor1_thm2 share, and, per bound,
+    the columns that ``fill_columns`` left, with their foci and grid
+    values, until ``evaluate`` takes them (``_columns``).  No certificate or front sum re-sums what is already
     summed: the merged group's one-group sums add the focus tables in
     order, and the total C^2 of thm3, thm7, cor1_thm3, cor2_lower, ckw and
     coa_dual is read off it; jin takes the certificate that
@@ -1103,22 +1102,19 @@ class StateEvaluator:
     def _front_column(self, focus: int, grid: AlphaGrid):
         """``front_best``'s kept column of one focus over one grid; a column
         that needs the chain DP is found as a chunk of one."""
-        column = self._fronts.get((focus, grid.values))
-        if column is None:
-            if not self._keeps_front(focus, grid):
-                _ChunkPass((self,), grid)._fill_fronts(focus)
-            column = self._fronts[focus, grid.values]
-        return column
+        key = (focus, grid.values)
+        if key not in self._fronts and not self._keeps_front(focus, grid):
+            _ChunkPass((self,), grid)._fill_fronts(focus)
+        return self._fronts[key]
 
     def _keeps_front(self, focus: int, grid: AlphaGrid) -> bool:
-        """Whether the front column of ``focus`` over ``grid`` is kept, once
-        a column that needs no chain DP is: above 8 partners the canonical
-        column, and for a focus whose pair C are all 0 the merged group's
-        kept certificate, J's own, with front sum 0.0 at every alpha, as
-        every grouping reads 0 and a tie keeps the whole set."""
+        """Keep the front column of ``focus`` over ``grid``, which is not
+        kept yet, if it needs no chain DP, and tell whether it did: above 8
+        partners the canonical column, and for a focus whose pair C are all
+        0 the merged group's kept certificate, J's own, with front sum 0.0
+        at every alpha, as every grouping reads 0 and a tie keeps the whole
+        set."""
         key = (focus, grid.values)
-        if key in self._fronts:
-            return True
         if self.search == "canonical":
             self._fronts[key] = self._canonical_column(focus, grid)
         elif any(self.tables(focus)[0].values()):
@@ -1328,10 +1324,10 @@ class _Layout(NamedTuple):
     """The alpha-free, state-free plan of a pass over a list of bounds on
     states of one size.
 
-    The table's first ``raised`` rows are raised: ``bases`` names what they
-    read, in order, a row of its own base each, then the rows of group
-    terms, which read one raised row per term.  ``of_alpha`` tells which
-    raised rows take the exponent alpha (the cuts) rather than p.  The
+    The table's first rows are raised, one per entry of ``of_alpha``, which
+    tells which of them take the exponent alpha (the cuts) rather than p.
+    ``bases`` names what they read, in order: a row of its own base each,
+    then the rows of group terms, which read one raised row per term.  The
     searched front rows of the foci ``fronts`` follow, and the rows of
     several group terms come last, ``terms`` holding the slice of the
     table that holds each one's terms.  ``take`` lists the table rows of
@@ -1343,7 +1339,6 @@ class _Layout(NamedTuple):
     """
 
     bases: tuple[tuple, ...]
-    raised: int
     of_alpha: np.ndarray
     fronts: tuple[int, ...]
     terms: dict[tuple, slice]
@@ -1390,7 +1385,7 @@ def _layout(bounds: tuple[tuple[str, tuple[int, ...]], ...], num_qubits: int,
         array.setflags(write=False)
     of_alpha, take, upper = arrays
     return _Layout(
-        tuple(own + list(sums)), len(raised), of_alpha, tuple(f for _, f in fronts),
+        tuple(own + list(sums)), of_alpha, tuple(f for _, f in fronts),
         {s: slice(index[s + (0,)], index[s + (0,)] + sums[s]) for s in many},
         take, upper,
         tuple((b, theorem_id, certs, check) for b, theorem_id, _, _, _, certs, check in members),
@@ -1450,6 +1445,7 @@ class _ChunkPass:
         self.evaluators = evaluators
         self.grid = grid
         self.alpha, self.p, self.h = np.array([grid.values, *zip(*grid.weights)])
+        self._merged: dict[int, list[Certified]] = {}
         self._totals: dict[int, list[tuple[float, float]]] = {}
         self._fronts: dict[int, list[list[tuple]]] = {}
         self._certificates: dict[tuple, list] = {}
@@ -1519,7 +1515,7 @@ class _ChunkPass:
         raised to alpha or to p by one ``np.float_power`` call, then the
         searched fronts off their columns, then the rows of several group
         terms: J weighted by h, jin by p, and a caller's front sum."""
-        raised, fronts = layout.raised, layout.fronts
+        raised, fronts = len(layout.of_alpha), layout.fronts
         table = np.zeros((raised + len(fronts) + len(layout.terms), len(self.evaluators),
                           len(self.grid)))
         bases = np.array([row for source in layout.bases for row in self._bases(source)],
@@ -1547,7 +1543,9 @@ class _ChunkPass:
             return [[ev._cut(source[1])[source[2]] for ev in evs]]
         if kind == "front":
             return zip(*self._grouped_c[source[1]])
-        if kind in _TERMED:
+        if kind == "J":
+            return zip(*[cert.squared_values for cert in self._certs(source)])
+        if kind == "jin":
             zeros = (0.0,) * (evs[0].psi.num_qubits - 1)
             return zip(*[zeros if cert is None else cert.squared_values
                          for cert in self._certs(source)])
@@ -1568,7 +1566,7 @@ class _ChunkPass:
             if kind == "front":
                 certs = [[cert for _, cert, _ in col] for col in self._front_columns(focus)]
             elif kind == "J":
-                certs = [ev._merged_group(focus)[1] for ev in self.evaluators]
+                certs = [cert for _, cert, _ in self._merged_groups(focus)]
             else:
                 certs = [_singleton_certificate(ev.tables(focus)[1]) for ev in self.evaluators]
             self._certificates[source] = certs
@@ -1585,14 +1583,17 @@ class _ChunkPass:
                 for ev in self.evaluators]
 
     def _total_sums(self, focus: int) -> list[tuple[float, float]]:
-        """Each state's C^2 and Ca^2 sums over the partners of ``focus``, its
-        kept merged group's."""
-        totals = self._totals.get(focus)
-        if totals is None:
-            merged = [ev._merged_group(focus) for ev in self.evaluators]
-            totals = self._totals[focus] = [(c_sums[0], cert.squared_values[0])
-                                            for _, cert, c_sums in merged]
-        return totals
+        """Each state's C^2 and Ca^2 sums over the partners of ``focus``: a
+        lone call's caller groupings keep them here, summed from the tables,
+        and otherwise they are read off each state's kept merged group."""
+        return self._totals.get(focus) or [(c_sums[0], cert.squared_values[0])
+                                           for _, cert, c_sums in self._merged_groups(focus)]
+
+    def _merged_groups(self, focus: int) -> list[Certified]:
+        groups = self._merged.get(focus)
+        if groups is None:
+            groups = self._merged[focus] = [ev._merged_group(focus) for ev in self.evaluators]
+        return groups
 
     def _front_columns(self, focus: int) -> list[list[tuple]]:
         columns = self._fronts.get(focus)
@@ -1621,7 +1622,8 @@ class _ChunkPass:
         ``Grouping``.
         """
         key, grid = (focus, self.grid.values), self.grid
-        searched = [ev for ev in self.evaluators if not ev._keeps_front(focus, grid)]
+        searched = [ev for ev in self.evaluators
+                    if key not in ev._fronts and not ev._keeps_front(focus, grid)]
         if not searched:
             return
         tables = [ev.tables(focus) for ev in searched]
