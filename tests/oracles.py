@@ -19,10 +19,10 @@ one (states x alpha) array DP; ``chain_dp`` is that DP.
 import math
 from typing import Iterable, Sequence
 
-from entbounds.bounds import (_TIE_TOL, BOUNDS, SLACK_TOL, BoundColumns, _dominates,
-                              _feasible_certificate, _front_sum, _j_sum,
+from entbounds.bounds import (_TIE_TOL, BOUNDS, SLACK_TOL, BoundColumns, OrderingCertificate,
+                              _dominates, _feasible_certificate, _front_sum, _j_sum,
                               _shared_grouping, _singleton_certificate, _split_table,
-                              _sum_in_order, h_weight)
+                              _sum_in_order, canonical_grouping, h_weight)
 
 
 def _ordered_sum(values: Iterable[float]) -> float:
@@ -247,3 +247,26 @@ def front_column(c_sq, ca_sq, grid) -> list[tuple]:
         front = terms[0] if len(terms) == 1 else h * _sum_in_order(terms[:-1]) + terms[-1]
         column.append((cert.grouping, cert, front))
     return column
+
+
+def canonical_column(c_sq, ca_sq, grid) -> list[tuple]:
+    """One focus's ``(grouping, certificate, front sum)`` per alpha of
+    ``grid`` in canonical mode, one alpha at a time in Python floats: the
+    front sum (``_front_sum``) of the merged group and of
+    ``canonical_grouping``, each grouping's C^2 and Ca^2 values summed in
+    order, and the merged group kept unless the canonical grouping's front
+    sum is strictly larger."""
+    partners = tuple(sorted(ca_sq))
+    merged = _shared_grouping(partners, ((1 << len(partners)) - 1,))
+    column = []
+    for grouping in (merged, canonical_grouping(ca_sq)):
+        ca = tuple(_ordered_sum(ca_sq[q] for q in g) for g in grouping.groups)
+        c = tuple(_ordered_sum(c_sq[q] for q in g) for g in grouping.groups)
+        column.append((grouping, OrderingCertificate(grouping, ca, True), c))
+    (merged, merged_cert, merged_c), (canonical, canonical_cert, canonical_c) = column
+    out = []
+    for p, h in grid.weights:
+        front, merged_front = _front_sum(canonical_c, p, h), _front_sum(merged_c, p, h)
+        out.append((canonical, canonical_cert, front) if front > merged_front
+                   else (merged, merged_cert, merged_front))
+    return out

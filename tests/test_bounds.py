@@ -1078,3 +1078,38 @@ def test_alpha_grid_holds_at_most_10000_values():
     assert len(AlphaGrid(values[:-1])) == 10_000
     with pytest.raises(ValueError, match="grid has 10001 values, more than the maximum 10000"):
         AlphaGrid(values)
+
+
+# Both states below read violated because every pair and cut value is read
+# off an eigensolve of the Gram matrix rho = M M^dagger, whose eigenvalues
+# carry an absolute error near 1e-16: a Schmidt value near 3e-7 then carries
+# a relative error near 1e-3, and one below the rank cutoff reads 0.  The
+# fix re-reads each eigenvalue from the amplitude factor M (ROADMAP.md,
+# "Every pair and cut value from the amplitude factor").
+_GRAM_ROUTE = ("false violation: pair and cut values are read off the Gram matrix's "
+               "eigenvalues, which lose Schmidt values near 3e-7 to round-off")
+
+
+def _violated(psi, theorem_ids, alphas):
+    ev = StateEvaluator(psi)
+    return [(tid, alpha, r.slack) for tid in theorem_ids for alpha in alphas
+            for r in (ev.evaluate(tid, alpha),) if r.applicable and not r.satisfied]
+
+
+@pytest.mark.xfail(strict=True, reason=_GRAM_ROUTE)
+def test_the_weak_wclass_state_reads_no_violation():
+    """The W-class reproducer: thm2's slack reads -0.0219 at alpha 0.05 and
+    thm3's -0.0156, with an lhs of 0."""
+    psi = wclass4(2.5e-7, 1.3e-7, 0.003, 0.9999955)
+    assert _violated(psi, ("thm2", "thm3"), (0.05, 1.0)) == []
+
+
+@pytest.mark.xfail(strict=True, reason=_GRAM_ROUTE)
+def test_a_weakly_entangled_qubit_reads_no_violation():
+    """sqrt(1 - eps^2)|0>|a> + eps|1>|b> with eps = 3.3e-7 and Haar 3-qubit
+    a and b: thm1's slack reads -4.8e-3 at alpha 0.05, and thm5 and jin
+    read violated too."""
+    eps = 3.3e-7
+    a, b = haar_random_pure(3, 10004).amplitudes, haar_random_pure(3, 20004).amplitudes
+    psi = PureState.from_amplitudes(np.concatenate([math.sqrt(1.0 - eps ** 2) * a, eps * b]))
+    assert _violated(psi, ("thm1", "thm5", "jin"), (0.05, 0.5, 1.0)) == []

@@ -47,7 +47,7 @@ from entbounds.gallery import FAMILIES, ghz, named, w
 from entbounds.qcore import PureState, haar_random_pure
 from dp_count import DpCount
 from oracles import (_apow, _front_weighted_sum, _geometric_sum, _jin_sum, _ordered_sum,
-                     front_column, split_rows, subset_sums)
+                     canonical_column, front_column, split_rows, subset_sums)
 
 ALPHAS = (0.0, 0.25, 1.0, 1.7, 2.0)
 
@@ -462,6 +462,72 @@ def test_the_best_front_never_falls_below_the_total(n):
             high, low = ev.evaluate(best, grid).rhs, ev.evaluate(total, grid).rhs
             for a, x, y in zip(grid, high, low):
                 assert x >= y - _TIE_TOL, (best, seed, a, x - y)
+
+
+def _canonical_tables(seed, m=11):
+    """Focus tables over partners 1..m whose descending Ca^2 singleton order
+    is feasible (Ca^2 near 3^-i, jittered by at most 1.4x, in a random
+    partner order), with C^2 log-uniform over 6 decades and the largest on
+    partner m: the canonical grouping's front sum beats the merged group's
+    on part of the grid only, or on all or none of it."""
+    rng = np.random.default_rng(seed)
+    ca = 3.0 ** -np.arange(m) * rng.uniform(1.0, 1.4, m)
+    c = np.sort(10.0 ** rng.uniform(-6.0, 0.0, m))
+    order, rest = rng.permutation(m), rng.permutation(c[:-1])
+    partners = range(1, m + 1)
+    return ({q: float(v) for q, v in zip(partners, [*rest, c[-1]])},
+            {q: float(ca[order[i]]) for i, q in enumerate(partners)})
+
+
+def _same_column(got, want):
+    assert [(g, cert) for g, cert, _ in got] == [(g, cert) for g, cert, _ in want]
+    assert [front.hex() for _, _, front in got] == [front.hex() for _, _, front in want]
+
+
+def test_canonical_front_columns_equal_the_scalar_oracle():
+    """Above 8 partners each front column equals ``oracles.canonical_column``,
+    the per-alpha scalar front sums of the merged group and the canonical
+    grouping: groupings and certificates by equality, fronts by
+    ``float.hex``, over the default grid and at single alphas.  The states
+    are injected focus tables at 12 qubits where the canonical grouping wins
+    on part of the grid, the log-uniform W-class states of
+    ``test_the_best_front_never_falls_below_the_total`` at 11 and 12
+    qubits, GHZ-12 and Haar-12, and the columns that one 16-state
+    ``fill_columns`` chunk leaves at 10 qubits."""
+    grid, wins = AlphaGrid.default(), []
+
+    def check(ev, focus):
+        c_sq, ca_sq = ev.tables(focus)
+        want = canonical_column(c_sq, ca_sq, grid)
+        _same_column(ev.front_best(focus, grid), want)
+        fresh = StateEvaluator(ev.psi)
+        fresh._tables[focus] = (c_sq, ca_sq)
+        for i in (0, 9, 19, 39):
+            _same_column([fresh.front_best(focus, grid.values[i])], want[i:i + 1])
+        wins.append(sum(g.k > 1 for g, _, _ in want))
+
+    for seed in range(12):
+        ev = StateEvaluator(w(12))
+        ev._tables[0] = _canonical_tables(seed)
+        check(ev, 0)
+    assert any(0 < k < len(grid) for k in wins), wins
+    for n in (11, 12):
+        for seed in range(20):
+            ev = StateEvaluator(_log_wclass(n, 3, 8800 + 100 * n + seed))
+            for focus in (0, 1):
+                check(ev, focus)
+    for psi in (ghz(12), haar_random_pure(12, 8262)):
+        ev = StateEvaluator(psi)
+        for focus in (0, 1):
+            check(ev, focus)
+    evs = [StateEvaluator(_log_wclass(10, 3 + seed % 2 * 3, 9100 + seed)) for seed in range(16)]
+    bounds_module.fill_spectra(evs, *bounds_module.spectra_keys(["thm2"], 10))
+    bounds_module.fill_columns(evs, ["thm2"], grid)
+    for ev in evs:
+        assert ev._fronts.keys() == {(0, grid.values), (1, grid.values)}
+        for focus in (0, 1):
+            check(ev, focus)
+    assert sum(wins) > 0
 
 
 @pytest.mark.parametrize("call", [
