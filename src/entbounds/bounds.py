@@ -24,14 +24,16 @@ formula of eight rows of (states x alpha) values (``_recipe``), and one
 ``np.float_power`` call raises every row's base, each group term of J and
 jin among them, so that every value equals the per-alpha Python arithmetic
 bit for bit.  Best and caller groupings read the same row kinds; a focus's
-grouping only sets how many group terms its J and front sum add.  The pass
-also searches each front focus of the chunk with one chain DP over
-(subsets x states x alpha) arrays (``_front_dp``), and applies
-``_front_sum``'s formula to the terms that the DP has already raised
-(``_front_chains``).  The scalar kernels ``_j_sum`` and ``_front_sum``
-remain for ``j_best`` and the canonical front column.  The dominance
-precondition has one test, ``_dominates``, which the front search and
-``feasibility`` both read, on floats and on arrays.
+grouping only sets how many group terms its J and front sum add.  One
+function, ``_fill_fronts``, forms every front column, for a chunk pass or
+for a lone ``front_best``: a focus whose pair C are all 0 takes its merged
+group, canonical mode raises the merged total and the descending
+singletons' C^2 as arrays, and every other focus of the chunk is searched
+by one chain DP over (subsets x states x alpha) arrays (``_front_dp``),
+whose front sums are formed from the terms that the DP has already raised
+(``_front_chains``).  The dominance precondition has one test,
+``_dominates``, which the front search and ``feasibility`` both read, on
+floats and on arrays.
 
 Conventions:
   * ``0**alpha`` is taken as 0 for every alpha in [0, 2], including alpha = 0.
@@ -512,28 +514,6 @@ def _require_feasible(pair_sq: Mapping[int, float], grouping: Grouping,
     return cert
 
 
-# The two weighted sums of the bounds.  Each takes ``p = alpha/2`` and a
-# weight, and reads a value at or below 0 as 0 (``0**alpha`` is 0); a single
-# group is one ``**``, and several are added by ``_sum_in_order``.
-
-def _j_sum(grouped_sq: Sequence[float], p: float, ratio: float) -> float:
-    """sum_i ratio^(i-1) * (g_i^2)^p over the groups in order: J with
-    ``ratio = h_weight(alpha)``, jin with ``ratio = p``."""
-    if len(grouped_sq) == 1:  # the merged group
-        return grouped_sq[0] ** p if grouped_sq[0] > 0.0 else 0.0
-    return _sum_in_order((ratio ** i) * (v ** p if v > 0.0 else 0.0)
-                         for i, v in enumerate(grouped_sq))
-
-
-def _front_sum(c_sums: Sequence[float], p: float, h: float) -> float:
-    """h * sum_{i<k} (g_i^2)^p + (g_k^2)^p over the groups in order: the
-    front-weighted C sum; of one group, the total C^2 to the power p."""
-    if len(c_sums) == 1:  # the merged group
-        return c_sums[0] ** p if c_sums[0] > 0.0 else 0.0
-    terms = [v ** p if v > 0.0 else 0.0 for v in c_sums]
-    return h * _sum_in_order(terms[:-1]) + terms[-1]
-
-
 def _per_focus(groupings) -> tuple:
     """``groupings`` as a tuple; a non-iterable gives () and fails the count check."""
     try:
@@ -795,12 +775,12 @@ def _front_chains(pick: np.ndarray, terms: np.ndarray, h: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """``(chains, fronts)`` read off ``_front_dp``'s picks: each state's and
     alpha's leading groups from the full set down, as (states x alpha x
-    groups) masks padded with 0, and its front sum, ``_front_sum``'s
+    groups) masks padded with 0, and its front sum, ``_front_of_rows``'s
     formula on the groups' ``terms`` (C^2 subset sum to the power p): h
     times the sum of all but the last, added in order from 0.0, plus the
-    last.  Each group writes that sum over the groups so far, so the last
-    group's write stands; the empty set picks itself, 0, with term 0.0, so
-    a finished chain adds nothing."""
+    last, which for one group is its term.  Each group writes that sum over
+    the groups so far, so the last group's write stands; the empty set
+    picks itself, 0, with term 0.0, so a finished chain adds nothing."""
     size, shape = len(pick), pick.shape[1:]
     pick, terms = pick.reshape(size, -1), terms.reshape(size, -1)
     each = np.arange(pick.shape[1]).reshape(shape)
@@ -881,13 +861,13 @@ class StateEvaluator:
     values, each focus's merged group (J's certificate, its Ca^2 and the
     total C^2), jin's certificate and each searched focus's ``front_best``
     column off these caches, once each, and raises every base with one
-    ``np.float_power`` call.  The front columns themselves are searched
-    per chunk too: one chain DP per (chunk, focus, grid) over every state
-    whose focus has a pair C above 0 (``_ChunkPass._fill_fronts``), which
-    leaves each state's column here.  A lone ``front_best`` searches as a
-    chunk of one; a column that needs no DP, in canonical mode or on a
-    focus whose pair C are all 0, is kept with no pass built
-    (``_keeps_front``).  ``np.float_power`` calls the C library's ``pow``,
+    ``np.float_power`` call.  The front columns themselves are formed per
+    chunk too, by ``_fill_fronts``, which leaves each state's column here:
+    one chain DP per (chunk, focus, grid) over every state whose focus has
+    a pair C above 0, and no DP in canonical mode or for a focus whose pair
+    C are all 0.  A lone ``front_best`` calls ``_fill_fronts`` for this
+    evaluator alone and builds no pass; ``evaluate`` is the only method
+    that builds one.  ``np.float_power`` calls the C library's ``pow``,
     as Python's ``**`` on floats does, so each value equals the per-alpha
     Python arithmetic bit for bit; ``np.power`` runs numpy's own float64
     loops, which differ from it by an ulp on about 5% of inputs.  With
@@ -900,16 +880,17 @@ class StateEvaluator:
     sums; ``_merged``), ``front_best``'s column per (focus, grid values)
     (``_fronts``), which thm2, thm6 and cor1_thm2 share, and, per bound,
     the columns that ``fill_columns`` left, with their foci and grid
-    values, until ``evaluate`` takes them (``_columns``).  No certificate or front sum re-sums what is already
-    summed: the merged group's one-group sums add the focus tables in
-    order, and the total C^2 of thm3, thm7, cor1_thm3, cor2_lower, ckw and
-    coa_dual is read off it; jin takes the certificate that
-    ``sort_descending_then_check`` builds for its descending singleton
-    order, once per pass; a searched column reads each chain's certificate
-    off the search's Ca^2 subset sums, once per distinct chain and state,
-    and each front sum off the terms that the chain DP raised; a focus
-    whose pair C are all 0 takes its merged group, with no DP.  Only a
-    canonical grouping is summed afresh, once per column.  Certificates of
+    values, until ``evaluate`` takes them (``_columns``).  No certificate
+    or front sum re-sums what is already summed: the merged group's
+    one-group sums add the focus tables in order, and the total C^2 of
+    thm3, thm7, cor1_thm3, cor2_lower, ckw and coa_dual is read off it;
+    jin takes the certificate that ``sort_descending_then_check`` builds
+    for its descending singleton order, once per pass, and a canonical
+    column takes the same certificate, with each singleton's C^2 read off
+    the focus table; a searched column reads each chain's certificate off
+    the search's Ca^2 subset sums, once per distinct chain and state, and
+    each front sum off the terms that the chain DP raised; a focus whose
+    pair C are all 0 takes its merged group, with no DP.  Certificates of
     these groupings, feasible by construction, are built without the
     dataclass's per-field set-up (``_feasible_certificate``).  The
     ``Grouping`` objects themselves are shared by every state
@@ -1040,13 +1021,6 @@ class StateEvaluator:
         return [(g, _grouped_sums(ca_sq, g), _grouped_sums(c_sq, g))
                 for g in (_shared_grouping(partners, chain) for chain in walk(len(ca) - 1))]
 
-    def _certified(self, focus: int, grouping: Grouping) -> Certified:
-        """``Certified`` triple of a grouping known to be feasible, summed
-        afresh: the canonical grouping."""
-        c_sq, ca_sq = self.tables(focus)
-        return (grouping, _feasible_certificate(grouping, _grouped_sums(ca_sq, grouping)),
-                _grouped_sums(c_sq, grouping))
-
     def _merged_group(self, focus: int) -> Certified:
         """The merged group's ``Certified`` triple, kept once per focus.
 
@@ -1065,14 +1039,15 @@ class StateEvaluator:
     # any kept value answers, so a warm evaluator refuses what a fresh one does.
     def j_best(self, focus: int, alpha: float):
         """``(grouping, certificate, J)`` of the merged group, which minimizes
-        the geometric assistance sum: ``J = Ca2(all)^(alpha/2)`` by ``_j_sum``.
-        ``evaluate`` reads the same kept certificate and computes the same J
-        from it, so it never calls this."""
+        the geometric assistance sum: ``J = Ca2(all)^(alpha/2)``, 0 where
+        Ca2(all) is 0.  ``evaluate`` reads the same kept certificate and
+        raises the same total, so it never calls this."""
         if type(focus) is not int:
             focus = qubit_index(focus, self.psi.num_qubits, "focus")
-        h = h_weight(alpha)
+        h_weight(alpha)  # checks alpha
         grouping, cert, _ = self._merged_group(focus)
-        return grouping, cert, _j_sum(cert.squared_values, alpha / 2.0, h)
+        (total,) = cert.squared_values
+        return grouping, cert, total ** (alpha / 2.0) if total > 0.0 else 0.0
 
     def front_best(self, focus: int, alpha: float | AlphaGrid):
         """``(grouping, certificate, front sum)`` of the assistance-feasible
@@ -1083,14 +1058,14 @@ class StateEvaluator:
         ``front_best(f, AlphaGrid((a,)))[0]``.  The column is found once per
         (focus, grid values) and kept, as thm2, thm6 and cor1_thm2 share
         it; each call returns a fresh list.  A column that is not kept yet
-        is found by the chunk pass's front search as a chunk of one
-        (``_ChunkPass._fill_fronts``): one chain DP over the whole grid.  In
-        canonical mode, or when the focus's pair C are all 0, the column
-        needs no DP and is kept with no pass built.  Each chain it picks is
-        certified once: alphas of the column that pick the same chain
-        share one certificate, and every state shares the ``Grouping`` of
-        a chain.  The sum equals, bit for bit, ``_front_sum`` of the
-        grouping's C^2 sums.
+        is formed by ``_fill_fronts`` for this evaluator alone, with no
+        ``_ChunkPass`` built: one chain DP over the whole grid, or none in
+        canonical mode or when the focus's pair C are all 0.  Each chain it
+        picks is certified once: alphas of the column that pick the same
+        chain share one certificate, and every state shares the
+        ``Grouping`` of a chain.  The sum equals, bit for bit, the per-alpha
+        Python front sum of the grouping's C^2 sums, whose scalar kernel
+        ``tests/oracles.py`` keeps.
         """
         if type(focus) is not int:
             focus = qubit_index(focus, self.psi.num_qubits, "focus")
@@ -1100,48 +1075,12 @@ class StateEvaluator:
         return self._front_column(focus, AlphaGrid((alpha,)))[0]
 
     def _front_column(self, focus: int, grid: AlphaGrid):
-        """``front_best``'s kept column of one focus over one grid; a column
-        that needs the chain DP is found as a chunk of one."""
+        """``front_best``'s kept column of one focus over one grid, formed
+        by ``_fill_fronts`` for this evaluator alone when it is not kept."""
         key = (focus, grid.values)
-        if key not in self._fronts and not self._keeps_front(focus, grid):
-            _ChunkPass((self,), grid)._fill_fronts(focus)
+        if key not in self._fronts:
+            _fill_fronts((self,), focus, grid)
         return self._fronts[key]
-
-    def _keeps_front(self, focus: int, grid: AlphaGrid) -> bool:
-        """Keep the front column of ``focus`` over ``grid``, which is not
-        kept yet, if it needs no chain DP, and tell whether it did: above 8
-        partners the canonical column, and for a focus whose pair C are all
-        0 the merged group's kept certificate, J's own, with front sum 0.0
-        at every alpha, as every grouping reads 0 and a tie keeps the whole
-        set."""
-        key = (focus, grid.values)
-        if self.search == "canonical":
-            self._fronts[key] = self._canonical_column(focus, grid)
-        elif any(self.tables(focus)[0].values()):
-            return False
-        else:
-            grouping, cert, _ = self._merged_group(focus)
-            self._fronts[key] = [(grouping, cert, 0.0)] * len(grid)
-        return True
-
-    def _canonical_column(self, focus: int, grid: AlphaGrid) -> list[tuple]:
-        """The front column above 8 partners: the canonical grouping,
-        certified once per column with ``_certified``, where its front sum
-        is strictly larger than the merged group's, else the merged group,
-        each front sum from ``_front_sum`` of the grouping's C^2 sums."""
-        merged = self._merged_group(focus)
-        certified = self._certified(focus, canonical_grouping(self.tables(focus)[1]))
-        column = []
-        for p, h in grid.weights:
-            chosen, front = certified, _front_sum(certified[2], p, h)
-            # The merged group is always feasible: as a tie keeps the
-            # whole subset in the search, it stays unless the canonical
-            # grouping's front sum is strictly larger.
-            merged_front = _front_sum(merged[2], p, h)
-            if not front > merged_front:
-                chosen, front = merged, merged_front
-            column.append((chosen[0], chosen[1], front))
-        return column
 
     # -- report assembly -----------------------------------------------------
 
@@ -1422,12 +1361,12 @@ class _ChunkPass:
     every base of the chunk, the group terms of J and jin among them, one
     take lays out the operands, and the formula runs once for all bounds.
     So a chunk costs a fixed number of numpy calls, whatever its size and
-    bounds.  The front columns are searched per chunk as well
-    (``_fill_fronts``): one chain DP per front focus over every state that
-    needs it and the whole grid, whose number of array steps depends on the
-    partner count, not on the chunk.  A chunk of one state is the pass
-    that a lone ``evaluate`` call runs, and a lone ``front_best`` call whose
-    column needs the DP.
+    bounds.  The front columns are formed per chunk as well, by the
+    module's ``_fill_fronts``: one chain DP per front focus over every
+    state that needs it and the whole grid, whose number of array steps
+    depends on the partner count, not on the chunk.  A chunk of one state
+    is the pass that a lone ``evaluate`` call runs; a lone ``front_best``
+    calls ``_fill_fronts`` itself and builds no pass.
 
     A lone ``evaluate`` call with ``groupings=`` gives the pass its checked
     groupings, as ``given`` pairs of a focus and its ``Certified`` triple.
@@ -1598,72 +1537,102 @@ class _ChunkPass:
     def _front_columns(self, focus: int) -> list[list[tuple]]:
         columns = self._fronts.get(focus)
         if columns is None:
-            self._fill_fronts(focus)
+            _fill_fronts(self.evaluators, focus, self.grid)
             columns = self._fronts[focus] = [ev.front_best(focus, self.grid)
                                              for ev in self.evaluators]
         return columns
 
-    def _fill_fronts(self, focus: int) -> None:
-        """Keep on each evaluator that lacks it its front column of ``focus``
-        over the grid (``StateEvaluator._fronts``), for ``front_best`` to
-        read.
-
-        A column that needs no chain DP is kept by its evaluator
-        (``StateEvaluator._keeps_front``): above 8 partners the canonical
-        column, and for a focus whose pair C are all 0 the merged group.
-        Every other state is searched by one chain DP over (subsets x
-        states x alpha) arrays (``_front_dp``): the C^2 and Ca^2 subset sums
-        are formed for all of them at once (``_subset_sums``), the leads
-        ``-(C^2 sum)^p`` are raised with one ``np.float_power`` call, and
-        the chains and front sums are read off the picks as arrays
-        (``_front_chains``).  Each state then certifies each distinct chain
-        once, off its Ca^2 subset sums, which equal the grouping's
-        ``_grouped_sums`` bit for bit, with the chain's shared
-        ``Grouping``.
-        """
-        key, grid = (focus, self.grid.values), self.grid
-        searched = [ev for ev in self.evaluators
-                    if key not in ev._fronts and not ev._keeps_front(focus, grid)]
-        if not searched:
-            return
-        tables = [ev.tables(focus) for ev in searched]
-        values = np.array([[*c_sq.values(), *ca_sq.values()] for c_sq, ca_sq in tables],
-                          dtype=float)
-        c, ca = _subset_sums(values.reshape(len(tables), 2, -1).T).transpose(1, 0, 2)
-        terms = self._powers(c.T)
-        chains, fronts = _front_chains(_front_dp(-terms, ca, self.h), terms, self.h)
-        partners = tuple(tables[0][1])
-        for ev, ca_sums, rows, row_fronts in zip(searched, ca.T.tolist(), chains.tolist(),
-                                                 fronts.tolist()):
-            certs, column = {}, []
-            for chain, front in zip(map(tuple, rows), row_fronts):
-                cert = certs.get(chain)
-                if cert is None:
-                    cert = certs[chain] = _chain_certificate(
-                        partners, tuple(filter(None, chain)), ca_sums)
-                column.append((cert.grouping, cert, front))
-            ev._fronts[key] = column
-
-    def _powers(self, grouped: Sequence[Sequence[float]]) -> np.ndarray:
-        """The (groups x states x alpha) array of each state's group values
-        to the power p."""
-        bases = np.array(grouped, dtype=float).T[:, :, None]
-        return np.float_power(bases, self.p, where=bases > 0.0,
-                              out=np.zeros(bases.shape[:2] + self.p.shape))
-
 
 def _geometric_sum(terms: np.ndarray, ratio: np.ndarray) -> np.ndarray:
     """``sum_i ratio^i terms[i]`` over the first axis of two terms or more,
-    added one term at a time in order: J with ratio h, jin with ratio p, as
-    ``_j_sum``."""
+    added one term at a time in order: J with ratio h, jin with ratio p."""
     weights = np.float_power(ratio, _POWERS[:len(terms)])
     return np.add.accumulate(weights[:, None, :] * terms, axis=0)[-1]
 
 
 def _front_of_rows(terms: np.ndarray, h: np.ndarray) -> np.ndarray:
     """``h * sum_{i<k} terms[i] + terms[k]`` over the first axis of two terms
-    or more, as ``_front_sum``."""
+    or more: the front sum, h times the sum of all but the last group term,
+    added in order, plus the last."""
     return h * np.add.accumulate(terms[:-1], axis=0)[-1] + terms[-1]
+
+
+def _powers(grouped: Sequence[Sequence[float]], p: np.ndarray) -> np.ndarray:
+    """The (groups x states x alpha) array of each state's group values
+    ``grouped[state]`` to the power p; a value at or below 0 reads 0."""
+    bases = np.array(grouped, dtype=float).T[:, :, None]
+    return np.float_power(bases, p, where=bases > 0.0,
+                          out=np.zeros(bases.shape[:2] + p.shape))
+
+
+def _fill_fronts(evaluators: Sequence[StateEvaluator], focus: int, grid: AlphaGrid) -> None:
+    """Keep on each evaluator that lacks it its front column of ``focus``
+    over ``grid`` (``StateEvaluator._fronts``), for ``front_best`` to read:
+    ``front_best`` calls this for its evaluator alone, and a chunk pass for
+    its chunk.  Each column is a ``(grouping, certificate, front sum)``
+    triple per alpha.
+
+    * A focus whose pair C are all 0 takes its kept merged group, J's own
+      certificate, with front sum 0.0 at every alpha: every grouping reads
+      0, and a tie keeps the whole set.
+    * Above 8 partners (canonical mode) the merged group is kept unless the
+      descending singleton order is feasible and its front sum is strictly
+      larger, as a tie keeps the whole set in the search.  The singleton
+      certificate is the one jin reads (``_singleton_certificate``); the
+      merged total C^2 and the singletons' C^2 values are raised by one
+      ``_powers`` call, and the singletons' front sum is ``_front_of_rows``.
+    * Every other state is searched by one chain DP over (subsets x states
+      x alpha) arrays (``_front_dp``): the C^2 and Ca^2 subset sums are
+      formed for all of them at once (``_subset_sums``), the leads
+      ``-(C^2 sum)^p`` are raised by one ``_powers`` call, and the chains
+      and front sums are read off the picks as arrays (``_front_chains``).
+      Each state then certifies each distinct chain once, off its Ca^2
+      subset sums, which equal the grouping's ``_grouped_sums`` bit for
+      bit, with the chain's shared ``Grouping``.
+    """
+    key = (focus, grid.values)
+    canonical, searched = [], []
+    for ev in evaluators:
+        if key in ev._fronts:
+            continue
+        if not any(ev.tables(focus)[0].values()):
+            grouping, cert, _ = ev._merged_group(focus)
+            ev._fronts[key] = [(grouping, cert, 0.0)] * len(grid)
+        else:
+            (canonical if ev.search == "canonical" else searched).append(ev)
+    if not (canonical or searched):
+        return
+    p, h = np.array([*zip(*grid.weights)])
+    for ev in canonical:
+        c_sq, ca_sq = ev.tables(focus)
+        grouping, cert, (total,) = ev._merged_group(focus)
+        singles = _singleton_certificate(ca_sq)
+        groups = () if singles is None else singles.grouping.groups
+        terms = _powers([[total, *(c_sq[q] for (q,) in groups)]], p)[:, 0]
+        column = [(grouping, cert, front) for front in terms[0].tolist()]
+        if singles is not None:
+            for i, front in enumerate(_front_of_rows(terms[1:], h).tolist()):
+                if front > column[i][2]:
+                    column[i] = (singles.grouping, singles, front)
+        ev._fronts[key] = column
+    if not searched:
+        return
+    tables = [ev.tables(focus) for ev in searched]
+    values = np.array([[*c_sq.values(), *ca_sq.values()] for c_sq, ca_sq in tables], dtype=float)
+    c, ca = _subset_sums(values.reshape(len(tables), 2, -1).T).transpose(1, 0, 2)
+    terms = _powers(c.T, p)
+    chains, fronts = _front_chains(_front_dp(-terms, ca, h), terms, h)
+    partners = tuple(tables[0][1])
+    for ev, ca_sums, rows, row_fronts in zip(searched, ca.T.tolist(), chains.tolist(),
+                                             fronts.tolist()):
+        certs, column = {}, []
+        for chain, front in zip(map(tuple, rows), row_fronts):
+            cert = certs.get(chain)
+            if cert is None:
+                cert = certs[chain] = _chain_certificate(
+                    partners, tuple(filter(None, chain)), ca_sums)
+            column.append((cert.grouping, cert, front))
+        ev._fronts[key] = column
 
 
 def fill_spectra(evaluators: Sequence[StateEvaluator], pairs: Collection[tuple[int, int]],
@@ -1737,8 +1706,8 @@ def fill_columns(evaluators: Sequence[StateEvaluator], theorem_ids: Iterable[str
     bounds that its size admits in one ``_ChunkPass``: every bound's lhs,
     rhs, slack and verdict are formed as (states x alpha) arrays, from the
     alpha-free values gathered once for the group, and each front focus is
-    searched by one chain DP for the group (``_ChunkPass._fill_fronts``),
-    which also leaves the focus's ``front_best`` columns.  ``verify``
+    searched by one chain DP for the group (``_fill_fronts``), which also
+    leaves the focus's ``front_best`` columns.  ``verify``
     calls this once and ``sweep`` once per chunk, after ``fill_spectra``;
     each then asks ``evaluate`` for each (state, bound), which takes the
     kept columns off the evaluator.  The values equal, bit for bit, those

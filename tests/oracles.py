@@ -1,10 +1,11 @@
 """Reference formulas of the bounds' weighted sums, kept as test oracles.
 
 Each is written from the paper's statement with one alpha argument, apart
-from the kernels in ``entbounds.bounds`` (``_j_sum`` and ``_front_sum``),
-which take ``p = alpha/2`` and a weight.  The tests compare the kernels and
-every report against these, bit for bit where the summation order agrees.
-Every sum here adds left to right from 0.0 (``_ordered_sum``), as the
+from the scalar kernels ``_j_sum`` and ``_front_sum``, which take
+``p = alpha/2`` and a weight, as the library's array rows do.  The tests
+compare the kernels against the statements, and every report against the
+kernels, bit for bit where the summation order agrees.  Every sum here
+adds left to right from 0.0 (``_ordered_sum``, ``_sum_in_order``), as the
 library does on every Python version.
 
 ``sweep_tally`` is the sweep's aggregation one report at a time, as
@@ -13,16 +14,18 @@ library does on every Python version.
 ``evaluate`` did before a chunk's bounds were evaluated as arrays.
 ``front_column`` is one focus's front search per state, one chain DP per
 alpha, as ``front_best`` ran it before a chunk's fronts were searched as
-one (states x alpha) array DP; ``chain_dp`` is that DP.
+one (states x alpha) array DP; ``chain_dp`` is that DP.  ``canonical_column``
+is one focus's front column above 8 partners, one alpha at a time, as
+``front_best`` formed it before the canonical fronts were raised as arrays.
 """
 
 import math
 from typing import Iterable, Sequence
 
 from entbounds.bounds import (_TIE_TOL, BOUNDS, SLACK_TOL, BoundColumns, OrderingCertificate,
-                              _dominates, _feasible_certificate, _front_sum, _j_sum,
-                              _shared_grouping, _singleton_certificate, _split_table,
-                              _sum_in_order, canonical_grouping, h_weight)
+                              _dominates, _feasible_certificate, _shared_grouping,
+                              _singleton_certificate, _split_table, _sum_in_order,
+                              canonical_grouping, h_weight)
 
 
 def _ordered_sum(values: Iterable[float]) -> float:
@@ -59,6 +62,28 @@ def _jin_sum(grouped_sq: Sequence[float], alpha: float) -> float:
     """sum_i (alpha/2)^(i-1) * (g_i^2)^(alpha/2) over the groups in order."""
     return _ordered_sum(((alpha / 2.0) ** i) * _apow(v, alpha / 2.0)
                         for i, v in enumerate(grouped_sq))
+
+
+# The two weighted sums of the bounds.  Each takes ``p = alpha/2`` and a
+# weight, and reads a value at or below 0 as 0 (``0**alpha`` is 0); a single
+# group is one ``**``, and several are added by ``_sum_in_order``.
+
+def _j_sum(grouped_sq: Sequence[float], p: float, ratio: float) -> float:
+    """sum_i ratio^(i-1) * (g_i^2)^p over the groups in order: J with
+    ``ratio = h_weight(alpha)``, jin with ``ratio = p``."""
+    if len(grouped_sq) == 1:  # the merged group
+        return grouped_sq[0] ** p if grouped_sq[0] > 0.0 else 0.0
+    return _sum_in_order((ratio ** i) * (v ** p if v > 0.0 else 0.0)
+                         for i, v in enumerate(grouped_sq))
+
+
+def _front_sum(c_sums: Sequence[float], p: float, h: float) -> float:
+    """h * sum_{i<k} (g_i^2)^p + (g_k^2)^p over the groups in order: the
+    front-weighted C sum; of one group, the total C^2 to the power p."""
+    if len(c_sums) == 1:  # the merged group
+        return c_sums[0] ** p if c_sums[0] > 0.0 else 0.0
+    terms = [v ** p if v > 0.0 else 0.0 for v in c_sums]
+    return h * _sum_in_order(terms[:-1]) + terms[-1]
 
 
 def sweep_tally(stats: dict, report) -> None:

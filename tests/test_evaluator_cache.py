@@ -46,7 +46,8 @@ from entbounds.measures import (
 )
 from entbounds.qcore import _PAIR_NOISE_FLOOR, _RANK_CUTOFF, _YY, haar_random_pure, schmidt_rank
 from dp_count import DpCount
-from oracles import _front_weighted_sum, _geometric_sum, _jin_sum, front_column
+from oracles import (_front_sum, _front_weighted_sum, _geometric_sum, _j_sum, _jin_sum,
+                     front_column)
 
 _S = 1 / math.sqrt(5)
 GALLERY_PARAMS = {
@@ -147,16 +148,16 @@ def test_verify_all_builds_one_search_per_front_focus_and_sorts_once(monkeypatch
     one chain DP per front focus with a pair C above 0 (both foci of the
     W-class state, neither of the Haar state), over the whole grid, which
     thm2, thm6 and cor1_thm2 share through the kept front column, and one
-    sort, jin's on focus 0.  At 12 qubits the front sum is canonical: no
-    DP runs, and each front column sorts once for its canonical
-    grouping."""
+    sort, jin's on focus 0.  At 12 qubits the front sum is canonical and no
+    DP runs; the Haar state's front foci have pair C all 0, so they take
+    their merged groups with no sort, and jin's is again the only one."""
     count, sorts = DpCount(monkeypatch), []
     sort = bounds.sort_descending_then_check
     monkeypatch.setattr(bounds, "sort_descending_then_check",
                         lambda values: sorts.append(tuple(values)) or sort(values))
     for psi, searched, sorted_foci in ((_geometric_wclass(6), (0, 1), (0,)),
                                        (haar_random_pure(6, 8256), (), (0,)),
-                                       (haar_random_pure(12, 8262), (), (0, 0, 1))):
+                                       (haar_random_pure(12, 8262), (), (0,))):
         n = psi.num_qubits
         if n == 6:
             assert _searched(psi, (0, 1)) == searched
@@ -169,6 +170,8 @@ def test_verify_all_builds_one_search_per_front_focus_and_sorts_once(monkeypatch
         assert count.runs == count.expected(), n
         assert count.runs == (_searched_runs(built, searched) if n == 6 else []), n
         ev = StateEvaluator(built)
+        if n == 12:
+            assert _searched(built, (0, 1)) == ()
         assert sorts == [tuple(ev.tables(f)[1].values()) for f in sorted_foci], n
 
 
@@ -673,10 +676,10 @@ def test_j_sum_equals_the_geometric_sum_bit_for_bit(k):
         p, h = alpha / 2.0, bounds.h_weight(alpha)
         for values in value_sets:
             where = (values, alpha)
-            assert bounds._j_sum(values, p, h).hex() == \
+            assert _j_sum(values, p, h).hex() == \
                 float(_geometric_sum(values, alpha)).hex(), where
-            assert bounds._j_sum(values, p, p).hex() == float(_jin_sum(values, alpha)).hex(), where
-            assert bounds._front_sum(values, p, h).hex() == \
+            assert _j_sum(values, p, p).hex() == float(_jin_sum(values, alpha)).hex(), where
+            assert _front_sum(values, p, h).hex() == \
                 float(_front_weighted_sum(values, alpha)).hex(), where
 
 
@@ -694,8 +697,8 @@ def test_every_sum_adds_left_to_right_on_every_python():
         [in_order.hex()]
     # At p = 1 with weight 1 every term is its value, and the front sum's
     # last term, here 0.0, is added after the others.
-    assert bounds._j_sum(values, 1.0, 1.0).hex() == in_order.hex()
-    assert bounds._front_sum(values + (0.0,), 1.0, 1.0).hex() == in_order.hex()
+    assert _j_sum(values, 1.0, 1.0).hex() == in_order.hex()
+    assert _front_sum(values + (0.0,), 1.0, 1.0).hex() == in_order.hex()
 
 
 def test_grouped_sums_equal_the_subset_sums_at_their_masks():
@@ -834,15 +837,16 @@ def test_a_bound_row_builds_its_default_foci_once():
     ("ghz_wclass9", _ghz_plus_wclass(9, 8402), 0),
     ("wclass6", _geometric_wclass(6), 0),
     ("ghz6", ghz(6), 0),
-    ("wclass12", _geometric_wclass(12), 4)])
+    ("wclass12", _geometric_wclass(12), 0)])
 def test_verify_sums_no_grouping_twice(monkeypatch, capsys, name, psi, summed):
     """The grouping sums of one ``verify --theorem all``.  Where every front
     focus has pair C above 0, no grouping is summed by ``_grouped_sums``:
     the merged group adds the tables, jin takes the sort's certificate, and
     each searched column certifies each distinct chain once from the search's
     subset sums.  A zero-C front focus (GHZ) takes its kept merged group.
-    A canonical column (12 qubits) sums its one grouping's C^2 and Ca^2
-    once per column: 2 sums for each of foci 0 and 1."""
+    A canonical column (12 qubits) reads the descending singletons'
+    certificate that jin reads and each singleton's C^2 off the tables, so
+    it sums no grouping either."""
     fresh, grid = StateEvaluator(psi), bounds.AlphaGrid.default()
     chains = [len({g for g, _, _ in fresh.front_best(f, grid)}) for f in (0, 1)
               if fresh.search == "exhaustive" and any(fresh.tables(f)[0].values())]

@@ -35,7 +35,6 @@ from entbounds.bounds import (
     Grouping,
     OrderingCertificate,
     StateEvaluator,
-    _front_sum,
     _grouped_sums,
     _split_table,
     canonical_grouping,
@@ -46,8 +45,8 @@ from entbounds.bounds import (
 from entbounds.gallery import FAMILIES, ghz, named, w
 from entbounds.qcore import PureState, haar_random_pure
 from dp_count import DpCount
-from oracles import (_apow, _front_weighted_sum, _geometric_sum, _jin_sum, _ordered_sum,
-                     canonical_column, front_column, split_rows, subset_sums)
+from oracles import (_apow, _front_sum, _front_weighted_sum, _geometric_sum, _jin_sum,
+                     _ordered_sum, canonical_column, front_column, split_rows, subset_sums)
 
 ALPHAS = (0.0, 0.25, 1.0, 1.7, 2.0)
 
@@ -384,9 +383,9 @@ def test_zero_c_foci_run_no_dp(name, psi, foci, monkeypatch, capsys):
 def test_a_front_column_that_needs_no_dp_builds_no_pass(psi, monkeypatch):
     """A lone ``front_best`` on a focus whose pair C are all 0 (GHZ-6), or in
     canonical mode (W-12, whose pair C are above 0), keeps its column with
-    no ``_ChunkPass`` built, over a grid and at one alpha, and the column
-    is the one that a chunk pass reads.  A lone miss on a searched focus
-    still builds one pass."""
+    no ``_ChunkPass`` built and no chain DP run, over a grid and at one
+    alpha, and the column is the one that a chunk pass reads.  A lone miss
+    on a searched focus runs one chain DP, and builds no pass either."""
     built = []
     init = bounds_module._ChunkPass.__init__
 
@@ -395,11 +394,12 @@ def test_a_front_column_that_needs_no_dp_builds_no_pass(psi, monkeypatch):
         init(chunk_pass, *args, **kwargs)
 
     monkeypatch.setattr(bounds_module._ChunkPass, "__init__", counted)
+    count = DpCount(monkeypatch)
     grid = AlphaGrid.default()
     ev = StateEvaluator(psi)
     columns = [ev.front_best(focus, grid) for focus in (0, 1)]
     singles = [ev.front_best(focus, 0.5) for focus in (0, 1)]
-    assert built == []
+    assert built == [] and count.runs == []
     chunk = bounds_module._ChunkPass((StateEvaluator(psi),), grid)
     assert columns == [chunk._front_columns(focus)[0] for focus in (0, 1)]
     fresh = StateEvaluator(psi)
@@ -407,7 +407,7 @@ def test_a_front_column_that_needs_no_dp_builds_no_pass(psi, monkeypatch):
     built.clear()
     searched = StateEvaluator(haar_random_pure(4, 11))  # pair C above 0 at focus 0
     searched.front_best(0, grid)
-    assert len(built) == 1
+    assert built == [] and len(count.runs) == 1
 
 
 def test_alpha_dependent_foci_run_one_dp_per_chunk(monkeypatch, capsys):
