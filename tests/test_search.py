@@ -527,7 +527,6 @@ def test_canonical_front_columns_equal_the_scalar_oracle():
         assert ev._fronts.keys() == {(0, grid.values), (1, grid.values)}
         for focus in (0, 1):
             check(ev, focus)
-    assert sum(wins) > 0
 
 
 @pytest.mark.parametrize("call", [
