@@ -63,7 +63,7 @@ from .qcore import (
     MAX_QUBITS,
     PureState,
     _amplitude_tensor,
-    _gram_density,
+    _gram_densities,
     _reduced_densities,
     _schmidt_spectra,
     _subsystem,
@@ -380,6 +380,17 @@ class AlphaGrid:
         return cls(tuple(v for v in values if v <= top))
 
     @classmethod
+    def _of_checked(cls, alpha) -> "AlphaGrid":
+        """``AlphaGrid((alpha,))`` of an alpha that ``h_weight`` has already
+        accepted, without checking it again: ``h_weight`` refuses every
+        value that the grid refuses (``_check_alpha``, then NaN, infinities
+        and values outside [0, 2]), and the value is read as the grid reads
+        it.  A lone single-alpha call builds its grid of one so."""
+        grid = object.__new__(cls)
+        vars(grid)["values"] = (float(alpha) + 0.0,)
+        return grid
+
+    @classmethod
     def default(cls) -> "AlphaGrid":
         # Starts above 0 so the 0**0 convention never matters on default runs.
         return cls.from_range(0.05, 2.0, 0.05)
@@ -388,6 +399,15 @@ class AlphaGrid:
     def weights(self) -> tuple[tuple[float, float], ...]:
         """``(p, h)`` = ``(alpha/2, h_weight(alpha))`` of each value, built once per grid."""
         return tuple((a / 2.0, h_weight(a)) for a in self.values)
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The rows alpha, p and h of ``values`` and ``weights`` as one
+        read-only (3 x values) array, built once per grid: every chunk pass
+        and front fill over the grid reads it."""
+        array = np.array([self.values, *zip(*self.weights)])
+        array.setflags(write=False)
+        return array
 
     def __iter__(self):
         return iter(self.values)
@@ -812,14 +832,17 @@ def _singleton_certificate(pair_sq: Mapping[int, float]) -> OrderingCertificate 
     A feasible singleton order is non-increasing, since each value is at
     least the sum of all later ones, so this is the only candidate.  The
     certificate is the one that ``sort_descending_then_check`` builds, its
-    values taken as they are, with the order's shared ``Grouping`` attached.
+    values taken as they are, with the order's shared ``Grouping`` set on it.
     """
     partners = tuple(sorted(pair_sq))
     order, cert = sort_descending_then_check([pair_sq[q] for q in partners])
     if not cert.feasible:
         return None
-    return _feasible_certificate(_shared_grouping(partners, tuple(1 << i for i in order)),
-                                 cert.squared_values)
+    # The certificate is new and held by nothing else, so it takes the
+    # order's grouping in place of None, as ``_feasible_certificate`` sets
+    # fields, rather than being built a second time.
+    vars(cert)["grouping"] = _shared_grouping(partners, tuple(1 << i for i in order))
+    return cert
 
 
 def _descending_singletons(pair_sq: Mapping[int, float]) -> Grouping | None:
@@ -940,6 +963,7 @@ class StateEvaluator:
         self._tables: dict[int, tuple[dict[int, float], dict[int, float]]] = {}
         self._cuts: dict[tuple[int, ...], tuple[float, float, int]] = {}
         self._merged: dict[int, Certified] = {}
+        self._singles: dict[int, OrderingCertificate | None] = {}
         self._fronts: dict[tuple[int, tuple[float, ...]], list[tuple]] = {}
         self._columns: dict[str, tuple[tuple[int, ...], tuple[float, ...], BoundColumns]] = {}
 
@@ -1035,6 +1059,17 @@ class StateEvaluator:
                 (_sum_in_order(c_sq.values()),))
         return merged
 
+    def _singleton(self, focus: int) -> OrderingCertificate | None:
+        """The certificate of the descending singleton order of the focus's
+        Ca^2, or None where it is not feasible, kept once per focus: jin
+        reads it, and so does a canonical front column, so each focus's
+        values are sorted once."""
+        try:
+            return self._singles[focus]
+        except KeyError:
+            cert = self._singles[focus] = _singleton_certificate(self.tables(focus)[1])
+            return cert
+
     # The term getters check a focus that is not an int and the alpha before
     # any kept value answers, so a warm evaluator refuses what a fresh one does.
     def j_best(self, focus: int, alpha: float):
@@ -1072,7 +1107,7 @@ class StateEvaluator:
         if isinstance(alpha, AlphaGrid):
             return self._front_column(focus, alpha)[:]
         h_weight(alpha)
-        return self._front_column(focus, AlphaGrid((alpha,)))[0]
+        return self._front_column(focus, AlphaGrid._of_checked(alpha))[0]
 
     def _front_column(self, focus: int, grid: AlphaGrid):
         """``front_best``'s kept column of one focus over one grid, formed
@@ -1155,7 +1190,7 @@ class StateEvaluator:
             zip(foci, self._given(theorem_id, spec, foci, groupings)))
         bound = ((theorem_id, foci),)
         if not grid:
-            return _ChunkPass((self,), AlphaGrid((alpha,)), given).columns(
+            return _ChunkPass((self,), AlphaGrid._of_checked(alpha), given).columns(
                 bound, (alpha,))[0][0].report(0)
         if not given:
             kept = self._columns.get(theorem_id)
@@ -1182,8 +1217,9 @@ def _pair_sum_columns(ev: StateEvaluator, theorem_id: str, spec: BoundSpec,
     c_cut = ev._cut(foci)[0]
     lhs, rhs = ((c_cut ** 2, totals[1]) if spec.direction == "upper" else (totals[0], c_cut ** 2))
     slack = rhs - lhs
-    return BoundColumns(theorem_id, (2.0,), [lhs], [rhs], [slack], [slack >= -SLACK_TOL],
-                        [None], True)
+    # Built as ``_ChunkPass.columns`` builds its columns: one tuple of the fields.
+    return tuple.__new__(BoundColumns, (theorem_id, (2.0,), [lhs], [rhs], [slack],
+                                        [slack >= -SLACK_TOL], [None], True))
 
 
 # A row of a pass's table, named by what it holds for each state:
@@ -1270,9 +1306,10 @@ class _Layout(NamedTuple):
     searched front rows of the foci ``fronts`` follow, and the rows of
     several group terms come last, ``terms`` holding the slice of the
     table that holds each one's terms.  ``take`` lists the table rows of
-    each bound's lhs, then of its operands A of every bound, its operands
-    B, and so on.  ``upper`` tells whether each bound's slack is rhs - lhs,
-    and ``bounds`` holds each bound's ``(index, theorem id, certificate
+    the operands A of every bound, then of its operands B, and so on to F,
+    then of each bound's lhs, so that one reshape of the taken rows gives
+    all nine.  ``upper`` tells whether each bound's slack is rhs - lhs, and
+    ``bounds`` holds each bound's ``(index, theorem id, certificate
     sources, check)`` in table order; ``fixed`` lists the indices of the
     fixed-alpha bounds.
     """
@@ -1305,8 +1342,8 @@ def _layout(bounds: tuple[tuple[str, tuple[int, ...]], ...], num_qubits: int,
             fixed.append(b)
         else:
             members.append((b, theorem_id, spec, foci, *_recipe(spec, foci)))
-    slots = [("cut", foci, 1 if spec.cut == "N" else 0) for _, _, spec, foci, _, _, _ in members]
-    slots += [operands[k] for k in range(8) for _, _, _, _, operands, _, _ in members]
+    slots = [operands[k] for k in range(8) for _, _, _, _, operands, _, _ in members]
+    slots += [("cut", foci, 1 if spec.cut == "N" else 0) for _, _, spec, foci, _, _, _ in members]
     distinct, counts = list(dict.fromkeys(slots)), dict(groups)
     sums = {s: num_qubits - 1 if s[0] == "jin" else counts.get(s[1], 1) for s in distinct
             if s[0] in _TERMED and (s[0] != "front" or s[1] in counts)}
@@ -1383,20 +1420,12 @@ class _ChunkPass:
                  given: Sequence[tuple[int, Certified]] = ()):
         self.evaluators = evaluators
         self.grid = grid
-        self.alpha, self.p, self.h = np.array([grid.values, *zip(*grid.weights)])
+        self.alpha, self.p, self.h = grid.array
+        self.given = dict(given)  # a lone call's, so of one state
+        self.groups = tuple((focus, grouping.k) for focus, (grouping, _, _) in given)
         self._merged: dict[int, list[Certified]] = {}
-        self._totals: dict[int, list[tuple[float, float]]] = {}
         self._fronts: dict[int, list[list[tuple]]] = {}
         self._certificates: dict[tuple, list] = {}
-        self._grouped_c: dict[int, list[tuple[float, ...]]] = {}
-        self.groups = ()
-        for focus, (grouping, cert, c_sums) in given:  # a lone call: one state
-            c_sq, ca_sq = evaluators[0].tables(focus)
-            self.groups += ((focus, grouping.k),)
-            self._totals[focus] = [(_sum_in_order(c_sq.values()), _sum_in_order(ca_sq.values()))]
-            self._certificates["J", focus] = self._certificates["jin", focus] = [cert]
-            self._certificates["front", focus] = [[cert] * len(grid)]
-            self._grouped_c[focus] = [c_sums]
 
     def columns(self, bounds: tuple[tuple[str, tuple[int, ...]], ...],
                 alphas: tuple[float, ...]) -> list[list[BoundColumns]]:
@@ -1414,30 +1443,29 @@ class _ChunkPass:
                       for ev, totals in zip(evs, self._total_sums(foci[0]))]
         if not layout.bounds:
             return out
-        count = len(layout.bounds)
+        count, states, size = len(layout.bounds), len(evs), len(self.grid)
         rows = self._table(layout)[layout.take]
-        lhs = rows[:count]
-        a, b, c, d, e, g1, g2, f = rows[count:].reshape(8, count, *lhs.shape[1:])
+        a, b, c, d, e, g1, g2, f, lhs = rows.reshape(9, count, states, size)
         branch_a, branch_b = a - b, c - d
         pick = branch_a >= branch_b
         rhs = f * (((np.where(pick, branch_a, branch_b) - e) + g1) + g2)
         slack = np.where(layout.upper, rhs - lhs, lhs - rhs)
         # One list per (bound, state) row, each read by index: bound i's
         # rows start at i * states.
-        states = len(evs)
-        flat = (count * states, len(self.grid))
+        flat = (count * states, size)
         satisfied = (slack >= -SLACK_TOL).reshape(flat).tolist()
         lhs, rhs, slack, pick = (x.reshape(flat).tolist() for x in (lhs, rhs, slack, pick))
-        size, repeat, new = len(self.grid), itertools.repeat, tuple.__new__
+        new = tuple.__new__
         for i, (index, theorem_id, source, check) in enumerate(layout.bounds):
             span = slice(i * states, (i + 1) * states)
-            if type(source[0]) is tuple:  # a branch bound: each row reports its branch's
-                sides = [self._certs(side) if side[0] == "front" else  # certificate
-                         map(repeat, self._certs(side)) for side in source]
-                certs = [[x if won else y for won, x, y in zip(row, row_a, row_b)]
-                         for row, row_a, row_b in zip(pick[span], *sides)]
-            else:
+            if type(source[0]) is not tuple:
                 certs = [[cert] * size for cert in self._certs(source)]
+            elif source[0][0] == "front":  # each row reports its branch's certificate
+                certs = [[x if won else y for won, x, y in zip(row, row_a, row_b)]
+                         for row, row_a, row_b in zip(pick[span], *map(self._certs, source))]
+            else:  # both branches' certificates are J's, the same at every alpha
+                certs = [[x if won else y for won in row]
+                         for row, x, y in zip(pick[span], *map(self._certs, source))]
             # Built as BoundColumns builds itself, without its Python-level
             # __new__: one tuple of the fields, in order.
             out[index] = columns = [
@@ -1457,7 +1485,7 @@ class _ChunkPass:
         raised, fronts = len(layout.of_alpha), layout.fronts
         table = np.zeros((raised + len(fronts) + len(layout.terms), len(self.evaluators),
                           len(self.grid)))
-        bases = np.array([row for source in layout.bases for row in self._bases(source)],
+        bases = np.array([*itertools.chain.from_iterable(map(self._bases, layout.bases))],
                          dtype=float)[:, :, None]
         np.float_power(bases, np.where(layout.of_alpha, self.alpha, self.p)[:, None, :],
                        out=table[:raised], where=bases > 0.0)
@@ -1474,16 +1502,19 @@ class _ChunkPass:
 
     def _bases(self, source: tuple) -> Iterable[Sequence[float]]:
         """Each state's base in each raised row that ``source`` reads: its
-        own row, or one row per group term of a J, jin or caller's front sum,
-        of the caller's C^2 sums or else of the certificate's values (zeros
-        where jin does not apply)."""
+        own row, or one row per group term of a J, jin or caller's front sum.
+        A caller's grouping, of a lone call's one state, gives its C^2 sums
+        or its certificate's values, one term per group; otherwise J's one
+        term is each state's merged Ca^2 total, and jin's are its
+        certificate's values (zeros where jin does not apply)."""
         kind, evs = source[0], self.evaluators
         if kind == "cut":
             return [[ev._cut(source[1])[source[2]] for ev in evs]]
-        if kind == "front":
-            return zip(*self._grouped_c[source[1]])
+        given = self.given.get(source[1]) if kind in _TERMED else None
+        if given is not None:
+            return [(x,) for x in (given[2] if kind == "front" else given[1].squared_values)]
         if kind == "J":
-            return zip(*[cert.squared_values for cert in self._certs(source)])
+            return [[cert.squared_values[0] for _, cert, _ in self._merged_groups(source[1])]]
         if kind == "jin":
             zeros = (0.0,) * (evs[0].psi.num_qubits - 1)
             return zip(*[zeros if cert is None else cert.squared_values
@@ -1497,17 +1528,22 @@ class _ChunkPass:
     def _certs(self, source: tuple) -> list:
         """Each state's certificate read off ``source``, once per pass: a
         front column's list per alpha, or the one certificate of J's
-        grouping or of jin's order (None where that is not feasible).  The
-        lists are only read, never returned."""
+        grouping or of jin's order (None where that is not feasible).  A
+        caller's grouping is its focus's certificate for all three, the
+        same at every alpha of a front row.  The lists are only read, never
+        returned."""
         certs = self._certificates.get(source)
         if certs is None:
             kind, focus = source
-            if kind == "front":
+            given = self.given.get(focus)
+            if given is not None:
+                certs = [[given[1]] * len(self.grid)] if kind == "front" else [given[1]]
+            elif kind == "front":
                 certs = [[cert for _, cert, _ in col] for col in self._front_columns(focus)]
             elif kind == "J":
                 certs = [cert for _, cert, _ in self._merged_groups(focus)]
             else:
-                certs = [_singleton_certificate(ev.tables(focus)[1]) for ev in self.evaluators]
+                certs = [ev._singleton(focus) for ev in self.evaluators]
             self._certificates[source] = certs
         return certs
 
@@ -1522,11 +1558,14 @@ class _ChunkPass:
                 for ev in self.evaluators]
 
     def _total_sums(self, focus: int) -> list[tuple[float, float]]:
-        """Each state's C^2 and Ca^2 sums over the partners of ``focus``: a
-        lone call's caller groupings keep them here, summed from the tables,
-        and otherwise they are read off each state's kept merged group."""
-        return self._totals.get(focus) or [(c_sums[0], cert.squared_values[0])
-                                           for _, cert, c_sums in self._merged_groups(focus)]
+        """Each state's C^2 and Ca^2 sums over the partners of ``focus``:
+        summed from the tables for a lone call's caller grouping, and
+        otherwise read off each state's kept merged group."""
+        if focus in self.given:
+            c_sq, ca_sq = self.evaluators[0].tables(focus)
+            return [(_sum_in_order(c_sq.values()), _sum_in_order(ca_sq.values()))]
+        return [(c_sums[0], cert.squared_values[0])
+                for _, cert, c_sums in self._merged_groups(focus)]
 
     def _merged_groups(self, focus: int) -> list[Certified]:
         groups = self._merged.get(focus)
@@ -1602,11 +1641,11 @@ def _fill_fronts(evaluators: Sequence[StateEvaluator], focus: int, grid: AlphaGr
             (canonical if ev.search == "canonical" else searched).append(ev)
     if not (canonical or searched):
         return
-    p, h = np.array([*zip(*grid.weights)])
+    _, p, h = grid.array
     for ev in canonical:
-        c_sq, ca_sq = ev.tables(focus)
+        c_sq = ev.tables(focus)[0]
         grouping, cert, (total,) = ev._merged_group(focus)
-        singles = _singleton_certificate(ca_sq)
+        singles = ev._singleton(focus)
         groups = () if singles is None else singles.grouping.groups
         terms = _powers([[total, *(c_sq[q] for (q,) in groups)]], p)[:, 0]
         column = [(grouping, cert, front) for front in terms[0].tolist()]
@@ -1642,14 +1681,18 @@ def fill_spectra(evaluators: Sequence[StateEvaluator], pairs: Collection[tuple[i
     ``pairs`` holds ``(low, high)`` qubit pairs and ``cuts`` sorted qubit
     tuples, each once, as ``spectra_keys`` gives them.  The evaluators are
     grouped by qubit count, and each group's amplitudes are stacked once, as
-    an (S, 2, ..., 2) tensor (a view for a group of one).  Each pair is then
-    reduced for every evaluator of the group that lacks it with one
-    transposed copy and one stacked matmul, ``qcore._reduced_densities``; a
-    two-qubit state is its own pair state.  The new pairs' stacks are joined
-    and solved as one ``_keep_mu_values`` stack, which keeps each pair's C
-    and Ca on its ``rho``, and each pair keeps their squares, read through
-    ``concurrence_two_qubit`` and ``coa_two_qubit``.  The cuts of one size
-    are reduced one by one with ``reduced_density`` and solved with one
+    an (S, 2, ..., 2) tensor (a view for a group of one).  One (rows, 4, 4)
+    output stack is allocated per call, one row per (state, pair) that is
+    lacking.  Each pair is reduced for every evaluator of the group that
+    lacks it with one transposed copy, into the two scratch buffers that the
+    group's keys reuse, and one stacked matmul that writes its slice of the
+    output, ``qcore._reduced_densities``; a two-qubit state is its own pair
+    state, copied into its row.  The output is made read-only once, its rows
+    are wrapped as ``DensityMatrix`` objects (``qcore._gram_densities``),
+    and it is solved as one ``_keep_mu_values`` stack, which keeps each
+    pair's C and Ca on its ``rho``; each pair keeps their squares, read
+    through ``concurrence_two_qubit`` and ``coa_two_qubit``.  The cuts of one
+    size are reduced one by one with ``reduced_density`` and solved with one
     stacked ``eigvalsh``, and ``_cut_measures`` gives each its concurrence,
     negativity and Schmidt rank.  numpy runs the same BLAS or LAPACK routine
     on each matrix of a stack as on a single one, so the values equal, bit
@@ -1659,33 +1702,32 @@ def fill_spectra(evaluators: Sequence[StateEvaluator], pairs: Collection[tuple[i
     by_size: dict[int, list[StateEvaluator]] = {}
     for ev in evaluators:
         by_size.setdefault(ev.psi.num_qubits, []).append(ev)
-    new, stacks = [], []
-    for n, group in by_size.items():
-        if n == 2:
-            rows = [(ev._pairs, key, to_density(ev.psi))
-                    for ev in group for key in pairs if key not in ev._pairs]
-            new += rows
-            stacks += (rho.matrix[None] for _, _, rho in rows)
-            continue
-        tensor = None
-        for key in pairs:
-            lacking = [i for i, ev in enumerate(group) if key not in ev._pairs]
-            if not lacking:
+    todo = [(group, key, lacking) for group in by_size.values() for key in pairs
+            if (lacking := [i for i, ev in enumerate(group) if key not in ev._pairs])]
+    if todo:
+        stack = np.empty((sum(len(lacking) for _, _, lacking in todo), 4, 4), complex)
+        owners, start, held = [], 0, {}
+        for group, key, lacking in todo:
+            rows = stack[start:start + len(lacking)]
+            start += len(lacking)
+            owners += [(group[i]._pairs, key) for i in lacking]
+            if group[0].psi.num_qubits == 2:
+                rows[...] = [to_density(group[i].psi).matrix for i in lacking]
                 continue
-            if tensor is None:
+            if id(group) not in held:
                 tensor = _amplitude_tensor([ev.psi for ev in group])
-                scratch = (np.empty(tensor.shape, complex), np.empty(tensor.shape, complex))
+                held[id(group)] = tensor, (np.empty(tensor.shape, complex),
+                                           np.empty(tensor.shape, complex))
+            tensor, scratch = held[id(group)]
             if len(lacking) < len(group):  # some states already hold the pair
-                stack = _reduced_densities(tensor[lacking], key,
-                                           tuple(buf[:len(lacking)] for buf in scratch))
+                _reduced_densities(tensor[lacking], key,
+                                   tuple(buf[:len(lacking)] for buf in scratch), out=rows)
             else:
-                stack = _reduced_densities(tensor, key, scratch)
-            stacks.append(stack)
-            new.extend((group[i]._pairs, key, _gram_density(m)) for i, m in zip(lacking, stack))
-    if new:
-        _keep_mu_values([rho for _, _, rho in new], np.concatenate(stacks))
-    for kept, key, rho in new:
-        kept[key] = (concurrence_two_qubit(rho).value ** 2, coa_two_qubit(rho).value ** 2)
+                _reduced_densities(tensor, key, scratch, out=rows)
+        rhos = _gram_densities(stack)
+        _keep_mu_values(rhos, stack)
+        for (kept, key), rho in zip(owners, rhos):
+            kept[key] = (concurrence_two_qubit(rho).value ** 2, coa_two_qubit(rho).value ** 2)
     cut_todo: dict[int, list[tuple[StateEvaluator, tuple[int, ...]]]] = {}
     for ev in evaluators:
         for key in cuts:

@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import sys
+from operator import add
 
 import numpy as np
 
@@ -40,7 +41,12 @@ _SWEEP_CHUNK = 16
 _FIGURE_GRID = tuple(round(0.02 * k, 10) for k in range(1, 101))
 
 
+@functools.lru_cache(maxsize=8)
 def _parse_alpha(spec: str) -> AlphaGrid:
+    """The grid of an ``--alpha`` spec, built once per spec string and
+    process: a grid is immutable, and it keeps its weights and its
+    (alpha, p, h) array, so every op with the same spec shares them.  A
+    spec that is refused raises, so it is never cached."""
     s = spec.strip()
     if ":" in s:
         parts = s.split(":")
@@ -155,7 +161,8 @@ def _tally(s: dict, c: BoundColumns) -> None:
 
     Not-applicable rows are only counted.  The minimum slack keeps the first
     of equal values (so a -0.0 keeps its sign as it came), and the slack sum
-    adds the rows one by one in grid order, after all earlier states.
+    adds the rows one by one in grid order, after all earlier states: a
+    ``functools.reduce`` of ``+`` from the running total, as a loop adds.
     """
     s["rows"] += len(c.alpha)
     if not c.applicable:
@@ -163,10 +170,7 @@ def _tally(s: dict, c: BoundColumns) -> None:
         return
     s["violations"] += c.satisfied.count(False)
     s["min_slack"] = min(s["min_slack"], min(c.slack))
-    total = s["sum_slack"]
-    for x in c.slack:
-        total += x
-    s["sum_slack"] = total
+    s["sum_slack"] = functools.reduce(add, c.slack, s["sum_slack"])
 
 
 def cmd_sweep(qubits: int, samples: int, seed: int, theorem: str, alphas: AlphaGrid,

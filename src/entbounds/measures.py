@@ -8,6 +8,7 @@ to concurrence/COA on two-qubit states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,8 +75,9 @@ def _keep_mu_values(rhos: Sequence[DensityMatrix], stack: np.ndarray | None = No
     mu1 + mu2 + mu3 + mu4 are formed for the whole stack, as columns and
     row sums, which round as the same sums of one row do.  Each row is kept,
     read-only, on its ``rho`` as ``_mu``, with its C and Ca as floats in
-    ``_c`` and ``_ca``: a ``DensityMatrix`` is frozen and its matrix is
-    read-only, so none can go stale.
+    ``_c`` and ``_ca``, by one update of the rho's field dict: a
+    ``DensityMatrix`` is frozen and its matrix is read-only, so none can go
+    stale.
 
     ``stack``, if given, is the matrices of ``rhos``, none of them solved
     yet, as one array (``bounds.fill_spectra`` holds them so).
@@ -96,9 +98,7 @@ def _keep_mu_values(rhos: Sequence[DensityMatrix], stack: np.ndarray | None = No
     c = np.maximum(mu[:, 0] - mu[:, 1] - mu[:, 2] - mu[:, 3], 0.0).tolist()
     ca = mu.sum(axis=1).tolist()
     for rho, row, c_row, ca_row in zip(rhos, mu, c, ca):
-        object.__setattr__(rho, "_mu", row)
-        object.__setattr__(rho, "_c", c_row)
-        object.__setattr__(rho, "_ca", ca_row)
+        vars(rho).update(_mu=row, _c=c_row, _ca=ca_row)
 
 
 def _kept_mu(rho: DensityMatrix) -> dict:
@@ -190,29 +190,32 @@ def _cut_measures(spectra: np.ndarray) -> tuple[list[float], list[float], list[i
     """Concurrence, negativity and rank of each row of a ``_schmidt_spectra`` stack.
 
     Each list equals, bit for bit, ``concurrence_from_schmidt``,
-    ``negativity_from_schmidt`` and ``rank_from_schmidt`` of every row.  A
-    row's spectrum is descending and clipped, so its positive entries are a
-    prefix (its entries are 0 or above ``_RANK_CUTOFF``), and the negativity
-    sums exactly that prefix, as the per-row function does: a sum over the
-    zero-padded row can round differently.  The rows are therefore summed
-    in groups of one prefix length.
+    ``negativity_from_schmidt`` and ``rank_from_schmidt`` of every row.  The
+    row sums are numpy's, as those functions take them, and the rest of
+    each formula is the same Python float arithmetic on them, so a stack
+    costs a fixed number of numpy calls.  A row's spectrum is descending and
+    clipped, so its positive entries are a prefix (its entries are 0 or
+    above ``_RANK_CUTOFF``), and the negativity sums exactly that prefix, as
+    the per-row function does: a sum over the zero-padded row can round
+    differently.  The rows are therefore summed in groups of one prefix
+    length.  One comparison against both cutoffs counts each row's prefix
+    length and its rank.
     """
-    s1 = spectra.sum(axis=1)
-    s2 = (spectra * spectra).sum(axis=1)
-    # Both differences are of sums of non-negative values, so neither is
-    # -0.0 and ``maximum`` clips them as ``max(0.0, x)`` does.
-    conc = np.sqrt(np.maximum(2.0 * (s1 * s1 - s2), 0.0))
-    roots = np.sqrt(spectra)
-    lengths = (spectra > 0.0).sum(axis=1)
-    groups = set(lengths.tolist())
-    neg = np.empty(len(spectra))
-    for length in groups:
-        rows = slice(None) if len(groups) == 1 else lengths == length
-        head = roots[rows, :length]
-        s = head.sum(axis=1)
-        neg[rows] = np.maximum(s * s - (head * head).sum(axis=1), 0.0)
-    rank = (spectra > _SCHMIDT_CUTOFF).sum(axis=1)
-    return conc.tolist(), neg.tolist(), rank.tolist()
+    lengths, rank = (spectra > _CUT_COUNTS).sum(axis=2).tolist()
+    s1, s2 = spectra.sum(axis=1).tolist(), (spectra * spectra).sum(axis=1).tolist()
+    conc = [math.sqrt(max(0.0, 2.0 * (a * a - b))) for a, b in zip(s1, s2)]
+    roots, neg = np.sqrt(spectra), [0.0] * len(lengths)
+    for length in set(lengths):
+        rows = [i for i, k in enumerate(lengths) if k == length]
+        head = roots[rows, :length] if len(rows) < len(lengths) else roots[:, :length]
+        for i, s, q in zip(rows, head.sum(axis=1).tolist(), (head * head).sum(axis=1).tolist()):
+            neg[i] = max(0.0, s * s - q)
+    return conc, neg, rank
+
+
+# The thresholds that ``_cut_measures`` counts each row's entries above:
+# its positive prefix, and its Schmidt rank.
+_CUT_COUNTS = np.array([0.0, _SCHMIDT_CUTOFF])[:, None, None]
 
 
 def cren_two_qubit(rho: DensityMatrix) -> MeasureValue:

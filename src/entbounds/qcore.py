@@ -179,6 +179,21 @@ def _gram_density(matrix: np.ndarray) -> DensityMatrix:
     return rho
 
 
+def _gram_densities(stack: np.ndarray) -> list[DensityMatrix]:
+    """``_gram_density`` of each matrix of an (S, d, d) stack of such
+    matrices.  The stack is made read-only once, so each of its rows, which
+    the ``DensityMatrix`` holds, is a read-only view with no flags call of
+    its own."""
+    stack.flags.writeable = False
+    fields = {"num_qubits": stack.shape[-1].bit_length() - 1}
+    rhos = []
+    for matrix in stack:
+        rho = object.__new__(DensityMatrix)
+        vars(rho).update(fields, matrix=matrix)
+        rhos.append(rho)
+    return rhos
+
+
 def to_density(psi: PureState) -> DensityMatrix:
     """Rank-one projector |psi><psi| of a pure state."""
     amps = psi.amplitudes
@@ -237,9 +252,10 @@ def _kept_axes(num_qubits: int, keep: tuple[int, ...]) -> tuple[tuple[int, ...],
 
 
 def _reduced_densities(tensor: np.ndarray, keep: SubsystemLike,
-                       scratch: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                       scratch: tuple[np.ndarray, np.ndarray] | None = None,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Reduced state onto ``keep`` of each pure state in a stack, as one
-    read-only (S, d, d) array, whose rows ``_gram_density`` wraps.
+    (S, d, d) array, whose rows ``_gram_density`` wraps.
 
     ``tensor`` has shape ``(S, 2, ..., 2)``: the amplitudes of S states of
     one qubit count, each normalized.  One transposed copy puts the kept
@@ -253,6 +269,11 @@ def _reduced_densities(tensor: np.ndarray, keep: SubsystemLike,
     of ``tensor`` that take the transposed copy and its conjugate.  A
     caller that reduces several keys of one stack passes them, so that a
     large stack does not fault in fresh pages for every key.
+
+    ``out``, if given, is a C-contiguous complex (S, d, d) array, such as
+    a slice of a caller's stack of every key, that the matmul writes and
+    that is returned; its caller makes it read-only once it is filled.
+    Without it a new array is returned, read-only.
     """
     n = tensor.ndim - 1
     if type(keep) is not tuple or not all(type(q) is int for q in keep):
@@ -266,6 +287,8 @@ def _reduced_densities(tensor: np.ndarray, keep: SubsystemLike,
         np.copyto(scratch[0], tensor.transpose(axes))
         block = scratch[0].reshape(shape)
         conj = np.conjugate(block, out=scratch[1].reshape(shape))
+    if out is not None:
+        return np.matmul(block, conj.transpose(0, 2, 1), out=out)
     stack = block @ conj.transpose(0, 2, 1)
     stack.flags.writeable = False
     return stack
@@ -318,12 +341,13 @@ _PAIR_NOISE_FLOOR = 1e-12
 def _schmidt_spectra(matrices) -> np.ndarray:
     """Descending eigenvalues, clipped at 0, of each reduction in a stack.
 
-    ``matrices`` are same-size reduced density matrices, solved with one
-    stacked ``eigvalsh``.  numpy runs the same LAPACK routine on each matrix
-    of a stack as on a single one, so every row equals the spectrum of its
-    matrix solved alone.
+    ``matrices`` are same-size reduced density matrices, copied into one
+    array by ``np.array`` (one C-level copy, where ``np.stack`` checks each
+    matrix in Python) and solved with one stacked ``eigvalsh``.  numpy runs
+    the same LAPACK routine on each matrix of a stack as on a single one,
+    so every row equals the spectrum of its matrix solved alone.
     """
-    evals = np.linalg.eigvalsh(np.stack(matrices))[:, ::-1]
+    evals = np.linalg.eigvalsh(np.array(matrices))[:, ::-1]
     return np.where(evals < _RANK_CUTOFF, 0.0, evals)
 
 

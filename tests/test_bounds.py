@@ -198,6 +198,23 @@ def test_alpha_grid():
         AlphaGrid((0.5, 2.5))
 
 
+@pytest.mark.parametrize("grid", [AlphaGrid.default(), AlphaGrid.from_range(0.25, 2.0, 0.25),
+                                  AlphaGrid((0.0,)), AlphaGrid((-0.0, 0.3, 1.37, 2.0))],
+                         ids=len)
+def test_the_grid_array_is_read_only_and_holds_its_values_and_weights(grid):
+    """``AlphaGrid.array`` is built once per grid; its rows alpha, p and h
+    equal ``values`` and ``weights`` bit for bit, and it cannot be written."""
+    array = grid.array
+    assert array is grid.array and array.shape == (3, len(grid))
+    assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        array[0, 0] = 1.0
+    alpha, p, h = array.tolist()
+    assert [a.hex() for a in alpha] == [a.hex() for a in grid.values]
+    assert [x.hex() for x in p] == [w[0].hex() for w in grid.weights]
+    assert [x.hex() for x in h] == [w[1].hex() for w in grid.weights]
+
+
 @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=str)
 def test_a_bool_alpha_is_refused(flag):
     """A bool is not an exponent, as it is not a qubit index: without the

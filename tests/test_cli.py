@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from entbounds import bounds, cli
@@ -310,6 +311,31 @@ def test_alpha_parsing(capsys):
         ["verify", "--state", GSD3_EQUAL, "--theorem", "thm1",
          "--alpha", "0.5:1.0"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("spec", ["0.5:1.0", "1,0.5", "0:3:0.5", "0:nan:0.5", "x", ""])
+def test_a_refused_alpha_spec_is_refused_on_every_call(spec):
+    """``_parse_alpha`` keeps each grid it builds, per spec string; a spec
+    that raises is never kept, so a second call raises again."""
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            cli._parse_alpha(spec)
+
+
+def test_a_kept_alpha_grid_comes_back_unchanged():
+    """The grid of a spec is built once and shared by every later call with
+    the same string: the same immutable object, with the same values,
+    weights and read-only (alpha, p, h) array."""
+    cli._parse_alpha.cache_clear()
+    first = cli._parse_alpha("0.25:2.0:0.25")
+    values, weights, array = first.values, first.weights, first.array.copy()
+    for spec in ("0.25:2.0:0.25", "0.5,1", "0.25:2.0:0.25"):
+        cli._parse_alpha(spec)
+    again = cli._parse_alpha("0.25:2.0:0.25")
+    assert again is first and again == bounds.AlphaGrid.from_range(0.25, 2.0, 0.25)
+    assert (again.values, again.weights) == (values, weights)
+    assert np.array_equal(again.array, array) and not again.array.flags.writeable
+    assert cli._parse_alpha(" 1 ").values == (1.0,)
 
 
 def test_console_script_entry_point():

@@ -83,8 +83,8 @@ def test_each_pair_and_cut_is_reduced_once(monkeypatch, n, foci, cuts):
             return fn(*args, **kwargs)
         return wrapper
 
-    def stacked(tensor, pair, scratch):
-        stack = qcore._reduced_densities(tensor, pair, scratch)
+    def stacked(tensor, pair, scratch, out=None):
+        stack = qcore._reduced_densities(tensor, pair, scratch, out=out)
         calls["pair_rows"] += len(stack)
         return stack
 
@@ -150,17 +150,21 @@ def test_verify_all_builds_one_search_per_front_focus_and_sorts_once(monkeypatch
     thm2, thm6 and cor1_thm2 share through the kept front column, and one
     sort, jin's on focus 0.  At 12 qubits the front sum is canonical and no
     DP runs; the Haar state's front foci have pair C all 0, so they take
-    their merged groups with no sort, and jin's is again the only one."""
+    their merged groups with no sort, and jin's is again the only one.  The
+    geometric W-class state's front foci have pair C above 0, so each takes
+    its descending singleton order: focus 0 reads jin's, sorted once, and
+    focus 1 sorts its own."""
     count, sorts = DpCount(monkeypatch), []
     sort = bounds.sort_descending_then_check
     monkeypatch.setattr(bounds, "sort_descending_then_check",
                         lambda values: sorts.append(tuple(values)) or sort(values))
+    # Each state, its front foci with a pair C above 0, and the foci sorted.
     for psi, searched, sorted_foci in ((_geometric_wclass(6), (0, 1), (0,)),
                                        (haar_random_pure(6, 8256), (), (0,)),
-                                       (haar_random_pure(12, 8262), (), (0,))):
+                                       (haar_random_pure(12, 8262), (), (0,)),
+                                       (_geometric_wclass(12), (0, 1), (0, 1))):
         n = psi.num_qubits
-        if n == 6:
-            assert _searched(psi, (0, 1)) == searched
+        assert _searched(psi, (0, 1)) == searched
         count.clear()
         sorts.clear()
         spec = _spec(psi)
@@ -170,8 +174,6 @@ def test_verify_all_builds_one_search_per_front_focus_and_sorts_once(monkeypatch
         assert count.runs == count.expected(), n
         assert count.runs == (_searched_runs(built, searched) if n == 6 else []), n
         ev = StateEvaluator(built)
-        if n == 12:
-            assert _searched(built, (0, 1)) == ()
         assert sorts == [tuple(ev.tables(f)[1].values()) for f in sorted_foci], n
 
 
@@ -372,9 +374,11 @@ def test_stacked_pair_spectra_equal_the_one_pair_formula(monkeypatch, name, psi)
     n = psi.num_qubits
     reduced, stacks, pending = {}, [], []
 
-    def reduce(tensor, pair, scratch):
-        stack = qcore._reduced_densities(tensor, pair, scratch)
-        assert stack.shape == (1, 4, 4) and not stack.flags.writeable
+    def reduce(tensor, pair, scratch, out=None):
+        # The fill writes each key into its slice of one stack, and makes
+        # the stack read-only once it is filled (checked in ``keep``).
+        stack = qcore._reduced_densities(tensor, pair, scratch, out=out)
+        assert stack.shape == (1, 4, 4)
         pending.append((pair, stack[0]))
         return stack
 
@@ -387,7 +391,7 @@ def test_stacked_pair_spectra_equal_the_one_pair_formula(monkeypatch, name, psi)
         # One rho per reduction, in reduction order, each wrapping its matrix,
         # and the stack to solve is exactly the rhos' matrices.
         stacks.append(len(rhos))
-        assert len(rhos) == len(pending)
+        assert len(rhos) == len(pending) and not stack.flags.writeable
         for (pair, matrix), rho in zip(pending, rhos):
             assert np.array_equal(rho.matrix, matrix) and not rho.matrix.flags.writeable
             assert rho.num_qubits == 2
@@ -530,17 +534,31 @@ def test_a_chunk_fill_equals_the_lazy_fill_bit_for_bit(n, size):
 def _record_pair_rows(monkeypatch):
     """Patch ``fill_spectra``'s stacked pair reduction to record, for each
     row, the amplitude bytes of the state it reduced, the pair and the
-    matrix.  (A chunk may hold equal states, such as GHZ twice.)"""
-    rows = []
+    matrix.  (A chunk may hold equal states, such as GHZ twice.)
 
-    def stacked(tensor, pair, scratch):
-        stack = qcore._reduced_densities(tensor, pair, scratch)
+    The reduction writes each key's rows into its slice of one stack, which
+    the fill makes read-only once it is filled and then solves, so each
+    matrix is recorded as the row of that stack that ``_keep_mu_values``
+    takes, after checking that it is the very row the reduction wrote."""
+    rows, pending = [], []
+
+    def stacked(tensor, pair, scratch, out=None):
+        stack = qcore._reduced_densities(tensor, pair, scratch, out=out)
         assert len(stack) == len(tensor)
         for amps, matrix in zip(tensor, stack):
-            rows.append((amps.tobytes(), pair, matrix))
+            pending.append((amps.tobytes(), pair, matrix))
         return stack
 
+    def keep(rhos, stack):
+        assert len(stack) == len(pending)
+        for (amps, pair, written), matrix in zip(pending, stack):
+            assert np.shares_memory(written, matrix) and np.array_equal(written, matrix)
+            rows.append((amps, pair, matrix))
+        pending.clear()
+        measures._keep_mu_values(rhos, stack)
+
     monkeypatch.setattr(bounds, "_reduced_densities", stacked)
+    monkeypatch.setattr(bounds, "_keep_mu_values", keep)
     return rows
 
 
