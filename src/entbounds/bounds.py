@@ -319,7 +319,7 @@ class BoundColumns(NamedTuple):
     def report(self, i: int) -> BoundReport:
         """The ``BoundReport`` of row ``i``.
 
-        Built as ``qcore._gram_density`` builds its matrices: ``object.__new__``
+        Built as ``qcore._gram_densities`` builds its matrices: ``object.__new__``
         and one update of the field dict, which skips the frozen dataclass's
         per-field ``object.__setattr__`` calls.  Equality, hashing and ``repr``
         read the same fields, and setting one still raises.
@@ -467,13 +467,13 @@ def feasibility(values_sq: Sequence[float],
     (``_dominates``).  A single group is vacuously feasible.  A value below
     ``-FEAS_TOL``, NaN or infinite is refused with ``ValueError``.
     """
-    vals = tuple(float(v) for v in values_sq)
+    vals = tuple(map(float, values_sq))
     if not vals:
         raise ValueError("at least one squared value is required")
     if not all(-FEAS_TOL <= v < math.inf for v in vals):
         raise ValueError("squared values must be finite and non-negative")
     tail = list(itertools.accumulate(reversed(vals)))[::-1]
-    feasible = all(_dominates(vals[t], tail[t + 1]) for t in range(len(vals) - 1))
+    feasible = all(map(_dominates, vals, tail[1:]))  # each value against the sum after it
     return OrderingCertificate(grouping, vals, feasible)
 
 
@@ -484,8 +484,8 @@ def sort_descending_then_check(
 
     Ties keep their original relative order.
     """
-    vals = [float(v) for v in values_sq]
-    order = tuple(sorted(range(len(vals)), key=lambda i: -vals[i]))
+    vals = list(map(float, values_sq))
+    order = tuple(sorted(range(len(vals)), key=vals.__getitem__, reverse=True))
     cert = feasibility([vals[i] for i in order])
     return order, cert
 
@@ -870,9 +870,10 @@ class StateEvaluator:
     concurrence, negativity and Schmidt rank all come from that one
     spectrum.  ``fill_spectra`` is the one path that solves them: ``verify``
     and ``sweep`` fill every pair and cut that ``spectra_keys`` names up
-    front, for a whole chunk of states with one stacked reduction per pair,
-    one stacked ``eigh`` + ``svd`` and one ``eigvalsh`` per cut size, and a
-    later miss in ``tables`` or ``_cut`` fills as a chunk of one.
+    front, for a whole chunk of states with one stacked reduction per pair
+    into one output stack, one stacked ``eigh`` + ``svd`` and one
+    ``eigvalsh`` per cut size, and a later miss in ``tables`` or ``_cut``
+    fills as a chunk of one.
 
     The alpha arithmetic of the bounds runs as one array pass over a chunk
     of states (``_ChunkPass``): ``verify`` and ``sweep`` call
@@ -897,10 +898,12 @@ class StateEvaluator:
     ``groupings=`` the pass reads the same rows, from the caller's checked
     groupings instead of these caches: they are its J and jin certificates
     and its front groupings, and it keeps them itself, so nothing here
-    changes.  Six dicts are kept: the pair values (``_pairs``), the focus
+    changes.  Seven dicts are kept: the pair values (``_pairs``), the focus
     tables (``_tables``), the cut values (``_cuts``), each focus's
     merged-group ``Certified`` triple (grouping, certificate, grouped C
-    sums; ``_merged``), ``front_best``'s column per (focus, grid values)
+    sums; ``_merged``), each focus's descending singleton certificate, or
+    None where that order is not feasible (``_singles``), ``front_best``'s
+    column per (focus, grid values)
     (``_fronts``), which thm2, thm6 and cor1_thm2 share, and, per bound,
     the columns that ``fill_columns`` left, with their foci and grid
     values, until ``evaluate`` takes them (``_columns``).  No certificate
@@ -908,9 +911,11 @@ class StateEvaluator:
     one-group sums add the focus tables in order, and the total C^2 of
     thm3, thm7, cor1_thm3, cor2_lower, ckw and coa_dual is read off it;
     jin takes the certificate that ``sort_descending_then_check`` builds
-    for its descending singleton order, once per pass, and a canonical
-    column takes the same certificate, with each singleton's C^2 read off
-    the focus table; a searched column reads each chain's certificate off
+    for its descending singleton order, once per state and focus
+    (``_singleton``), and a canonical front column reads the same kept
+    certificate, with each singleton's C^2 read off the focus table, so a
+    focus's values are sorted once whichever reads them first; a searched
+    column reads each chain's certificate off
     the search's Ca^2 subset sums, once per distinct chain and state, and
     each front sum off the terms that the chain DP raised; a focus whose
     pair C are all 0 takes its merged group, with no DP.  Certificates of
@@ -918,7 +923,10 @@ class StateEvaluator:
     dataclass's per-field set-up (``_feasible_certificate``).  The
     ``Grouping`` objects themselves are shared by every state
     (``_shared_grouping``).  The weights ``(alpha/2, h_weight(alpha))``
-    are the grid's own (``AlphaGrid.weights``).  Every kept object is
+    are the grid's own (``AlphaGrid.weights``), and every pass and front
+    fill over a grid reads its one (alpha, p, h) array (``AlphaGrid.array``);
+    a lone single-alpha call's grid of one is built without checking its
+    alpha twice (``AlphaGrid._of_checked``).  Every kept object is
     immutable or copied on the way out, and the state is fixed, so none
     can go stale; none refers back to its evaluator.
 
@@ -1407,13 +1415,21 @@ class _ChunkPass:
 
     A lone ``evaluate`` call with ``groupings=`` gives the pass its checked
     groupings, as ``given`` pairs of a focus and its ``Certified`` triple.
-    They become that focus's inputs, kept by this pass only: J's and jin's
-    certificate are the caller's, the front sum's certificate is the
-    caller's at every alpha and its group values are the grouping's C^2
-    sums, and the C^2 and Ca^2 totals are summed from the tables rather
-    than read off a merged group kept on the evaluator.  The same row kinds
-    serve both paths; the layout gives such a focus's J and front sum as
-    many group terms as the caller's grouping has groups.
+    They become that focus's inputs, kept by this pass only and read only
+    where a row of the bound reads them: J's and jin's certificate are the
+    caller's, the front sum's certificate is the caller's at every alpha
+    and its group values are the grouping's C^2 sums, and the C^2 and Ca^2
+    totals are summed from the tables rather than read off a merged group
+    kept on the evaluator.  So a J-only bound such as thm4 builds no front
+    certificates and sums no totals.  The same row kinds serve both paths;
+    the layout gives such a focus's J and front sum as many group terms as
+    the caller's grouping has groups.
+
+    A pass over a chunk of one state, which every lone call runs, costs
+    what its bounds read and little more: the grid's (alpha, p, h) array
+    is the grid's own, each output array is turned into Python values by
+    one ``tolist``, and the ``BoundColumns`` of every (bound, state) row
+    are built by one ``map`` over one zip of all the rows.
     """
 
     def __init__(self, evaluators: Sequence[StateEvaluator], grid: AlphaGrid,
@@ -1455,22 +1471,28 @@ class _ChunkPass:
         flat = (count * states, size)
         satisfied = (slack >= -SLACK_TOL).reshape(flat).tolist()
         lhs, rhs, slack, pick = (x.reshape(flat).tolist() for x in (lhs, rhs, slack, pick))
-        new = tuple.__new__
-        for i, (index, theorem_id, source, check) in enumerate(layout.bounds):
-            span = slice(i * states, (i + 1) * states)
+        certs, repeat = [], itertools.repeat
+        for i, (_, _, source, _) in enumerate(layout.bounds):
             if type(source[0]) is not tuple:
-                certs = [[cert] * size for cert in self._certs(source)]
-            elif source[0][0] == "front":  # each row reports its branch's certificate
-                certs = [[x if won else y for won, x, y in zip(row, row_a, row_b)]
-                         for row, row_a, row_b in zip(pick[span], *map(self._certs, source))]
+                certs += [[cert] * size for cert in self._certs(source)]
+                continue
+            # A branch bound: each row reports its branch's certificate.
+            picks = pick[i * states:(i + 1) * states]
+            if source[0][0] == "front":
+                certs += [[x if won else y for won, x, y in zip(row, row_a, row_b)]
+                          for row, row_a, row_b in zip(picks, *map(self._certs, source))]
             else:  # both branches' certificates are J's, the same at every alpha
-                certs = [[x if won else y for won in row]
-                         for row, x, y in zip(pick[span], *map(self._certs, source))]
-            # Built as BoundColumns builds itself, without its Python-level
-            # __new__: one tuple of the fields, in order.
-            out[index] = columns = [
-                new(BoundColumns, (theorem_id, alphas, *row, True))
-                for row in zip(lhs[span], rhs[span], slack[span], satisfied[span], certs)]
+                certs += [[x if won else y for won in row]
+                          for row, x, y in zip(picks, *map(self._certs, source))]
+        # Every (bound, state) row's columns, built as BoundColumns builds
+        # itself, without its Python-level __new__: one tuple of the fields,
+        # in order, from one zip over all the rows.
+        ids = itertools.chain.from_iterable(repeat(theorem_id, states)
+                                            for _, theorem_id, _, _ in layout.bounds)
+        rows = list(map(tuple.__new__, repeat(BoundColumns), zip(
+            ids, repeat(alphas), lhs, rhs, slack, satisfied, certs, repeat(True))))
+        for i, (index, theorem_id, _, check) in enumerate(layout.bounds):
+            out[index] = columns = rows[i * states:(i + 1) * states]
             if check is not None:
                 for s, off in enumerate(self._not_applicable(check)):
                     if off:
@@ -1681,18 +1703,20 @@ def fill_spectra(evaluators: Sequence[StateEvaluator], pairs: Collection[tuple[i
     ``pairs`` holds ``(low, high)`` qubit pairs and ``cuts`` sorted qubit
     tuples, each once, as ``spectra_keys`` gives them.  The evaluators are
     grouped by qubit count, and each group's amplitudes are stacked once, as
-    an (S, 2, ..., 2) tensor (a view for a group of one).  One (rows, 4, 4)
-    output stack is allocated per call, one row per (state, pair) that is
-    lacking.  Each pair is reduced for every evaluator of the group that
-    lacks it with one transposed copy, into the two scratch buffers that the
-    group's keys reuse, and one stacked matmul that writes its slice of the
-    output, ``qcore._reduced_densities``; a two-qubit state is its own pair
-    state, copied into its row.  The output is made read-only once, its rows
-    are wrapped as ``DensityMatrix`` objects (``qcore._gram_densities``),
-    and it is solved as one ``_keep_mu_values`` stack, which keeps each
-    pair's C and Ca on its ``rho``; each pair keeps their squares, read
-    through ``concurrence_two_qubit`` and ``coa_two_qubit``.  The cuts of one
-    size are reduced one by one with ``reduced_density`` and solved with one
+    an (S, 2, ..., 2) tensor (a view for a group of one).  One output stack
+    of 4 x 4 matrices is allocated per call, with room for every (state,
+    pair), and the rows of the (state, pair)s that are lacking fill it from
+    its start.  Each pair is reduced for every evaluator of the group that
+    lacks it with one transposed copy, into two scratch buffers that the
+    group's keys reuse, and one stacked matmul that writes the pair's slice
+    of the output, ``qcore._reduced_densities``; a two-qubit state is its
+    own pair state, copied into its row.  The filled rows are made read-only
+    once and wrapped as ``DensityMatrix`` objects
+    (``qcore._gram_densities``), and they are solved as one
+    ``_keep_mu_values`` stack, which keeps each pair's C and Ca on its
+    ``rho``; each pair keeps their squares, read through
+    ``concurrence_two_qubit`` and ``coa_two_qubit``.  The cuts of one size
+    are reduced one by one with ``reduced_density`` and solved with one
     stacked ``eigvalsh``, and ``_cut_measures`` gives each its concurrence,
     negativity and Schmidt rank.  numpy runs the same BLAS or LAPACK routine
     on each matrix of a stack as on a single one, so the values equal, bit
@@ -1702,28 +1726,29 @@ def fill_spectra(evaluators: Sequence[StateEvaluator], pairs: Collection[tuple[i
     by_size: dict[int, list[StateEvaluator]] = {}
     for ev in evaluators:
         by_size.setdefault(ev.psi.num_qubits, []).append(ev)
-    todo = [(group, key, lacking) for group in by_size.values() for key in pairs
-            if (lacking := [i for i, ev in enumerate(group) if key not in ev._pairs])]
-    if todo:
-        stack = np.empty((sum(len(lacking) for _, _, lacking in todo), 4, 4), complex)
-        owners, start, held = [], 0, {}
-        for group, key, lacking in todo:
-            rows = stack[start:start + len(lacking)]
-            start += len(lacking)
+    # Room for every (state, pair); the rows that are filled come first.
+    stack, owners = np.empty((len(evaluators) * len(pairs), 4, 4), complex), []
+    for group in by_size.values():
+        tensor = None
+        for key in pairs:
+            lacking = [i for i, ev in enumerate(group) if key not in ev._pairs]
+            if not lacking:
+                continue
+            rows = stack[len(owners):len(owners) + len(lacking)]
             owners += [(group[i]._pairs, key) for i in lacking]
             if group[0].psi.num_qubits == 2:
                 rows[...] = [to_density(group[i].psi).matrix for i in lacking]
                 continue
-            if id(group) not in held:
+            if tensor is None:
                 tensor = _amplitude_tensor([ev.psi for ev in group])
-                held[id(group)] = tensor, (np.empty(tensor.shape, complex),
-                                           np.empty(tensor.shape, complex))
-            tensor, scratch = held[id(group)]
+                scratch = (np.empty(tensor.shape, complex), np.empty(tensor.shape, complex))
             if len(lacking) < len(group):  # some states already hold the pair
                 _reduced_densities(tensor[lacking], key,
                                    tuple(buf[:len(lacking)] for buf in scratch), out=rows)
             else:
                 _reduced_densities(tensor, key, scratch, out=rows)
+    if owners:
+        stack = stack[:len(owners)]
         rhos = _gram_densities(stack)
         _keep_mu_values(rhos, stack)
         for (kept, key), rho in zip(owners, rhos):

@@ -165,25 +165,17 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
 
 
-def _gram_density(matrix: np.ndarray) -> DensityMatrix:
-    """``DensityMatrix`` of ``matrix = B B^dagger`` for a block ``B`` of a
-    ``PureState``'s amplitudes, made read-only without re-running the checks.
+def _gram_densities(stack: np.ndarray) -> list[DensityMatrix]:
+    """A ``DensityMatrix`` of each matrix ``B B^dagger`` of an (S, d, d)
+    stack, for blocks ``B`` of ``PureState`` amplitudes, made read-only
+    without re-running the checks.
 
     Such a matrix is Hermitian and positive semidefinite by construction, and
     its trace is the state's squared norm, which ``PureState`` has checked.
-    Its side, a power of two, gives the qubit count.
+    Its side, a power of two, gives the qubit count.  The stack is made
+    read-only once, so each of its rows, which a ``DensityMatrix`` holds, is
+    a read-only view with no flags call of its own.
     """
-    matrix.flags.writeable = False
-    rho = object.__new__(DensityMatrix)
-    vars(rho).update(num_qubits=len(matrix).bit_length() - 1, matrix=matrix)
-    return rho
-
-
-def _gram_densities(stack: np.ndarray) -> list[DensityMatrix]:
-    """``_gram_density`` of each matrix of an (S, d, d) stack of such
-    matrices.  The stack is made read-only once, so each of its rows, which
-    the ``DensityMatrix`` holds, is a read-only view with no flags call of
-    its own."""
     stack.flags.writeable = False
     fields = {"num_qubits": stack.shape[-1].bit_length() - 1}
     rhos = []
@@ -197,7 +189,7 @@ def _gram_densities(stack: np.ndarray) -> list[DensityMatrix]:
 def to_density(psi: PureState) -> DensityMatrix:
     """Rank-one projector |psi><psi| of a pure state."""
     amps = psi.amplitudes
-    return _gram_density(np.outer(amps, amps.conj()))
+    return _gram_densities(np.outer(amps, amps.conj())[None])[0]
 
 
 def partial_trace(rho: DensityMatrix, keep: SubsystemLike) -> DensityMatrix:
@@ -226,7 +218,7 @@ def reduced_density(psi: PureState, keep: SubsystemLike) -> DensityMatrix:
     so a reduction made alone equals its row of any stack bit for bit.
     """
     tensor = psi.amplitudes.reshape((1,) + (2,) * psi.num_qubits)
-    return _gram_density(_reduced_densities(tensor, keep)[0])
+    return _gram_densities(_reduced_densities(tensor, keep))[0]
 
 
 def _amplitude_tensor(states: Sequence[PureState]) -> np.ndarray:
@@ -255,7 +247,7 @@ def _reduced_densities(tensor: np.ndarray, keep: SubsystemLike,
                        scratch: tuple[np.ndarray, np.ndarray] | None = None,
                        out: np.ndarray | None = None) -> np.ndarray:
     """Reduced state onto ``keep`` of each pure state in a stack, as one
-    (S, d, d) array, whose rows ``_gram_density`` wraps.
+    (S, d, d) array, whose rows ``_gram_densities`` wraps.
 
     ``tensor`` has shape ``(S, 2, ..., 2)``: the amplitudes of S states of
     one qubit count, each normalized.  One transposed copy puts the kept
