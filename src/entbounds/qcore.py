@@ -279,10 +279,9 @@ def _reduced_densities(tensor: np.ndarray, keep: SubsystemLike,
         np.copyto(scratch[0], tensor.transpose(axes))
         block = scratch[0].reshape(shape)
         conj = np.conjugate(block, out=scratch[1].reshape(shape))
-    if out is not None:
-        return np.matmul(block, conj.transpose(0, 2, 1), out=out)
-    stack = block @ conj.transpose(0, 2, 1)
-    stack.flags.writeable = False
+    stack = np.matmul(block, conj.transpose(0, 2, 1), out=out)
+    if out is None:
+        stack.flags.writeable = False
     return stack
 
 
