@@ -18,7 +18,6 @@ import itertools
 import json
 import math
 import sys
-from operator import add
 
 import numpy as np
 
@@ -161,8 +160,7 @@ def _tally(s: dict, c: BoundColumns) -> None:
 
     Not-applicable rows are only counted.  The minimum slack keeps the first
     of equal values (so a -0.0 keeps its sign as it came), and the slack sum
-    adds the rows one by one in grid order, after all earlier states: a
-    ``functools.reduce`` of ``+`` from the running total, as a loop adds.
+    adds the rows one by one in grid order, after all earlier states.
     """
     s["rows"] += len(c.alpha)
     if not c.applicable:
@@ -170,7 +168,10 @@ def _tally(s: dict, c: BoundColumns) -> None:
         return
     s["violations"] += c.satisfied.count(False)
     s["min_slack"] = min(s["min_slack"], min(c.slack))
-    s["sum_slack"] = functools.reduce(add, c.slack, s["sum_slack"])
+    total = s["sum_slack"]
+    for x in c.slack:
+        total += x
+    s["sum_slack"] = total
 
 
 def cmd_sweep(qubits: int, samples: int, seed: int, theorem: str, alphas: AlphaGrid,

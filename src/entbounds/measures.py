@@ -186,6 +186,11 @@ def negativity_from_schmidt(lam: np.ndarray) -> MeasureValue:
                         "negativity")
 
 
+# The thresholds that ``_cut_measures`` counts each row's entries above:
+# its positive prefix, and its Schmidt rank.
+_CUT_COUNTS = np.array([0.0, _SCHMIDT_CUTOFF])[:, None, None]
+
+
 def _cut_measures(spectra: np.ndarray) -> tuple[list[float], list[float], list[int]]:
     """Concurrence, negativity and rank of each row of a ``_schmidt_spectra`` stack.
 
@@ -211,11 +216,6 @@ def _cut_measures(spectra: np.ndarray) -> tuple[list[float], list[float], list[i
         for i, s, q in zip(rows, head.sum(axis=1).tolist(), (head * head).sum(axis=1).tolist()):
             neg[i] = max(0.0, s * s - q)
     return conc, neg, rank
-
-
-# The thresholds that ``_cut_measures`` counts each row's entries above:
-# its positive prefix, and its Schmidt rank.
-_CUT_COUNTS = np.array([0.0, _SCHMIDT_CUTOFF])[:, None, None]
 
 
 def cren_two_qubit(rho: DensityMatrix) -> MeasureValue:
