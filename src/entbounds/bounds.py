@@ -1489,10 +1489,10 @@ class _ChunkPass:
         # in order, from one zip over all the rows.
         ids = itertools.chain.from_iterable(repeat(theorem_id, states)
                                             for _, theorem_id, _, _ in layout.bounds)
-        rows = list(map(tuple.__new__, repeat(BoundColumns), zip(
+        built = list(map(tuple.__new__, repeat(BoundColumns), zip(
             ids, repeat(alphas), lhs, rhs, slack, satisfied, certs, repeat(True))))
         for i, (index, theorem_id, _, check) in enumerate(layout.bounds):
-            out[index] = columns = rows[i * states:(i + 1) * states]
+            out[index] = columns = built[i * states:(i + 1) * states]
             if check is not None:
                 for s, off in enumerate(self._not_applicable(check)):
                     if off:
