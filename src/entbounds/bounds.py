@@ -353,11 +353,11 @@ class AlphaGrid:
         if len(vals) > _MAX_ALPHA_VALUES:
             raise ValueError(f"alpha grid has {len(vals)} values, more than the maximum "
                              f"{_MAX_ALPHA_VALUES}")
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValueError(f"alpha values must be finite, got {vals}")
-        if any(v < 0.0 or v > 2.0 for v in vals):
+        if min(vals) < 0.0 or max(vals) > 2.0:
             raise ValueError("alpha values must lie in [0, 2]")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
+        if any(map(float.__le__, vals[1:], vals)):  # each value against the one before
             raise ValueError("alpha values must be strictly increasing")
         object.__setattr__(self, "values", vals)
 
@@ -380,17 +380,6 @@ class AlphaGrid:
         return cls(tuple(v for v in values if v <= top))
 
     @classmethod
-    def _of_checked(cls, alpha) -> "AlphaGrid":
-        """``AlphaGrid((alpha,))`` of an alpha that ``h_weight`` has already
-        accepted, without checking it again: ``h_weight`` refuses every
-        value that the grid refuses (``_check_alpha``, then NaN, infinities
-        and values outside [0, 2]), and the value is read as the grid reads
-        it.  A lone single-alpha call builds its grid of one so."""
-        grid = object.__new__(cls)
-        vars(grid)["values"] = (float(alpha) + 0.0,)
-        return grid
-
-    @classmethod
     def default(cls) -> "AlphaGrid":
         # Starts above 0 so the 0**0 convention never matters on default runs.
         return cls.from_range(0.05, 2.0, 0.05)
@@ -404,8 +393,10 @@ class AlphaGrid:
     def array(self) -> np.ndarray:
         """The rows alpha, p and h of ``values`` and ``weights`` as one
         read-only (3 x values) array, built once per grid: every chunk pass
-        and front fill over the grid reads it."""
-        array = np.array([self.values, *zip(*self.weights)])
+        and front fill over the grid reads it.  p and h are formed from the
+        values as ``weights`` forms them, without building ``weights``."""
+        values = self.values
+        array = np.array([values, [a / 2.0 for a in values], [h_weight(a) for a in values]])
         array.setflags(write=False)
         return array
 
@@ -924,11 +915,9 @@ class StateEvaluator:
     ``Grouping`` objects themselves are shared by every state
     (``_shared_grouping``).  The weights ``(alpha/2, h_weight(alpha))``
     are the grid's own (``AlphaGrid.weights``), and every pass and front
-    fill over a grid reads its one (alpha, p, h) array (``AlphaGrid.array``);
-    a lone single-alpha call's grid of one is built without checking its
-    alpha twice (``AlphaGrid._of_checked``).  Every kept object is
-    immutable or copied on the way out, and the state is fixed, so none
-    can go stale; none refers back to its evaluator.
+    fill over a grid reads its one (alpha, p, h) array (``AlphaGrid.array``).
+    Every kept object is immutable or copied on the way out, and the state
+    is fixed, so none can go stale; none refers back to its evaluator.
 
     * ``J`` takes the merged group.  The paper's Lemma gives
       ``(x + y)^p <= x^p + h y^p`` for ``x >= y``, ``p = a/2``; applied from
@@ -1115,7 +1104,7 @@ class StateEvaluator:
         if isinstance(alpha, AlphaGrid):
             return self._front_column(focus, alpha)[:]
         h_weight(alpha)
-        return self._front_column(focus, AlphaGrid._of_checked(alpha))[0]
+        return self._front_column(focus, AlphaGrid((alpha,)))[0]
 
     def _front_column(self, focus: int, grid: AlphaGrid):
         """``front_best``'s kept column of one focus over one grid, formed
@@ -1198,7 +1187,7 @@ class StateEvaluator:
             zip(foci, self._given(theorem_id, spec, foci, groupings)))
         bound = ((theorem_id, foci),)
         if not grid:
-            return _ChunkPass((self,), AlphaGrid._of_checked(alpha), given).columns(
+            return _ChunkPass((self,), AlphaGrid((alpha,)), given).columns(
                 bound, (alpha,))[0][0].report(0)
         if not given:
             kept = self._columns.get(theorem_id)
@@ -1487,8 +1476,7 @@ class _ChunkPass:
         # Every (bound, state) row's columns, built as BoundColumns builds
         # itself, without its Python-level __new__: one tuple of the fields,
         # in order, from one zip over all the rows.
-        ids = itertools.chain.from_iterable(repeat(theorem_id, states)
-                                            for _, theorem_id, _, _ in layout.bounds)
+        ids = [theorem_id for _, theorem_id, _, _ in layout.bounds for _ in range(states)]
         built = list(map(tuple.__new__, repeat(BoundColumns), zip(
             ids, repeat(alphas), lhs, rhs, slack, satisfied, certs, repeat(True))))
         for i, (index, theorem_id, _, check) in enumerate(layout.bounds):
