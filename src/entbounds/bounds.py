@@ -81,6 +81,12 @@ _ALPHA_DIGITS = 12
 _ALPHA_RESOLUTION = 10.0 ** -_ALPHA_DIGITS
 # A grid may hold at most this many values; a longer range is refused before it is built.
 _MAX_ALPHA_VALUES = 10_000
+# The most bytes of transposed amplitude copies that one batch of
+# ``fill_spectra``'s pair reductions takes, unless one entry alone takes more.
+# Of 32, 64, 128 and 256 KiB, timed at 4-12 qubits, it is the smallest that
+# takes an 8-qubit state's 18 pair keys (72 KiB) in one batch; the others were
+# no faster beyond noise.  An unbounded batch was 3x slower at 12 qubits.
+_BATCH_BYTES = 128 << 10
 
 
 @dataclass(frozen=True)
@@ -861,8 +867,8 @@ class StateEvaluator:
     concurrence, negativity and Schmidt rank all come from that one
     spectrum.  ``fill_spectra`` is the one path that solves them: ``verify``
     and ``sweep`` fill every pair and cut that ``spectra_keys`` names up
-    front, for a whole chunk of states with one stacked reduction per pair
-    into one output stack, one stacked ``eigh`` + ``svd`` and one
+    front, for a whole chunk of states with one stacked reduction per batch
+    of pairs into one output stack, one stacked ``eigh`` + ``svd`` and one
     ``eigvalsh`` per cut size, and a later miss in ``tables`` or ``_cut``
     fills as a chunk of one.
 
@@ -1689,27 +1695,31 @@ def fill_spectra(evaluators: Sequence[StateEvaluator], pairs: Collection[tuple[i
     """Keep on each evaluator the listed pair and cut values it lacks.
 
     ``pairs`` holds ``(low, high)`` qubit pairs and ``cuts`` sorted qubit
-    tuples, each once, as ``spectra_keys`` gives them.  The evaluators are
-    grouped by qubit count, and each group's amplitudes are stacked once, as
-    an (S, 2, ..., 2) tensor (a view for a group of one).  One output stack
-    of 4 x 4 matrices is allocated per call, with room for every (state,
-    pair), and the rows of the (state, pair)s that are lacking fill it from
-    its start.  Each pair is reduced for every evaluator of the group that
-    lacks it with one transposed copy, into two scratch buffers that the
-    group's keys reuse, and one stacked matmul that writes the pair's slice
-    of the output, ``qcore._reduced_densities``; a two-qubit state is its
-    own pair state, copied into its row.  The filled rows are made read-only
-    once and wrapped as ``DensityMatrix`` objects
+    tuples, each once and of plain ints, as ``spectra_keys`` gives them.
+    The evaluators are grouped by qubit count, and each group's amplitudes
+    are stacked once, as an (S, 2, ..., 2) tensor (a view for a group of
+    one).  One output stack of 4 x 4 matrices is allocated per call, with
+    room for every (state, pair), and the rows of the (state, pair)s that
+    are lacking fill it from its start.  A group's (pair, lacking states)
+    entries are reduced in batches of consecutive entries, each batch as
+    large as ``_BATCH_BYTES`` of transposed amplitude copies allows, but at
+    least one entry: each batch is one ``qcore._reduced_densities`` call,
+    whose parts write their transposed copies into two scratch buffers that
+    the group's batches reuse, and whose one conjugate and one stacked
+    matmul write the batch's rows of the output.  A two-qubit state is its
+    own pair state, copied into its row.  The filled rows are made
+    read-only once and wrapped as ``DensityMatrix`` objects
     (``qcore._gram_densities``), and they are solved as one
     ``_keep_mu_values`` stack, which keeps each pair's C and Ca on its
     ``rho``; each pair keeps their squares, read through
     ``concurrence_two_qubit`` and ``coa_two_qubit``.  The cuts of one size
-    are reduced one by one with ``reduced_density`` and solved with one
-    stacked ``eigvalsh``, and ``_cut_measures`` gives each its concurrence,
-    negativity and Schmidt rank.  numpy runs the same BLAS or LAPACK routine
-    on each matrix of a stack as on a single one, so the values equal, bit
-    for bit, those of a chunk of one: ``tables`` and ``_cut`` fill their
-    misses with this as a chunk of one.
+    are solved with one stacked ``eigvalsh``, and ``_cut_measures`` gives
+    each its concurrence, negativity and Schmidt rank.  A cut that is a
+    pair this call filled for the same state takes that pair's row; every
+    other cut is reduced alone with ``reduced_density``.  numpy runs the
+    same BLAS or LAPACK routine on each matrix of a stack as on a single
+    one, so the values equal, bit for bit, those of a chunk of one:
+    ``tables`` and ``_cut`` fill their misses with this as a chunk of one.
     """
     by_size: dict[int, list[StateEvaluator]] = {}
     for ev in evaluators:
@@ -1717,37 +1727,48 @@ def fill_spectra(evaluators: Sequence[StateEvaluator], pairs: Collection[tuple[i
     # Room for every (state, pair); the rows that are filled come first.
     stack, owners = np.empty((len(evaluators) * len(pairs), 4, 4), complex), []
     for group in by_size.values():
-        tensor = None
+        first, entries = len(owners), []
         for key in pairs:
             lacking = [i for i, ev in enumerate(group) if key not in ev._pairs]
-            if not lacking:
-                continue
-            rows = stack[len(owners):len(owners) + len(lacking)]
-            owners += [(group[i]._pairs, key) for i in lacking]
-            if group[0].psi.num_qubits == 2:
-                rows[...] = [to_density(group[i].psi).matrix for i in lacking]
-                continue
-            if tensor is None:
-                tensor = _amplitude_tensor([ev.psi for ev in group])
-                scratch = (np.empty(tensor.shape, complex), np.empty(tensor.shape, complex))
-            if len(lacking) < len(group):  # some states already hold the pair
-                _reduced_densities(tensor[lacking], key,
-                                   tuple(buf[:len(lacking)] for buf in scratch), out=rows)
-            else:
-                _reduced_densities(tensor, key, scratch, out=rows)
+            if lacking:
+                owners += [(group[i], key) for i in lacking]
+                entries.append((lacking, key))
+        if not entries:
+            continue
+        if group[0].psi.num_qubits == 2:
+            stack[first:len(owners)] = [to_density(group[i].psi).matrix
+                                        for lacking, _ in entries for i in lacking]
+            continue
+        tensor = _amplitude_tensor([ev.psi for ev in group])
+        limit = _BATCH_BYTES // tensor[0].nbytes  # states whose copies fit the budget
+        batches, rows = [], []
+        for lacking, key in entries:
+            if not rows or rows[-1] + len(lacking) > limit:  # a new batch
+                batches.append([])
+                rows.append(0)
+            batches[-1].append((tensor if len(lacking) == len(group) else tensor[lacking], key))
+            rows[-1] += len(lacking)
+        size = max(rows) * tensor[0].size
+        scratch = (np.empty(size, complex), np.empty(size, complex))
+        for batch, count in zip(batches, rows):
+            _reduced_densities(batch, scratch, out=stack[first:first + count])
+            first += count
+    filled = {}
     if owners:
         stack = stack[:len(owners)]
         rhos = _gram_densities(stack)
         _keep_mu_values(rhos, stack)
-        for (kept, key), rho in zip(owners, rhos):
-            kept[key] = (concurrence_two_qubit(rho).value ** 2, coa_two_qubit(rho).value ** 2)
+        filled = dict(zip(owners, rhos))
+        for (ev, key), rho in filled.items():
+            ev._pairs[key] = (concurrence_two_qubit(rho).value ** 2, coa_two_qubit(rho).value ** 2)
     cut_todo: dict[int, list[tuple[StateEvaluator, tuple[int, ...]]]] = {}
     for ev in evaluators:
         for key in cuts:
             if key not in ev._cuts:
                 cut_todo.setdefault(len(key), []).append((ev, key))
     for todo in cut_todo.values():
-        spectra = _schmidt_spectra([reduced_density(ev.psi, key).matrix for ev, key in todo])
+        spectra = _schmidt_spectra([(filled[ev, key] if (ev, key) in filled else
+                                     reduced_density(ev.psi, key)).matrix for ev, key in todo])
         for (ev, key), c, neg, rank in zip(todo, *_cut_measures(spectra)):
             ev._cuts[key] = (c, neg, rank)
 

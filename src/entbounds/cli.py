@@ -89,6 +89,8 @@ def _write_output(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+# Whether a CSV text holds none of the characters that make csv.writer quote it.
+_CSV_PLAIN = frozenset(',"\r\n').isdisjoint
 # The one row shape of each table, as its column names.
 _REPORT_COLUMNS = ("theorem", "alpha", "lhs", "rhs", "slack", "satisfied", "applicable",
                    "grouping")
@@ -108,8 +110,7 @@ def _csv_column(cells: tuple) -> list[str]:
         fields = {x: "" if x != x else f"{x:.12g}" for x in set(cells)}
         return [fields[x] if x else f"{x:.12g}" for x in cells]
     texts = list(map(str, cells))
-    fields = {t: '"' + t.replace('"', '""') + '"' if any(c in t for c in ',"\r\n') else t
-              for t in set(texts)}
+    fields = {t: t if _CSV_PLAIN(t) else '"' + t.replace('"', '""') + '"' for t in set(texts)}
     return [fields[t] for t in texts]
 
 

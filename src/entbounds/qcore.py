@@ -214,11 +214,16 @@ def reduced_density(psi: PureState, keep: SubsystemLike) -> DensityMatrix:
     """Reduced state of a pure state; equals ``partial_trace(to_density(psi))``.
 
     Avoids forming the full projector, which matters for larger qubit counts.
-    It is ``_reduced_densities`` on a stack of one, a view of the amplitudes,
-    so a reduction made alone equals its row of any stack bit for bit.
+    It is ``_reduced_densities`` on one part, a stack of one that views the
+    amplitudes, so a reduction made alone equals its row of any batch bit
+    for bit.  A key that is not a tuple of plain ints is checked with
+    ``_subsystem`` before ``_kept_axes`` reads it.
     """
-    tensor = psi.amplitudes.reshape((1,) + (2,) * psi.num_qubits)
-    return _gram_densities(_reduced_densities(tensor, keep))[0]
+    n = psi.num_qubits
+    if type(keep) is not tuple or not all(type(q) is int for q in keep):
+        keep = _subsystem(keep, n, name="keep")
+    tensor = psi.amplitudes.reshape((1,) + (2,) * n)
+    return _gram_densities(_reduced_densities(((tensor, keep),)))[0]
 
 
 def _amplitude_tensor(states: Sequence[PureState]) -> np.ndarray:
@@ -243,42 +248,48 @@ def _kept_axes(num_qubits: int, keep: tuple[int, ...]) -> tuple[tuple[int, ...],
     return (0,) + kept + tuple(q for q in range(1, num_qubits + 1) if q not in kept), len(kept)
 
 
-def _reduced_densities(tensor: np.ndarray, keep: SubsystemLike,
+def _reduced_densities(parts: Sequence[tuple[np.ndarray, tuple[int, ...]]],
                        scratch: tuple[np.ndarray, np.ndarray] | None = None,
                        out: np.ndarray | None = None) -> np.ndarray:
-    """Reduced state onto ``keep`` of each pure state in a stack, as one
-    (S, d, d) array, whose rows ``_gram_densities`` wraps.
+    """Reduced states of pure states, one batch of ``(tensor, keep)`` parts,
+    as one (S, d, d) array in part order, whose rows ``_gram_densities``
+    wraps.
 
-    ``tensor`` has shape ``(S, 2, ..., 2)``: the amplitudes of S states of
-    one qubit count, each normalized.  One transposed copy puts the kept
-    qubits first, and one stacked matmul ``B B^dagger`` forms every
-    reduction.  numpy runs the same BLAS call on each matrix of a stack as
-    on a single one, so every reduction equals, bit for bit, that of its
-    state alone.  A key that is not a tuple of plain ints is checked with
-    ``_subsystem`` before ``_kept_axes`` reads it.
+    Each ``tensor`` has shape ``(S_i, 2, ..., 2)``: the amplitudes of S_i
+    normalized states, every part of one qubit count, and each ``keep`` a
+    sorted tuple of plain ints, every part of one size.  ``_kept_axes``
+    reads ``keep`` unchecked: ``reduced_density`` checks its caller's key,
+    and ``bounds.fill_spectra`` passes the keys of ``spectra_keys`` and
+    ``_focus_pairs``.  Each part's transposed copy, which puts its kept
+    qubits first, goes into its own rows of one block; then one
+    ``np.conjugate`` and one stacked matmul ``B B^dagger`` form every
+    reduction of the batch.  numpy runs the same BLAS call on each matrix
+    of a stack as on a single one, so every reduction equals, bit for bit,
+    that of its state alone.
 
-    ``scratch``, if given, is two C-contiguous complex arrays of the shape
-    of ``tensor`` that take the transposed copy and its conjugate.  A
-    caller that reduces several keys of one stack passes them, so that a
-    large stack does not fault in fresh pages for every key.
+    ``scratch``, if given, is two flat complex arrays of at least as many
+    entries as the parts' tensors hold in all, that take the transposed
+    copies and their conjugate.  A caller that reduces several batches
+    passes them, so that a large batch does not fault in fresh pages each
+    time.
 
     ``out``, if given, is a C-contiguous complex (S, d, d) array, such as
     a slice of a caller's stack of every key, that the matmul writes and
     that is returned; its caller makes it read-only once it is filled.
     Without it a new array is returned, read-only.
     """
-    n = tensor.ndim - 1
-    if type(keep) is not tuple or not all(type(q) is int for q in keep):
-        keep = _subsystem(keep, n, name="keep")
-    axes, k = _kept_axes(n, keep)
-    shape = (len(tensor), 2 ** k, -1)
-    if scratch is None:
-        block = tensor.transpose(axes).reshape(shape)
-        conj = block.conj()
-    else:
-        np.copyto(scratch[0], tensor.transpose(axes))
-        block = scratch[0].reshape(shape)
-        conj = np.conjugate(block, out=scratch[1].reshape(shape))
+    n = parts[0][0].ndim - 1
+    rows = sum([len(tensor) for tensor, _ in parts])
+    shape = (rows,) + (2,) * n
+    block = np.empty(shape, complex) if scratch is None else scratch[0][:rows << n].reshape(shape)
+    start = 0
+    for tensor, keep in parts:
+        axes, k = _kept_axes(n, keep)
+        np.copyto(block[start:start + len(tensor)], tensor.transpose(axes))
+        start += len(tensor)
+    block = block.reshape(rows, 1 << k, -1)
+    conj = (block.conj() if scratch is None else
+            np.conjugate(block, out=scratch[1][:rows << n].reshape(block.shape)))
     stack = np.matmul(block, conj.transpose(0, 2, 1), out=out)
     if out is None:
         stack.flags.writeable = False

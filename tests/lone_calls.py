@@ -1,5 +1,6 @@
 """Print the lone-call table: the time of single library calls, each of
-which evaluates one state, as a chunk of one, through ``StateEvaluator``.
+which evaluates one state, as a chunk of one, through ``StateEvaluator``,
+and of cold ``fill_spectra`` calls on one state or a sweep chunk.
 
 Run from the repository root::
 
@@ -7,9 +8,9 @@ Run from the repository root::
     python tests/lone_calls.py --base <dir>/src     # against another tree
 
 Each row times short blocks of one kind of call (100 single-alpha calls,
-30 grid calls or 2 ``verify`` runs per block) and keeps the fastest block
-of ``--repeats`` (41), in µs per call; the table is measured ``--rounds``
-times (3), one column per round.  With ``--base`` the ``entbounds``
+30 grid calls, 10 fills or 2 ``verify`` runs per block) and keeps the
+fastest block of ``--repeats`` (41), in µs per call; the table is measured
+``--rounds`` times (3), one column per round.  With ``--base`` the ``entbounds``
 package under that ``src`` directory is imported next to this tree's, each
 under a private module name, and each repeat alternates which tree runs
 its block first; a cell then reads ``base -> this tree (change %)``.
@@ -38,7 +39,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 THIS_SRC = Path(__file__).resolve().parent.parent / "src"
-SINGLE, GRID, VERIFY = 100, 30, 2  # calls per block
+SINGLE, GRID, FILL, VERIFY = 100, 30, 10, 2  # calls per block
 ALPHAS = tuple(round(0.01 + 0.019 * k, 6) for k in range(SINGLE))  # a new alpha each call
 
 
@@ -156,6 +157,22 @@ def _two_fronts(amplitudes):
     return make, GRID
 
 
+def _cold_fill(n: int, states: int):
+    """A row of ``fill_spectra`` calls of every pair and cut that
+    ``--theorem all`` reads, each on fresh evaluators of ``states`` n-qubit
+    Haar states, so that every call reduces and solves them all."""
+    def make(tree):
+        bounds = tree["bounds"]
+        psis = [tree["qcore"].haar_random_pure(n, 20 + k) for k in range(states)]
+        keys = bounds.spectra_keys(tree["cli"]._parse_theorems("all", n), n)
+
+        def block():
+            for _ in range(FILL):
+                bounds.fill_spectra([bounds.StateEvaluator(psi) for psi in psis], *keys)
+        return block
+    return make, FILL
+
+
 def _verify(kind: str):
     """A row of ``verify --theorem thm2,thm6,cor1_thm2`` runs on an 8-qubit
     digest state over the default grid."""
@@ -187,6 +204,9 @@ ROWS = {
         lambda tree: tree["qcore"].haar_random_pure(12, 3)),
     "two front_best(f, grid), geometric W-class 12": _two_fronts(
         lambda tree: tree["qcore"].PureState(12, _geometric_wclass(12))),
+    "cold fill_spectra, all keys, Haar-8": _cold_fill(8, 1),
+    "cold fill_spectra, all keys, Haar-12": _cold_fill(12, 1),
+    "cold fill_spectra, all keys, 16 x Haar-4": _cold_fill(4, 16),
     "verify thm2,thm6,cor1_thm2, log-W 8": _verify("log6"),
     "verify thm2,thm6,cor1_thm2, GHZ+W 8": _verify("ghz-w"),
 }

@@ -83,8 +83,8 @@ def test_each_pair_and_cut_is_reduced_once(monkeypatch, n, foci, cuts):
             return fn(*args, **kwargs)
         return wrapper
 
-    def stacked(tensor, pair, scratch, out=None):
-        stack = qcore._reduced_densities(tensor, pair, scratch, out=out)
+    def stacked(parts, scratch, out=None):
+        stack = qcore._reduced_densities(parts, scratch, out=out)
         calls["pair_rows"] += len(stack)
         return stack
 
@@ -374,12 +374,13 @@ def test_stacked_pair_spectra_equal_the_one_pair_formula(monkeypatch, name, psi)
     n = psi.num_qubits
     reduced, stacks, pending = {}, [], []
 
-    def reduce(tensor, pair, scratch, out=None):
-        # The fill writes each key into its slice of one stack, and makes
-        # the stack read-only once it is filled (checked in ``keep``).
-        stack = qcore._reduced_densities(tensor, pair, scratch, out=out)
-        assert stack.shape == (1, 4, 4)
-        pending.append((pair, stack[0]))
+    def reduce(parts, scratch, out=None):
+        # The fill writes each batch of keys into its slice of one stack, and
+        # makes the stack read-only once it is filled (checked in ``keep``).
+        stack = qcore._reduced_densities(parts, scratch, out=out)
+        assert all(len(tensor) == 1 for tensor, _ in parts)
+        assert stack.shape == (len(parts), 4, 4)
+        pending.extend((pair, matrix) for (_, pair), matrix in zip(parts, stack))
         return stack
 
     def project(state):
@@ -536,17 +537,19 @@ def _record_pair_rows(monkeypatch):
     row, the amplitude bytes of the state it reduced, the pair and the
     matrix.  (A chunk may hold equal states, such as GHZ twice.)
 
-    The reduction writes each key's rows into its slice of one stack, which
-    the fill makes read-only once it is filled and then solves, so each
-    matrix is recorded as the row of that stack that ``_keep_mu_values``
-    takes, after checking that it is the very row the reduction wrote."""
+    Each batch of the reduction writes its keys' rows into its slice of one
+    stack, which the fill makes read-only once it is filled and then
+    solves, so each matrix is recorded as the row of that stack that
+    ``_keep_mu_values`` takes, after checking that it is the very row the
+    reduction wrote."""
     rows, pending = [], []
 
-    def stacked(tensor, pair, scratch, out=None):
-        stack = qcore._reduced_densities(tensor, pair, scratch, out=out)
-        assert len(stack) == len(tensor)
-        for amps, matrix in zip(tensor, stack):
-            pending.append((amps.tobytes(), pair, matrix))
+    def stacked(parts, scratch, out=None):
+        stack = qcore._reduced_densities(parts, scratch, out=out)
+        states = [(amps.tobytes(), pair) for tensor, pair in parts for amps in tensor]
+        assert len(stack) == len(states)
+        for (amps, pair), matrix in zip(states, stack):
+            pending.append((amps, pair, matrix))
         return stack
 
     def keep(rhos, stack):
@@ -611,6 +614,89 @@ def test_a_mixed_size_chunk_fills_what_one_state_at_a_time_fills(monkeypatch):
         bounds.fill_spectra((alone,), pairs, cuts)
         assert ev._pairs == alone._pairs and ev._cuts == alone._cuts
         assert set(ev._pairs) == set(pairs) and set(ev._cuts) == set(cuts)
+
+
+def _record_batches(monkeypatch):
+    """Patch ``fill_spectra``'s batched pair reduction to record each
+    batch as the list of its parts' ``(states, key)``."""
+    batches = []
+
+    def batch(parts, scratch, out=None):
+        batches.append([(len(tensor), key) for tensor, key in parts])
+        return qcore._reduced_densities(parts, scratch, out=out)
+
+    monkeypatch.setattr(bounds, "_reduced_densities", batch)
+    return batches
+
+
+@pytest.mark.parametrize("n, size", [(4, cli._SWEEP_CHUNK), (8, 1), (10, 1), (12, 1)])
+def test_a_fill_reduces_its_pair_keys_in_batches_within_the_budget(monkeypatch, n, size):
+    """A ``--theorem all`` fill reduces its pair keys in consecutive batches
+    of whole (key, states) entries, as many keys per batch as the budget
+    holds: all 18 keys of an 8-qubit state, or all 5 of a 16-state 4-qubit
+    chunk, in one batch, and 2 keys per batch at 12 qubits."""
+    states = [FILL_FAMILIES[k % len(FILL_FAMILIES)](n, k) for k in range(size)]
+    pairs, cuts = bounds.spectra_keys(cli._parse_theorems("all", n), n)
+    batches = _record_batches(monkeypatch)
+    bounds.fill_spectra([StateEvaluator(psi) for psi in states], pairs, cuts)
+    per_batch = max(1, bounds._BATCH_BYTES // (size * 16 << n))
+    assert [key for batch in batches for _, key in batch] == list(pairs)
+    assert all(states == size for batch in batches for states, _ in batch)
+    assert [len(batch) for batch in batches] == [
+        min(per_batch, len(pairs) - i) for i in range(0, len(pairs), per_batch)]
+    assert len(batches) == {4: 1, 8: 1, 10: 3, 12: 15}[n]
+    assert len(batches) == -(-len(pairs) // per_batch)
+
+
+def test_a_held_pair_batches_only_the_states_that_lack_it(monkeypatch):
+    """An entry is a key and the states that lack it; a batch takes whole
+    entries while their copies fit the budget, and at least one entry."""
+    n = 12
+    states = [FILL_FAMILIES[k % len(FILL_FAMILIES)](n, k) for k in range(3)]
+    chunk = [StateEvaluator(psi) for psi in states]
+    pairs = bounds.spectra_keys(cli._parse_theorems("all", n), n)[0][:4]
+    bounds.fill_spectra(chunk[:2], pairs[:1], ())
+    bounds.fill_spectra(chunk[1:], pairs[1:2], ())
+    batches = _record_batches(monkeypatch)
+    bounds.fill_spectra(chunk, pairs, ())
+    # A 12-qubit state's copy takes 64 KiB, so the budget holds 2 states:
+    # the two one-state entries share a batch, and each three-state entry,
+    # over the budget, takes a batch of its own.
+    assert bounds._BATCH_BYTES // (16 << n) == 2
+    assert batches == [[(1, pairs[0]), (1, pairs[1])], [(3, pairs[2])], [(3, pairs[3])]]
+    for psi, ev in zip(states, chunk):
+        alone = StateEvaluator(psi)
+        bounds.fill_spectra((alone,), pairs, ())
+        assert ev._pairs == alone._pairs
+
+
+@pytest.mark.parametrize("n, size", [(4, 1), (4, cli._SWEEP_CHUNK), (6, 5), (8, 1), (12, 1)])
+def test_the_two_qubit_cut_is_read_from_the_pair_stack(monkeypatch, n, size):
+    """A cut that is a pair key filled by the same call, the (0, 1) cut of
+    every ``--theorem all`` fill, is reduced once, as a pair: a 16-state
+    4-qubit chunk calls ``reduced_density`` 16 times, for its (0,) cut, not
+    32.  Its C, N and Schmidt rank equal the public functions' bit for bit."""
+    states = [FILL_FAMILIES[k % len(FILL_FAMILIES)](n, k) for k in range(size)]
+    pairs, cuts = bounds.spectra_keys(cli._parse_theorems("all", n), n)
+    assert (0, 1) in pairs and (0, 1) in cuts
+    reduced = []
+
+    def reduce(psi, keep):
+        reduced.append(keep)
+        return qcore.reduced_density(psi, keep)
+
+    monkeypatch.setattr(bounds, "reduced_density", reduce)
+    chunk = [StateEvaluator(psi) for psi in states]
+    bounds.fill_spectra(chunk, pairs, cuts)
+    assert sorted(reduced) == sorted(cut for cut in cuts if cut != (0, 1) for _ in states)
+    if n == 4:
+        assert len(reduced) == size
+    monkeypatch.undo()
+    for psi, ev in zip(states, chunk):
+        c, neg, rank = ev._cuts[(0, 1)]
+        assert c.hex() == concurrence_pure(psi, (0, 1)).value.hex()
+        assert neg.hex() == negativity_pure_schmidt(psi, (0, 1)).value.hex()
+        assert rank == schmidt_rank(psi, (0, 1)) and type(rank) is int
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])

@@ -340,7 +340,7 @@ def test_a_cached_axis_order_never_answers_for_a_refused_key(monkeypatch, n, key
         tensor = haar_random_pure(size, 40 + size).amplitudes.reshape((1,) + (2,) * size)
         for k in range(1, size):
             for kept in itertools.combinations(range(size), k):
-                qcore._reduced_densities(tensor, kept)
+                qcore._reduced_densities(((tensor, kept),))
     checked, qcore_subsystem = [], qcore._subsystem
 
     def subsystem(*args, **kwargs):
