@@ -165,35 +165,6 @@ def _focus_pairs(focus: int, num_qubits: int) -> dict[int, tuple[int, int]]:
             for p in range(num_qubits) if p != focus}
 
 
-def spectra_keys(theorem_ids: Iterable[str], num_qubits: int
-                 ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
-    """The pairs and cuts that ``evaluate`` reads for these bounds at their
-    default foci, each once, as ``fill_spectra`` takes them.
-
-    Every focus reads the pairs it belongs to, and every bound the cut of its
-    foci; ``center_total`` also reads the cut of its center and the cut of
-    the other foci.  The keys are immutable tuples, derived once per
-    (theorem ids, qubit count).
-    """
-    return _spectra_keys(tuple(theorem_ids), num_qubits)
-
-
-@lru_cache(maxsize=256)
-def _spectra_keys(theorem_ids: tuple[str, ...], num_qubits: int
-                  ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
-    pairs: dict[tuple[int, int], None] = {}
-    cuts: dict[tuple[int, ...], None] = {}
-    for tid in theorem_ids:
-        spec = BOUNDS[tid]
-        foci = spec.foci
-        for f in foci:
-            pairs.update(dict.fromkeys(_focus_pairs(f, num_qubits).values()))
-        cuts[foci] = None
-        if spec.rhs == "center_total":
-            cuts.update(dict.fromkeys(spec.center_cuts(foci)))
-    return tuple(pairs), tuple(cuts)
-
-
 def search_mode(num_qubits: int) -> str:
     """Front-sum search for ``num_qubits``: exhaustive within the partner cap,
     else canonical."""
@@ -391,16 +362,10 @@ class AlphaGrid:
         return cls.from_range(0.05, 2.0, 0.05)
 
     @cached_property
-    def weights(self) -> tuple[tuple[float, float], ...]:
-        """``(p, h)`` = ``(alpha/2, h_weight(alpha))`` of each value, built once per grid."""
-        return tuple((a / 2.0, h_weight(a)) for a in self.values)
-
-    @cached_property
     def array(self) -> np.ndarray:
-        """The rows alpha, p and h of ``values`` and ``weights`` as one
-        read-only (3 x values) array, built once per grid: every chunk pass
-        and front fill over the grid reads it.  p and h are formed from the
-        values as ``weights`` forms them, without building ``weights``."""
+        """The rows alpha, p = alpha/2 and h = ``h_weight(alpha)`` of
+        ``values`` as one read-only (3 x values) array, built once per grid:
+        every chunk pass and front fill over the grid reads it."""
         values = self.values
         array = np.array([values, [a / 2.0 for a in values], [h_weight(a) for a in values]])
         array.setflags(write=False)
@@ -426,7 +391,7 @@ def _check_alpha(alpha) -> None:
 
 
 def h_weight(alpha: float) -> float:
-    """Geometric weight 2**(alpha/2) - 1; lies in [0, 1] and below alpha/2.
+    """Geometric weight 2**(alpha/2) - 1; lies in [0, 1] and at most alpha/2.
     An alpha that is not a real number is refused (``_check_alpha``); any
     other is read as its Python float, so a numpy ``float32`` or ``float16``
     alpha gives a Python float, as ``AlphaGrid`` reads its values."""
@@ -865,16 +830,16 @@ class StateEvaluator:
     and Ca come from one mu spectrum and are kept with it on the pair's
     ``DensityMatrix``.  Each distinct cut is reduced once and its
     concurrence, negativity and Schmidt rank all come from that one
-    spectrum.  ``fill_spectra`` is the one path that solves them: ``verify``
-    and ``sweep`` fill every pair and cut that ``spectra_keys`` names up
-    front, for a whole chunk of states with one stacked reduction per batch
-    of pairs into one output stack, one stacked ``eigh`` + ``svd`` and one
-    ``eigvalsh`` per cut size, and a later miss in ``tables`` or ``_cut``
-    fills as a chunk of one.
+    spectrum.  ``fill_spectra`` is the one path that solves them:
+    ``fill_columns`` fills every pair and cut that its ``_Layout`` lists up
+    front, for a whole chunk of states of one size with one stacked
+    reduction per batch of pairs into one output stack, one stacked
+    ``eigh`` + ``svd`` and one ``eigvalsh`` per cut size, and a later miss
+    in ``tables`` or ``_cut`` fills as a chunk of one.
 
     The alpha arithmetic of the bounds runs as one array pass over a chunk
     of states (``_ChunkPass``): ``verify`` and ``sweep`` call
-    ``fill_columns`` once per chunk, after ``fill_spectra``, which forms
+    ``fill_columns`` once per chunk, which fills the spectra and forms
     every bound's lhs, rhs, slack and verdict as (states x alpha) arrays and
     leaves each state's ``BoundColumns`` here, and ``evaluate`` takes them;
     a lone ``evaluate`` call, at other foci or with ``groupings=``, runs
@@ -919,9 +884,9 @@ class StateEvaluator:
     these groupings, feasible by construction, are built without the
     dataclass's per-field set-up (``_feasible_certificate``).  The
     ``Grouping`` objects themselves are shared by every state
-    (``_shared_grouping``).  The weights ``(alpha/2, h_weight(alpha))``
-    are the grid's own (``AlphaGrid.weights``), and every pass and front
-    fill over a grid reads its one (alpha, p, h) array (``AlphaGrid.array``).
+    (``_shared_grouping``).  Every pass and front fill over a grid reads
+    the grid's one (alpha, p, h) array (``AlphaGrid.array``), which holds
+    the weights ``(alpha/2, h_weight(alpha))``.
     Every kept object is immutable or copied on the way out, and the state
     is fixed, so none can go stale; none refers back to its evaluator.
 
@@ -1314,7 +1279,9 @@ class _Layout(NamedTuple):
     all nine.  ``upper`` tells whether each bound's slack is rhs - lhs, and
     ``bounds`` holds each bound's ``(index, theorem id, certificate
     sources, check)`` in table order; ``fixed`` lists the indices of the
-    fixed-alpha bounds.
+    fixed-alpha bounds.  ``pairs`` and ``cuts`` are the ``(low, high)`` pair
+    keys and sorted cut keys that the bounds read, each once, as
+    ``fill_spectra`` takes them.
     """
 
     bases: tuple[tuple, ...]
@@ -1325,6 +1292,8 @@ class _Layout(NamedTuple):
     upper: np.ndarray
     bounds: tuple[tuple[int, str, tuple, tuple | None], ...]
     fixed: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
+    cuts: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=256)
@@ -1335,12 +1304,19 @@ def _layout(bounds: tuple[tuple[str, tuple[int, ...]], ...], num_qubits: int,
     focus that takes a caller's grouping of ``count`` groups, whose J and
     front sum add that many group terms.  Any other focus's J is its merged
     group's, one term, and its front sum is searched; jin adds
-    ``num_qubits - 1`` singleton terms.  Derived once per process for each
-    list that the CLI evaluates, and for each lone call's bound and group
-    counts."""
-    members, fixed = [], []
+    ``num_qubits - 1`` singleton terms.  Every focus of a bound reads its
+    pairs, every bound the cut of its foci, and ``center_total`` also the
+    cut of its center and of the other foci.  Derived once per process for
+    each list that the CLI evaluates, and for each lone call's bound and
+    group counts."""
+    members, fixed, pairs, cuts = [], [], {}, {}
     for b, (theorem_id, foci) in enumerate(bounds):
         spec = BOUNDS[theorem_id]
+        for f in foci:
+            pairs.update(dict.fromkeys(_focus_pairs(f, num_qubits).values()))
+        cuts[tuple(sorted(foci))] = None
+        if spec.rhs == "center_total":
+            cuts.update(dict.fromkeys(tuple(sorted(cut)) for cut in spec.center_cuts(foci)))
         if spec.fixed_alpha:
             fixed.append(b)
         else:
@@ -1368,7 +1344,7 @@ def _layout(bounds: tuple[tuple[str, tuple[int, ...]], ...], num_qubits: int,
         {s: slice(index[s + (0,)], index[s + (0,)] + sums[s]) for s in many},
         take, upper,
         tuple((b, theorem_id, certs, check) for b, theorem_id, _, _, _, certs, check in members),
-        tuple(fixed))
+        tuple(fixed), tuple(pairs), tuple(cuts))
 
 
 class _ChunkPass:
@@ -1435,7 +1411,7 @@ class _ChunkPass:
         self.given = dict(given)  # a lone call's, so of one state
         self.groups = tuple((focus, grouping.k) for focus, (grouping, _, _) in given)
         self._merged: dict[int, list[Certified]] = {}
-        self._fronts: dict[int, list[list[tuple]]] = {}
+        self._fronts: dict[int, tuple[list[tuple], list[tuple]]] = {}
         self._certificates: dict[tuple, list] = {}
 
     def columns(self, bounds: tuple[tuple[str, tuple[int, ...]], ...],
@@ -1506,9 +1482,7 @@ class _ChunkPass:
         np.float_power(bases, np.where(layout.of_alpha, self.alpha, self.p)[:, None, :],
                        out=table[:raised], where=bases > 0.0)
         if fronts:
-            table[raised:raised + len(fronts)] = [
-                [[front for _, _, front in column] for column in self._front_columns(focus)]
-                for focus in fronts]
+            table[raised:raised + len(fronts)] = [self._front_columns(focus)[1] for focus in fronts]
         for i, ((kind, _), terms) in enumerate(layout.terms.items(), raised + len(fronts)):
             table[i] = (_front_of_rows(table[terms], self.h) if kind == "front" else
                         _geometric_sum(table[terms], self.h if kind == "J" else self.p))
@@ -1555,7 +1529,7 @@ class _ChunkPass:
             if given is not None:
                 certs = [[given[1]] * len(self.grid)] if kind == "front" else [given[1]]
             elif kind == "front":
-                certs = [[cert for _, cert, _ in col] for col in self._front_columns(focus)]
+                certs = self._front_columns(focus)[0]
             elif kind == "J":
                 certs = [cert for _, cert, _ in self._merged_groups(focus)]
             else:
@@ -1589,12 +1563,18 @@ class _ChunkPass:
             groups = self._merged[focus] = [ev._merged_group(focus) for ev in self.evaluators]
         return groups
 
-    def _front_columns(self, focus: int) -> list[list[tuple]]:
+    def _front_columns(self, focus: int) -> tuple[list[tuple], list[tuple]]:
+        """Each state's certificates and front sums of ``focus`` per alpha,
+        from one unpack of its ``front_best`` column, once per pass."""
         columns = self._fronts.get(focus)
         if columns is None:
             _fill_fronts(self.evaluators, focus, self.grid)
-            columns = self._fronts[focus] = [ev.front_best(focus, self.grid)
-                                             for ev in self.evaluators]
+            certs, fronts = [], []
+            for ev in self.evaluators:
+                _, cert, front = zip(*ev.front_best(focus, self.grid))
+                certs.append(cert)
+                fronts.append(front)
+            columns = self._fronts[focus] = certs, fronts
         return columns
 
 
@@ -1694,68 +1674,63 @@ def fill_spectra(evaluators: Sequence[StateEvaluator], pairs: Collection[tuple[i
                  cuts: Collection[tuple[int, ...]]) -> None:
     """Keep on each evaluator the listed pair and cut values it lacks.
 
+    The evaluators hold states of one qubit count; states of several are
+    refused with ``ValueError``, and an empty list fills nothing.
     ``pairs`` holds ``(low, high)`` qubit pairs and ``cuts`` sorted qubit
-    tuples, each once and of plain ints, as ``spectra_keys`` gives them.
-    The evaluators are grouped by qubit count, and each group's amplitudes
-    are stacked once, as an (S, 2, ..., 2) tensor (a view for a group of
-    one).  One output stack of 4 x 4 matrices is allocated per call, with
-    room for every (state, pair), and the rows of the (state, pair)s that
-    are lacking fill it from its start.  A group's (pair, lacking states)
-    entries are reduced in batches of consecutive entries, each batch as
-    large as ``_BATCH_BYTES`` of transposed amplitude copies allows, but at
-    least one entry: each batch is one ``qcore._reduced_densities`` call,
-    whose parts write their transposed copies into two scratch buffers that
-    the group's batches reuse, and whose one conjugate and one stacked
-    matmul write the batch's rows of the output.  A two-qubit state is its
-    own pair state, copied into its row.  The filled rows are made
-    read-only once and wrapped as ``DensityMatrix`` objects
-    (``qcore._gram_densities``), and they are solved as one
-    ``_keep_mu_values`` stack, which keeps each pair's C and Ca on its
-    ``rho``; each pair keeps their squares, read through
-    ``concurrence_two_qubit`` and ``coa_two_qubit``.  The cuts of one size
-    are solved with one stacked ``eigvalsh``, and ``_cut_measures`` gives
-    each its concurrence, negativity and Schmidt rank.  A cut that is a
-    pair this call filled for the same state takes that pair's row; every
+    tuples, each once and of plain ints, as a ``_Layout`` lists them.  The
+    amplitudes are stacked once, as an (S, 2, ..., 2) tensor (a view for a
+    chunk of one).  One output stack of 4 x 4 matrices holds a row for each
+    lacking (state, pair).  The (pair, lacking states) entries are reduced
+    in batches of consecutive entries, each batch as large as
+    ``_BATCH_BYTES`` of transposed amplitude copies allows, but at least
+    one entry: each batch is one ``qcore._reduced_densities`` call, whose
+    parts write their transposed copies into two scratch buffers that the
+    batches reuse, and whose one conjugate and one stacked matmul write the
+    batch's rows of the output.  A two-qubit state is its own pair state,
+    copied into its row.  The filled rows are made read-only once and
+    wrapped as ``DensityMatrix`` objects (``qcore._gram_densities``), and
+    they are solved as one ``_keep_mu_values`` stack, which keeps each
+    pair's C and Ca on its ``rho``; each pair keeps their squares, read
+    through ``concurrence_two_qubit`` and ``coa_two_qubit``.  The cuts of
+    one size are solved with one stacked ``eigvalsh``, and ``_cut_measures``
+    gives each its concurrence, negativity and Schmidt rank.  A cut that is
+    a pair this call filled for the same state takes that pair's row; every
     other cut is reduced alone with ``reduced_density``.  numpy runs the
     same BLAS or LAPACK routine on each matrix of a stack as on a single
     one, so the values equal, bit for bit, those of a chunk of one:
     ``tables`` and ``_cut`` fill their misses with this as a chunk of one.
     """
-    by_size: dict[int, list[StateEvaluator]] = {}
-    for ev in evaluators:
-        by_size.setdefault(ev.psi.num_qubits, []).append(ev)
-    # Room for every (state, pair); the rows that are filled come first.
-    stack, owners = np.empty((len(evaluators) * len(pairs), 4, 4), complex), []
-    for group in by_size.values():
-        first, entries = len(owners), []
-        for key in pairs:
-            lacking = [i for i, ev in enumerate(group) if key not in ev._pairs]
-            if lacking:
-                owners += [(group[i], key) for i in lacking]
-                entries.append((lacking, key))
-        if not entries:
-            continue
-        if group[0].psi.num_qubits == 2:
-            stack[first:len(owners)] = [to_density(group[i].psi).matrix
-                                        for lacking, _ in entries for i in lacking]
-            continue
-        tensor = _amplitude_tensor([ev.psi for ev in group])
-        limit = _BATCH_BYTES // tensor[0].nbytes  # states whose copies fit the budget
-        batches, rows = [], []
-        for lacking, key in entries:
-            if not rows or rows[-1] + len(lacking) > limit:  # a new batch
-                batches.append([])
-                rows.append(0)
-            batches[-1].append((tensor if len(lacking) == len(group) else tensor[lacking], key))
-            rows[-1] += len(lacking)
-        size = max(rows) * tensor[0].size
-        scratch = (np.empty(size, complex), np.empty(size, complex))
-        for batch, count in zip(batches, rows):
-            _reduced_densities(batch, scratch, out=stack[first:first + count])
-            first += count
+    sizes = {ev.psi.num_qubits for ev in evaluators}
+    if len(sizes) > 1:
+        raise ValueError(f"fill_spectra takes states of one qubit count, got {sorted(sizes)}")
+    owners, entries = [], []
+    for key in pairs:
+        lacking = [i for i, ev in enumerate(evaluators) if key not in ev._pairs]
+        if lacking:
+            owners += [(evaluators[i], key) for i in lacking]
+            entries.append((lacking, key))
     filled = {}
     if owners:
-        stack = stack[:len(owners)]
+        stack = np.empty((len(owners), 4, 4), complex)
+        if sizes == {2}:
+            stack[:] = [to_density(ev.psi).matrix for ev, _ in owners]
+        else:
+            tensor = _amplitude_tensor([ev.psi for ev in evaluators])
+            limit = _BATCH_BYTES // tensor[0].nbytes  # states whose copies fit the budget
+            batches, rows = [], []
+            for lacking, key in entries:
+                if not rows or rows[-1] + len(lacking) > limit:  # a new batch
+                    batches.append([])
+                    rows.append(0)
+                batches[-1].append(
+                    (tensor if len(lacking) == len(evaluators) else tensor[lacking], key))
+                rows[-1] += len(lacking)
+            size = max(rows) * tensor[0].size
+            scratch = (np.empty(size, complex), np.empty(size, complex))
+            first = 0
+            for batch, count in zip(batches, rows):
+                _reduced_densities(batch, scratch, out=stack[first:first + count])
+                first += count
         rhos = _gram_densities(stack)
         _keep_mu_values(rhos, stack)
         filled = dict(zip(owners, rhos))
@@ -1778,29 +1753,29 @@ def fill_columns(evaluators: Sequence[StateEvaluator], theorem_ids: Iterable[str
     """Leave on each evaluator the ``BoundColumns`` of the listed bounds at
     their default foci over ``grid``, for ``evaluate`` to take.
 
-    The evaluators are grouped by qubit count, and each group takes the
-    bounds that its size admits in one ``_ChunkPass``: every bound's lhs,
-    rhs, slack and verdict are formed as (states x alpha) arrays, from the
-    alpha-free values gathered once for the group, and each front focus is
-    searched by one chain DP for the group (``_fill_fronts``), which also
-    leaves the focus's ``front_best`` columns.  ``verify``
-    calls this once and ``sweep`` once per chunk, after ``fill_spectra``;
-    each then asks ``evaluate`` for each (state, bound), which takes the
-    kept columns off the evaluator.  The values equal, bit for bit, those
-    of a chunk of one, which a lone ``evaluate`` computes.
+    The evaluators hold states of one qubit count, as ``fill_spectra``
+    requires, and an empty list does nothing.  The bounds that the size
+    admits are laid out once (``_layout``), one ``fill_spectra`` call fills
+    every pair and cut that the layout lists, and one ``_ChunkPass`` forms
+    every bound's lhs, rhs, slack and verdict as (states x alpha) arrays,
+    from the alpha-free values gathered once for the chunk; each front focus
+    is searched by one chain DP for the chunk (``_fill_fronts``), which also
+    leaves the focus's ``front_best`` columns.  ``verify`` calls this once
+    and ``sweep`` once per chunk; each then asks ``evaluate`` for each
+    (state, bound), which takes the kept columns off the evaluator.  The
+    values equal, bit for bit, those of a chunk of one, which a lone
+    ``evaluate`` computes.
     """
-    theorem_ids = tuple(theorem_ids)
-    by_size: dict[int, list[StateEvaluator]] = {}
-    for ev in evaluators:
-        by_size.setdefault(ev.psi.num_qubits, []).append(ev)
-    for n, group in by_size.items():
-        bounds = _default_bounds(theorem_ids, n)
-        if not bounds:
-            continue
-        for (tid, foci), columns in zip(bounds, _ChunkPass(group, grid).columns(
-                bounds, grid.values)):
-            for ev, cols in zip(group, columns):
-                ev._columns[tid] = (foci, grid.values, cols)
+    if not evaluators:
+        return
+    n = evaluators[0].psi.num_qubits
+    bounds = _default_bounds(tuple(theorem_ids), n)
+    layout = _layout(bounds, n, ())
+    fill_spectra(evaluators, layout.pairs, layout.cuts)
+    for (tid, foci), columns in zip(bounds, _ChunkPass(evaluators, grid).columns(
+            bounds, grid.values)):
+        for ev, cols in zip(evaluators, columns):
+            ev._columns[tid] = (foci, grid.values, cols)
 
 
 @lru_cache(maxsize=256)

@@ -22,8 +22,7 @@ import sys
 import numpy as np
 
 from .bounds import (BOUNDS, AlphaGrid, BoundColumns, OrderingCertificate, StateEvaluator,
-                     THEOREM_IDS, fill_columns, fill_spectra, h_weight, search_mode,
-                     spectra_keys)
+                     THEOREM_IDS, fill_columns, h_weight, search_mode)
 from .gallery import FAMILIES, StateSpec
 from .qcore import MAX_QUBITS, haar_random_pure
 
@@ -43,8 +42,8 @@ _FIGURE_GRID = tuple(round(0.02 * k, 10) for k in range(1, 101))
 @functools.lru_cache(maxsize=8)
 def _parse_alpha(spec: str) -> AlphaGrid:
     """The grid of an ``--alpha`` spec, built once per spec string and
-    process: a grid is immutable, and it keeps its weights and its
-    (alpha, p, h) array, so every op with the same spec shares them.  A
+    process: a grid is immutable, and it keeps its (alpha, p, h) array,
+    so every op with the same spec shares it.  A
     spec that is refused raises, so it is never cached."""
     s = spec.strip()
     if ":" in s:
@@ -147,7 +146,6 @@ def cmd_verify(state: StateSpec, theorem: str, alphas: AlphaGrid, fmt: str,
     psi = state.build()
     theorems = _parse_theorems(theorem, psi.num_qubits)
     ev = StateEvaluator(psi)
-    fill_spectra((ev,), *spectra_keys(theorems, psi.num_qubits))
     fill_columns((ev,), theorems, alphas)
     columns = [ev.evaluate(tid, alphas) for tid in theorems]
     rows = [row for c in columns for row in _column_rows(c)]
@@ -186,7 +184,6 @@ def cmd_sweep(qubits: int, samples: int, seed: int, theorem: str, alphas: AlphaG
     if not 1 <= qubits <= MAX_QUBITS:
         raise ValueError(f"qubits must be in [1, {MAX_QUBITS}], got {qubits}")
     theorems = _parse_theorems(theorem, qubits)
-    keys = spectra_keys(theorems, qubits)
     seeds = np.random.SeedSequence(seed).generate_state(samples, np.uint64)
 
     stats: dict[str, dict] = {
@@ -197,7 +194,6 @@ def cmd_sweep(qubits: int, samples: int, seed: int, theorem: str, alphas: AlphaG
     for start in range(0, samples, _SWEEP_CHUNK):
         chunk = [StateEvaluator(haar_random_pure(qubits, int(state_seed)))
                  for state_seed in seeds[start:start + _SWEEP_CHUNK]]
-        fill_spectra(chunk, *keys)
         fill_columns(chunk, theorems, alphas)
         # Popped in draw order, so each evaluator is released once evaluated.
         chunk.reverse()

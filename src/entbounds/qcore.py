@@ -259,7 +259,7 @@ def _reduced_densities(parts: Sequence[tuple[np.ndarray, tuple[int, ...]]],
     normalized states, every part of one qubit count, and each ``keep`` a
     sorted tuple of plain ints, every part of one size.  ``_kept_axes``
     reads ``keep`` unchecked: ``reduced_density`` checks its caller's key,
-    and ``bounds.fill_spectra`` passes the keys of ``spectra_keys`` and
+    and ``bounds.fill_spectra`` passes the keys of a ``_Layout`` and of
     ``_focus_pairs``.  Each part's transposed copy, which puts its kept
     qubits first, goes into its own rows of one block; then one
     ``np.conjugate`` and one stacked matmul ``B B^dagger`` form every

@@ -157,6 +157,22 @@ def _two_fronts(amplitudes):
     return make, GRID
 
 
+def _all_keys(bounds, n: int) -> tuple[tuple, tuple]:
+    """The pairs and cuts that ``--theorem all`` reads on ``n`` qubits, in
+    the order the library fills them, derived here from a tree's ``BOUNDS``
+    rows so that every tree times the same fill: each focus's pairs, each
+    bound's cut of its foci and ``center_total``'s two extra cuts."""
+    pairs, cuts = {}, {}
+    for spec in bounds.BOUNDS.values():
+        if n >= spec.min_qubits:
+            for f in spec.foci:
+                pairs.update(dict.fromkeys(tuple(sorted((f, p))) for p in range(n) if p != f))
+            cuts[spec.foci] = None
+            if spec.rhs == "center_total":
+                cuts.update(dict.fromkeys(spec.center_cuts(spec.foci)))
+    return tuple(pairs), tuple(cuts)
+
+
 def _cold_fill(n: int, states: int):
     """A row of ``fill_spectra`` calls of every pair and cut that
     ``--theorem all`` reads, each on fresh evaluators of ``states`` n-qubit
@@ -164,7 +180,7 @@ def _cold_fill(n: int, states: int):
     def make(tree):
         bounds = tree["bounds"]
         psis = [tree["qcore"].haar_random_pure(n, 20 + k) for k in range(states)]
-        keys = bounds.spectra_keys(tree["cli"]._parse_theorems("all", n), n)
+        keys = _all_keys(bounds, n)
 
         def block():
             for _ in range(FILL):

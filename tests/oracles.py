@@ -45,6 +45,12 @@ def _apow(value: float, alpha: float) -> float:
     return v ** alpha
 
 
+def grid_weights(grid: Iterable[float]) -> list[tuple[float, float]]:
+    """``(p, h)`` = ``(alpha/2, h_weight(alpha))`` of each alpha of ``grid``,
+    in order: the weights that a grid's p and h rows hold."""
+    return [(alpha / 2.0, h_weight(alpha)) for alpha in grid]
+
+
 def _geometric_sum(grouped_sq: Sequence[float], alpha: float) -> float:
     """sum_i h^(i-1) * (g_i^2)^(alpha/2) over the groups in order."""
     h = h_weight(alpha)
@@ -122,7 +128,7 @@ def bound_columns(ev, theorem_id: str, grid, foci=None, groupings=None):
                             [slack >= -SLACK_TOL], [None], True)
     cut = n_cut if spec.cut == "N" else c_cut
     lhs = [cut ** a if cut > 0.0 else 0.0 for a in grid.values]
-    weights = grid.weights
+    weights = grid_weights(grid)
 
     def inapplicable():
         nan = [math.nan] * len(alphas)
@@ -256,7 +262,7 @@ def front_column(c_sq, ca_sq, grid) -> list[tuple]:
         cert = _feasible_certificate(merged, (_sum_in_order(ca_sq[q] for q in partners),))
         return [(merged, cert, 0.0)] * len(grid)
     column, certs = [], {}
-    for p, h in grid.weights:
+    for p, h in grid_weights(grid):
         lead = [-(v ** p) if v > 0.0 else -0.0 for v in c]
         pick = chain_dp(rows, lead, h)[1]
         s, chain = full, []
@@ -290,7 +296,7 @@ def canonical_column(c_sq, ca_sq, grid) -> list[tuple]:
         column.append((grouping, OrderingCertificate(grouping, ca, True), c))
     (merged, merged_cert, merged_c), (canonical, canonical_cert, canonical_c) = column
     out = []
-    for p, h in grid.weights:
+    for p, h in grid_weights(grid):
         front, merged_front = _front_sum(canonical_c, p, h), _front_sum(merged_c, p, h)
         out.append((canonical, canonical_cert, front) if front > merged_front
                    else (merged, merged_cert, merged_front))

@@ -45,7 +45,7 @@ from entbounds.gallery import cor_a, cor_b, fig3, ghz, gsd3, thm2_saturating, w,
 from entbounds.measures import coa_two_qubit, concurrence_pure
 from entbounds.qcore import PureState, haar_random_pure, reduced_density
 from dp_count import DpCount
-from oracles import _front_weighted_sum, _ordered_sum
+from oracles import _front_weighted_sum, _ordered_sum, grid_weights
 
 EV5 = 1 / math.sqrt(5)
 EX1 = gsd3(EV5, EV5, EV5, EV5, EV5)
@@ -203,7 +203,8 @@ def test_alpha_grid():
                          ids=len)
 def test_the_grid_array_is_read_only_and_holds_its_values_and_weights(grid):
     """``AlphaGrid.array`` is built once per grid; its rows alpha, p and h
-    equal ``values`` and ``weights`` bit for bit, and it cannot be written."""
+    equal ``values`` and ``oracles.grid_weights`` bit for bit, and it cannot
+    be written."""
     array = grid.array
     assert array is grid.array and array.shape == (3, len(grid))
     assert not array.flags.writeable
@@ -211,8 +212,8 @@ def test_the_grid_array_is_read_only_and_holds_its_values_and_weights(grid):
         array[0, 0] = 1.0
     alpha, p, h = array.tolist()
     assert [a.hex() for a in alpha] == [a.hex() for a in grid.values]
-    assert [x.hex() for x in p] == [w[0].hex() for w in grid.weights]
-    assert [x.hex() for x in h] == [w[1].hex() for w in grid.weights]
+    assert [x.hex() for x in p] == [w[0].hex() for w in grid_weights(grid)]
+    assert [x.hex() for x in h] == [w[1].hex() for w in grid_weights(grid)]
 
 
 @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=str)

@@ -18,7 +18,7 @@ import pytest
 
 from entbounds import cli
 from entbounds.bounds import (BOUNDS, AlphaGrid, BoundColumns, Grouping, StateEvaluator,
-                              _descending_singletons, fill_columns, fill_spectra, spectra_keys)
+                              _descending_singletons, fill_columns)
 from entbounds.qcore import PureState, haar_random_pure
 
 from oracles import bound_columns
@@ -93,7 +93,6 @@ def test_chunk_columns_equal_the_per_alpha_oracle(n, size):
     for g, grid in enumerate(GRIDS):
         for start in range(0, len(states), size):
             chunk = [StateEvaluator(psi) for psi in states[start:start + size]]
-            fill_spectra(chunk, *spectra_keys(theorems, n))
             fill_columns(chunk, theorems, grid)
             for s, ev in enumerate(chunk, start):
                 for tid in theorems:
@@ -143,18 +142,16 @@ def test_a_lone_evaluate_equals_the_oracle_at_other_foci_and_groupings(n, family
             assert report == want.report(0) or math.isnan(report.rhs), (tid, foci, groupings)
 
 
-def test_a_chunk_of_mixed_sizes_takes_each_size_as_its_own_chunk():
-    """States of several sizes in one call: each takes the bounds that its
-    size admits, and every column equals the oracle's."""
+def test_a_chunk_of_mixed_sizes_is_refused():
+    """``fill_columns`` takes states of one qubit count: a chunk of several
+    is refused before any spectrum or column is kept, and a chunk of no
+    states is a no-op."""
     states = [_state(family, n, 2600 + n) for n in (2, 4, 6, 4, 2, 7) for family in FAMILIES[:2]]
-    grid = GRIDS[0]
-    theorems = tuple(BOUNDS)
     chunk = [StateEvaluator(psi) for psi in states]
-    fill_columns(chunk, theorems, grid)
-    for ev, psi in zip(chunk, states):
-        for tid in _theorems(psi.num_qubits):
-            _assert_same(ev.evaluate(tid, grid), bound_columns(StateEvaluator(psi), tid, grid),
-                         (psi.num_qubits, tid))
+    with pytest.raises(ValueError, match=r"one qubit count, got \[2, 4, 6, 7\]"):
+        fill_columns(chunk, tuple(BOUNDS), GRIDS[0])
+    assert not any(ev._pairs or ev._cuts or ev._columns for ev in chunk)
+    fill_columns([], tuple(BOUNDS), GRIDS[0])
 
 
 def test_each_kept_column_is_handed_over_once():

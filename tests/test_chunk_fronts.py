@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from entbounds.bounds import (_TIE_TOL, BOUNDS, AlphaGrid, StateEvaluator, _ChunkPass,
-                              _front_dp, _split_table, fill_columns, fill_spectra, spectra_keys)
+                              _front_dp, _split_table, fill_columns)
 from entbounds.gallery import ghz
 from entbounds.qcore import PureState, haar_random_pure
 
@@ -82,8 +82,13 @@ def _tables(n):
 
 def _chunk_fronts(chunk, focus, grid):
     """The front column of ``focus`` on every state of ``chunk``, as the chunk
-    pass reads it."""
-    return _ChunkPass(chunk, grid)._front_columns(focus)
+    pass forms it; the certificates and front sums that the pass reads are
+    those of each state's column."""
+    certs, fronts = _ChunkPass(chunk, grid)._front_columns(focus)
+    columns = [ev.front_best(focus, grid) for ev in chunk]
+    for column, state_certs, state_fronts in zip(columns, certs, fronts, strict=True):
+        assert [(cert, front) for _, cert, front in column] == list(zip(state_certs, state_fronts))
+    return columns
 
 
 @pytest.mark.parametrize("size", (1, 5, 16))
@@ -93,7 +98,6 @@ def test_chunk_fronts_equal_the_per_state_oracle(n, size):
     for grid in GRIDS:
         for start in range(0, len(states), size):
             chunk = [StateEvaluator(psi) for psi in states[start:start + size]]
-            fill_spectra(chunk, *spectra_keys(_theorems(n), n))
             fill_columns(chunk, _theorems(n), grid)  # the front bounds' foci, 0 and 1
             for focus in _foci(n):
                 for s, column in enumerate(_chunk_fronts(chunk, focus, grid), start):

@@ -11,6 +11,7 @@ import pytest
 
 from entbounds import bounds, cli
 from entbounds.bounds import BOUNDS, BoundColumns
+from oracles import grid_weights
 
 
 def run_main(argv, capsys):
@@ -165,7 +166,6 @@ def test_verify_exit_1_on_violation(monkeypatch, capsys):
             return bad
 
     monkeypatch.setattr(cli, "StateEvaluator", Stub)
-    monkeypatch.setattr(cli, "fill_spectra", lambda evaluators, pairs, cuts: None)
     monkeypatch.setattr(cli, "fill_columns", lambda evaluators, theorem_ids, grid: None)
     code, _, _ = run_main(
         ["verify", "--state", GSD3_EQUAL, "--theorem", "thm1",
@@ -328,12 +328,12 @@ def test_a_kept_alpha_grid_comes_back_unchanged():
     weights and read-only (alpha, p, h) array."""
     cli._parse_alpha.cache_clear()
     first = cli._parse_alpha("0.25:2.0:0.25")
-    values, weights, array = first.values, first.weights, first.array.copy()
+    values, weights, array = first.values, grid_weights(first), first.array.copy()
     for spec in ("0.25:2.0:0.25", "0.5,1", "0.25:2.0:0.25"):
         cli._parse_alpha(spec)
     again = cli._parse_alpha("0.25:2.0:0.25")
     assert again is first and again == bounds.AlphaGrid.from_range(0.25, 2.0, 0.25)
-    assert (again.values, again.weights) == (values, weights)
+    assert (again.values, grid_weights(again)) == (values, weights)
     assert np.array_equal(again.array, array) and not again.array.flags.writeable
     assert cli._parse_alpha(" 1 ").values == (1.0,)
 
@@ -574,9 +574,11 @@ def test_sweep_across_chunks_prints_what_one_state_at_a_time_prints(
     argv = ["sweep", "--qubits", str(qubits), "--samples", str(samples), "--seed", "9",
             "--theorem", "all", "--alpha", "0.5,1,2", "--format", fmt]
     chunked = run_main(argv, capsys)
-    # Without the chunk fill, each fresh StateEvaluator solves its own
-    # spectra as it reads them.
-    monkeypatch.setattr(cli, "fill_spectra", lambda evaluators, pairs, cuts: None)
+    # Without the chunk fill, each state's spectra are solved as a chunk of one.
+    fill = bounds.fill_spectra
+    monkeypatch.setattr(bounds, "fill_spectra",
+                        lambda evaluators, pairs, cuts: [fill((ev,), pairs, cuts)
+                                                         for ev in evaluators])
     assert chunked == run_main(argv, capsys)
     assert chunked[0] == 0
 

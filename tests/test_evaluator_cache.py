@@ -519,12 +519,19 @@ def _applicable(n):
     return tuple(tid for tid in THEOREM_IDS if n >= BOUNDS[tid].min_qubits)
 
 
+def _keys(theorems, n):
+    """The pair and cut keys that ``fill_columns`` fills for these bounds on
+    n qubits: those that its layout lists."""
+    layout = bounds._layout(bounds._default_bounds(tuple(theorems), n), n, ())
+    return layout.pairs, layout.cuts
+
+
 @pytest.mark.parametrize("size", [1, 5, cli._SWEEP_CHUNK])
 @pytest.mark.parametrize("n", range(2, 13))
 def test_a_chunk_fill_equals_the_lazy_fill_bit_for_bit(n, size):
     states = [FILL_FAMILIES[k % len(FILL_FAMILIES)](n, k) for k in range(size)]
     chunk = [StateEvaluator(psi) for psi in states]
-    bounds.fill_spectra(chunk, *bounds.spectra_keys(_applicable(n), n))
+    bounds.fill_spectra(chunk, *_keys(_applicable(n), n))
     for psi, ev in zip(states, chunk):
         lazy = StateEvaluator(psi)
         _evaluate_all(lazy, (0.5,))
@@ -574,7 +581,7 @@ def test_every_chunk_pair_matrix_equals_the_one_state_reduction(monkeypatch, n, 
     With ``held``, some evaluators already hold some of the pairs."""
     states = [FILL_FAMILIES[k % len(FILL_FAMILIES)](n, k) for k in range(size)]
     chunk = [StateEvaluator(psi) for psi in states]
-    pairs, cuts = bounds.spectra_keys(_applicable(n), n)
+    pairs, cuts = _keys(_applicable(n), n)
     if held:
         rng = np.random.default_rng(9600 + 20 * n + size)
         for ev in chunk[::2]:
@@ -596,24 +603,19 @@ def test_every_chunk_pair_matrix_equals_the_one_state_reduction(monkeypatch, n, 
         assert ev._pairs == lazy._pairs
 
 
-def test_a_mixed_size_chunk_fills_what_one_state_at_a_time_fills(monkeypatch):
-    """``fill_spectra`` groups a chunk by qubit count; keys shared by 3-, 4-
-    and 5-qubit states fill the same values as one state at a time."""
+def test_a_mixed_size_fill_is_refused():
+    """``fill_spectra`` takes states of one qubit count: a chunk of 3-, 4- and
+    5-qubit states is refused before any value is kept, and a chunk of no
+    states fills nothing."""
     states = [FILL_FAMILIES[k % len(FILL_FAMILIES)](n, k)
               for k in range(4) for n in (3, 4, 5)]
-    pairs, cuts = bounds.spectra_keys(_applicable(3), 3)
+    pairs, cuts = _keys(_applicable(3), 3)
     assert pairs and cuts
     chunk = [StateEvaluator(psi) for psi in states]
-    rows = _record_pair_rows(monkeypatch)
-    bounds.fill_spectra(chunk, pairs, cuts)
-    assert sorted((amps, pair) for amps, pair, _ in rows) == sorted(
-        (psi.amplitudes.tobytes(), pair) for psi in states for pair in pairs)
-    monkeypatch.undo()
-    for psi, ev in zip(states, chunk):
-        alone = StateEvaluator(psi)
-        bounds.fill_spectra((alone,), pairs, cuts)
-        assert ev._pairs == alone._pairs and ev._cuts == alone._cuts
-        assert set(ev._pairs) == set(pairs) and set(ev._cuts) == set(cuts)
+    with pytest.raises(ValueError, match=r"one qubit count, got \[3, 4, 5\]"):
+        bounds.fill_spectra(chunk, pairs, cuts)
+    assert not any(ev._pairs or ev._cuts for ev in chunk)
+    bounds.fill_spectra([], pairs, cuts)
 
 
 def _record_batches(monkeypatch):
@@ -636,7 +638,7 @@ def test_a_fill_reduces_its_pair_keys_in_batches_within_the_budget(monkeypatch, 
     holds: all 18 keys of an 8-qubit state, or all 5 of a 16-state 4-qubit
     chunk, in one batch, and 2 keys per batch at 12 qubits."""
     states = [FILL_FAMILIES[k % len(FILL_FAMILIES)](n, k) for k in range(size)]
-    pairs, cuts = bounds.spectra_keys(cli._parse_theorems("all", n), n)
+    pairs, cuts = _keys(cli._parse_theorems("all", n), n)
     batches = _record_batches(monkeypatch)
     bounds.fill_spectra([StateEvaluator(psi) for psi in states], pairs, cuts)
     per_batch = max(1, bounds._BATCH_BYTES // (size * 16 << n))
@@ -654,7 +656,7 @@ def test_a_held_pair_batches_only_the_states_that_lack_it(monkeypatch):
     n = 12
     states = [FILL_FAMILIES[k % len(FILL_FAMILIES)](n, k) for k in range(3)]
     chunk = [StateEvaluator(psi) for psi in states]
-    pairs = bounds.spectra_keys(cli._parse_theorems("all", n), n)[0][:4]
+    pairs = _keys(cli._parse_theorems("all", n), n)[0][:4]
     bounds.fill_spectra(chunk[:2], pairs[:1], ())
     bounds.fill_spectra(chunk[1:], pairs[1:2], ())
     batches = _record_batches(monkeypatch)
@@ -677,7 +679,7 @@ def test_the_two_qubit_cut_is_read_from_the_pair_stack(monkeypatch, n, size):
     4-qubit chunk calls ``reduced_density`` 16 times, for its (0,) cut, not
     32.  Its C, N and Schmidt rank equal the public functions' bit for bit."""
     states = [FILL_FAMILIES[k % len(FILL_FAMILIES)](n, k) for k in range(size)]
-    pairs, cuts = bounds.spectra_keys(cli._parse_theorems("all", n), n)
+    pairs, cuts = _keys(cli._parse_theorems("all", n), n)
     assert (0, 1) in pairs and (0, 1) in cuts
     reduced = []
 
@@ -702,7 +704,7 @@ def test_the_two_qubit_cut_is_read_from_the_pair_stack(monkeypatch, n, size):
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_after_the_fill_evaluate_reduces_nothing(monkeypatch, n):
     chunk = [StateEvaluator(make(n, k)) for k, make in enumerate(FILL_FAMILIES)]
-    bounds.fill_spectra(chunk, *bounds.spectra_keys(_applicable(n), n))
+    bounds.fill_spectra(chunk, *_keys(_applicable(n), n))
 
     def refuse(*args):
         raise AssertionError("a pair or cut was reduced after the fill")
@@ -749,22 +751,52 @@ def test_an_evaluator_is_freed_without_the_cycle_collector(n):
             gc.enable()
 
 
-def test_spectra_keys_are_derived_once_per_theorems_and_qubits():
+def test_the_layout_keys_are_derived_once_per_bounds_and_qubits():
     for n in range(2, 13):
         for theorems in (cli._parse_theorems("all", n), ("thm1",), THEOREM_IDS,
                          ("cor2_lower", "ckw")):
-            fresh = bounds._spectra_keys.__wrapped__(tuple(theorems), n)
-            kept = bounds.spectra_keys(list(theorems), n)
-            assert kept == fresh and bounds.spectra_keys(iter(theorems), n) is kept
+            laid_out = bounds._default_bounds(theorems, n)
+            fresh = bounds._layout.__wrapped__(laid_out, n, ())
+            kept = bounds._layout(laid_out, n, ())
+            assert (kept.pairs, kept.cuts) == (fresh.pairs, fresh.cuts)
+            assert bounds._layout(laid_out, n, ()) is kept
 
 
-def test_spectra_keys_follow_the_bound_rows():
-    assert bounds.spectra_keys(("thm1",), 4) == (((0, 1), (0, 2), (0, 3)), ((0,),))
-    pairs, cuts = bounds.spectra_keys(("ckw", "thm2", "cor2_lower"), 6)
+def test_the_layout_keys_follow_the_bound_rows():
+    assert _keys(("thm1",), 4) == (((0, 1), (0, 2), (0, 3)), ((0,),))
+    pairs, cuts = _keys(("ckw", "thm2", "cor2_lower"), 6)
     assert pairs == tuple(itertools.chain(
         ((0, q) for q in range(1, 6)), ((1, q) for q in range(2, 6)), ((2, q) for q in range(3, 6))))
     assert cuts == ((0,), (0, 1), (0, 1, 2), (2,))
-    assert bounds.spectra_keys((), 5) == ((), ())
+    assert _keys((), 5) == ((), ())
+    # A lone call's foci in any order read the sorted cuts.
+    layout = bounds._layout((("cor2_lower", (2, 1, 0)),), 4, ())
+    assert layout.cuts == ((0, 1, 2), (0,), (1, 2))
+    assert layout.pairs == ((0, 2), (1, 2), (2, 3), (0, 1), (1, 3), (0, 3))
+
+
+@pytest.mark.parametrize("n, size", [(2, 5), (4, cli._SWEEP_CHUNK), (6, 5), (8, 1), (12, 1)])
+def test_fill_columns_fills_its_layout_keys_in_one_call(monkeypatch, n, size):
+    """``fill_columns`` on a fresh chunk makes one ``fill_spectra`` call, of
+    the keys that its layout lists; neither its pass nor ``evaluate``
+    then fills a miss."""
+    chunk = [StateEvaluator(FILL_FAMILIES[k % len(FILL_FAMILIES)](n, k)) for k in range(size)]
+    theorems = cli._parse_theorems("all", n)
+    calls, fill = [], bounds.fill_spectra
+
+    def record(evaluators, pairs, cuts):
+        calls.append((list(evaluators), pairs, cuts))
+        fill(evaluators, pairs, cuts)
+
+    monkeypatch.setattr(bounds, "fill_spectra", record)
+    grid = bounds.AlphaGrid((0.5, 1.0, 2.0))
+    bounds.fill_columns(chunk, theorems, grid)
+    for ev in chunk:
+        for tid in theorems:
+            ev.evaluate(tid, grid)
+    assert calls == [(chunk, *_keys(theorems, n))]
+    assert all(set(ev._pairs) == set(calls[0][1]) and set(ev._cuts) == set(calls[0][2])
+               for ev in chunk)
 
 
 @pytest.mark.parametrize("k", range(1, 12))

@@ -46,7 +46,8 @@ from entbounds.gallery import FAMILIES, ghz, named, w
 from entbounds.qcore import PureState, haar_random_pure
 from dp_count import DpCount
 from oracles import (_apow, _front_sum, _front_weighted_sum, _geometric_sum, _jin_sum,
-                     _ordered_sum, canonical_column, front_column, split_rows, subset_sums)
+                     _ordered_sum, canonical_column, front_column, grid_weights, split_rows,
+                     subset_sums)
 
 ALPHAS = (0.0, 0.25, 1.0, 1.7, 2.0)
 
@@ -401,7 +402,9 @@ def test_a_front_column_that_needs_no_dp_builds_no_pass(psi, monkeypatch):
     singles = [ev.front_best(focus, 0.5) for focus in (0, 1)]
     assert built == [] and count.runs == []
     chunk = bounds_module._ChunkPass((StateEvaluator(psi),), grid)
-    assert columns == [chunk._front_columns(focus)[0] for focus in (0, 1)]
+    for focus, column in zip((0, 1), columns):
+        (certs,), (fronts,) = chunk._front_columns(focus)
+        assert [(cert, front) for _, cert, front in column] == list(zip(certs, fronts))
     fresh = StateEvaluator(psi)
     assert singles == [fresh.front_best(focus, AlphaGrid((0.5,)))[0] for focus in (0, 1)]
     built.clear()
@@ -521,7 +524,6 @@ def test_canonical_front_columns_equal_the_scalar_oracle():
         for focus in (0, 1):
             check(ev, focus)
     evs = [StateEvaluator(_log_wclass(10, 3 + seed % 2 * 3, 9100 + seed)) for seed in range(16)]
-    bounds_module.fill_spectra(evs, *bounds_module.spectra_keys(["thm2"], 10))
     bounds_module.fill_columns(evs, ["thm2"], grid)
     for ev in evs:
         assert ev._fronts.keys() == {(0, grid.values), (1, grid.values)}
@@ -644,7 +646,7 @@ def test_certificates_and_front_sums_equal_a_rebuild_from_the_tables(name, psi):
         c_sq, ca_sq = ev.tables(focus)
         for grid in REBUILD_GRIDS:
             for (g, cert, front), (p, h), alpha in zip(ev.front_best(focus, grid),
-                                                       grid.weights, grid):
+                                                       grid_weights(grid), grid):
                 where = (focus, alpha, str(g))
                 ca_ref, c_ref = _grouped_sums(ca_sq, g), _grouped_sums(c_sq, g)
                 assert _hex(cert.squared_values) == _hex(ca_ref), where
