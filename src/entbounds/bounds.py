@@ -1778,7 +1778,6 @@ def fill_columns(evaluators: Sequence[StateEvaluator], theorem_ids: Iterable[str
             ev._columns[tid] = (foci, grid.values, cols)
 
 
-@lru_cache(maxsize=256)
 def _default_bounds(theorem_ids: tuple[str, ...], num_qubits: int
                     ) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """The listed bounds that ``num_qubits`` qubits admit, at their default

@@ -21,8 +21,8 @@ import sys
 
 import numpy as np
 
-from .bounds import (BOUNDS, AlphaGrid, BoundColumns, OrderingCertificate, StateEvaluator,
-                     THEOREM_IDS, fill_columns, h_weight, search_mode)
+from .bounds import (BOUNDS, AlphaGrid, BoundColumns, StateEvaluator, THEOREM_IDS, fill_columns,
+                     h_weight, search_mode)
 from .gallery import FAMILIES, StateSpec
 from .qcore import MAX_QUBITS, haar_random_pure
 
@@ -51,9 +51,7 @@ def _parse_alpha(spec: str) -> AlphaGrid:
         if len(parts) != 3:
             raise ValueError(f"alpha range must be start:stop:step, got {spec!r}")
         return AlphaGrid.from_range(float(parts[0]), float(parts[1]), float(parts[2]))
-    if "," in s:
-        return AlphaGrid(tuple(float(x) for x in s.split(",")))
-    return AlphaGrid((float(s),))
+    return AlphaGrid(tuple(float(x) for x in s.split(",")))
 
 
 def _parse_theorems(spec: str, num_qubits: int) -> tuple[str, ...]:
@@ -66,17 +64,13 @@ def _parse_theorems(spec: str, num_qubits: int) -> tuple[str, ...]:
     for raw in spec.split(","):
         tid = raw.strip()
         if tid not in THEOREM_IDS:
-            raise ValueError(
-                f"unknown theorem id {tid!r}; known: {', '.join(THEOREM_IDS)}")
+            raise ValueError(f"unknown theorem id {tid!r}; known: {', '.join(THEOREM_IDS)}")
         if tid in chosen:
             raise ValueError(f"duplicate theorem id {tid!r}")
         if num_qubits < BOUNDS[tid].min_qubits:
-            raise ValueError(
-                f"{tid} requires at least {BOUNDS[tid].min_qubits} qubits, "
-                f"state has {num_qubits}")
+            raise ValueError(f"{tid} requires at least {BOUNDS[tid].min_qubits} qubits, "
+                             f"state has {num_qubits}")
         chosen.append(tid)
-    if not chosen:
-        raise ValueError("no theorems selected")
     return tuple(chosen)
 
 
@@ -96,49 +90,81 @@ _REPORT_COLUMNS = ("theorem", "alpha", "lhs", "rhs", "slack", "satisfied", "appl
 _SWEEP_COLUMNS = ("theorem", "rows", "violations", "not_applicable", "min_slack", "mean_slack")
 
 
-def _csv_column(cells: tuple) -> list[str]:
-    """One column's cells as CSV fields; the first cell sets the column's kind:
-    a float prints as ``%.12g`` (NaN as an empty field), a bool as
+def _float_fields(values: list) -> list[str]:
+    """Each value as a CSV field: ``%.12g``, NaN as an empty field.  Each
+    distinct value is formatted once, all in one ``%`` call, but a zero in
+    place, as 0.0 == -0.0 would share a field.  Plain dicts, not numpy: a
+    15-row sweep table pays no numpy call overhead."""
+    distinct = dict.fromkeys(values)
+    texts = ("%.12g\n" * len(distinct) % tuple(distinct)).replace("nan", "").split("\n")
+    fields = dict(zip(distinct, texts))
+    return [fields[x] if x else f"{x:.12g}" for x in values]
+
+
+def _csv_fields(cells, texts: dict) -> list[str]:
+    """A column's values as CSV fields; the first value sets the column's
+    kind: a float prints as ``%.12g`` (NaN as an empty field), a bool as
     ``true``/``false``, else ``str``, quoted as Python 3.13's ``csv.writer``
-    quotes a field with a comma, a quote, CR or LF.  Each distinct value is
-    formatted once, but a zero in place, as 0.0 == -0.0 would share a text."""
-    first = cells[0]
-    if isinstance(first, bool):
+    quotes a field with a comma, a quote, CR or LF.  ``texts`` keeps the
+    table's field of each distinct text, so each is quoted once."""
+    if cells and isinstance(cells[0], float):
+        return _float_fields(cells)
+    if cells and isinstance(cells[0], bool):
         return ["true" if x else "false" for x in cells]
-    if isinstance(first, float):
-        fields = {x: "" if x != x else f"{x:.12g}" for x in set(cells)}
-        return [fields[x] if x else f"{x:.12g}" for x in cells]
-    texts = list(map(str, cells))
-    fields = {t: t if _CSV_PLAIN(t) else '"' + t.replace('"', '""') + '"' for t in set(texts)}
-    return [fields[t] for t in texts]
+    cells = list(map(str, cells))
+    for t in itertools.filterfalse(texts.__contains__, cells):
+        texts[t] = t if _CSV_PLAIN(t) else '"' + t.replace('"', '""') + '"'
+    return list(map(texts.__getitem__, cells))
 
 
-def _table_text(fmt: str, columns: tuple[str, ...], rows, head: dict | None = None,
+def _table_text(fmt: str, columns: tuple[str, ...], blocks, head: dict | None = None,
                 comments: str = "") -> str:
-    """``rows`` (tuples in ``columns`` order) as CSV or JSON text.
+    """``blocks`` of rows as CSV or JSON text.
+
+    A block holds one entry per column, in ``columns`` order: a list or tuple
+    holds one value per row of the block, and any other value stands for
+    every row of it.  At least one entry of a block is a list or tuple, and
+    the table's rows are the blocks' rows, block after block.
 
     CSV writes ``comments`` (whole ``#`` lines), the header and one line per
-    row, each column formatted at once by ``_csv_column``.  JSON writes
-    ``{**head, "rows": [...]}`` with one object per row, indented, and NaN
-    as null.
+    row, each column of a block formatted at once by ``_csv_fields``, and a
+    constant once per block.  The float columns of all blocks are formatted
+    by one ``_float_fields`` call, so each distinct float, such as each value
+    of an alpha grid that every block repeats, is formatted once per table.
+    JSON writes ``{**head, "rows": [...]}`` with one object per row,
+    indented, and NaN as null.
     """
     if fmt == "json":
         rows = [{c: None if isinstance(x, float) and x != x else x for c, x in zip(columns, row)}
-                for row in rows]
+                for block in blocks for row in zip(*(
+                    x if isinstance(x, (list, tuple)) else itertools.repeat(x) for x in block))]
         return json.dumps({**(head or {}), "rows": rows}, indent=2) + "\n"
-    lines = [",".join(_csv_column(columns)), *map(",".join, zip(*map(_csv_column, zip(*rows))))]
+    texts, floats, layouts = {}, [], []
+    for block in blocks:
+        rows = min(len(x) for x in block if isinstance(x, (list, tuple)))
+        layout = []
+        for x in block:
+            if not isinstance(x, (list, tuple)):
+                layout.append(itertools.repeat(_csv_fields((x,), texts)[0], rows))
+            elif x and isinstance(x[0], float):  # formatted with all of ``floats`` below
+                layout.append(slice(len(floats), len(floats) + len(x)))
+                floats += x
+            else:
+                layout.append(_csv_fields(x, texts))
+        layouts.append(layout)
+    fields = _float_fields(floats)
+    lines = [",".join(_csv_fields(columns, texts))]
+    for layout in layouts:
+        lines += map(",".join, zip(*(fields[c] if type(c) is slice else c for c in layout)))
     return comments + "\n".join(lines) + "\n"
 
 
-def _grouping_text(ordering: OrderingCertificate | None) -> str:
-    """The ``grouping`` cell of a row: its certificate's grouping, or empty."""
-    return "" if ordering is None or ordering.grouping is None else str(ordering.grouping)
-
-
-def _column_rows(c: BoundColumns):
-    """A bound's rows as tuples in ``_REPORT_COLUMNS`` order."""
-    return zip(itertools.repeat(c.theorem_id), c.alpha, c.lhs, c.rhs, c.slack, c.satisfied,
-               itertools.repeat(c.applicable), map(_grouping_text, c.ordering))
+def _grouping_cells(orderings: list) -> list[str]:
+    """The ``grouping`` cells of a bound's rows: each row's certificate's
+    grouping, or empty, read once per run of rows that share a certificate
+    (no certificate or grouping is falsy, as neither has a length)."""
+    runs = [list(run) for _, run in itertools.groupby(orderings, id)]
+    return [cell for run in runs for cell in [str(run[0] and run[0].grouping or "")] * len(run)]
 
 
 def cmd_verify(state: StateSpec, theorem: str, alphas: AlphaGrid, fmt: str,
@@ -148,8 +174,9 @@ def cmd_verify(state: StateSpec, theorem: str, alphas: AlphaGrid, fmt: str,
     ev = StateEvaluator(psi)
     fill_columns((ev,), theorems, alphas)
     columns = [ev.evaluate(tid, alphas) for tid in theorems]
-    rows = [row for c in columns for row in _column_rows(c)]
-    _write_output(_table_text(fmt, _REPORT_COLUMNS, rows), out)
+    # One block per bound: theorem_id ... satisfied, then applicable and grouping.
+    blocks = [(*c[:6], c.applicable, _grouping_cells(c.ordering)) for c in columns]
+    _write_output(_table_text(fmt, _REPORT_COLUMNS, blocks), out)
     violated = any(c.applicable and not all(c.satisfied) for c in columns)
     return EXIT_VIOLATION if violated else EXIT_OK
 
@@ -202,19 +229,18 @@ def cmd_sweep(qubits: int, samples: int, seed: int, theorem: str, alphas: AlphaG
             for tid, s in stats.items():
                 _tally(s, ev.evaluate(tid, alphas))
 
-    rows = []
-    for tid, s in stats.items():
+    for s in stats.values():
         evaluated = s["rows"] - s["not_applicable"]
-        rows.append((tid, s["rows"], s["violations"], s["not_applicable"],
-                     s["min_slack"] if evaluated else math.nan,
-                     s["sum_slack"] / evaluated if evaluated else math.nan))
+        s["min_slack"] = s["min_slack"] if evaluated else math.nan
+        s["mean_slack"] = s["sum_slack"] / evaluated if evaluated else math.nan
+    block = [list(stats), *([s[c] for s in stats.values()] for c in _SWEEP_COLUMNS[1:])]
     search = search_mode(qubits)
     meta = {"qubits": qubits, "samples": samples, "seed": seed,
             "alpha": list(alphas.values), "theorems": list(theorems),
             "search": search}
     comments = (f"# sweep qubits={qubits} samples={samples} seed={seed} search={search}\n"
                 "# alpha=" + ",".join(f"{a:.12g}" for a in alphas) + "\n")
-    _write_output(_table_text(fmt, _SWEEP_COLUMNS, rows, {"meta": meta}, comments), out)
+    _write_output(_table_text(fmt, _SWEEP_COLUMNS, [block], {"meta": meta}, comments), out)
     violated = any(s["violations"] for s in stats.values())
     return EXIT_VIOLATION if violated else EXIT_OK
 
@@ -276,15 +302,13 @@ def cmd_figure(figure_id: int, out: str | None) -> int:
             "companion assistance sum uses ascending order; the two fixed "
             "expressions disagree, and 'verify' always uses dominance-checked "
             "orderings instead (see README).\n")
-    _write_output(_table_text("csv", header, rows), out)
+    _write_output(_table_text("csv", header, [list(zip(*rows))]), out)
     return EXIT_OK
 
 
 def cmd_gallery_list(out: str | None) -> int:
-    lines = []
-    for name in sorted(FAMILIES):
-        fam = FAMILIES[name]
-        lines.append(f"{name}\tparams={fam.num_params}\t{fam.description}")
+    lines = [f"{name}\tparams={fam.num_params}\t{fam.description}"
+             for name, fam in sorted(FAMILIES.items())]
     _write_output("\n".join(lines) + "\n", out)
     return EXIT_OK
 

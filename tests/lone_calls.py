@@ -65,16 +65,17 @@ def _w_part(n: int, coefficients: np.ndarray) -> np.ndarray:
 
 
 def _digest_state(n: int, kind: str) -> np.ndarray:
-    """The log-uniform W-class (``"log6"``) or GHZ+W (``"ghz-w"``) state of
-    ``tests/cli_digest.py`` at ``n`` qubits, drawn from the same seed."""
+    """The Haar (``"haar"``), log-uniform W-class (``"log6"``) or GHZ+W
+    (``"ghz-w"``) state of ``tests/cli_digest.py`` at ``n`` qubits, drawn
+    from the same seed."""
     rng = np.random.default_rng(1600 + n)
-    rng.normal(size=1 << n), rng.normal(size=1 << n)  # the Haar state's draws
-    rng.normal(size=n), rng.normal(size=n)  # the Gaussian W-class state's
+    haar = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    rng.normal(size=n), rng.normal(size=n)  # the Gaussian W-class state's draws
     phases = np.exp(2j * np.pi * rng.random(n))
     log_w = _w_part(n, 10.0 ** rng.uniform(-6.0, 0.0, n) * phases)
     ghz_w = _w_part(n, rng.random(n))
     ghz_w[0] = ghz_w[-1] = 0.5
-    amps = log_w if kind == "log6" else ghz_w
+    amps = {"haar": haar, "log6": log_w, "ghz-w": ghz_w}[kind]
     return amps / np.linalg.norm(amps)
 
 
@@ -189,13 +190,14 @@ def _cold_fill(n: int, states: int):
     return make, FILL
 
 
-def _verify(kind: str):
-    """A row of ``verify --theorem thm2,thm6,cor1_thm2`` runs on an 8-qubit
-    digest state over the default grid."""
-    argv = ["verify", "--theorem", "thm2,thm6,cor1_thm2", "--state",
-            json.dumps({"kind": "amplitudes", "n": 8,
-                        "re": _digest_state(8, kind).real.tolist(),
-                        "im": _digest_state(8, kind).imag.tolist()})]
+def _verify(kind: str, n: int = 8, theorems: str = "thm2,thm6,cor1_thm2"):
+    """A row of ``verify --theorem <theorems>`` runs on an n-qubit digest
+    state over the default grid, through ``cli.main`` as the CLI runs them:
+    the state's JSON parse, the fill, the chunk pass and the table's text."""
+    amps = _digest_state(n, kind)
+    argv = ["verify", "--theorem", theorems, "--state",
+            json.dumps({"kind": "amplitudes", "n": n, "re": amps.real.tolist(),
+                        "im": amps.imag.tolist()})]
 
     def make(tree):
         main = tree["cli"].main
@@ -225,6 +227,7 @@ ROWS = {
     "cold fill_spectra, all keys, 16 x Haar-4": _cold_fill(4, 16),
     "verify thm2,thm6,cor1_thm2, log-W 8": _verify("log6"),
     "verify thm2,thm6,cor1_thm2, GHZ+W 8": _verify("ghz-w"),
+    "verify --theorem all, Haar-12": _verify("haar", 12, "all"),
 }
 
 

@@ -17,6 +17,9 @@ alpha, as ``front_best`` ran it before a chunk's fronts were searched as
 one (states x alpha) array DP; ``chain_dp`` is that DP.  ``canonical_column``
 is one focus's front column above 8 partners, one alpha at a time, as
 ``front_best`` formed it before the canonical fronts were raised as arrays.
+``column_rows`` is a bound's rows as ``verify`` printed them before its
+writer took each bound's columns as one block: one tuple per row, in the
+report's column order.
 """
 
 import math
@@ -103,6 +106,19 @@ def sweep_tally(stats: dict, report) -> None:
         stats["violations"] += 1
     stats["min_slack"] = min(stats["min_slack"], report.slack)
     stats["sum_slack"] += report.slack
+
+
+def grouping_text(ordering) -> str:
+    """The ``grouping`` cell of a row: its certificate's grouping, or empty."""
+    return "" if ordering is None or ordering.grouping is None else str(ordering.grouping)
+
+
+def column_rows(c: BoundColumns) -> list[tuple]:
+    """A bound's ``BoundColumns`` as row tuples in the report's column order:
+    theorem, alpha, lhs, rhs, slack, satisfied, applicable and grouping."""
+    return [(c.theorem_id, alpha, lhs, rhs, slack, satisfied, c.applicable, grouping_text(o))
+            for alpha, lhs, rhs, slack, satisfied, o in zip(c.alpha, c.lhs, c.rhs, c.slack,
+                                                            c.satisfied, c.ordering)]
 
 
 def bound_columns(ev, theorem_id: str, grid, foci=None, groupings=None):

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from entbounds import bounds, cli
-from entbounds.bounds import BOUNDS, BoundColumns
-from oracles import grid_weights
+from entbounds.bounds import BOUNDS, BoundColumns, StateEvaluator
+from entbounds.qcore import haar_random_pure
+from oracles import column_rows, grid_weights, grouping_text
 
 
 def run_main(argv, capsys):
@@ -290,8 +291,8 @@ def test_large_state_evaluate_equals_the_verify_rows(n, tmp_path, capsys):
         foci = tuple(range(BOUNDS[tid].arity))
         for r in (ev.evaluate(tid, alpha), optimize_grouping(psi, foci, alpha, tid)):
             cells = (r.theorem_id, r.alpha, r.lhs, r.rhs, r.slack, r.satisfied, r.applicable,
-                     cli._grouping_text(r.ordering))
-            text = cli._table_text("json", cli._REPORT_COLUMNS, [cells])
+                     grouping_text(r.ordering))
+            text = cli._table_text("json", cli._REPORT_COLUMNS, [[[x] for x in cells]])
             assert json.loads(text)["rows"] == [row]
 
 
@@ -603,23 +604,38 @@ _AWKWARD_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
                    123456789012345.0, 1e16, -2.5]
 
 
+def _blocks(rows, size):
+    """``rows`` as blocks of at most ``size`` rows, each column a list."""
+    return [[list(column) for column in zip(*rows[k:k + size])]
+            for k in range(0, len(rows), size)]
+
+
+def _json_rows(columns, rows):
+    """The JSON text of ``rows``, one object per row with NaN as null."""
+    return json.dumps({"rows": [{c: None if isinstance(x, float) and x != x else x
+                                 for c, x in zip(columns, row)} for row in rows]},
+                      indent=2) + "\n"
+
+
 @pytest.mark.parametrize("comments", ["", "# sweep qubits=4 samples=3 seed=1\n# alpha=0.5,1\n"])
 def test_the_csv_writer_equals_csv_writer_on_every_cell(comments):
     rows = [(text, x, flag, k, x, text)
             for k, (text, x, flag) in enumerate(zip(_AWKWARD_TEXTS * 2, _AWKWARD_FLOATS * 2,
                                                     [True, False, False] * 12))]
     columns = ("theorem", "lhs", "satisfied", "rows", "slack", "grouping")
-    assert cli._table_text("csv", columns, rows, comments=comments) == _csv_writer_text(
-        columns, rows, comments)
+    for size in (1, 5, len(rows)):
+        assert cli._table_text("csv", columns, _blocks(rows, size), comments=comments) == \
+            _csv_writer_text(columns, rows, comments)
+        assert cli._table_text("json", columns, _blocks(rows, size)) == _json_rows(columns, rows)
     assert cli._table_text("csv", columns, [], comments=comments) == _csv_writer_text(
         columns, [], comments)
-    assert cli._table_text("csv", ("a", 'b,"c"'), [("x", 1.5)]) == 'a,"b,""c"""\nx,1.5\n'
+    assert cli._table_text("csv", ("a", 'b,"c"'), [("x", [1.5])]) == 'a,"b,""c"""\nx,1.5\n'
 
 
 def test_the_csv_writer_quotes_a_carriage_return_as_python_3_13_does():
     # Python 3.10-3.12's csv.writer leaves a CR unquoted when the line
     # terminator is LF; 3.13 quotes it, and so does the writer.
-    text = cli._table_text("csv", ("a", "b"), [("x\ry", "z")])
+    text = cli._table_text("csv", ("a", "b"), [(["x\ry"], "z")])
     assert text == 'a,b\n"x\ry",z\n'
     if sys.version_info >= (3, 13):
         assert text == _csv_writer_text(("a", "b"), [("x\ry", "z")])
@@ -630,7 +646,122 @@ def test_float_cells_print_as_12g_and_a_negative_zero_keeps_its_sign(order):
     values = _AWKWARD_FLOATS * 3
     if order == "negative_zero_first":
         values = values[1:]
-    text = cli._table_text("csv", ("alpha", "x"), [(1.0, x) for x in values])
+    text = cli._table_text("csv", ("alpha", "x"), [(1.0, values)])
     cells = [line.split(",")[1] for line in text.splitlines()[1:]]
     assert cells == ["" if x != x else f"{x:.12g}" for x in values]
     assert cells.count("-0") == sum(x == 0.0 and math.copysign(1.0, x) < 0 for x in values) > 0
+    assert {line.split(",")[0] for line in text.splitlines()[1:]} == {"1"}
+
+
+# -- blocks: a constant stands for every row of its block ---------------------
+
+def test_a_constant_stands_for_every_row_of_its_block():
+    columns = ("theorem", "alpha", "applicable", "grouping")
+    blocks = [("thm,2", (0.5, 1.0), True, ["0|1", "0,1"]),
+              ("thm1", [2.0], False, [""]),
+              (["x"], 0.25, [True], "a\"b")]
+    rows = [("thm,2", 0.5, True, "0|1"), ("thm,2", 1.0, True, "0,1"), ("thm1", 2.0, False, ""),
+            ("x", 0.25, True, "a\"b")]
+    assert cli._table_text("csv", columns, blocks) == _csv_writer_text(columns, rows)
+    assert cli._table_text("json", columns, blocks) == _json_rows(columns, rows)
+
+
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+def test_a_zero_and_a_negative_zero_in_two_blocks_keep_their_signs(first, second):
+    blocks = [([first, 1.0], "a"), ([second, first, -1.0], "b")]
+    text = cli._table_text("csv", ("x", "k"), blocks)
+    assert text.splitlines()[1:] == [f"{first:g},a", "1,a", f"{second:g},b", f"{first:g},b",
+                                     "-1,b"]
+    assert {f"{first:g}", f"{second:g}"} == {"0", "-0"}
+
+
+def test_a_float_and_a_bool_of_equal_value_keep_their_own_kinds():
+    # 1.0 == True and hash(1.0) == hash(True): no field is shared across kinds.
+    blocks = [([1.0, True], [True, 1.0], True, 1.0), ([True], [1.0], 1.0, True)]
+    text = cli._table_text("csv", ("f", "b", "c", "d"), blocks)
+    assert text == "f,b,c,d\n1,true,true,1\n1,true,true,1\ntrue,1,1,true\n"
+
+
+def test_nan_prints_empty_in_every_block():
+    nan = float("nan")
+    blocks = [([math.nan, 1.0], "a"), ([2.0, -nan, nan], "b"), (math.nan, ["c"]),
+              ([float("nan")], "d")]
+    assert cli._table_text("csv", ("x", "k"), blocks) == "x,k\n,a\n1,a\n2,b\n,b\n,b\n,c\n,d\n"
+    rows = json.loads(cli._table_text("json", ("x", "k"), blocks))["rows"]
+    assert [r["x"] for r in rows] == [None, 1.0, 2.0, None, None, None, None]
+
+
+@pytest.mark.parametrize("blocks", [[], [([], [], "k")], [([], 0.5, [])]])
+def test_an_empty_table_prints_the_header_only(blocks):
+    columns = ("a", "b,c", "d")
+    assert cli._table_text("csv", columns, blocks, comments="# c\n") == '# c\na,"b,c",d\n'
+    assert cli._table_text("json", columns, blocks, {"meta": 1}) == \
+        '{\n  "meta": 1,\n  "rows": []\n}\n'
+
+
+# -- verify's blocks against the row oracle -----------------------------------
+
+def _amplitude_spec(amplitudes) -> str:
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    return json.dumps({"kind": "amplitudes", "n": int(amplitudes.size).bit_length() - 1,
+                       "re": amplitudes.real.tolist(), "im": amplitudes.imag.tolist()})
+
+
+def _weak_qubit() -> np.ndarray:
+    """sqrt(1 - eps^2)|0>|a> + eps|1>|b>, eps = 3.3e-7 (reproducer 2)."""
+    eps = 3.3e-7
+    a, b = haar_random_pure(3, 10004).amplitudes, haar_random_pure(3, 20004).amplitudes
+    return np.concatenate([math.sqrt(1.0 - eps ** 2) * a, eps * b])
+
+
+def _two_weak_partners() -> np.ndarray:
+    """|0000> + 2e-7 |1010> + 5e-8 |1001>, normalized (reproducer 4)."""
+    amps = np.zeros(16)
+    amps[0b0000], amps[0b1010], amps[0b1001] = 1.0, 2e-7, 5e-8
+    return amps / np.linalg.norm(amps)
+
+
+def _wclass4(*params) -> str:
+    return json.dumps({"kind": "named", "family": "wclass4", "params": list(params)})
+
+
+def _verify_cases() -> dict:
+    """The golden files' verify commands and the four false-violation
+    reproducers, each on the default grid and on a grid that holds 0."""
+    from test_golden_cli import CASES, DATA
+    cases = {}
+    for name, argv in CASES.items():
+        if argv[0] == "verify" and not name.startswith("error"):
+            argv = [a.replace("{data}", str(DATA)) for a in argv]
+            cases[name] = argv[:argv.index("--format")] if "--format" in argv else argv
+    reproducers = {"wclass4-floor": _wclass4(2.5e-7, 1.3e-7, 0.003, 0.9999955),
+                   "weak-qubit": _amplitude_spec(_weak_qubit()),
+                   "wclass4-thm8": _wclass4(1e-9, 1e-6, 0.001, 0.999999499999375),
+                   "two-weak-partners": _amplitude_spec(_two_weak_partners())}
+    for name, state in reproducers.items():
+        cases[name] = ["verify", "--state", state, "--theorem", "all"]
+        cases[name + "-alpha0"] = cases[name] + ["--alpha", "0,0.05,1,2"]
+    return cases
+
+
+_VERIFY_CASES = _verify_cases()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", list(_VERIFY_CASES))
+def test_verify_prints_the_row_oracle(name, fmt, capsys):
+    """``verify`` equals ``csv.writer`` (or the row objects) over each bound's
+    rows as ``oracles.column_rows`` forms them, byte for byte."""
+    argv = _VERIFY_CASES[name] + ["--format", fmt]
+    code, out, err = run_main(argv, capsys)
+    args = cli._build_parser().parse_args(argv)
+    psi = cli._state_spec_from_arg(args.state).build()
+    theorems = cli._parse_theorems(args.theorem, psi.num_qubits)
+    grid = cli._parse_alpha(args.alpha)
+    ev = StateEvaluator(psi)
+    bounds.fill_columns((ev,), theorems, grid)
+    columns = [ev.evaluate(tid, grid) for tid in theorems]
+    rows = [row for c in columns for row in column_rows(c)]
+    want = _json_rows if fmt == "json" else _csv_writer_text
+    assert (code, out, err) == (int(any(not r[5] and r[6] for r in rows)),
+                                want(cli._REPORT_COLUMNS, rows), "")

@@ -24,7 +24,7 @@ from entbounds.qcore import PureState, haar_random_pure
 
 from dp_count import DpCount
 from oracles import (_apow, _front_weighted_sum, _geometric_sum, _jin_sum, _ordered_sum,
-                     sweep_tally)
+                     column_rows, sweep_tally)
 
 GRIDS = (AlphaGrid((0.0, 0.05, 0.5, 1.0, 1.37, 2.0)), AlphaGrid((0.0,)), AlphaGrid((2.0,)),
          AlphaGrid((0.25, 0.75, 1.5)))
@@ -304,7 +304,7 @@ def test_verify_rows_are_the_grid_columns(capsys):
     for tid, spec in BOUNDS.items():
         if spec.min_qubits <= 4:
             cols = ev.evaluate(tid, AlphaGrid((0.0, 0.05, 1.0, 2.0)))
-            want += [dict(zip(cli._REPORT_COLUMNS, row)) for row in cli._column_rows(cols)]
+            want += [dict(zip(cli._REPORT_COLUMNS, row)) for row in column_rows(cols)]
     for row in want:
         for key in ("rhs", "slack"):
             if math.isnan(row[key]):
