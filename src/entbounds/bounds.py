@@ -28,9 +28,9 @@ grouping only sets how many group terms its J and front sum add.  One
 function, ``_fill_fronts``, forms every front column, for a chunk pass or
 for a lone ``front_best``: a focus whose pair C are all 0 takes its merged
 group, canonical mode raises the merged total and the descending
-singletons' C^2 as arrays, and every other focus of the chunk is searched
-by one chain DP over (subsets x states x alpha) arrays (``_front_dp``),
-whose front sums are formed from the terms that the DP has already raised
+singletons' C^2 as arrays, and every other (state, focus) entry of a pass,
+whichever front focus it is, is searched by one chain DP over (subsets x
+entries x alpha) arrays (``_front_dp``), whose front sums are formed from the terms that the DP has already raised
 (``_front_chains``).  The dominance precondition has one test,
 ``_dominates``, which the front search and ``feasibility`` both read, on
 floats and on arrays.
@@ -721,21 +721,24 @@ def _subset_sums(values: np.ndarray) -> np.ndarray:
 
 def _front_dp(lead: np.ndarray, ca: np.ndarray, h: np.ndarray) -> np.ndarray:
     """The leading group of the minimal chain of every subset, for every
-    state and alpha: the chain DP over (subsets x states x alpha) arrays.
+    entry and alpha: the chain DP over (subsets x entries x alpha) arrays.
+    An entry is one (state, focus) search, its subsets those of the focus's
+    partners.
 
     ``lead`` holds each subset's value as one group, ``ca`` each subset's
-    Ca^2 sum per state (subsets x states), and ``h`` the weight of each
+    Ca^2 sum per entry (subsets x entries), and ``h`` the weight of each
     alpha.  ``value(s)`` is the smaller of ``lead[s]`` (the whole subset)
     and, over the splits ``(t, s ^ t)`` of ``s`` whose Ca^2(t) dominates
     Ca^2(s ^ t) (``_dominates``), ``h * lead[t] + value(s ^ t)``; a
     subset of one member is its own pick.  The subsets are solved by size,
-    each size's splits as one array; a state masks the splits it does not
+    each size's splits as one array; an entry masks the splits it does not
     hold.  The whole subset is the first candidate and the splits follow
     in ``_split_table`` order, one array step per position, skipped where
-    no state holds a split: a split replaces the running best only where
+    no entry holds a split: a split replaces the running best only where
     it is lower by more than ``_TIE_TOL``.  So at every subset a tie keeps
     the whole subset, and after that the first leading group, as a
-    per-state scan of the same candidates does.
+    per-entry scan of the same candidates does.  Every step acts on each
+    entry alone, so an entry's picks do not depend on the others.
     """
     value = lead.copy()
     pick = np.empty(lead.shape, dtype=np.intp)
@@ -755,8 +758,8 @@ def _front_dp(lead: np.ndarray, ca: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def _front_chains(pick: np.ndarray, terms: np.ndarray, h: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """``(chains, fronts)`` read off ``_front_dp``'s picks: each state's and
-    alpha's leading groups from the full set down, as (states x alpha x
+    """``(chains, fronts)`` read off ``_front_dp``'s picks: each entry's and
+    alpha's leading groups from the full set down, as (entries x alpha x
     groups) masks padded with 0, and its front sum, ``_front_of_rows``'s
     formula on the groups' ``terms`` (C^2 subset sum to the power p): h
     times the sum of all but the last, added in order from 0.0, plus the
@@ -848,11 +851,13 @@ class StateEvaluator:
     total C^2), jin's certificate and each searched focus's ``front_best``
     column off these caches, once each, and raises every base with one
     ``np.float_power`` call.  The front columns themselves are formed per
-    chunk too, by ``_fill_fronts``, which leaves each state's column here:
-    one chain DP per (chunk, focus, grid) over every state whose focus has
-    a pair C above 0, and no DP in canonical mode or for a focus whose pair
-    C are all 0.  A lone ``front_best`` calls ``_fill_fronts`` for this
-    evaluator alone and builds no pass; ``evaluate`` is the only method
+    pass too, by one ``_fill_fronts`` call over every front focus of the
+    pass, which leaves each state's columns here: one chain DP per (pass,
+    grid) over every (state, focus) entry whose focus has a pair C above
+    0, and no DP in canonical mode or for a focus whose pair C are all 0.
+    So a lone ``evaluate`` of thm2, thm6 or cor1_thm2 runs one DP for both
+    its front foci.  A lone ``front_best`` calls ``_fill_fronts`` for this
+    evaluator and its one focus alone and builds no pass; ``evaluate`` is the only method
     that builds one.  ``np.float_power`` calls the C library's ``pow``,
     as Python's ``**`` on floats does, so each value equals the per-alpha
     Python arithmetic bit for bit; ``np.power`` runs numpy's own float64
@@ -901,8 +906,8 @@ class StateEvaluator:
       listing the Fubini(m) groupings.  It solves every subset ``S`` of the
       partners by size, over all (subset, leading group) pairs of that
       size as one array step per position in ``_split_table``'s order,
-      3^m pairs in all for m partners, for every searched state of a
-      chunk and every alpha of its grid at once (``_front_dp``).  Values
+      3^m pairs in all for m partners, for every searched (state, focus)
+      entry of a pass and every alpha of its grid at once (``_front_dp``).  Values
       within ``_TIE_TOL`` tie, and a tie keeps the whole subset, then the
       leading group that comes first by size and then lexicographically,
       at every subset.  A subset whose C^2 sum is 0 reads 0 under every
@@ -915,7 +920,7 @@ class StateEvaluator:
       program over the reachable subsets, would cost 0.1-0.18 s to build
       ``_split_table(11)`` once per process, 10-13 ms of split rows and
       61-72 ms of DPs for the 40 default alphas (11, 3 and 8-14 ms at 10
-      qubits), against ~6 ms for a whole 12-qubit ``verify``.  The price
+      qubits), against ~3.6 ms for a whole 12-qubit ``verify``.  The price
       is tightness: over 30 states per size at 10-12 qubits, the exact
       optimum beats this front sum by up to 0.03-0.07 on GHZ+W states, by
       up to 0.01 on log-uniform W-class states over 6 decades, and not at
@@ -1061,9 +1066,11 @@ class StateEvaluator:
         ``front_best(f, AlphaGrid((a,)))[0]``.  The column is found once per
         (focus, grid values) and kept, as thm2, thm6 and cor1_thm2 share
         it; each call returns a fresh list.  A column that is not kept yet
-        is formed by ``_fill_fronts`` for this evaluator alone, with no
-        ``_ChunkPass`` built: one chain DP over the whole grid, or none in
-        canonical mode or when the focus's pair C are all 0.  Each chain it
+        is formed by ``_fill_fronts`` for this evaluator and this focus
+        alone, with no ``_ChunkPass`` built: one chain DP over the whole
+        grid, or none in canonical mode or when the focus's pair C are all
+        0.  A pass, and so a lone ``evaluate`` of a front bound, fills the
+        columns of all its front foci with one DP instead.  Each chain it
         picks is certified once: alphas of the column that pick the same
         chain share one certificate, and every state shares the
         ``Grouping`` of a chain.  The sum equals, bit for bit, the per-alpha
@@ -1079,10 +1086,11 @@ class StateEvaluator:
 
     def _front_column(self, focus: int, grid: AlphaGrid):
         """``front_best``'s kept column of one focus over one grid, formed
-        by ``_fill_fronts`` for this evaluator alone when it is not kept."""
+        by ``_fill_fronts`` for this evaluator and focus alone when it is
+        not kept."""
         key = (focus, grid.values)
         if key not in self._fronts:
-            _fill_fronts((self,), focus, grid)
+            _fill_fronts((self,), (focus,), grid)
         return self._fronts[key]
 
     # -- report assembly -----------------------------------------------------
@@ -1377,12 +1385,14 @@ class _ChunkPass:
     every base of the chunk, the group terms of J and jin among them, one
     take lays out the operands, and the formula runs once for all bounds.
     So a chunk costs a fixed number of numpy calls, whatever its size and
-    bounds.  The front columns are formed per chunk as well, by the
-    module's ``_fill_fronts``: one chain DP per front focus over every
-    state that needs it and the whole grid, whose number of array steps
-    depends on the partner count, not on the chunk.  A chunk of one state
-    is the pass that a lone ``evaluate`` call runs; a lone ``front_best``
-    calls ``_fill_fronts`` itself and builds no pass.
+    bounds.  The front columns are formed per chunk as well, on the
+    table's first front read, by one call of the module's
+    ``_fill_fronts`` for every front focus of the layout: one chain DP over
+    every (state, focus) entry that needs it and the whole grid, whose
+    number of array steps depends on the partner count, not on the chunk
+    or its foci.  A chunk of one state is the pass that a lone ``evaluate``
+    call runs; a lone ``front_best`` calls ``_fill_fronts`` itself, for its
+    one focus, and builds no pass.
 
     A lone ``evaluate`` call with ``groupings=`` gives the pass its checked
     groupings, as ``given`` pairs of a focus and its ``Certified`` triple.
@@ -1482,7 +1492,8 @@ class _ChunkPass:
         np.float_power(bases, np.where(layout.of_alpha, self.alpha, self.p)[:, None, :],
                        out=table[:raised], where=bases > 0.0)
         if fronts:
-            table[raised:raised + len(fronts)] = [self._front_columns(focus)[1] for focus in fronts]
+            self._read_fronts(fronts)
+            table[raised:raised + len(fronts)] = [self._fronts[focus][1] for focus in fronts]
         for i, ((kind, _), terms) in enumerate(layout.terms.items(), raised + len(fronts)):
             table[i] = (_front_of_rows(table[terms], self.h) if kind == "front" else
                         _geometric_sum(table[terms], self.h if kind == "J" else self.p))
@@ -1565,17 +1576,25 @@ class _ChunkPass:
 
     def _front_columns(self, focus: int) -> tuple[list[tuple], list[tuple]]:
         """Each state's certificates and front sums of ``focus`` per alpha,
-        from one unpack of its ``front_best`` column, once per pass."""
-        columns = self._fronts.get(focus)
-        if columns is None:
-            _fill_fronts(self.evaluators, focus, self.grid)
+        read once per pass (``_read_fronts``)."""
+        if focus not in self._fronts:
+            self._read_fronts((focus,))
+        return self._fronts[focus]
+
+    def _read_fronts(self, foci: tuple[int, ...]) -> None:
+        """Fill the chunk's front columns of ``foci`` with one
+        ``_fill_fronts`` call, then unpack each state's ``front_best``
+        column of each focus into its certificates and front sums.  The
+        table reads every front focus of its layout this way at once, so a
+        pass runs one chain DP whatever its front bounds."""
+        _fill_fronts(self.evaluators, foci, self.grid)
+        for focus in foci:
             certs, fronts = [], []
             for ev in self.evaluators:
                 _, cert, front = zip(*ev.front_best(focus, self.grid))
                 certs.append(cert)
                 fronts.append(front)
-            columns = self._fronts[focus] = certs, fronts
-        return columns
+            self._fronts[focus] = certs, fronts
 
 
 def _geometric_sum(terms: np.ndarray, ratio: np.ndarray) -> np.ndarray:
@@ -1600,14 +1619,17 @@ def _powers(grouped: Sequence[Sequence[float]], p: np.ndarray) -> np.ndarray:
                           out=np.zeros(bases.shape[:2] + p.shape))
 
 
-def _fill_fronts(evaluators: Sequence[StateEvaluator], focus: int, grid: AlphaGrid) -> None:
-    """Keep on each evaluator that lacks it its front column of ``focus``
-    over ``grid`` (``StateEvaluator._fronts``), for ``front_best`` to read:
-    ``front_best`` calls this for its evaluator alone, and a chunk pass for
-    its chunk.  Each column is a ``(grouping, certificate, front sum)``
-    triple per alpha.
+def _fill_fronts(evaluators: Sequence[StateEvaluator], foci: Sequence[int],
+                 grid: AlphaGrid) -> None:
+    """Keep on each evaluator that lacks it its front column of each of
+    ``foci`` over ``grid`` (``StateEvaluator._fronts``), for ``front_best``
+    to read: ``front_best`` calls this for its evaluator and its one focus
+    alone, and a chunk pass for its chunk and every front focus of its
+    layout.  Each column is a ``(grouping, certificate, front sum)`` triple
+    per alpha.  The (state, focus) entries that lack their column are taken
+    focus by focus, each focus's states in chunk order.
 
-    * A focus whose pair C are all 0 takes its kept merged group, J's own
+    * An entry whose pair C are all 0 takes its kept merged group, J's own
       certificate, with front sum 0.0 at every alpha: every grouping reads
       0, and a tie keeps the whole set.
     * Above 8 partners (canonical mode) the merged group is kept unless the
@@ -1615,30 +1637,36 @@ def _fill_fronts(evaluators: Sequence[StateEvaluator], focus: int, grid: AlphaGr
       larger, as a tie keeps the whole set in the search.  The singleton
       certificate is the one jin reads (``_singleton_certificate``); the
       merged total C^2 and the singletons' C^2 values are raised by one
-      ``_powers`` call, and the singletons' front sum is ``_front_of_rows``.
-    * Every other state is searched by one chain DP over (subsets x states
-      x alpha) arrays (``_front_dp``): the C^2 and Ca^2 subset sums are
-      formed for all of them at once (``_subset_sums``), the leads
-      ``-(C^2 sum)^p`` are raised by one ``_powers`` call, and the chains
-      and front sums are read off the picks as arrays (``_front_chains``).
-      Each state then certifies each distinct chain once, off its Ca^2
-      subset sums, which equal the grouping's ``_grouped_sums`` bit for
-      bit, with the chain's shared ``Grouping``.
+      ``_powers`` call per entry, and the singletons' front sum is
+      ``_front_of_rows``.
+    * Every other entry is searched by one chain DP over (subsets x entries
+      x alpha) arrays (``_front_dp``), whatever its focus: every focus of
+      one state size has the same number of partners, so the entries line
+      up.  The C^2 and Ca^2 subset sums are formed for all of them at once
+      (``_subset_sums``), the leads ``-(C^2 sum)^p`` are raised by one
+      ``_powers`` call, and the chains and front sums are read off the
+      picks as arrays (``_front_chains``).  Every step acts on each entry
+      alone, so each column equals the one that a fill of its focus alone
+      forms, bit for bit.  Each entry then certifies each distinct chain
+      once, off its Ca^2 subset sums, which equal the grouping's
+      ``_grouped_sums`` bit for bit, with the chain's shared ``Grouping``
+      over its own focus's partners.
     """
-    key = (focus, grid.values)
     canonical, searched = [], []
-    for ev in evaluators:
-        if key in ev._fronts:
-            continue
-        if not any(ev.tables(focus)[0].values()):
-            grouping, cert, _ = ev._merged_group(focus)
-            ev._fronts[key] = [(grouping, cert, 0.0)] * len(grid)
-        else:
-            (canonical if ev.search == "canonical" else searched).append(ev)
+    for focus in foci:
+        key = (focus, grid.values)
+        for ev in evaluators:
+            if key in ev._fronts:
+                continue
+            if not any(ev.tables(focus)[0].values()):
+                grouping, cert, _ = ev._merged_group(focus)
+                ev._fronts[key] = [(grouping, cert, 0.0)] * len(grid)
+            else:
+                (canonical if ev.search == "canonical" else searched).append((ev, focus))
     if not (canonical or searched):
         return
     _, p, h = grid.array
-    for ev in canonical:
+    for ev, focus in canonical:
         c_sq = ev.tables(focus)[0]
         grouping, cert, (total,) = ev._merged_group(focus)
         singles = ev._singleton(focus)
@@ -1649,25 +1677,24 @@ def _fill_fronts(evaluators: Sequence[StateEvaluator], focus: int, grid: AlphaGr
             for i, front in enumerate(_front_of_rows(terms[1:], h).tolist()):
                 if front > column[i][2]:
                     column[i] = (singles.grouping, singles, front)
-        ev._fronts[key] = column
+        ev._fronts[focus, grid.values] = column
     if not searched:
         return
-    tables = [ev.tables(focus) for ev in searched]
+    tables = [ev.tables(focus) for ev, focus in searched]
     values = np.array([[*c_sq.values(), *ca_sq.values()] for c_sq, ca_sq in tables], dtype=float)
     c, ca = _subset_sums(values.reshape(len(tables), 2, -1).T).transpose(1, 0, 2)
     terms = _powers(c.T, p)
     chains, fronts = _front_chains(_front_dp(-terms, ca, h), terms, h)
-    partners = tuple(tables[0][1])
-    for ev, ca_sums, rows, row_fronts in zip(searched, ca.T.tolist(), chains.tolist(),
-                                             fronts.tolist()):
-        certs, column = {}, []
+    for (ev, focus), (_, ca_sq), ca_sums, rows, row_fronts in zip(
+            searched, tables, ca.T.tolist(), chains.tolist(), fronts.tolist()):
+        partners, certs, column = tuple(ca_sq), {}, []
         for chain, front in zip(map(tuple, rows), row_fronts):
             cert = certs.get(chain)
             if cert is None:
                 cert = certs[chain] = _chain_certificate(
                     partners, tuple(filter(None, chain)), ca_sums)
             column.append((cert.grouping, cert, front))
-        ev._fronts[key] = column
+        ev._fronts[focus, grid.values] = column
 
 
 def fill_spectra(evaluators: Sequence[StateEvaluator], pairs: Collection[tuple[int, int]],
@@ -1758,9 +1785,9 @@ def fill_columns(evaluators: Sequence[StateEvaluator], theorem_ids: Iterable[str
     admits are laid out once (``_layout``), one ``fill_spectra`` call fills
     every pair and cut that the layout lists, and one ``_ChunkPass`` forms
     every bound's lhs, rhs, slack and verdict as (states x alpha) arrays,
-    from the alpha-free values gathered once for the chunk; each front focus
-    is searched by one chain DP for the chunk (``_fill_fronts``), which also
-    leaves the focus's ``front_best`` columns.  ``verify`` calls this once
+    from the alpha-free values gathered once for the chunk; the front foci
+    are searched together by one chain DP for the chunk (``_fill_fronts``),
+    which also leaves each focus's ``front_best`` columns.  ``verify`` calls this once
     and ``sweep`` once per chunk; each then asks ``evaluate`` for each
     (state, bound), which takes the kept columns off the evaluator.  The
     values equal, bit for bit, those of a chunk of one, which a lone

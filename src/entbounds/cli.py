@@ -163,8 +163,11 @@ def _grouping_cells(orderings: list) -> list[str]:
     """The ``grouping`` cells of a bound's rows: each row's certificate's
     grouping, or empty, read once per run of rows that share a certificate
     (no certificate or grouping is falsy, as neither has a length)."""
-    runs = [list(run) for _, run in itertools.groupby(orderings, id)]
-    return [cell for run in runs for cell in [str(run[0] and run[0].grouping or "")] * len(run)]
+    cells: list[str] = []
+    for _, run in itertools.groupby(orderings, id):
+        run = list(run)
+        cells += [str(run[0] and run[0].grouping or "")] * len(run)
+    return cells
 
 
 def cmd_verify(state: StateSpec, theorem: str, alphas: AlphaGrid, fmt: str,

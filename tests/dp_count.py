@@ -2,13 +2,17 @@
 often it runs.
 
 ``DpCount`` wraps ``bounds._front_dp`` and ``bounds._fill_fronts`` for one
-test.  Each DP run is kept as ``(states, alphas)``: the Ca^2 values of each
-searched state's partners, in state order, and the number of alphas.  Each
-front fill is kept as ``(evaluators, focus, alphas)``, with the evaluators
-that lacked the column: a chunk pass's, or a lone ``front_best`` call's one.
-``expected`` derives from the fills the runs that the chunk search makes:
-one per fill that holds a state whose focus has a pair C above 0, over
-those states only and the whole grid, and none in canonical mode.
+test.  Each DP run is kept as ``(entries, alphas)``: the Ca^2 values of the
+partners of each searched (state, focus) entry, in entry order, and the
+number of alphas.  Each front fill is kept as ``(evaluators, foci,
+alphas)``, as it was called: a chunk pass's evaluators and the front foci
+of its layout, or a lone ``front_best`` call's one evaluator and one
+focus.  ``expected`` derives from the fills the runs that the front search
+makes: one per fill that holds an entry to search, over those entries in
+the fill's order (focus by focus, each focus's states in chunk order) and
+the whole grid.  An entry is to be searched where its evaluator lacks the
+column when the fill is called, its focus has a pair C above 0, and the
+state is not in canonical mode.
 """
 
 import entbounds.bounds as bounds
@@ -18,19 +22,20 @@ class DpCount:
     def __init__(self, monkeypatch):
         self.runs: list = []
         self.fills: list = []
+        self._lacking: list = []  # per fill, its (evaluator, focus) entries that lacked a column
         real_dp, real_fill = bounds._front_dp, bounds._fill_fronts
 
         def dp(lead, ca, h):
             m = len(lead).bit_length() - 1
-            self.runs.append(([tuple(ca[1 << i, s].item() for i in range(m))
-                               for s in range(ca.shape[1])], len(h)))
+            self.runs.append(([tuple(ca[1 << i, e].item() for i in range(m))
+                               for e in range(ca.shape[1])], len(h)))
             return real_dp(lead, ca, h)
 
-        def fill(evaluators, focus, grid):
-            key = (focus, grid.values)
-            self.fills.append(([ev for ev in evaluators if key not in ev._fronts],
-                               focus, len(grid)))
-            return real_fill(evaluators, focus, grid)
+        def fill(evaluators, foci, grid):
+            self.fills.append((list(evaluators), tuple(foci), len(grid)))
+            self._lacking.append([(ev, f) for f in foci for ev in evaluators
+                                  if (f, grid.values) not in ev._fronts])
+            return real_fill(evaluators, foci, grid)
 
         monkeypatch.setattr(bounds, "_front_dp", dp)
         monkeypatch.setattr(bounds, "_fill_fronts", fill)
@@ -38,12 +43,13 @@ class DpCount:
     def clear(self):
         self.runs.clear()
         self.fills.clear()
+        self._lacking.clear()
 
     def expected(self) -> list:
         want = []
-        for evs, focus, alphas in self.fills:
-            searched = [tuple(ev.tables(focus)[1].values()) for ev in evs
-                        if ev.search == "exhaustive" and any(ev.tables(focus)[0].values())]
+        for (_, _, alphas), lacking in zip(self.fills, self._lacking):
+            searched = [tuple(ev.tables(f)[1].values()) for ev, f in lacking
+                        if ev.search == "exhaustive" and any(ev.tables(f)[0].values())]
             if searched:
                 want.append((searched, alphas))
         return want

@@ -88,14 +88,16 @@ def _geometric_wclass(n: int) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
-def _lone(tid: str, *, n: int = 4, grouped: bool = False):
-    """A row of single-alpha calls on the 4-qubit Haar state of seed 11,
-    tables and cuts warm, ``_fronts`` cleared before each block: ``front_best``
-    of focus 0, or ``evaluate`` of ``tid``, with the caller groupings 1,2|3
-    and 0,2|3 if ``grouped``."""
+def _lone(tid: str, *, log_w8: bool = False, grouped: bool = False):
+    """A row of single-alpha calls on the 4-qubit Haar state of seed 11, or
+    on the 8-qubit log-uniform W-class digest state of the ``verify`` rows
+    if ``log_w8``, tables and cuts warm, ``_fronts`` cleared before each
+    block: ``front_best`` of focus 0, or ``evaluate`` of ``tid``, with the
+    caller groupings 1,2|3 and 0,2|3 if ``grouped``."""
     def make(tree):
-        bounds = tree["bounds"]
-        ev = bounds.StateEvaluator(tree["qcore"].haar_random_pure(n, 11))
+        bounds, qcore = tree["bounds"], tree["qcore"]
+        ev = bounds.StateEvaluator(qcore.PureState(8, _digest_state(8, "log6")) if log_w8
+                                   else qcore.haar_random_pure(4, 11))
         groupings = ((bounds.Grouping(((1, 2), (3,))), bounds.Grouping(((0, 2), (3,))))
                      if grouped else None)
         if tid == "front_best":
@@ -216,6 +218,7 @@ ROWS = {
     "evaluate('thm1', a), n=4": _lone("thm1"),
     "evaluate('thm4', a, None, groupings), n=4": _lone("thm4", grouped=True),
     "evaluate('thm2', a, None, groupings), n=4": _lone("thm2", grouped=True),
+    "evaluate('cor1_thm2', a), log-W 8": _lone("cor1_thm2", log_w8=True),
     "evaluate('cor1_thm2', grid, None, groupings), log-W 8": _grid_call("cor1_thm2", True),
     "evaluate('cor2_upper', grid), log-W 8": _grid_call("cor2_upper", False),
     "two front_best(f, grid), Haar-12": _two_fronts(

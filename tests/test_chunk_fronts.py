@@ -23,6 +23,7 @@ from entbounds.bounds import (_TIE_TOL, BOUNDS, AlphaGrid, StateEvaluator, _Chun
 from entbounds.gallery import ghz
 from entbounds.qcore import PureState, haar_random_pure
 
+from dp_count import DpCount
 from oracles import chain_dp, front_column, split_rows
 
 GRIDS = (AlphaGrid((0.0, 0.05, 0.5, 1.0, 1.37, 2.0)), AlphaGrid((0.75,)))
@@ -132,6 +133,38 @@ def test_a_mixed_chunk_equals_the_oracle_focus_by_focus():
     assert kinds == {"zero_c", "leaf_only", "leaves", "no_leaves"}
     assert len(reach) > 3
 
+
+
+def _sharing(column):
+    """Which earlier alpha's certificate each alpha's is, by identity."""
+    certs = [cert for _, cert, _ in column]
+    return [next(i for i, other in enumerate(certs) if other is cert) for cert in certs]
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_a_pass_fills_every_front_focus_as_a_lone_fill_of_each(n, monkeypatch):
+    """A chunk pass fills both front foci of its chunk with one chain DP,
+    and every column it leaves equals the column that a lone
+    ``front_best(f, grid)`` forms on a fresh evaluator, one focus and one
+    state alone: the groupings by identity, the certificates by value, the
+    front sums by ``float.hex``, and which alphas of the column share one
+    certificate.  Chunks of log-uniform W-class, GHZ+W and Haar states,
+    two of each, on the grids of 6 and 1 values and the default grid."""
+    states = [_state(family, n, 3900 + 10 * n + i)
+              for i, family in enumerate(("wclass-log6", "ghz-w", "haar") * 2)]
+    count = DpCount(monkeypatch)
+    for grid in (*GRIDS, AlphaGrid.default()):
+        chunk = [StateEvaluator(psi) for psi in states]
+        count.clear()
+        fill_columns(chunk, _theorems(n), grid)
+        assert [foci for _, foci, _ in count.fills] == [(0, 1)]
+        assert len(count.runs) == 1 and count.runs == count.expected()
+        for s, (ev, psi) in enumerate(zip(chunk, states)):
+            for focus in (0, 1):
+                column = ev.front_best(focus, grid)
+                alone = StateEvaluator(psi).front_best(focus, grid)
+                _assert_same(column, alone, (s, focus, grid.values[:2]))
+                assert _sharing(column) == _sharing(alone), (s, focus)
 
 
 def test_the_array_dp_replays_the_sequential_tie_rule():

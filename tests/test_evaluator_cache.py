@@ -128,12 +128,13 @@ def test_canonical_mode_picks_the_canonical_grouping(n):
                 assert ev.front_best(f, alpha)[0] == canonical_grouping(ca_sq)
 
 
-def _searched_runs(psi, foci):
-    """The chain DP runs that searching ``foci`` of ``psi`` alone makes, as
-    ``DpCount`` keeps them: one per focus with a pair C above 0."""
+def _searched_runs(psi, foci, alphas=len(bounds.AlphaGrid.default())):
+    """The chain DP runs that searching ``foci`` of ``psi`` alone in one
+    fill makes, as ``DpCount`` keeps them: one run over the foci with a
+    pair C above 0, in focus order, or none if there is no such focus."""
     ev = StateEvaluator(psi)
-    return [([tuple(ev.tables(f)[1].values())], len(bounds.AlphaGrid.default()))
-            for f in _searched(psi, foci)]
+    searched = [tuple(ev.tables(f)[1].values()) for f in _searched(psi, foci)]
+    return [(searched, alphas)] if searched else []
 
 
 def _searched(psi, foci):
@@ -145,10 +146,10 @@ def _searched(psi, foci):
 
 def test_verify_all_builds_one_search_per_front_focus_and_sorts_once(monkeypatch, capsys):
     """The search and sort work of one ``verify --theorem all``: at 6 qubits
-    one chain DP per front focus with a pair C above 0 (both foci of the
-    W-class state, neither of the Haar state), over the whole grid, which
-    thm2, thm6 and cor1_thm2 share through the kept front column, and one
-    sort, jin's on focus 0.  At 12 qubits the front sum is canonical and no
+    one chain DP over the front foci with a pair C above 0 (both foci of
+    the W-class state, neither of the Haar state, which runs none) and the
+    whole grid, whose columns thm2, thm6 and cor1_thm2 share, and one sort,
+    jin's on focus 0.  At 12 qubits the front sum is canonical and no
     DP runs; the Haar state's front foci have pair C all 0, so they take
     their merged groups with no sort, and jin's is again the only one.  The
     geometric W-class state's front foci have pair C above 0, so each takes
@@ -195,7 +196,7 @@ def test_only_front_bounds_build_the_split_table(monkeypatch, n):
         if n >= BOUNDS[tid].min_qubits:
             ev = StateEvaluator(psi)
             ev.evaluate(tid, 0.5)
-            assert count.runs == [([tuple(ev.tables(f)[1].values())], 1) for f in searched], tid
+            assert count.runs == _searched_runs(psi, searched, 1), tid
             count.clear()
 
 

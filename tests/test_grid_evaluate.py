@@ -408,12 +408,13 @@ def test_no_two_returned_columns_share_a_list():
 
 def test_each_focus_runs_one_dp_per_chunk_whatever_the_front_bounds(monkeypatch, capsys):
     """thm2, thm6 and cor1_thm2 share one front column per (state, focus,
-    grid): the chunk's front search runs one chain DP per (chunk, focus)
-    over the whole grid, and each state's column is read through
-    ``front_best`` once per focus, whichever front bounds are asked for.
-    On the ``sweep`` path at 5 qubits two chunks (16 and 4 states) run at
-    most two DPs each; a lone evaluator (W-class at 6 and 8 qubits, where
-    both foci are searched) runs one per focus for every bound."""
+    grid): the chunk's front search fills both front foci with one call,
+    which runs one chain DP over the searched entries and the whole grid,
+    and each state's column is read through ``front_best`` once per focus,
+    whichever front bounds are asked for.  On the ``sweep`` path at 5
+    qubits two chunks (16 and 4 states) run one DP each; a lone evaluator
+    (W-class at 6 and 8 qubits, where both foci are searched) runs one
+    over both foci for every bound."""
     front_calls = []
     real_front = StateEvaluator.front_best
 
@@ -430,9 +431,9 @@ def test_each_focus_runs_one_dp_per_chunk_whatever_the_front_bounds(monkeypatch,
         front_calls.clear()
         assert cli.main(["sweep", "--qubits", "5", "--samples", "20", "--theorem", theorems]) == 0
         capsys.readouterr()
-        assert [(len(evs), focus) for evs, focus, _ in count.fills] == [
-            (16, 0), (16, 1), (4, 0), (4, 1)], theorems
-        assert count.runs == count.expected() and 2 <= len(count.runs) <= 4, theorems
+        assert [(len(evs), foci) for evs, foci, _ in count.fills] == [
+            (16, (0, 1)), (4, (0, 1))], theorems
+        assert count.runs == count.expected() and len(count.runs) == 2, theorems
         assert front_calls == [0] * 16 + [1] * 16 + [0] * 4 + [1] * 4, theorems
     grid = AlphaGrid.default()
     for n in (6, 8):
@@ -444,7 +445,7 @@ def test_each_focus_runs_one_dp_per_chunk_whatever_the_front_bounds(monkeypatch,
             for tid in BOUNDS:
                 ev.evaluate(tid, grid)
             assert front_calls == [0, 1] * len(fronts)
-        assert count.runs == [([tuple(ev.tables(f)[1].values())], len(grid)) for f in (0, 1)]
+        assert count.runs == [([tuple(ev.tables(f)[1].values()) for f in (0, 1)], len(grid))]
 
 
 def test_a_shared_chain_grouping_equals_a_fresh_one():

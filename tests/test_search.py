@@ -367,7 +367,7 @@ def test_zero_c_foci_run_no_dp(name, psi, foci, monkeypatch, capsys):
     else:
         _run(["sweep", "--qubits", str(n), "--samples", "16", "--seed", "62",
               "--theorem", "all"], capsys)
-    assert [focus for _, focus, _ in count.fills] == [0, 1]
+    assert [foci for _, foci, _ in count.fills] == [(0, 1)]
     assert count.runs == [] and count.expected() == []
     ev = StateEvaluator(psi)
     for focus in foci:
@@ -414,25 +414,120 @@ def test_a_front_column_that_needs_no_dp_builds_no_pass(psi, monkeypatch):
 
 
 def test_alpha_dependent_foci_run_one_dp_per_chunk(monkeypatch, capsys):
-    """``sweep`` runs one chain DP per (chunk, front focus, grid), over the
-    chunk's states whose focus has a pair C above 0 and over the whole
-    grid, not one per (state, alpha).  At 4 qubits each of three chunks
-    (16, 16 and 3 states) searches foci 0 and 1; at 5 qubits the first
-    chunk mixes searched and zero-C foci, and the second is a chunk of
-    one."""
+    """``sweep`` runs one chain DP per (chunk, grid), over the chunk's
+    (state, front focus) entries whose focus has a pair C above 0 and over
+    the whole grid, not one per (state, focus, alpha).  At 4 qubits each of
+    three chunks (16, 16 and 3 states) searches foci 0 and 1 in one fill;
+    at 5 qubits the first chunk mixes searched and zero-C entries, and the
+    second is a chunk of one."""
     count = DpCount(monkeypatch)
     _run(["sweep", "--qubits", "4", "--samples", "35", "--theorem", "all"], capsys)
-    assert [focus for _, focus, _ in count.fills] == [0, 1] * 3
-    assert [len(evs) for evs, _, _ in count.fills] == [16, 16, 16, 16, 3, 3]
+    assert [foci for _, foci, _ in count.fills] == [(0, 1)] * 3
+    assert [len(evs) for evs, _, _ in count.fills] == [16, 16, 3]
     assert count.runs == count.expected()
-    assert len(count.runs) == 6 and all(alphas == 8 for _, alphas in count.runs)
+    assert len(count.runs) == 3 and all(alphas == 8 for _, alphas in count.runs)
     count.clear()
     _run(["sweep", "--qubits", "5", "--samples", "17", "--theorem", "all"], capsys)
-    assert [len(evs) for evs, _, _ in count.fills] == [16, 16, 1, 1]
+    assert [len(evs) for evs, _, _ in count.fills] == [16, 1]
     assert count.runs == count.expected()
-    assert all(0 < len(states) < 16 for states, _ in count.runs[:2])  # mixed chunks
-    assert len(count.runs) == 2 + sum(any(evs[0].tables(f)[0].values())
-                                      for evs, f, _ in count.fills[2:])
+    assert 0 < len(count.runs[0][0]) < 32  # a mixed chunk
+    lone, foci, _ = count.fills[1]
+    assert len(count.runs) == 1 + any(any(lone[0].tables(f)[0].values()) for f in foci)
+
+
+def _front_dps_per_pass(monkeypatch, argv, capsys):
+    """Run the CLI on ``argv`` and give, for each chunk pass in order,
+    whether it holds a searched (state, front focus) entry, one whose focus
+    has a pair C above 0 below canonical mode, and how many chain DPs it
+    ran."""
+    passes, dps = [], []
+    columns, front_dp = bounds_module._ChunkPass.columns, bounds_module._front_dp
+
+    def counted_columns(chunk_pass, *args):
+        before = len(dps)
+        out = columns(chunk_pass, *args)
+        searched = any(ev.search == "exhaustive" and any(ev.tables(f)[0].values())
+                       for ev in chunk_pass.evaluators for f in (0, 1))
+        passes.append((searched, len(dps) - before))
+        return out
+
+    monkeypatch.setattr(bounds_module._ChunkPass, "columns", counted_columns)
+    monkeypatch.setattr(bounds_module, "_front_dp",
+                        lambda *args: dps.append(args) or front_dp(*args))
+    _run(argv, capsys)
+    return passes
+
+
+@pytest.mark.parametrize("command", ["sweep4", "sweep5", "sweep6", "verify_wclass_log6"])
+def test_each_pass_runs_one_front_dp(command, monkeypatch, capsys):
+    """A pass searches every front focus of its chunk with one chain DP: the
+    ``sweep`` chunks (16, 16 and 8 states) at 4, 5 and 6 qubits, and the
+    one pass of ``verify --theorem all`` on a log-uniform W-class state of
+    6 qubits, whose foci 0 and 1 are both searched.  At 6 qubits the first
+    two chunks each hold a searched entry of both foci, and the third, of
+    Haar states whose front foci have pair C all 0, runs no DP."""
+    if command.startswith("sweep"):
+        argv = ["sweep", "--qubits", command[-1], "--samples", "40", "--seed", "3",
+                "--theorem", "all"]
+    else:
+        psi = _log_wclass(6, 6, 6300)
+        assert all(any(StateEvaluator(psi).tables(f)[0].values()) for f in (0, 1))
+        argv = ["verify", "--state", _amplitude_spec(psi), "--theorem", "all"]
+    passes = _front_dps_per_pass(monkeypatch, argv, capsys)
+    assert len(passes) == (3 if command.startswith("sweep") else 1)
+    assert [dps for _, dps in passes] == [int(searched) for searched, _ in passes]
+    assert any(searched for searched, _ in passes)
+    if command == "sweep6":
+        assert passes == [(True, 1), (True, 1), (False, 0)]
+    else:
+        assert all(searched for searched, _ in passes)
+
+
+def test_a_chunk_of_zero_c_and_searched_foci_runs_one_dp_over_the_searched_entries(monkeypatch):
+    """One 5-qubit chunk: GHZ, whose front foci have pair C all 0, a
+    log-uniform W-class state, whose foci 0 and 1 are searched, and a W
+    state on qubits 0, 2 and 3, whose focus 0 is searched and whose focus 1
+    is a |0> qubit, with pair C all 0.  Its pass runs one chain DP over the
+    three searched entries, focus 0's states before focus 1's, and the
+    zero-C entries take their merged groups."""
+    n = 5
+    amps = np.zeros(1 << n)
+    amps[[1 << (n - 1 - q) for q in (0, 2, 3)]] = (0.7, 0.5, 0.3)
+    states = [ghz(n), _log_wclass(n, 6, 6301), PureState.from_amplitudes(amps, normalize=True)]
+    chunk = [StateEvaluator(psi) for psi in states]
+    searched = [(s, f) for f in (0, 1) for s, ev in enumerate(chunk)
+                if any(ev.tables(f)[0].values())]
+    assert searched == [(1, 0), (2, 0), (1, 1)]
+    count = DpCount(monkeypatch)
+    grid = AlphaGrid.default()
+    bounds_module.fill_columns(chunk, ("thm2", "thm6", "cor1_thm2"), grid)
+    assert [(len(evs), foci) for evs, foci, _ in count.fills] == [(3, (0, 1))]
+    assert count.runs == count.expected() == [
+        ([tuple(chunk[s].tables(f)[1].values()) for s, f in searched], len(grid))]
+    for s, f in ((0, 0), (0, 1), (2, 1)):
+        grouping, cert, _ = chunk[s]._merged_group(f)
+        assert chunk[s].front_best(f, grid) == [(grouping, cert, 0.0)] * len(grid), (s, f)
+
+
+def test_a_lone_front_bound_runs_one_dp_over_its_front_foci(monkeypatch):
+    """A lone ``evaluate`` of a front bound is a pass of one state, so it
+    runs one chain DP over both its front foci: thm2 on a 4-qubit Haar
+    state, and cor1_thm2, whose third focus adds only J, on a 6-qubit
+    log-uniform W-class state.  A lone ``front_best`` runs one over its one
+    focus."""
+    count = DpCount(monkeypatch)
+    for tid, psi in (("thm2", haar_random_pure(4, 11)), ("cor1_thm2", _log_wclass(6, 6, 6300))):
+        ev = StateEvaluator(psi)
+        assert all(any(ev.tables(f)[0].values()) for f in (0, 1)), tid
+        count.clear()
+        ev.evaluate(tid, 0.5)
+        assert [foci for _, foci, _ in count.fills] == [(0, 1)], tid
+        assert count.runs == [([tuple(ev.tables(f)[1].values()) for f in (0, 1)], 1)], tid
+    ev = StateEvaluator(haar_random_pure(4, 11))
+    count.clear()
+    ev.front_best(1, 0.5)
+    assert count.fills == [([ev], (1,), 1)]
+    assert count.runs == [([tuple(ev.tables(1)[1].values())], 1)]
 
 
 @pytest.mark.parametrize("n", range(4, 13))
