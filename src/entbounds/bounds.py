@@ -87,6 +87,12 @@ _MAX_ALPHA_VALUES = 10_000
 # takes an 8-qubit state's 18 pair keys (72 KiB) in one batch; the others were
 # no faster beyond noise.  An unbounded batch was 3x slower at 12 qubits.
 _BATCH_BYTES = 128 << 10
+# The most bytes of candidate values that ``_front_dp`` forms at once: a
+# layer's split positions are taken in blocks of this size, but at least one
+# position.  The largest DP of the benchmark and the tests takes under 3 MiB
+# (5 entries x 40 alpha at 9 qubits), so each runs every layer in one block;
+# a 9-qubit search over 2,000 alpha took 192 MiB unbounded.
+_DP_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -731,27 +737,37 @@ def _front_dp(lead: np.ndarray, ca: np.ndarray, h: np.ndarray) -> np.ndarray:
     and, over the splits ``(t, s ^ t)`` of ``s`` whose Ca^2(t) dominates
     Ca^2(s ^ t) (``_dominates``), ``h * lead[t] + value(s ^ t)``; a
     subset of one member is its own pick.  The subsets are solved by size,
-    each size's splits as one array; an entry masks the splits it does not
-    hold.  The whole subset is the first candidate and the splits follow
-    in ``_split_table`` order, one array step per position, skipped where
-    no entry holds a split: a split replaces the running best only where
-    it is lower by more than ``_TIE_TOL``.  So at every subset a tie keeps
-    the whole subset, and after that the first leading group, as a
-    per-entry scan of the same candidates does.  Every step acts on each
-    entry alone, so an entry's picks do not depend on the others.
+    each size's splits as one array per block of split positions, a block
+    as many positions as ``_DP_BYTES`` of candidates allows, but at least
+    one; an entry masks the splits it does not hold.  Every block of a size
+    reads only the values of smaller sizes, and the blocks are scanned in
+    order, so the blocks change no pick.  The whole subset is the first
+    candidate and the splits follow in ``_split_table`` order, one array
+    step per position, skipped where no entry holds a split: a split
+    replaces the running best only where it is lower by more than
+    ``_TIE_TOL``.  So at every subset a tie keeps the whole subset, and
+    after that the first leading group, as a per-entry scan of the same
+    candidates does.  Every step acts on each entry alone, so an entry's
+    picks do not depend on the others.
     """
     value = lead.copy()
     pick = np.empty(lead.shape, dtype=np.intp)
     pick[...] = np.arange(len(lead))[:, None, None]
+    row_bytes = value[0].nbytes  # one subset's values
     for subsets, heads, rests in _split_layers(len(lead).bit_length() - 1):
         held = _dominates(ca[heads], ca[rests])
-        candidates = np.where(held[..., None], h * lead[heads] + value[rests], np.inf)
         best, chosen = value[subsets], pick[subsets]
-        for j in np.flatnonzero(held.reshape(len(held), -1).any(1)).tolist():
-            v = candidates[j]
-            better = v < best - _TIE_TOL
-            np.copyto(best, v, where=better)
-            np.copyto(chosen, heads[j, :, None, None], where=better)
+        step = max(1, _DP_BYTES // (len(subsets) * row_bytes))  # split positions per block
+        for start in range(0, len(heads), step):
+            block = slice(start, start + step)
+            block_heads, block_held = heads[block], held[block]
+            candidates = np.where(block_held[..., None],
+                                  h * lead[block_heads] + value[rests[block]], np.inf)
+            for j in np.flatnonzero(block_held.reshape(len(block_held), -1).any(1)).tolist():
+                v = candidates[j]
+                better = v < best - _TIE_TOL
+                np.copyto(best, v, where=better)
+                np.copyto(chosen, block_heads[j, :, None, None], where=better)
         value[subsets], pick[subsets] = best, chosen
     return pick
 

@@ -24,7 +24,9 @@ import numpy as np
 from .bounds import (BOUNDS, AlphaGrid, BoundColumns, StateEvaluator, THEOREM_IDS, fill_columns,
                      h_weight, search_mode)
 from .gallery import FAMILIES, StateSpec
-from .qcore import MAX_QUBITS, haar_random_pure
+from .qcore import MAX_QUBITS, haar_random_states
+# Not called here; perfbench/tracer.py's qcore.state_draw layer wraps cli.haar_random_pure.
+from .qcore import haar_random_pure  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -32,9 +34,11 @@ EXIT_INPUT = 2
 
 # The sweep draws one seed per sample up front, so the count is bounded first.
 _MAX_SAMPLES = 1_000_000
-# States per sweep chunk, whose pair and cut spectra are solved as one stack.
-# At 4 qubits larger chunks were no faster than 16, and one state per chunk
-# was 15-30% slower; at 12 qubits a chunk's amplitudes take 1 MiB.
+# States per sweep chunk: drawn by one ``haar_random_states`` call, their pair
+# and cut spectra solved as one stack, and each bound's columns tallied by one
+# ``_tally`` call.  At 4 qubits larger chunks were no faster than 16, and one
+# state per chunk was 15-30% slower; at 12 qubits a chunk's amplitudes take
+# 1 MiB.
 _SWEEP_CHUNK = 16
 _FIGURE_GRID = tuple(round(0.02 * k, 10) for k in range(1, 101))
 
@@ -184,27 +188,43 @@ def cmd_verify(state: StateSpec, theorem: str, alphas: AlphaGrid, fmt: str,
     return EXIT_VIOLATION if violated else EXIT_OK
 
 
-def _tally(s: dict, c: BoundColumns) -> None:
-    """Add one state's columns of a bound to the bound's sweep stats ``s``.
+def _tally(s: dict, columns: list[BoundColumns]) -> None:
+    """Add a chunk's columns of one bound, in state order, to the bound's
+    sweep stats ``s``, as the states' columns added one at a time would.
 
     Not-applicable rows are only counted.  The minimum slack keeps the first
     of equal values (so a -0.0 keeps its sign as it came), and the slack sum
-    adds the rows one by one in grid order, after all earlier states.
+    adds the rows one by one, each state's in grid order, from the running
+    total of all earlier states.  The counts, the minimum and the sum are
+    kept in locals and written back once per chunk.
     """
-    s["rows"] += len(c.alpha)
-    if not c.applicable:
-        s["not_applicable"] += len(c.alpha)
-        return
-    s["violations"] += c.satisfied.count(False)
-    s["min_slack"] = min(s["min_slack"], min(c.slack))
-    total = s["sum_slack"]
-    for x in c.slack:
-        total += x
-    s["sum_slack"] = total
+    rows = not_applicable = violations = 0
+    low, total = s["min_slack"], s["sum_slack"]
+    for c in columns:
+        rows += len(c.alpha)
+        if not c.applicable:
+            not_applicable += len(c.alpha)
+            continue
+        violations += c.satisfied.count(False)
+        m = min(c.slack)
+        if m < low:
+            low = m
+        for x in c.slack:
+            total += x
+    s["rows"] += rows
+    s["not_applicable"] += not_applicable
+    s["violations"] += violations
+    s["min_slack"], s["sum_slack"] = low, total
 
 
 def cmd_sweep(qubits: int, samples: int, seed: int, theorem: str, alphas: AlphaGrid,
               fmt: str, out: str | None) -> int:
+    """The soundness sweep: one seed per sample from ``seed``, and a chunk of
+    up to ``_SWEEP_CHUNK`` states at a time.  A chunk is drawn by one
+    ``haar_random_states`` call and filled by one ``fill_columns`` call;
+    then each bound's columns are read from every state of the chunk with
+    ``StateEvaluator.evaluate`` and added by one ``_tally`` call.  Prints
+    one row of stats per bound and returns 1 if any row reads violated."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if samples > _MAX_SAMPLES:
@@ -214,7 +234,7 @@ def cmd_sweep(qubits: int, samples: int, seed: int, theorem: str, alphas: AlphaG
     if not 1 <= qubits <= MAX_QUBITS:
         raise ValueError(f"qubits must be in [1, {MAX_QUBITS}], got {qubits}")
     theorems = _parse_theorems(theorem, qubits)
-    seeds = np.random.SeedSequence(seed).generate_state(samples, np.uint64)
+    seeds = np.random.SeedSequence(seed).generate_state(samples, np.uint64).tolist()
 
     stats: dict[str, dict] = {
         tid: {"rows": 0, "violations": 0, "not_applicable": 0,
@@ -222,15 +242,12 @@ def cmd_sweep(qubits: int, samples: int, seed: int, theorem: str, alphas: AlphaG
         for tid in theorems
     }
     for start in range(0, samples, _SWEEP_CHUNK):
-        chunk = [StateEvaluator(haar_random_pure(qubits, int(state_seed)))
-                 for state_seed in seeds[start:start + _SWEEP_CHUNK]]
+        chunk = [StateEvaluator(psi) for psi in
+                 haar_random_states(qubits, seeds[start:start + _SWEEP_CHUNK])]
         fill_columns(chunk, theorems, alphas)
-        # Popped in draw order, so each evaluator is released once evaluated.
-        chunk.reverse()
-        while chunk:
-            ev = chunk.pop()
-            for tid, s in stats.items():
-                _tally(s, ev.evaluate(tid, alphas))
+        # Every evaluator of the chunk lives until its last bound is tallied.
+        for tid, s in stats.items():
+            _tally(s, [ev.evaluate(tid, alphas) for ev in chunk])
 
     for s in stats.values():
         evaluated = s["rows"] - s["not_applicable"]

@@ -1,6 +1,7 @@
 """Print the lone-call table: the time of single library calls, each of
 which evaluates one state, as a chunk of one, through ``StateEvaluator``,
-and of cold ``fill_spectra`` calls on one state or a sweep chunk.
+of cold ``fill_spectra`` calls on one state or a sweep chunk, and of whole
+``verify`` and ``sweep`` runs through ``cli.main``.
 
 Run from the repository root::
 
@@ -8,8 +9,8 @@ Run from the repository root::
     python tests/lone_calls.py --base <dir>/src     # against another tree
 
 Each row times short blocks of one kind of call (100 single-alpha calls,
-30 grid calls, 10 fills or 2 ``verify`` runs per block) and keeps the
-fastest block of ``--repeats`` (41), in µs per call; the table is measured
+30 grid calls, 10 fills or 2 ``verify`` or ``sweep`` runs per block) and
+keeps the fastest block of ``--repeats`` (41), in µs per call; the table is measured
 ``--rounds`` times (3), one column per round.  With ``--base`` the ``entbounds``
 package under that ``src`` directory is imported next to this tree's, each
 under a private module name, and each repeat alternates which tree runs
@@ -39,7 +40,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 THIS_SRC = Path(__file__).resolve().parent.parent / "src"
-SINGLE, GRID, FILL, VERIFY = 100, 30, 10, 2  # calls per block
+SINGLE, GRID, FILL, RUNS = 100, 30, 10, 2  # calls per block
 ALPHAS = tuple(round(0.01 + 0.019 * k, 6) for k in range(SINGLE))  # a new alpha each call
 
 
@@ -192,24 +193,36 @@ def _cold_fill(n: int, states: int):
     return make, FILL
 
 
-def _verify(kind: str, n: int = 8, theorems: str = "thm2,thm6,cor1_thm2"):
-    """A row of ``verify --theorem <theorems>`` runs on an n-qubit digest
-    state over the default grid, through ``cli.main`` as the CLI runs them:
-    the state's JSON parse, the fill, the chunk pass and the table's text."""
-    amps = _digest_state(n, kind)
-    argv = ["verify", "--theorem", theorems, "--state",
-            json.dumps({"kind": "amplitudes", "n": n, "re": amps.real.tolist(),
-                        "im": amps.imag.tolist()})]
-
+def _main_runs(argv: list[str]):
+    """A row of ``cli.main(argv)`` runs, as the CLI runs them, with their
+    standard output discarded."""
     def make(tree):
         main = tree["cli"].main
 
         def block():
             with contextlib.redirect_stdout(io.StringIO()):
-                for _ in range(VERIFY):
+                for _ in range(RUNS):
                     main(argv)
         return block
-    return make, VERIFY
+    return make, RUNS
+
+
+def _verify(kind: str, n: int = 8, theorems: str = "thm2,thm6,cor1_thm2"):
+    """A row of ``verify --theorem <theorems>`` runs on an n-qubit digest
+    state over the default grid: the state's JSON parse, the fill, the chunk
+    pass and the table's text."""
+    amps = _digest_state(n, kind)
+    return _main_runs(["verify", "--theorem", theorems, "--state",
+                       json.dumps({"kind": "amplitudes", "n": n, "re": amps.real.tolist(),
+                                   "im": amps.imag.tolist()})])
+
+
+def _sweep(qubits: int, samples: int):
+    """A row of ``sweep --theorem all`` runs at seed 33 over the default
+    sweep grid: the draw, the fill, the chunk pass, the tally and the
+    table's text."""
+    return _main_runs(["sweep", "--qubits", str(qubits), "--samples", str(samples),
+                       "--seed", "33", "--theorem", "all"])
 
 
 ROWS = {
@@ -231,6 +244,8 @@ ROWS = {
     "verify thm2,thm6,cor1_thm2, log-W 8": _verify("log6"),
     "verify thm2,thm6,cor1_thm2, GHZ+W 8": _verify("ghz-w"),
     "verify --theorem all, Haar-12": _verify("haar", 12, "all"),
+    "sweep --qubits 4 --samples 16 --theorem all": _sweep(4, 16),
+    "sweep --qubits 8 --samples 1 --theorem all": _sweep(8, 1),
 }
 
 

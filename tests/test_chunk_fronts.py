@@ -14,12 +14,14 @@ argmin or a first-index-within-tolerance reduce.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from entbounds import bounds
 from entbounds.bounds import (_TIE_TOL, BOUNDS, AlphaGrid, StateEvaluator, _ChunkPass,
-                              _front_dp, _split_table, fill_columns)
+                              _fill_fronts, _front_dp, _split_table, fill_columns)
 from entbounds.gallery import ghz
 from entbounds.qcore import PureState, haar_random_pure
 
@@ -165,6 +167,49 @@ def test_a_pass_fills_every_front_focus_as_a_lone_fill_of_each(n, monkeypatch):
                 alone = StateEvaluator(psi).front_best(focus, grid)
                 _assert_same(column, alone, (s, focus, grid.values[:2]))
                 assert _sharing(column) == _sharing(alone), (s, focus)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_a_one_position_budget_forms_every_column_bit_for_bit(n, monkeypatch):
+    """With ``_DP_BYTES`` forced down to one split position per block, the
+    chunk of the test above leaves the columns of a fill in one block: the
+    groupings by identity, the certificates by value, the front sums by
+    ``float.hex``, and which alphas of a column share one certificate."""
+    states = [_state(family, n, 3900 + 10 * n + i)
+              for i, family in enumerate(("wclass-log6", "ghz-w", "haar") * 2)]
+    for grid in (*GRIDS, AlphaGrid.default()):
+        whole = [StateEvaluator(psi) for psi in states]
+        fill_columns(whole, _theorems(n), grid)
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, "_DP_BYTES", 1)
+            blocks = [StateEvaluator(psi) for psi in states]
+            fill_columns(blocks, _theorems(n), grid)
+        for s, (ev, want) in enumerate(zip(blocks, whole)):
+            for focus in (0, 1):
+                column, alone = ev.front_best(focus, grid), want.front_best(focus, grid)
+                _assert_same(column, alone, (s, focus, grid.values[:2]))
+                assert _sharing(column) == _sharing(alone), (s, focus)
+
+
+def test_the_front_dp_working_set_stays_under_its_bound():
+    """A 9-qubit log-uniform W-class state, both front foci searched, over
+    2,000 alpha: the traced peak of its front fill stays under 64 MiB.  Its
+    (subsets x entries x alpha) arrays take about 33 MB, and each layer's
+    candidates at most ``_DP_BYTES`` per block; unbounded, the candidates
+    of one layer took three arrays of 56 MB, a 192 MiB peak."""
+    rng = np.random.default_rng(33)
+    amps = _w_part(9, 10.0 ** rng.uniform(-6.0, 0.0, 9) * np.exp(2j * np.pi * rng.random(9)))
+    ev = StateEvaluator(PureState.from_amplitudes(amps / np.linalg.norm(amps)))
+    grid = AlphaGrid(tuple(np.linspace(0.001, 2.0, 2000).tolist()))
+    assert ev.search != "canonical" and all(any(ev.tables(f)[0].values()) for f in (0, 1))
+    tracemalloc.start()
+    try:
+        _fill_fronts([ev], (0, 1), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ev.front_best(0, grid)) == len(ev.front_best(1, grid)) == 2000
+    assert peak < 64 << 20, peak
 
 
 def test_the_array_dp_replays_the_sequential_tie_rule():

@@ -18,7 +18,8 @@ import pytest
 
 from entbounds import cli
 from entbounds.bounds import (BOUNDS, SLACK_TOL, AlphaGrid, BoundColumns, BoundReport,
-                              Grouping, StateEvaluator, _descending_singletons, _shared_grouping)
+                              Grouping, StateEvaluator, _descending_singletons, _shared_grouping,
+                              fill_columns)
 from entbounds.gallery import StateSpec
 from entbounds.qcore import PureState, haar_random_pure
 
@@ -258,7 +259,7 @@ def test_the_column_tally_equals_the_per_report_oracle(n):
         for psi in states:
             ev = StateEvaluator(psi)
             for tid in theorems:
-                cli._tally(got[tid], ev.evaluate(tid, grid))
+                cli._tally(got[tid], [ev.evaluate(tid, grid)])
                 for a in (2.0,) if BOUNDS[tid].fixed_alpha else grid:
                     sweep_tally(want[tid], ev.evaluate(tid, a))
         for tid in theorems:
@@ -274,22 +275,78 @@ def _columns(slacks, satisfied=None, applicable=True):
                         [0.0] * rows, list(slacks), satisfied, [None] * rows, applicable)
 
 
-@pytest.mark.parametrize("columns", [
-    [[0.0, -0.0], [-0.0, 0.0]],          # equal minima keep the first one's sign
-    [[-0.0, 0.5], [0.0]],
-    [[1.0], [1e-16, 1e-16, 1e-16]],      # sequential adds round unlike one sum
-    [[0.1, 0.2, 0.3], [1e16, 1.0, -1e16]],
-    [[-1e-8, 0.5], [math.nan] * 2],      # a violation, then a not-applicable set
-], ids=["signed_zeros", "negative_zero_first", "rounding", "cancellation", "violation"])
+TALLY_CASES = {
+    "signed_zeros": [[0.0, -0.0], [-0.0, 0.0]],  # equal minima keep the first one's sign
+    "negative_zero_first": [[-0.0, 0.5], [0.0]],
+    "rounding": [[1.0], [1e-16, 1e-16, 1e-16]],  # sequential adds round unlike one sum
+    "cancellation": [[0.1, 0.2, 0.3], [1e16, 1.0, -1e16]],
+    "violation": [[-1e-8, 0.5], [math.nan] * 2],  # a violation, then a not-applicable set
+}
+
+
+@pytest.mark.parametrize("columns", TALLY_CASES.values(), ids=TALLY_CASES.keys())
 def test_the_column_tally_keeps_every_bit_of_the_report_tally(columns):
     got, want = _fresh_stats(), _fresh_stats()
     for slacks in columns:
         applicable = not math.isnan(slacks[0])
         cols = _columns(slacks, applicable=applicable)
-        cli._tally(got, cols)
+        cli._tally(got, [cols])
         for i in range(len(slacks)):
             sweep_tally(want, cols.report(i))
     _assert_same_stats(got, want)
+
+
+@pytest.mark.parametrize("columns", [*TALLY_CASES.values(),
+                                     [c for columns in TALLY_CASES.values() for c in columns]],
+                         ids=[*TALLY_CASES, "all"])
+def test_a_chunk_of_columns_keeps_every_bit_of_the_report_tally(columns):
+    """Each column set above, and all five in turn, tallied as one chunk."""
+    chunk = [_columns(slacks, applicable=not math.isnan(slacks[0])) for slacks in columns]
+    got, want = _fresh_stats(), _fresh_stats()
+    cli._tally(got, chunk)
+    for cols in chunk:
+        for i in range(len(cols.alpha)):
+            sweep_tally(want, cols.report(i))
+    _assert_same_stats(got, want)
+
+
+def _chunk(kind, n):
+    """16 n-qubit states of one kind: Haar, log-uniform W-class or GHZ+W."""
+    if kind == "haar":
+        return [haar_random_pure(n, 2100 + 16 * n + k) for k in range(16)]
+    rng, states = np.random.default_rng(2100 + n), []
+    for _ in range(16):
+        if kind == "wclass-log6":
+            amps = _w_part(n, 10.0 ** rng.uniform(-6.0, 0.0, n)
+                           * np.exp(2j * np.pi * rng.random(n)))
+        else:
+            amps = _w_part(n, rng.random(n))
+            amps[0] = amps[-1] = 0.5
+        states.append(PureState.from_amplitudes(amps / np.linalg.norm(amps)))
+    return states
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_the_chunk_tally_equals_the_per_report_oracle(n):
+    """Haar, W-class and GHZ+W chunks of 16, each filled as the sweep fills
+    a chunk and tallied whole per bound, one after another into the same
+    stats, equal the stats summed one report at a time."""
+    theorems = tuple(t for t in BOUNDS if n >= BOUNDS[t].min_qubits)
+    grid = AlphaGrid.from_range(0.25, 2.0, 0.25)
+    got = {tid: _fresh_stats() for tid in theorems}
+    want = {tid: _fresh_stats() for tid in theorems}
+    for kind in ("haar", "wclass-log6", "ghz-w"):
+        chunk = [StateEvaluator(psi) for psi in _chunk(kind, n)]
+        fill_columns(chunk, theorems, grid)
+        for tid in theorems:
+            columns = [ev.evaluate(tid, grid) for ev in chunk]
+            cli._tally(got[tid], columns)
+            for cols in columns:
+                for i in range(len(cols.alpha)):
+                    sweep_tally(want[tid], cols.report(i))
+    for tid in theorems:
+        _assert_same_stats(got[tid], want[tid])
+    assert sum(got[tid]["not_applicable"] for tid in theorems) > 0
 
 
 def test_verify_rows_are_the_grid_columns(capsys):

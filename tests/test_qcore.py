@@ -282,6 +282,72 @@ def test_haar_random_pure_range_check():
         haar_random_pure(13, 1)
 
 
+def _drawn_alone(n, seed):
+    """A Haar state's amplitudes by the formula of one state at a time."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+    return z / np.linalg.norm(z)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_every_draw_equals_the_one_state_formula_byte_for_byte(n):
+    """``haar_random_pure`` and chunks of 1, 16 and 17 seeds (small ones, and
+    the 64-bit ones that ``sweep`` derives) give each state the bytes of its
+    draw alone, as read-only amplitudes of a ``PureState``."""
+    wide = np.random.SeedSequence(n).generate_state(17, np.uint64).tolist()
+    for seeds in ([n], list(range(40 * n, 40 * n + 16)), wide):
+        states = qcore.haar_random_states(n, seeds)
+        assert len(states) == len(seeds)
+        for psi, seed in zip(states, seeds):
+            want = _drawn_alone(n, seed).tobytes()
+            assert type(psi) is PureState and psi.num_qubits == n
+            assert psi.amplitudes.dtype == complex and psi.amplitudes.shape == (2 ** n,)
+            assert not psi.amplitudes.flags.writeable
+            assert psi.amplitudes.tobytes() == want
+            assert haar_random_pure(n, seed).amplitudes.tobytes() == want
+
+
+class _Yields:
+    """A generator whose every normal is ``value``, with or without ``out``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return np.full(size, self.value)
+        out[...] = self.value
+        return out
+
+
+@pytest.mark.parametrize("value,message", [
+    (math.nan, "amplitudes must be finite (no NaN or infinity)"),
+    (1e200, "state not normalized: |psi|^2 = 0.0"),  # the norm overflows, so z / inf is 0
+])
+def test_a_draw_that_fails_a_state_check_is_refused_with_its_message(monkeypatch, value,
+                                                                     message):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _Yields(value))
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError) as err:
+        haar_random_pure(3, 1)
+    assert str(err.value) == message
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError) as err:
+        qcore.haar_random_states(3, [1, 2, 3])
+    assert str(err.value) == message
+
+
+def test_out_of_range_sizes_and_negative_seeds_are_refused():
+    for n in (0, 13):
+        for draw in (lambda: haar_random_pure(n, 1), lambda: qcore.haar_random_states(n, [1, 2])):
+            with pytest.raises(ValueError, match=rf"^n must be in \[1, 12\], got {n}$"):
+                draw()
+    with pytest.raises(ValueError) as want:
+        np.random.default_rng(-1)
+    for draw in (lambda: haar_random_pure(3, -1), lambda: qcore.haar_random_states(3, [1, -1])):
+        with pytest.raises(ValueError) as err:
+            draw()
+        assert str(err.value) == str(want.value)
+
+
 def test_haar_mean_reduction_purity():
     # Known average purity of a single-qubit reduction of a Haar-random
     # two-qubit pure state: (d_A + d_B) / (d_A d_B + 1) = 4/5.
