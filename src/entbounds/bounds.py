@@ -89,9 +89,12 @@ _MAX_ALPHA_VALUES = 10_000
 _BATCH_BYTES = 128 << 10
 # The most bytes of candidate values that ``_front_dp`` forms at once: a
 # layer's split positions are taken in blocks of this size, but at least one
-# position.  The largest DP of the benchmark and the tests takes under 3 MiB
-# (5 entries x 40 alpha at 9 qubits), so each runs every layer in one block;
-# a 9-qubit search over 2,000 alpha took 192 MiB unbounded.
+# position.  ``_fill_fronts`` slices the grid so that each of its (subsets x
+# entries x alpha) arrays stays within it too, but holds at least one alpha.
+# The largest DP of the benchmark and the tests takes under 3 MiB of
+# candidates (5 entries x 40 alpha at 9 qubits), so each runs every layer in
+# one block and its grid in one slice; a 9-qubit search over 2,000 alpha took
+# 192 MiB unbounded, and over 10,000 alpha 211 MiB with the blocks alone.
 _DP_BYTES = 4 << 20
 
 
@@ -853,8 +856,9 @@ class StateEvaluator:
     ``fill_columns`` fills every pair and cut that its ``_Layout`` lists up
     front, for a whole chunk of states of one size with one stacked
     reduction per batch of pairs into one output stack, one stacked
-    ``eigh`` + ``svd`` and one ``eigvalsh`` per cut size, and a later miss
-    in ``tables`` or ``_cut`` fills as a chunk of one.
+    ``reduced_density`` call per cut key that no pair row supplies, one
+    stacked ``eigh`` + ``svd`` and one ``eigvalsh`` per cut size, and a
+    later miss in ``tables`` or ``_cut`` fills as a chunk of one.
 
     The alpha arithmetic of the bounds runs as one array pass over a chunk
     of states (``_ChunkPass``): ``verify`` and ``sweep`` call
@@ -1659,14 +1663,19 @@ def _fill_fronts(evaluators: Sequence[StateEvaluator], foci: Sequence[int],
       x alpha) arrays (``_front_dp``), whatever its focus: every focus of
       one state size has the same number of partners, so the entries line
       up.  The C^2 and Ca^2 subset sums are formed for all of them at once
-      (``_subset_sums``), the leads ``-(C^2 sum)^p`` are raised by one
-      ``_powers`` call, and the chains and front sums are read off the
-      picks as arrays (``_front_chains``).  Every step acts on each entry
+      (``_subset_sums``).  The grid is taken in slices of as many alphas as
+      keep each (subsets x entries x alpha) array, the C^2 powers, the
+      leads, the DP's values and picks, within ``_DP_BYTES``, but at least
+      one alpha; the benchmark's and the tests' grids take one slice.  Per
+      slice the leads ``-(C^2 sum)^p`` are raised by one ``_powers`` call,
+      one DP runs, and the chains and front sums are read off the picks as
+      arrays (``_front_chains``).  Every step acts on each entry and alpha
       alone, so each column equals the one that a fill of its focus alone
-      forms, bit for bit.  Each entry then certifies each distinct chain
-      once, off its Ca^2 subset sums, which equal the grouping's
-      ``_grouped_sums`` bit for bit, with the chain's shared ``Grouping``
-      over its own focus's partners.
+      in one slice forms, bit for bit.  Each entry then certifies each
+      distinct chain once, across slices too (a slice pads its chains to
+      its own longest), off its Ca^2 subset sums, which equal the
+      grouping's ``_grouped_sums`` bit for bit, with the chain's shared
+      ``Grouping`` over its own focus's partners.
     """
     canonical, searched = [], []
     for focus in foci:
@@ -1699,17 +1708,25 @@ def _fill_fronts(evaluators: Sequence[StateEvaluator], foci: Sequence[int],
     tables = [ev.tables(focus) for ev, focus in searched]
     values = np.array([[*c_sq.values(), *ca_sq.values()] for c_sq, ca_sq in tables], dtype=float)
     c, ca = _subset_sums(values.reshape(len(tables), 2, -1).T).transpose(1, 0, 2)
-    terms = _powers(c.T, p)
-    chains, fronts = _front_chains(_front_dp(-terms, ca, h), terms, h)
-    for (ev, focus), (_, ca_sq), ca_sums, rows, row_fronts in zip(
-            searched, tables, ca.T.tolist(), chains.tolist(), fronts.tolist()):
-        partners, certs, column = tuple(ca_sq), {}, []
-        for chain, front in zip(map(tuple, rows), row_fronts):
-            cert = certs.get(chain)
-            if cert is None:
-                cert = certs[chain] = _chain_certificate(
-                    partners, tuple(filter(None, chain)), ca_sums)
-            column.append((cert.grouping, cert, front))
+    entries = [(tuple(ca_sq), ca_sums, {}, [])  # (partners, Ca^2 sums, certificates, column)
+               for (_, ca_sq), ca_sums in zip(tables, ca.T.tolist())]
+    step = max(1, _DP_BYTES // c.nbytes)  # alphas per slice; c is one alpha's (subsets x entries)
+    for start in range(0, len(grid), step):
+        ps, hs = p[start:start + step], h[start:start + step]
+        terms = _powers(c.T, ps)
+        chains, fronts = _front_chains(_front_dp(-terms, ca, hs), terms, hs)
+        for (partners, ca_sums, certs, column), rows, row_fronts in zip(
+                entries, chains.tolist(), fronts.tolist()):
+            for chain, front in zip(map(tuple, rows), row_fronts):
+                cert = certs.get(chain)
+                if cert is None:  # the chain's masks, whatever this slice's padding
+                    groups = tuple(filter(None, chain))
+                    cert = certs.get(groups)
+                    if cert is None:
+                        cert = _chain_certificate(partners, groups, ca_sums)
+                    certs[chain] = certs[groups] = cert
+                column.append((cert.grouping, cert, front))
+    for (ev, focus), (*_, column) in zip(searched, entries):
         ev._fronts[focus, grid.values] = column
 
 
@@ -1738,7 +1755,9 @@ def fill_spectra(evaluators: Sequence[StateEvaluator], pairs: Collection[tuple[i
     one size are solved with one stacked ``eigvalsh``, and ``_cut_measures``
     gives each its concurrence, negativity and Schmidt rank.  A cut that is
     a pair this call filled for the same state takes that pair's row; every
-    other cut is reduced alone with ``reduced_density``.  numpy runs the
+    other cut key is reduced with one ``reduced_density`` call over the
+    states that lack it, in chunk order (a list of one for a chunk of one),
+    whose one stacked matmul forms all their rows.  numpy runs the
     same BLAS or LAPACK routine on each matrix of a stack as on a single
     one, so the values equal, bit for bit, those of a chunk of one:
     ``tables`` and ``_cut`` fill their misses with this as a chunk of one.
@@ -1779,15 +1798,22 @@ def fill_spectra(evaluators: Sequence[StateEvaluator], pairs: Collection[tuple[i
         filled = dict(zip(owners, rhos))
         for (ev, key), rho in filled.items():
             ev._pairs[key] = (concurrence_two_qubit(rho).value ** 2, coa_two_qubit(rho).value ** 2)
-    cut_todo: dict[int, list[tuple[StateEvaluator, tuple[int, ...]]]] = {}
-    for ev in evaluators:
-        for key in cuts:
-            if key not in ev._cuts:
-                cut_todo.setdefault(len(key), []).append((ev, key))
-    for todo in cut_todo.values():
-        spectra = _schmidt_spectra([(filled[ev, key] if (ev, key) in filled else
-                                     reduced_density(ev.psi, key)).matrix for ev, key in todo])
-        for (ev, key), c, neg, rank in zip(todo, *_cut_measures(spectra)):
+    cut_todo: dict[int, tuple[list, list]] = {}  # cut size -> (owners, matrices)
+    for key in cuts:
+        lacking = [ev for ev in evaluators if key not in ev._cuts]
+        if lacking:
+            owners, matrices = cut_todo.setdefault(len(key), ([], []))
+            pending = [ev for ev in lacking if (ev, key) not in filled]
+            if len(pending) < len(lacking):  # pair rows of this call
+                paired = [(ev, key) for ev in lacking if (ev, key) in filled]
+                owners += paired
+                matrices += [filled[owner].matrix for owner in paired]
+            if pending:
+                owners += [(ev, key) for ev in pending]
+                rhos = reduced_density([ev.psi for ev in pending], key)
+                matrices += [rho.matrix for rho in rhos]
+    for owners, matrices in cut_todo.values():
+        for (ev, key), c, neg, rank in zip(owners, *_cut_measures(_schmidt_spectra(matrices))):
             ev._cuts[key] = (c, neg, rank)
 
 

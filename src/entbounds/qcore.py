@@ -211,20 +211,39 @@ def partial_trace(rho: DensityMatrix, keep: SubsystemLike) -> DensityMatrix:
     return DensityMatrix(len(keep_idx), tensor.reshape(d, d))
 
 
-def reduced_density(psi: PureState, keep: SubsystemLike) -> DensityMatrix:
+def reduced_density(psi: PureState | Sequence[PureState], keep: SubsystemLike
+                    ) -> DensityMatrix | list[DensityMatrix]:
     """Reduced state of a pure state; equals ``partial_trace(to_density(psi))``.
 
     Avoids forming the full projector, which matters for larger qubit counts.
-    It is ``_reduced_densities`` on one part, a stack of one that views the
-    amplitudes, so a reduction made alone equals its row of any batch bit
-    for bit.  A key that is not a tuple of plain ints is checked with
-    ``_subsystem`` before ``_kept_axes`` reads it.
+    ``psi`` may also be a list or tuple of ``PureState`` of one qubit count:
+    then the reduction of each onto the same ``keep`` is returned, as a list
+    in order.  An empty sequence, a member that is not a ``PureState`` and
+    mixed qubit counts are refused with ``ValueError``.
+
+    It is ``_reduced_densities`` on one part, the states' amplitudes stacked
+    by ``_amplitude_tensor`` (a view for one state), so one conjugate and one
+    stacked matmul form every reduction, and each equals its state's lone
+    reduction bit for bit; a lone state is the sequence of one.  A key that
+    is not a tuple of plain ints is checked with ``_subsystem`` before
+    ``_kept_axes`` reads it.
     """
-    n = psi.num_qubits
+    lone = not isinstance(psi, (list, tuple))
+    states = (psi,) if lone else psi
+    # A list of one PureState has nothing to check.
+    if not lone and (len(states) != 1 or type(states[0]) is not PureState):
+        if not states:
+            raise ValueError("reduced_density takes at least one state")
+        if not all(isinstance(s, PureState) for s in states):
+            raise ValueError("reduced_density takes PureState members only")
+        sizes = {s.num_qubits for s in states}
+        if len(sizes) > 1:
+            raise ValueError(
+                f"reduced_density takes states of one qubit count, got {sorted(sizes)}")
     if type(keep) is not tuple or not all(type(q) is int for q in keep):
-        keep = _subsystem(keep, n, name="keep")
-    tensor = psi.amplitudes.reshape((1,) + (2,) * n)
-    return _gram_densities(_reduced_densities(((tensor, keep),)))[0]
+        keep = _subsystem(keep, states[0].num_qubits, name="keep")
+    rhos = _gram_densities(_reduced_densities(((_amplitude_tensor(states), keep),)))
+    return rhos[0] if lone else rhos
 
 
 def _amplitude_tensor(states: Sequence[PureState]) -> np.ndarray:
@@ -344,11 +363,13 @@ _PAIR_NOISE_FLOOR = 1e-12
 def _schmidt_spectra(matrices) -> np.ndarray:
     """Descending eigenvalues, clipped at 0, of each reduction in a stack.
 
-    ``matrices`` are same-size reduced density matrices, copied into one
-    array by ``np.array`` (one C-level copy, where ``np.stack`` checks each
-    matrix in Python) and solved with one stacked ``eigvalsh``.  numpy runs
-    the same LAPACK routine on each matrix of a stack as on a single one,
-    so every row equals the spectrum of its matrix solved alone.
+    ``matrices`` are same-size reduced density matrices, such as the rows of
+    ``bounds.fill_spectra``'s pair stack and of its one ``reduced_density``
+    call per cut key, copied into one array by ``np.array`` (one C-level
+    copy, where ``np.stack`` checks each matrix in Python) and solved with
+    one stacked ``eigvalsh``.  numpy runs the same LAPACK routine on each
+    matrix of a stack as on a single one, so every row equals the spectrum
+    of its matrix solved alone.
     """
     evals = np.linalg.eigvalsh(np.array(matrices))[:, ::-1]
     return np.where(evals < _RANK_CUTOFF, 0.0, evals)

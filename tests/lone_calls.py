@@ -1,20 +1,22 @@
 """Print the lone-call table: the time of single library calls, each of
 which evaluates one state, as a chunk of one, through ``StateEvaluator``,
-of cold ``fill_spectra`` calls on one state or a sweep chunk, and of whole
-``verify`` and ``sweep`` runs through ``cli.main``.
+of lone ``reduced_density`` calls, of cold ``fill_spectra`` calls on one
+state or a sweep chunk, and of whole ``verify`` and ``sweep`` runs through
+``cli.main``.
 
 Run from the repository root::
 
     python tests/lone_calls.py                      # this tree only
     python tests/lone_calls.py --base <dir>/src     # against another tree
 
-Each row times short blocks of one kind of call (100 single-alpha calls,
-30 grid calls, 10 fills or 2 ``verify`` or ``sweep`` runs per block) and
-keeps the fastest block of ``--repeats`` (41), in µs per call; the table is measured
-``--rounds`` times (3), one column per round.  With ``--base`` the ``entbounds``
-package under that ``src`` directory is imported next to this tree's, each
-under a private module name, and each repeat alternates which tree runs
-its block first; a cell then reads ``base -> this tree (change %)``.
+Each row times short blocks of one kind of call (100 single-alpha calls
+or lone reductions, 30 grid calls, 10 fills or 2 ``verify`` or ``sweep``
+runs per block) and keeps the fastest block of ``--repeats`` (41), in µs
+per call; the table is measured ``--rounds`` times (3), one column per
+round.  With ``--base`` the ``entbounds`` package under that ``src``
+directory is imported next to this tree's, each under a private module
+name, and each repeat alternates which tree runs its block first; a cell
+then reads ``base -> this tree (change %)``.
 ``--json`` prints the rows as one JSON object instead of the table.  This
 is not a pytest test (pytest collects only ``test_*.py``): the numbers
 depend on the host.
@@ -161,6 +163,21 @@ def _two_fronts(amplitudes):
     return make, GRID
 
 
+def _reduce(n: int):
+    """A row of lone ``reduced_density(psi, (0,))`` calls on the n-qubit Haar
+    state of seed 11: the one-state path of the stacked cut reduction."""
+    def make(tree):
+        qcore = tree["qcore"]
+        psi, reduced_density = qcore.haar_random_pure(n, 11), qcore.reduced_density
+        reduced_density(psi, (0,))
+
+        def block():
+            for _ in range(SINGLE):
+                reduced_density(psi, (0,))
+        return block
+    return make, SINGLE
+
+
 def _all_keys(bounds, n: int) -> tuple[tuple, tuple]:
     """The pairs and cuts that ``--theorem all`` reads on ``n`` qubits, in
     the order the library fills them, derived here from a tree's ``BOUNDS``
@@ -238,6 +255,8 @@ ROWS = {
         lambda tree: tree["qcore"].haar_random_pure(12, 3)),
     "two front_best(f, grid), geometric W-class 12": _two_fronts(
         lambda tree: tree["qcore"].PureState(12, _geometric_wclass(12))),
+    "reduced_density(psi, (0,)), Haar-4": _reduce(4),
+    "reduced_density(psi, (0,)), Haar-12": _reduce(12),
     "cold fill_spectra, all keys, Haar-8": _cold_fill(8, 1),
     "cold fill_spectra, all keys, Haar-12": _cold_fill(12, 1),
     "cold fill_spectra, all keys, 16 x Haar-4": _cold_fill(4, 16),

@@ -191,12 +191,57 @@ def test_a_one_position_budget_forms_every_column_bit_for_bit(n, monkeypatch):
                 assert _sharing(column) == _sharing(alone), (s, focus)
 
 
+@pytest.mark.parametrize("per_slice", (1, 7))
+@pytest.mark.parametrize("n", range(4, 10))
+def test_the_front_fill_slices_its_grid_within_the_budget(n, per_slice, monkeypatch):
+    """With ``_DP_BYTES`` forced small, the front fill of the chunk above
+    runs one DP per slice of the grid, each slice as many alphas as keep
+    its (subsets x entries x alpha) arrays within the budget, but at least
+    one (a budget of 1 byte), the slices in grid order and all but the last
+    full.  Every column equals the one-slice fill's: the groupings by
+    identity, the certificates by value, the front sums by ``float.hex``,
+    and which alphas share one certificate, across slices too."""
+    states = [_state(family, n, 3900 + 10 * n + i)
+              for i, family in enumerate(("wclass-log6", "ghz-w", "haar") * 2)]
+    # At alpha = 0 and 2 every chain is one group (at 8 qubits), so a slice of
+    # either pads its chains narrower than the others do.
+    grid = AlphaGrid(tuple(np.linspace(0.0, 2.0, 57).tolist()))
+    slices, front_dp = [], bounds._front_dp
+
+    def dp(lead, ca, h):
+        slices.append((lead.shape, lead.nbytes, h.tolist()))
+        return front_dp(lead, ca, h)
+
+    monkeypatch.setattr(bounds, "_front_dp", dp)
+    whole = [StateEvaluator(psi) for psi in states]
+    _fill_fronts(whole, (0, 1), grid)
+    assert len(slices) == 1, "no entry was searched, or the grid was sliced"
+    (subsets, entries, _), nbytes, _ = slices.pop()
+    per_alpha = nbytes // len(grid)
+    assert per_alpha == subsets * entries * 8
+    budget = 1 if per_slice == 1 else per_slice * per_alpha + per_alpha // 2
+    monkeypatch.setattr(bounds, "_DP_BYTES", budget)
+    sliced = [StateEvaluator(psi) for psi in states]
+    _fill_fronts(sliced, (0, 1), grid)
+    assert [shape for shape, *_ in slices] == [
+        (subsets, entries, min(per_slice, len(grid) - start))
+        for start in range(0, len(grid), per_slice)]
+    assert all(nbytes <= max(budget, per_alpha) for _, nbytes, _ in slices)
+    assert sum([h for *_, h in slices], []) == grid.array[2].tolist()
+    for s, (ev, want) in enumerate(zip(sliced, whole)):
+        for focus in (0, 1):
+            column, alone = ev.front_best(focus, grid), want.front_best(focus, grid)
+            _assert_same(column, alone, (s, focus))
+            assert _sharing(column) == _sharing(alone), (s, focus)
+
+
 def test_the_front_dp_working_set_stays_under_its_bound():
     """A 9-qubit log-uniform W-class state, both front foci searched, over
-    2,000 alpha: the traced peak of its front fill stays under 64 MiB.  Its
-    (subsets x entries x alpha) arrays take about 33 MB, and each layer's
-    candidates at most ``_DP_BYTES`` per block; unbounded, the candidates
-    of one layer took three arrays of 56 MB, a 192 MiB peak."""
+    2,000 alpha: the traced peak of its front fill stays under 32 MiB (29.0
+    MiB measured).  The grid is taken in two slices of at most 1,024 alpha,
+    so each (subsets x entries x alpha) array takes at most ``_DP_BYTES``,
+    and each layer's candidates at most ``_DP_BYTES`` per block; in one
+    slice the peak was 45.4 MiB, and with unbounded candidates 192 MiB."""
     rng = np.random.default_rng(33)
     amps = _w_part(9, 10.0 ** rng.uniform(-6.0, 0.0, 9) * np.exp(2j * np.pi * rng.random(9)))
     ev = StateEvaluator(PureState.from_amplitudes(amps / np.linalg.norm(amps)))
@@ -209,7 +254,7 @@ def test_the_front_dp_working_set_stays_under_its_bound():
     finally:
         tracemalloc.stop()
     assert len(ev.front_best(0, grid)) == len(ev.front_best(1, grid)) == 2000
-    assert peak < 64 << 20, peak
+    assert peak < 32 << 20, peak
 
 
 def test_the_array_dp_replays_the_sequential_tie_rule():

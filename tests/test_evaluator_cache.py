@@ -677,29 +677,52 @@ def test_a_held_pair_batches_only_the_states_that_lack_it(monkeypatch):
 def test_the_two_qubit_cut_is_read_from_the_pair_stack(monkeypatch, n, size):
     """A cut that is a pair key filled by the same call, the (0, 1) cut of
     every ``--theorem all`` fill, is reduced once, as a pair: a 16-state
-    4-qubit chunk calls ``reduced_density`` 16 times, for its (0,) cut, not
-    32.  Its C, N and Schmidt rank equal the public functions' bit for bit."""
+    4-qubit chunk calls ``reduced_density`` once, for its (0,) cut over all
+    16 states, and never for (0, 1).  Every other cut key is one call over
+    the whole chunk in order.  Its C, N and Schmidt rank equal the public
+    functions' bit for bit."""
     states = [FILL_FAMILIES[k % len(FILL_FAMILIES)](n, k) for k in range(size)]
     pairs, cuts = _keys(cli._parse_theorems("all", n), n)
     assert (0, 1) in pairs and (0, 1) in cuts
     reduced = []
 
     def reduce(psi, keep):
-        reduced.append(keep)
+        reduced.append((keep, psi))
         return qcore.reduced_density(psi, keep)
 
     monkeypatch.setattr(bounds, "reduced_density", reduce)
     chunk = [StateEvaluator(psi) for psi in states]
     bounds.fill_spectra(chunk, pairs, cuts)
-    assert sorted(reduced) == sorted(cut for cut in cuts if cut != (0, 1) for _ in states)
+    assert sorted(keep for keep, _ in reduced) == sorted(cut for cut in cuts if cut != (0, 1))
+    for _, psis in reduced:
+        assert type(psis) is list and all(a is b for a, b in zip(psis, states, strict=True))
     if n == 4:
-        assert len(reduced) == size
+        assert [keep for keep, _ in reduced] == [(0,)]
     monkeypatch.undo()
     for psi, ev in zip(states, chunk):
         c, neg, rank = ev._cuts[(0, 1)]
         assert c.hex() == concurrence_pure(psi, (0, 1)).value.hex()
         assert neg.hex() == negativity_pure_schmidt(psi, (0, 1)).value.hex()
         assert rank == schmidt_rank(psi, (0, 1)) and type(rank) is int
+
+
+def test_a_sweep_chunk_fill_calls_reduced_density_once(monkeypatch):
+    """A 16-state 4-qubit ``--theorem all`` chunk, as ``sweep`` fills it,
+    calls ``reduced_density`` once, wherever the name is bound: for its
+    (0,) cut, over the chunk's states in order."""
+    states = qcore.haar_random_states(4, range(3400, 3400 + cli._SWEEP_CHUNK))
+    calls, reduced_density = [], qcore.reduced_density
+
+    def reduce(psi, keep):
+        calls.append((keep, psi))
+        return reduced_density(psi, keep)
+
+    for module in (bounds, qcore, measures):
+        monkeypatch.setattr(module, "reduced_density", reduce)
+    chunk = [StateEvaluator(psi) for psi in states]
+    bounds.fill_columns(chunk, cli._parse_theorems("all", 4), bounds.AlphaGrid.default())
+    assert [keep for keep, _ in calls] == [(0,)]
+    assert all(a is b for a, b in zip(calls[0][1], states, strict=True))
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])

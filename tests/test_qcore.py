@@ -428,3 +428,67 @@ def test_a_cached_axis_order_never_answers_for_a_refused_key(monkeypatch, n, key
                           reduced_density(psi, (0, 1)).matrix)
     assert checked == [numpy_key]
     assert qcore._kept_axes.cache_info().currsize == cached
+
+
+def _mixed_states(n, count):
+    """``count`` states of n qubits: Haar draws, with a GHZ state and a
+    product state among them, so that some reductions are rank-deficient."""
+    states = qcore.haar_random_states(n, range(5100 + 100 * n, 5100 + 100 * n + count))
+    ghz, basis = np.zeros(1 << n), np.zeros(1 << n)
+    ghz[[0, -1]] = 1 / math.sqrt(2)
+    basis[(1 << n) // 3] = 1.0
+    for i, amps in ((3, ghz), (7, basis)):
+        if i < count:
+            states[i] = PureState(n, amps)
+    return states
+
+
+def _list_keys(n):
+    """Keys of 1-3 qubits: sorted and unsorted tuples, lists, a lone int and
+    numpy integers."""
+    keys = [(0,), [n - 1], np.int64(n - 1)]
+    if n > 2:
+        keys += [(n - 1, 0), [np.int32(1), n - 1]]
+    if n > 3:
+        keys += [(1, 2, n - 1), (np.int64(n - 1), 1, 0)]
+    return keys
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_a_list_reduction_equals_each_lone_reduction_byte_for_byte(n):
+    """``reduced_density`` of a list or tuple of states returns one
+    ``DensityMatrix`` per state, in order, each equal to that state's lone
+    reduction by ``tobytes`` and read-only, for chunks of 1, 16 and 17."""
+    states = _mixed_states(n, 17)
+    for keep in _list_keys(n):
+        lone = [reduced_density(psi, keep) for psi in states]
+        for chunk in (states[:1], states[:16], tuple(states)):
+            rhos = reduced_density(chunk, keep)
+            assert type(rhos) is list and len(rhos) == len(chunk)
+            for rho, want in zip(rhos, lone):
+                assert type(rho) is DensityMatrix and rho.num_qubits == want.num_qubits
+                assert rho.matrix.shape == want.matrix.shape
+                assert rho.matrix.tobytes() == want.matrix.tobytes(), (n, keep)
+                assert not rho.matrix.flags.writeable
+                with pytest.raises(ValueError):
+                    rho.matrix[0, 0] = 0.0
+
+
+def test_a_refused_list_reduction_names_its_fault():
+    psi4, psi5 = haar_random_pure(4, 1), haar_random_pure(5, 2)
+    for states in ([], ()):
+        with pytest.raises(ValueError, match=r"^reduced_density takes at least one state$"):
+            reduced_density(states, (0,))
+    for member in (psi4.amplitudes, reduced_density(psi4, (0, 1)), None, [psi4]):
+        with pytest.raises(ValueError, match=r"^reduced_density takes PureState members only$"):
+            reduced_density([psi4, member], (0,))
+    with pytest.raises(ValueError, match=r"^reduced_density takes states of one qubit count, "
+                                         r"got \[4, 5\]$"):
+        reduced_density((psi5, psi4, psi5), (0,))
+    # A refused key reads as it does for a lone state.
+    for keep in ((0, 4), (1, 1), (0, 1, 2, 3), (), (0.5,), (True, 2)):
+        with pytest.raises(InvalidSubsystemError) as lone:
+            reduced_density(psi4, keep)
+        with pytest.raises(InvalidSubsystemError) as listed:
+            reduced_density([psi4, psi4], keep)
+        assert str(listed.value) == str(lone.value)
